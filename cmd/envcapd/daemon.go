@@ -3,15 +3,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
+	"envmon/internal/daemon"
 	"envmon/internal/obs"
 	"envmon/internal/powercap"
 	"envmon/internal/telemetry/client"
@@ -55,15 +54,13 @@ func parseLadder(spec string) ([]float64, error) {
 	return out, nil
 }
 
-// capDaemon is an assembled envcapd: controller, telemetry source,
-// HTTP server, listener.
+// capDaemon is an assembled envcapd: controller, telemetry source, and
+// the bound chassis server (Addr).
 type capDaemon struct {
+	*daemon.Server
 	cfg     config
 	ctrl    *powercap.Controller
 	src     powercap.ClientSource
-	reg     *obs.Registry
-	srv     *http.Server
-	ln      net.Listener
 	started time.Time
 }
 
@@ -104,28 +101,24 @@ func newCapDaemon(cfg config) (*capDaemon, error) {
 			Window:   cfg.window,
 			Deadline: cfg.deadline,
 		},
-		reg:     obs.NewRegistry(),
 		started: time.Now(),
 	}
-	ctrl.Instrument(d.reg)
-	d.reg.GaugeFunc("envcap_uptime_seconds",
+	reg := obs.NewRegistry()
+	ctrl.Instrument(reg)
+	reg.GaugeFunc("envcap_uptime_seconds",
 		"Daemon wall-clock uptime.",
 		func() float64 { return time.Since(d.started).Seconds() })
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", d.handleHealthz)
-	mux.HandleFunc("/decisions", d.handleDecisions)
-	mux.Handle("/metrics", d.reg.Handler())
-	d.ln, err = net.Listen("tcp", cfg.listen)
+	api := daemon.NewHandler("envcap")
+	api.HandleFunc("/healthz", d.handleHealthz)
+	api.HandleFunc("/decisions", d.handleDecisions)
+	api.Instrument(reg)
+	d.Server, err = daemon.Listen(daemon.Config{Name: "envcapd", Addr: cfg.listen, Handler: api, Logf: cfg.logf})
 	if err != nil {
 		return nil, err
 	}
-	d.srv = &http.Server{Handler: mux}
 	return d, nil
 }
-
-// Addr reports the bound listen address.
-func (d *capDaemon) Addr() string { return d.ln.Addr().String() }
 
 // now is the controller's time base: wall time since daemon start, so
 // freshness windows and the watchdog run on real seconds.
@@ -163,31 +156,24 @@ func (d *capDaemon) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // run steps the control loop every interval and serves HTTP until ctx is
 // cancelled, then drains.
 func (d *capDaemon) run(ctx context.Context) error {
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- d.srv.Serve(d.ln) }()
-
-	ticker := time.NewTicker(d.cfg.interval)
-	defer ticker.Stop()
-	var err error
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		case err = <-srvErr:
-			break loop
-		case <-ticker.C:
-			d.step(ctx)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		ticker := time.NewTicker(d.cfg.interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+				d.step(ctx)
+			}
 		}
-	}
-	if err == nil {
-		sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = d.srv.Shutdown(sdCtx)
-		cancel()
-		err = <-srvErr
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	}()
+	// The closing hook stops the control loop on a listener failure too.
+	err := d.Server.Run(ctx, cancel)
+	<-loopDone
+	return err
 }

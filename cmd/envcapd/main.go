@@ -27,14 +27,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
+
+	"envmon/internal/daemon"
 )
 
 func main() {
@@ -77,13 +76,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	log.Printf("envcapd: holding %.0f W over %s at http://%s (tick %v, watchdog %v)",
 		cfg.budget, cfg.telemetry, d.Addr(), cfg.interval, d.ctrl.Config().Watchdog)
-	if err := d.run(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "envcapd:", err)
-		os.Exit(1)
-	}
+	daemon.Main("envcapd", d.run)
 }

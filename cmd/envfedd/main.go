@@ -26,17 +26,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"envmon/internal/daemon"
 	"envmon/internal/federation"
 	"envmon/internal/obs"
 )
@@ -56,13 +52,11 @@ type config struct {
 	logf             func(format string, args ...any)
 }
 
-// fedDaemon is an assembled envfedd: federator, HTTP server, listener.
+// fedDaemon is an assembled envfedd: federator and the bound chassis
+// server (Addr).
 type fedDaemon struct {
-	cfg config
+	*daemon.Server
 	fed *federation.Federator
-	reg *obs.Registry
-	srv *http.Server
-	ln  net.Listener
 }
 
 // newFedDaemon builds the daemon and binds the listen address (so a
@@ -86,49 +80,28 @@ func newFedDaemon(cfg config) (*fedDaemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &fedDaemon{cfg: cfg, fed: fed, reg: obs.NewRegistry()}
+	d := &fedDaemon{fed: fed}
+	reg := obs.NewRegistry()
 	api := federation.NewServer(fed)
 	api.DefaultDeadline = cfg.queryDeadline
-	api.Instrument(d.reg)
+	api.Instrument(reg)
 	if cfg.accessLog {
 		api.SetAccessLog(func(method, path string, status int, dur time.Duration, bytes int64) {
 			cfg.logf("envfedd: access %s %s %d %dB %s", method, path, status, bytes, dur)
 		})
 	}
-	d.reg.GaugeFunc("envfed_members_configured",
+	reg.GaugeFunc("envfed_members_configured",
 		"Member daemons this front-end fans out to.",
 		func() float64 { return float64(len(members)) })
-	d.ln, err = net.Listen("tcp", cfg.listen)
+	d.Server, err = daemon.Listen(daemon.Config{Name: "envfedd", Addr: cfg.listen, Handler: api, Logf: cfg.logf})
 	if err != nil {
 		return nil, err
 	}
-	d.srv = &http.Server{Handler: api}
 	return d, nil
 }
 
-// Addr reports the bound listen address.
-func (d *fedDaemon) Addr() string { return d.ln.Addr().String() }
-
 // run serves until ctx is cancelled, then drains.
-func (d *fedDaemon) run(ctx context.Context) error {
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- d.srv.Serve(d.ln) }()
-	var err error
-	select {
-	case <-ctx.Done():
-	case err = <-srvErr:
-	}
-	if err == nil {
-		sdCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = d.srv.Shutdown(sdCtx)
-		cancel()
-		err = <-srvErr
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
+func (d *fedDaemon) run(ctx context.Context) error { return d.Server.Run(ctx, nil) }
 
 func main() {
 	var cfg config
@@ -158,13 +131,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	log.Printf("envfedd: federating %d members at http://%s (member deadline %v)",
 		len(d.fed.MemberNames()), d.Addr(), cfg.memberDeadline)
-	if err := d.run(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "envfedd:", err)
-		os.Exit(1)
-	}
+	daemon.Main("envfedd", d.run)
 }

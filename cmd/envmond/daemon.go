@@ -2,19 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
 	"envmon/internal/bgq"
 	"envmon/internal/cluster"
 	"envmon/internal/core"
+	chassis "envmon/internal/daemon" // renamed: this package's own type is called daemon
 	"envmon/internal/envdb"
 	"envmon/internal/faults"
 	"envmon/internal/obs"
@@ -65,8 +61,9 @@ type config struct {
 }
 
 // daemon is an assembled envmond: simulated cluster, telemetry store,
-// producers, and the HTTP server, ready to run.
+// producers, and the bound chassis server (Addr, DebugAddr), ready to run.
 type daemon struct {
+	*chassis.Server
 	cfg     config
 	store   *telemetry.Store
 	cluster *cluster.Cluster
@@ -75,18 +72,14 @@ type daemon struct {
 	cursors []*telemetry.SetCursor
 	bridge  *telemetry.EnvDBBridge
 	api     *httpapi.Server
-	srv     *http.Server
-	ln      net.Listener
 
 	// Self-observability: the daemon watches itself with the same care it
 	// watches the machine room. Always on — the registry costs nothing
 	// until scraped.
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	slow     *obs.SlowLog
-	started  time.Time
-	debugSrv *http.Server
-	debugLn  net.Listener
+	reg     *obs.Registry
+	tracer  *obs.Tracer
+	slow    *obs.SlowLog
+	started time.Time
 	// offset maps the fresh simulation clock (restarts at zero) onto the
 	// recovered store's timeline: every ingest and the reported sim-now are
 	// shifted by it, so a restarted daemon appends after the history it
@@ -103,8 +96,9 @@ type chainEntry struct {
 }
 
 // newDaemon builds the daemon and binds the listen address (so a caller
-// with ":0" can read the real port from Addr before running).
-func newDaemon(cfg config) (*daemon, error) {
+// with ":0" can read the real port from Addr before running). On error
+// nothing it opened stays open.
+func newDaemon(cfg config) (_ *daemon, err error) {
 	if cfg.nodes <= 0 {
 		return nil, fmt.Errorf("nodes must be positive")
 	}
@@ -116,6 +110,17 @@ func newDaemon(cfg config) (*daemon, error) {
 	}
 	if cfg.logf == nil {
 		cfg.logf = log.Printf
+	}
+	// Reject what the flags alone can get wrong before the store opens
+	// anything.
+	var plan faults.Plan
+	base := core.DefaultRegistry
+	if cfg.faultSpec != "" {
+		plan, err = faults.ParsePlan(cfg.faultSpec, cfg.seed)
+		if err != nil {
+			return nil, fmt.Errorf("bad -faults: %w", err)
+		}
+		base = faults.Decorate(base, plan)
 	}
 
 	d := &daemon{cfg: cfg, started: time.Now()}
@@ -140,6 +145,13 @@ func newDaemon(cfg config) (*daemon, error) {
 	} else {
 		d.store = telemetry.New(telemetry.Options{Shards: cfg.storeShards})
 	}
+	// Every error return from here on closes the store, and with it the
+	// block files and WAL segments Open holds.
+	defer func() {
+		if err != nil {
+			d.store.Close()
+		}
+	}()
 	d.store.Instrument(d.reg, d.tracer, d.slow)
 
 	// The monitored machine: a Stampede-shaped partition on sharded clock
@@ -154,15 +166,6 @@ func newDaemon(cfg config) (*daemon, error) {
 	d.domains = c.Domains(cfg.shards)
 
 	jobCfg := cluster.DomainJobConfig{Interval: cfg.interval}
-	var plan faults.Plan
-	base := core.DefaultRegistry
-	if cfg.faultSpec != "" {
-		plan, err = faults.ParsePlan(cfg.faultSpec, cfg.seed)
-		if err != nil {
-			return nil, fmt.Errorf("bad -faults: %w", err)
-		}
-		base = faults.Decorate(base, plan)
-	}
 	// Instrumentation wraps outermost, so it observes the same (possibly
 	// faulty) collector the rest of the stack sees.
 	jobCfg.Registry = obs.Decorate(base, d.reg, d.tracer)
@@ -225,18 +228,12 @@ func newDaemon(cfg config) (*daemon, error) {
 	if cfg.resilient {
 		api.SetBreakers(d.backendHealth)
 	}
-	d.ln, err = net.Listen("tcp", cfg.listen)
+	d.Server, err = chassis.Listen(chassis.Config{
+		Name: "envmond", Addr: cfg.listen, Handler: api, Logf: cfg.logf,
+		DebugAddr: cfg.debugAddr, Registry: d.reg, Slow: d.slow,
+	})
 	if err != nil {
 		return nil, err
-	}
-	d.srv = &http.Server{Handler: api}
-	if cfg.debugAddr != "" {
-		d.debugLn, err = net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			d.ln.Close()
-			return nil, fmt.Errorf("binding -debug-addr: %w", err)
-		}
-		d.debugSrv = &http.Server{Handler: d.debugMux()}
 	}
 	return d, nil
 }
@@ -298,43 +295,6 @@ func (d *daemon) registerBreakerGauges() {
 	}
 }
 
-// debugMux assembles the operator-only debug surface: the same /metrics
-// exposition as the API listener, the net/http/pprof handlers, and the
-// slow-op ring as JSON.
-func (d *daemon) debugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", d.reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		resp := struct {
-			ThresholdNS time.Duration `json:"threshold_ns"`
-			Total       uint64        `json:"total"`
-			Ops         []obs.SlowOp  `json:"ops"`
-		}{d.slow.Threshold(), d.slow.Total(), d.slow.Snapshot()}
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			d.cfg.logf("envmond: /debug/slowops: %v", err)
-		}
-	})
-	return mux
-}
-
-// Addr reports the bound listen address.
-func (d *daemon) Addr() string { return d.ln.Addr().String() }
-
-// DebugAddr reports the bound debug listen address ("" when -debug-addr
-// is off).
-func (d *daemon) DebugAddr() string {
-	if d.debugLn == nil {
-		return ""
-	}
-	return d.debugLn.Addr().String()
-}
-
 // backendHealth snapshots every chain's breaker state for /healthz. Chains
 // guard their status with a lock, so this is safe against concurrent
 // domain polls.
@@ -392,38 +352,14 @@ func (d *daemon) run(ctx context.Context) error {
 		}
 	}()
 
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- d.srv.Serve(d.ln) }()
-	if d.debugSrv != nil {
-		go func() {
-			if e := d.debugSrv.Serve(d.debugLn); e != nil && !errors.Is(e, http.ErrServerClosed) {
-				d.cfg.logf("envmond: debug server: %v", e)
-			}
-		}()
-	}
-
-	var err error
-	select {
-	case <-ctx.Done():
-	case err = <-srvErr:
-		cancel()
-	}
-	// From here on the store is headed for Close: answer data-plane
-	// requests racing the drain with an explicit 503 instead of letting
-	// them hang in Shutdown or hit a half-closed store.
-	d.api.StartClosing()
-	<-advDone
-	if err == nil {
-		shutdownCtx, sdCancel := context.WithTimeout(context.Background(), 3*time.Second)
-		_ = d.srv.Shutdown(shutdownCtx)
-		sdCancel()
-		err = <-srvErr
-	}
-	if d.debugSrv != nil {
-		dbgCtx, dbgCancel := context.WithTimeout(context.Background(), time.Second)
-		_ = d.debugSrv.Shutdown(dbgCtx)
-		dbgCancel()
-	}
+	err := d.Server.Run(ctx, func() {
+		cancel() // a listener failure parks the advance loop too
+		// From here on the store is headed for Close: answer data-plane
+		// requests racing the drain with an explicit 503 instead of letting
+		// them hang in Shutdown or hit a half-closed store.
+		d.api.StartClosing()
+		<-advDone
+	})
 	// The loop is parked and no domain is advancing: one final flush
 	// drains everything the samplers staged since the last barrier.
 	d.flush()
@@ -438,10 +374,7 @@ func (d *daemon) run(ctx context.Context) error {
 		}
 	}
 	d.store.Close()
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return err
 }
 
 // flush moves every cursor's backlog into the store. Call only with the

@@ -30,15 +30,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	chassis "envmon/internal/daemon"
 	"envmon/internal/envdb"
 )
 
@@ -71,9 +69,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	mode := ""
 	if cfg.faultSpec != "" {
 		mode += " faults=on"
@@ -83,8 +78,5 @@ func main() {
 	}
 	log.Printf("envmond: serving %d nodes on %d clock domains at http://%s (tick %v, epoch %v)%s",
 		cfg.nodes, d.domains.Shards(), d.Addr(), cfg.tick, cfg.epoch, mode)
-	if err := d.run(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "envmond:", err)
-		os.Exit(1)
-	}
+	chassis.Main("envmond", d.run)
 }

@@ -11,6 +11,7 @@ import (
 
 	"envmon/internal/federation"
 	"envmon/internal/telemetry"
+	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -82,7 +83,7 @@ func runFederationConfig(seed uint64, series, m int, ctx context.Context) (topkW
 	const reps = 3
 	for rep := 0; rep < reps; rep++ {
 		start := time.Now()
-		out := fed.TopK(ctx, federation.TopKParams{K: 10})
+		out := fed.TopK(ctx, client.TopKParams{K: 10})
 		wall := time.Since(start)
 		if out.Degraded != nil {
 			err = fmt.Errorf("benchmark members degraded: %+v", out.Degraded.Missing)
@@ -97,7 +98,7 @@ func runFederationConfig(seed uint64, series, m int, ctx context.Context) (topkW
 		}
 	}
 	start := time.Now()
-	q := fed.Query(ctx, federation.QueryParams{Domain: "Total Power", Resolution: "raw", Aggregate: "mean"})
+	q := fed.Query(ctx, client.QueryParams{Domain: "Total Power", Resolution: "raw", Aggregate: "mean"})
 	queryWall = time.Since(start)
 	if q.Degraded != nil || len(q.Frames) != series {
 		err = fmt.Errorf("federated query returned %d frames (degraded=%v), want %d", len(q.Frames), q.Degraded, series)

@@ -311,24 +311,12 @@ func degraded[T any](f *Federator, outs []outcome[T]) *httpapi.Degraded {
 	}
 }
 
-// QueryParams mirrors the /query wire parameters the federator forwards.
-type QueryParams struct {
-	Node, Backend, Domain string
-	From, To              time.Duration
-	Resolution            string
-	Aggregate             string
-}
-
 // Query fans the query out and merges the members' frames. A member's 404
 // on a filtered query means "no matching series on that rack" and counts
 // as an empty answer, not a failure.
-func (f *Federator) Query(ctx context.Context, p QueryParams) httpapi.QueryResult {
+func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.QueryResult {
 	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (httpapi.QueryResult, error) {
-		doc, err := cl.QueryFull(ctx, client.QueryParams{
-			Node: p.Node, Backend: p.Backend, Domain: p.Domain,
-			From: p.From, To: p.To,
-			Resolution: p.Resolution, Aggregate: p.Aggregate,
-		})
+		doc, err := cl.QueryFull(ctx, p)
 		var se *client.StatusError
 		if errors.As(err, &se) && se.Code == 404 {
 			return httpapi.QueryResult{}, nil
@@ -374,23 +362,17 @@ func mergeSimNow(parts []MemberQuery) int64 {
 	return min
 }
 
-// TopKParams mirrors the /topk wire parameters the federator forwards.
-type TopKParams struct {
-	K          int // bounds the merged ranking; members are always asked for every node
-	Domain     string
-	From, To   time.Duration
-	Resolution string
-}
-
-// TopK fans out and merges the global ranking. Members are asked for
-// every node (k=0): the global total must cover nodes outside each
-// member's local top k, and summing it in canonical node order is what
-// makes the result byte-identical under re-partitioning.
-func (f *Federator) TopK(ctx context.Context, p TopKParams) httpapi.TopKResult {
+// TopK fans out and merges the global ranking. p.K bounds the merged
+// ranking only (K ≤ 0 ranks every node; the wire default of 10 is the
+// handler's to apply): members are always asked for every node, because
+// the global total must cover nodes outside each member's local top k,
+// and summing it in canonical node order is what makes the result
+// byte-identical under re-partitioning.
+func (f *Federator) TopK(ctx context.Context, p client.TopKParams) httpapi.TopKResult {
+	k := p.K
+	p.K = -1
 	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (httpapi.TopKResult, error) {
-		return cl.TopK(ctx, client.TopKParams{
-			K: -1, Domain: p.Domain, From: p.From, To: p.To, Resolution: p.Resolution,
-		})
+		return cl.TopK(ctx, p)
 	})
 	parts := make([]MemberTopK, 0, len(outs))
 	for i := range outs {
@@ -402,7 +384,7 @@ func (f *Federator) TopK(ctx context.Context, p TopKParams) httpapi.TopKResult {
 	if domain == "" {
 		domain = "Total Power"
 	}
-	res := MergeTopK(parts, p.K, domain)
+	res := MergeTopK(parts, k, domain)
 	for i := range parts {
 		if ns := parts[i].Doc.SimNowNS; ns != 0 && (res.SimNowNS == 0 || ns < res.SimNowNS) {
 			res.SimNowNS = ns

@@ -16,6 +16,7 @@ import (
 
 	"envmon/internal/obs"
 	"envmon/internal/telemetry"
+	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -280,7 +281,7 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		fed.TopK(ctx, TopKParams{K: 3})
+		fed.TopK(ctx, client.TopKParams{K: 3})
 	}
 	var deadInfo *httpapi.MemberInfo
 	for _, mi := range fed.Members() {
@@ -295,7 +296,7 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 		t.Fatalf("dead member breaker state = %q, want open (trips=%d lastErr=%q)",
 			deadInfo.State, deadInfo.Trips, deadInfo.LastError)
 	}
-	out := fed.TopK(ctx, TopKParams{K: 3})
+	out := fed.TopK(ctx, client.TopKParams{K: 3})
 	if out.Degraded == nil || len(out.Degraded.Missing) != 1 {
 		t.Fatalf("degraded after breaker open: %+v", out.Degraded)
 	}

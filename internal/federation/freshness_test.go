@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"envmon/internal/telemetry"
+	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -38,7 +39,7 @@ func TestFederatedFreshnessIsConservative(t *testing.T) {
 	}
 
 	// Fleet-wide query: both members answer, min clock wins.
-	res := fed.Query(context.Background(), QueryParams{Domain: "Total Power"})
+	res := fed.Query(context.Background(), client.QueryParams{Domain: "Total Power"})
 	if res.SimNowNS != int64(4*time.Second) {
 		t.Errorf("fleet sim_now_ns = %d, want %d", res.SimNowNS, int64(4*time.Second))
 	}
@@ -48,13 +49,13 @@ func TestFederatedFreshnessIsConservative(t *testing.T) {
 
 	// Node query: only "fast" holds n00001; "slow" 404s. Its empty
 	// document carries no clock and must be skipped, not folded as zero.
-	res = fed.Query(context.Background(), QueryParams{Node: nodeName(1)})
+	res = fed.Query(context.Background(), client.QueryParams{Node: nodeName(1)})
 	if res.SimNowNS != int64(9*time.Second) {
 		t.Errorf("node sim_now_ns = %d, want %d", res.SimNowNS, int64(9*time.Second))
 	}
 
 	// TopK carries the conservative clock too.
-	topk := fed.TopK(context.Background(), TopKParams{K: 2})
+	topk := fed.TopK(context.Background(), client.TopKParams{K: 2})
 	if topk.SimNowNS != int64(4*time.Second) {
 		t.Errorf("topk sim_now_ns = %d, want %d", topk.SimNowNS, int64(4*time.Second))
 	}

@@ -158,9 +158,6 @@ func (c *Collector) Cost() time.Duration {
 	return c.lastCost
 }
 
-// Primary exposes the chain's first source.
-func (c *Collector) Primary() core.Collector { return c.sources[0].col }
-
 // Stats reports the chain's degraded-mode counters.
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()

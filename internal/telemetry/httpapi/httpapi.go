@@ -15,7 +15,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -23,7 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"envmon/internal/obs"
+	"envmon/internal/daemon"
 	"envmon/internal/telemetry"
 )
 
@@ -198,31 +197,23 @@ type TopKResult struct {
 }
 
 // ErrorBody is the JSON body of every non-200 response.
-type ErrorBody struct {
-	Error string `json:"error"`
-}
+type ErrorBody = daemon.ErrorBody
 
-// MaxTopK bounds the /topk k parameter: a ranking is for operators
+// maxTopK bounds the /topk k parameter: a ranking is for operators
 // eyeballing the worst offenders, and a request for millions of rows is a
 // typo or an abuse, not a question. (k=0, "rank everyone", stays valid —
-// the result is bounded by the node count.) Exported because the
-// federation front-end enforces the same bound before fanning out.
-const MaxTopK = 10000
+// the result is bounded by the node count.)
+const maxTopK = 10000
 
-// Server serves a store. It implements http.Handler.
+// Server serves a store. The embedded chassis handler makes it an
+// http.Handler and carries Instrument (envmon_http_* request metrics plus
+// the /metrics mount) and SetAccessLog.
 type Server struct {
+	*daemon.Handler
 	store    *telemetry.Store
 	now      func() time.Duration
 	breakers func() []BackendHealth
 	faults   string
-	mux      *http.ServeMux
-
-	// obs and accessLog share one timing path in ServeHTTP: requests are
-	// wrapped in a status-capturing writer only when at least one of them
-	// is set, so an unobserved server serves exactly as before. Both are
-	// wiring-time settings, installed before the server is shared.
-	obs       *serverObs
-	accessLog func(method, path string, status int, d time.Duration, bytes int64)
 
 	// closing turns data-plane requests into immediate 503s once the
 	// daemon has begun shutting down, so a query racing Store.Close gets a
@@ -230,43 +221,15 @@ type Server struct {
 	closing atomic.Bool
 }
 
-// serverObs holds the per-endpoint metric handles, interned at
-// Instrument time so the request path never touches the registry lock
-// (except on error responses, which intern a per-status counter).
-type serverObs struct {
-	reg       *obs.Registry
-	endpoints map[string]*endpointMetrics
-}
-
-type endpointMetrics struct {
-	requests *obs.Counter
-	latency  *obs.Histogram
-	bytes    *obs.Counter
-}
-
-// endpoints are the label values of the per-endpoint metrics; paths
-// outside the API surface fold into "other" so cardinality is bounded no
-// matter what clients probe.
-var endpoints = []string{"healthz", "series", "query", "topk", "metrics", "other"}
-
-func endpointLabel(path string) string {
-	switch path {
-	case "/healthz", "/series", "/query", "/topk", "/metrics":
-		return path[1:]
-	default:
-		return "other"
-	}
-}
-
 // New returns a server over store. now, when non-nil, reports the
 // simulation's current time for /healthz (e.g. a clock group's Now); nil
 // reports zero.
 func New(store *telemetry.Store, now func() time.Duration) *Server {
-	s := &Server{store: store, now: now, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/series", s.handleSeries)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/topk", s.handleTopK)
+	s := &Server{Handler: daemon.NewHandler("envmon"), store: store, now: now}
+	s.HandleFunc("/healthz", s.handleHealthz)
+	s.HandleFunc("/series", s.dataPlane(s.handleSeries))
+	s.HandleFunc("/query", s.dataPlane(s.handleQuery))
+	s.HandleFunc("/topk", s.dataPlane(s.handleTopK))
 	return s
 }
 
@@ -277,14 +240,16 @@ func New(store *telemetry.Store, now func() time.Duration) *Server {
 // instead of a connection that hangs in http.Server.Shutdown's drain.
 func (s *Server) StartClosing() { s.closing.Store(true) }
 
-// unavailable answers a data-plane request during shutdown; it reports
-// whether the request was intercepted.
-func (s *Server) unavailable(w http.ResponseWriter) bool {
-	if !s.closing.Load() && !s.store.Closed() {
-		return false
+// dataPlane guards a handler that reads the store: during shutdown it
+// answers 503 instead of running fn.
+func (s *Server) dataPlane(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.closing.Load() || s.store.Closed() {
+			daemon.WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: "store is closing"})
+			return
+		}
+		fn(w, r)
 	}
-	writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: "store is closing"})
-	return true
 }
 
 // SetBreakers installs a provider of per-backend breaker state for
@@ -295,109 +260,6 @@ func (s *Server) SetBreakers(f func() []BackendHealth) { s.breakers = f }
 // SetFaults records the active fault-injection plan for /healthz, so an
 // operator can tell a chaos drill from a real outage.
 func (s *Server) SetFaults(plan string) { s.faults = plan }
-
-// Instrument registers per-endpoint request metrics in reg and mounts
-// reg's /metrics exposition on the server's mux. Call at wiring time,
-// before the server is shared.
-func (s *Server) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	o := &serverObs{reg: reg, endpoints: make(map[string]*endpointMetrics, len(endpoints))}
-	for _, ep := range endpoints {
-		o.endpoints[ep] = &endpointMetrics{
-			requests: reg.Counter("envmon_http_requests_total",
-				"HTTP requests served, by endpoint.", "endpoint", ep),
-			latency: reg.Histogram("envmon_http_request_seconds",
-				"HTTP request handling latency, by endpoint.", obs.DefLatencyBuckets, "endpoint", ep),
-			bytes: reg.Counter("envmon_http_response_bytes_total",
-				"HTTP response body bytes written, by endpoint.", "endpoint", ep),
-		}
-	}
-	s.obs = o
-	s.mux.Handle("/metrics", reg.Handler())
-}
-
-// SetAccessLog installs a structured access-log callback sharing the
-// metrics' timing path: one clock read per request serves both. The
-// callback runs on the request goroutine and must be safe for concurrent
-// use. Call at wiring time.
-func (s *Server) SetAccessLog(f func(method, path string, status int, d time.Duration, bytes int64)) {
-	s.accessLog = f
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.obs == nil && s.accessLog == nil {
-		s.serve(w, r)
-		return
-	}
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.serve(sw, r)
-	d := time.Since(start)
-	ep := endpointLabel(r.URL.Path)
-	if o := s.obs; o != nil {
-		em := o.endpoints[ep]
-		em.requests.Inc()
-		em.latency.ObserveDuration(d)
-		em.bytes.Add(uint64(sw.bytes))
-		if sw.status >= 400 {
-			// Interned on first occurrence per (endpoint, code): error
-			// responses are off the hot path, and enumerating every status
-			// code upfront would be cardinality for nothing.
-			o.reg.Counter("envmon_http_errors_total",
-				"HTTP error responses, by endpoint and status code.",
-				"endpoint", ep, "code", strconv.Itoa(sw.status)).Inc()
-		}
-	}
-	if s.accessLog != nil {
-		s.accessLog(r.Method, r.URL.Path, sw.status, d, sw.bytes)
-	}
-}
-
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: "GET only"})
-		return
-	}
-	s.mux.ServeHTTP(w, r)
-}
-
-// statusWriter captures the response status and body size for the
-// metrics and access-log paths.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.status = code
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(doc)
-}
-
-func badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
-}
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{
@@ -443,13 +305,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	daemon.WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if s.unavailable(w) {
-		return
-	}
 	infos := s.store.Series()
 	out := SeriesResult{Series: make([]SeriesInfo, 0, len(infos))}
 	for _, si := range infos {
@@ -459,26 +318,71 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 			OldestNS: int64(si.Oldest), NewestNS: int64(si.Newest),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	daemon.WriteJSON(w, http.StatusOK, out)
 }
 
-// ParseWindow reads the from/to parameters (Go duration syntax; empty
-// means unbounded). Exported because the federation front-end validates
-// the same wire grammar before fanning a query out.
-func ParseWindow(r *http.Request) (from, to time.Duration, err error) {
-	if v := r.FormValue("from"); v != "" {
-		from, err = time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad from %q: %v", v, err)
+// parseDuration reads one duration parameter (Go syntax; empty is zero).
+func parseDuration(r *http.Request, name string) (time.Duration, error) {
+	v := r.FormValue(name)
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %v", name, v, err)
+	}
+	return d, nil
+}
+
+// parseWindowed reads what /query and /topk share: the domain filter, the
+// from/to window (empty means unbounded), deadline_ms and res.
+func parseWindowed(r *http.Request) (q telemetry.Query, deadline time.Duration, err error) {
+	q.Domain = r.FormValue("domain")
+	if q.From, err = parseDuration(r, "from"); err != nil {
+		return q, 0, err
+	}
+	if q.To, err = parseDuration(r, "to"); err != nil {
+		return q, 0, err
+	}
+	if deadline, err = ParseDeadline(r); err != nil {
+		return q, 0, err
+	}
+	q.Resolution, err = telemetry.ParseResolution(r.FormValue("res"))
+	return q, deadline, err
+}
+
+// ParseQuery reads the /query parameter grammar: the node/backend/domain
+// filters, the window, res, agg, and the caller's deadline. Exported
+// because the federation front-end validates the same grammar before
+// fanning out, so a typo is one 400 there, not N member errors.
+func ParseQuery(r *http.Request) (q telemetry.Query, deadline time.Duration, err error) {
+	if q, deadline, err = parseWindowed(r); err != nil {
+		return q, 0, err
+	}
+	q.Node, q.Backend = r.FormValue("node"), r.FormValue("backend")
+	q.Aggregate, err = telemetry.ParseAggregate(r.FormValue("agg"))
+	return q, deadline, err
+}
+
+// ParseTopK reads the /topk parameter grammar: k (default 10, 0 ranks
+// everyone, at most maxTopK), and in q the domain, window and res.
+func ParseTopK(r *http.Request) (k int, q telemetry.Query, deadline time.Duration, err error) {
+	if q, deadline, err = parseWindowed(r); err != nil {
+		return 0, q, 0, err
+	}
+	k = 10
+	if v := r.FormValue("k"); v != "" {
+		k, err = strconv.Atoi(v)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("bad k %q: %v", v, err)
+		case k < 0:
+			err = fmt.Errorf("bad k %d: must be non-negative", k)
+		case k > maxTopK:
+			err = fmt.Errorf("bad k %d: exceeds maximum %d", k, maxTopK)
 		}
 	}
-	if v := r.FormValue("to"); v != "" {
-		to, err = time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad to %q: %v", v, err)
-		}
-	}
-	return from, to, nil
+	return k, q, deadline, err
 }
 
 // ParseDeadline reads the optional deadline_ms parameter: how long the
@@ -503,7 +407,7 @@ func ParseDeadline(r *http.Request) (time.Duration, error) {
 func runGuarded(w http.ResponseWriter, deadline time.Duration, compute func() (int, any)) {
 	if deadline <= 0 {
 		status, doc := compute()
-		writeJSON(w, status, doc)
+		daemon.WriteJSON(w, status, doc)
 		return
 	}
 	type resp struct {
@@ -519,45 +423,18 @@ func runGuarded(w http.ResponseWriter, deadline time.Duration, compute func() (i
 	defer t.Stop()
 	select {
 	case rp := <-ch:
-		writeJSON(w, rp.status, rp.doc)
+		daemon.WriteJSON(w, rp.status, rp.doc)
 	case <-t.C:
-		writeJSON(w, http.StatusGatewayTimeout,
+		daemon.WriteJSON(w, http.StatusGatewayTimeout,
 			ErrorBody{Error: fmt.Sprintf("deadline %v exceeded", deadline)})
 	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.unavailable(w) {
-		return
-	}
-	from, to, err := ParseWindow(r)
+	q, deadline, err := ParseQuery(r)
 	if err != nil {
-		badRequest(w, err)
+		daemon.BadRequest(w, err)
 		return
-	}
-	deadline, err := ParseDeadline(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := telemetry.ParseResolution(r.FormValue("res"))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	agg, err := telemetry.ParseAggregate(r.FormValue("agg"))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	q := telemetry.Query{
-		Node:       r.FormValue("node"),
-		Backend:    r.FormValue("backend"),
-		Domain:     r.FormValue("domain"),
-		From:       from,
-		To:         to,
-		Resolution: res,
-		Aggregate:  agg,
 	}
 	runGuarded(w, deadline, func() (int, any) {
 		frames := s.store.Query(q)
@@ -607,44 +484,14 @@ func frameDoc(f telemetry.Frame) Frame {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if s.unavailable(w) {
-		return
-	}
-	from, to, err := ParseWindow(r)
+	k, q, deadline, err := ParseTopK(r)
 	if err != nil {
-		badRequest(w, err)
+		daemon.BadRequest(w, err)
 		return
 	}
-	deadline, err := ParseDeadline(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	res, err := telemetry.ParseResolution(r.FormValue("res"))
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	k := 10
-	if v := r.FormValue("k"); v != "" {
-		k, err = strconv.Atoi(v)
-		if err != nil {
-			badRequest(w, fmt.Errorf("bad k %q: %v", v, err))
-			return
-		}
-		if k < 0 {
-			badRequest(w, fmt.Errorf("bad k %d: must be non-negative", k))
-			return
-		}
-		if k > MaxTopK {
-			badRequest(w, fmt.Errorf("bad k %d: exceeds maximum %d", k, MaxTopK))
-			return
-		}
-	}
-	domain := r.FormValue("domain")
 	runGuarded(w, deadline, func() (int, any) {
-		ranked, total := s.store.TopK(k, domain, from, to, res)
-		outDomain := domain
+		ranked, total := s.store.TopK(k, q.Domain, q.From, q.To, q.Resolution)
+		outDomain := q.Domain
 		if outDomain == "" {
 			outDomain = "Total Power"
 		}

@@ -30,29 +30,12 @@ type MonEQSink struct {
 // Name implements moneq.Sink.
 func (MonEQSink) Name() string { return "telemetry" }
 
-// Write implements moneq.Sink: every sample of every series in the set is
-// ingested under (node, backend, domain) keys derived from the trace
-// series names ("method/capability").
+// Write implements moneq.Sink: every sample and gap marker of every
+// series in the set is ingested under (node, backend, domain) keys
+// derived from the trace series names ("method/capability") — one
+// SetCursor.Flush from the start of the set.
 func (s MonEQSink) Write(set *trace.Set) error {
-	node := s.Node
-	if node == "" {
-		node = set.Meta["node"]
-	}
-	for _, ts := range set.Series {
-		backend, domain := SplitSeriesName(ts.Name)
-		key := SeriesKey{Node: node, Backend: backend, Domain: domain}
-		for _, smp := range ts.Samples {
-			if err := s.Store.Ingest(key, ts.Unit, smp.T, smp.V); err != nil {
-				return fmt.Errorf("telemetry: ingesting series %q: %w", ts.Name, err)
-			}
-		}
-		for _, t := range ts.Gaps {
-			if err := s.Store.IngestGap(key, ts.Unit, t); err != nil {
-				return fmt.Errorf("telemetry: ingesting gaps of series %q: %w", ts.Name, err)
-			}
-		}
-	}
-	return nil
+	return NewSetCursor(s.Store, s.Node, set).Flush()
 }
 
 // SetCursor streams a live trace.Set into a store incrementally: each
