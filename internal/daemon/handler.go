@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"envmon/internal/obs"
@@ -25,11 +26,50 @@ type ErrorBody struct {
 }
 
 // WriteJSON answers with doc as the JSON body under the given status.
+//
+// A doc that brings its own encoder (an AppendJSON method — the /query
+// document, whose replies are the large ones) is encoded by it into a
+// pooled buffer before anything is sent, so the body leaves in one Write
+// and a document that cannot be encoded is a 500 with the error envelope
+// rather than a 200 cut short. The length is known by then and is
+// deliberately not announced: without Content-Length net/http ends the
+// body only after ServeHTTP has returned, so whoever has read an answer
+// to its end finds the request already in /metrics and the access log.
 func WriteJSON(w http.ResponseWriter, status int, doc any) {
+	if a, ok := doc.(jsonAppender); ok {
+		bp := encodeBufs.Get().(*[]byte)
+		body, err := a.AppendJSON((*bp)[:0])
+		if err != nil {
+			encodeBufs.Put(bp)
+			WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(body) // a failed write is the peer hanging up
+		if cap(body) <= maxPooledEncodeBuf {
+			*bp = body
+			encodeBufs.Put(bp)
+		}
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(doc) // a failed write is the peer hanging up
 }
+
+// jsonAppender is a document with a hand-written encoder: AppendJSON
+// appends the body json.NewEncoder(w).Encode(doc) would write.
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// encodeBufs recycles WriteJSON's encode buffers. One that grew past
+// maxPooledEncodeBuf is dropped, not pooled: an unwindowed query on a
+// persistent store can be hundreds of MB, and the pool must not pin that.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledEncodeBuf = 4 << 20
 
 // BadRequest answers 400 with err in the error envelope.
 func BadRequest(w http.ResponseWriter, err error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -141,5 +142,85 @@ func TestHandlerUnobservedAddsNoWrapper(t *testing.T) {
 	do(h, "GET", "/seen")
 	if _, ok := seen.(*statusWriter); !ok {
 		t.Errorf("observed handler passed %T, want the status-capturing writer", seen)
+	}
+}
+
+// appendDoc is a document with its own encoder, as the /query document is.
+type appendDoc struct {
+	body string
+	err  error
+}
+
+func (d appendDoc) AppendJSON(dst []byte) ([]byte, error) {
+	if d.err != nil {
+		return dst, d.err
+	}
+	return append(dst, d.body...), nil
+}
+
+// countingWriter records how a handler used its ResponseWriter.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestWriteJSONWithOwnEncoder: a document that encodes itself is built
+// before the header goes out — one Write, the byte counter advancing by
+// exactly the body, no Content-Length (see WriteJSON) — and one that
+// cannot be encoded is a 500 with the envelope, not a 200 with nothing
+// after the header.
+func TestWriteJSONWithOwnEncoder(t *testing.T) {
+	big := `{"frames":"` + strings.Repeat("x", maxPooledEncodeBuf) + `"}` + "\n" // too big to keep pooled
+	h := NewHandler("envtest")
+	h.HandleFunc("/doc", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, appendDoc{body: `{"frames":null}` + "\n"})
+	})
+	h.HandleFunc("/big", func(w http.ResponseWriter, r *http.Request) { WriteJSON(w, http.StatusOK, appendDoc{body: big}) })
+	h.HandleFunc("/nan", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, appendDoc{err: errors.New("series n00 at t_ns=5: NaN")})
+	})
+	h.Instrument(obs.NewRegistry())
+
+	for _, tc := range []struct {
+		target, body string
+		status       int
+	}{
+		{"/doc", `{"frames":null}` + "\n", 200},
+		{"/big", big, 200},
+		{"/doc", `{"frames":null}` + "\n", 200}, // after /big: nothing of it is left in a reused buffer
+		{"/nan", `{"error":"series n00 at t_ns=5: NaN"}` + "\n", 500},
+	} {
+		w := &countingWriter{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(w, httptest.NewRequest("GET", tc.target, nil))
+		if w.Code != tc.status || w.Body.String() != tc.body {
+			t.Fatalf("GET %s = %d %.80q, want %d %.80q", tc.target, w.Code, w.Body, tc.status, tc.body)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: Content-Type = %q", tc.target, ct)
+		}
+		if tc.status != 200 {
+			continue
+		}
+		if cl := w.Header().Get("Content-Length"); cl != "" {
+			t.Errorf("GET %s: Content-Length = %q announced", tc.target, cl)
+		}
+		if w.writes != 1 {
+			t.Errorf("GET %s: %d writes, want 1", tc.target, w.writes)
+		}
+	}
+	out := do(h, "GET", "/metrics").Body.String()
+	for _, want := range []string{
+		`envtest_http_response_bytes_total{endpoint="doc"} 32`,
+		`envtest_http_response_bytes_total{endpoint="big"} ` + strconv.Itoa(len(big)),
+		`envtest_http_errors_total{code="500",endpoint="nan"} 1`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

@@ -76,9 +76,11 @@ type ClientSource struct {
 	Client *client.Client
 	// Domain selects the power domain; empty means "Total Power".
 	Domain string
-	// Window is the lookback window sent with the query; non-positive
-	// selects 5s. It is interpreted against the server's simulated
-	// clock: the query window is [sim_now-Window, unbounded).
+	// Window is how far behind the newest point of the response a series
+	// may have last reported and still count towards the sum;
+	// non-positive selects 5s. It is applied here, to the decoded frames:
+	// the query itself carries no from/to, so the server answers with
+	// every raw point it retains.
 	Window time.Duration
 	// Deadline, when positive, bounds each query server-side.
 	Deadline time.Duration

@@ -5,6 +5,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -23,14 +24,18 @@ import (
 type Client struct {
 	base string
 	http *http.Client
+	// maxBody is the largest response body accepted, in bytes. A field
+	// only so that a test can reach the limit without 64 MiB of traffic.
+	maxBody int64
 }
 
 // New returns a client for the daemon at base (e.g.
 // "http://127.0.0.1:9120"). A trailing slash is tolerated.
 func New(base string) *Client {
 	return &Client{
-		base: strings.TrimRight(base, "/"),
-		http: &http.Client{Timeout: 10 * time.Second},
+		base:    strings.TrimRight(base, "/"),
+		http:    &http.Client{Timeout: 10 * time.Second},
+		maxBody: 64 << 20,
 	}
 }
 
@@ -62,36 +67,65 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("HTTP %d", e.Code)
 }
 
+// get fetches path and decodes its document with encoding/json.
 func (c *Client) get(ctx context.Context, path string, params url.Values, doc any) error {
+	body, err := c.fetch(ctx, path, params)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, doc); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return nil
+}
+
+// fetch returns the body of a 200 answer to GET path, and a *StatusError
+// for any other status.
+func (c *Client) fetch(ctx context.Context, path string, params url.Values) ([]byte, error) {
 	u := c.base + path
 	if len(params) > 0 {
 		u += "?" + params.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return fmt.Errorf("client: building request: %w", err)
+		return nil, fmt.Errorf("client: building request: %w", err)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
+		return nil, fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("client: reading %s response: %w", path, err)
+	// Refuse an over-long body by name — from the header when the server
+	// sent one, otherwise on reaching the limit — instead of cutting it
+	// and reporting a JSON syntax error at the cut.
+	tooLong := func() error {
+		return fmt.Errorf("client: %s response exceeds %d MiB", path, c.maxBody>>20)
 	}
+	if resp.ContentLength > c.maxBody {
+		return nil, tooLong()
+	}
+	var buf bytes.Buffer
+	if resp.ContentLength > 0 {
+		// The whole body in one allocation: ReadFrom wants MinRead spare
+		// bytes for the read that finds EOF.
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.maxBody+1)); err != nil {
+		return nil, fmt.Errorf("client: reading %s response: %w", path, err)
+	}
+	if int64(buf.Len()) > c.maxBody {
+		return nil, tooLong()
+	}
+	body := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		se := &StatusError{Code: resp.StatusCode}
 		var eb httpapi.ErrorBody
 		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
 			se.Message = eb.Error
 		}
-		return fmt.Errorf("client: %s: %w", path, se)
+		return nil, fmt.Errorf("client: %s: %w", path, se)
 	}
-	if err := json.Unmarshal(body, doc); err != nil {
-		return fmt.Errorf("client: decoding %s response: %w", path, err)
-	}
-	return nil
+	return body, nil
 }
 
 // Health fetches /healthz.
@@ -173,8 +207,14 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 	if p.Aggregate != "" {
 		v.Set("agg", p.Aggregate)
 	}
-	var out httpapi.QueryResult
-	err := c.get(ctx, "/query", v, &out)
+	body, err := c.fetch(ctx, "/query", v)
+	if err != nil {
+		return httpapi.QueryResult{}, err
+	}
+	out, err := httpapi.DecodeQueryResult(body)
+	if err != nil {
+		err = fmt.Errorf("client: decoding /query response: %w", err)
+	}
 	return out, err
 }
 

@@ -2,8 +2,13 @@ package client
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,5 +92,64 @@ func TestClientConnectionError(t *testing.T) {
 	cl := New("http://127.0.0.1:1") // nothing listens on port 1
 	if _, err := cl.Health(context.Background()); err == nil {
 		t.Fatal("unreachable daemon produced no error")
+	}
+}
+
+// TestOverlongResponseRefusedByName: a body over the limit is an error that
+// says so, whether the server announced the length or streamed past it —
+// not a body cut at the limit and a JSON syntax error at the cut.
+func TestOverlongResponseRefusedByName(t *testing.T) {
+	padded := func(n int) []byte { // a valid /query document of exactly n bytes
+		return []byte(`{"frames":null` + strings.Repeat(" ", n-len(`{"frames":null}`)) + `}`)
+	}
+
+	// Announced: refused on the header, at the real limit, before a byte
+	// of the body is read.
+	announced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(64<<20+1))
+		_, _ = w.Write([]byte(`{"frames":`))
+	}))
+	t.Cleanup(announced.Close)
+	_, err := New(announced.URL).QueryFull(context.Background(), QueryParams{})
+	if err == nil || err.Error() != "client: /query response exceeds 64 MiB" {
+		t.Errorf("announced 64 MiB + 1: error %v", err)
+	}
+
+	// Streamed (chunked, no Content-Length), against a limit lowered to
+	// 1 MiB so the test does not move 64: one byte over is refused, the
+	// limit itself is served.
+	var size atomic.Int64
+	size.Store(1<<20 + 1)
+	streamed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body := padded(int(size.Load()))
+		_, _ = w.Write(body[:1])
+		w.(http.Flusher).Flush()
+		_, _ = w.Write(body[1:])
+	}))
+	t.Cleanup(streamed.Close)
+	cl := New(streamed.URL)
+	cl.maxBody = 1 << 20
+	_, err = cl.QueryFull(context.Background(), QueryParams{})
+	if err == nil || err.Error() != "client: /query response exceeds 1 MiB" {
+		t.Errorf("streamed 1 MiB + 1 against a 1 MiB limit: error %v", err)
+	}
+	size.Store(1 << 20)
+	if _, err := cl.QueryFull(context.Background(), QueryParams{}); err != nil {
+		t.Errorf("streamed exactly the limit: %v", err)
+	}
+}
+
+// TestQueryDecodeErrorIsWrapped: a 200 whose body is not a /query document
+// is reported as a decoding failure of that endpoint, with encoding/json's
+// error inside.
+func TestQueryDecodeErrorIsWrapped(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"frames":[{"node":7}]}`))
+	}))
+	t.Cleanup(srv.Close)
+	_, err := New(srv.URL).QueryFull(context.Background(), QueryParams{})
+	var typeErr *json.UnmarshalTypeError
+	if err == nil || !strings.HasPrefix(err.Error(), "client: decoding /query response: ") || !errors.As(err, &typeErr) {
+		t.Fatalf("error %v", err)
 	}
 }

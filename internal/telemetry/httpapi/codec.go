@@ -1,0 +1,485 @@
+package httpapi
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+)
+
+// The /query document's codec. A history reply is ~10k points and the
+// reflection-driven encoding/json spends more time on it than the store
+// does answering, on both ends of the wire, so QueryResult has a
+// hand-written encoder and decoder beside its type. Neither defines a
+// format: AppendJSON writes byte for byte what json.NewEncoder(w).Encode
+// writes, and DecodeQueryResult returns what json.Unmarshal returns.
+// encoding/json stays as the decoder's fallback for every document that
+// is not in the encoder's own shape, as the encoder of the two parts that
+// are rare and small (a string needing escapes, the degraded section),
+// and as the reference the tests compare both directions against.
+
+// AppendJSON appends the document to dst exactly as
+// json.NewEncoder(w).Encode(r) writes it, trailing newline included. It
+// fails, as encoding/json does, on a value JSON cannot carry (NaN, ±Inf),
+// naming the series and the point.
+func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
+	start := len(dst)
+	// Room for the typical spelling up front: append would reallocate a
+	// cold buffer some twenty times on the way to a history reply.
+	size := 128
+	for i := range r.Frames {
+		f := &r.Frames[i]
+		size += 128 + len(f.Node) + len(f.Backend) + len(f.Domain) + len(f.Unit) + len(f.Resolution) +
+			128*len(f.Points) + 20*len(f.GapsNS)
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"frames":`...)
+	if r.Frames == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.Frames {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = appendFrame(dst, &r.Frames[i]); err != nil {
+				return dst[:start], err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if r.SimNowNS != 0 {
+		dst = append(dst, `,"sim_now_ns":`...)
+		dst = strconv.AppendInt(dst, r.SimNowNS, 10)
+	}
+	if r.NewestNS != 0 {
+		dst = append(dst, `,"newest_ns":`...)
+		dst = strconv.AppendInt(dst, r.NewestNS, 10)
+	}
+	if r.Degraded != nil {
+		sub, err := json.Marshal(r.Degraded)
+		if err != nil {
+			return dst[:start], err
+		}
+		dst = append(dst, `,"degraded":`...)
+		dst = append(dst, sub...)
+	}
+	return append(dst, "}\n"...), nil
+}
+
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
+	dst = appendString(append(dst, `{"node":`...), f.Node)
+	dst = appendString(append(dst, `,"backend":`...), f.Backend)
+	dst = appendString(append(dst, `,"domain":`...), f.Domain)
+	dst = appendString(append(dst, `,"unit":`...), f.Unit)
+	dst = appendString(append(dst, `,"resolution":`...), f.Resolution)
+	if f.Reduced != nil {
+		if !finite(*f.Reduced) {
+			return dst, fmt.Errorf("httpapi: series %s/%s/%s: reduced value %v is not representable in JSON",
+				f.Node, f.Backend, f.Domain, *f.Reduced)
+		}
+		dst = appendFloat(append(dst, `,"reduced":`...), *f.Reduced)
+	}
+	dst = append(dst, `,"points":`...)
+	if f.Points == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range f.Points {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			p := &f.Points[i]
+			if !(finite(p.Min) && finite(p.Max) && finite(p.Mean) && finite(p.Last)) {
+				return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: point min=%v max=%v mean=%v last=%v is not representable in JSON",
+					f.Node, f.Backend, f.Domain, p.TNS, p.Min, p.Max, p.Mean, p.Last)
+			}
+			dst = appendPoint(dst, p)
+		}
+		dst = append(dst, ']')
+	}
+	if len(f.GapsNS) > 0 {
+		dst = append(dst, `,"gaps_ns":[`...)
+		for i, g := range f.GapsNS {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, g, 10)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+func appendPoint(dst []byte, p *Point) []byte {
+	dst = append(dst, `{"t_ns":`...)
+	dst = strconv.AppendInt(dst, p.TNS, 10)
+	dst = append(dst, `,"min":`...)
+	from := len(dst)
+	dst = appendFloat(dst, p.Min)
+	to := len(dst)
+	// A raw point is one sample, so all four statistics are the same
+	// float: format it once and copy the digits. Compared as bit patterns,
+	// not with ==, because -0 == 0 and the two print differently.
+	if b := math.Float64bits(p.Min); b == math.Float64bits(p.Max) &&
+		b == math.Float64bits(p.Mean) && b == math.Float64bits(p.Last) {
+		dst = append(append(dst, `,"max":`...), dst[from:to]...)
+		dst = append(append(dst, `,"mean":`...), dst[from:to]...)
+		dst = append(append(dst, `,"last":`...), dst[from:to]...)
+	} else {
+		dst = appendFloat(append(dst, `,"max":`...), p.Max)
+		dst = appendFloat(append(dst, `,"mean":`...), p.Mean)
+		dst = appendFloat(append(dst, `,"last":`...), p.Last)
+	}
+	dst = append(dst, `,"count":`...)
+	dst = strconv.AppendInt(dst, int64(p.Count), 10)
+	return append(dst, '}')
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendFloat formats a finite f the way encoding/json does: shortest
+// digits that round-trip, positional unless the exponent is below -6 or
+// at least 21, and then with a two-digit negative exponent's leading zero
+// dropped (e-07 becomes e-7).
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// plainByte reports whether c stands for itself inside a JSON string on
+// both sides of this codec: printable ASCII that encoding/json neither
+// escapes (quote, backslash, and <, >, & under its default HTML escaping)
+// nor has to validate as UTF-8.
+func plainByte(c byte) bool {
+	return 0x20 <= c && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// appendString appends s as a JSON string. Series names and units are
+// plain; anything else goes through encoding/json, which owns the escape
+// and invalid-UTF-8 rules.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainByte(s[i]) {
+			quoted, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// DecodeQueryResult decodes a /query response body into the value
+// json.Unmarshal would produce for it, and fails exactly when
+// json.Unmarshal would, with its error. A body in the shape AppendJSON
+// emits is decoded in one pass; any other body is json.Unmarshal's.
+// Nothing in the result aliases body.
+func DecodeQueryResult(body []byte) (QueryResult, error) {
+	var r QueryResult
+	if decodeCanonical(body, &r) {
+		return r, nil
+	}
+	// Into a fresh value: the pass above may have filled r part-way before
+	// it met what it does not recognise.
+	var slow QueryResult
+	err := json.Unmarshal(body, &slow)
+	return slow, err
+}
+
+// decodeCanonical decodes b when it is byte for byte in AppendJSON's
+// shape (keys present, ordered and spelled as the encoder writes them, no
+// insignificant whitespace, plain strings), and otherwise reports false
+// with r in an undefined state. It decides nothing about validity: what
+// it declines, encoding/json judges.
+func decodeCanonical(b []byte, r *QueryResult) bool {
+	end := len(b)
+	if end > 0 && b[end-1] == '\n' {
+		end--
+	}
+	if end == 0 || b[end-1] != '}' {
+		return false
+	}
+	d := scanner{b: b[:end-1]}
+	if !d.lit(`{"frames":`) {
+		return false
+	}
+	if !d.lit("null") {
+		if !d.lit("[") {
+			return false
+		}
+		r.Frames = []Frame{}
+		for prev := new(Frame); !d.lit("]"); {
+			if len(r.Frames) > 0 && !d.lit(",") {
+				return false
+			}
+			r.Frames = append(r.Frames, Frame{})
+			f := &r.Frames[len(r.Frames)-1]
+			if !d.frame(f, prev) {
+				return false
+			}
+			prev = f
+		}
+	}
+	var ok bool
+	if d.lit(`,"sim_now_ns":`) {
+		if r.SimNowNS, ok = d.int(); !ok {
+			return false
+		}
+	}
+	if d.lit(`,"newest_ns":`) {
+		if r.NewestNS, ok = d.int(); !ok {
+			return false
+		}
+	}
+	if d.lit(`,"degraded":`) {
+		// Last key of the document, so its value is the rest of it.
+		// Unmarshal rejects anything there but exactly one JSON value.
+		return json.Unmarshal(d.b[d.i:], &r.Degraded) == nil
+	}
+	return d.i == len(d.b)
+}
+
+// scanner is decodeCanonical's position in the body, plus the last float
+// token parsed: a raw point repeats one number four times and neighbouring
+// points often repeat it again, and equal bytes parse to equal values.
+type scanner struct {
+	b       []byte
+	i       int
+	lastTok []byte
+	lastVal float64
+}
+
+// lit consumes s if the input continues with it.
+func (d *scanner) lit(s string) bool {
+	if len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+		return false
+	}
+	d.i += len(s)
+	return true
+}
+
+// frame decodes one frame object. prev is the frame before it (or an
+// empty one): labels other than the node mostly repeat from frame to
+// frame, and a repeated label shares the earlier frame's string.
+func (d *scanner) frame(f, prev *Frame) bool {
+	var ok bool
+	if !d.lit(`{"node":`) {
+		return false
+	}
+	if f.Node, ok = d.str(prev.Node); !ok || !d.lit(`,"backend":`) {
+		return false
+	}
+	if f.Backend, ok = d.str(prev.Backend); !ok || !d.lit(`,"domain":`) {
+		return false
+	}
+	if f.Domain, ok = d.str(prev.Domain); !ok || !d.lit(`,"unit":`) {
+		return false
+	}
+	if f.Unit, ok = d.str(prev.Unit); !ok || !d.lit(`,"resolution":`) {
+		return false
+	}
+	if f.Resolution, ok = d.str(prev.Resolution); !ok {
+		return false
+	}
+	if d.lit(`,"reduced":`) {
+		v, ok := d.float()
+		if !ok {
+			return false
+		}
+		f.Reduced = &v
+	}
+	if !d.lit(`,"points":`) {
+		return false
+	}
+	if !d.lit("null") {
+		if !d.lit("[") {
+			return false
+		}
+		// A capacity hint, so that a history frame's points are allocated
+		// once: the array runs to the next ']' and holds one '{' per
+		// point. A wrong hint costs a regrow or some slack, never a wrong
+		// result, and cannot exceed what the shortest point spelling
+		// allows the array to hold.
+		array := d.b[d.i:]
+		if n := bytes.IndexByte(array, ']'); n >= 0 {
+			array = array[:n]
+		}
+		f.Points = make([]Point, 0, min(bytes.Count(array, []byte{'{'}), len(array)/minPointLen+1))
+		for !d.lit("]") {
+			if len(f.Points) > 0 && !d.lit(",") {
+				return false
+			}
+			f.Points = append(f.Points, Point{})
+			if !d.point(&f.Points[len(f.Points)-1]) {
+				return false
+			}
+		}
+	}
+	if d.lit(`,"gaps_ns":[`) {
+		f.GapsNS = []int64{}
+		for !d.lit("]") {
+			if len(f.GapsNS) > 0 && !d.lit(",") {
+				return false
+			}
+			g, ok := d.int()
+			if !ok {
+				return false
+			}
+			f.GapsNS = append(f.GapsNS, g)
+		}
+	}
+	return d.lit("}")
+}
+
+const minPointLen = len(`{"t_ns":0,"min":0,"max":0,"mean":0,"last":0,"count":0},`)
+
+func (d *scanner) point(p *Point) bool {
+	var ok bool
+	if !d.lit(`{"t_ns":`) {
+		return false
+	}
+	if p.TNS, ok = d.int(); !ok || !d.lit(`,"min":`) {
+		return false
+	}
+	if p.Min, ok = d.float(); !ok || !d.lit(`,"max":`) {
+		return false
+	}
+	if p.Max, ok = d.float(); !ok || !d.lit(`,"mean":`) {
+		return false
+	}
+	if p.Mean, ok = d.float(); !ok || !d.lit(`,"last":`) {
+		return false
+	}
+	if p.Last, ok = d.float(); !ok || !d.lit(`,"count":`) {
+		return false
+	}
+	n, ok := d.int()
+	p.Count = int(n)
+	return ok && int64(p.Count) == n && d.lit("}")
+}
+
+// str decodes a plain string (no escapes, printable ASCII only). The
+// result is a copy of the input bytes, or prev when it spells the same.
+func (d *scanner) str(prev string) (string, bool) {
+	if !d.lit(`"`) {
+		return "", false
+	}
+	for j := d.i; j < len(d.b); j++ {
+		if c := d.b[j]; c == '"' {
+			tok := d.b[d.i:j]
+			d.i = j + 1
+			if string(tok) == prev {
+				return prev, true
+			}
+			return string(tok), true
+		} else if !plainByte(c) {
+			break
+		}
+	}
+	return "", false
+}
+
+// number consumes one token of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
+// is all integer part. strconv accepts much that JSON does not ("+1",
+// ".5", "1.", "01", "0x1p3", "Inf", "1_0"), so nothing reaches it that
+// has not passed here. What follows the token is the caller's to match.
+func (d *scanner) number() (tok []byte, integer bool) {
+	b, i := d.b, d.i
+	digits := func() bool {
+		from := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		return i > from
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil, false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		i++
+		integer = false
+		if !digits() {
+			return nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		integer = false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil, false
+		}
+	}
+	tok = b[d.i:i]
+	d.i = i
+	return tok, integer
+}
+
+// int decodes an integer. A fraction, an exponent or an overflow is
+// encoding/json's to report.
+func (d *scanner) int() (int64, bool) {
+	tok, integer := d.number()
+	if !integer {
+		return 0, false
+	}
+	if len(tok) > 18 { // may not fit: let strconv find out
+		v, err := strconv.ParseInt(string(tok), 10, 64)
+		return v, err == nil
+	}
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	var v int64
+	for _, c := range tok {
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// float decodes a number as a float64. A value out of range is
+// encoding/json's to report.
+func (d *scanner) float() (float64, bool) {
+	// The last token again, and nothing after it that could continue a
+	// number: the same token, without scanning or parsing it.
+	if n := len(d.lastTok); n > 0 && len(d.b)-d.i > n && string(d.b[d.i:d.i+n]) == string(d.lastTok) {
+		if c := d.b[d.i+n]; !('0' <= c && c <= '9') && c != '.' && c != 'e' && c != 'E' {
+			d.i += n
+			return d.lastVal, true
+		}
+	}
+	tok, _ := d.number()
+	if tok == nil {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, false
+	}
+	d.lastTok, d.lastVal = tok, v
+	return v, true
+}

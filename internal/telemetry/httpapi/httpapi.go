@@ -170,6 +170,10 @@ type Frame struct {
 // federated endpoint SimNowNS is the minimum across answering members
 // (the conservative view: data can be no fresher than the laggiest
 // member's clock) and Degraded is present when a member was unreachable.
+//
+// This document, with its Frame and Point, is written and read by the
+// hand-written codec in codec.go rather than by reflection: a field added
+// to any of the three is added there too (TestCodecCoversEveryField).
 type QueryResult struct {
 	Frames   []Frame   `json:"frames"`
 	SimNowNS int64     `json:"sim_now_ns,omitempty"`
