@@ -86,51 +86,6 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 	return out
 }
 
-// SumFloat64 computes the sum of fn(i) over [0, n) in parallel with
-// per-chunk partial sums (deterministic grouping is NOT guaranteed, so this
-// is for quantities where float addition order is immaterial at the scale
-// used; the cluster sums use Map + sequential fold when bit-exact replay
-// matters).
-func SumFloat64(n, workers int, fn func(i int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	partials := make([]float64, workers)
-	var wg sync.WaitGroup
-	var cursor atomic.Int64
-	chunk := chunkSize(n, workers)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(slot int) {
-			defer wg.Done()
-			var local float64
-			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					break
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					local += fn(i)
-				}
-			}
-			partials[slot] = local
-		}(w)
-	}
-	wg.Wait()
-	var total float64
-	for _, p := range partials {
-		total += p
-	}
-	return total
-}
-
 // SumOrdered computes fn(i) in parallel but folds the results in index
 // order, so the floating-point sum is bit-identical across runs and worker
 // counts.

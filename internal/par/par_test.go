@@ -57,21 +57,6 @@ func TestMapDeterministic(t *testing.T) {
 	}
 }
 
-func TestSumFloat64MatchesSequential(t *testing.T) {
-	f := func(i int) float64 { return float64(i%13) * 0.5 }
-	got := SumFloat64(10000, 8, f)
-	var want float64
-	for i := 0; i < 10000; i++ {
-		want += f(i)
-	}
-	if got != want { // exact: values are small halves, no rounding ambiguity
-		t.Fatalf("SumFloat64 = %v, want %v", got, want)
-	}
-	if SumFloat64(0, 4, f) != 0 {
-		t.Fatal("empty sum not 0")
-	}
-}
-
 func TestSumOrderedBitExactAcrossWorkerCounts(t *testing.T) {
 	f := func(i int) float64 { return 1.0 / float64(i+1) }
 	ref := SumOrdered(5000, 1, f)

@@ -6,13 +6,6 @@ import (
 	"envmon/internal/cluster"
 )
 
-// An Actuator applies a commanded fleet cap. Implementations must be
-// deterministic: the same (now, capW) sequence produces the same fleet
-// state.
-type Actuator interface {
-	Apply(now time.Duration, capW float64) error
-}
-
 // ClusterActuator turns a fleet cap in watts into the two knobs the
 // simulated cluster exposes: a job-level duty-cycle factor on every node
 // and, optionally, per-socket RAPL PKG limits. The cap-to-duty map is

@@ -415,14 +415,3 @@ func (c *Controller) Steps() uint64 {
 
 // Log returns the controller's decision log.
 func (c *Controller) Log() *Log { return c.log }
-
-// LastDataAge reports time since the last fresh observation as of now,
-// and whether any fresh observation has ever arrived.
-func (c *Controller) LastDataAge(now time.Duration) (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.everFresh {
-		return 0, false
-	}
-	return now - c.lastFresh, true
-}

@@ -530,99 +530,76 @@ func (s *Store) Each(fn func(key storage.SeriesKey, a Agg)) {
 	}
 }
 
-// EachPoint streams the series' persisted points inside [from, to) — to
-// <= 0 means unbounded — in ingest order across blocks.
-func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
+// each is the store's one scan loop. For every block file holding key, in
+// sequence (= ingest) order: locate the entry's chunk of one kind, decode its
+// n entries, and pass fn those whose instant at(v) lies in [lo, hi) — hi <= 0
+// means unbounded. locate answers n == 0 for a file with nothing to scan.
+// A series' entries are in time order (ingest rejects anything else), so the
+// window is a sub-slice found by bisection: at runs O(log n) times a chunk,
+// and fn is the only per-entry call.
+func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
+	locate func(*seriesEntry) (off, length, n uint64),
+	decode func(dst []T, chunk []byte, n int) ([]T, error),
+	at func(T) time.Duration, fn func(T)) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var scratch []storage.Point
+	var scratch []T
 	for _, bf := range s.files {
 		e, ok := bf.entries[key]
-		if !ok || e.numPoints == 0 {
+		if !ok {
 			continue
 		}
-		if e.maxT < from || (to > 0 && e.minT >= to) {
+		off, length, n := locate(e)
+		if n == 0 {
 			continue
 		}
-		chunk, err := bf.chunk(e.ptOff, e.ptLen)
+		chunk, err := bf.chunk(off, length)
 		if err != nil {
 			return err
 		}
-		scratch, err = storage.DecodePoints(scratch[:0], chunk, int(e.numPoints))
+		scratch, err = decode(scratch[:0], chunk, int(n))
 		if err != nil {
 			return err
 		}
-		for _, p := range scratch {
-			if p.T < from || (to > 0 && p.T >= to) {
-				continue
-			}
-			fn(p)
+		in := scratch[sort.Search(len(scratch), func(i int) bool { return at(scratch[i]) >= lo }):]
+		if hi > 0 {
+			in = in[:sort.Search(len(in), func(i int) bool { return at(in[i]) >= hi })]
+		}
+		for _, v := range in {
+			fn(v)
 		}
 	}
 	return nil
+}
+
+// EachPoint streams the series' persisted points inside [from, to) — to
+// <= 0 means unbounded — in ingest order across blocks.
+func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
+	return each(s, key, from, to, func(e *seriesEntry) (off, length, n uint64) {
+		if e.maxT < from || (to > 0 && e.minT >= to) {
+			return 0, 0, 0 // the whole chunk lies outside the window
+		}
+		return e.ptOff, e.ptLen, e.numPoints
+	}, storage.DecodePoints, func(p storage.Point) time.Duration { return p.T }, fn)
 }
 
 // EachClosedBucket streams the series' persisted sealed buckets at the
 // level, in order, for every bucket overlapping the window: buckets whose
 // [Start, Start+period) intersects [from, to).
 func (s *Store) EachClosedBucket(key storage.SeriesKey, level int, period, from, to time.Duration, fn func(storage.Bucket)) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var scratch []storage.Bucket
-	for _, bf := range s.files {
-		e, ok := bf.entries[key]
-		if !ok {
-			continue
-		}
+	// Start+period > from, as a lower bound on Start.
+	return each(s, key, from-period+1, to, func(e *seriesEntry) (off, length, n uint64) {
 		le := &e.levels[level]
-		if le.numClosed == 0 {
-			continue
-		}
-		chunk, err := bf.chunk(le.off, le.length)
-		if err != nil {
-			return err
-		}
-		scratch, err = storage.DecodeBuckets(scratch[:0], chunk, int(le.numClosed))
-		if err != nil {
-			return err
-		}
-		for _, b := range scratch {
-			if b.Start+period <= from || (to > 0 && b.Start >= to) {
-				continue
-			}
-			fn(b)
-		}
-	}
-	return nil
+		return le.off, le.length, le.numClosed
+	}, storage.DecodeBuckets, func(b storage.Bucket) time.Duration { return b.Start }, fn)
 }
 
 // EachGap streams the series' persisted gap markers inside [from, to) in
 // order.
 func (s *Store) EachGap(key storage.SeriesKey, from, to time.Duration, fn func(time.Duration)) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var scratch []time.Duration
-	for _, bf := range s.files {
-		e, ok := bf.entries[key]
-		if !ok || e.numGaps == 0 {
-			continue
-		}
-		chunk, err := bf.chunk(e.gapOff, e.gapLen)
-		if err != nil {
-			return err
-		}
-		scratch, err = storage.DecodeGaps(scratch[:0], chunk, int(e.numGaps))
-		if err != nil {
-			return err
-		}
-		for _, g := range scratch {
-			if g < from || (to > 0 && g >= to) {
-				continue
-			}
-			fn(g)
-		}
-	}
-	return nil
+	return each(s, key, from, to, func(e *seriesEntry) (off, length, n uint64) {
+		return e.gapOff, e.gapLen, e.numGaps
+	}, storage.DecodeGaps, func(g time.Duration) time.Duration { return g }, fn)
 }
 
 // NumBlocks reports how many block files the store serves.

@@ -49,26 +49,21 @@ func Open(dir string, opts Options) (*Store, error) {
 	// sealed data ends.
 	blocks.Each(func(key storage.SeriesKey, a block.Agg) {
 		s := st.recoverSeries(key, a.Unit)
-		s.persisted, s.count = a.Points, a.Points
-		s.gapsPersisted, s.gapCount = a.Gaps, a.Gaps
+		s.raw.restore(a.Points)
+		s.gaps.restore(a.Gaps)
 		s.minT, s.lastT, s.lastGapT = a.MinT, a.LastT, a.LastGapT
 		for l := range s.roll {
-			s.bucketsPersisted[l] = a.Buckets[l]
-			s.bucketsTotal[l] = a.Buckets[l]
+			s.roll[l].restore(a.Buckets[l])
 			if a.Tails[l] != nil {
 				s.roll[l].push(*a.Tails[l])
-				s.bucketsTotal[l]++
 			}
 		}
 		st.samples.Add(a.Points)
 		st.gaps.Add(a.Gaps)
 	})
 
-	// Replay the journal on top. Records arrive sorted by (series, index);
-	// anything below the series' watermark is a duplicate from an
-	// interrupted compaction, anything at the watermark is applied, and an
-	// index beyond it means the journal lost acknowledged records (counted,
-	// not invented).
+	// Replay the journal on top. Records arrive sorted by (series, index)
+	// and each is applied only where it extends its stream (replayable).
 	walDir := filepath.Join(dir, "wal")
 	samples, gaps, err := wal.Replay(walDir)
 	if err != nil {
@@ -76,30 +71,17 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	for _, smp := range samples {
-		s := st.recoverSeries(smp.Key, smp.Unit)
-		switch {
-		case smp.Index < s.count:
-			// already persisted (or duplicated in an older segment)
-		case smp.Index == s.count:
+		if s := st.recoverSeries(smp.Key, smp.Unit); st.replayable(smp.Index, s.raw.total) {
 			s.append(smp.T, smp.V)
 			st.samples.Add(1)
 			st.recovered.Samples++
-		default:
-			st.recovered.Lost++
 		}
 	}
 	for _, g := range gaps {
-		s := st.recoverSeries(g.Key, g.Unit)
-		switch {
-		case g.Index < s.gapCount:
-		case g.Index == s.gapCount:
-			s.gaps.push(g.T)
-			s.lastGapT = g.T
-			s.gapCount++
+		if s := st.recoverSeries(g.Key, g.Unit); st.replayable(g.Index, s.gaps.total) {
+			s.appendGap(g.T)
 			st.gaps.Add(1)
 			st.recovered.Gaps++
-		default:
-			st.recovered.Lost++
 		}
 	}
 	st.recovered.Series = int(st.nseries.Load())
@@ -142,12 +124,26 @@ func (st *Store) recoverSeries(key SeriesKey, unit string) *series {
 	return s
 }
 
-// journalSampleLocked makes the sample durable before the head absorbs it:
-// compact first if absorbing it would evict unpersisted data (or the
-// segment is over budget), then append the record at the sample's absolute
-// index. Caller holds sh.mu and has validated time order.
-func (st *Store) journalSampleLocked(sh *shard, s *series, t time.Duration, v float64) error {
-	if st.samplePressureLocked(sh, s, t) {
+// replayable reports whether a journal record at index extends a stream
+// that holds total entries. An index below total is a duplicate — already in
+// a block, or left in an older segment by an interrupted compaction — and is
+// skipped; an index beyond it means the journal lost acknowledged records
+// (counted, not invented).
+func (st *Store) replayable(index, total uint64) bool {
+	if index > total {
+		st.recovered.Lost++
+	}
+	return index == total
+}
+
+// journalReadyLocked prepares the shard's journal for one record of s, so
+// the record is durable before the head absorbs its entry: compact first if
+// absorbing the entry would evict unsealed data (pressed) or the segment is
+// over budget, then declare the series in the current segment. The caller
+// holds sh.mu, has validated time order, and appends the record at the
+// entry's absolute index.
+func (st *Store) journalReadyLocked(sh *shard, s *series, pressed bool) error {
+	if pressed || sh.wal.Size() >= st.opts.WALSegmentBytes {
 		if err := st.compactShardLocked(sh, false); err != nil {
 			return err
 		}
@@ -159,51 +155,7 @@ func (st *Store) journalSampleLocked(sh *shard, s *series, t time.Duration, v fl
 		}
 		s.walRef, s.walEpoch = ref, sh.walEpoch
 	}
-	return sh.wal.AppendSample(s.walRef, s.count, t, v)
-}
-
-// journalGapLocked is journalSampleLocked for gap markers.
-func (st *Store) journalGapLocked(sh *shard, s *series, t time.Duration) error {
-	if sh.wal.Size() >= st.opts.WALSegmentBytes ||
-		(s.gaps.len() == st.opts.GapCapacity && s.gapCount-uint64(st.opts.GapCapacity) >= s.gapsPersisted) {
-		if err := st.compactShardLocked(sh, false); err != nil {
-			return err
-		}
-	}
-	if s.walEpoch != sh.walEpoch {
-		ref, err := sh.wal.AppendSeries(s.key, s.unit)
-		if err != nil {
-			return err
-		}
-		s.walRef, s.walEpoch = ref, sh.walEpoch
-	}
-	return sh.wal.AppendGap(s.walRef, s.gapCount, t)
-}
-
-// samplePressureLocked reports whether absorbing a sample at t would push
-// unpersisted data out of a ring (the raw ring, or a full rollup ring
-// about to open a new bucket) or the WAL segment is over budget — the
-// moments compaction must run first.
-func (st *Store) samplePressureLocked(sh *shard, s *series, t time.Duration) bool {
-	if sh.wal.Size() >= st.opts.WALSegmentBytes {
-		return true
-	}
-	if s.raw.len() == st.opts.RawCapacity && s.count-uint64(st.opts.RawCapacity) >= s.persisted {
-		return true
-	}
-	for l, period := range rollupPeriods {
-		rb := &s.roll[l]
-		if rb.len() < st.opts.RollupCapacity {
-			continue
-		}
-		if b := rb.tail(); b != nil && b.Start == t-t%period {
-			continue // absorbed by the tail: no push, no eviction
-		}
-		if s.bucketsTotal[l]-uint64(st.opts.RollupCapacity) >= s.bucketsPersisted[l] {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // compactShardLocked seals every series' unpersisted tail in the shard
@@ -214,7 +166,7 @@ func (st *Store) samplePressureLocked(sh *shard, s *series, t time.Duration) boo
 func (st *Store) compactShardLocked(sh *shard, force bool) error {
 	var snaps []storage.SeriesSnapshot
 	for _, s := range sh.series {
-		if s.count > s.persisted || s.gapCount > s.gapsPersisted {
+		if s.raw.total > s.raw.sealed || s.gaps.total > s.gaps.sealed {
 			snaps = append(snaps, s.snapshotLocked())
 		}
 	}
@@ -250,52 +202,19 @@ func (st *Store) compactShardLocked(sh *shard, force bool) error {
 }
 
 // snapshotLocked seals the series' unpersisted tail for a block writer:
-// the ring-resident samples, gaps, and sealed buckets past each watermark,
-// plus every level's open-tail state. The pressure checks guarantee the
-// unpersisted tail is still ring-resident; the clamps below only matter if
-// a capacity was shrunk between runs, where the overflow is surfaced as an
-// index hole rather than silently misattributed.
+// each stream's pending entries — for a rollup level the closed buckets
+// only, the open tail travels as state — plus the newest instants.
 func (s *series) snapshotLocked() storage.SeriesSnapshot {
-	sn := storage.SeriesSnapshot{Key: s.key, Unit: s.unit,
-		StartPoint: s.persisted, StartGap: s.gapsPersisted,
-		LastT: s.lastT, LastGapT: s.lastGapT}
-	n := uint64(s.raw.len())
-	if u := s.count - s.persisted; u > 0 {
-		if u > n {
-			u = n
-			sn.StartPoint = s.count - n
-		}
-		for i := n - u; i < n; i++ {
-			sn.Points = append(sn.Points, s.raw.at(int(i)))
-		}
-	}
-	gn := uint64(s.gaps.len())
-	if u := s.gapCount - s.gapsPersisted; u > 0 {
-		if u > gn {
-			u = gn
-			sn.StartGap = s.gapCount - gn
-		}
-		for i := gn - u; i < gn; i++ {
-			sn.Gaps = append(sn.Gaps, s.gaps.at(int(i)))
-		}
-	}
+	sn := storage.SeriesSnapshot{Key: s.key, Unit: s.unit, LastT: s.lastT, LastGapT: s.lastGapT}
+	sn.StartPoint, sn.Points = s.raw.pending(s.raw.total)
+	sn.StartGap, sn.Gaps = s.gaps.pending(s.gaps.total)
 	for l := range s.roll {
 		rb := &s.roll[l]
-		bn := uint64(rb.len())
-		if bn == 0 {
+		if rb.len() == 0 {
 			continue
 		}
 		lv := &sn.Levels[l]
-		lv.StartBucket = s.bucketsPersisted[l]
-		if u := (s.bucketsTotal[l] - 1) - s.bucketsPersisted[l]; u > 0 {
-			if u > bn-1 {
-				u = bn - 1
-				lv.StartBucket = (s.bucketsTotal[l] - 1) - u
-			}
-			for i := bn - 1 - u; i < bn-1; i++ {
-				lv.Closed = append(lv.Closed, rb.at(int(i)))
-			}
-		}
+		lv.StartBucket, lv.Closed = rb.pending(rb.total - 1)
 		tb := *rb.tail()
 		lv.Tail = &tb
 	}
@@ -303,13 +222,14 @@ func (s *series) snapshotLocked() storage.SeriesSnapshot {
 }
 
 // markPersistedLocked advances the watermarks after a successful block
-// append: everything currently in memory is sealed.
+// append: everything currently in memory is sealed, bar each rollup level's
+// open tail.
 func (s *series) markPersistedLocked() {
-	s.persisted = s.count
-	s.gapsPersisted = s.gapCount
-	for l := range s.bucketsTotal {
-		if s.bucketsTotal[l] > 0 {
-			s.bucketsPersisted[l] = s.bucketsTotal[l] - 1
+	s.raw.sealed = s.raw.total
+	s.gaps.sealed = s.gaps.total
+	for l := range s.roll {
+		if rb := &s.roll[l]; rb.total > 0 {
+			rb.sealed = rb.total - 1
 		}
 	}
 }
@@ -317,7 +237,8 @@ func (s *series) markPersistedLocked() {
 // Flush compacts every shard's unpersisted tail into blocks. After a
 // successful Flush the in-memory state is fully reconstructible from the
 // block store alone — the guarantee a daemon wants before exiting. A
-// memory-only store flushes trivially.
+// memory-only store flushes trivially; a persistent store that is already
+// closed has no journal left to seal against and reports ErrClosed.
 func (st *Store) Flush() error {
 	if st.wal == nil {
 		return nil
@@ -325,7 +246,7 @@ func (st *Store) Flush() error {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		var err error
+		err := ErrClosed // only Close detaches a persistent shard's journal
 		if sh.wal != nil {
 			err = st.compactShardLocked(sh, false)
 		}
@@ -399,10 +320,10 @@ func (st *Store) MaxTime() time.Duration {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if s.count > 0 && s.lastT > max {
+			if s.raw.total > 0 && s.lastT > max {
 				max = s.lastT
 			}
-			if s.gapCount > 0 && s.lastGapT > max {
+			if s.gaps.total > 0 && s.lastGapT > max {
 				max = s.lastGapT
 			}
 		}

@@ -72,34 +72,14 @@ func (st *Store) Instrument(reg *obs.Registry, tr *obs.Tracer, slow *obs.SlowLog
 	reg.CounterFunc("envmon_ring_evicted_samples_total",
 		"Raw samples pushed out of head rings (computed at scrape from per-series counts).",
 		func() float64 {
-			var evicted uint64
-			for i := range st.shards {
-				sh := &st.shards[i]
-				sh.mu.RLock()
-				for _, s := range sh.series {
-					evicted += s.count - uint64(s.raw.len())
-				}
-				sh.mu.RUnlock()
-			}
-			return float64(evicted)
+			return float64(st.sumSeries(func(s *series) uint64 { return s.raw.total - uint64(s.raw.len()) }))
 		})
 	reg.CounterFunc("envmon_persisted_samples_total",
 		"Samples sealed into blocks — the count-seam watermark summed across series.",
 		func() float64 { return float64(st.persistedSamples()) })
 	reg.CounterFunc("envmon_persisted_gaps_total",
 		"Gap markers sealed into blocks.",
-		func() float64 {
-			var n uint64
-			for i := range st.shards {
-				sh := &st.shards[i]
-				sh.mu.RLock()
-				for _, s := range sh.series {
-					n += s.gapsPersisted
-				}
-				sh.mu.RUnlock()
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(st.sumSeries(func(s *series) uint64 { return s.gaps.sealed })) })
 
 	if st.wal == nil {
 		return
@@ -174,12 +154,17 @@ func (st *Store) Instrument(reg *obs.Registry, tr *obs.Tracer, slow *obs.SlowLog
 
 // persistedSamples sums the per-series persisted watermarks.
 func (st *Store) persistedSamples() uint64 {
+	return st.sumSeries(func(s *series) uint64 { return s.raw.sealed })
+}
+
+// sumSeries folds fn over every series, shard by shard under read locks.
+func (st *Store) sumSeries(fn func(*series) uint64) uint64 {
 	var n uint64
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			n += s.persisted
+			n += fn(s)
 		}
 		sh.mu.RUnlock()
 	}

@@ -171,73 +171,51 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 		red.Last = p.Last
 		red.Count += p.Count
 	}
+	// Each kind is served the same way: block data for the sealed prefix,
+	// then the ring from the seam on.
 	if q.Resolution == Raw {
-		if st.blocks != nil && s.persisted > 0 {
-			err := st.blocks.EachPoint(s.key, q.From, q.To, func(p Point) {
-				add(FramePoint{T: p.T, Min: p.V, Max: p.V, Mean: p.V, Last: p.V, Count: 1}, p.V)
-			})
-			if err != nil {
-				st.readErrs.Add(1)
-			}
+		point := func(p Point) {
+			add(FramePoint{T: p.T, Min: p.V, Max: p.V, Mean: p.V, Last: p.V, Count: 1}, p.V)
 		}
-		// Ring entries below the watermark were already served from blocks.
-		n := s.raw.len()
-		skip := 0
-		if over := int64(s.persisted) - (int64(s.count) - int64(n)); over > 0 {
-			skip = int(over)
+		if st.blocks != nil && s.raw.sealed > 0 {
+			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, point))
 		}
-		for i := skip; i < n; i++ {
+		for i := s.raw.live(); i < s.raw.len(); i++ {
 			p := s.raw.at(i)
 			if p.T < q.From || (q.To > 0 && p.T >= q.To) {
 				continue
 			}
-			add(FramePoint{T: p.T, Min: p.V, Max: p.V, Mean: p.V, Last: p.V, Count: 1}, p.V)
+			point(p)
 		}
 	} else {
 		period := q.Resolution.Period()
 		lvl := int(q.Resolution - 1)
-		if st.blocks != nil && s.bucketsPersisted[lvl] > 0 {
-			err := st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, func(b Bucket) {
-				add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
-			})
-			if err != nil {
-				st.readErrs.Add(1)
-			}
+		bucket := func(b Bucket) {
+			add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
 		}
 		rb := &s.roll[lvl]
-		n := rb.len()
-		skip := 0
-		if over := int64(s.bucketsPersisted[lvl]) - (int64(s.bucketsTotal[lvl]) - int64(n)); over > 0 {
-			skip = int(over)
+		if st.blocks != nil && rb.sealed > 0 {
+			st.noteRead(st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, bucket))
 		}
-		for i := skip; i < n; i++ {
+		for i := rb.live(); i < rb.len(); i++ {
 			b := rb.at(i)
 			// include buckets overlapping the window
 			if b.Start+period <= q.From || (q.To > 0 && b.Start >= q.To) {
 				continue
 			}
-			add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
+			bucket(b)
 		}
 	}
-	if st.blocks != nil && s.gapsPersisted > 0 {
-		err := st.blocks.EachGap(s.key, q.From, q.To, func(t time.Duration) {
-			f.Gaps = append(f.Gaps, t)
-		})
-		if err != nil {
-			st.readErrs.Add(1)
-		}
+	gap := func(t time.Duration) { f.Gaps = append(f.Gaps, t) }
+	if st.blocks != nil && s.gaps.sealed > 0 {
+		st.noteRead(st.blocks.EachGap(s.key, q.From, q.To, gap))
 	}
-	gn := s.gaps.len()
-	gskip := 0
-	if over := int64(s.gapsPersisted) - (int64(s.gapCount) - int64(gn)); over > 0 {
-		gskip = int(over)
-	}
-	for i := gskip; i < gn; i++ {
+	for i := s.gaps.live(); i < s.gaps.len(); i++ {
 		t := s.gaps.at(i)
 		if t < q.From || (q.To > 0 && t >= q.To) {
 			continue
 		}
-		f.Gaps = append(f.Gaps, t)
+		gap(t)
 	}
 	if q.Aggregate != AggNone && red.Count > 0 {
 		f.ReducedOK = true
@@ -253,6 +231,14 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 		}
 	}
 	return f
+}
+
+// noteRead counts a failed block read; the frame degrades to what memory
+// holds.
+func (st *Store) noteRead(err error) {
+	if err != nil {
+		st.readErrs.Add(1)
+	}
 }
 
 // NodePower is one entry of a TopK ranking: a node and its mean power over
@@ -301,12 +287,4 @@ func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resoluti
 		ranked = ranked[:k]
 	}
 	return ranked, total
-}
-
-// TotalPower reports the cluster-wide mean power over the window: the sum
-// of every node's mean across matching series (see TopK for domain
-// semantics), plus the number of nodes contributing.
-func (st *Store) TotalPower(domain string, from, to time.Duration, res Resolution) (watts float64, nodes int) {
-	ranked, total := st.TopK(0, domain, from, to, res)
-	return total, len(ranked)
 }

@@ -113,9 +113,9 @@ func TestTopKRanking(t *testing.T) {
 		t.Errorf("n03 contributing series = %d, want 2 (MSR + MICRAS)", ranked[0].Series)
 	}
 	// Total spans all 4 nodes even though only 2 were returned.
-	watts, nodes := st.TotalPower("", 0, 0, Raw)
-	if watts != total || nodes != 4 {
-		t.Errorf("TotalPower = (%v, %d), want (%v, 4)", watts, nodes, total)
+	all, watts := st.TopK(0, "", 0, 0, Raw)
+	if watts != total || len(all) != 4 {
+		t.Errorf("TopK(0) = (%d nodes, %v), want (4, %v)", len(all), watts, total)
 	}
 	// Temperature series must not leak into the power ranking: expected
 	// mean per node is 1.5*(100+10i) + 1.5*wiggle-mean.

@@ -1,115 +1,96 @@
 package telemetry
 
-import (
-	"time"
-
-	"envmon/internal/telemetry/storage"
-)
+import "envmon/internal/telemetry/storage"
 
 // Point is one raw sample — an alias of the storage layer's type, so ring
 // contents hand off to snapshots and chunks without conversion.
 type Point = storage.Point
-
-// pointRing is a fixed-capacity ring of raw samples. When full, pushing
-// evicts the oldest sample. The backing array is allocated once, so the
-// steady-state push path never allocates.
-type pointRing struct {
-	buf  []Point
-	head int // index of the oldest element
-	n    int
-}
-
-func newPointRing(capacity int) pointRing {
-	return pointRing{buf: make([]Point, capacity)}
-}
-
-func (r *pointRing) push(p Point) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-		return
-	}
-	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// at returns the i-th element in age order (0 = oldest). i must be < n.
-func (r *pointRing) at(i int) Point { return r.buf[(r.head+i)%len(r.buf)] }
-
-func (r *pointRing) len() int { return r.n }
-
-// first returns the oldest element, if any.
-func (r *pointRing) first() (Point, bool) {
-	if r.n == 0 {
-		return Point{}, false
-	}
-	return r.buf[r.head], true
-}
-
-// gapRing is a fixed-capacity ring of failed-poll instants, evicting the
-// oldest when full — the same bounded-memory discipline as the raw ring.
-type gapRing struct {
-	buf  []time.Duration
-	head int
-	n    int
-}
-
-func newGapRing(capacity int) gapRing {
-	return gapRing{buf: make([]time.Duration, capacity)}
-}
-
-func (r *gapRing) push(t time.Duration) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = t
-		r.n++
-		return
-	}
-	r.buf[r.head] = t
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// at returns the i-th gap in age order (0 = oldest). i must be < n.
-func (r *gapRing) at(i int) time.Duration { return r.buf[(r.head+i)%len(r.buf)] }
-
-func (r *gapRing) len() int { return r.n }
 
 // Bucket is one rollup bucket: the incremental summary of every sample
 // whose time falls in [Start, Start+period). An alias of the storage
 // layer's type.
 type Bucket = storage.Bucket
 
-// bucketRing is a fixed-capacity ring of rollup buckets. The newest bucket
-// is mutable (tail) so ingest updates it in place; a sample past the tail's
-// window pushes a fresh bucket, evicting the oldest when full.
-type bucketRing struct {
-	buf  []Bucket
-	head int
-	n    int
+// stream is one series' entries of one kind — raw samples, gap markers, or
+// one rollup level's buckets — and that kind's position against the storage
+// engine's count seam. It is the only code that computes the seam.
+//
+// Every entry has an absolute index 0,1,2,… in the order the series
+// produced it (for a bucket: the order the series opened it at that level);
+// total is one past the newest. The newest entries live in a fixed ring —
+// allocated once, so the steady-state push never allocates — and pushing
+// into a full ring evicts the oldest. sealed is the watermark: block chunks
+// hold absolute indexes [0, sealed), the ring serves from live() on, and the
+// two meet with no overlap and no hole — byte-identical to a store whose
+// rings never evict. The engine keeps that true by compacting before any
+// push for which pressed() holds, so every unsealed entry stays resident.
+// In a memory-only store sealed stays 0 and the seam degenerates to "serve
+// the ring".
+type stream[T any] struct {
+	buf    []T
+	head   int    // ring position of the oldest resident entry
+	n      int    // resident entries
+	total  uint64 // entries ever pushed
+	sealed uint64 // leading entries sealed in blocks
 }
 
-func newBucketRing(capacity int) bucketRing {
-	return bucketRing{buf: make([]Bucket, capacity)}
+func newStream[T any](capacity int) stream[T] {
+	return stream[T]{buf: make([]T, capacity)}
 }
 
-// tail returns the newest bucket for in-place update, or nil when empty.
-func (r *bucketRing) tail() *Bucket {
+func (r *stream[T]) push(v T) {
+	r.total++
+	if r.n < len(r.buf) {
+		r.buf[(r.head+r.n)%len(r.buf)] = v
+		r.n++
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// at returns the i-th resident entry in age order (0 = oldest). i must be
+// < len().
+func (r *stream[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+
+func (r *stream[T]) len() int { return r.n }
+
+// tail returns the newest entry for in-place update, or nil when empty.
+func (r *stream[T]) tail() *T {
 	if r.n == 0 {
 		return nil
 	}
 	return &r.buf[(r.head+r.n-1)%len(r.buf)]
 }
 
-func (r *bucketRing) push(b Bucket) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = b
-		r.n++
-		return
+// live returns the ring position of the first entry past the seam: resident
+// entries below it are already served from blocks.
+func (r *stream[T]) live() int {
+	if oldest := r.total - uint64(r.n); r.sealed > oldest {
+		return int(r.sealed - oldest)
 	}
-	r.buf[r.head] = b
-	r.head = (r.head + 1) % len(r.buf)
+	return 0
 }
 
-// at returns the i-th bucket in age order (0 = oldest). i must be < n.
-func (r *bucketRing) at(i int) Bucket { return r.buf[(r.head+i)%len(r.buf)] }
+// pressed reports whether one more push would evict an unsealed entry.
+func (r *stream[T]) pressed() bool {
+	return r.n == len(r.buf) && r.live() == 0
+}
 
-func (r *bucketRing) len() int { return r.n }
+// pending returns, for a block writer, the unsealed entries below absolute
+// index end and the absolute index of the first. pressed() guarantees they
+// are all resident; the clamp only matters if a capacity was shrunk between
+// runs, where the overflow is surfaced as an index hole rather than silently
+// misattributed.
+func (r *stream[T]) pending(end uint64) (start uint64, out []T) {
+	oldest := r.total - uint64(r.n)
+	start = max(r.sealed, oldest)
+	for i := start; i < end; i++ {
+		out = append(out, r.at(int(i-oldest)))
+	}
+	return start, out
+}
+
+// restore seeds an empty stream from a block index: n entries exist, all
+// sealed, none resident.
+func (r *stream[T]) restore(n uint64) { r.total, r.sealed = n, n }

@@ -69,34 +69,20 @@ func ParseResolution(s string) (Resolution, error) {
 	}
 }
 
-// series is one stored time series: the raw ring plus one bucket ring per
-// rollup level, all preallocated. Access is guarded by the owning shard's
-// lock.
-//
-// The persistence fields track the series' position against the storage
-// engine's count seam. Every sample has an absolute index 0,1,2,… from
-// first ingest (count is one past the newest); persisted says how many
-// leading samples are sealed in blocks, and the compaction pressure checks
-// keep every unpersisted sample resident in the ring. Gap markers and
-// rollup buckets carry the same bookkeeping (a bucket's absolute index is
-// the order the series opened it at that level). In a memory-only store
-// the watermarks stay 0 and the seam degenerates to "serve the rings".
+// series is one stored time series: a stream of raw samples, one of gap
+// markers and one of buckets per rollup level, all preallocated. Access is
+// guarded by the owning shard's lock. Each stream carries its own position
+// against the count seam (see stream); a rollup level's open tail bucket is
+// still mutable and never sealed, so that level's seam sits at total-1.
 type series struct {
 	key      SeriesKey
 	unit     string
-	raw      pointRing
-	roll     [numRollupLevels]bucketRing
-	gaps     gapRing
-	minT     time.Duration // first sample ever (valid when count > 0)
+	raw      stream[Point]
+	gaps     stream[time.Duration]
+	roll     [numRollupLevels]stream[Bucket]
+	minT     time.Duration // first sample ever (valid when raw.total > 0)
 	lastT    time.Duration
 	lastGapT time.Duration
-	count    uint64
-	gapCount uint64
-
-	persisted        uint64                  // leading samples sealed in blocks
-	gapsPersisted    uint64                  // leading gap markers sealed in blocks
-	bucketsTotal     [numRollupLevels]uint64 // buckets ever opened per level
-	bucketsPersisted [numRollupLevels]uint64 // leading sealed buckets in blocks
 
 	walRef   uint64 // series ref in the shard's current WAL segment
 	walEpoch uint64 // shard walEpoch the ref belongs to (0 = undeclared)
@@ -104,10 +90,10 @@ type series struct {
 
 func newSeries(key SeriesKey, unit string, opts Options) *series {
 	s := &series{key: key, unit: unit,
-		raw:  newPointRing(opts.RawCapacity),
-		gaps: newGapRing(opts.GapCapacity)}
+		raw:  newStream[Point](opts.RawCapacity),
+		gaps: newStream[time.Duration](opts.GapCapacity)}
 	for i := range s.roll {
-		s.roll[i] = newBucketRing(opts.RollupCapacity)
+		s.roll[i] = newStream[Bucket](opts.RollupCapacity)
 	}
 	return s
 }
@@ -116,12 +102,11 @@ func newSeries(key SeriesKey, unit string, opts Options) *series {
 // either the open tail bucket absorbs the sample or a new bucket is pushed.
 // The caller has already checked time order; t >= lastT holds.
 func (s *series) append(t time.Duration, v float64) {
-	if s.count == 0 {
+	if s.raw.total == 0 {
 		s.minT = t
 	}
 	s.raw.push(Point{T: t, V: v})
 	s.lastT = t
-	s.count++
 	for i, period := range rollupPeriods {
 		start := t - t%period
 		rb := &s.roll[i]
@@ -138,6 +123,26 @@ func (s *series) append(t time.Duration, v float64) {
 			continue
 		}
 		rb.push(Bucket{Start: start, Count: 1, Min: v, Max: v, Sum: v, Last: v})
-		s.bucketsTotal[i]++
 	}
+}
+
+// appendGap records one failed-poll marker. The caller has checked order.
+func (s *series) appendGap(t time.Duration) {
+	s.gaps.push(t)
+	s.lastGapT = t
+}
+
+// samplePressed reports whether absorbing a sample at t would evict
+// unsealed data: from the raw ring, or from a rollup ring that is about to
+// open a new bucket rather than absorb the sample into its tail.
+func (s *series) samplePressed(t time.Duration) bool {
+	if s.raw.pressed() {
+		return true
+	}
+	for l, period := range rollupPeriods {
+		if rb := &s.roll[l]; rb.pressed() && rb.tail().Start != t-t%period {
+			return true
+		}
+	}
+	return false
 }

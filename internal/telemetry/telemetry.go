@@ -80,7 +80,8 @@ func SplitSeriesName(name string) (backend, domain string) {
 
 // Ingest and lifecycle errors. Sentinels, so the hot path never formats.
 var (
-	// ErrClosed is returned by Ingest after Close.
+	// ErrClosed is returned by Ingest after Close, and by Flush on a
+	// persistent store after Close.
 	ErrClosed = errors.New("telemetry: store is closed")
 	// ErrOutOfOrder is returned when a sample's time precedes the series'
 	// newest sample (or is negative). Equal timestamps are accepted.
@@ -188,11 +189,47 @@ func New(opts Options) *Store {
 	return st
 }
 
+// lockSeries is the prologue Ingest and IngestGap share: it locks the key's
+// shard and returns the series, created on first touch (unit is recorded
+// then; later values are ignored). On error the shard is unlocked again and
+// the rejection counted. closed is checked under the shard lock: Close
+// detaches the journal under every shard lock, so a call that reads closed
+// as false here still has its journal, and no acknowledged ingest on a
+// persistent store goes unjournaled.
+func (st *Store) lockSeries(key SeriesKey, unit string, t time.Duration) (*shard, *series, error) {
+	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
+	sh.mu.Lock()
+	if st.closed.Load() {
+		return nil, nil, st.reject(sh, ErrClosed)
+	}
+	if t < 0 {
+		return nil, nil, st.reject(sh, ErrOutOfOrder)
+	}
+	s := sh.series[key]
+	if s == nil {
+		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
+			return nil, nil, st.reject(sh, ErrSeriesLimit)
+		}
+		s = newSeries(key, unit, st.opts)
+		sh.series[key] = s
+		st.nseries.Add(1)
+	}
+	return sh, s, nil
+}
+
+// reject is the one failure exit of the ingest path: release the shard,
+// count the rejection, hand err back. The head is not mutated.
+func (st *Store) reject(sh *shard, err error) error {
+	sh.mu.Unlock()
+	st.ingestErrs.Add(1)
+	return err
+}
+
 // Ingest appends one sample to the keyed series, creating it on first
-// touch (unit is recorded then; later values are ignored). Per series,
-// sample times must be non-decreasing; across series there is no ordering
-// requirement, which is what lets independent clock domains ingest
-// concurrently. Steady-state ingest performs zero allocations.
+// touch. Per series, sample times must be non-decreasing; across series
+// there is no ordering requirement, which is what lets independent clock
+// domains ingest concurrently. Steady-state ingest performs zero
+// allocations.
 //
 // In a persistent store the sample is journaled to the shard's WAL before
 // the rings absorb it, so a successful return means the sample survives a
@@ -200,45 +237,28 @@ func New(opts Options) *Store {
 // compacted into a block first. A journaling or compaction failure rejects
 // the ingest without mutating the head.
 func (st *Store) Ingest(key SeriesKey, unit string, t time.Duration, v float64) error {
-	if st.closed.Load() {
-		st.ingestErrs.Add(1)
-		return ErrClosed
+	sh, s, err := st.lockSeries(key, unit, t)
+	if err != nil {
+		return err
 	}
-	if t < 0 {
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
-	}
-	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
-	sh.mu.Lock()
-	s := sh.series[key]
-	if s == nil {
-		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
-			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return ErrSeriesLimit
-		}
-		s = newSeries(key, unit, st.opts)
-		sh.series[key] = s
-		st.nseries.Add(1)
-	}
-	if s.count > 0 && t < s.lastT {
-		sh.mu.Unlock()
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
+	if s.raw.total > 0 && t < s.lastT {
+		return st.reject(sh, ErrOutOfOrder)
 	}
 	if sh.wal != nil {
 		// Journal-append spans are sampled 1 in 1024 so the latency
 		// histogram fills without two clock reads per acknowledged sample.
 		o := st.obs
-		timed := o != nil && s.count&1023 == 0
+		timed := o != nil && s.raw.total&1023 == 0
 		var start time.Time
 		if timed {
 			start = time.Now()
 		}
-		if err := st.journalSampleLocked(sh, s, t, v); err != nil {
-			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return err
+		err := st.journalReadyLocked(sh, s, s.samplePressed(t))
+		if err == nil {
+			err = sh.wal.AppendSample(s.walRef, s.raw.total, t, v)
+		}
+		if err != nil {
+			return st.reject(sh, err)
 		}
 		if timed {
 			o.walStage.Observe(time.Since(start), 0)
@@ -255,44 +275,25 @@ func (st *Store) Ingest(key SeriesKey, unit string, t time.Duration, v float64) 
 // lost, read failed, breaker open). The series is created on first touch —
 // a device that dies before its first successful read is still visible to
 // queries, as a series of gaps — and gap times must be non-decreasing per
-// series, independently of sample times.
+// series, independently of sample times. Journaled like a sample.
 func (st *Store) IngestGap(key SeriesKey, unit string, t time.Duration) error {
-	if st.closed.Load() {
-		st.ingestErrs.Add(1)
-		return ErrClosed
+	sh, s, err := st.lockSeries(key, unit, t)
+	if err != nil {
+		return err
 	}
-	if t < 0 {
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
-	}
-	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
-	sh.mu.Lock()
-	s := sh.series[key]
-	if s == nil {
-		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
-			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return ErrSeriesLimit
-		}
-		s = newSeries(key, unit, st.opts)
-		sh.series[key] = s
-		st.nseries.Add(1)
-	}
-	if s.gapCount > 0 && t < s.lastGapT {
-		sh.mu.Unlock()
-		st.ingestErrs.Add(1)
-		return ErrOutOfOrder
+	if s.gaps.total > 0 && t < s.lastGapT {
+		return st.reject(sh, ErrOutOfOrder)
 	}
 	if sh.wal != nil {
-		if err := st.journalGapLocked(sh, s, t); err != nil {
-			sh.mu.Unlock()
-			st.ingestErrs.Add(1)
-			return err
+		err := st.journalReadyLocked(sh, s, s.gaps.pressed())
+		if err == nil {
+			err = sh.wal.AppendGap(s.walRef, s.gaps.total, t)
+		}
+		if err != nil {
+			return st.reject(sh, err)
 		}
 	}
-	s.gaps.push(t)
-	s.lastGapT = t
-	s.gapCount++
+	s.appendGap(t)
 	sh.mu.Unlock()
 	st.gaps.Add(1)
 	return nil
@@ -360,12 +361,12 @@ func (st *Store) Series() []SeriesInfo {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			info := SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.count, Gaps: s.gapCount,
-				Persisted: s.persisted, Newest: s.lastT}
-			if st.blocks != nil && s.count > 0 {
+			info := SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.raw.total, Gaps: s.gaps.total,
+				Persisted: s.raw.sealed, Newest: s.lastT}
+			if st.blocks != nil && s.raw.total > 0 {
 				info.Oldest = s.minT
-			} else if p, ok := s.raw.first(); ok {
-				info.Oldest = p.T
+			} else if s.raw.len() > 0 {
+				info.Oldest = s.raw.at(0).T
 			}
 			out = append(out, info)
 		}
