@@ -187,6 +187,9 @@ func TestRestartRecoversHistoryAndContinues(t *testing.T) {
 	if h.Storage.LostRecords != 0 {
 		t.Errorf("restart lost %d journaled records", h.Storage.LostRecords)
 	}
+	if want := d2.store.StorageStats().WALMapped; h.Storage.WALMapped != want {
+		t.Errorf("storage.wal_mapped = %v, the store says %v", h.Storage.WALMapped, want)
+	}
 	if h.Samples == 0 {
 		t.Error("restarted store is empty")
 	}

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
+	"syscall"
 	"testing"
 	"time"
+
+	"envmon/internal/telemetry/wal"
 )
 
 // crashOpts must match between the child (ingesting) and the parent
@@ -31,9 +35,16 @@ func crashEvent(i int) (t time.Duration, v float64, gap bool) {
 }
 
 // runCrashChild ingests the workload forever, printing each event's index
-// once the store has acknowledged it. It only exits by being killed.
-func runCrashChild(dir string) {
+// once the store has acknowledged it. It only exits by being killed. With
+// appender "write" it journals as on a filesystem that refuses fallocate.
+func runCrashChild(dir, appender string) {
+	if appender == "write" {
+		wal.TestHookFallocate = func(int, uint32, int64, int64) error { return syscall.EOPNOTSUPP }
+	}
 	st, err := Open(dir, crashOpts())
+	if err == nil && st.StorageStats().WALMapped != (appender == "mapped") {
+		err = fmt.Errorf("store is not journaling through the %s appender", appender)
+	}
 	if err != nil {
 		fmt.Println("ERR", err)
 		os.Exit(1)
@@ -60,14 +71,26 @@ func runCrashChild(dir string) {
 // TestCrashRecoveryAfterKill kills an ingesting process with SIGKILL mid
 // stream, reopens its data directory, and checks that every acknowledged
 // sample and gap marker survived and that the recovered history is exactly
-// the event stream an uninterrupted run would have produced.
+// the event stream an uninterrupted run would have produced. Once per
+// journal appender: the kill leaves a preallocated zero tail behind the
+// mapped one and at most a torn frame behind write(2).
 func TestCrashRecoveryAfterKill(t *testing.T) {
 	if dir := os.Getenv("TELEMETRY_CRASH_CHILD"); dir != "" {
-		runCrashChild(dir) // never returns
+		runCrashChild(dir, os.Getenv("TELEMETRY_CRASH_APPENDER")) // never returns
 	}
+	t.Run("mapped", func(t *testing.T) {
+		if runtime.GOOS != "linux" {
+			t.Skip("no mapped appender off Linux")
+		}
+		crashRecoveryAfterKill(t, "mapped")
+	})
+	t.Run("write", func(t *testing.T) { crashRecoveryAfterKill(t, "write") })
+}
+
+func crashRecoveryAfterKill(t *testing.T, appender string) {
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=TestCrashRecoveryAfterKill")
-	cmd.Env = append(os.Environ(), "TELEMETRY_CRASH_CHILD="+dir)
+	cmd.Env = append(os.Environ(), "TELEMETRY_CRASH_CHILD="+dir, "TELEMETRY_CRASH_APPENDER="+appender)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -280,7 +280,8 @@ type StorageStats struct {
 	DataDir     string
 	Blocks      int    // sealed block files
 	BlockBytes  int64  // total block file bytes
-	WALBytes    int64  // live journal bytes across shards
+	WALBytes    int64  // live journal bytes across shards (logical, not preallocated)
+	WALMapped   bool   // every shard journals through the mapped window, none by write(2)
 	Compactions uint64 // blocks written since open
 	ReadErrors  uint64 // block read failures during queries
 	Recovery    RecoveryStats
@@ -300,15 +301,30 @@ func (st *Store) StorageStats() StorageStats {
 		ReadErrors:  st.readErrs.Load(),
 		Recovery:    st.recovered,
 	}
+	stats.WALBytes = st.sumWAL(func(w *wal.Shard) int64 { return w.Size() })
+	stats.WALMapped = st.sumWAL(func(w *wal.Shard) int64 {
+		if w.Mapped() {
+			return 1
+		}
+		return 0
+	}) == int64(len(st.shards))
+	return stats
+}
+
+// sumWAL folds fn over every shard's journal appender under the shard's
+// read lock — the lock appends hold, so the values are exact. A closed
+// store has no appenders left and sums to 0.
+func (st *Store) sumWAL(fn func(*wal.Shard) int64) int64 {
+	var n int64
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		if sh.wal != nil {
-			stats.WALBytes += sh.wal.Size()
+			n += fn(sh.wal)
 		}
 		sh.mu.RUnlock()
 	}
-	return stats
+	return n
 }
 
 // MaxTime reports the newest sample or gap instant across every series (0

@@ -1,11 +1,15 @@
 package telemetry
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
+
+	"envmon/internal/telemetry/wal"
 )
 
 // smallOpts forces frequent compactions: tiny rings, tiny WAL budget.
@@ -232,5 +236,111 @@ func TestPersistentIngestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("journaled steady-state ingest allocates %.1f times per sample, want 0", allocs)
+	}
+}
+
+// walFileBytes sums the lengths of the journal's segment files on disk.
+func walFileBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal", "*", "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// TestWALBytesAreLogical: the journal's reported size is what was
+// journaled, not what the mapped appender preallocated ahead of it, and
+// Close leaves the files at exactly that size.
+func TestWALBytesAreLogical(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestWorkload(t, st, 0, 100)
+	stats := st.StorageStats()
+	if stats.WALBytes <= 16 || stats.WALBytes > 16<<10 {
+		t.Fatalf("WALBytes = %d after 300 small records", stats.WALBytes)
+	}
+	if onDisk := walFileBytes(t, dir); stats.WALMapped && onDisk < 2*(256<<10) {
+		t.Fatalf("mapped journal holds %d bytes on disk, want a preallocated window per shard", onDisk)
+	}
+	st.Close()
+	if onDisk := walFileBytes(t, dir); onDisk != stats.WALBytes {
+		t.Fatalf("closed journal is %d bytes on disk, WALBytes was %d", onDisk, stats.WALBytes)
+	}
+}
+
+// TestFullDiskRejectsIngestAndLosesNothing runs the journal out of disk
+// when it needs its next window: the ingest is rejected with the head
+// untouched, the store takes samples again once there is space, and a
+// reopen from the journal alone recovers exactly what was acknowledged.
+func TestFullDiskRejectsIngestAndLosesNothing(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 1, RawCapacity: 1 << 15} // one segment, no compaction: the journal carries everything
+	st, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if !st.StorageStats().WALMapped {
+		t.Skip("the journal is not on the mapped appender here")
+	}
+	key := SeriesKey{Node: "c000-001", Backend: "MSR", Domain: "Total Power"}
+	ingest := func(i int) error { return st.Ingest(key, "W", time.Duration(i)*time.Millisecond, float64(i)) }
+
+	wal.TestHookFallocate = func(int, uint32, int64, int64) error { return syscall.ENOSPC }
+	defer func() { wal.TestHookFallocate = nil }()
+	acked := 0
+	for err = ingest(acked); err == nil; err = ingest(acked) {
+		if acked++; acked == opts.RawCapacity {
+			t.Fatal("the journal never needed a second window")
+		}
+	}
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("ingest on a full disk: err = %v", err)
+	}
+	walBytes := st.StorageStats().WALBytes
+	if err := ingest(acked); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("second ingest on a full disk: err = %v", err)
+	}
+	frames := st.Query(Query{})
+	if got := st.StorageStats().WALBytes; got != walBytes || st.Samples() != uint64(acked) ||
+		len(frames) != 1 || len(frames[0].Points) != acked {
+		t.Fatalf("rejected ingests moved the store: WALBytes %d→%d, %d samples, %d acknowledged", walBytes, got, st.Samples(), acked)
+	}
+
+	wal.TestHookFallocate = nil
+	if err := ingest(acked); err != nil {
+		t.Fatalf("ingest after space came back: %v", err)
+	}
+	acked++
+	st.Close() // no Flush
+
+	re, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.StorageStats().Recovery; rec.Samples != uint64(acked) || rec.Lost != 0 {
+		t.Fatalf("recovered %d samples (%d lost), acknowledged %d", rec.Samples, rec.Lost, acked)
+	}
+	frames = re.Query(Query{})
+	if len(frames) != 1 || len(frames[0].Points) != acked {
+		t.Fatalf("reopened store serves %d frames, want 1 with %d points", len(frames), acked)
+	}
+	for i, p := range frames[0].Points {
+		if p.T != time.Duration(i)*time.Millisecond || p.Last != float64(i) {
+			t.Fatalf("point %d = (%v, %v): a rejected sample replayed or an acknowledged one moved", i, p.T, p.Last)
+		}
 	}
 }

@@ -49,6 +49,7 @@ type StorageHealth struct {
 	Blocks           int    `json:"blocks"`
 	BlockBytes       int64  `json:"block_bytes"`
 	WALBytes         int64  `json:"wal_bytes"`
+	WALMapped        bool   `json:"wal_mapped"` // false: the journal pays a write(2) per sample
 	Compactions      uint64 `json:"compactions"`
 	ReadErrors       uint64 `json:"read_errors,omitempty"`
 	RecoveredSeries  int    `json:"recovered_series,omitempty"`
@@ -282,6 +283,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Blocks:           stats.Blocks,
 			BlockBytes:       stats.BlockBytes,
 			WALBytes:         stats.WALBytes,
+			WALMapped:        stats.WALMapped,
 			Compactions:      stats.Compactions,
 			ReadErrors:       stats.ReadErrors,
 			RecoveredSeries:  stats.Recovery.Series,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"envmon/internal/obs"
+	"envmon/internal/telemetry/wal"
 )
 
 // Self-observability for the storage engine. The design constraint is the
@@ -86,49 +87,25 @@ func (st *Store) Instrument(reg *obs.Registry, tr *obs.Tracer, slow *obs.SlowLog
 	}
 	// Persistence tiers: all scrape-time reads of state the engine already
 	// tracks. The WAL counters are read under the same shard locks the
-	// appenders hold, so the values are exact.
+	// appenders hold (sumWAL), so the values are exact.
+	walFunc := func(fn func(*wal.Shard) int64) func() float64 {
+		return func() float64 { return float64(st.sumWAL(fn)) }
+	}
 	reg.GaugeFunc("envmon_wal_live_bytes",
-		"Live journal bytes across shard segments.",
-		func() float64 {
-			var n int64
-			for i := range st.shards {
-				sh := &st.shards[i]
-				sh.mu.RLock()
-				if sh.wal != nil {
-					n += sh.wal.Size()
-				}
-				sh.mu.RUnlock()
-			}
-			return float64(n)
-		})
+		"Live journal bytes across shard segments (logical: preallocated space is not counted).",
+		walFunc(func(w *wal.Shard) int64 { return w.Size() }))
 	reg.CounterFunc("envmon_wal_appended_bytes_total",
 		"Bytes ever journaled, across segment rotations — the WAL write volume.",
-		func() float64 {
-			var n int64
-			for i := range st.shards {
-				sh := &st.shards[i]
-				sh.mu.RLock()
-				if sh.wal != nil {
-					n += sh.wal.Appended()
-				}
-				sh.mu.RUnlock()
-			}
-			return float64(n)
-		})
+		walFunc(func(w *wal.Shard) int64 { return w.Appended() }))
 	reg.CounterFunc("envmon_wal_rotations_total",
 		"WAL segment rotations (one per compaction per shard).",
-		func() float64 {
-			var n uint64
-			for i := range st.shards {
-				sh := &st.shards[i]
-				sh.mu.RLock()
-				if sh.wal != nil {
-					n += sh.wal.Rotations()
-				}
-				sh.mu.RUnlock()
-			}
-			return float64(n)
-		})
+		walFunc(func(w *wal.Shard) int64 { return int64(w.Rotations()) }))
+	reg.CounterFunc("envmon_wal_mapped_segments_total",
+		"WAL segments opened with the mapped appender (an append is a copy into a preallocated, mapped window).",
+		walFunc(func(w *wal.Shard) int64 { m, _ := w.Segments(); return int64(m) }))
+	reg.CounterFunc("envmon_wal_fallback_segments_total",
+		"WAL segments that fell back to one write(2) per record: not Linux, or the filesystem refused fallocate or mmap.",
+		walFunc(func(w *wal.Shard) int64 { _, wr := w.Segments(); return int64(wr) }))
 	reg.CounterFunc("envmon_compactions_total",
 		"Blocks written since open.",
 		func() float64 { return float64(st.compactions.Load()) })

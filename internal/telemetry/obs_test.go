@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,13 @@ func TestInstrumentedPersistentStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Five segments so far: one per shard at Open, one per shard when Open
+	// rotated the recovered journal away, one for the shard Flush sealed —
+	// all of one kind, and the exposition says which.
+	mapped, fallback := 5, 0
+	if !st.StorageStats().WALMapped {
+		mapped, fallback = 0, 5
+	}
 	out := renderReg(t, reg)
 	for _, want := range []string{
 		"envmon_ingest_samples_total 100",
@@ -101,6 +109,8 @@ func TestInstrumentedPersistentStore(t *testing.T) {
 		"envmon_block_files 1",
 		"envmon_wal_rotations_total",
 		"envmon_wal_appended_bytes_total",
+		fmt.Sprintf("envmon_wal_mapped_segments_total %d\n", mapped),
+		fmt.Sprintf("envmon_wal_fallback_segments_total %d\n", fallback),
 		`envmon_pipeline_ops_total{stage="compaction"} 1`,
 	} {
 		if !strings.Contains(out, want) {

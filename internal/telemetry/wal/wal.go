@@ -24,7 +24,20 @@
 // Framing is length + CRC32C per record. A torn tail (the record being
 // written when the process died) fails its checksum and cleanly ends
 // replay of that segment; everything acknowledged before it is intact,
-// because Append hands each record to the OS before the ingest returns.
+// because an append returns only once the whole frame is in memory the
+// kernel owns.
+//
+// On Linux that memory is the file's own page cache, reached without a
+// system call: the open segment is preallocated (fallocate) one 256 KiB
+// window ahead of its logical end, the window is mapped MAP_SHARED, and an
+// append frames the record and copies it in. The preallocated tail is
+// zeros, which replay reads as the end of the segment, and Close cuts it
+// off. Elsewhere, and on a filesystem that refuses fallocate or mmap, each
+// record is one write(2) instead (segment.go). Either way an acknowledged
+// record survives the process being killed; it survives the host going
+// down only after Sync. Because blocks are allocated before they are
+// mapped, a full disk is an error from the append — a rejected ingest —
+// never a SIGBUS.
 package wal
 
 import (
@@ -67,13 +80,15 @@ type WAL struct {
 // (the store's shard lock does this naturally).
 type Shard struct {
 	dir       string
-	f         *os.File
+	seg       segment
 	seq       uint64
-	size      int64
-	appended  int64 // bytes ever written, across rotations
+	appended  int64 // bytes ever journaled, across rotations
 	rotations uint64
 	nextRef   uint64
 	buf       []byte
+
+	// segments opened with each appender, across rotations
+	mappedSegs, writeSegs uint64
 }
 
 // Create opens fresh segments for the given shard count under dir,
@@ -108,11 +123,11 @@ func Create(dir string, shards int) (*WAL, error) {
 // Shard returns the i-th shard appender.
 func (w *WAL) Shard(i int) *Shard { return w.shards[i] }
 
-// Size reports the journal's total on-disk bytes across live segments.
+// Size reports the journal's total logical bytes across live segments.
 func (w *WAL) Size() int64 {
 	var n int64
 	for _, sh := range w.shards {
-		n += sh.size
+		n += sh.seg.size
 	}
 	return n
 }
@@ -127,43 +142,45 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// Close closes every shard's open segment (without deleting anything).
+// Close closes every shard's open segment (without deleting anything),
+// leaving each file exactly as long as its Size.
 func (w *WAL) Close() error {
 	var first error
 	for _, sh := range w.shards {
-		if sh == nil || sh.f == nil {
-			continue
+		if err := sh.seg.close(); err != nil && first == nil {
+			first = fmt.Errorf("wal: %w", err)
 		}
-		if err := sh.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		sh.f = nil
 	}
 	return first
 }
 
 func (sh *Shard) openSegment() error {
-	name := filepath.Join(sh.dir, fmt.Sprintf("%08d.wal", sh.seq))
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	seg, err := createSegment(filepath.Join(sh.dir, fmt.Sprintf("%08d.wal", sh.seq)))
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	hdr := make([]byte, 0, 8)
-	hdr = append(hdr, magic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, version)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
+	sh.seg = seg
+	if seg.mapped() {
+		sh.mappedSegs++
+	} else {
+		sh.writeSegs++
 	}
-	sh.f = f
-	sh.size = int64(len(hdr))
-	sh.appended += int64(len(hdr))
+	sh.appended += seg.size
 	sh.nextRef = 0
 	return nil
 }
 
-// Size reports the shard's live segment bytes.
-func (sh *Shard) Size() int64 { return sh.size }
+// Size reports the shard's live segment bytes: the header and every
+// acknowledged record, not the space preallocated ahead of them.
+func (sh *Shard) Size() int64 { return sh.seg.size }
+
+// Mapped reports whether the open segment takes appends through the mapped
+// window (false: one write(2) per record).
+func (sh *Shard) Mapped() bool { return sh.seg.mapped() }
+
+// Segments reports how many segments this shard has opened with each
+// appender, across rotations.
+func (sh *Shard) Segments() (mapped, write uint64) { return sh.mappedSegs, sh.writeSegs }
 
 // Appended reports the total bytes ever written to this shard's journal,
 // across rotations — the journaling I/O volume, where Size is the live
@@ -176,22 +193,19 @@ func (sh *Shard) Rotations() uint64 { return sh.rotations }
 
 // Sync flushes the open segment to stable storage.
 func (sh *Shard) Sync() error {
-	if sh.f == nil {
+	if sh.seg.f == nil {
 		return nil
 	}
-	return sh.f.Sync()
+	return sh.seg.f.Sync()
 }
 
 // Rotate seals a compaction: the open segment's records are all persisted
-// in a block now, so it is deleted along with any older segments, and a
-// fresh segment begins. Series refs reset — the next append of each
-// series re-declares it in the new segment.
+// in a block now, so it is unmapped, closed and deleted along with any
+// older segments, and a fresh segment begins. Series refs reset — the next
+// append of each series re-declares it in the new segment.
 func (sh *Shard) Rotate() error {
-	if sh.f != nil {
-		if err := sh.f.Close(); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		sh.f = nil
+	if err := sh.seg.release(); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	seqs, err := segmentSeqs(sh.dir)
 	if err != nil {
@@ -248,7 +262,7 @@ func (sh *Shard) AppendGap(ref, idx uint64, t time.Duration) error {
 
 // begin starts a record in the reusable scratch buffer, leaving room for
 // the 8-byte frame header, so steady-state appends allocate nothing and
-// each record reaches the OS in a single write.
+// each record reaches the segment as one whole frame.
 func (sh *Shard) begin() []byte {
 	if cap(sh.buf) < 64 {
 		sh.buf = make([]byte, 0, 256)
@@ -262,12 +276,10 @@ func (sh *Shard) commit(p []byte) error {
 	payload := p[8:]
 	binary.LittleEndian.PutUint32(p[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(p[4:8], crc32.Checksum(payload, castagnoli))
-	n, err := sh.f.Write(p)
-	sh.size += int64(n)
-	sh.appended += int64(n)
-	if err != nil {
+	if err := sh.seg.append(p); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	sh.appended += int64(len(p))
 	return nil
 }
 
@@ -349,6 +361,13 @@ func replaySegment(name string, samples []Sample, gaps []Gap) ([]Sample, []Gap, 
 	if err != nil {
 		return samples, gaps, fmt.Errorf("wal: %w", err)
 	}
+	return replayBytes(name, data, samples, gaps)
+}
+
+// replayBytes decodes one segment's bytes. A segment ends at the first
+// frame that is empty (the zeros of a preallocated tail), longer than
+// what is left of the file, or fails its checksum.
+func replayBytes(name string, data []byte, samples []Sample, gaps []Gap) ([]Sample, []Gap, error) {
 	if len(data) < 8 || string(data[:4]) != magic {
 		return samples, gaps, fmt.Errorf("wal: %s: bad segment header", name)
 	}
@@ -358,16 +377,18 @@ func replaySegment(name string, samples []Sample, gaps []Gap) ([]Sample, []Gap, 
 	refs := map[uint64]seriesDecl{}
 	off := 8
 	for off+8 <= len(data) {
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
+		plen := binary.LittleEndian.Uint32(data[off:])
 		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen <= 0 || off+8+plen > len(data) {
-			break // torn tail
+		// Compared as uint64 so a length near 2^32 can neither wrap an
+		// int negative nor overflow the sum on a 32-bit platform.
+		if plen == 0 || uint64(plen) > uint64(len(data)-off-8) {
+			break // preallocated or torn tail
 		}
-		payload := data[off+8 : off+8+plen]
+		payload := data[off+8 : off+8+int(plen)]
 		if crc32.Checksum(payload, castagnoli) != sum {
 			break // corrupt tail
 		}
-		off += 8 + plen
+		off += 8 + int(plen)
 		if err := decodeRecord(payload, refs, &samples, &gaps); err != nil {
 			return samples, gaps, fmt.Errorf("wal: %s: %w", name, err)
 		}
