@@ -89,6 +89,17 @@ func TestServingConformance(t *testing.T) {
 			if resp, _ := probe(http.MethodGet, "/nowhere"); resp.StatusCode != http.StatusNotFound {
 				t.Errorf("GET /nowhere = %d", resp.StatusCode)
 			}
+			// envmond and envfedd share one /query + /topk grammar (envcapd
+			// serves neither): a deadline_ms whose product with
+			// time.Millisecond would wrap is a 400, not "no deadline"
+			if dmn.name != "envcapd" {
+				for _, path := range []string{"/query?deadline_ms=10000000000000", "/topk?deadline_ms=10000000000000"} {
+					resp, body := probe(http.MethodGet, path)
+					if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(body, `{"error":"bad deadline_ms`) {
+						t.Errorf("GET %s = %d %q, want the 400 envelope", path, resp.StatusCode, body)
+					}
+				}
+			}
 			resp, metrics := probe(http.MethodGet, "/metrics")
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("GET /metrics = %d", resp.StatusCode)

@@ -69,11 +69,17 @@ func newFedDaemon(cfg config) (*fedDaemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	// -retries is a plain count of extra attempts; the library reads its
+	// zero as "use the default" and anything negative as none.
+	retries := cfg.retries
+	if retries == 0 {
+		retries = -1
+	}
 	fed, err := federation.New(federation.Config{
 		Members:          members,
 		MemberDeadline:   cfg.memberDeadline,
 		Workers:          cfg.workers,
-		Retries:          cfg.retries,
+		Retries:          retries,
 		BreakerThreshold: cfg.breakerThreshold,
 		BreakerCooldown:  cfg.breakerCooldown,
 	})
@@ -103,29 +109,36 @@ func newFedDaemon(cfg config) (*fedDaemon, error) {
 // run serves until ctx is cancelled, then drains.
 func (d *fedDaemon) run(ctx context.Context) error { return d.Server.Run(ctx, nil) }
 
-func main() {
-	var cfg config
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:9320", "HTTP listen address")
-	flag.StringVar(&cfg.membersSpec, "members", "",
+// registerFlags declares envfedd's flags on fs; the defaults live here
+// and nowhere else.
+func registerFlags(fs *flag.FlagSet) *config {
+	cfg := new(config)
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:9320", "HTTP listen address")
+	fs.StringVar(&cfg.membersSpec, "members", "",
 		"comma-separated member daemons, each 'url' or 'name=url' (required)")
-	flag.DurationVar(&cfg.memberDeadline, "member-deadline", 2*time.Second,
+	fs.DurationVar(&cfg.memberDeadline, "member-deadline", 2*time.Second,
 		"per-member call deadline; a member past it is reported missing")
-	flag.DurationVar(&cfg.queryDeadline, "deadline", 5*time.Second,
+	fs.DurationVar(&cfg.queryDeadline, "deadline", 5*time.Second,
 		"default whole-query deadline when the request has no deadline_ms (0 disables)")
-	flag.IntVar(&cfg.workers, "workers", 0, "concurrent member calls per query (0 = min(8, members))")
-	flag.IntVar(&cfg.retries, "retries", 1, "extra attempts per failed member call within the deadline")
-	flag.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3,
+	fs.IntVar(&cfg.workers, "workers", 0, "concurrent member calls per query (0 = min(8, members))")
+	fs.IntVar(&cfg.retries, "retries", 1, "extra attempts per failed member call within the deadline")
+	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3,
 		"consecutive member failures that open its breaker")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 10*time.Second,
+	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 10*time.Second,
 		"how long an open breaker skips a member before probing it again")
-	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one structured line per HTTP request")
+	fs.BoolVar(&cfg.accessLog, "access-log", false, "log one structured line per HTTP request")
+	return cfg
+}
+
+func main() {
+	cfg := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	if cfg.membersSpec == "" {
 		fmt.Fprintln(os.Stderr, "envfedd: -members is required")
 		os.Exit(2)
 	}
-	d, err := newFedDaemon(cfg)
+	d, err := newFedDaemon(*cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "envfedd: %v\n", err)
 		os.Exit(2)

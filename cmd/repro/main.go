@@ -41,17 +41,8 @@ func main() {
 		csvDir    = flag.String("csv", "", "directory to write figure series as CSV (created if missing)")
 		format    = flag.String("format", "csv", "series dump format: csv or json")
 		svgDir    = flag.String("svg", "", "directory to write figure charts as SVG (created if missing)")
-		benchOut  = flag.String("bench-out", "", "run the storage-engine and pipeline benchmarks and write BENCH_*.json to this directory")
 	)
 	flag.Parse()
-
-	if *benchOut != "" {
-		if err := runBenchOut(*benchOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *faultSpec != "" {
 		// Experiments build collectors through core.DefaultRegistry (core.Build

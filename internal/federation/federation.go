@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"envmon/internal/resilience"
+	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
@@ -80,8 +81,8 @@ type Config struct {
 	// concurrently (default min(8, len(Members))).
 	Workers int
 	// Retries is how many extra attempts a failed member call gets within
-	// the query's deadline (default 1). Attempts are spaced by the shared
-	// capped-backoff schedule.
+	// the query's deadline (default 1; negative means none). Attempts are
+	// spaced by the shared capped-backoff schedule.
 	Retries int
 	// BreakerThreshold consecutive failures open a member's breaker
 	// (default 3); BreakerCooldown later a probe is let through (default
@@ -324,14 +325,16 @@ func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.Que
 		return doc, err
 	})
 	parts := make([]MemberQuery, 0, len(outs))
+	var simNow int64
 	for i := range outs {
 		if outs[i].err == nil {
 			parts = append(parts, MemberQuery{Member: outs[i].m.name, Doc: outs[i].doc})
+			simNow = mergeSimNow(simNow, outs[i].doc.SimNowNS)
 		}
 	}
 	res := httpapi.QueryResult{
 		Frames:   MergeFrames(parts, p.Aggregate),
-		SimNowNS: mergeSimNow(parts),
+		SimNowNS: simNow,
 		Degraded: degraded(f, outs),
 	}
 	for _, fr := range res.Frames {
@@ -342,24 +345,18 @@ func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.Que
 	return res
 }
 
-// mergeSimNow folds the members' response-time sim-nows into the
-// federation's: the minimum across answering members. Freshness judged
+// mergeSimNow folds one answering member's response-time sim-now into
+// the federation's: the minimum across answering members. Freshness judged
 // against the laggiest clock can only overestimate age — the fail-safe
 // direction for a power-capping consumer. Members that carried no
 // metadata (a 404 mapped to an empty document, a pre-freshness server)
 // are skipped: "I don't hold this node" says nothing about clocks, and
 // folding its zero in would erase the field under re-partitioning.
-func mergeSimNow(parts []MemberQuery) int64 {
-	var min int64
-	for _, p := range parts {
-		if p.Doc.SimNowNS == 0 {
-			continue
-		}
-		if min == 0 || p.Doc.SimNowNS < min {
-			min = p.Doc.SimNowNS
-		}
+func mergeSimNow(lowest, ns int64) int64 {
+	if ns != 0 && (lowest == 0 || ns < lowest) {
+		return ns
 	}
-	return min
+	return lowest
 }
 
 // TopK fans out and merges the global ranking. p.K bounds the merged
@@ -375,21 +372,19 @@ func (f *Federator) TopK(ctx context.Context, p client.TopKParams) httpapi.TopKR
 		return cl.TopK(ctx, p)
 	})
 	parts := make([]MemberTopK, 0, len(outs))
+	var simNow int64
 	for i := range outs {
 		if outs[i].err == nil {
 			parts = append(parts, MemberTopK{Member: outs[i].m.name, Doc: outs[i].doc})
+			simNow = mergeSimNow(simNow, outs[i].doc.SimNowNS)
 		}
 	}
 	domain := p.Domain
 	if domain == "" {
-		domain = "Total Power"
+		domain = telemetry.DefaultPowerDomain
 	}
 	res := MergeTopK(parts, k, domain)
-	for i := range parts {
-		if ns := parts[i].Doc.SimNowNS; ns != 0 && (res.SimNowNS == 0 || ns < res.SimNowNS) {
-			res.SimNowNS = ns
-		}
-	}
+	res.SimNowNS = simNow
 	res.Degraded = degraded(f, outs)
 	return res
 }

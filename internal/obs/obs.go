@@ -10,8 +10,9 @@
 // trusting its data. This package asks the same questions of envmond
 // itself: every collector poll, retry, breaker flap, ingest, WAL append,
 // compaction, and query is counted and timed, and the accounting is cheap
-// enough to leave on permanently (see the self-overhead benchmark in
-// internal/telemetry and the obs section of BENCH_telemetry.json).
+// enough to leave on permanently (see the self-overhead benchmark pair
+// in internal/telemetry, BenchmarkIngestPlain / BenchmarkIngestInstrumented,
+// whose ratio CI gates).
 //
 // Design constraints, in order:
 //

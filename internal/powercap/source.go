@@ -33,7 +33,7 @@ type StoreSource struct {
 func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 	domain := s.Domain
 	if domain == "" {
-		domain = "Total Power"
+		domain = telemetry.DefaultPowerDomain
 	}
 	window := s.Window
 	if window <= 0 {
@@ -89,7 +89,7 @@ type ClientSource struct {
 func (s ClientSource) Observe(ctx context.Context, now time.Duration) Observation {
 	domain := s.Domain
 	if domain == "" {
-		domain = "Total Power"
+		domain = telemetry.DefaultPowerDomain
 	}
 	window := s.Window
 	if window <= 0 {

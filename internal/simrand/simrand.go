@@ -117,15 +117,6 @@ func (s *Source) Normal(mean, sigma float64) float64 {
 	return mean + sigma*s.NormFloat64()
 }
 
-// Jitter returns v perturbed by a uniform relative error in
-// [-frac, +frac]. Jitter(100, 0.05) is uniform in [95, 105].
-func (s *Source) Jitter(v, frac float64) float64 {
-	if frac <= 0 {
-		return v
-	}
-	return v * (1 + s.Uniform(-frac, frac))
-}
-
 // Bool returns true with probability p (clamped to [0, 1]).
 func (s *Source) Bool(p float64) bool {
 	if p <= 0 {
@@ -135,17 +126,4 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Perm returns a deterministic pseudorandom permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

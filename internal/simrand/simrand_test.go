@@ -146,22 +146,6 @@ func TestNormalScaling(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := New(seed)
-		for i := 0; i < 100; i++ {
-			v := s.Jitter(100, 0.05)
-			if v < 95 || v > 105 {
-				return false
-			}
-		}
-		return s.Jitter(42, 0) == 42
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBoolExtremes(t *testing.T) {
 	s := New(9)
 	for i := 0; i < 100; i++ {
@@ -181,24 +165,6 @@ func TestBoolExtremes(t *testing.T) {
 	}
 	if trues < 4700 || trues > 5300 {
 		t.Fatalf("Bool(0.5) true rate %d/10000, want ~5000", trues)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := New(seed)
-		p := s.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -323,36 +323,3 @@ func MakeHistogram(xs []float64, nbins int) Histogram {
 	}
 	return h
 }
-
-// LinearFit is the least-squares line y = Intercept + Slope*x with its
-// coefficient of determination.
-type LinearFit struct {
-	Slope, Intercept, R2 float64
-}
-
-// FitLine computes an ordinary least-squares fit of ys against xs. The
-// slices must have equal length >= 2; otherwise all fields are NaN.
-func FitLine(xs, ys []float64) LinearFit {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return LinearFit{math.NaN(), math.NaN(), math.NaN()}
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{math.NaN(), math.NaN(), math.NaN()}
-	}
-	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
-	if syy == 0 {
-		fit.R2 = 1
-	} else {
-		fit.R2 = sxy * sxy / (sxx * syy)
-	}
-	return fit
-}

@@ -323,26 +323,6 @@ func TestHistogramConstantInput(t *testing.T) {
 	}
 }
 
-func TestFitLineExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	f := FitLine(xs, ys)
-	if !almost(f.Slope, 2, 1e-12) || !almost(f.Intercept, 1, 1e-12) || !almost(f.R2, 1, 1e-12) {
-		t.Errorf("fit = %+v, want slope 2 intercept 1 R2 1", f)
-	}
-}
-
-func TestFitLineDegenerate(t *testing.T) {
-	f := FitLine([]float64{1}, []float64{1})
-	if !math.IsNaN(f.Slope) {
-		t.Errorf("singleton fit slope = %v, want NaN", f.Slope)
-	}
-	f = FitLine([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if !math.IsNaN(f.Slope) {
-		t.Errorf("vertical-line fit slope = %v, want NaN", f.Slope)
-	}
-}
-
 func TestMedianOddEven(t *testing.T) {
 	if got := Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("odd median = %v, want 2", got)

@@ -16,7 +16,15 @@ func TestParseDeadline(t *testing.T) {
 	if d, err := ParseDeadline(mk("deadline_ms=250")); err != nil || d != 250*time.Millisecond {
 		t.Fatalf("deadline_ms=250: %v %v", d, err)
 	}
-	for _, bad := range []string{"deadline_ms=0", "deadline_ms=-1", "deadline_ms=soon"} {
+	if d, err := ParseDeadline(mk("deadline_ms=3600000")); err != nil || d != time.Hour {
+		t.Fatalf("deadline_ms=3600000 (the ceiling): %v %v", d, err)
+	}
+	for _, bad := range []string{
+		"deadline_ms=0", "deadline_ms=-1", "deadline_ms=soon",
+		"deadline_ms=3600001",              // one past the ceiling
+		"deadline_ms=10000000000000",       // × time.Millisecond wraps negative
+		"deadline_ms=99999999999999999999", // not an int at all
+	} {
 		if _, err := ParseDeadline(mk(bad)); err == nil {
 			t.Errorf("%s: want error", bad)
 		}

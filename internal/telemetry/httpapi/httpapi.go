@@ -391,8 +391,14 @@ func ParseTopK(r *http.Request) (k int, q telemetry.Query, deadline time.Duratio
 	return k, q, deadline, err
 }
 
+// maxDeadlineMS is the largest deadline_ms a request may ask for: one
+// hour. Anything larger is a mistake, and far enough past it the product
+// with time.Millisecond wraps negative, which every caller reads as "none".
+const maxDeadlineMS = int(time.Hour / time.Millisecond)
+
 // ParseDeadline reads the optional deadline_ms parameter: how long the
-// caller is willing to wait for the result. Zero means no deadline.
+// caller is willing to wait for the result, at most maxDeadlineMS. Zero
+// means no deadline.
 func ParseDeadline(r *http.Request) (time.Duration, error) {
 	v := r.FormValue("deadline_ms")
 	if v == "" {
@@ -401,6 +407,9 @@ func ParseDeadline(r *http.Request) (time.Duration, error) {
 	ms, err := strconv.Atoi(v)
 	if err != nil || ms <= 0 {
 		return 0, fmt.Errorf("bad deadline_ms %q: must be a positive integer", v)
+	}
+	if ms > maxDeadlineMS {
+		return 0, fmt.Errorf("bad deadline_ms %q: exceeds maximum %d", v, maxDeadlineMS)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }
@@ -499,7 +508,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		ranked, total := s.store.TopK(k, q.Domain, q.From, q.To, q.Resolution)
 		outDomain := q.Domain
 		if outDomain == "" {
-			outDomain = "Total Power"
+			outDomain = telemetry.DefaultPowerDomain
 		}
 		out := TopKResult{Domain: outDomain, TotalWatts: total, Nodes: make([]NodePower, 0, len(ranked))}
 		if s.now != nil {

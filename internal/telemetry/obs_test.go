@@ -161,8 +161,9 @@ func TestInstrumentedIngestZeroAlloc(t *testing.T) {
 
 // benchIngest measures steady-state memory ingest; the instrumented
 // variant wires the full observability layer first. Comparing the two is
-// the self-overhead proof: the instrumentation must cost <2% of ingest
-// throughput (the repro harness records both sides in BENCH_telemetry).
+// the self-overhead proof: the CI observability job runs the pair back
+// to back in short rounds and fails when the median of the rounds'
+// instrumented/plain ratios exceeds 1.10.
 func benchIngest(b *testing.B, instrument bool) {
 	st := New(Options{})
 	if instrument {

@@ -249,16 +249,21 @@ type NodePower struct {
 	Series int // matching series that contributed
 }
 
+// DefaultPowerDomain is the measurement domain that counts as a node's
+// power wherever a caller — TopK, the /topk handlers, the power-cap
+// sources — leaves the domain empty.
+const DefaultPowerDomain = "Total Power"
+
 // TopK ranks nodes by mean power over [from, to) at the given resolution
 // and returns the top k (k <= 0 returns every node) plus the cluster-wide
 // total — the "which jobs are burning the machine" and "what is the room
 // drawing" questions an operator service answers. domain selects which
 // measurement domain counts as power; the empty string defaults to
-// "Total Power". A node's watts are the sum over its matching backends.
+// DefaultPowerDomain. A node's watts are the sum over its matching backends.
 // Ordering is deterministic: watts descending, node name ascending on ties.
 func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resolution) (ranked []NodePower, total float64) {
 	if domain == "" {
-		domain = "Total Power"
+		domain = DefaultPowerDomain
 	}
 	frames := st.Query(Query{Domain: domain, From: from, To: to, Resolution: res, Aggregate: AggMean})
 	// Frames arrive sorted by key, so same-node frames are adjacent and

@@ -91,15 +91,6 @@ func (s *Series) Values() []float64 {
 	return vs
 }
 
-// Times returns the sample times in seconds as a fresh slice.
-func (s *Series) Times() []float64 {
-	ts := make([]float64, len(s.Samples))
-	for i, smp := range s.Samples {
-		ts[i] = smp.T.Seconds()
-	}
-	return ts
-}
-
 // Duration reports the time span covered by the series (last - first), or 0
 // for fewer than two samples.
 func (s *Series) Duration() time.Duration {
@@ -242,27 +233,6 @@ func (set *Set) TagWindow(name string) (Tag, bool) {
 		}
 	}
 	return Tag{}, false
-}
-
-// SumSeries returns a new series that is the pointwise sum of the given
-// series resampled onto the first series' timestamps (step interpolation).
-// This is how "node card power" is derived from domain series and how
-// Figure 8's cluster-wide sum is computed.
-func SumSeries(name, unit string, series ...*Series) *Series {
-	out := NewSeries(name, unit)
-	if len(series) == 0 || len(series[0].Samples) == 0 {
-		return out
-	}
-	for _, smp := range series[0].Samples {
-		total := smp.V
-		for _, other := range series[1:] {
-			if v, ok := other.At(smp.T); ok {
-				total += v
-			}
-		}
-		out.Samples = append(out.Samples, Sample{T: smp.T, V: total})
-	}
-	return out
 }
 
 // --- CSV encoding -----------------------------------------------------------

@@ -36,17 +36,13 @@ func TestMustAppendPanics(t *testing.T) {
 	s.MustAppend(0, 2)
 }
 
-func TestValuesAndTimes(t *testing.T) {
+func TestValues(t *testing.T) {
 	s := NewSeries("p", "W")
 	s.MustAppend(0, 10)
 	s.MustAppend(2*time.Second, 20)
 	vs := s.Values()
-	ts := s.Times()
 	if len(vs) != 2 || vs[0] != 10 || vs[1] != 20 {
 		t.Errorf("Values = %v", vs)
-	}
-	if len(ts) != 2 || ts[0] != 0 || ts[1] != 2 {
-		t.Errorf("Times = %v", ts)
 	}
 	vs[0] = 999 // must be a copy
 	if s.Samples[0].V != 10 {
@@ -192,44 +188,6 @@ func TestNestedRepeatedTags(t *testing.T) {
 	tag, ok := set.TagWindow("w")
 	if !ok || tag.Start != 0 || tag.End != 3*time.Second {
 		t.Errorf("outer tag = %+v, %v", tag, ok)
-	}
-}
-
-func TestSumSeries(t *testing.T) {
-	a := NewSeries("a", "W")
-	b := NewSeries("b", "W")
-	for i := 0; i < 5; i++ {
-		a.MustAppend(time.Duration(i)*time.Second, 10)
-		b.MustAppend(time.Duration(i)*time.Second, 5)
-	}
-	sum := SumSeries("total", "W", a, b)
-	if sum.Len() != 5 {
-		t.Fatalf("sum Len = %d", sum.Len())
-	}
-	for _, smp := range sum.Samples {
-		if smp.V != 15 {
-			t.Errorf("sum at %v = %v, want 15", smp.T, smp.V)
-		}
-	}
-}
-
-func TestSumSeriesSkewedTimestamps(t *testing.T) {
-	a := NewSeries("a", "W")
-	b := NewSeries("b", "W")
-	a.MustAppend(time.Second, 10)
-	a.MustAppend(2*time.Second, 10)
-	b.MustAppend(0, 5)
-	b.MustAppend(1500*time.Millisecond, 7)
-	sum := SumSeries("total", "W", a, b)
-	// at t=1s, b's step value is 5; at t=2s it's 7
-	if sum.Samples[0].V != 15 || sum.Samples[1].V != 17 {
-		t.Errorf("skewed sum = %+v", sum.Samples)
-	}
-}
-
-func TestSumSeriesEmpty(t *testing.T) {
-	if got := SumSeries("t", "W"); got.Len() != 0 {
-		t.Error("empty SumSeries not empty")
 	}
 }
 

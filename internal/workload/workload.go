@@ -146,9 +146,6 @@ func (w *Phased) PhaseAt(t time.Duration) string {
 	return w.phases[i].Name
 }
 
-// Phases exposes the phase list (for tagging and tests).
-func (w *Phased) Phases() []Phase { return w.phases }
-
 // PhaseWindow reports the [start, end) interval of the first phase with the
 // given name, and whether it exists.
 func (w *Phased) PhaseWindow(name string) (start, end time.Duration, ok bool) {
