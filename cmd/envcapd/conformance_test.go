@@ -24,6 +24,9 @@ func TestServingConformance(t *testing.T) {
 
 	st := telemetry.New(telemetry.Options{})
 	t.Cleanup(st.Close)
+	if err := st.Ingest(telemetry.SeriesKey{Node: "n00", Backend: "NVML", Domain: "Total Power"}, "W", time.Second, 100); err != nil {
+		t.Fatal(err)
+	}
 	mon := httpapi.New(st, nil)
 	mon.Instrument(obs.NewRegistry())
 	monSrv := httptest.NewServer(mon)
@@ -55,10 +58,12 @@ func TestServingConformance(t *testing.T) {
 		}
 	})
 
-	for _, dmn := range []struct{ name, prefix, base string }{
-		{"envmond", "envmon", monSrv.URL},
-		{"envfedd", "envfed", fedSrv.URL},
-		{"envcapd", "envcap", "http://" + d.Addr()},
+	// simNow is how each daemon's documents spell their clock: monSrv has
+	// none, fedSrv passes its member's on.
+	for _, dmn := range []struct{ name, prefix, base, simNow string }{
+		{"envmond", "envmon", monSrv.URL, ""},
+		{"envfedd", "envfed", fedSrv.URL, `,"sim_now_ns":9500000000`},
+		{"envcapd", "envcap", "http://" + d.Addr(), ""},
 	} {
 		t.Run(dmn.name, func(t *testing.T) {
 			probe := func(method, path string) (*http.Response, string) {
@@ -97,6 +102,23 @@ func TestServingConformance(t *testing.T) {
 					resp, body := probe(http.MethodGet, path)
 					if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(body, `{"error":"bad deadline_ms`) {
 						t.Errorf("GET %s = %d %q, want the 400 envelope", path, resp.StatusCode, body)
+					}
+				}
+				// … and one spelling of every empty answer: [] and never null
+				// for a window or a ranking with nothing in it, the 404
+				// envelope for a filter nothing matches.
+				for _, row := range []struct {
+					path   string
+					status int
+					body   string
+				}{
+					{"/query?node=n00&from=60s", 200, `{"frames":[{"node":"n00","backend":"NVML","domain":"Total Power","unit":"W","resolution":"raw","points":[]}]` + dmn.simNow + `}`},
+					{"/topk?from=60s", 200, `{"domain":"Total Power","total_watts":0` + dmn.simNow + `,"nodes":[]}`},
+					{"/query?node=nope", 404, `{"error":"no matching series"}`},
+				} {
+					resp, body := probe(http.MethodGet, row.path)
+					if resp.StatusCode != row.status || body != row.body+"\n" {
+						t.Errorf("GET %s = %d\n got %s\nwant %s", row.path, resp.StatusCode, body, row.body)
 					}
 				}
 			}

@@ -305,13 +305,7 @@ func (d *daemon) backendHealth() []httpapi.BackendHealth {
 	var out []httpapi.BackendHealth
 	for _, e := range entries {
 		for _, ch := range e.chains {
-			bh := httpapi.BackendHealth{Node: e.node, Method: ch.Method()}
-			for _, s := range ch.Status() {
-				bh.Sources = append(bh.Sources, httpapi.SourceHealth{
-					Method: s.Method, State: s.State, Trips: s.Trips,
-				})
-			}
-			out = append(out, bh)
+			out = append(out, httpapi.BackendHealth{Node: e.node, Method: ch.Method(), Sources: ch.Status()})
 		}
 	}
 	return out

@@ -325,38 +325,20 @@ func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.Que
 		return doc, err
 	})
 	parts := make([]MemberQuery, 0, len(outs))
-	var simNow int64
+	var clocks simClocks
 	for i := range outs {
 		if outs[i].err == nil {
 			parts = append(parts, MemberQuery{Member: outs[i].m.name, Doc: outs[i].doc})
-			simNow = mergeSimNow(simNow, outs[i].doc.SimNowNS)
+			clocks.add(outs[i].doc.SimNowNS)
 		}
 	}
-	res := httpapi.QueryResult{
-		Frames:   MergeFrames(parts, p.Aggregate),
-		SimNowNS: simNow,
+	frames := MergeFrames(parts, p.Aggregate)
+	return httpapi.QueryResult{
+		Frames:   frames,
+		SimNowNS: clocks.min,
+		NewestNS: httpapi.NewestNS(frames),
 		Degraded: degraded(f, outs),
 	}
-	for _, fr := range res.Frames {
-		if n := len(fr.Points); n > 0 && fr.Points[n-1].TNS > res.NewestNS {
-			res.NewestNS = fr.Points[n-1].TNS
-		}
-	}
-	return res
-}
-
-// mergeSimNow folds one answering member's response-time sim-now into
-// the federation's: the minimum across answering members. Freshness judged
-// against the laggiest clock can only overestimate age — the fail-safe
-// direction for a power-capping consumer. Members that carried no
-// metadata (a 404 mapped to an empty document, a pre-freshness server)
-// are skipped: "I don't hold this node" says nothing about clocks, and
-// folding its zero in would erase the field under re-partitioning.
-func mergeSimNow(lowest, ns int64) int64 {
-	if ns != 0 && (lowest == 0 || ns < lowest) {
-		return ns
-	}
-	return lowest
 }
 
 // TopK fans out and merges the global ranking. p.K bounds the merged
@@ -372,19 +354,15 @@ func (f *Federator) TopK(ctx context.Context, p client.TopKParams) httpapi.TopKR
 		return cl.TopK(ctx, p)
 	})
 	parts := make([]MemberTopK, 0, len(outs))
-	var simNow int64
+	var clocks simClocks
 	for i := range outs {
 		if outs[i].err == nil {
 			parts = append(parts, MemberTopK{Member: outs[i].m.name, Doc: outs[i].doc})
-			simNow = mergeSimNow(simNow, outs[i].doc.SimNowNS)
+			clocks.add(outs[i].doc.SimNowNS)
 		}
 	}
-	domain := p.Domain
-	if domain == "" {
-		domain = telemetry.DefaultPowerDomain
-	}
-	res := MergeTopK(parts, k, domain)
-	res.SimNowNS = simNow
+	res := MergeTopK(parts, k, telemetry.PowerDomain(p.Domain))
+	res.SimNowNS = clocks.min
 	res.Degraded = degraded(f, outs)
 	return res
 }
@@ -395,13 +373,13 @@ func (f *Federator) Health(ctx context.Context) httpapi.Health {
 	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (httpapi.Health, error) {
 		return cl.Health(ctx)
 	})
-	parts := make([]MemberHealth, 0, len(outs))
+	parts := make([]httpapi.Health, 0, len(outs))
 	for i := range outs {
 		if outs[i].err == nil {
-			parts = append(parts, MemberHealth{Member: outs[i].m.name, Doc: outs[i].doc})
+			parts = append(parts, outs[i].doc)
 		}
 	}
-	h := MergeHealth(parts, len(outs))
+	h := mergeHealth(parts, len(outs))
 	if d := degraded(f, outs); d != nil {
 		h.Status = "degraded"
 		h.Federation.Missing = d.Missing

@@ -60,3 +60,29 @@ func TestFederatedFreshnessIsConservative(t *testing.T) {
 		t.Errorf("topk sim_now_ns = %d, want %d", topk.SimNowNS, int64(4*time.Second))
 	}
 }
+
+// TestHealthSkipsClocklessMember: /healthz folds sim-now by the rule
+// /query and /topk use. A member serving without a simulation clock
+// reports sim_now_ns 0, which says nothing about time: it must neither
+// read as a clock at zero (a skew the size of the other member's whole
+// clock) nor hide the clock the federation does have.
+func TestHealthSkipsClocklessMember(t *testing.T) {
+	st := telemetry.New(smallStore)
+	t.Cleanup(st.Close)
+	clockless := httptest.NewServer(httpapi.New(st, nil))
+	t.Cleanup(clockless.Close)
+	for i, members := range [][]Member{
+		{{Name: "a", URL: clockless.URL}, startMemberAt(t, "b", 9*time.Second, 1)},
+		{startMemberAt(t, "a", 9*time.Second, 1), {Name: "b", URL: clockless.URL}},
+	} {
+		fed, err := New(Config{Members: members, Retries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fed.Health(context.Background())
+		if h.Status != "ok" || h.SimNowNS != int64(9*time.Second) || h.Federation.SimSkewNS != 0 {
+			t.Errorf("clockless member at %d: status %q sim_now_ns %d sim_skew_ns %d, want ok %d 0",
+				i, h.Status, h.SimNowNS, h.Federation.SimSkewNS, int64(9*time.Second))
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
+	"envmon/internal/telemetry/storage"
 )
 
 // Merge rules. The invariant every merge in this file maintains: the
@@ -32,19 +33,15 @@ type topkCursor struct {
 
 func (c *topkCursor) head() httpapi.NodePower { return c.nodes[c.i] }
 
-// topkHeap orders cursors by their head entry: watts descending, node
-// ascending, member name ascending — the members' own ordering plus a
-// stable cross-member tie-break.
+// topkHeap orders cursors by their head entry: the members' own ranking
+// order (telemetry.CompareRank), then member name ascending — a stable
+// cross-member tie-break.
 type topkHeap []*topkCursor
 
 func (h topkHeap) Len() int { return len(h) }
 func (h topkHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.Watts != b.Watts {
-		return a.Watts > b.Watts
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	if c := telemetry.CompareRank(h[i].head(), h[j].head()); c != 0 {
+		return c < 0
 	}
 	return h[i].member < h[j].member
 }
@@ -53,8 +50,8 @@ func (h *topkHeap) Push(x any)              { *h = append(*h, x.(*topkCursor)) }
 func (h *topkHeap) Pop() any                { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
 func (h *topkHeap) headCursor() *topkCursor { return (*h)[0] }
 
-// MergeTopK merges per-member rankings (each already sorted watts
-// descending, node ascending — the store's order) into the global top k.
+// MergeTopK merges per-member rankings (each already in the store's
+// order, telemetry.CompareRank) into the global top k.
 // The fast path is a k-way merge of the members' partial heaps through one
 // global heap. A node reported by several members (series spanning racks —
 // outside the node-partitioned contract but handled) trips the slow path:
@@ -129,12 +126,7 @@ func combineDuplicates(parts []MemberTopK) []httpapi.NodePower {
 			}
 		}
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Watts != merged[j].Watts {
-			return merged[i].Watts > merged[j].Watts
-		}
-		return merged[i].Node < merged[j].Node
-	})
+	sort.SliceStable(merged, func(i, j int) bool { return telemetry.CompareRank(merged[i], merged[j]) < 0 })
 	return merged
 }
 
@@ -158,27 +150,13 @@ type MemberQuery struct {
 	Doc    httpapi.QueryResult
 }
 
-type frameKey struct{ node, backend, domain string }
-
-func keyOf(f *httpapi.Frame) frameKey { return frameKey{f.Node, f.Backend, f.Domain} }
-
-func lessFrameKey(a, b frameKey) bool {
-	if a.node != b.node {
-		return a.node < b.node
-	}
-	if a.backend != b.backend {
-		return a.backend < b.backend
-	}
-	return a.domain < b.domain
-}
-
 // MergeFrames merges the members' frames into one key-sorted list — the
-// order a single store serves. In the node-partitioned case every series
-// lives on exactly one member and this is a pure sorted union. A series
-// key reported by several members is combined: points interleaved by
-// timestamp, gap markers unioned (never dropped — a gap on any member is
-// a gap in the federation's answer), and the window reduction recomputed
-// from the combined points under agg.
+// order a single store serves, storage.KeyLess. In the node-partitioned
+// case every series lives on exactly one member and this is a pure sorted
+// union. A series key reported by several members is combined: points
+// interleaved by timestamp, gap markers unioned (never dropped — a gap on
+// any member is a gap in the federation's answer), and the window
+// reduction recomputed from the combined points under agg.
 func MergeFrames(parts []MemberQuery, agg string) []httpapi.Frame {
 	type src struct {
 		member string
@@ -191,16 +169,16 @@ func MergeFrames(parts []MemberQuery, agg string) []httpapi.Frame {
 		}
 	}
 	sort.SliceStable(all, func(i, j int) bool {
-		ki, kj := keyOf(&all[i].frame), keyOf(&all[j].frame)
+		ki, kj := all[i].frame.Key(), all[j].frame.Key()
 		if ki != kj {
-			return lessFrameKey(ki, kj)
+			return storage.KeyLess(ki, kj)
 		}
 		return all[i].member < all[j].member
 	})
 	out := make([]httpapi.Frame, 0, len(all))
 	for i := 0; i < len(all); {
 		j := i + 1
-		for j < len(all) && keyOf(&all[j].frame) == keyOf(&all[i].frame) {
+		for j < len(all) && all[j].frame.Key() == all[i].frame.Key() {
 			j++
 		}
 		if j == i+1 {
@@ -230,7 +208,7 @@ func combineFrames(frames []httpapi.Frame, agg string) httpapi.Frame {
 		out.Points = append(out.Points, f.Points...)
 		out.GapsNS = append(out.GapsNS, f.GapsNS...)
 	}
-	sort.SliceStable(out.Points, func(i, j int) bool { return out.Points[i].TNS < out.Points[j].TNS })
+	sort.SliceStable(out.Points, func(i, j int) bool { return out.Points[i].T < out.Points[j].T })
 	sort.Slice(out.GapsNS, func(i, j int) bool { return out.GapsNS[i] < out.GapsNS[j] })
 	dedup := out.GapsNS[:0]
 	for i, g := range out.GapsNS {
@@ -284,42 +262,52 @@ func reducePoints(points []httpapi.Point, a telemetry.Aggregate) *float64 {
 	return &v
 }
 
-// MemberHealth pairs a member's name with its /healthz answer.
-type MemberHealth struct {
-	Member string
-	Doc    httpapi.Health
+// simClocks folds the sim_now_ns of answering members, for every merged
+// document that carries one. A member that reports 0 has no clock to
+// report — a 404 mapped to an empty document, a server without a
+// simulation clock — and is skipped: "I don't hold this node" says
+// nothing about time, and folding its zero in would erase the field
+// under re-partitioning. /query and /topk serve min: freshness judged
+// against the laggiest clock can only overestimate age, the fail-safe
+// direction for a power-capping consumer. /healthz serves max, and
+// max − min as the skew.
+type simClocks struct{ min, max int64 }
+
+func (c *simClocks) add(ns int64) {
+	if ns == 0 {
+		return
+	}
+	if c.min == 0 || ns < c.min {
+		c.min = ns
+	}
+	if ns > c.max {
+		c.max = ns
+	}
 }
 
-// MergeHealth folds the members' health documents into the federated one:
-// counters summed, sim-now the maximum (with the spread reported as skew),
-// status degraded if any answering member self-reports degraded. The
-// caller overlays missing members on top.
-func MergeHealth(parts []MemberHealth, members int) httpapi.Health {
+// mergeHealth folds the members' health documents into the federated one:
+// counters summed, sim-now by simClocks, status degraded if any answering
+// member self-reports degraded. The caller overlays missing members on
+// top.
+func mergeHealth(parts []httpapi.Health, members int) httpapi.Health {
 	h := httpapi.Health{
 		Status:     "ok",
 		Federation: &httpapi.FederationHealth{Members: members},
 	}
-	var minNow, maxNow int64
-	for i, p := range parts {
-		h.Series += p.Doc.Series
-		h.Samples += p.Doc.Samples
-		h.Gaps += p.Doc.Gaps
-		if i == 0 || p.Doc.SimNowNS < minNow {
-			minNow = p.Doc.SimNowNS
-		}
-		if p.Doc.SimNowNS > maxNow {
-			maxNow = p.Doc.SimNowNS
-		}
-		if p.Doc.Status == "ok" {
+	var clocks simClocks
+	for _, p := range parts {
+		h.Series += p.Series
+		h.Samples += p.Samples
+		h.Gaps += p.Gaps
+		clocks.add(p.SimNowNS)
+		if p.Status == "ok" {
 			h.Federation.Healthy++
 		} else {
 			h.Federation.Degraded++
 			h.Status = "degraded"
 		}
 	}
-	h.SimNowNS = maxNow
-	if len(parts) > 0 {
-		h.Federation.SimSkewNS = maxNow - minNow
-	}
+	h.SimNowNS = clocks.max
+	h.Federation.SimSkewNS = clocks.max - clocks.min
 	return h
 }

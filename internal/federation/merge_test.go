@@ -3,6 +3,7 @@ package federation
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"envmon/internal/telemetry/httpapi"
 )
@@ -83,7 +84,7 @@ func TestMergeTopKEmpty(t *testing.T) {
 	}
 }
 
-func frame(node string, points []httpapi.Point, gaps []int64) httpapi.Frame {
+func frame(node string, points []httpapi.Point, gaps []time.Duration) httpapi.Frame {
 	return httpapi.Frame{
 		Node: node, Backend: "b", Domain: "d", Unit: "W", Resolution: "raw",
 		Points: points, GapsNS: gaps,
@@ -93,10 +94,10 @@ func frame(node string, points []httpapi.Point, gaps []int64) httpapi.Frame {
 func TestMergeFramesDisjointSortedUnion(t *testing.T) {
 	parts := []MemberQuery{
 		{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
-			frame("n2", []httpapi.Point{{TNS: 1, Mean: 2, Count: 1}}, nil),
+			frame("n2", []httpapi.Point{{T: 1, Mean: 2, Count: 1}}, nil),
 		}}},
 		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
-			frame("n1", []httpapi.Point{{TNS: 1, Mean: 1, Count: 1}}, []int64{5}),
+			frame("n1", []httpapi.Point{{T: 1, Mean: 1, Count: 1}}, []time.Duration{5}),
 		}}},
 	}
 	got := MergeFrames(parts, "")
@@ -114,14 +115,14 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 	parts := []MemberQuery{
 		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
 			frame("n1", []httpapi.Point{
-				{TNS: 10, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1},
-				{TNS: 30, Min: 3, Max: 3, Mean: 3, Last: 3, Count: 1},
-			}, []int64{40, 50}),
+				{T: 10, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1},
+				{T: 30, Min: 3, Max: 3, Mean: 3, Last: 3, Count: 1},
+			}, []time.Duration{40, 50}),
 		}}},
 		{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
 			frame("n1", []httpapi.Point{
-				{TNS: 20, Min: 8, Max: 8, Mean: 8, Last: 8, Count: 3},
-			}, []int64{50, 60}),
+				{T: 20, Min: 8, Max: 8, Mean: 8, Last: 8, Count: 3},
+			}, []time.Duration{50, 60}),
 		}}},
 	}
 	got := MergeFrames(parts, "mean")
@@ -129,10 +130,10 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 		t.Fatalf("want 1 combined frame, got %d", len(got))
 	}
 	f := got[0]
-	if len(f.Points) != 3 || f.Points[0].TNS != 10 || f.Points[1].TNS != 20 || f.Points[2].TNS != 30 {
+	if len(f.Points) != 3 || f.Points[0].T != 10 || f.Points[1].T != 20 || f.Points[2].T != 30 {
 		t.Fatalf("points not interleaved by time: %+v", f.Points)
 	}
-	wantGaps := []int64{40, 50, 60}
+	wantGaps := []time.Duration{40, 50, 60}
 	if !reflect.DeepEqual(f.GapsNS, wantGaps) {
 		t.Fatalf("gaps = %v, want %v", f.GapsNS, wantGaps)
 	}
@@ -146,11 +147,11 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 }
 
 func TestMergeHealthSumsAndDegrades(t *testing.T) {
-	parts := []MemberHealth{
-		{Member: "a", Doc: httpapi.Health{Status: "ok", Series: 2, Samples: 10, Gaps: 1, SimNowNS: 100}},
-		{Member: "b", Doc: httpapi.Health{Status: "degraded", Series: 3, Samples: 20, Gaps: 2, SimNowNS: 300}},
+	parts := []httpapi.Health{
+		{Status: "ok", Series: 2, Samples: 10, Gaps: 1, SimNowNS: 100},
+		{Status: "degraded", Series: 3, Samples: 20, Gaps: 2, SimNowNS: 300},
 	}
-	h := MergeHealth(parts, 3)
+	h := mergeHealth(parts, 3)
 	if h.Status != "degraded" {
 		t.Fatalf("status = %q", h.Status)
 	}

@@ -67,6 +67,30 @@ func TestFederatedQueryOnTheWire(t *testing.T) {
 	if want := fmt.Sprintf(`envfed_http_response_bytes_total{endpoint="query"} %d`, len(body)); !strings.Contains(string(metrics), want+"\n") {
 		t.Errorf("metrics missing %q", want)
 	}
+
+	// Every empty answer, to the byte, is the one a single daemon gives
+	// (httpapi's TestQueryOnTheWire): an empty list is [] and never null.
+	// The one exception is TestCombinedEmptyWindowStaysNull's.
+	empty, _ := startFederation(t, startMembers(t, 0, 2), nil)
+	for _, row := range []struct {
+		base, path string
+		status     int
+		body       string
+	}{
+		{base, "/query?node=n00000&from=10s", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[]}],"sim_now_ns":4000000000}`},
+		{base, "/query?node=n00000&from=10s&res=10s&agg=max", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"10s","points":[]}],"sim_now_ns":4000000000}`},
+		{base, "/query?node=n00000&from=3200ms", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[],"gaps_ns":[3500000000]}],"sim_now_ns":4000000000}`},
+		{base, "/topk?from=10s", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":4000000000,"nodes":[]}`},
+		{base, "/topk?domain=nope", 200, `{"domain":"nope","total_watts":0,"sim_now_ns":4000000000,"nodes":[]}`},
+		{base, "/query?node=nope", 404, `{"error":"no matching series"}`},
+		{empty, "/query", 200, `{"frames":[],"sim_now_ns":4000000000}`},
+		{empty, "/topk", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":4000000000,"nodes":[]}`},
+		{empty, "/query?domain=Total+Power", 404, `{"error":"no matching series"}`},
+	} {
+		if status, got := get(t, row.base+row.path); status != row.status || string(got) != row.body+"\n" {
+			t.Errorf("GET %s = %d\n got %s\nwant %s", row.path, status, got, row.body)
+		}
+	}
 }
 
 // TestCombinedEmptyWindowStaysNull pins one byte-level habit of the wire

@@ -93,18 +93,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.Aggregate != telemetry.AggNone {
 		p.Aggregate = q.Aggregate.String()
 	}
-	out := s.fed.Query(ctx, p)
-	// The single-daemon 404 rule, applied cluster-wide: zero frames under
-	// a filter means the key exists nowhere — but only when every member
-	// answered. With members missing, the honest answer is a 200 partial
-	// result ("can't say; these racks are dark"), never a 404 that claims
-	// the series does not exist.
-	filtered := p.Node != "" || p.Backend != "" || p.Domain != ""
-	if len(out.Frames) == 0 && filtered && out.Degraded == nil {
-		daemon.WriteJSON(w, http.StatusNotFound, httpapi.ErrorBody{Error: "no matching series"})
-		return
-	}
-	daemon.WriteJSON(w, http.StatusOK, out)
+	// The single-daemon 404 rule, applied cluster-wide: see Answer.
+	status, doc := s.fed.Query(ctx, p).Answer(q)
+	daemon.WriteJSON(w, status, doc)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {

@@ -41,7 +41,7 @@ func (c benchCollector) CollectInto(buf []core.Reading, now time.Duration) ([]co
 func BenchmarkWrappedCollectInto(b *testing.B) {
 	r := NewRegistry()
 	tr := NewTracer(r)
-	ic := WrapCollector(benchCollector{}, r, tr)
+	ic := wrapCollector(benchCollector{}, r, tr)
 	buf := make([]core.Reading, 0, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -57,7 +57,7 @@ func BenchmarkWrappedCollectInto(b *testing.B) {
 func TestWrappedCollectIntoZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(r)
-	ic := WrapCollector(benchCollector{}, r, tr)
+	ic := wrapCollector(benchCollector{}, r, tr)
 	buf := make([]core.Reading, 0, 8)
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = buf[:0]

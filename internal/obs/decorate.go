@@ -6,7 +6,7 @@ import (
 	"envmon/internal/core"
 )
 
-// InstrumentedCollector wraps a core.Collector with poll accounting: poll
+// instrumentedCollector wraps a core.Collector with poll accounting: poll
 // and error counters plus simulated-cost totals labeled by platform and
 // method, and a span in the tracer's "collect" stage (wall time of the
 // mechanism call, simulated time it charged). It implements
@@ -14,7 +14,7 @@ import (
 // steady-state poll path survives the wrapping — instrumentation that
 // perturbs the measured path would repeat the mistake the paper warns
 // about.
-type InstrumentedCollector struct {
+type instrumentedCollector struct {
 	col   core.Collector
 	polls *Counter
 	errs  *Counter
@@ -22,13 +22,13 @@ type InstrumentedCollector struct {
 	stage *Stage
 }
 
-// WrapCollector instruments col against reg and tr (either may be nil;
+// wrapCollector instruments col against reg and tr (either may be nil;
 // the corresponding accounting is skipped). Metric handles are created
 // here, once, so the poll path never touches the registry lock.
-func WrapCollector(col core.Collector, reg *Registry, tr *Tracer) *InstrumentedCollector {
+func wrapCollector(col core.Collector, reg *Registry, tr *Tracer) *instrumentedCollector {
 	platform := col.Platform().String()
 	method := col.Method()
-	return &InstrumentedCollector{
+	return &instrumentedCollector{
 		col: col,
 		polls: reg.Counter("envmon_collect_polls_total",
 			"Collector polls, by vendor platform and access method.",
@@ -43,28 +43,25 @@ func WrapCollector(col core.Collector, reg *Registry, tr *Tracer) *InstrumentedC
 	}
 }
 
-// Unwrap exposes the wrapped collector.
-func (ic *InstrumentedCollector) Unwrap() core.Collector { return ic.col }
-
 // Platform implements core.Collector.
-func (ic *InstrumentedCollector) Platform() core.Platform { return ic.col.Platform() }
+func (ic *instrumentedCollector) Platform() core.Platform { return ic.col.Platform() }
 
 // Method implements core.Collector.
-func (ic *InstrumentedCollector) Method() string { return ic.col.Method() }
+func (ic *instrumentedCollector) Method() string { return ic.col.Method() }
 
 // MinInterval implements core.Collector.
-func (ic *InstrumentedCollector) MinInterval() time.Duration { return ic.col.MinInterval() }
+func (ic *instrumentedCollector) MinInterval() time.Duration { return ic.col.MinInterval() }
 
 // Cost implements core.Collector.
-func (ic *InstrumentedCollector) Cost() time.Duration { return ic.col.Cost() }
+func (ic *instrumentedCollector) Cost() time.Duration { return ic.col.Cost() }
 
 // Collect implements core.Collector.
-func (ic *InstrumentedCollector) Collect(now time.Duration) ([]core.Reading, error) {
+func (ic *instrumentedCollector) Collect(now time.Duration) ([]core.Reading, error) {
 	return ic.CollectInto(nil, now)
 }
 
 // CollectInto implements core.BatchCollector.
-func (ic *InstrumentedCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
+func (ic *instrumentedCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	sp := ic.stage.Begin()
 	readings, err := core.CollectInto(ic.col, buf, now)
 	cost := ic.col.Cost()
@@ -96,7 +93,7 @@ func Decorate(base *core.Registry, reg *Registry, tr *Tracer) *core.Registry {
 			if err != nil {
 				return nil, err
 			}
-			return WrapCollector(col, reg, tr), nil
+			return wrapCollector(col, reg, tr), nil
 		})
 	}
 	return out

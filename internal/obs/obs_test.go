@@ -180,12 +180,6 @@ func TestTracerStages(t *testing.T) {
 			t.Errorf("tracer exposition missing %q:\n%s", want, out)
 		}
 	}
-	if w := tr.Wall("compaction"); w == nil || w.Count() != 2 {
-		t.Errorf("Wall histogram = %v", w)
-	}
-	if tr.Wall("nope") != nil {
-		t.Error("Wall of unknown stage not nil")
-	}
 }
 
 func TestSlowLog(t *testing.T) {

@@ -100,17 +100,3 @@ func (sp Span) End(sim time.Duration) {
 	}
 	sp.stage.Observe(time.Since(sp.start), sim)
 }
-
-// Wall reports the tracer's wall histogram for a stage (testing and
-// summaries); nil when the stage does not exist.
-func (t *Tracer) Wall(name string) *Histogram {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.stages[name]; ok {
-		return s.wall
-	}
-	return nil
-}

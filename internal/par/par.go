@@ -15,8 +15,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the worker count used when a caller passes workers <= 0.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+// defaultWorkers is the worker count used when a caller passes workers <= 0.
+func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // chunkSize picks a grain that amortizes cursor contention without starving
 // workers on small n.
@@ -32,21 +32,21 @@ func chunkSize(n, workers int) int {
 // fn must be safe to call concurrently for distinct i. For blocks until all
 // iterations complete.
 func For(n, workers int, fn func(i int)) {
-	ForChunked(n, workers, func(lo, hi int) {
+	forChunked(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
 	})
 }
 
-// ForChunked runs fn(lo, hi) over disjoint chunks covering [0, n). Useful
+// forChunked runs fn(lo, hi) over disjoint chunks covering [0, n). Useful
 // when per-chunk setup (a scratch buffer, an RNG) is worth amortizing.
-func ForChunked(n, workers int, fn func(lo, hi int)) {
+func forChunked(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = defaultWorkers()
 	}
 	if workers > n {
 		workers = n
@@ -78,9 +78,9 @@ func ForChunked(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Map computes out[i] = fn(i) for i in [0, n) in parallel and returns the
+// mapSlots computes out[i] = fn(i) for i in [0, n) in parallel and returns the
 // slice. Deterministic: slot i always holds fn(i).
-func Map[T any](n, workers int, fn func(i int) T) []T {
+func mapSlots[T any](n, workers int, fn func(i int) T) []T {
 	out := make([]T, n)
 	For(n, workers, func(i int) { out[i] = fn(i) })
 	return out
@@ -90,7 +90,7 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 // order, so the floating-point sum is bit-identical across runs and worker
 // counts.
 func SumOrdered(n, workers int, fn func(i int) float64) float64 {
-	vals := Map(n, workers, fn)
+	vals := mapSlots(n, workers, fn)
 	var total float64
 	for _, v := range vals {
 		total += v

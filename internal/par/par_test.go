@@ -31,7 +31,7 @@ func TestForEmptyAndTiny(t *testing.T) {
 func TestForChunkedDisjointCoverage(t *testing.T) {
 	const n = 997 // prime, to exercise ragged chunks
 	covered := make([]int32, n)
-	ForChunked(n, 5, func(lo, hi int) {
+	forChunked(n, 5, func(lo, hi int) {
 		if lo < 0 || hi > n || lo >= hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
@@ -48,11 +48,11 @@ func TestForChunkedDisjointCoverage(t *testing.T) {
 
 func TestMapDeterministic(t *testing.T) {
 	sq := func(i int) int { return i * i }
-	a := Map(500, 8, sq)
-	b := Map(500, 3, sq)
+	a := mapSlots(500, 8, sq)
+	b := mapSlots(500, 3, sq)
 	for i := range a {
 		if a[i] != i*i || a[i] != b[i] {
-			t.Fatalf("Map[%d] = %d", i, a[i])
+			t.Fatalf("mapSlots[%d] = %d", i, a[i])
 		}
 	}
 }
@@ -83,8 +83,8 @@ func TestSumOrderedProperty(t *testing.T) {
 }
 
 func TestDefaultWorkersPositive(t *testing.T) {
-	if DefaultWorkers() < 1 {
-		t.Fatal("DefaultWorkers < 1")
+	if defaultWorkers() < 1 {
+		t.Fatal("defaultWorkers < 1")
 	}
 }
 

@@ -19,8 +19,8 @@ type Log struct {
 	dropped uint64
 }
 
-// NewLog builds a log holding the last capacity decisions (minimum 1).
-func NewLog(capacity int) *Log {
+// newLog builds a log holding the last capacity decisions (minimum 1).
+func newLog(capacity int) *Log {
 	if capacity < 1 {
 		capacity = 1
 	}

@@ -250,7 +250,7 @@ func New(cfg Config) (*Controller, error) {
 		rung: -1,
 		// A cap may not rise before RecoverHold of fresh data even at
 		// start; lastUnfresh at 0 arms that hold.
-		log: NewLog(cfg.LogCapacity),
+		log: newLog(cfg.LogCapacity),
 	}, nil
 }
 

@@ -267,7 +267,7 @@ func TestDecisionLogByteStable(t *testing.T) {
 // TestLogRingEviction checks the ring keeps the newest decisions and
 // counts what it dropped.
 func TestLogRingEviction(t *testing.T) {
-	l := NewLog(3)
+	l := newLog(3)
 	for i := 0; i < 5; i++ {
 		l.Append(Decision{Now: time.Duration(i) * time.Second})
 	}

@@ -31,10 +31,6 @@ type StoreSource struct {
 }
 
 func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
-	domain := s.Domain
-	if domain == "" {
-		domain = telemetry.DefaultPowerDomain
-	}
 	window := s.Window
 	if window <= 0 {
 		window = 5 * time.Second
@@ -44,7 +40,7 @@ func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 		from = 0
 	}
 	frames := s.Store.Query(telemetry.Query{
-		Domain: domain, From: from, To: now,
+		Domain: telemetry.PowerDomain(s.Domain), From: from, To: now,
 		Resolution: telemetry.Raw, Aggregate: telemetry.AggLast,
 	})
 	o := Observation{Now: now}
@@ -87,16 +83,12 @@ type ClientSource struct {
 }
 
 func (s ClientSource) Observe(ctx context.Context, now time.Duration) Observation {
-	domain := s.Domain
-	if domain == "" {
-		domain = telemetry.DefaultPowerDomain
-	}
 	window := s.Window
 	if window <= 0 {
 		window = 5 * time.Second
 	}
 	doc, err := s.Client.QueryFull(ctx, client.QueryParams{
-		Domain:    domain,
+		Domain:    telemetry.PowerDomain(s.Domain),
 		Aggregate: "last",
 		Deadline:  s.Deadline,
 	})
@@ -114,7 +106,7 @@ func (s ClientSource) Observe(ctx context.Context, now time.Duration) Observatio
 		// Only series that reported inside the lookback window count: a
 		// dead node's last-ever reading must age out of the sum instead
 		// of being billed as current draw forever.
-		if last := f.Points[len(f.Points)-1].TNS; time.Duration(last) < cutoff {
+		if f.Points[len(f.Points)-1].T < cutoff {
 			continue
 		}
 		o.MeasuredW += *f.Reduced

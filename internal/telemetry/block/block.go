@@ -42,8 +42,6 @@ const (
 	footerSz = 4 + 4 + 8 + 4 // index crc + index len + index off + trailer
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Agg is the per-series aggregate across every block in a store: how much
 // of the series is persisted and the state recovery re-seeds the head
 // with.
@@ -253,10 +251,10 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 	idx := make([]byte, 0, 4<<10)
 	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(snaps)))
 	for i, sn := range snaps {
-		idx = appendString(idx, sn.Key.Node)
-		idx = appendString(idx, sn.Key.Backend)
-		idx = appendString(idx, sn.Key.Domain)
-		idx = appendString(idx, sn.Unit)
+		idx = storage.AppendString(idx, sn.Key.Node)
+		idx = storage.AppendString(idx, sn.Key.Backend)
+		idx = storage.AppendString(idx, sn.Key.Domain)
+		idx = storage.AppendString(idx, sn.Unit)
 		idx = binary.AppendUvarint(idx, sn.StartPoint)
 		idx = binary.AppendUvarint(idx, uint64(len(sn.Points)))
 		var minT, maxT time.Duration
@@ -291,7 +289,7 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 		}
 	}
 	buf = append(buf, idx...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(idx, castagnoli))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(idx, storage.Castagnoli))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(idx)))
 	buf = binary.LittleEndian.AppendUint64(buf, indexOff)
 	buf = append(buf, trailer...)
@@ -320,11 +318,6 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 		_ = d.Close()
 	}
 	return nil
-}
-
-func appendString(p []byte, s string) []byte {
-	p = binary.AppendUvarint(p, uint64(len(s)))
-	return append(p, s...)
 }
 
 func openFile(path string, seq uint64) (*file, error) {
@@ -363,7 +356,7 @@ func openFile(path string, seq uint64) (*file, error) {
 		f.Close()
 		return nil, fmt.Errorf("block: %w", err)
 	}
-	if crc32.Checksum(idx, castagnoli) != idxSum {
+	if crc32.Checksum(idx, storage.Castagnoli) != idxSum {
 		f.Close()
 		return nil, fmt.Errorf("block: %s: index checksum mismatch", path)
 	}
@@ -375,120 +368,49 @@ func openFile(path string, seq uint64) (*file, error) {
 	return bf, nil
 }
 
-type idxReader struct {
-	p   []byte
-	err error
-}
-
-func (r *idxReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.p)
-	if n <= 0 {
-		r.err = errors.New("index truncated")
-		return 0
-	}
-	r.p = r.p[n:]
-	return v
-}
-
-func (r *idxReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.p)
-	if n <= 0 {
-		r.err = errors.New("index truncated")
-		return 0
-	}
-	r.p = r.p[n:]
-	return v
-}
-
-func (r *idxReader) str() string {
-	l := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.p)) < l {
-		r.err = errors.New("index truncated")
-		return ""
-	}
-	s := string(r.p[:l])
-	r.p = r.p[l:]
-	return s
-}
-
-func (r *idxReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.p) < 8 {
-		r.err = errors.New("index truncated")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.p))
-	r.p = r.p[8:]
-	return v
-}
-
-func (r *idxReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.p) == 0 {
-		r.err = errors.New("index truncated")
-		return 0
-	}
-	b := r.p[0]
-	r.p = r.p[1:]
-	return b
-}
-
 func (bf *file) parseIndex(idx []byte) error {
 	if len(idx) < 4 {
 		return errors.New("index truncated")
 	}
 	n := binary.LittleEndian.Uint32(idx)
-	r := &idxReader{p: idx[4:]}
+	r := storage.Reader{P: idx[4:]}
 	for i := uint32(0); i < n; i++ {
 		e := &seriesEntry{}
-		e.key.Node = r.str()
-		e.key.Backend = r.str()
-		e.key.Domain = r.str()
-		e.unit = r.str()
-		e.startPoint = r.uvarint()
-		e.numPoints = r.uvarint()
-		e.minT = time.Duration(r.varint())
-		e.maxT = time.Duration(r.varint())
-		e.lastGapT = time.Duration(r.varint())
-		e.startGap = r.uvarint()
-		e.numGaps = r.uvarint()
-		e.ptOff = r.uvarint()
-		e.ptLen = r.uvarint()
-		e.gapOff = r.uvarint()
-		e.gapLen = r.uvarint()
+		e.key.Node = r.Str()
+		e.key.Backend = r.Str()
+		e.key.Domain = r.Str()
+		e.unit = r.Str()
+		e.startPoint = r.Uvarint()
+		e.numPoints = r.Uvarint()
+		e.minT = time.Duration(r.Varint())
+		e.maxT = time.Duration(r.Varint())
+		e.lastGapT = time.Duration(r.Varint())
+		e.startGap = r.Uvarint()
+		e.numGaps = r.Uvarint()
+		e.ptOff = r.Uvarint()
+		e.ptLen = r.Uvarint()
+		e.gapOff = r.Uvarint()
+		e.gapLen = r.Uvarint()
 		for l := 0; l < numLvl; l++ {
 			le := &e.levels[l]
-			le.startBucket = r.uvarint()
-			le.numClosed = r.uvarint()
-			le.off = r.uvarint()
-			le.length = r.uvarint()
-			if r.byte() == 1 {
+			le.startBucket = r.Uvarint()
+			le.numClosed = r.Uvarint()
+			le.off = r.Uvarint()
+			le.length = r.Uvarint()
+			if r.Byte() == 1 {
 				tail := &storage.Bucket{
-					Start: time.Duration(r.varint()),
-					Count: int(r.uvarint()),
+					Start: time.Duration(r.Varint()),
+					Count: int(r.Uvarint()),
 				}
-				tail.Min = r.f64()
-				tail.Max = r.f64()
-				tail.Sum = r.f64()
-				tail.Last = r.f64()
+				tail.Min = r.Float64()
+				tail.Max = r.Float64()
+				tail.Sum = r.Float64()
+				tail.Last = r.Float64()
 				le.tail = tail
 			}
 		}
-		if r.err != nil {
-			return r.err
+		if r.Err != nil {
+			return fmt.Errorf("index truncated: %w", r.Err)
 		}
 		bf.entries[e.key] = e
 	}

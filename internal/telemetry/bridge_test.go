@@ -68,7 +68,7 @@ func TestEnvDBBridgeLosesNothingThroughTransientOutage(t *testing.T) {
 	if bridge.Moved() != 13 {
 		t.Errorf("Moved = %d, want 13", bridge.Moved())
 	}
-	frames := st.Query(Query{Node: "R00-B0", Backend: EnvDBBackend, Domain: "input_power"})
+	frames := st.Query(Query{Node: "R00-B0", Backend: envDBBackend, Domain: "input_power"})
 	if len(frames) != 1 {
 		t.Fatalf("frames = %d, want 1", len(frames))
 	}
@@ -89,7 +89,7 @@ func TestEnvDBBridgeDropsOnlyOutOfOrder(t *testing.T) {
 	clock := simclock.New()
 	db := envdb.New()
 	st := New(Options{})
-	key := SeriesKey{Node: "R00-B0", Backend: EnvDBBackend, Domain: "input_power"}
+	key := SeriesKey{Node: "R00-B0", Backend: envDBBackend, Domain: "input_power"}
 	// A sample far in the future makes everything the bridge drains
 	// out-of-order for this series.
 	if err := st.Ingest(key, "W", time.Hour, 1); err != nil {

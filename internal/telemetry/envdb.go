@@ -9,10 +9,10 @@ import (
 	"envmon/internal/envdb"
 )
 
-// EnvDBBackend is the SeriesKey.Backend under which environmental-database
+// envDBBackend is the SeriesKey.Backend under which environmental-database
 // records are stored: the BG/Q path where data reaches tools through the
 // central database rather than through a per-job MonEQ session.
-const EnvDBBackend = "envdb"
+const envDBBackend = "envdb"
 
 // Ingester is the subset of Store the bridge writes through. An interface
 // so tests can interpose transient ingest failures.
@@ -107,7 +107,7 @@ func (b *EnvDBBridge) drain(now time.Duration) {
 // rejected as out-of-order are dropped and counted, since replaying them
 // is futile.
 func (b *EnvDBBridge) tryIngest(r envdb.Record) bool {
-	key := SeriesKey{Node: string(r.Location), Backend: EnvDBBackend, Domain: r.Sensor}
+	key := SeriesKey{Node: string(r.Location), Backend: envDBBackend, Domain: r.Sensor}
 	err := b.store.Ingest(key, r.Unit, r.Time+b.Offset, r.Value)
 	if err == nil {
 		b.moved++

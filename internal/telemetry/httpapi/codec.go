@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"time"
 )
 
 // The /query document's codec. A history reply is ~10k points and the
@@ -95,7 +96,7 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 			p := &f.Points[i]
 			if !(finite(p.Min) && finite(p.Max) && finite(p.Mean) && finite(p.Last)) {
 				return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: point min=%v max=%v mean=%v last=%v is not representable in JSON",
-					f.Node, f.Backend, f.Domain, p.TNS, p.Min, p.Max, p.Mean, p.Last)
+					f.Node, f.Backend, f.Domain, p.T, p.Min, p.Max, p.Mean, p.Last)
 			}
 			dst = appendPoint(dst, p)
 		}
@@ -107,7 +108,7 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendInt(dst, g, 10)
+			dst = strconv.AppendInt(dst, int64(g), 10)
 		}
 		dst = append(dst, ']')
 	}
@@ -116,7 +117,7 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 
 func appendPoint(dst []byte, p *Point) []byte {
 	dst = append(dst, `{"t_ns":`...)
-	dst = strconv.AppendInt(dst, p.TNS, 10)
+	dst = strconv.AppendInt(dst, int64(p.T), 10)
 	dst = append(dst, `,"min":`...)
 	from := len(dst)
 	dst = appendFloat(dst, p.Min)
@@ -328,7 +329,7 @@ func (d *scanner) frame(f, prev *Frame) bool {
 		}
 	}
 	if d.lit(`,"gaps_ns":[`) {
-		f.GapsNS = []int64{}
+		f.GapsNS = []time.Duration{}
 		for !d.lit("]") {
 			if len(f.GapsNS) > 0 && !d.lit(",") {
 				return false
@@ -337,7 +338,7 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			if !ok {
 				return false
 			}
-			f.GapsNS = append(f.GapsNS, g)
+			f.GapsNS = append(f.GapsNS, time.Duration(g))
 		}
 	}
 	return d.lit("}")
@@ -346,11 +347,11 @@ func (d *scanner) frame(f, prev *Frame) bool {
 const minPointLen = len(`{"t_ns":0,"min":0,"max":0,"mean":0,"last":0,"count":0},`)
 
 func (d *scanner) point(p *Point) bool {
-	var ok bool
 	if !d.lit(`{"t_ns":`) {
 		return false
 	}
-	if p.TNS, ok = d.int(); !ok || !d.lit(`,"min":`) {
+	t, ok := d.int()
+	if p.T = time.Duration(t); !ok || !d.lit(`,"min":`) {
 		return false
 	}
 	if p.Min, ok = d.float(); !ok || !d.lit(`,"max":`) {

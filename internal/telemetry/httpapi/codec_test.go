@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The reference both halves of the codec are pinned against: what every
@@ -87,7 +88,7 @@ func checkCodec(t *testing.T, r QueryResult, canonical bool) []byte {
 func f64(v float64) *float64 { return &v }
 
 func rawPoint(t int64, v float64) Point {
-	return Point{TNS: t, Min: v, Max: v, Mean: v, Last: v, Count: 1}
+	return Point{T: time.Duration(t), Min: v, Max: v, Mean: v, Last: v, Count: 1}
 }
 
 func oneFrame(points ...Point) QueryResult {
@@ -114,13 +115,13 @@ func TestCodecCoversEveryField(t *testing.T) {
 func TestCodecShapes(t *testing.T) {
 	power := Frame{Node: "n00", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"}
 	withPoints := power
-	withPoints.Points = []Point{rawPoint(1e9, 101.5), {TNS: 2e9, Min: 1, Max: 3, Mean: 2, Last: 3, Count: 4}}
-	withPoints.GapsNS = []int64{1500000000, 1750000000}
+	withPoints.Points = []Point{rawPoint(1e9, 101.5), {T: 2e9, Min: 1, Max: 3, Mean: 2, Last: 3, Count: 4}}
+	withPoints.GapsNS = []time.Duration{1500000000, 1750000000}
 	withPoints.Reduced = f64(2.25)
 	emptyPoints := power
 	emptyPoints.Points = []Point{}
 	emptyGaps := withPoints
-	emptyGaps.GapsNS = []int64{} // omitempty drops it: decodes as nil, like the reference
+	emptyGaps.GapsNS = []time.Duration{} // omitempty drops it: decodes as nil, like the reference
 
 	for name, r := range map[string]QueryResult{
 		"zero value, frames null":  {},
@@ -130,7 +131,7 @@ func TestCodecShapes(t *testing.T) {
 		"points, gaps, reduced":    {Frames: []Frame{withPoints}, SimNowNS: 4e9, NewestNS: 2e9},
 		"empty gaps slice":         {Frames: []Frame{emptyGaps}},
 		"several frames":           {Frames: []Frame{withPoints, power, emptyPoints, withPoints}, SimNowNS: 1},
-		"negative and extreme int": {Frames: []Frame{{Points: []Point{{TNS: math.MinInt64, Count: -3}, {TNS: math.MaxInt64, Count: math.MaxInt64}}, GapsNS: []int64{-1, 0, 999999999999999999, 1000000000000000000}}}, SimNowNS: -1, NewestNS: math.MinInt64},
+		"negative and extreme int": {Frames: []Frame{{Points: []Point{{T: math.MinInt64, Count: -3}, {T: math.MaxInt64, Count: math.MaxInt64}}, GapsNS: []time.Duration{-1, 0, 999999999999999999, 1000000000000000000}}}, SimNowNS: -1, NewestNS: math.MinInt64},
 		"empty labels":             {Frames: []Frame{{Points: []Point{{}}}}},
 		"degraded, missing null":   {Frames: []Frame{withPoints}, SimNowNS: 4e9, Degraded: &Degraded{Members: 4, Responded: 3}},
 		"degraded, frames null": {Degraded: &Degraded{Members: 2, Missing: []MissingMember{
@@ -296,14 +297,14 @@ func randomResult(rng *rand.Rand) (r QueryResult, canonical bool) {
 					if rng.Intn(2) == 0 {
 						f.Points[j] = rawPoint(integer(), float())
 					} else {
-						f.Points[j] = Point{integer(), float(), float(), float(), float(), int(integer())}
+						f.Points[j] = Point{T: time.Duration(integer()), Min: float(), Max: float(), Mean: float(), Last: float(), Count: int(integer())}
 					}
 				}
 			}
 			if rng.Intn(3) == 0 {
-				f.GapsNS = make([]int64, rng.Intn(4))
+				f.GapsNS = make([]time.Duration, rng.Intn(4))
 				for j := range f.GapsNS {
-					f.GapsNS[j] = integer()
+					f.GapsNS[j] = time.Duration(integer())
 				}
 			}
 		}
@@ -430,9 +431,9 @@ func TestDecodeSingleByteMutations(t *testing.T) {
 // test start from.
 func seedDocuments(t testing.TB) [][]byte {
 	t.Helper()
-	full := oneFrame(rawPoint(1e9, 101.5), rawPoint(2e9, 101.5), Point{TNS: 3e9, Min: -0.5, Max: 1e21, Mean: 1e-7, Last: 3, Count: 60})
+	full := oneFrame(rawPoint(1e9, 101.5), rawPoint(2e9, 101.5), Point{T: 3e9, Min: -0.5, Max: 1e21, Mean: 1e-7, Last: 3, Count: 60})
 	full.Frames[0].Reduced = f64(99.25)
-	full.Frames[0].GapsNS = []int64{1500000000, 2500000000}
+	full.Frames[0].GapsNS = []time.Duration{1500000000, 2500000000}
 	full.Frames = append(full.Frames, Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"})
 	full.SimNowNS, full.NewestNS = 4e9, 3e9
 	degraded := full

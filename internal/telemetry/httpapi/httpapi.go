@@ -1,6 +1,9 @@
 // Package httpapi serves a telemetry.Store over HTTP/JSON — the wire layer
 // of the envmond daemon. It also defines the JSON document types, which
-// the client package shares, so the two sides cannot drift.
+// the client package shares, so the two sides cannot drift. What the store
+// and the resilience chains already hand out element by element — points,
+// ranking entries, breaker positions — is aliased here, not mirrored: the
+// one definition carries the JSON tags and the handlers pass its slices on.
 //
 // Endpoints (all GET):
 //
@@ -23,16 +26,13 @@ import (
 	"time"
 
 	"envmon/internal/daemon"
+	"envmon/internal/resilience"
 	"envmon/internal/telemetry"
 )
 
 // SourceHealth is one member of a collection chain: the access method and
-// its circuit breaker's position.
-type SourceHealth struct {
-	Method string `json:"method"`
-	State  string `json:"state"` // closed | open | half-open
-	Trips  int    `json:"trips"`
-}
+// its circuit breaker's position (closed | open | half-open).
+type SourceHealth = resilience.SourceStatus
 
 // BackendHealth is one resilient collection chain's state on one node.
 type BackendHealth struct {
@@ -140,27 +140,28 @@ type SeriesResult struct {
 }
 
 // Point is one frame point: a raw sample or one rollup bucket.
-type Point struct {
-	TNS   int64   `json:"t_ns"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Mean  float64 `json:"mean"`
-	Last  float64 `json:"last"`
-	Count int     `json:"count"`
-}
+type Point = telemetry.FramePoint
 
 // Frame is one series' result in the /query document. GapsNS marks the
 // failed-poll instants inside the window: explicit "no data here" markers,
-// never encoded as zero-valued points.
+// never encoded as zero-valued points. It differs from telemetry.Frame
+// only in what is the wire's own shape: a flat key, the resolution by
+// name, and an absent rather than invalid reduction.
 type Frame struct {
-	Node       string   `json:"node"`
-	Backend    string   `json:"backend"`
-	Domain     string   `json:"domain"`
-	Unit       string   `json:"unit"`
-	Resolution string   `json:"resolution"`
-	Reduced    *float64 `json:"reduced,omitempty"`
-	Points     []Point  `json:"points"`
-	GapsNS     []int64  `json:"gaps_ns,omitempty"`
+	Node       string          `json:"node"`
+	Backend    string          `json:"backend"`
+	Domain     string          `json:"domain"`
+	Unit       string          `json:"unit"`
+	Resolution string          `json:"resolution"`
+	Reduced    *float64        `json:"reduced,omitempty"`
+	Points     []Point         `json:"points"`
+	GapsNS     []time.Duration `json:"gaps_ns,omitempty"`
+}
+
+// Key is the series the frame belongs to, as the store spells it — and
+// orders it: storage.KeyLess.
+func (f *Frame) Key() telemetry.SeriesKey {
+	return telemetry.SeriesKey{Node: f.Node, Backend: f.Backend, Domain: f.Domain}
 }
 
 // QueryResult is the /query document. SimNowNS and NewestNS are the
@@ -183,11 +184,7 @@ type QueryResult struct {
 }
 
 // NodePower is one entry of the /topk ranking.
-type NodePower struct {
-	Node   string  `json:"node"`
-	Watts  float64 `json:"watts"`
-	Series int     `json:"series"`
-}
+type NodePower = telemetry.NodePower
 
 // TopKResult is the /topk document. SimNowNS is the server's simulated
 // now at answer time (on a federated endpoint, the minimum across
@@ -268,14 +265,12 @@ func (s *Server) SetFaults(plan string) { s.faults = plan }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{
-		Status:  "ok",
-		Series:  s.store.NumSeries(),
-		Samples: s.store.Samples(),
-		Gaps:    s.store.Gaps(),
-		Faults:  s.faults,
-	}
-	if s.now != nil {
-		h.SimNowNS = int64(s.now())
+		Status:   "ok",
+		Series:   s.store.NumSeries(),
+		Samples:  s.store.Samples(),
+		Gaps:     s.store.Gaps(),
+		SimNowNS: s.simNow(),
+		Faults:   s.faults,
 	}
 	if stats := s.store.StorageStats(); stats.Persistent {
 		h.Storage = &StorageHealth{
@@ -453,47 +448,69 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	runGuarded(w, deadline, func() (int, any) {
 		frames := s.store.Query(q)
-		// A query returns one frame per matching series regardless of window,
-		// so zero frames under a filter means the series key does not exist —
-		// a 404, distinguishable from an empty window (200 with empty points).
-		// An unfiltered query over an empty store stays 200: "nothing stored
-		// yet" is a valid answer to "show me everything".
-		if len(frames) == 0 && (q.Node != "" || q.Backend != "" || q.Domain != "") {
-			return http.StatusNotFound, ErrorBody{Error: "no matching series"}
+		out := QueryResult{Frames: make([]Frame, len(frames)), SimNowNS: s.simNow()}
+		for i, f := range frames {
+			out.Frames[i] = frameDoc(f)
 		}
-		out := QueryResult{Frames: make([]Frame, 0, len(frames))}
-		if s.now != nil {
-			out.SimNowNS = int64(s.now())
-		}
-		for _, f := range frames {
-			jf := frameDoc(f)
-			if n := len(jf.Points); n > 0 && jf.Points[n-1].TNS > out.NewestNS {
-				out.NewestNS = jf.Points[n-1].TNS
-			}
-			out.Frames = append(out.Frames, jf)
-		}
-		return http.StatusOK, out
+		out.NewestNS = NewestNS(out.Frames)
+		return out.Answer(q)
 	})
 }
 
-// frameDoc converts one store frame to its wire form.
+// simNow is the clock reading every document carries; 0, which the
+// documents omit, on a server without a simulation clock.
+func (s *Server) simNow() int64 {
+	if s.now == nil {
+		return 0
+	}
+	return int64(s.now())
+}
+
+// Answer is how a /query result is served, on one daemon or federated. A
+// query returns one frame per matching series regardless of window, so
+// zero frames under a filter means the series key does not exist: a 404,
+// distinguishable from an empty window (200 with empty points). An
+// unfiltered query over an empty store stays 200: "nothing stored yet" is
+// a valid answer to "show me everything". So does a federated result with
+// members missing: the honest answer there is a 200 partial result
+// ("can't say; these racks are dark"), never a 404 that claims the series
+// does not exist.
+func (r QueryResult) Answer(q telemetry.Query) (status int, doc any) {
+	if len(r.Frames) == 0 && r.Degraded == nil && (q.Node != "" || q.Backend != "" || q.Domain != "") {
+		return http.StatusNotFound, ErrorBody{Error: "no matching series"}
+	}
+	return http.StatusOK, r
+}
+
+// NewestNS is a /query document's newest_ns: the newest point timestamp
+// across frames, each of which holds its points in time order; 0 when no
+// frame has points.
+func NewestNS(frames []Frame) (newest int64) {
+	for i := range frames {
+		if p := frames[i].Points; len(p) > 0 && int64(p[len(p)-1].T) > newest {
+			newest = int64(p[len(p)-1].T)
+		}
+	}
+	return newest
+}
+
+// frameDoc puts one store frame in its wire form. The store's frames are
+// deep copies (telemetry.Store.Query), so the points and gap markers are
+// handed over as they are; only a frame without points needs a slice of
+// its own, because the wire spells an empty window [] and a nil slice
+// would encode as null.
 func frameDoc(f telemetry.Frame) Frame {
 	jf := Frame{
 		Node: f.Key.Node, Backend: f.Key.Backend, Domain: f.Key.Domain,
 		Unit: f.Unit, Resolution: f.Resolution.String(),
-		Points: make([]Point, 0, len(f.Points)),
+		Points: f.Points, GapsNS: f.Gaps,
+	}
+	if jf.Points == nil {
+		jf.Points = []Point{}
 	}
 	if f.ReducedOK {
 		v := f.Reduced
 		jf.Reduced = &v
-	}
-	for _, p := range f.Points {
-		jf.Points = append(jf.Points, Point{
-			TNS: int64(p.T), Min: p.Min, Max: p.Max, Mean: p.Mean, Last: p.Last, Count: p.Count,
-		})
-	}
-	for _, g := range f.Gaps {
-		jf.GapsNS = append(jf.GapsNS, int64(g))
 	}
 	return jf
 }
@@ -506,17 +523,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	runGuarded(w, deadline, func() (int, any) {
 		ranked, total := s.store.TopK(k, q.Domain, q.From, q.To, q.Resolution)
-		outDomain := q.Domain
-		if outDomain == "" {
-			outDomain = telemetry.DefaultPowerDomain
+		if ranked == nil {
+			ranked = []NodePower{} // an empty ranking is [] on the wire, not null
 		}
-		out := TopKResult{Domain: outDomain, TotalWatts: total, Nodes: make([]NodePower, 0, len(ranked))}
-		if s.now != nil {
-			out.SimNowNS = int64(s.now())
+		return http.StatusOK, TopKResult{
+			Domain: telemetry.PowerDomain(q.Domain), TotalWatts: total, SimNowNS: s.simNow(), Nodes: ranked,
 		}
-		for _, np := range ranked {
-			out.Nodes = append(out.Nodes, NodePower{Node: np.Node, Watts: np.Watts, Series: np.Series})
-		}
-		return http.StatusOK, out
 	})
 }

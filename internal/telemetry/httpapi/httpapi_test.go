@@ -90,7 +90,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if f.Reduced == nil || *f.Reduced != 110 {
 		t.Errorf("reduced = %v, want 110", f.Reduced)
 	}
-	if f.Points[0].TNS != int64(2*time.Second) || f.Points[0].Count != 1 {
+	if f.Points[0].T != 2*time.Second || f.Points[0].Count != 1 {
 		t.Errorf("points[0] = %+v", f.Points[0])
 	}
 	// No aggregate requested: reduced omitted from the JSON.

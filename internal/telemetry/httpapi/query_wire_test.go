@@ -60,6 +60,37 @@ func TestQueryOnTheWire(t *testing.T) {
 	if out := metricsText(t, srv); !strings.Contains(out, want+"\n") {
 		t.Errorf("metrics missing %q", want)
 	}
+
+	// Every empty answer, to the byte: an empty list is [] and never null.
+	nothing := telemetry.New(telemetry.Options{})
+	defer nothing.Close()
+	empty := httptest.NewServer(New(nothing, nil))
+	defer empty.Close()
+	for _, row := range []struct {
+		base, path string
+		status     int
+		body       string
+	}{
+		{ts.URL, "/query?node=n00&from=600s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","points":[]}],"sim_now_ns":500000000000}`},
+		{ts.URL, "/query?node=n00&from=600s&res=10s&agg=max", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"10s","points":[]}],"sim_now_ns":500000000000}`},
+		{ts.URL, "/query?node=n00&from=1200ms&to=1600ms", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","points":[],"gaps_ns":[1500000000]}],"sim_now_ns":500000000000}`},
+		{ts.URL, "/topk?from=600s", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":500000000000,"nodes":[]}`},
+		{ts.URL, "/topk?domain=nope", 200, `{"domain":"nope","total_watts":0,"sim_now_ns":500000000000,"nodes":[]}`},
+		{ts.URL, "/query?node=nope", 404, `{"error":"no matching series"}`},
+		{empty.URL, "/query", 200, `{"frames":[]}`},
+		{empty.URL, "/topk", 200, `{"domain":"Total Power","total_watts":0,"nodes":[]}`},
+		{empty.URL, "/query?domain=Total+Power", 404, `{"error":"no matching series"}`},
+	} {
+		resp, err := http.Get(row.base + row.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != row.status || string(got) != row.body+"\n" {
+			t.Errorf("GET %s = %d %v\n got %s\nwant %s", row.path, resp.StatusCode, err, got, row.body)
+		}
+	}
 }
 
 // TestQueryNonFiniteSampleAnswers500: the store accepts NaN and ±Inf, JSON

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -83,14 +84,15 @@ func (q Query) matches(k SeriesKey) bool {
 }
 
 // FramePoint is one resolved point: a raw sample (Count 1, all four
-// statistics equal to the value) or one rollup bucket.
+// statistics equal to the value) or one rollup bucket. The tags are the
+// /query wire's: httpapi serves the store's points as they are.
 type FramePoint struct {
-	T     time.Duration // sample time, or bucket start
-	Min   float64
-	Max   float64
-	Mean  float64
-	Last  float64
-	Count int
+	T     time.Duration `json:"t_ns"` // sample time, or bucket start
+	Min   float64       `json:"min"`
+	Max   float64       `json:"max"`
+	Mean  float64       `json:"mean"`
+	Last  float64       `json:"last"`
+	Count int           `json:"count"`
 }
 
 // Frame is the query result for one matching series.
@@ -242,30 +244,47 @@ func (st *Store) noteRead(err error) {
 }
 
 // NodePower is one entry of a TopK ranking: a node and its mean power over
-// the queried window, summed across that node's matching series.
+// the queried window, summed across that node's matching series. The tags
+// are the /topk wire's.
 type NodePower struct {
-	Node   string
-	Watts  float64
-	Series int // matching series that contributed
+	Node   string  `json:"node"`
+	Watts  float64 `json:"watts"`
+	Series int     `json:"series"` // matching series that contributed
 }
 
-// DefaultPowerDomain is the measurement domain that counts as a node's
-// power wherever a caller — TopK, the /topk handlers, the power-cap
-// sources — leaves the domain empty.
-const DefaultPowerDomain = "Total Power"
+// PowerDomain resolves a caller's domain selection — TopK's, the /topk
+// handlers', the power-cap sources' — to the measurement domain that is
+// queried and reported as a node's power: the empty string selects
+// "Total Power".
+func PowerDomain(domain string) string {
+	if domain == "" {
+		return "Total Power"
+	}
+	return domain
+}
+
+// CompareRank is the ranking order of every /topk answer, from one store
+// or merged across many: watts descending, node name ascending on ties.
+// Negative when a ranks before b.
+func CompareRank(a, b NodePower) int {
+	if a.Watts != b.Watts {
+		if a.Watts > b.Watts {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Node, b.Node)
+}
 
 // TopK ranks nodes by mean power over [from, to) at the given resolution
 // and returns the top k (k <= 0 returns every node) plus the cluster-wide
 // total — the "which jobs are burning the machine" and "what is the room
 // drawing" questions an operator service answers. domain selects which
-// measurement domain counts as power; the empty string defaults to
-// DefaultPowerDomain. A node's watts are the sum over its matching backends.
-// Ordering is deterministic: watts descending, node name ascending on ties.
+// measurement domain counts as power (see PowerDomain). A node's watts are
+// the sum over its matching backends. Ordering is deterministic:
+// CompareRank.
 func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resolution) (ranked []NodePower, total float64) {
-	if domain == "" {
-		domain = DefaultPowerDomain
-	}
-	frames := st.Query(Query{Domain: domain, From: from, To: to, Resolution: res, Aggregate: AggMean})
+	frames := st.Query(Query{Domain: PowerDomain(domain), From: from, To: to, Resolution: res, Aggregate: AggMean})
 	// Frames arrive sorted by key, so same-node frames are adjacent and
 	// the fold is deterministic.
 	for _, f := range frames {
@@ -282,12 +301,7 @@ func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resoluti
 	for _, np := range ranked {
 		total += np.Watts
 	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Watts != ranked[j].Watts {
-			return ranked[i].Watts > ranked[j].Watts
-		}
-		return ranked[i].Node < ranked[j].Node
-	})
+	sort.SliceStable(ranked, func(i, j int) bool { return CompareRank(ranked[i], ranked[j]) < 0 })
 	if k > 0 && len(ranked) > k {
 		ranked = ranked[:k]
 	}

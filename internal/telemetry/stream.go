@@ -86,7 +86,7 @@ func (c *SetCursor) Flush() error {
 			if node == "" {
 				node = c.set.Meta["node"]
 			}
-			backend, domain := SplitSeriesName(ts.Name)
+			backend, domain := splitSeriesName(ts.Name)
 			c.keys = append(c.keys, SeriesKey{Node: node, Backend: backend, Domain: domain})
 			c.units = append(c.units, ts.Unit)
 			c.done = append(c.done, 0)

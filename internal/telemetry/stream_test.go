@@ -158,7 +158,7 @@ func TestEnvDBBridgeDrains(t *testing.T) {
 	if bridge.Moved() != 18 {
 		t.Errorf("Moved = %d, want 18", bridge.Moved())
 	}
-	frames := st.Query(Query{Node: "R00-B0", Backend: EnvDBBackend, Domain: "input_power"})
+	frames := st.Query(Query{Node: "R00-B0", Backend: envDBBackend, Domain: "input_power"})
 	if len(frames) != 1 || len(frames[0].Points) != 9 {
 		t.Fatalf("frames = %+v", frames)
 	}

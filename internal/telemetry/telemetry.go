@@ -66,12 +66,12 @@ import (
 // values flow between the head, WAL, and block tiers without conversion.
 type SeriesKey = storage.SeriesKey
 
-// SplitSeriesName splits a MonEQ trace series name ("method/capability",
+// splitSeriesName splits a MonEQ trace series name ("method/capability",
 // e.g. "MICRAS daemon/Total Power") into backend and domain at the first
 // slash. A name without a slash becomes the domain of an empty backend.
 // Slashes after the first stay in the domain ("MSR/DDR/GDDR Temperature"
 // → backend "MSR", domain "DDR/GDDR Temperature").
-func SplitSeriesName(name string) (backend, domain string) {
+func splitSeriesName(name string) (backend, domain string) {
 	if i := strings.IndexByte(name, '/'); i >= 0 {
 		return name[:i], name[i+1:]
 	}

@@ -156,9 +156,9 @@ func TestSplitSeriesName(t *testing.T) {
 		{"bare", "", "bare"},
 	}
 	for _, c := range cases {
-		b, d := SplitSeriesName(c.name)
+		b, d := splitSeriesName(c.name)
 		if b != c.backend || d != c.domain {
-			t.Errorf("SplitSeriesName(%q) = (%q, %q), want (%q, %q)", c.name, b, d, c.backend, c.domain)
+			t.Errorf("splitSeriesName(%q) = (%q, %q), want (%q, %q)", c.name, b, d, c.backend, c.domain)
 		}
 	}
 }

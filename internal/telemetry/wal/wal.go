@@ -45,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -66,8 +65,6 @@ const (
 	recSample = 2
 	recGap    = 3
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WAL is one store's journal: a set of per-shard appenders under a common
 // root directory.
@@ -231,10 +228,10 @@ func (sh *Shard) AppendSeries(key storage.SeriesKey, unit string) (uint64, error
 	p := sh.begin()
 	p = append(p, recSeries)
 	p = binary.AppendUvarint(p, ref)
-	p = appendString(p, key.Node)
-	p = appendString(p, key.Backend)
-	p = appendString(p, key.Domain)
-	p = appendString(p, unit)
+	p = storage.AppendString(p, key.Node)
+	p = storage.AppendString(p, key.Backend)
+	p = storage.AppendString(p, key.Domain)
+	p = storage.AppendString(p, unit)
 	return ref, sh.commit(p)
 }
 
@@ -275,17 +272,12 @@ func (sh *Shard) commit(p []byte) error {
 	sh.buf = p[:0] // keep a grown buffer for reuse
 	payload := p[8:]
 	binary.LittleEndian.PutUint32(p[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(p[4:8], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(p[4:8], crc32.Checksum(payload, storage.Castagnoli))
 	if err := sh.seg.append(p); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	sh.appended += int64(len(p))
 	return nil
-}
-
-func appendString(p []byte, s string) []byte {
-	p = binary.AppendUvarint(p, uint64(len(s)))
-	return append(p, s...)
 }
 
 // Sample is one replayed sample record, resolved to its series.
@@ -385,7 +377,7 @@ func replayBytes(name string, data []byte, samples []Sample, gaps []Gap) ([]Samp
 			break // preallocated or torn tail
 		}
 		payload := data[off+8 : off+8+int(plen)]
-		if crc32.Checksum(payload, castagnoli) != sum {
+		if crc32.Checksum(payload, storage.Castagnoli) != sum {
 			break // corrupt tail
 		}
 		off += 8 + int(plen)
@@ -396,82 +388,43 @@ func replayBytes(name string, data []byte, samples []Sample, gaps []Gap) ([]Samp
 	return samples, gaps, nil
 }
 
+// decodeRecord decodes one checksummed payload; one too short for its
+// record type is io.ErrUnexpectedEOF (storage.Reader's error).
 func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps *[]Gap) error {
-	if len(p) == 0 {
-		return io.ErrUnexpectedEOF
+	r := storage.Reader{P: p}
+	typ, ref := r.Byte(), r.Uvarint()
+	if r.Err != nil {
+		return r.Err
 	}
-	typ, p := p[0], p[1:]
-	ref, n := binary.Uvarint(p)
-	if n <= 0 {
-		return io.ErrUnexpectedEOF
-	}
-	p = p[n:]
 	switch typ {
 	case recSeries:
 		var d seriesDecl
-		var err error
-		if d.key.Node, p, err = readString(p); err != nil {
-			return err
+		d.key.Node, d.key.Backend, d.key.Domain, d.unit = r.Str(), r.Str(), r.Str(), r.Str()
+		if r.Err == nil {
+			refs[ref] = d
 		}
-		if d.key.Backend, p, err = readString(p); err != nil {
-			return err
-		}
-		if d.key.Domain, p, err = readString(p); err != nil {
-			return err
-		}
-		if d.unit, _, err = readString(p); err != nil {
-			return err
-		}
-		refs[ref] = d
 	case recSample:
 		d, ok := refs[ref]
 		if !ok {
 			return fmt.Errorf("sample record references undeclared series %d", ref)
 		}
-		idx, n := binary.Uvarint(p)
-		if n <= 0 {
-			return io.ErrUnexpectedEOF
+		s := Sample{Key: d.key, Unit: d.unit, Index: r.Uvarint(), T: time.Duration(r.Varint()), V: r.Float64()}
+		if r.Err == nil {
+			*samples = append(*samples, s)
 		}
-		p = p[n:]
-		t, n := binary.Varint(p)
-		if n <= 0 {
-			return io.ErrUnexpectedEOF
-		}
-		p = p[n:]
-		if len(p) < 8 {
-			return io.ErrUnexpectedEOF
-		}
-		*samples = append(*samples, Sample{
-			Key: d.key, Unit: d.unit, Index: idx,
-			T: time.Duration(t), V: math.Float64frombits(binary.LittleEndian.Uint64(p)),
-		})
 	case recGap:
 		d, ok := refs[ref]
 		if !ok {
 			return fmt.Errorf("gap record references undeclared series %d", ref)
 		}
-		idx, n := binary.Uvarint(p)
-		if n <= 0 {
-			return io.ErrUnexpectedEOF
+		g := Gap{Key: d.key, Unit: d.unit, Index: r.Uvarint(), T: time.Duration(r.Varint())}
+		if r.Err == nil {
+			*gaps = append(*gaps, g)
 		}
-		p = p[n:]
-		t, n := binary.Varint(p)
-		if n <= 0 {
-			return io.ErrUnexpectedEOF
-		}
-		*gaps = append(*gaps, Gap{Key: d.key, Unit: d.unit, Index: idx, T: time.Duration(t)})
 	default:
 		return fmt.Errorf("unknown record type %d", typ)
 	}
-	return nil
-}
-
-func readString(p []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) < l {
-		return "", nil, io.ErrUnexpectedEOF
-	}
-	return string(p[n : n+int(l)]), p[n+int(l):], nil
+	return r.Err
 }
 
 // Reset deletes every segment under dir (all shard subdirectories). The

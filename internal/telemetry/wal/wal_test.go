@@ -672,6 +672,31 @@ func TestWindowGrowthFailure(t *testing.T) {
 // panic, must not read a frame past the bytes it was given, and must not
 // return a record from a frame that failed its checksum — checked against
 // a second, independent walk of the frames.
+// TestDecodeRecordTruncated: a payload that passes its checksum but stops
+// short of its record type's last field is io.ErrUnexpectedEOF, and
+// nothing of it is replayed.
+func TestDecodeRecordTruncated(t *testing.T) {
+	series := storage.AppendString(storage.AppendString(storage.AppendString(storage.AppendString(
+		[]byte{recSeries, 2}, testKey.Node), testKey.Backend), testKey.Domain), "W")
+	sample := append([]byte{recSample, 1, 3, 0x80, 0x01}, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)
+	gap := []byte{recGap, 1, 0, 0x80, 0x01}
+	for _, payload := range [][]byte{series, sample, gap} {
+		for n := 0; n <= len(payload); n++ {
+			refs := map[uint64]seriesDecl{1: {key: testKey, unit: "W"}}
+			var samples []Sample
+			var gaps []Gap
+			err := decodeRecord(payload[:n], refs, &samples, &gaps)
+			if n == len(payload) {
+				if err != nil || len(samples)+len(gaps)+len(refs) != 2 {
+					t.Errorf("whole record type %d: %v, %d samples, %d gaps, %d series", payload[0], err, len(samples), len(gaps), len(refs))
+				}
+			} else if !errors.Is(err, io.ErrUnexpectedEOF) || len(samples)+len(gaps)+len(refs) != 1 {
+				t.Errorf("record type %d cut at %d of %d: %v, %d samples, %d gaps, %d series", payload[0], n, len(payload), err, len(samples), len(gaps), len(refs))
+			}
+		}
+	}
+}
+
 func FuzzReplaySegment(f *testing.F) {
 	dir := f.TempDir()
 	w, err := Create(dir, 1)
