@@ -127,7 +127,7 @@ func BenchmarkScale_ClusterStep(b *testing.B) {
 			}
 			var buf []core.Reading
 			d.Clock(i).Every(mic.SMCUpdatePeriod, func(now time.Duration) {
-				readings, err := core.CollectInto(col, buf, now)
+				readings, err := col.CollectInto(buf, now)
 				if err != nil {
 					b.Error(err)
 				}
@@ -139,7 +139,7 @@ func BenchmarkScale_ClusterStep(b *testing.B) {
 			b.Run(fmt.Sprintf("nodes=%d/workers=%d", nodes, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d.Advance(250*time.Millisecond, workers)
+					d.AdvanceEpochs(d.Now()+250*time.Millisecond, 0, workers, nil)
 				}
 			})
 		}

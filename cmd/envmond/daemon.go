@@ -13,6 +13,7 @@ import (
 	chassis "envmon/internal/daemon" // renamed: this package's own type is called daemon
 	"envmon/internal/envdb"
 	"envmon/internal/faults"
+	"envmon/internal/moneq"
 	"envmon/internal/obs"
 	"envmon/internal/resilience"
 	"envmon/internal/telemetry"
@@ -69,9 +70,16 @@ type daemon struct {
 	cluster *cluster.Cluster
 	domains *cluster.Domains
 	work    workload.Workload
+	// nextCycle is the simulated instant at which the workload restarts.
+	nextCycle time.Duration
+	// job is the per-node MonEQ job whose sets the cursors drain.
+	job     *moneq.Job
 	cursors []*telemetry.SetCursor
 	bridge  *telemetry.EnvDBBridge
-	api     *httpapi.Server
+	// bridgeErr is the last bridge failure logged, so a stalled bridge
+	// says so once per distinct cause instead of once per barrier.
+	bridgeErr string
+	api       *httpapi.Server
 
 	// Self-observability: the daemon watches itself with the same care it
 	// watches the machine room. Always on — the registry costs nothing
@@ -123,7 +131,7 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 		base = faults.Decorate(base, plan)
 	}
 
-	d := &daemon{cfg: cfg, started: time.Now()}
+	d := &daemon{cfg: cfg, started: time.Now(), nextCycle: cfg.cycle}
 	d.reg = obs.NewRegistry()
 	d.tracer = obs.NewTracer(d.reg)
 	d.slow = obs.NewSlowLog(d.reg, cfg.slowOp, 256)
@@ -178,12 +186,12 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 		}
 		d.registerBreakerGauges()
 	}
-	job, err := d.domains.StartJob(jobCfg)
+	d.job, err = d.domains.StartJob(jobCfg)
 	if err != nil {
 		return nil, err
 	}
-	d.cursors = make([]*telemetry.SetCursor, len(job.Monitors()))
-	for i, m := range job.Monitors() {
+	d.cursors = make([]*telemetry.SetCursor, len(d.job.Monitors()))
+	for i, m := range d.job.Monitors() {
 		d.cursors[i] = telemetry.NewSetCursor(d.store, m.Node(), m.Set())
 		d.cursors[i].Offset = d.offset
 	}
@@ -202,6 +210,17 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 			return nil, err
 		}
 		d.bridge.Offset = d.offset
+		// A bridge stalled behind a rejecting store, or dropping records
+		// the store will never take, must be visible on a running daemon.
+		d.reg.CounterFunc("envmon_envdb_bridge_moved_total",
+			"Environmental-database records ingested into the store.",
+			func() float64 { return float64(d.bridge.Moved()) })
+		d.reg.CounterFunc("envmon_envdb_bridge_dropped_total",
+			"Environmental-database records the store rejected as out-of-order.",
+			func() float64 { return float64(d.bridge.Dropped()) })
+		d.reg.GaugeFunc("envmon_envdb_bridge_pending",
+			"Environmental-database records parked awaiting a healthy store.",
+			func() float64 { return float64(d.bridge.Pending()) })
 	}
 
 	// Daemon-level gauges: uptime feeds the ingest-rate estimate in
@@ -313,19 +332,18 @@ func (d *daemon) backendHealth() []httpapi.BackendHealth {
 
 // run serves and advances until ctx is cancelled, then shuts down: the
 // HTTP server drains, the advance loop parks, and a final cursor flush
-// moves every staged sample into the store so nothing collected is lost.
+// moves every sample still in a set into the store so nothing collected is
+// lost.
 func (d *daemon) run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Advance loop: every wall tick, step the domains one epoch and flush
-	// the per-node cursors at the barrier (domains parked, sets quiescent).
+	// Advance loop: every wall tick, step the domains one epoch.
 	advDone := make(chan struct{})
 	go func() {
 		defer close(advDone)
 		ticker := time.NewTicker(d.cfg.tick)
 		defer ticker.Stop()
-		nextCycle := d.cfg.cycle
 		for {
 			select {
 			case <-ctx.Done():
@@ -335,14 +353,7 @@ func (d *daemon) run(ctx context.Context) error {
 			if d.cfg.duration > 0 && d.domains.Now() >= d.cfg.duration {
 				continue // cap reached: keep serving, stop advancing
 			}
-			target := d.domains.Now() + d.cfg.epoch
-			d.domains.AdvanceEpochs(target, d.cfg.epoch, d.cfg.workers, func(now time.Duration) {
-				d.flush()
-				if now >= nextCycle {
-					d.cluster.Run(d.work, now, 50*time.Millisecond)
-					nextCycle = now + d.cfg.cycle
-				}
-			})
+			d.step()
 		}
 	}()
 
@@ -355,7 +366,7 @@ func (d *daemon) run(ctx context.Context) error {
 		<-advDone
 	})
 	// The loop is parked and no domain is advancing: one final flush
-	// drains everything the samplers staged since the last barrier.
+	// drains everything the samplers recorded since the last barrier.
 	d.flush()
 	if d.bridge != nil {
 		d.bridge.Stop()
@@ -371,12 +382,33 @@ func (d *daemon) run(ctx context.Context) error {
 	return err
 }
 
-// flush moves every cursor's backlog into the store. Call only with the
-// clock domains parked.
+// step advances the domains one epoch and, at the barrier (domains parked,
+// sets quiescent), flushes the per-node cursors and restarts the workload
+// when its cycle has run out.
+func (d *daemon) step() {
+	target := d.domains.Now() + d.cfg.epoch
+	d.domains.AdvanceEpochs(target, d.cfg.epoch, d.cfg.workers, func(now time.Duration) {
+		d.flush()
+		if now >= d.nextCycle {
+			d.cluster.Run(d.work, now, 50*time.Millisecond)
+			d.nextCycle = now + d.cfg.cycle
+		}
+	})
+}
+
+// flush moves every cursor's backlog into the store and reports a bridge
+// failure it has not reported yet. Call only with the clock domains parked.
 func (d *daemon) flush() {
 	for _, cur := range d.cursors {
 		if err := cur.Flush(); err != nil {
 			d.cfg.logf("envmond: %v", err)
 		}
+	}
+	if d.bridge == nil {
+		return
+	}
+	if err := d.bridge.Err(); err != nil && err.Error() != d.bridgeErr {
+		d.bridgeErr = err.Error()
+		d.cfg.logf("envmond: %v (%d parked, %d dropped)", err, d.bridge.Pending(), d.bridge.Dropped())
 	}
 }

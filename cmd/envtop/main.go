@@ -253,7 +253,7 @@ func main() {
 	// Prime every mechanism once: energy-counter backends (MSR) emit power
 	// only from the second read on.
 	for _, col := range cols {
-		if _, err := col.Collect(0); err != nil {
+		if _, err := col.CollectInto(nil, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "envtop:", err)
 			os.Exit(1)
 		}
@@ -263,7 +263,7 @@ func main() {
 		fmt.Printf("---- t = %v  (workload %s, phase %q) ----\n", now, w.Name(), w.PhaseAt(now))
 		var rows [][]string
 		for i, col := range cols {
-			rs, err := col.Collect(now)
+			rs, err := col.CollectInto(nil, now)
 			if err != nil {
 				rows = append(rows, []string{names[i], col.Method(), "-", err.Error()})
 				continue

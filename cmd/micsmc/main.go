@@ -77,7 +77,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "micsmc:", err)
 		os.Exit(1)
 	}
-	rs, err := cols[0].Collect(*at)
+	rs, err := cols[0].CollectInto(nil, *at)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "micsmc:", err)
 		os.Exit(1)

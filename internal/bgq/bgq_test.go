@@ -170,7 +170,7 @@ func TestEMONCollectorInterface(t *testing.T) {
 	if c.Cost() != EMONReadCost {
 		t.Errorf("Cost = %v, want %v", c.Cost(), EMONReadCost)
 	}
-	rs, err := c.Collect(time.Minute)
+	rs, err := c.CollectInto(nil, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEMONQueriesCounter(t *testing.T) {
 	m := testMachine()
 	e := m.NodeCards()[0].EMON()
 	e.ReadDomains(0)
-	if _, err := e.Collect(time.Second); err != nil {
+	if _, err := e.CollectInto(nil, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if e.Queries() != 2 {

@@ -66,13 +66,8 @@ func (e *EMON) Cost() time.Duration { return EMONReadCost }
 // every 560 ms — the "lowest polling interval possible" on BG/Q.
 func (e *EMON) MinInterval() time.Duration { return EMONGeneration }
 
-// Collect implements core.Collector: per-domain power, voltage, and
-// current, plus the node-card total.
-func (e *EMON) Collect(now time.Duration) ([]core.Reading, error) {
-	return e.CollectInto(make([]core.Reading, 0, 3*NumDomains+1), now)
-}
-
-// CollectInto implements core.BatchCollector. The domain loop runs inline
+// CollectInto implements core.Collector: per-domain power, voltage, and
+// current, plus the node-card total. The domain loop runs inline
 // against the card rather than through ReadDomains, so the poll path builds
 // no intermediate EMONReading slice.
 func (e *EMON) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {

@@ -129,13 +129,6 @@ func (n *Node) AttachPhi(card *mic.Card) error {
 // Devices exposes the node's generic backend attachments.
 func (n *Node) Devices() *core.DeviceSet { return &n.devices }
 
-// Collectors builds one collector per backend attachment via reg, in
-// attach order. Note that building the MICRAS attachment opens a daemon
-// session (the card stays daemon-busy until that collector is closed).
-func (n *Node) Collectors(reg *core.Registry) ([]core.Collector, error) {
-	return n.devices.Collectors(reg)
-}
-
 // Run assigns a workload to every device on the node starting at the given
 // simulated time. Each device interprets the activity through its own
 // lens: sockets take the host-side components, accelerators the

@@ -150,7 +150,7 @@ func TestPerNodeCollectionStacksWork(t *testing.T) {
 	c.Run(workload.NoopKernel(time.Minute), 0, 0)
 	for _, n := range c.Nodes {
 		col := mic.NewInBandCollector(n.PhiNet, n.PhiSysMgmt)
-		rs, err := col.Collect(10 * time.Second)
+		rs, err := col.CollectInto(nil, 10*time.Second)
 		if err != nil {
 			t.Fatalf("%s in-band: %v", n.Name, err)
 		}
@@ -183,7 +183,7 @@ func TestNodeCollectorsViaRegistry(t *testing.T) {
 	}
 	n := c.Nodes[0]
 	c.Run(workload.NoopKernel(time.Minute), 0, 0)
-	cols, err := n.Collectors(core.DefaultRegistry)
+	cols, err := n.Devices().Collectors(core.DefaultRegistry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestNodeCollectorsViaRegistry(t *testing.T) {
 		}
 	}
 	for _, col := range cols {
-		if _, err := col.Collect(10 * time.Second); err != nil {
+		if _, err := col.CollectInto(nil, 10*time.Second); err != nil {
 			t.Errorf("%s collect: %v", col.Method(), err)
 		}
 	}

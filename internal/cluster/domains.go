@@ -47,9 +47,6 @@ func (c *Cluster) Domains(shards int) *Domains {
 // Shards reports the number of clock domains.
 func (d *Domains) Shards() int { return d.group.Len() }
 
-// Group exposes the underlying clock-domain group.
-func (d *Domains) Group() *simclock.Group { return d.group }
-
 // Clock returns the clock domain that drives node i — the clock every one
 // of that node's timers must be scheduled on.
 func (d *Domains) Clock(node int) core.Clock { return d.group.Clock(d.shard[node]) }
@@ -58,20 +55,10 @@ func (d *Domains) Clock(node int) core.Clock { return d.group.Clock(d.shard[node
 // domain sits at the same instant and Now is that instant.
 func (d *Domains) Now() time.Duration { return d.group.Now() }
 
-// AdvanceTo steps every domain to the absolute time target on a pool of
-// the given size (<= 0 selects one worker per host core; 1 is serial).
-func (d *Domains) AdvanceTo(target time.Duration, workers int) {
-	d.group.AdvanceTo(target, workers)
-}
-
-// Advance steps every domain forward by dur from the trailing edge.
-func (d *Domains) Advance(dur time.Duration, workers int) {
-	d.group.Advance(dur, workers)
-}
-
-// AdvanceEpochs steps every domain to target in lock-step epochs, running
-// atBarrier (if non-nil) single-threaded at each boundary with all domains
-// parked — the place for cross-node aggregation.
+// AdvanceEpochs steps every domain to target in lock-step epochs on a pool
+// of the given size (<= 0 selects one worker per host core; 1 is serial),
+// running atBarrier (if non-nil) single-threaded at each boundary with all
+// domains parked — the place for cross-node aggregation.
 func (d *Domains) AdvanceEpochs(target, epoch time.Duration, workers int, atBarrier func(now time.Duration)) {
 	d.group.AdvanceEpochs(target, epoch, workers, atBarrier)
 }
@@ -96,13 +83,10 @@ type DomainJobConfig struct {
 	// FinalizeAll — how a job streams into the telemetry store.
 	Sinks func(node int) []moneq.Sink
 	// Resilience, when non-nil, wraps every collector in a retry + circuit
-	// breaker chain with this policy and folds chain fallbacks (see Chains)
-	// behind their primaries, so a backend fault degrades collection
-	// instead of erroring every poll.
+	// breaker chain with this policy and folds chain fallbacks (see
+	// DefaultChains) behind their primaries, so a backend fault degrades
+	// collection instead of erroring every poll.
 	Resilience *resilience.Policy
-	// Chains overrides the fallback topology used when Resilience is set;
-	// nil selects DefaultChains.
-	Chains []ChainSpec
 	// OnResilience, when non-nil, receives each node's assembled chains —
 	// the hook a daemon uses to surface breaker state on /healthz. Called
 	// once per node during StartJob, before any polling.
@@ -123,10 +107,7 @@ func (d *Domains) StartJob(cfg DomainJobConfig) (*moneq.Job, error) {
 	if numTasks <= 0 {
 		numTasks = len(d.cluster.Nodes)
 	}
-	chains := cfg.Chains
-	if chains == nil {
-		chains = DefaultChains()
-	}
+	chains := DefaultChains()
 	specs := make([]moneq.NodeSpec, 0, len(d.cluster.Nodes))
 	for i, n := range d.cluster.Nodes {
 		var cols []core.Collector

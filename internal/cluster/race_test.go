@@ -29,7 +29,7 @@ func TestConcurrentNodeCollection(t *testing.T) {
 			col := micras.NewCollector(n.PhiFS)
 			defer col.Close()
 			for ts := time.Second; ts < 60*time.Second; ts += 500 * time.Millisecond {
-				if _, err := col.Collect(ts); err != nil {
+				if _, err := col.CollectInto(nil, ts); err != nil {
 					errs <- err
 					return
 				}

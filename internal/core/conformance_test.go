@@ -148,7 +148,7 @@ func TestCollectIntoErrorPathConformance(t *testing.T) {
 			buf := make([]core.Reading, 0, 64)
 			var err error
 			for _, at := range tc.okPolls {
-				if buf, err = core.CollectInto(col, buf, at); err != nil {
+				if buf, err = col.CollectInto(buf, at); err != nil {
 					t.Fatalf("healthy poll at %v: %v", at, err)
 				}
 			}
@@ -166,7 +166,7 @@ func TestCollectIntoErrorPathConformance(t *testing.T) {
 			baseline := len(buf)
 
 			fault()
-			got, err := core.CollectInto(col, buf, tc.failT)
+			got, err := col.CollectInto(buf, tc.failT)
 			if err == nil {
 				t.Fatal("poll with the fault active did not error")
 			}
@@ -182,7 +182,7 @@ func TestCollectIntoErrorPathConformance(t *testing.T) {
 			}
 			heal()
 			for _, at := range tc.healPolls {
-				if got, err = core.CollectInto(col, got, at); err != nil {
+				if got, err = col.CollectInto(got, at); err != nil {
 					t.Fatalf("post-heal poll at %v: %v", at, err)
 				}
 			}
@@ -206,7 +206,7 @@ func TestInjectedTransientIsUniformAcrossBackends(t *testing.T) {
 			col, _, _ := tc.build(t)
 			inj := faults.Wrap(col, faults.Plan{Seed: 1, Transient: 1}, tc.key.String()+"#conf", 0)
 			buf := make([]core.Reading, 0, 64)
-			got, err := core.CollectInto(inj, buf, tc.okPolls[0])
+			got, err := inj.CollectInto(buf, tc.okPolls[0])
 			if !errors.Is(err, faults.ErrTransient) {
 				t.Fatalf("err = %v, want ErrTransient", err)
 			}

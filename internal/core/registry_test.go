@@ -20,22 +20,7 @@ func (f *fakeCollector) Method() string             { return f.method }
 func (f *fakeCollector) Cost() time.Duration        { return time.Microsecond }
 func (f *fakeCollector) MinInterval() time.Duration { return 10 * time.Millisecond }
 
-func (f *fakeCollector) Collect(now time.Duration) ([]Reading, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	out := make([]Reading, len(f.readings))
-	copy(out, f.readings)
-	for i := range out {
-		out[i].Time = now
-	}
-	return out, nil
-}
-
-// fakeBatch additionally implements BatchCollector.
-type fakeBatch struct{ fakeCollector }
-
-func (f *fakeBatch) CollectInto(buf []Reading, now time.Duration) ([]Reading, error) {
+func (f *fakeCollector) CollectInto(buf []Reading, now time.Duration) ([]Reading, error) {
 	buf = buf[:0]
 	if f.err != nil {
 		return buf, f.err
@@ -161,43 +146,5 @@ func TestDeviceSetCollectors(t *testing.T) {
 	set.Attach(BackendKey{Platform: NVML, Method: "missing"}, nil)
 	if _, err := set.Collectors(reg); !errors.Is(err, ErrUnknownBackend) {
 		t.Errorf("Collectors with unknown backend = %v", err)
-	}
-}
-
-func TestCollectIntoFallback(t *testing.T) {
-	readings := []Reading{
-		{Cap: Capability{Component: Total, Metric: Power}, Value: 100, Unit: "W"},
-		{Cap: Capability{Component: Die, Metric: Temperature}, Value: 60, Unit: "degC"},
-	}
-
-	// Non-batch collector: fallback copies into buf.
-	plain := &fakeCollector{platform: RAPL, method: "plain", readings: readings}
-	buf := make([]Reading, 0, 8)
-	got, err := CollectInto(plain, buf, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Value != 100 || got[1].Time != time.Second {
-		t.Errorf("fallback got %+v", got)
-	}
-	if cap(got) != cap(buf) {
-		t.Errorf("fallback did not reuse buffer capacity: %d vs %d", cap(got), cap(buf))
-	}
-
-	// Batch collector: direct path.
-	batch := &fakeBatch{fakeCollector{platform: RAPL, method: "batch", readings: readings}}
-	got, err = CollectInto(batch, got, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].Time != 2*time.Second {
-		t.Errorf("batch got %+v", got)
-	}
-
-	// Error path returns an empty, reusable slice.
-	batch.err = errors.New("boom")
-	got, err = CollectInto(batch, got, 3*time.Second)
-	if err == nil || len(got) != 0 {
-		t.Errorf("error path: got %v, err %v", got, err)
 	}
 }

@@ -108,12 +108,7 @@ var backfillSensors = []backfillSensor{
 	{"service_card_voltage", core.Capability{Component: core.Board, Metric: core.Voltage}},
 }
 
-// Collect implements core.Collector.
-func (b *Backfill) Collect(now time.Duration) ([]core.Reading, error) {
-	return b.CollectInto(make([]core.Reading, 0, len(backfillSensors)), now)
-}
-
-// CollectInto implements core.BatchCollector: one database query per poll,
+// CollectInto implements core.Collector: one database query per poll,
 // reduced to the newest record per mappable sensor. An empty window is an
 // error — "the database has nothing recent" must look like a failed read to
 // the resilience layer, not like a reading of zero.

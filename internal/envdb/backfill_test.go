@@ -20,7 +20,7 @@ func TestBackfillServesNewestPerSensor(t *testing.T) {
 	db.Insert(Record{Time: 120 * time.Second, Location: loc, Sensor: "coolant_flow", Value: 95, Unit: "gpm"})
 
 	b := NewBackfill(db, loc)
-	rs, err := b.Collect(130 * time.Second)
+	rs, err := b.CollectInto(nil, 130*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestBackfillEmptyWindowIsAnError(t *testing.T) {
 	db.Insert(Record{Time: time.Second, Location: loc, Sensor: "output_power", Value: 1800, Unit: "W"})
 	b := NewBackfill(db, loc)
 	b.SetWindow(time.Minute)
-	rs, err := b.Collect(time.Hour) // record is far outside the window
+	rs, err := b.CollectInto(nil, time.Hour) // record is far outside the window
 	if err == nil {
 		t.Fatal("stale database accepted; must error so the chain sees a failed read, not zero power")
 	}
 	if len(rs) != 0 {
 		t.Errorf("readings = %+v alongside the error", rs)
 	}
-	if _, err := b.Collect(time.Minute + time.Second); err != nil {
+	if _, err := b.CollectInto(nil, time.Minute+time.Second); err != nil {
 		t.Errorf("record inside the window: %v", err)
 	}
 }

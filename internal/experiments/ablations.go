@@ -38,11 +38,11 @@ func runAblationMSRvsPerf(seed uint64) Result {
 	// Both paths must report the same power over a common window.
 	var msrPower, perfPower float64
 	for _, ts := range []time.Duration{10 * time.Second, 40 * time.Second} {
-		rsM, err := msrCol.Collect(ts)
+		rsM, err := msrCol.CollectInto(nil, ts)
 		if err != nil {
 			panic(err)
 		}
-		rsP, err := perf.Collect(ts)
+		rsP, err := perf.CollectInto(nil, ts)
 		if err != nil {
 			panic(err)
 		}
@@ -93,7 +93,7 @@ func runAblationWrap(seed uint64) Result {
 		var joules float64
 		var span time.Duration
 		for ts := time.Duration(0); ts <= horizon; ts += iv {
-			rs, err := col.Collect(ts)
+			rs, err := col.CollectInto(nil, ts)
 			if err != nil {
 				panic(err)
 			}
@@ -142,7 +142,7 @@ func runAblationBatch(seed uint64) Result {
 			mic.InBandTarget{Net: net, Svc: svc}).(*mic.InBandCollector)
 		now := 10 * time.Second
 		for i := 0; i < calls; i++ {
-			if _, err := col.Collect(now); err != nil {
+			if _, err := col.CollectInto(nil, now); err != nil {
 				panic(err)
 			}
 			latency += col.LastDone() - now

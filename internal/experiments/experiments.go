@@ -126,12 +126,3 @@ func Run(id string, seed uint64) (Result, error) {
 	}
 	return e.Run(seed), nil
 }
-
-// All runs every registered experiment.
-func All(seed uint64) []Result {
-	out := make([]Result, 0, len(registry))
-	for _, id := range IDs() {
-		out = append(out, registry[id].Run(seed))
-	}
-	return out
-}

@@ -350,7 +350,7 @@ func runFig6(seed uint64) Result {
 	inband := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
 		mic.InBandTarget{Net: net, Svc: svc}).(*mic.InBandCollector)
 	start := 10 * time.Second
-	if _, err := inband.Collect(start); err != nil {
+	if _, err := inband.CollectInto(nil, start); err != nil {
 		panic(err)
 	}
 	inbandRT := inband.LastDone() - start
@@ -362,7 +362,7 @@ func runFig6(seed uint64) Result {
 	oob := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SMC/IPMB out-of-band"},
 		mic.OOBTarget{BMC: ipmb.NewBMC(bus), SMCAddr: smc.SlaveAddr()}).(*mic.OOBCollector)
 	start = 11 * time.Second
-	if _, err := oob.Collect(start); err != nil {
+	if _, err := oob.CollectInto(nil, start); err != nil {
 		panic(err)
 	}
 	oobRT := oob.LastDone() - start
@@ -370,7 +370,7 @@ func runFig6(seed uint64) Result {
 	// (3) MICRAS daemon: on-card pseudo-file read
 	daemon := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, card).(*micras.Collector)
 	defer daemon.Close()
-	if _, err := daemon.Collect(12 * time.Second); err != nil {
+	if _, err := daemon.CollectInto(nil, 12*time.Second); err != nil {
 		panic(err)
 	}
 	daemonRT := daemon.Cost()
@@ -427,7 +427,7 @@ func Fig7Samples(seed uint64) (api, daemon []float64) {
 	colA := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
 		mic.InBandTarget{Net: netA, Svc: svcA})
 	for ts := start; ts < end; ts += pollEvery {
-		rs, err := colA.Collect(ts)
+		rs, err := colA.CollectInto(nil, ts)
 		if err != nil {
 			panic(err)
 		}
@@ -439,7 +439,7 @@ func Fig7Samples(seed uint64) (api, daemon []float64) {
 	colD := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, cardD).(*micras.Collector)
 	defer colD.Close()
 	for ts := start; ts < end; ts += pollEvery {
-		rs, err := colD.Collect(ts)
+		rs, err := colD.CollectInto(nil, ts)
 		if err != nil {
 			panic(err)
 		}

@@ -222,7 +222,7 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	inband := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
 		mic.InBandTarget{Net: net, Svc: svc}).(*mic.InBandCollector)
 	start := time.Second
-	if _, err := inband.Collect(start); err != nil {
+	if _, err := inband.CollectInto(nil, start); err != nil {
 		panic(err)
 	}
 	addRow(inband, inband.LastDone()-start, "14.2 ms")
@@ -239,7 +239,7 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	oob := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SMC/IPMB out-of-band"},
 		mic.OOBTarget{BMC: ipmb.NewBMC(bus), SMCAddr: smc.SlaveAddr()}).(*mic.OOBCollector)
 	start = 2 * time.Second
-	if _, err := oob.Collect(start); err != nil {
+	if _, err := oob.CollectInto(nil, start); err != nil {
 		panic(err)
 	}
 	addRow(oob, oob.LastDone()-start, "(not measured in paper)")

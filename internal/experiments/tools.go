@@ -44,7 +44,7 @@ func runTable5Tools(seed uint64) Result {
 	machine := bgq.New(bgq.Config{Name: "t5", Racks: 1, Seed: seed})
 	emon := mustBuild(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, machine.NodeCards()[0])
 	emonOK := false
-	if rs, err := emon.Collect(time.Second); err == nil && len(rs) > 0 {
+	if rs, err := emon.CollectInto(nil, time.Second); err == nil && len(rs) > 0 {
 		emonOK = true
 	}
 

@@ -123,7 +123,7 @@ type Counters struct {
 }
 
 // Injector wraps a collector with a fault plan. It implements
-// core.Collector and core.BatchCollector and is driven from the wrapped
+// core.Collector and is driven from the wrapped
 // collector's clock domain, so it needs no locking.
 type Injector struct {
 	col      core.Collector
@@ -167,11 +167,6 @@ func (j *Injector) MinInterval() time.Duration { return j.col.MinInterval() }
 // base query time — a timeout is not free.
 func (j *Injector) Cost() time.Duration { return j.lastCost }
 
-// Collect implements core.Collector.
-func (j *Injector) Collect(now time.Duration) ([]core.Reading, error) {
-	return j.CollectInto(nil, now)
-}
-
 // lost reports whether a loss window covers now for this instance.
 func (j *Injector) lost(now time.Duration) bool {
 	for _, l := range j.plan.Lose {
@@ -182,7 +177,7 @@ func (j *Injector) lost(now time.Duration) bool {
 	return false
 }
 
-// CollectInto implements core.BatchCollector. Fault checks run in a fixed
+// CollectInto implements core.Collector. Fault checks run in a fixed
 // order — loss, flap, stuck, transient, spike — so the draw stream is
 // consumed identically on every replay.
 func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
@@ -219,7 +214,7 @@ func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Re
 		}
 		j.stuckUntil = now + dur
 	}
-	readings, err := core.CollectInto(j.col, buf, now)
+	readings, err := j.col.CollectInto(buf, now)
 	if err == nil {
 		j.cache = append(j.cache[:0], readings...)
 	}

@@ -22,10 +22,6 @@ func (f *fakeCollector) Platform() core.Platform    { return f.platform }
 func (f *fakeCollector) Method() string             { return f.method }
 func (f *fakeCollector) Cost() time.Duration        { return f.cost }
 func (f *fakeCollector) MinInterval() time.Duration { return 100 * time.Millisecond }
-func (f *fakeCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return f.CollectInto(nil, now)
-}
-
 func (f *fakeCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	f.polls++
 	return append(buf[:0], core.Reading{

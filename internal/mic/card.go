@@ -172,11 +172,19 @@ func (c *Card) SetDaemonBusy(busy bool) {
 }
 
 // recordWake logs an in-band collection window (called by the SysMgmt
-// service handler).
+// service handler). The SMC walks its sampling grid forward only, so a
+// window that ended before the cell it evaluates next can never overlap
+// again; those are cut off the front (in place), so a card polled for as
+// long as a daemon runs holds a handful of windows, not one per poll.
 func (c *Card) recordWake(start, end time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wakes = append(c.wakes, wakeWindow{start, end})
+	cutoff := time.Duration(c.smcCell-1) * SMCUpdatePeriod
+	done := 0
+	for done < len(c.wakes) && c.wakes[done].end <= cutoff {
+		done++
+	}
+	c.wakes = append(c.wakes[:copy(c.wakes, c.wakes[done:])], wakeWindow{start, end})
 }
 
 // wakeOverlap reports how much of [a, b) overlaps in-band collection

@@ -79,12 +79,8 @@ func (c *InBandCollector) Queries() int { return c.queries }
 // caller should advance its clock to at least this point.
 func (c *InBandCollector) LastDone() time.Duration { return c.lastDone }
 
-// Collect implements core.Collector via a full SCIF RPC round trip.
-func (c *InBandCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector. The SCIF transport itself
+// CollectInto implements core.Collector via a full SCIF RPC round trip.
+// The SCIF transport itself
 // allocates response frames; the reading conversion is allocation-free.
 func (c *InBandCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	c.queries++
@@ -167,12 +163,8 @@ func (c *OOBCollector) Queries() int { return c.queries }
 // LastDone reports the completion time of the most recent transaction.
 func (c *OOBCollector) LastDone() time.Duration { return c.lastDone }
 
-// Collect implements core.Collector with a single snapshot transaction.
-func (c *OOBCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector.
+// CollectInto implements core.Collector with a single snapshot
+// transaction.
 func (c *OOBCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	c.queries++
 	data, done, err := c.bmc.Query(now, c.addr, ipmb.NetFnOEM, CmdGetSnapshot, nil)

@@ -121,7 +121,7 @@ func TestOOBPowerMilliwattsErrorPaths(t *testing.T) {
 	if _, _, err := col.PowerMilliwatts(0); err == nil {
 		t.Error("PowerMilliwatts with no responder succeeded")
 	}
-	if _, err := col.Collect(0); err == nil {
+	if _, err := col.CollectInto(nil, 0); err == nil {
 		t.Error("Collect with no responder succeeded")
 	}
 	// an SMC that rejects the command: attach a card SMC but query a bogus
@@ -131,7 +131,7 @@ func TestOOBPowerMilliwattsErrorPaths(t *testing.T) {
 	smc := card.SMC(0)
 	bus.Attach(smc)
 	col2 := NewOOBCollector(ipmb.NewBMC(bus), smc.SlaveAddr())
-	if _, err := col2.Collect(time.Second); err != nil {
+	if _, err := col2.CollectInto(nil, time.Second); err != nil {
 		t.Fatalf("healthy collect failed: %v", err)
 	}
 }
@@ -148,7 +148,7 @@ func TestInBandCollectBadService(t *testing.T) {
 	}
 	svc.svc = raw
 	col := NewInBandCollector(net, svc)
-	if _, err := col.Collect(time.Second); err == nil || !strings.Contains(err.Error(), "snapshot") {
+	if _, err := col.CollectInto(nil, time.Second); err == nil || !strings.Contains(err.Error(), "snapshot") {
 		t.Errorf("short snapshot err = %v", err)
 	}
 }

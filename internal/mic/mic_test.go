@@ -112,7 +112,7 @@ func TestInBandPathEndToEnd(t *testing.T) {
 	if col.Platform() != core.XeonPhi || col.Method() != "SysMgmt API" {
 		t.Error("collector identity wrong")
 	}
-	rs, err := col.Collect(10 * time.Second)
+	rs, err := col.CollectInto(nil, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestInBandRaisesPowerOverDaemon(t *testing.T) {
 	colA := NewInBandCollector(netA, svcA)
 	var apiW []float64
 	for ts := start; ts < end; ts += pollEvery {
-		rs, err := colA.Collect(ts)
+		rs, err := colA.CollectInto(nil, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestOutOfBandPathEndToEnd(t *testing.T) {
 	bmc := ipmb.NewBMC(bus)
 	col := NewOOBCollector(bmc, smc.SlaveAddr())
 
-	rs, err := col.Collect(10 * time.Second)
+	rs, err := col.CollectInto(nil, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestOutOfBandDoesNotDisturbCard(t *testing.T) {
 	}
 	cPolled, colPolled := mk()
 	for ts := time.Second; ts < 30*time.Second; ts += 50 * time.Millisecond {
-		if _, err := colPolled.Collect(ts); err != nil {
+		if _, err := colPolled.CollectInto(nil, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,6 +349,24 @@ func TestWakeOverlapHelper(t *testing.T) {
 		if got := c.wakeOverlap(tc.a, tc.b); got != tc.want {
 			t.Errorf("wakeOverlap(%v,%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestWakeLogStaysBounded: the SMC consults a wake window only while its
+// sampling grid is still behind the window's end, so a card polled in-band
+// for as long as a daemon runs keeps the windows of the cells not yet
+// evaluated — not one per poll since boot.
+func TestWakeLogStaysBounded(t *testing.T) {
+	c := newCard()
+	c.Run(workload.NoopKernel(time.Hour), 0)
+	for ts := time.Duration(0); ts < 10*time.Minute; ts += SMCUpdatePeriod {
+		c.recordWake(ts, ts+InBandQueryCost)
+		c.TotalPower(ts + InBandQueryCost)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.wakes); n > 4 {
+		t.Errorf("card holds %d wake windows after 12000 polls, want a handful", n)
 	}
 }
 

@@ -168,13 +168,8 @@ func (c *Collector) MinInterval() time.Duration { return mic.SMCUpdatePeriod }
 // Queries reports how many Collect calls have been made.
 func (c *Collector) Queries() int { return c.queries }
 
-// Collect implements core.Collector by reading and parsing the power,
-// temp, mem, and fan pseudo-files.
-func (c *Collector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector. Unlike the register-read
+// CollectInto implements core.Collector by reading and parsing the power,
+// temp, mem, and fan pseudo-files. Unlike the register-read
 // paths, the daemon path renders and parses text per poll, so the file and
 // map allocations remain; only the reading slice is reused.
 func (c *Collector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {

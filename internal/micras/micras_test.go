@@ -128,7 +128,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if col.Cost() != mic.DaemonQueryCost {
 		t.Errorf("Cost = %v", col.Cost())
 	}
-	rs, err := col.Collect(10 * time.Second)
+	rs, err := col.CollectInto(nil, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCollectorClosedRejects(t *testing.T) {
 	fs := newFS()
 	col := NewCollector(fs)
 	col.Close()
-	if _, err := col.Collect(0); err == nil {
+	if _, err := col.CollectInto(nil, 0); err == nil {
 		t.Fatal("closed collector collected")
 	}
 	col.Close() // double close is harmless
@@ -190,7 +190,7 @@ func BenchmarkDaemonCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := col.Collect(time.Duration(i) * time.Millisecond); err != nil {
+		if _, err := col.CollectInto(nil, time.Duration(i)*time.Millisecond); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,12 +119,12 @@ type deadCollector struct {
 	failFrom int
 }
 
-func (d *deadCollector) Collect(now time.Duration) ([]core.Reading, error) {
+func (d *deadCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	d.calls++
 	if d.calls >= d.failFrom {
-		return nil, errors.New("device fell off the bus")
+		return buf[:0], errors.New("device fell off the bus")
 	}
-	return []core.Reading{{Cap: powerCap, Value: 1, Unit: "W", Time: now}}, nil
+	return append(buf[:0], core.Reading{Cap: powerCap, Value: 1, Unit: "W", Time: now}), nil
 }
 
 func TestFailingBackendDegradesGracefully(t *testing.T) {

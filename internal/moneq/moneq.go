@@ -133,54 +133,23 @@ type Monitor struct {
 	sinks     []Sink
 	startedAt time.Duration
 	initCost  time.Duration
-	sharded   bool
 	finalized bool
-}
-
-// DomainCollector binds a collector to the clock domain that drives its
-// polling timer in a sharded session. A nil Clock inherits Config.Clock.
-type DomainCollector struct {
-	Clock     core.Clock
-	Collector core.Collector
 }
 
 // Initialize sets up data structures, registers the polling timers, and
 // returns the live monitor (MonEQ_Initialize). At least one collector is
 // required. Every collector polls on Config.Clock and records straight into
-// the store — the single-clock fast path.
+// the store; a cluster gets its parallelism from giving each node's monitor
+// its own clock domain, not from splitting one monitor across domains.
 func Initialize(cfg Config, collectors ...core.Collector) (*Monitor, error) {
-	dcs := make([]DomainCollector, len(collectors))
-	for i, c := range collectors {
-		dcs[i] = DomainCollector{Collector: c}
-	}
-	return initialize(cfg, dcs, false)
-}
-
-// InitializeSharded is Initialize for a monitor whose collectors live on
-// different clock domains (a simclock.Group advanced in parallel). Each
-// sampler polls on its own domain's clock and stages readings locally;
-// Merge — typically called from the group's epoch barrier, and always from
-// Finalize — folds the staged samples into the shared store in timestamp
-// order with sampler registration order breaking ties, so output is
-// identical at any worker count.
-//
-// Collectors on one sharded monitor should not share a (method, capability)
-// series unless their domains advance in lock-step epochs no longer than
-// the polling interval; otherwise a merge could observe interleaved
-// timestamps out of order.
-func InitializeSharded(cfg Config, collectors ...DomainCollector) (*Monitor, error) {
-	return initialize(cfg, collectors, true)
-}
-
-func initialize(cfg Config, collectors []DomainCollector, sharded bool) (*Monitor, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("moneq: Config.Clock is required")
 	}
 	if len(collectors) == 0 {
 		return nil, fmt.Errorf("moneq: at least one collector is required")
 	}
-	for i, dc := range collectors {
-		if dc.Collector == nil {
+	for i, c := range collectors {
+		if c == nil {
 			return nil, fmt.Errorf("moneq: collector %d is nil", i)
 		}
 	}
@@ -191,8 +160,8 @@ func initialize(cfg Config, collectors []DomainCollector, sharded bool) (*Monito
 	// satisfy every collector. fastest is the default-mode session
 	// interval reported by Interval().
 	var hwMin, fastest time.Duration
-	for _, dc := range collectors {
-		mi := dc.Collector.MinInterval()
+	for _, c := range collectors {
+		mi := c.MinInterval()
 		if mi > hwMin {
 			hwMin = mi
 		}
@@ -216,7 +185,6 @@ func initialize(cfg Config, collectors []DomainCollector, sharded bool) (*Monito
 		store:     newStore(cfg.PreallocPolls),
 		startedAt: cfg.Clock.Now(),
 		initCost:  initCostModel(cfg.NumTasks, len(collectors)),
-		sharded:   sharded,
 	}
 	if cfg.Output != nil {
 		m.sinks = append(m.sinks, CSVSink{W: cfg.Output})
@@ -228,12 +196,7 @@ func initialize(cfg Config, collectors []DomainCollector, sharded bool) (*Monito
 	meta["rank"] = strconv.Itoa(cfg.Rank)
 	meta["ntasks"] = strconv.Itoa(cfg.NumTasks)
 	meta["interval"] = interval.String()
-	for _, dc := range collectors {
-		c := dc.Collector
-		clk := dc.Clock
-		if clk == nil {
-			clk = cfg.Clock
-		}
+	for _, c := range collectors {
 		per := interval
 		if cfg.Interval == 0 {
 			if mi := c.MinInterval(); mi > 0 {
@@ -246,11 +209,10 @@ func initialize(cfg Config, collectors []DomainCollector, sharded bool) (*Monito
 			method:   c.Method(),
 			interval: per,
 			errKey:   "error/" + c.Method(),
-			sharded:  sharded,
 		}
 		meta["collector/"+s.method] = c.Platform().String()
 		meta["interval/"+s.method] = per.String()
-		s.timer = clk.Every(per, s.poll)
+		s.timer = cfg.Clock.Every(per, s.poll)
 		m.samplers = append(m.samplers, s)
 	}
 	return m, nil
@@ -279,7 +241,8 @@ func (m *Monitor) EndTag(name string) error {
 }
 
 // Set exposes the collected data (valid after Finalize; during the run it
-// reflects progress so far).
+// reflects progress so far — less whatever a streaming consumer such as
+// telemetry.SetCursor has already taken off it).
 func (m *Monitor) Set() *trace.Set { return m.store.set }
 
 // Series returns the recorded series for a collector method and
@@ -303,7 +266,6 @@ func (m *Monitor) Finalize() (Report, error) {
 	for _, s := range m.samplers {
 		s.timer.Stop()
 	}
-	m.Merge()
 	r := m.buildReport()
 	var firstErr error
 	for _, sink := range m.sinks {

@@ -31,15 +31,15 @@ func (f *fakeCollector) Platform() core.Platform    { return core.RAPL }
 func (f *fakeCollector) Method() string             { return f.method }
 func (f *fakeCollector) Cost() time.Duration        { return f.cost }
 func (f *fakeCollector) MinInterval() time.Duration { return f.min }
-func (f *fakeCollector) Collect(now time.Duration) ([]core.Reading, error) {
+func (f *fakeCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	f.calls++
 	if f.failAt != 0 && f.calls == f.failAt {
-		return nil, errors.New("synthetic backend failure")
+		return buf[:0], errors.New("synthetic backend failure")
 	}
-	return []core.Reading{{
+	return append(buf[:0], core.Reading{
 		Cap:   core.Capability{Component: core.Total, Metric: core.Power},
 		Value: float64(f.calls), Unit: "W", Time: now,
-	}}, nil
+	}), nil
 }
 
 func newFake() *fakeCollector {
@@ -56,6 +56,9 @@ func TestInitializeValidation(t *testing.T) {
 	}
 	if _, err := Initialize(Config{Clock: clock, Interval: time.Millisecond}, newFake()); err == nil {
 		t.Error("interval below hardware minimum accepted")
+	}
+	if _, err := Initialize(Config{Clock: clock}, newFake(), nil); err == nil {
+		t.Error("nil collector accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package moneq
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -24,15 +23,15 @@ type scriptedCollector struct {
 	failures map[int]string // call number -> error message
 }
 
-func (s *scriptedCollector) Collect(now time.Duration) ([]core.Reading, error) {
+func (s *scriptedCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	s.calls++
 	if msg, ok := s.failures[s.calls]; ok {
-		return nil, errors.New(msg)
+		return buf[:0], errors.New(msg)
 	}
-	return []core.Reading{{
+	return append(buf[:0], core.Reading{
 		Cap:   core.Capability{Component: core.Total, Metric: core.Power},
 		Value: float64(s.calls), Unit: "W", Time: now,
-	}}, nil
+	}), nil
 }
 
 func TestFirstErrorPreservedAlongsideLast(t *testing.T) {
@@ -70,58 +69,6 @@ func TestFirstErrorPreservedAlongsideLast(t *testing.T) {
 	s := m.Series("scripted", core.Capability{Component: core.Total, Metric: core.Power})
 	if len(s.Gaps) != 2 || s.Gaps[0] != 200*time.Millisecond || s.Gaps[1] != 500*time.Millisecond {
 		t.Errorf("series gaps = %v, want [200ms 500ms]", s.Gaps)
-	}
-}
-
-// TestShardedGapOutputMatchesUnsharded locks down the gap-interleaving rule
-// of Merge: failed-poll markers sort through the same time-ordered pass as
-// samples, so a sharded run's CSV — gap rows included — is byte-identical
-// to the single-clock run.
-func TestShardedGapOutputMatchesUnsharded(t *testing.T) {
-	run := func(sharded bool, workers int) []byte {
-		var buf bytes.Buffer
-		mk := func() []*fakeCollector {
-			return []*fakeCollector{
-				{method: "alpha", min: 100 * time.Millisecond, cost: time.Millisecond, failAt: 3},
-				{method: "beta", min: 70 * time.Millisecond, cost: time.Millisecond, failAt: 5},
-			}
-		}
-		if !sharded {
-			clock := simclock.New()
-			cols := mk()
-			m, err := Initialize(Config{Clock: clock, Node: "n0", Output: &buf}, cols[0], cols[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			clock.Advance(time.Second)
-			if _, err := m.Finalize(); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		g := simclock.NewGroup(2)
-		cols := mk()
-		m, err := InitializeSharded(Config{Clock: g.Clock(0), Node: "n0", Output: &buf},
-			DomainCollector{Clock: g.Clock(0), Collector: cols[0]},
-			DomainCollector{Clock: g.Clock(1), Collector: cols[1]},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.AdvanceEpochs(time.Second, 250*time.Millisecond, workers, func(time.Duration) { m.Merge() })
-		if _, err := m.Finalize(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := run(false, 1)
-	if !bytes.Contains(want, []byte("gap,")) {
-		t.Fatal("unsharded CSV carries no gap rows; the fixture is broken")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		if got := run(true, workers); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: sharded CSV with gaps differs from single-clock CSV", workers)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package moneq
 
 import (
-	"sort"
 	"time"
 
 	"envmon/internal/core"
@@ -10,40 +9,21 @@ import (
 // sampler drives one collector on its own timer — the paper's "lowest
 // polling interval possible for the given hardware" holds per mechanism,
 // so a 560 ms EMON endpoint no longer gates a 60 ms RAPL counter sharing
-// the session. The reading buffer is reused across polls; with a
-// core.BatchCollector backend the steady-state poll performs zero
-// allocations.
-//
-// In a sharded session (InitializeSharded) the sampler's timer lives on its
-// own clock domain and may fire concurrently with other samplers' timers.
-// The poll path then touches only sampler-local state — readings are staged
-// rather than recorded — and Monitor.Merge folds the stages into the shared
-// store while every domain is parked at an epoch barrier.
+// the session. The reading buffer is handed back to the collector on every
+// poll, so the steady-state poll performs zero allocations.
 type sampler struct {
-	mon       *Monitor
-	col       core.Collector
-	method    string
-	interval  time.Duration
-	errKey    string // "error/<method>", built once
-	timer     core.Timer
-	buf       []core.Reading
-	sharded   bool
-	staged    []stagedRec
-	stagedErr string
-	firstErr  string // first poll error ever seen (the root cause)
-	polls     int
-	samples   int
-	errs      int
-	cost      time.Duration
-}
-
-// stagedRec is one reading — or, with gap set, one failed-poll marker —
-// awaiting the epoch-boundary merge.
-type stagedRec struct {
-	method  string
-	reading core.Reading
-	at      time.Duration
-	gap     bool
+	mon      *Monitor
+	col      core.Collector
+	method   string
+	interval time.Duration
+	errKey   string // "error/<method>", built once
+	timer    core.Timer
+	buf      []core.Reading
+	firstErr string // first poll error ever seen (the root cause)
+	polls    int
+	samples  int
+	errs     int
+	cost     time.Duration
 }
 
 // poll is the SIGALRM handler analogue: one collection round for this
@@ -53,7 +33,7 @@ func (s *sampler) poll(now time.Duration) {
 		return
 	}
 	s.polls++
-	readings, err := core.CollectInto(s.col, s.buf, now)
+	readings, err := s.col.CollectInto(s.buf, now)
 	s.buf = readings[:0]
 	s.cost += s.col.Cost()
 	if err != nil {
@@ -65,60 +45,12 @@ func (s *sampler) poll(now time.Duration) {
 		if s.firstErr == "" {
 			s.firstErr = err.Error()
 		}
-		if s.sharded {
-			s.stagedErr = err.Error()
-			s.staged = append(s.staged, stagedRec{method: s.method, at: now, gap: true})
-		} else {
-			s.mon.store.set.Meta[s.errKey] = err.Error()
-			s.mon.store.recordGap(s.method, now)
-		}
+		s.mon.store.set.Meta[s.errKey] = err.Error()
+		s.mon.store.recordGap(s.method, now)
 		return
 	}
-	if s.sharded {
-		for i := range readings {
-			s.staged = append(s.staged, stagedRec{method: s.method, reading: readings[i], at: now})
-		}
-	} else {
-		for i := range readings {
-			s.mon.store.record(s.method, readings[i], now)
-		}
+	for i := range readings {
+		s.mon.store.record(s.method, readings[i], now)
 	}
 	s.samples += len(readings)
-}
-
-// Merge folds every sampler's staged readings into the store, in timestamp
-// order with sampler registration order breaking ties — the same order a
-// single shared clock would have produced, so sharded output is
-// byte-identical to unsharded. Call it while the monitor's clock domains
-// are parked (from a simclock.Group epoch barrier); Finalize always calls
-// it once more to drain the tail. On a monitor built with Initialize it is
-// a no-op: samples were recorded directly.
-func (m *Monitor) Merge() {
-	if !m.sharded {
-		return
-	}
-	total := 0
-	for _, s := range m.samplers {
-		if s.stagedErr != "" {
-			m.store.set.Meta[s.errKey] = s.stagedErr
-			s.stagedErr = ""
-		}
-		total += len(s.staged)
-	}
-	if total == 0 {
-		return
-	}
-	merged := make([]stagedRec, 0, total)
-	for _, s := range m.samplers {
-		merged = append(merged, s.staged...)
-		s.staged = s.staged[:0]
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].at < merged[j].at })
-	for i := range merged {
-		if merged[i].gap {
-			m.store.recordGap(merged[i].method, merged[i].at)
-		} else {
-			m.store.record(merged[i].method, merged[i].reading, merged[i].at)
-		}
-	}
 }

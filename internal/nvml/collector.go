@@ -47,12 +47,7 @@ func (c *Collector) MinInterval() time.Duration { return PowerUpdatePeriod }
 // Queries reports how many Collect calls have been made.
 func (c *Collector) Queries() int { return c.queries }
 
-// Collect implements core.Collector.
-func (c *Collector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector.
+// CollectInto implements core.Collector.
 func (c *Collector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	c.queries++
 	out := buf[:0]

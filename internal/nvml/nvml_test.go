@@ -272,7 +272,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if col.Platform() != core.NVML || col.Method() != "NVML" || col.Cost() != QueryCost {
 		t.Error("collector identity wrong")
 	}
-	rs, err := col.Collect(10 * time.Second)
+	rs, err := col.CollectInto(nil, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ func (benchCollector) Platform() core.Platform    { return core.RAPL }
 func (benchCollector) Method() string             { return "bench" }
 func (benchCollector) MinInterval() time.Duration { return 0 }
 func (benchCollector) Cost() time.Duration        { return 30 * time.Microsecond }
-func (c benchCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
 func (c benchCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	return append(buf, core.Reading{}), nil
 }

@@ -9,11 +9,10 @@ import (
 // instrumentedCollector wraps a core.Collector with poll accounting: poll
 // and error counters plus simulated-cost totals labeled by platform and
 // method, and a span in the tracer's "collect" stage (wall time of the
-// mechanism call, simulated time it charged). It implements
-// core.BatchCollector, forwarding CollectInto so the zero-allocation
-// steady-state poll path survives the wrapping — instrumentation that
-// perturbs the measured path would repeat the mistake the paper warns
-// about.
+// mechanism call, simulated time it charged). CollectInto forwards the
+// caller's buffer, so the zero-allocation steady-state poll path survives
+// the wrapping — instrumentation that perturbs the measured path would
+// repeat the mistake the paper warns about.
 type instrumentedCollector struct {
 	col   core.Collector
 	polls *Counter
@@ -55,15 +54,10 @@ func (ic *instrumentedCollector) MinInterval() time.Duration { return ic.col.Min
 // Cost implements core.Collector.
 func (ic *instrumentedCollector) Cost() time.Duration { return ic.col.Cost() }
 
-// Collect implements core.Collector.
-func (ic *instrumentedCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return ic.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector.
+// CollectInto implements core.Collector.
 func (ic *instrumentedCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	sp := ic.stage.Begin()
-	readings, err := core.CollectInto(ic.col, buf, now)
+	readings, err := ic.col.CollectInto(buf, now)
 	cost := ic.col.Cost()
 	sp.End(cost)
 	ic.polls.Inc()

@@ -67,8 +67,6 @@ func writeChild(bw *bufio.Writer, name string, ch *child) {
 		writeSample(bw, name, ch.labels, formatUint(ch.c.Value()))
 	case ch.fc != nil:
 		writeSample(bw, name, ch.labels, formatFloat(ch.fc.Value()))
-	case ch.g != nil:
-		writeSample(bw, name, ch.labels, formatFloat(ch.g.Value()))
 	case ch.fn != nil:
 		writeSample(bw, name, ch.labels, formatFloat(ch.fn()))
 	case ch.h != nil:

@@ -59,52 +59,10 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	}
 }
 
-// Count reports the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Value()
-}
-
 // Sum reports the sum of all observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts:
-// the upper bound of the first bucket whose cumulative count reaches
-// q x total. Returns the largest finite bound when the answer lands in
-// the +Inf bucket, and false when the histogram is empty. The estimate is
-// an upper bound, which is the conservative direction for an alerting
-// surface.
-func (h *Histogram) Quantile(q float64) (float64, bool) {
-	if h == nil {
-		return 0, false
-	}
-	total := h.count.Value()
-	if total == 0 {
-		return 0, false
-	}
-	rank := uint64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Value()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i], true
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0, false
-	}
-	return h.bounds[len(h.bounds)-1], true
 }

@@ -17,8 +17,8 @@
 // Design constraints, in order:
 //
 //   - Zero allocations on instrumented hot paths. Metric handles
-//     (Counter, Gauge, Histogram) are created once at wiring time — name
-//     and label set interned then — and the operations the hot paths call
+//     (Counter, FloatCounter, Histogram) are created once at wiring time —
+//     name and label set interned then — and the operations the hot paths call
 //     (Inc, Add, Observe) touch only preallocated atomics.
 //   - Zero marginal cost where a counter already exists. Most of the
 //     telemetry store's metrics are func metrics: closures evaluated only
@@ -69,7 +69,6 @@ type child struct {
 	labels string // rendered `{k="v",...}`, or "" for the unlabeled child
 	c      *Counter
 	fc     *FloatCounter
-	g      *Gauge
 	fn     func() float64 // func metric, evaluated at render time
 	h      *Histogram
 }
@@ -83,7 +82,7 @@ type family struct {
 }
 
 // Registry holds metric families and renders them. Handle creation
-// (Counter, Gauge, ...) takes the registry lock and is meant for wiring
+// (Counter, Histogram, ...) takes the registry lock and is meant for wiring
 // time; the returned handles are lock-free and safe for concurrent use.
 // A nil *Registry is inert: creation methods return nil handles, and nil
 // handles' operations are no-ops, so call sites need no instrumentation
@@ -240,27 +239,6 @@ func (r *Registry) FloatCounter(name, help string, kv ...string) *FloatCounter {
 	return fc
 }
 
-// Gauge returns the gauge for name and label set, creating it on first
-// use.
-func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeGauge)
-	ls := renderLabels(kv)
-	if ch, ok := f.children[ls]; ok {
-		if ch.g == nil {
-			panic(fmt.Sprintf("obs: metric %s%s redeclared with a different value kind", name, ls))
-		}
-		return ch.g
-	}
-	g := &Gauge{}
-	f.children[ls] = &child{labels: ls, g: g}
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is fn(), evaluated at render
 // time only — the zero-hot-path-cost way to expose a value something else
 // already maintains (an atomic counter, a store statistic). fn must be
@@ -385,38 +363,4 @@ func (c *FloatCounter) Value() float64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable float metric. Operations on a nil *Gauge are
-// no-ops.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adjusts the gauge by v (which may be negative).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }

@@ -23,9 +23,6 @@ func TestCounterGaugeExposition(t *testing.T) {
 	if c.Value() != 3 {
 		t.Fatalf("counter = %d", c.Value())
 	}
-	g := r.Gauge("envmon_test_gauge", "A test gauge.")
-	g.Set(2.5)
-	g.Add(-0.5)
 	r.GaugeFunc("envmon_test_func", "A func gauge.", func() float64 { return 7 })
 	r.CounterFunc("envmon_test_fn_total", "A func counter.", func() float64 { return 11 })
 	fc := r.FloatCounter("envmon_test_seconds_total", "A float counter.")
@@ -37,8 +34,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 		"# HELP envmon_test_total A test counter.",
 		"# TYPE envmon_test_total counter",
 		`envmon_test_total{method="MSR"} 3`,
-		"# TYPE envmon_test_gauge gauge",
-		"envmon_test_gauge 2",
+		"# TYPE envmon_test_func gauge",
 		"envmon_test_func 7",
 		"# TYPE envmon_test_fn_total counter",
 		"envmon_test_fn_total 11",
@@ -62,7 +58,7 @@ func TestSameHandleAndTypeConflict(t *testing.T) {
 			t.Error("redeclaring a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("envmon_dup_total", "conflict")
+	r.GaugeFunc("envmon_dup_total", "conflict", func() float64 { return 0 })
 }
 
 func TestLabelOrderingAndEscaping(t *testing.T) {
@@ -106,9 +102,6 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
 	if got := h.Sum(); got < 5.6 || got > 5.61 {
 		t.Errorf("sum = %v", got)
 	}
@@ -124,25 +117,12 @@ func TestHistogram(t *testing.T) {
 			t.Errorf("histogram exposition missing %q:\n%s", want, out)
 		}
 	}
-	if q, ok := h.Quantile(0.5); !ok || q != 0.1 {
-		t.Errorf("p50 = %v, %v (want 0.1)", q, ok)
-	}
-	if q, ok := h.Quantile(0.99); !ok || q != 1 {
-		// 5 observations: rank 4 (0.99*5 truncated) lands in the le=1 bucket.
-		t.Errorf("p99 = %v, %v (want 1)", q, ok)
-	}
-	var empty Histogram
-	if _, ok := (&empty).Quantile(0.99); ok {
-		t.Error("empty histogram reported a quantile")
-	}
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "nil registry")
 	c.Inc()
-	g := r.Gauge("x", "nil")
-	g.Set(1)
 	h := r.Histogram("x_seconds", "nil", nil)
 	h.Observe(1)
 	r.GaugeFunc("y", "nil", func() float64 { return 0 })

@@ -88,15 +88,11 @@ func (c *MSRCollector) MinInterval() time.Duration { return 60 * time.Millisecon
 // Queries reports how many Collect calls have been made.
 func (c *MSRCollector) Queries() int { return c.queries }
 
-// Collect implements core.Collector. Each domain yields an Energy reading
-// (cumulative joules since the collector's first sight of the counter) and,
-// from the second collection on, a Power reading derived from the delta.
-func (c *MSRCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector: same readings as Collect,
-// appended to buf[:0] so a steady-state poll loop allocates nothing.
+// CollectInto implements core.Collector. Each domain yields an Energy
+// reading (cumulative joules since the collector's first sight of the
+// counter) and, from the second collection on, a Power reading derived from
+// the delta — appended to buf[:0] so a steady-state poll loop allocates
+// nothing.
 func (c *MSRCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	c.queries++
 	out := buf[:0]
@@ -182,13 +178,8 @@ func (p *PerfReader) EnergyJoules(d Domain, now time.Duration) float64 {
 	return p.socket.EnergyJoules(d, now) - p.base[d]
 }
 
-// Collect implements core.Collector with the same reading layout as the
-// MSR path.
-func (p *PerfReader) Collect(now time.Duration) ([]core.Reading, error) {
-	return p.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector.
+// CollectInto implements core.Collector with the same reading layout as
+// the MSR path.
 func (p *PerfReader) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	p.queries++
 	out := buf[:0]

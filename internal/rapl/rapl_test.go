@@ -264,7 +264,7 @@ func TestMSRCollectorEndToEnd(t *testing.T) {
 	}
 
 	// first collect: baselines only, no readings
-	rs, err := col.Collect(20 * time.Second)
+	rs, err := col.CollectInto(nil, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestMSRCollectorEndToEnd(t *testing.T) {
 		t.Fatalf("first Collect returned %d readings, want 0", len(rs))
 	}
 	// second collect: 4 energy + 4 power readings
-	rs, err = col.Collect(21 * time.Second)
+	rs, err = col.CollectInto(nil, 21*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestMSRCollectorSurvivesOneWrap(t *testing.T) {
 	dev, _ := drv.Open(0, msr.Root)
 	col, _ := NewMSRCollector(dev, 0)
 	wrapAt := WrapTime(10)
-	if _, err := col.Collect(wrapAt - 60*time.Second); err != nil {
+	if _, err := col.CollectInto(nil, wrapAt-60*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := col.Collect(wrapAt + 60*time.Second)
+	rs, err := col.CollectInto(nil, wrapAt+60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +326,10 @@ func TestMSRCollectorUndercountsAcrossTwoWraps(t *testing.T) {
 	dev, _ := drv.Open(0, msr.Root)
 	col, _ := NewMSRCollector(dev, 0)
 	wrapAt := WrapTime(10)
-	if _, err := col.Collect(0); err != nil {
+	if _, err := col.CollectInto(nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := col.Collect(2*wrapAt + 10*time.Second)
+	rs, err := col.CollectInto(nil, 2*wrapAt+10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +361,10 @@ func TestPerfReaderCollect(t *testing.T) {
 	s := NewSocket(Config{Name: "s0", Seed: 5})
 	s.Run(workload.GaussElim(60*time.Second), 0)
 	p := NewPerfReader(s, 0)
-	if rs, _ := p.Collect(10 * time.Second); len(rs) != 0 {
+	if rs, _ := p.CollectInto(nil, 10*time.Second); len(rs) != 0 {
 		t.Fatalf("first perf Collect returned %d readings", len(rs))
 	}
-	rs, err := p.Collect(20 * time.Second)
+	rs, err := p.CollectInto(nil, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func BenchmarkMSRCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := col.Collect(time.Duration(i) * time.Millisecond); err != nil {
+		if _, err := col.CollectInto(nil, time.Duration(i)*time.Millisecond); err != nil {
 			b.Fatal(err)
 		}
 	}

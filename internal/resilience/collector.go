@@ -108,7 +108,7 @@ type source struct {
 }
 
 // Collector wraps a primary collector and ordered fallbacks with the
-// policy. It implements core.Collector and core.BatchCollector and reports
+// policy. It implements core.Collector and reports
 // the primary's Platform/Method/MinInterval, so series identity is stable
 // no matter which source answered — degraded operation shows up in Stats
 // and breaker state, not as a renamed series.
@@ -192,12 +192,7 @@ func (c *Collector) Status() []SourceStatus {
 	return out
 }
 
-// Collect implements core.Collector.
-func (c *Collector) Collect(now time.Duration) ([]core.Reading, error) {
-	return c.CollectInto(nil, now)
-}
-
-// CollectInto implements core.BatchCollector: try each source in order —
+// CollectInto implements core.Collector: try each source in order —
 // skipping those whose breaker is open — with per-source retry budgets and
 // capped exponential backoff, within the poll's simulated deadline.
 func (c *Collector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
@@ -230,7 +225,7 @@ func (c *Collector) CollectInto(buf []core.Reading, now time.Duration) ([]core.R
 			if !deadlineOK(src.col.Cost()) {
 				break
 			}
-			readings, err := core.CollectInto(src.col, buf, now)
+			readings, err := src.col.CollectInto(buf, now)
 			c.lastCost += src.col.Cost()
 			if err == nil {
 				ok = true

@@ -23,10 +23,6 @@ func (f *flakyCollector) Platform() core.Platform    { return core.NVML }
 func (f *flakyCollector) Method() string             { return f.method }
 func (f *flakyCollector) Cost() time.Duration        { return f.cost }
 func (f *flakyCollector) MinInterval() time.Duration { return 100 * time.Millisecond }
-func (f *flakyCollector) Collect(now time.Duration) ([]core.Reading, error) {
-	return f.CollectInto(nil, now)
-}
-
 func (f *flakyCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	call := f.calls
 	f.calls++

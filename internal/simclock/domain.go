@@ -58,15 +58,6 @@ func (g *Group) Now() time.Duration {
 	return min
 }
 
-// Pending reports the total number of scheduled events across domains.
-func (g *Group) Pending() int {
-	total := 0
-	for _, c := range g.clocks {
-		total += c.Pending()
-	}
-	return total
-}
-
 // AdvanceTo moves every domain forward to the absolute time target — one
 // epoch with a single trailing barrier. Domains advance concurrently on a
 // pool of the given size (<= 0 selects one worker per host core; 1 is
@@ -76,14 +67,6 @@ func (g *Group) AdvanceTo(target time.Duration, workers int) {
 	par.For(len(g.clocks), workers, func(i int) {
 		g.clocks[i].AdvanceTo(target)
 	})
-}
-
-// Advance moves every domain forward by d from the group's trailing edge.
-func (g *Group) Advance(d time.Duration, workers int) {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: Group.Advance by negative duration %v", d))
-	}
-	g.AdvanceTo(g.Now()+d, workers)
 }
 
 // AdvanceEpochs moves every domain to target in lock-step epochs of the

@@ -538,13 +538,6 @@ func (s *Store) Bytes() int64 {
 	return s.bytes
 }
 
-// NumSeries reports how many distinct series have persisted data.
-func (s *Store) NumSeries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.agg)
-}
-
 // Close closes every block file. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -64,8 +64,8 @@ func TestAppendOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.NumBlocks() != 2 || s.NumSeries() != 2 {
-		t.Fatalf("NumBlocks=%d NumSeries=%d, want 2 and 2", s.NumBlocks(), s.NumSeries())
+	if s.NumBlocks() != 2 {
+		t.Fatalf("NumBlocks=%d, want 2", s.NumBlocks())
 	}
 	a, ok := s.Agg(keyA)
 	if !ok {

@@ -55,11 +55,19 @@ func TestEnvDBBridgeLosesNothingThroughTransientOutage(t *testing.T) {
 	if got := st.Samples(); got != 2 {
 		t.Fatalf("samples during outage = %d, want the 2 pre-outage ones", got)
 	}
+	// While records are parked the database is left alone: it stays the
+	// readable copy of what the store has not taken yet.
+	if got := db.Len(); got < bridge.Pending() {
+		t.Errorf("db.Len() = %d during the outage with %d parked; pruned past the backlog", got, bridge.Pending())
+	}
 	flaky.failing = false
 	clock.Advance(8 * time.Minute) // heal and run out the clock
 
 	if bridge.Pending() != 0 {
 		t.Errorf("Pending = %d after recovery, want 0", bridge.Pending())
+	}
+	if got := db.Len(); got > 2 {
+		t.Errorf("db.Len() = %d after recovery, want <= 2 (two polls' worth)", got)
 	}
 	if bridge.Dropped() != 0 {
 		t.Errorf("Dropped = %d, want 0 — a transient outage must lose zero points", bridge.Dropped())

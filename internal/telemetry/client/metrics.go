@@ -48,10 +48,11 @@ func (m *MetricsSnapshot) Sum(family string) (float64, int) {
 
 // Quantile estimates the q-quantile of a histogram family from its
 // cumulative _bucket samples matched by the given rendered label pair
-// (e.g. `stage="query"`). Mirrors the server-side estimate: the upper
-// bound of the first bucket whose cumulative count reaches q × total,
-// with the +Inf bucket collapsing to the largest finite bound. Returns
-// false when the histogram is absent or empty.
+// (e.g. `stage="query"`): the upper bound of the first bucket whose
+// cumulative count reaches q × total, with the +Inf bucket collapsing to
+// the largest finite bound — an upper bound, which is the conservative
+// direction for an alerting surface. Returns false when the histogram is
+// absent or empty.
 func (m *MetricsSnapshot) Quantile(family, labelPair string, q float64) (float64, bool) {
 	type bkt struct {
 		le  float64

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"envmon/internal/core"
@@ -38,6 +39,10 @@ type Ingester interface {
 // transient outage delays data instead of dropping it. Only records the
 // store rejects as out-of-order are dropped (and counted): replaying those
 // can never succeed.
+//
+// The bridge consumes the database: records it has handed over are pruned
+// (see drain), so a database that must also keep history for another reader
+// — a Backfill collector's lookback window — is not one to bridge from.
 type EnvDBBridge struct {
 	// Offset is added to every record's time on ingest — the same restart
 	// continuity knob as SetCursor.Offset. Set it right after
@@ -50,9 +55,11 @@ type EnvDBBridge struct {
 	cursor  time.Duration
 	pending []envdb.Record
 	polls   int
-	moved   int
-	dropped int
 	err     error
+	// The drain runs on the bridge's clock domain while a /metrics scrape
+	// reads the counters from an HTTP goroutine, so they are atomics;
+	// parked mirrors len(pending) as of the end of the last drain.
+	moved, dropped, parked atomic.Int64
 }
 
 // StartEnvDBBridge schedules a bridge from db into store on the clock,
@@ -100,6 +107,16 @@ func (b *EnvDBBridge) drain(now time.Duration) {
 		}
 	})
 	b.cursor = now
+	// Everything before the cursor is in the store (or counted as dropped),
+	// so the database forgets it: a poller that never stops leaves at most
+	// two polls' worth of records behind — the batch stamped at this instant
+	// and the one inserted before the next drain — and Scan stays O(that).
+	// While anything is parked the database is left whole, the readable
+	// copy of what the store has not accepted yet.
+	if len(b.pending) == 0 {
+		b.db.Prune(now)
+	}
+	b.parked.Store(int64(len(b.pending)))
 }
 
 // tryIngest moves one record into the store. It reports false only for
@@ -110,12 +127,12 @@ func (b *EnvDBBridge) tryIngest(r envdb.Record) bool {
 	key := SeriesKey{Node: string(r.Location), Backend: envDBBackend, Domain: r.Sensor}
 	err := b.store.Ingest(key, r.Unit, r.Time+b.Offset, r.Value)
 	if err == nil {
-		b.moved++
+		b.moved.Add(1)
 		return true
 	}
 	b.err = fmt.Errorf("telemetry: envdb bridge: %s/%s: %w", r.Location, r.Sensor, err)
 	if errors.Is(err, ErrOutOfOrder) {
-		b.dropped++
+		b.dropped.Add(1)
 		return true
 	}
 	return false
@@ -130,16 +147,18 @@ func (b *EnvDBBridge) Stop() {
 }
 
 // Moved reports how many records have been ingested so far.
-func (b *EnvDBBridge) Moved() int { return b.moved }
+func (b *EnvDBBridge) Moved() int { return int(b.moved.Load()) }
 
 // Pending reports how many scanned records are parked awaiting a healthy
 // store.
-func (b *EnvDBBridge) Pending() int { return len(b.pending) }
+func (b *EnvDBBridge) Pending() int { return int(b.parked.Load()) }
 
 // Dropped reports how many records the store permanently rejected as
 // out-of-order.
-func (b *EnvDBBridge) Dropped() int { return b.dropped }
+func (b *EnvDBBridge) Dropped() int { return int(b.dropped.Load()) }
 
 // Err reports the most recent ingest failure, if any; draining continues
-// past failures the way MonEQ keeps polling through backend faults.
+// past failures the way MonEQ keeps polling through backend faults. Unlike
+// the counters it is plain state: read it where the bridge's clock is
+// parked (an epoch barrier), not from another goroutine mid-advance.
 func (b *EnvDBBridge) Err() error { return b.err }

@@ -162,13 +162,3 @@ func (st *Store) observeQuery(q Query, frames int, wall time.Duration) {
 			q.Node, q.Backend, q.Domain, q.Resolution, q.Aggregate, frames)
 	})
 }
-
-// SlowOps returns the retained slow operations, newest first (nil when
-// uninstrumented) — the store's slow-query log, surfaced by the daemon's
-// debug endpoint.
-func (st *Store) SlowOps() []obs.SlowOp {
-	if st.obs == nil {
-		return nil
-	}
-	return st.obs.slow.Snapshot()
-}

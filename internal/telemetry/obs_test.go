@@ -65,7 +65,7 @@ func TestInstrumentedMemoryStore(t *testing.T) {
 		t.Errorf("memory store exposes persistence metrics:\n%s", out)
 	}
 	// The 1 ns threshold makes every query slow; check the log captured it.
-	ops := st.SlowOps()
+	ops := slow.Snapshot()
 	if len(ops) == 0 || ops[0].Kind != "query" {
 		t.Fatalf("slow ops = %+v", ops)
 	}
@@ -83,7 +83,7 @@ func TestInstrumentedPersistentStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	reg, _ := instrumented(t, st)
+	reg, slow := instrumented(t, st)
 	key := SeriesKey{Node: "n01", Backend: "MSR", Domain: "Total Power"}
 	for i := 0; i < 100; i++ {
 		if err := st.Ingest(key, "W", time.Duration(i)*time.Second, float64(i)); err != nil {
@@ -127,13 +127,13 @@ func TestInstrumentedPersistentStore(t *testing.T) {
 	}
 	// The slow log (1 ns threshold) must have seen the compaction.
 	var sawCompaction bool
-	for _, op := range st.SlowOps() {
+	for _, op := range slow.Snapshot() {
 		if op.Kind == "compaction" {
 			sawCompaction = true
 		}
 	}
 	if !sawCompaction {
-		t.Errorf("no compaction in slow ops: %+v", st.SlowOps())
+		t.Errorf("no compaction in slow ops: %+v", slow.Snapshot())
 	}
 }
 

@@ -32,22 +32,25 @@ func (MonEQSink) Name() string { return "telemetry" }
 
 // Write implements moneq.Sink: every sample and gap marker of every
 // series in the set is ingested under (node, backend, domain) keys
-// derived from the trace series names ("method/capability") — one
-// SetCursor.Flush from the start of the set.
+// derived from the trace series names ("method/capability"). Unlike a
+// SetCursor.Flush it leaves the set as it found it: a Finalize-time sink's
+// contract is that Set() stays readable and later sinks still see it.
 func (s MonEQSink) Write(set *trace.Set) error {
-	return NewSetCursor(s.Store, s.Node, set).Flush()
+	return NewSetCursor(s.Store, s.Node, set).flush(false)
 }
 
 // SetCursor streams a live trace.Set into a store incrementally: each
-// Flush ingests only the samples that appeared since the previous Flush.
-// This is how a running MonEQ job feeds the aggregation layer while the
-// job is still collecting — wire one cursor per monitor to its Set() and
-// call Flush from the clock-domain epoch barrier, where every domain is
-// parked and the sets are quiescent.
+// Flush ingests the samples that appeared since the previous Flush and
+// takes them off the set, so a monitor's set never holds more than the
+// samples of one flush interval however long the session runs. This is
+// how a running MonEQ job feeds the aggregation layer while the job is
+// still collecting — wire one cursor per monitor to its Set() and call
+// Flush from the clock-domain epoch barrier, where every domain is parked
+// and the sets are quiescent.
 //
-// Keys and units are resolved once per series, so a steady-state Flush
-// (existing series, new samples) performs zero allocations beyond the
-// store's own ingest path.
+// Keys and units are resolved once per series and a consumed series keeps
+// its capacity, so a steady-state Flush (existing series, new samples)
+// performs zero allocations beyond the store's own ingest path.
 type SetCursor struct {
 	// Offset is added to every sample and gap time on ingest. A restarted
 	// daemon sets it past the recovered store's MaxTime so a fresh
@@ -55,13 +58,11 @@ type SetCursor struct {
 	// against recovered series. Set before the first Flush.
 	Offset time.Duration
 
-	store    *Store
-	node     string
-	set      *trace.Set
-	keys     []SeriesKey // parallel to set.Series
-	units    []string
-	done     []int // samples already ingested per series
-	gapsDone []int // gap markers already ingested per series
+	store *Store
+	node  string
+	set   *trace.Set
+	keys  []SeriesKey // parallel to set.Series
+	units []string
 }
 
 // NewSetCursor returns a cursor streaming set into store under the given
@@ -70,11 +71,14 @@ func NewSetCursor(store *Store, node string, set *trace.Set) *SetCursor {
 	return &SetCursor{store: store, node: node, set: set}
 }
 
-// Flush ingests every sample appended to the set since the last Flush.
-// On error the cursor position is preserved up to the failing sample, so
+// Flush ingests every sample and gap marker the set holds and cuts them
+// off it. On error everything up to the failing sample is in the store and
+// off the set, and the unconsumed rest stays at the front of its series, so
 // a later Flush resumes without duplication. Flush must not run
 // concurrently with writers of the set (call it at an epoch barrier).
-func (c *SetCursor) Flush() error {
+func (c *SetCursor) Flush() error { return c.flush(true) }
+
+func (c *SetCursor) flush(consume bool) error {
 	// One ingest-stage span per Flush (an epoch's worth of samples), not
 	// per sample — the span cost amortizes over the whole batch.
 	if o := c.store.obs; o != nil {
@@ -89,37 +93,41 @@ func (c *SetCursor) Flush() error {
 			backend, domain := splitSeriesName(ts.Name)
 			c.keys = append(c.keys, SeriesKey{Node: node, Backend: backend, Domain: domain})
 			c.units = append(c.units, ts.Unit)
-			c.done = append(c.done, 0)
-			c.gapsDone = append(c.gapsDone, 0)
 		}
-		for j := c.done[i]; j < len(ts.Samples); j++ {
-			if err := c.store.Ingest(c.keys[i], c.units[i], ts.Samples[j].T+c.Offset, ts.Samples[j].V); err != nil {
-				c.done[i] = j
-				return fmt.Errorf("telemetry: streaming series %q: %w", ts.Name, err)
+		var err error
+		n := 0
+		for ; n < len(ts.Samples); n++ {
+			if err = c.store.Ingest(c.keys[i], c.units[i], ts.Samples[n].T+c.Offset, ts.Samples[n].V); err != nil {
+				break
 			}
 		}
-		c.done[i] = len(ts.Samples)
-		for j := c.gapsDone[i]; j < len(ts.Gaps); j++ {
-			if err := c.store.IngestGap(c.keys[i], c.units[i], ts.Gaps[j]+c.Offset); err != nil {
-				c.gapsDone[i] = j
-				return fmt.Errorf("telemetry: streaming gaps of series %q: %w", ts.Name, err)
+		if consume {
+			ts.Samples = ts.Samples[:copy(ts.Samples, ts.Samples[n:])]
+		}
+		if err != nil {
+			return fmt.Errorf("telemetry: streaming series %q: %w", ts.Name, err)
+		}
+		for n = 0; n < len(ts.Gaps); n++ {
+			if err = c.store.IngestGap(c.keys[i], c.units[i], ts.Gaps[n]+c.Offset); err != nil {
+				break
 			}
 		}
-		c.gapsDone[i] = len(ts.Gaps)
+		if consume {
+			ts.Gaps = ts.Gaps[:copy(ts.Gaps, ts.Gaps[n:])]
+		}
+		if err != nil {
+			return fmt.Errorf("telemetry: streaming gaps of series %q: %w", ts.Name, err)
+		}
 	}
 	return nil
 }
 
-// Pending reports how many samples the set currently holds beyond the
-// cursor — the backlog the next Flush would ingest.
+// Pending reports how many samples the set currently holds — the backlog
+// the next Flush would ingest.
 func (c *SetCursor) Pending() int {
 	pending := 0
-	for i, ts := range c.set.Series {
-		if i < len(c.done) {
-			pending += len(ts.Samples) - c.done[i]
-		} else {
-			pending += len(ts.Samples)
-		}
+	for _, ts := range c.set.Series {
+		pending += len(ts.Samples)
 	}
 	return pending
 }

@@ -23,7 +23,9 @@ func demoSet(node string) *trace.Set {
 func TestMonEQSinkWrite(t *testing.T) {
 	st := New(Options{})
 	sink := MonEQSink{Store: st}
-	if err := sink.Write(demoSet("c401-001")); err != nil {
+	set := demoSet("c401-001")
+	set.Series[1].MustAppendGap(2 * time.Second)
+	if err := sink.Write(set); err != nil {
 		t.Fatal(err)
 	}
 	frames := st.Query(Query{Node: "c401-001", Backend: "MSR", Domain: "Total Power"})
@@ -32,6 +34,18 @@ func TestMonEQSinkWrite(t *testing.T) {
 	}
 	if st.NumSeries() != 2 {
 		t.Errorf("series = %d, want 2", st.NumSeries())
+	}
+	// A Finalize-time sink reads the set, it does not take it: Set() stays
+	// whole, and a sink later in the list sees everything the first saw.
+	if len(set.Series[0].Samples) != 2 || len(set.Series[1].Samples) != 1 || len(set.Series[1].Gaps) != 1 {
+		t.Fatalf("Write consumed the set: %+v", set.Series)
+	}
+	second := New(Options{})
+	if err := (MonEQSink{Store: second}).Write(set); err != nil {
+		t.Fatal(err)
+	}
+	if second.Samples() != st.Samples() || second.Samples() != 3 {
+		t.Errorf("second sink ingested %d samples, first %d, want 3 each", second.Samples(), st.Samples())
 	}
 	// Node override takes precedence over set metadata.
 	if err := (MonEQSink{Store: st, Node: "other"}).Write(demoSet("ignored")); err != nil {
@@ -135,6 +149,33 @@ func TestSetCursorResumesAfterError(t *testing.T) {
 	}
 }
 
+// TestSetCursorKeepsUnconsumedSuffix: an ingest failure in the middle of a
+// series leaves what came before it in the store and off the set, and the
+// failing sample plus everything after it at the front of the series — so
+// the retry neither loses nor repeats a sample.
+func TestSetCursorKeepsUnconsumedSuffix(t *testing.T) {
+	st := New(Options{})
+	set := trace.NewSet()
+	s := set.Add(trace.NewSeries("MSR/Total Power", "W"))
+	s.Samples = []trace.Sample{{T: time.Second, V: 1}, {T: 2 * time.Second, V: 2}, {T: 1500 * time.Millisecond, V: 9}, {T: 3 * time.Second, V: 3}}
+	s.MustAppendGap(4 * time.Second)
+	cur := NewSetCursor(st, "n0", set)
+	if err := cur.Flush(); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("err = %v, want ErrOutOfOrder", err)
+	}
+	if st.Samples() != 2 || cur.Pending() != 2 || s.Samples[0].V != 9 || s.Samples[1].V != 3 || len(s.Gaps) != 1 {
+		t.Fatalf("after the failure: store %d samples, set %+v gaps %v", st.Samples(), s.Samples, s.Gaps)
+	}
+	s.Samples[0].T = 2500 * time.Millisecond // what the store refused, repaired
+	if err := cur.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	frames := st.Query(Query{})
+	if len(frames) != 1 || len(frames[0].Points) != 4 || len(frames[0].Gaps) != 1 || cur.Pending() != 0 || len(s.Gaps) != 0 {
+		t.Fatalf("after the retry: frames %+v, set %+v gaps %v", frames, s.Samples, s.Gaps)
+	}
+}
+
 func TestEnvDBBridgeDrains(t *testing.T) {
 	clock := simclock.New()
 	db := envdb.New()
@@ -161,6 +202,13 @@ func TestEnvDBBridgeDrains(t *testing.T) {
 	frames := st.Query(Query{Node: "R00-B0", Backend: envDBBackend, Domain: "input_power"})
 	if len(frames) != 1 || len(frames[0].Points) != 9 {
 		t.Fatalf("frames = %+v", frames)
+	}
+	// What the bridge has handed over is pruned from the database, so a
+	// producer that never stops does not grow it: at most the batch stamped
+	// at the last drain instant plus the one inserted since — two polls'
+	// worth of records, however many drains have run.
+	if got, bound := db.Len(), 2*2; got > bound {
+		t.Errorf("db.Len() = %d after 10 drains, want <= %d (two polls' worth)", got, bound)
 	}
 	// One more advance picks up the straggler batch.
 	clock.Advance(60 * time.Second)

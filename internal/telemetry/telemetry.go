@@ -25,8 +25,11 @@
 //
 // Design points:
 //
-//   - Series live in fixed-size ring buffers, so memory is bounded no
-//     matter how long the daemon runs; old raw samples are evicted while
+//   - Series live in fixed-size ring buffers, so the store's memory is
+//     bounded per series no matter how long the daemon runs (what feeds it
+//     is bounded by the adapters: a SetCursor leaves a monitor's set at most
+//     one flush interval deep, an EnvDBBridge leaves the database at most
+//     two polls deep); old raw samples are evicted while
 //     the rollup ladder (1 s → 10 s → 60 s buckets of min/max/mean/last)
 //     retains the coarse history — and, when a data directory is
 //     configured, evicted data is already sealed in blocks.

@@ -90,8 +90,9 @@ type Shard struct {
 
 // Create opens fresh segments for the given shard count under dir,
 // creating directories as needed. Existing segments are left alone (new
-// segments get higher sequence numbers); call Replay first and Reset to
-// clear recovered segments.
+// segments get higher sequence numbers); call Replay first, and Rotate
+// each shard once what was replayed is persisted elsewhere, which unlinks
+// the recovered segments.
 func Create(dir string, shards int) (*WAL, error) {
 	w := &WAL{dir: dir}
 	for i := 0; i < shards; i++ {
@@ -119,15 +120,6 @@ func Create(dir string, shards int) (*WAL, error) {
 
 // Shard returns the i-th shard appender.
 func (w *WAL) Shard(i int) *Shard { return w.shards[i] }
-
-// Size reports the journal's total logical bytes across live segments.
-func (w *WAL) Size() int64 {
-	var n int64
-	for _, sh := range w.shards {
-		n += sh.seg.size
-	}
-	return n
-}
 
 // Sync flushes every shard's segment to stable storage.
 func (w *WAL) Sync() error {
