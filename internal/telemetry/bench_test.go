@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"envmon/internal/trace"
 )
 
 // benchKeys builds n distinct series keys spread across nodes and the two
@@ -120,5 +122,80 @@ func BenchmarkTelemetry_Query(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkCursorFlush is one epoch barrier of live-loop without the 30 s
+// harness: 320 series, each handing over a run of 20–34 samples, into a
+// journaled store and into a memory-only one. Stores are built and every
+// series first-touched off the clock, and rebuilt before any ring has taken
+// a generation, so no seal is amortised in. ns/sample is the flush alone;
+// ns/op also holds filling the sets.
+func BenchmarkCursorFlush(b *testing.B) {
+	const nseries, perSet = 320, 20 // 16 monitors of 20 series, as live-loop wires them
+	for _, persistent := range []bool{true, false} {
+		name := "memory"
+		if persistent {
+			name = "persistent"
+		}
+		b.Run(name, func(b *testing.B) {
+			var st *Store
+			var sets []*trace.Set
+			var cursors []*SetCursor
+			var at time.Duration
+			fresh := func() {
+				if st != nil {
+					st.Close()
+				}
+				st = New(Options{})
+				if persistent {
+					var err error
+					if st, err = Open(b.TempDir(), Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sets, cursors, at = sets[:0], cursors[:0], 0
+				for n := 0; n < nseries/perSet; n++ {
+					set := trace.NewSet()
+					for s := 0; s < perSet; s++ {
+						set.Add(trace.NewSeries(fmt.Sprintf("MSR/Rail %d", s), "W")).MustAppend(0, 118)
+					}
+					sets = append(sets, set)
+					cursors = append(cursors, NewSetCursor(st, fmt.Sprintf("c%03d-%03d", n/32, n%32), set))
+					if err := cursors[n].Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			defer func() { st.Close() }()
+			var flushing time.Duration
+			samples, generation := 0, Options{}.withDefaults().RawCapacity/34-1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%generation == 0 {
+					b.StopTimer()
+					fresh()
+					b.StartTimer()
+				}
+				for n, set := range sets {
+					for s, ts := range set.Series {
+						for run := 20 + (i+n+s)%15; run > 0; run-- {
+							at += time.Millisecond
+							ts.MustAppend(at, 118)
+						}
+						samples += len(ts.Samples)
+					}
+				}
+				start := time.Now()
+				for _, cur := range cursors {
+					if err := cur.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				flushing += time.Since(start)
+			}
+			b.ReportMetric(float64(flushing.Nanoseconds())/float64(samples), "ns/sample")
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"envmon/internal/obs"
+	"envmon/internal/trace"
 )
 
 func instrumented(t *testing.T, st *Store) (*obs.Registry, *obs.SlowLog) {
@@ -203,5 +204,89 @@ func TestInstrumentedJournaledIngestZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("instrumented journaled ingest allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// pipelineStage reads one stage's wall-clock histogram off the exposition.
+func pipelineStage(t *testing.T, out, stage string) (sum float64, count int) {
+	t.Helper()
+	for _, field := range []struct {
+		name string
+		dst  any
+	}{{"sum", &sum}, {"count", &count}} {
+		prefix := fmt.Sprintf("envmon_pipeline_seconds_%s{stage=%q} ", field.name, stage)
+		i := strings.Index(out, prefix)
+		if i < 0 {
+			t.Fatalf("exposition has no %s", prefix)
+		}
+		if _, err := fmt.Sscan(out[i+len(prefix):], field.dst); err != nil {
+			t.Fatalf("%s: %v", prefix, err)
+		}
+	}
+	return sum, count
+}
+
+// TestWALAppendSpansLeaveTheSealOut audits the auditor. A raw ring of the
+// default 4096 presses exactly on the indexes the 1-in-1024 wal_append span
+// samples, so a span that opens before journalReadyLocked swallows every
+// pressed seal: a handful of millisecond compactions among some hundreds of
+// sub-microsecond appends, counted in two stages at once. The append's
+// histogram must hold appends alone — far less time than the compaction
+// stage — at the same rate per sample whichever path the samples took.
+func TestWALAppendSpansLeaveTheSealOut(t *testing.T) {
+	const nseries, generations = 64, 3
+	keys := benchKeys(nseries)
+	perSeries := generations * Options{}.withDefaults().RawCapacity
+	for _, path := range []string{"Ingest", "SetCursor.Flush"} {
+		t.Run(path, func(t *testing.T) {
+			st, err := Open(t.TempDir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			reg, _ := instrumented(t, st)
+			if path == "Ingest" {
+				for i := 0; i < perSeries; i++ {
+					for _, k := range keys {
+						if err := st.Ingest(k, "W", time.Duration(i)*50*time.Millisecond, 118); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			} else {
+				set := trace.NewSet()
+				for _, k := range keys {
+					set.Add(trace.NewSeries(k.Backend+"/"+k.Node, "W")) // one series per key, whatever it is called
+				}
+				cur := NewSetCursor(st, "n0", set)
+				for i := 0; i < perSeries; {
+					run := min(20+i%15, perSeries-i) // 20–34, as an epoch of live-loop holds
+					for ; run > 0; run, i = run-1, i+1 {
+						for _, ts := range set.Series {
+							ts.MustAppend(time.Duration(i)*50*time.Millisecond, 118)
+						}
+					}
+					if err := cur.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := st.Samples(); got != uint64(nseries*perSeries) {
+				t.Fatalf("%d samples landed, want %d", got, nseries*perSeries)
+			}
+			out := renderReg(t, reg)
+			appendSum, appendCount := pipelineStage(t, out, "wal_append")
+			sealSum, sealCount := pipelineStage(t, out, "compaction")
+			if sealCount < st.opts.Shards*(generations-1) {
+				t.Fatalf("%d compactions: the raw rings never pressed", sealCount)
+			}
+			if appendSum >= sealSum {
+				t.Errorf("wal_append spans sum to %.6f s, compaction's to %.6f s: the append span holds seals", appendSum, sealSum)
+			}
+			if want := nseries * perSeries / 1024; appendCount < want-nseries || appendCount > want+nseries {
+				t.Errorf("%d wal_append spans for %d samples in %d series, want one per 1024 (%d ± %d)", appendCount, nseries*perSeries, nseries, want, nseries)
+			}
+			t.Logf("wal_append: %d spans, %.6f s; compaction: %d spans, %.6f s", appendCount, appendSum, sealCount, sealSum)
+		})
 	}
 }

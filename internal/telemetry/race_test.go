@@ -7,16 +7,19 @@ import (
 	"time"
 
 	"envmon/internal/simclock"
+	"envmon/internal/trace"
 )
 
 // ingestDomains drives concurrent ingest from `domains` clock domains into
 // a store: each domain owns `seriesPerDomain` series polled by its own
-// timers, the group advances in lock-step epochs on one worker per domain,
-// and values are a pure function of (series, time) so every run produces
-// the same store contents.
+// timers — the last of them through a cursor, the others by Ingest — the
+// group advances in lock-step epochs on one worker per domain, and values
+// are a pure function of (series, time) so every run produces the same
+// store contents.
 func ingestDomains(t *testing.T, st *Store, domains, seriesPerDomain int, span time.Duration) {
 	t.Helper()
 	g := simclock.NewGroup(domains)
+	var cursors []*SetCursor
 	for d := 0; d < domains; d++ {
 		clock := g.Clock(d)
 		for s := 0; s < seriesPerDomain; s++ {
@@ -26,6 +29,25 @@ func ingestDomains(t *testing.T, st *Store, domains, seriesPerDomain int, span t
 				Domain:  "Total Power",
 			}
 			level := 100 + 10*float64(d) + float64(s)
+			if s == seriesPerDomain-1 {
+				// The domain's last series reaches the store the way a
+				// monitor's do: recorded into a set on the domain's clock,
+				// handed over in runs by a cursor flushed from that clock
+				// every 70 ms — beside, and racing, the Ingest writers.
+				set := trace.NewSet()
+				ts := set.Add(trace.NewSeries(k.Backend+"/"+k.Domain, "W"))
+				cur := NewSetCursor(st, k.Node, set)
+				cursors = append(cursors, cur)
+				clock.Every(10*time.Millisecond, func(now time.Duration) {
+					ts.MustAppend(now, level+float64(now/(10*time.Millisecond)%7))
+				})
+				clock.Every(70*time.Millisecond, func(time.Duration) {
+					if err := cur.Flush(); err != nil {
+						t.Errorf("domain flush: %v", err)
+					}
+				})
+				continue
+			}
 			clock.Every(10*time.Millisecond, func(now time.Duration) {
 				v := level + float64(now/(10*time.Millisecond)%7)
 				if err := st.Ingest(k, "W", now, v); err != nil {
@@ -35,6 +57,11 @@ func ingestDomains(t *testing.T, st *Store, domains, seriesPerDomain int, span t
 		}
 	}
 	g.AdvanceEpochs(span, 100*time.Millisecond, domains, nil)
+	for _, cur := range cursors { // what the last 70 ms left on the sets
+		if err := cur.Flush(); err != nil {
+			t.Errorf("final flush: %v", err)
+		}
+	}
 }
 
 // TestConcurrentDomainIngestAndQuery is the acceptance race gate: ≥ 4

@@ -38,20 +38,30 @@ func newStream[T any](capacity int) stream[T] {
 	return stream[T]{buf: make([]T, capacity)}
 }
 
+// slot returns the ring position i entries past head, for i <= len(buf).
+// head is always inside the ring, so one compare wraps it: the ingest path
+// pays no division for a ring whose size is not a power of two.
+func (r *stream[T]) slot(i int) int {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
+}
+
 func (r *stream[T]) push(v T) {
 	r.total++
 	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = v
+		r.buf[r.slot(r.n)] = v
 		r.n++
 		return
 	}
 	r.buf[r.head] = v
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = r.slot(1)
 }
 
 // at returns the i-th resident entry in age order (0 = oldest). i must be
 // < len().
-func (r *stream[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+func (r *stream[T]) at(i int) T { return r.buf[r.slot(i)] }
 
 func (r *stream[T]) len() int { return r.n }
 
@@ -60,7 +70,7 @@ func (r *stream[T]) tail() *T {
 	if r.n == 0 {
 		return nil
 	}
-	return &r.buf[(r.head+r.n-1)%len(r.buf)]
+	return &r.buf[r.slot(r.n-1)]
 }
 
 // live returns the ring position of the first entry past the seam: resident
@@ -76,6 +86,12 @@ func (r *stream[T]) live() int {
 func (r *stream[T]) pressed() bool {
 	return r.n == len(r.buf) && r.live() == 0
 }
+
+// room returns how many pushes the ring takes before pressed() holds: the
+// free slots, then one eviction per resident entry already below the seam.
+// A run of samples is judged against it up front, where one sample asks
+// pressed().
+func (r *stream[T]) room() int { return len(r.buf) - r.n + r.live() }
 
 // pending returns, for a block writer, the unsealed entries below absolute
 // index end and the absolute index of the first. pressed() guarantees they

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"envmon/internal/telemetry/storage"
+	"envmon/internal/trace"
 )
 
 // Resolution selects which ladder level a query reads: the raw ring or one
@@ -100,7 +101,10 @@ func newSeries(key SeriesKey, unit string, opts Options) *series {
 
 // append records one sample and updates every rollup level incrementally:
 // either the open tail bucket absorbs the sample or a new bucket is pushed.
-// The caller has already checked time order; t >= lastT holds.
+// The caller has already checked time order; t >= lastT holds. That is what
+// lets the bucket test be a subtraction: the tail bucket holds lastT and
+// starts on a multiple of period, so Start <= t, and t falls in it exactly
+// when t-Start < period. The division runs only when a bucket opens.
 func (s *series) append(t time.Duration, v float64) {
 	if s.raw.total == 0 {
 		s.minT = t
@@ -108,9 +112,8 @@ func (s *series) append(t time.Duration, v float64) {
 	s.raw.push(Point{T: t, V: v})
 	s.lastT = t
 	for i, period := range rollupPeriods {
-		start := t - t%period
 		rb := &s.roll[i]
-		if b := rb.tail(); b != nil && b.Start == start {
+		if b := rb.tail(); b != nil && t-b.Start < period {
 			if v < b.Min {
 				b.Min = v
 			}
@@ -122,7 +125,7 @@ func (s *series) append(t time.Duration, v float64) {
 			b.Count++
 			continue
 		}
-		rb.push(Bucket{Start: start, Count: 1, Min: v, Max: v, Sum: v, Last: v})
+		rb.push(Bucket{Start: t - t%period, Count: 1, Min: v, Max: v, Sum: v, Last: v})
 	}
 }
 
@@ -134,15 +137,55 @@ func (s *series) appendGap(t time.Duration) {
 
 // samplePressed reports whether absorbing a sample at t would evict
 // unsealed data: from the raw ring, or from a rollup ring that is about to
-// open a new bucket rather than absorb the sample into its tail.
+// open a new bucket rather than absorb the sample into its tail. t >= lastT,
+// as for append.
 func (s *series) samplePressed(t time.Duration) bool {
 	if s.raw.pressed() {
 		return true
 	}
 	for l, period := range rollupPeriods {
-		if rb := &s.roll[l]; rb.pressed() && rb.tail().Start != t-t%period {
+		if rb := &s.roll[l]; rb.pressed() && t-rb.tail().Start >= period {
 			return true
 		}
 	}
 	return false
+}
+
+// stretch reports how many leading samples of run one journal record may
+// carry. The first always counts: the caller has checked its order and made
+// room for it, sealing if samplePressed said so. Each later one counts while
+// it is in time order and, in a journaled store, absorbing it would evict
+// nothing unsealed — judged as samplePressed would judge it once the samples
+// before it were in the rings: room() pushes are left per ring, the raw ring
+// spends one per sample and a rollup ring one per bucket opened. So a run
+// seals at the sample index where sample-by-sample ingest would have. A
+// memory-only store has nothing unsealed and only order ends its stretch.
+func (s *series) stretch(run []trace.Sample, offset time.Duration, journaled bool) int {
+	raw := s.raw.room()
+	var room [numRollupLevels]int
+	var start [numRollupLevels]time.Duration
+	for l, period := range rollupPeriods {
+		room[l], start[l] = s.roll[l].room(), -period // no tail yet: any t >= 0 opens a bucket
+		if b := s.roll[l].tail(); b != nil {
+			start[l] = b.Start
+		}
+	}
+	for n, sm := range run {
+		if n > 0 && (sm.T < run[n-1].T || journaled && raw <= 0) {
+			return n
+		}
+		t := sm.T + offset
+		for l, period := range rollupPeriods {
+			if t-start[l] < period {
+				continue
+			}
+			if n > 0 && journaled && room[l] <= 0 {
+				return n
+			}
+			room[l]--
+			start[l] = t - t%period
+		}
+		raw--
+	}
+	return len(run)
 }

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"envmon/internal/trace"
 )
 
 // The tests in this file pin the count seam (DESIGN §9): the stream type
@@ -84,7 +86,7 @@ func modelSeed(t *testing.T) int64 {
 }
 
 // TestSeamModel is the seam's property test: a random sequence of Ingest,
-// IngestGap, Flush and close-and-Open (at a different shard count and WAL
+// IngestGap, cursor flushes of whole runs, Flush and close-and-Open (at a different shard count and WAL
 // budget) on a persistent store whose rings hold 2–8 entries, so pressure
 // compaction fires constantly, must stay indistinguishable — on Query at
 // every resolution, window and aggregate, on TopK and on Series — from a
@@ -183,6 +185,50 @@ func TestSeamModel(t *testing.T) {
 				t.Fatalf("CHAOS_SEED=%d op %d: recovery lost %d records", seed, op, lost)
 			}
 			check("reopen")
+		case p < 12:
+			// Flush a run: 1–40 samples of one series through a cursor, the
+			// oracle taking them one by one. One run in four holds a sample
+			// that runs backwards: the flush must land what precedes it,
+			// refuse it, and leave it and the rest on the set.
+			k := rng.Intn(len(keys))
+			set := trace.NewSet()
+			ts := set.Add(trace.NewSeries(keys[k].Backend+"/"+keys[k].Domain, "W"))
+			n, bad := 1+rng.Intn(40), -1
+			if rng.Intn(4) == 0 {
+				bad = rng.Intn(n)
+			}
+			at := lastSample[k]
+			for i := 0; i < n; i++ {
+				at += time.Duration(rng.Intn(400)) * time.Millisecond
+				if rng.Intn(20) == 0 {
+					at += time.Duration(rng.Intn(90)) * time.Second
+				}
+				sm := trace.Sample{T: at, V: 100 + float64(k)*20 + 50*rng.Float64()}
+				if i == bad {
+					sm.T -= at - lastSample[k] + time.Duration(1+rng.Intn(5))*time.Second // behind everything before it
+				}
+				ts.Samples = append(ts.Samples, sm)
+			}
+			want := n
+			if bad >= 0 {
+				want = bad
+			}
+			for _, sm := range ts.Samples[:want] {
+				if err := ref.Ingest(keys[k], "W", sm.T, sm.V); err != nil {
+					t.Fatalf("CHAOS_SEED=%d op %d: oracle refused sample at %v of a run: %v", seed, op, sm.T, err)
+				}
+				lastSample[k], horizon = sm.T, max(horizon, sm.T)
+				instants = append(instants, sm.T)
+			}
+			err := NewSetCursor(ps, keys[k].Node, set).Flush()
+			if (bad < 0) != (err == nil) || (err != nil && !errors.Is(err, ErrOutOfOrder)) || len(ts.Samples) != n-want {
+				t.Fatalf("CHAOS_SEED=%d op %d: run of %d (sample %d out of order): flush answered %v and left %d on the set, want %d", seed, op, n, bad, err, len(ts.Samples), n-want)
+			}
+			if bad >= 0 {
+				if rerr := ref.Ingest(keys[k], "W", ts.Samples[0].T, ts.Samples[0].V); !errors.Is(rerr, ErrOutOfOrder) {
+					t.Fatalf("CHAOS_SEED=%d op %d: oracle answered %v to the sample the flush refused", seed, op, rerr)
+				}
+			}
 		default:
 			k := rng.Intn(len(keys))
 			// Mostly sub-second steps (equal timestamps included) with the

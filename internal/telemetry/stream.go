@@ -50,7 +50,9 @@ func (s MonEQSink) Write(set *trace.Set) error {
 //
 // Keys and units are resolved once per series and a consumed series keeps
 // its capacity, so a steady-state Flush (existing series, new samples)
-// performs zero allocations beyond the store's own ingest path.
+// performs zero allocations. Each series' samples go to the store as one
+// run (Store.ingestRun): one lock round-trip and, in a persistent store, one
+// journal record per series per flush rather than per sample.
 type SetCursor struct {
 	// Offset is added to every sample and gap time on ingest. A restarted
 	// daemon sets it past the recovered store's MaxTime so a fresh
@@ -94,13 +96,7 @@ func (c *SetCursor) flush(consume bool) error {
 			c.keys = append(c.keys, SeriesKey{Node: node, Backend: backend, Domain: domain})
 			c.units = append(c.units, ts.Unit)
 		}
-		var err error
-		n := 0
-		for ; n < len(ts.Samples); n++ {
-			if err = c.store.Ingest(c.keys[i], c.units[i], ts.Samples[n].T+c.Offset, ts.Samples[n].V); err != nil {
-				break
-			}
-		}
+		n, err := c.store.ingestRun(c.keys[i], c.units[i], ts.Samples, c.Offset)
 		if consume {
 			ts.Samples = ts.Samples[:copy(ts.Samples, ts.Samples[n:])]
 		}

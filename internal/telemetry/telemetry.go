@@ -48,6 +48,14 @@
 //     struct (no string building), the hash is computed in place, all
 //     buffers are preallocated rings, and the WAL appender reuses one
 //     scratch buffer per shard.
+//   - Traffic that arrives grouped is taken grouped. A cursor flush holds a
+//     run of consecutive samples per series, and hands each run over in one
+//     call: one hash, one shard lock, one series lookup, and in a persistent
+//     store one journal record per run instead of one per sample. Ingest
+//     keeps its single-sample body for interleaved traffic; both end in the
+//     same series.append, which tests a sample against its open buckets by
+//     subtraction and divides only when a bucket opens, and they seal at the
+//     same sample index — the store cannot tell which of the two fed it.
 package telemetry
 
 import (
@@ -58,9 +66,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"envmon/internal/obs"
 	"envmon/internal/telemetry/block"
 	"envmon/internal/telemetry/storage"
 	"envmon/internal/telemetry/wal"
+	"envmon/internal/trace"
 )
 
 // SeriesKey identifies one stored series: a measurement domain of one
@@ -248,29 +258,82 @@ func (st *Store) Ingest(key SeriesKey, unit string, t time.Duration, v float64) 
 		return st.reject(sh, ErrOutOfOrder)
 	}
 	if sh.wal != nil {
-		// Journal-append spans are sampled 1 in 1024 so the latency
-		// histogram fills without two clock reads per acknowledged sample.
-		o := st.obs
-		timed := o != nil && s.raw.total&1023 == 0
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		err := st.journalReadyLocked(sh, s, s.samplePressed(t))
-		if err == nil {
-			err = sh.wal.AppendSample(s.walRef, s.raw.total, t, v)
-		}
-		if err != nil {
+		if err := st.journalReadyLocked(sh, s, s.samplePressed(t)); err != nil {
 			return st.reject(sh, err)
 		}
-		if timed {
-			o.walStage.Observe(time.Since(start), 0)
+		// Journal-append spans are sampled 1 in 1024 so the latency
+		// histogram fills without two clock reads per acknowledged sample.
+		// The clock starts after journalReadyLocked: a seal it ran is the
+		// compaction stage's, and a raw ring whose size is a multiple of
+		// 1024 presses on exactly the sampled indexes.
+		var span obs.Span
+		if o := st.obs; o != nil && s.raw.total&1023 == 0 {
+			span = o.walStage.Begin()
 		}
+		if err := sh.wal.AppendSample(s.walRef, s.raw.total, t, v); err != nil {
+			return st.reject(sh, err)
+		}
+		span.End(0)
 	}
 	s.append(t, v)
 	sh.mu.Unlock()
 	st.samples.Add(1)
 	return nil
+}
+
+// ingestRun is Ingest for consecutive samples of one series, offset added to
+// each time: what a cursor flush holds per series. The shard lock, the closed
+// check and the series lookup are paid once for the run, and the journal takes
+// one record per stretch (series.stretch) instead of one per sample — written
+// whole before any of its samples reaches the rings, after the same seal, at
+// the same sample index, that Ingest would have run. A rejected sample (out of
+// order, a failed seal or append) acknowledges the samples before it, which are
+// in the store as if Ingest had taken them one by one, and nothing from it on.
+func (st *Store) ingestRun(key SeriesKey, unit string, run []trace.Sample, offset time.Duration) (acknowledged int, err error) {
+	if len(run) == 0 {
+		return 0, nil
+	}
+	sh, s, err := st.lockSeries(key, unit, run[0].T+offset)
+	if err != nil {
+		return 0, err
+	}
+	journaled := sh.wal != nil
+	for acknowledged < len(run) {
+		rest := run[acknowledged:]
+		t := rest[0].T + offset
+		if s.raw.total > 0 && t < s.lastT {
+			err = ErrOutOfOrder
+			break
+		}
+		if journaled {
+			if err = st.journalReadyLocked(sh, s, s.samplePressed(t)); err != nil {
+				break
+			}
+		}
+		rest = rest[:s.stretch(rest, offset, journaled)]
+		if journaled {
+			// One span per record holding a sample whose index is a multiple
+			// of 1024: the rate per sample Ingest samples at.
+			var span obs.Span
+			if o := st.obs; o != nil && -s.raw.total&1023 < uint64(len(rest)) {
+				span = o.walStage.Begin()
+			}
+			if err = sh.wal.AppendRun(s.walRef, s.raw.total, rest, offset); err != nil {
+				break
+			}
+			span.End(0)
+		}
+		for _, sm := range rest {
+			s.append(sm.T+offset, sm.V)
+		}
+		acknowledged += len(rest)
+	}
+	st.samples.Add(uint64(acknowledged))
+	if err != nil {
+		return acknowledged, st.reject(sh, err)
+	}
+	sh.mu.Unlock()
+	return acknowledged, nil
 }
 
 // IngestGap records an explicit "no data" marker at t for the keyed

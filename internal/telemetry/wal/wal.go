@@ -1,7 +1,7 @@
 // Package wal is the write-ahead log of the telemetry storage engine: an
-// append-only journal of ingested samples and gap markers, segmented per
-// store shard, that makes every acknowledged ingest durable before the
-// head's in-memory rings absorb it.
+// append-only journal of ingested samples, runs of samples and gap markers,
+// segmented per store shard, that makes every acknowledged ingest durable
+// before the head's in-memory rings absorb it.
 //
 // Layout under the WAL root:
 //
@@ -20,6 +20,13 @@
 // segments — even across restarts that changed the shard count — is
 // recovered by sorting on (series, index). Crash-anywhere safety falls
 // out of this idempotence rather than from a careful deletion protocol.
+//
+// A run record carries consecutive samples of one series — what a cursor
+// flush holds — under one frame: the first sample's absolute index, a count,
+// the first time, then an unsigned step and a value per sample. Replay
+// expands it into the per-sample entries above, so nothing downstream knows
+// the difference, but a record is the unit of durability: all of a run
+// replays or none of it.
 //
 // Framing is length + CRC32C per record. A torn tail (the record being
 // written when the process died) fails its checksum and cleanly ends
@@ -45,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,6 +62,7 @@ import (
 	"time"
 
 	"envmon/internal/telemetry/storage"
+	"envmon/internal/trace"
 )
 
 const (
@@ -64,6 +73,7 @@ const (
 	recSeries = 1
 	recSample = 2
 	recGap    = 3
+	recRun    = 4
 )
 
 // WAL is one store's journal: a set of per-shard appenders under a common
@@ -239,6 +249,28 @@ func (sh *Shard) AppendSample(ref, idx uint64, t time.Duration, v float64) error
 	return sh.commit(p)
 }
 
+// AppendRun journals consecutive samples of one series (at least one),
+// offset added to each time, as one record: one frame and one checksum, so
+// replay sees all of the run or none of it. idx is the first sample's
+// absolute index. The caller has checked that times do not decrease; the
+// record spells each as an unsigned step from the one before and could not
+// say otherwise.
+func (sh *Shard) AppendRun(ref, idx uint64, run []trace.Sample, offset time.Duration) error {
+	t := run[0].T + offset
+	p := sh.begin()
+	p = append(p, recRun)
+	p = binary.AppendUvarint(p, ref)
+	p = binary.AppendUvarint(p, idx)
+	p = binary.AppendUvarint(p, uint64(len(run)))
+	p = binary.AppendVarint(p, int64(t))
+	for _, sm := range run {
+		p = binary.AppendUvarint(p, uint64(sm.T+offset-t))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(sm.V))
+		t = sm.T + offset
+	}
+	return sh.commit(p)
+}
+
 // AppendGap journals one gap marker at absolute gap index idx.
 func (sh *Shard) AppendGap(ref, idx uint64, t time.Duration) error {
 	p := sh.begin()
@@ -403,6 +435,31 @@ func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps 
 		s := Sample{Key: d.key, Unit: d.unit, Index: r.Uvarint(), T: time.Duration(r.Varint()), V: r.Float64()}
 		if r.Err == nil {
 			*samples = append(*samples, s)
+		}
+	case recRun:
+		d, ok := refs[ref]
+		if !ok {
+			return fmt.Errorf("run record references undeclared series %d", ref)
+		}
+		idx, n, t := r.Uvarint(), r.Uvarint(), r.Varint()
+		// A count is believed only as far as the bytes left could hold it
+		// (a step and a value are at least nine), and a record cut short
+		// anywhere gives back what it had appended: all of a run or none.
+		if n > uint64(len(r.P))/9 {
+			r.Err = io.ErrUnexpectedEOF
+		}
+		whole := len(*samples)
+		for ; n > 0 && r.Err == nil; n, idx = n-1, idx+1 {
+			step := r.Uvarint()
+			if step > uint64(math.MaxInt64-max(t, 0)) {
+				r.Err = fmt.Errorf("run record of series %d steps past the end of time", ref)
+				break
+			}
+			t += int64(step)
+			*samples = append(*samples, Sample{Key: d.key, Unit: d.unit, Index: idx, T: time.Duration(t), V: r.Float64()})
+		}
+		if r.Err != nil {
+			*samples = (*samples)[:whole]
 		}
 	case recGap:
 		d, ok := refs[ref]

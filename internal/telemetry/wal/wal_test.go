@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,12 +11,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"envmon/internal/telemetry/storage"
+	"envmon/internal/trace"
 )
 
 var testKey = storage.SeriesKey{Node: "c000-001", Backend: "MSR", Domain: "Total Power"}
@@ -107,6 +110,34 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 		if g := gaps[0]; g.Key != testKey || g.Index != 0 || g.T != 42*time.Second {
 			t.Fatalf("gap = %+v", g)
+		}
+
+		// The same stream as run records — of one sample, of many, with
+		// repeated instants, under an offset — replays as the same samples.
+		dir = t.TempDir()
+		w = create(t, dir, 1, mapped)
+		sh = w.Shard(0)
+		if ref, err = sh.AppendSeries(testKey, "W"); err != nil {
+			t.Fatal(err)
+		}
+		const offset = 7 * time.Second
+		var want []Sample
+		for _, n := range []int{1, 34, 1, 20} {
+			first, run := uint64(len(want)), make([]trace.Sample, n)
+			for i := range run {
+				idx := first + uint64(i)
+				run[i] = trace.Sample{T: time.Duration(idx/2) * time.Second, V: float64(idx) * 1.5}
+				want = append(want, Sample{Key: testKey, Unit: "W", Index: idx, T: run[i].T + offset, V: run[i].V})
+			}
+			if err := sh.AppendRun(ref, first, run, offset); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if samples, gaps, err = Replay(dir); err != nil || len(gaps) != 0 || !reflect.DeepEqual(samples, want) {
+			t.Fatalf("run records replayed %d samples %d gaps (err %v), want the %d appended and 0", len(samples), len(gaps), err, len(want))
 		}
 	})
 }
@@ -264,6 +295,21 @@ func TestAppendSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("steady-state append allocates %.1f times per record, want 0", allocs)
 		}
+		// A run record outgrows the scratch buffer once, then reuses it.
+		run := make([]trace.Sample, 34)
+		appendRun := func() {
+			for j := range run {
+				run[j] = trace.Sample{T: time.Duration(i+uint64(j)) * time.Millisecond, V: 3.14}
+			}
+			if err := sh.AppendRun(ref, i, run, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			i += uint64(len(run))
+		}
+		appendRun()
+		if allocs := testing.AllocsPerRun(200, appendRun); allocs != 0 {
+			t.Fatalf("steady-state run append allocates %.1f times per record, want 0", allocs)
+		}
 	})
 }
 
@@ -304,6 +350,31 @@ func TestRecordsAcrossWindows(t *testing.T) {
 		}
 		sample(gref, giant, 0)
 		sample(sref, straddler, 0)
+		// Run records the same way, under the key that sorts last: one longer
+		// than a window, then enough mid-sized ones to cover a window and a
+		// half, so wherever the windows fall one of them lies across an edge.
+		runs := storage.SeriesKey{Node: "t000-001", Backend: "MSR", Domain: "Total Power"}
+		rref, err := sh.AppendSeries(runs, "W")
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := uint64(0)
+		for _, n := range append([]int{window / 8}, slices.Repeat([]int{1000}, 40)...) {
+			run := make([]trace.Sample, n)
+			for i := range run {
+				s := Sample{Key: runs, Unit: "W", Index: idx, T: time.Duration(idx) * time.Millisecond, V: float64(idx)}
+				run[i] = trace.Sample{T: s.T, V: s.V}
+				want = append(want, s)
+				idx++
+			}
+			before := sh.Size()
+			if err := sh.AppendRun(rref, idx-uint64(n), run, 0); err != nil {
+				t.Fatal(err)
+			}
+			if n > 1000 && sh.Size()-before <= window {
+				t.Fatalf("the long run record is %d bytes, not longer than a %d-byte window", sh.Size()-before, window)
+			}
+		}
 		size := sh.Size()
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -680,14 +751,24 @@ func TestDecodeRecordTruncated(t *testing.T) {
 		[]byte{recSeries, 2}, testKey.Node), testKey.Backend), testKey.Domain), "W")
 	sample := append([]byte{recSample, 1, 3, 0x80, 0x01}, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)
 	gap := []byte{recGap, 1, 0, 0x80, 0x01}
-	for _, payload := range [][]byte{series, sample, gap} {
+	// Run records: ref 1, first index 3, count, first t 64, then a step and a
+	// value per sample. Cut anywhere — inside the header, between samples,
+	// inside the last value — none of the run's samples replays.
+	one := append([]byte{recRun, 1, 3, 1, 0x80, 0x01, 0}, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)
+	three := append(bytes.Clone(one), append([]byte{0x90, 0x4e, 0, 0, 0, 0, 0, 0, 0, 0x40}, 0, 0, 0, 0, 0, 0, 0, 0x08, 0x40)...)
+	three[3] = 3
+	for _, payload := range [][]byte{series, sample, gap, one, three} {
+		whole := 2 // the series declared up front, and the record
+		if payload[0] == recRun {
+			whole = 1 + int(payload[3])
+		}
 		for n := 0; n <= len(payload); n++ {
 			refs := map[uint64]seriesDecl{1: {key: testKey, unit: "W"}}
 			var samples []Sample
 			var gaps []Gap
 			err := decodeRecord(payload[:n], refs, &samples, &gaps)
 			if n == len(payload) {
-				if err != nil || len(samples)+len(gaps)+len(refs) != 2 {
+				if err != nil || len(samples)+len(gaps)+len(refs) != whole {
 					t.Errorf("whole record type %d: %v, %d samples, %d gaps, %d series", payload[0], err, len(samples), len(gaps), len(refs))
 				}
 			} else if !errors.Is(err, io.ErrUnexpectedEOF) || len(samples)+len(gaps)+len(refs) != 1 {
@@ -699,7 +780,7 @@ func TestDecodeRecordTruncated(t *testing.T) {
 
 func FuzzReplaySegment(f *testing.F) {
 	dir := f.TempDir()
-	w, err := Create(dir, 1)
+	w, err := Create(dir, 3)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -713,12 +794,49 @@ func FuzzReplaySegment(f *testing.F) {
 	if err := sh.AppendGap(ref, 0, time.Minute); err != nil {
 		f.Fatal(err)
 	}
+	// Run records: of one sample, then one whose leading indexes (15–20)
+	// records before it already hold — what replay hands the store when a
+	// block or an older segment covers the head of a run.
+	run := func(sh *Shard, idx uint64, n int) {
+		samples := make([]trace.Sample, n)
+		for i := range samples {
+			samples[i] = trace.Sample{T: time.Duration(idx + uint64(i)), V: float64(i)}
+		}
+		if err := sh.AppendRun(ref, idx, samples, 0); err != nil {
+			f.Fatal(err)
+		}
+	}
+	run(sh, 20, 1)
+	run(sh, 15, 12)
+	// And two segments as a window-sized journal leaves them: a run lying
+	// across the first window's end, and a run longer than a window. They
+	// are a quarter of a megabyte each, and the engine would spend its
+	// default minute minimizing the first interesting input it derives
+	// from one — CI runs this target with -fuzzminimizetime 1s.
+	straddler, long := w.Shard(1), w.Shard(2)
+	for _, sh := range []*Shard{straddler, long} {
+		if _, err := sh.AppendSeries(testKey, "W"); err != nil { // ref 1 there too
+			f.Fatal(err)
+		}
+	}
+	for i := uint64(0); straddler.Size() < window-100; i += 1000 {
+		run(straddler, i, 1000)
+	}
+	run(straddler, 1<<20, 40)
+	run(long, 0, window/9+1)
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
 	seg, err := os.ReadFile(filepath.Join(dir, "0", "00000001.wal"))
 	if err != nil {
 		f.Fatal(err)
+	}
+	for _, shard := range []string{"1", "2"} {
+		big, err := os.ReadFile(filepath.Join(dir, shard, "00000001.wal"))
+		if err != nil || len(big) <= window {
+			f.Fatalf("shard %s's segment is %d bytes (err %v), want more than a window", shard, len(big), err)
+		}
+		f.Add(big)
 	}
 	f.Add(seg)
 	f.Add(append(bytes.Clone(seg), make([]byte, 4096)...)) // preallocated tail
@@ -751,6 +869,15 @@ func FuzzReplaySegment(f *testing.F) {
 			}
 			if payload[0] == recSample || payload[0] == recGap {
 				valid++
+			}
+			if payload[0] == recRun {
+				// The count a run declares, third uvarint in: replay may hand
+				// back that many samples for the frame, or none of them.
+				q, count := payload[1:], uint64(0)
+				for i, n := 0, 0; i < 3 && len(q) > 0; i, q = i+1, q[max(n, 1):] {
+					count, n = binary.Uvarint(q)
+				}
+				valid += int(min(count, plen))
 			}
 			p = p[8+plen:]
 		}
