@@ -10,6 +10,13 @@
 // energy-monitoring framework: the federation tier owns no data, only the
 // member list, the fan-out pool, and the merge rules.
 //
+// Like Kwapi's forwarder between drivers and plug-ins, it passes on what
+// it does not change. A /query frame whose series one member holds — every
+// frame, when nodes are partitioned across members — is checked token by
+// token as a decoder would check it (httpapi.SplitQueryResult) and then
+// written to the client as the bytes that member sent; only a series
+// several members report is decoded, combined and encoded here.
+//
 // Failure is first-class degraded state, never a silent zero: a member
 // that cannot answer (connection error, deadline, open breaker) becomes an
 // explicit MissingMember entry in the response's degraded section — the
@@ -244,7 +251,8 @@ func fanout[T any](ctx context.Context, f *Federator, fn func(context.Context, *
 // callMember runs one member's call: breaker gate, per-call deadline,
 // retries on the capped-backoff schedule while the query's context
 // allows. Every attempt is recorded in the member's breaker and, when
-// instrumented, in the per-member latency histogram.
+// instrumented, in the per-member latency histogram — except one that
+// ended because the query's own caller went away.
 func callMember[T any](ctx context.Context, f *Federator, m *member, fn func(context.Context, *client.Client) (T, error)) outcome[T] {
 	o := outcome[T]{m: m}
 	m.mu.Lock()
@@ -263,6 +271,16 @@ func callMember[T any](ctx context.Context, f *Federator, m *member, fn func(con
 		doc, err := fn(cctx, m.client)
 		elapsed := time.Since(start)
 		cancel()
+		if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+			// The query was cancelled, not timed out: its caller hung up
+			// (envtop closed, a controller gave up) and took this call with
+			// it. That says nothing about the member, so it is recorded
+			// nowhere — three of these must not open a healthy member's
+			// breaker. Half-open allows every call, not one probe, so a
+			// probe dropped here cannot wedge the breaker either.
+			o.err = err
+			return o
+		}
 		f.observeCall(m, elapsed, err)
 		m.mu.Lock()
 		m.breaker.Record(f.clock(), err == nil)
@@ -312,33 +330,50 @@ func degraded[T any](f *Federator, outs []outcome[T]) *httpapi.Degraded {
 	}
 }
 
-// Query fans the query out and merges the members' frames. A member's 404
-// on a filtered query means "no matching series on that rack" and counts
-// as an empty answer, not a failure.
-func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.QueryResult {
-	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (httpapi.QueryResult, error) {
-		doc, err := cl.QueryFull(ctx, p)
+// memberDoc is one member's /query answer as the fan-out returns it.
+type memberDoc struct {
+	httpapi.WireResult
+	reencoded bool // the body was not in the codec's own spelling
+}
+
+// Query fans the query out and merges the members' frames, which arrive
+// checked but not decoded and leave as the bytes they came in wherever
+// one member holds the key (mergeWire). A member's 404 on a filtered query
+// means "no matching series on that rack" and counts as an empty answer,
+// not a failure. The document's frames alias the members' response
+// bodies.
+func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.WireResult {
+	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (memberDoc, error) {
+		doc, reencoded, err := cl.QueryWire(ctx, p)
 		var se *client.StatusError
 		if errors.As(err, &se) && se.Code == 404 {
-			return httpapi.QueryResult{}, nil
+			return memberDoc{}, nil
 		}
-		return doc, err
+		return memberDoc{doc, reencoded}, err
 	})
-	parts := make([]MemberQuery, 0, len(outs))
+	lists := make([]memberFrames[httpapi.WireFrame], 0, len(outs))
+	res := httpapi.WireResult{Degraded: degraded(f, outs)}
 	var clocks simClocks
 	for i := range outs {
-		if outs[i].err == nil {
-			parts = append(parts, MemberQuery{Member: outs[i].m.name, Doc: outs[i].doc})
-			clocks.add(outs[i].doc.SimNowNS)
+		if outs[i].err != nil {
+			continue
+		}
+		doc := &outs[i].doc
+		lists = append(lists, memberFrames[httpapi.WireFrame]{member: outs[i].m.name, frames: doc.Frames})
+		clocks.add(doc.SimNowNS)
+		// Each member's newest_ns is httpapi.NewestNS of its own frames, and
+		// a combine keeps every point, so the newest of theirs is what
+		// NewestNS would find in the merged frames.
+		res.NewestNS = max(res.NewestNS, doc.NewestNS)
+		if doc.reencoded {
+			f.observeReencoded(outs[i].m)
 		}
 	}
-	frames := MergeFrames(parts, p.Aggregate)
-	return httpapi.QueryResult{
-		Frames:   frames,
-		SimNowNS: clocks.min,
-		NewestNS: httpapi.NewestNS(frames),
-		Degraded: degraded(f, outs),
-	}
+	var combined int
+	res.Frames, combined, res.Err = mergeWire(lists, p.Aggregate)
+	res.SimNowNS = clocks.min
+	f.observeFrames(len(res.Frames)-combined, combined)
+	return res
 }
 
 // TopK fans out and merges the global ranking. p.K bounds the merged

@@ -2,6 +2,8 @@ package federation
 
 import (
 	"container/heap"
+	"fmt"
+	"slices"
 	"sort"
 
 	"envmon/internal/telemetry"
@@ -157,42 +159,150 @@ type MemberQuery struct {
 // interleaved by timestamp, gap markers unioned (never dropped — a gap on
 // any member is a gap in the federation's answer), and the window
 // reduction recomputed from the combined points under agg.
+//
+// This is the merge Federator.Query runs on frames still on the wire
+// (mergeWire), on frames already decoded: the same walk, the same combine.
 func MergeFrames(parts []MemberQuery, agg string) []httpapi.Frame {
-	type src struct {
-		member string
-		frame  httpapi.Frame
+	lists := make([]memberFrames[httpapi.Frame], len(parts))
+	total := 0
+	for i, p := range parts {
+		lists[i] = memberFrames[httpapi.Frame]{member: p.Member, frames: p.Doc.Frames}
+		total += len(p.Doc.Frames)
 	}
-	var all []src
-	for _, p := range parts {
-		for _, f := range p.Doc.Frames {
-			all = append(all, src{p.Member, f})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		ki, kj := all[i].frame.Key(), all[j].frame.Key()
-		if ki != kj {
-			return storage.KeyLess(ki, kj)
-		}
-		return all[i].member < all[j].member
-	})
-	out := make([]httpapi.Frame, 0, len(all))
-	for i := 0; i < len(all); {
-		j := i + 1
-		for j < len(all) && all[j].frame.Key() == all[i].frame.Key() {
-			j++
-		}
-		if j == i+1 {
-			out = append(out, all[i].frame)
+	out := make([]httpapi.Frame, 0, total)
+	mergeByKey(lists, (*httpapi.Frame).Key, func(group []httpapi.Frame) {
+		if len(group) == 1 {
+			out = append(out, group[0])
 		} else {
-			group := make([]httpapi.Frame, 0, j-i)
-			for _, s := range all[i:j] {
-				group = append(group, s.frame)
-			}
 			out = append(out, combineFrames(group, agg))
 		}
-		i = j
-	}
+	})
 	return out
+}
+
+// mergeWire is MergeFrames on frames that were checked and not decoded. A
+// key one member holds — every key, under the node-partitioned contract —
+// is passed on as the bytes that member sent; only a key several members
+// report is decoded, combined and encoded again. The fork is taken from
+// what the walk sees (a duplicate key), as MergeTopK takes its own.
+// combined counts the frames that came of a combine; err is the first one
+// that could not be encoded (a reduction that overflowed, say).
+func mergeWire(lists []memberFrames[httpapi.WireFrame], agg string) (out []httpapi.WireFrame, combined int, err error) {
+	total := 0
+	for _, l := range lists {
+		total += len(l.frames)
+	}
+	out = make([]httpapi.WireFrame, 0, total)
+	fail := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	key := func(w *httpapi.WireFrame) telemetry.SeriesKey { return w.Key }
+	mergeByKey(lists, key, func(group []httpapi.WireFrame) {
+		if len(group) == 1 {
+			out = append(out, group[0])
+			return
+		}
+		combined++
+		frames := make([]httpapi.Frame, len(group))
+		for i := range group {
+			var derr error
+			if frames[i], derr = group[i].Decode(); derr != nil {
+				// Not reachable with bytes SplitQueryResult let through: it
+				// checked them with the code that decodes them.
+				fail(fmt.Errorf("federation: series %v as a member sent it: %w", group[i].Key, derr))
+				return
+			}
+		}
+		f := combineFrames(frames, agg)
+		w, werr := f.Wire()
+		if werr != nil {
+			fail(werr)
+		}
+		out = append(out, w)
+	})
+	return out, combined, err
+}
+
+// memberFrames is one member's frames in a merge, typed or on the wire.
+// The walk consumes frames from the front and keeps the head's key in key.
+type memberFrames[F any] struct {
+	member string
+	frames []F
+	key    telemetry.SeriesKey
+}
+
+// frameHeap orders the members' lists by their head frame: series key
+// (storage.KeyLess), then member name ascending — the cross-member
+// tie-break on a key several members report.
+type frameHeap[F any] []*memberFrames[F]
+
+func (h frameHeap[F]) Len() int { return len(h) }
+func (h frameHeap[F]) Less(i, j int) bool {
+	if h[i].key != h[j].key {
+		return storage.KeyLess(h[i].key, h[j].key)
+	}
+	return h[i].member < h[j].member
+}
+func (h frameHeap[F]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frameHeap[F]) Push(x any)   { *h = append(*h, x.(*memberFrames[F])) }
+func (h *frameHeap[F]) Pop() any     { old := *h; n := len(old); l := old[n-1]; *h = old[:n-1]; return l }
+
+// mergeByKey is the /query merge walk: a k-way merge of the members'
+// lists, each in the order a store serves it (a list that is not is
+// stably sorted first), calling emit once per series key in key order
+// with that key's frames — one frame, or for a series spanning members
+// several, by member name and then by position in the member's list. The
+// slice emit is handed is only good for the call.
+func mergeByKey[F any](lists []memberFrames[F], key func(*F) telemetry.SeriesKey, emit func(group []F)) {
+	h := make(frameHeap[F], 0, len(lists))
+	for i := range lists {
+		l := &lists[i]
+		if len(l.frames) == 0 {
+			continue
+		}
+		l.key = key(&l.frames[0])
+		for j, prev := 1, l.key; j < len(l.frames); j++ {
+			k := key(&l.frames[j])
+			if storage.KeyLess(k, prev) {
+				sorted := slices.Clone(l.frames)
+				sort.SliceStable(sorted, func(a, b int) bool { return storage.KeyLess(key(&sorted[a]), key(&sorted[b])) })
+				l.frames, l.key = sorted, key(&sorted[0])
+				break
+			}
+			prev = k
+		}
+		h = append(h, l)
+	}
+	heap.Init(&h)
+	// pop takes the frame at the top of the heap, as a one-frame slice of
+	// its member's list.
+	pop := func() []F {
+		l := h[0]
+		head := l.frames[:1:1]
+		if l.frames = l.frames[1:]; len(l.frames) > 0 {
+			l.key = key(&l.frames[0])
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h)
+		}
+		return head
+	}
+	var group []F
+	for len(h) > 0 {
+		k := h[0].key
+		first := pop()
+		if len(h) == 0 || h[0].key != k {
+			emit(first)
+			continue
+		}
+		group = append(group[:0], first...)
+		for len(h) > 0 && h[0].key == k {
+			group = append(group, pop()...)
+		}
+		emit(group)
+	}
 }
 
 // combineFrames folds same-key frames from several members into one:

@@ -189,6 +189,34 @@ func (c *Client) Query(ctx context.Context, p QueryParams) ([]httpapi.Frame, err
 // partial results. Callers that must distinguish "complete answer" from
 // "some racks missing" use this.
 func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryResult, error) {
+	body, err := c.fetchQuery(ctx, p)
+	if err != nil {
+		return httpapi.QueryResult{}, err
+	}
+	out, err := httpapi.DecodeQueryResult(body)
+	if err != nil {
+		err = fmt.Errorf("client: decoding /query response: %w", err)
+	}
+	return out, err
+}
+
+// QueryWire is QueryFull for a caller that passes the frames on instead of
+// reading them (the federation tier): the same request, the same verdict
+// on the body, and the frames checked but left as the bytes they arrived
+// in. reencoded reports a body that was not in the codec's own spelling.
+func (c *Client) QueryWire(ctx context.Context, p QueryParams) (out httpapi.WireResult, reencoded bool, err error) {
+	body, err := c.fetchQuery(ctx, p)
+	if err != nil {
+		return httpapi.WireResult{}, false, err
+	}
+	if out, reencoded, err = httpapi.SplitQueryResult(body); err != nil {
+		err = fmt.Errorf("client: decoding /query response: %w", err)
+	}
+	return out, reencoded, err
+}
+
+// fetchQuery sends p as a /query request and returns the 200 body.
+func (c *Client) fetchQuery(ctx context.Context, p QueryParams) ([]byte, error) {
 	v := url.Values{}
 	if p.Node != "" {
 		v.Set("node", p.Node)
@@ -207,15 +235,7 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 	if p.Aggregate != "" {
 		v.Set("agg", p.Aggregate)
 	}
-	body, err := c.fetch(ctx, "/query", v)
-	if err != nil {
-		return httpapi.QueryResult{}, err
-	}
-	out, err := httpapi.DecodeQueryResult(body)
-	if err != nil {
-		err = fmt.Errorf("client: decoding /query response: %w", err)
-	}
-	return out, err
+	return c.fetch(ctx, "/query", v)
 }
 
 // TopKParams parameterizes TopK. K < 0 asks for every node (k=0 on the

@@ -187,10 +187,15 @@ func (st *Store) compactShardLocked(sh *shard, force bool) error {
 		}
 		st.compactions.Add(1)
 	}
-	if err := sh.wal.Rotate(); err != nil {
+	// The epoch moves even when the rotation fails (the disk too full for
+	// the next segment): the old segment is gone either way and every ref
+	// into it, so each series' next record is a declaration, and that is
+	// where the journal opens the segment it could not open here.
+	err := sh.wal.Rotate()
+	sh.walEpoch++
+	if err != nil {
 		return err
 	}
-	sh.walEpoch++
 	if o != nil {
 		wall := time.Since(start)
 		o.compactStage.Observe(wall, 0)

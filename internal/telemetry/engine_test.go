@@ -344,3 +344,94 @@ func TestFullDiskRejectsIngestAndLosesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestRotationOnAFullDiskReopensTheJournal: a seal rotates the shard's
+// journal — lets the old segment go, opens the next — and the disk can
+// fill between the two. The seal's ingest is rejected, as any ingest on a
+// full disk is; the shard used to keep the segment it had let go and
+// answer "file already closed" to every ingest from then on, space or no
+// space. Now the next ingest opens the successor first, and every series
+// declares itself in it as after a rotation that went through.
+func TestRotationOnAFullDiskReopensTheJournal(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Shards: 1, RawCapacity: 16}
+	st, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if !st.StorageStats().WALMapped {
+		t.Skip("the journal is not on the mapped appender here")
+	}
+	keys := []SeriesKey{
+		{Node: "c000-001", Backend: "MSR", Domain: "Total Power"},
+		{Node: "c000-002", Backend: "MSR", Domain: "Total Power"},
+	}
+	acked := make([]int, len(keys))
+	ingest := func(k int) error {
+		err := st.Ingest(keys[k], "W", time.Duration(acked[k])*time.Millisecond, float64(acked[k]))
+		if err == nil {
+			acked[k]++
+		}
+		return err
+	}
+	for i := 0; i < opts.RawCapacity; i++ {
+		for k := range keys {
+			if err := ingest(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The 17th sample presses the ring: seal, then rotate — on a full disk.
+	wal.TestHookFallocate = func(int, uint32, int64, int64) error { return syscall.ENOSPC }
+	defer func() { wal.TestHookFallocate = nil }()
+	if err := ingest(0); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("the ingest whose seal rotates on a full disk: err = %v", err)
+	}
+	if err := ingest(1); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("an ingest while the disk is still full: err = %v, want the disk's own error", err)
+	}
+	if got := st.Samples(); got != uint64(2*opts.RawCapacity) {
+		t.Fatalf("%d samples counted after two rejected ingests, want %d", got, 2*opts.RawCapacity)
+	}
+
+	wal.TestHookFallocate = nil
+	for i := 0; i < 5; i++ {
+		for k := range keys {
+			if err := ingest(k); err != nil {
+				t.Fatalf("ingest of series %d after space came back: %v", k, err)
+			}
+		}
+	}
+	if err := st.IngestGap(keys[1], "W", time.Second); err != nil {
+		t.Fatalf("gap after space came back: %v", err)
+	}
+	st.Close() // no Flush: what came after the failed rotation is in the journal alone
+
+	re, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.StorageStats().Recovery; rec.Samples != 10 || rec.Gaps != 1 || rec.Lost != 0 {
+		t.Fatalf("recovered %d samples and %d gaps from the journal (%d lost), want the 10 and the 1 acknowledged after the rotation", rec.Samples, rec.Gaps, rec.Lost)
+	}
+	frames := re.Query(Query{})
+	if len(frames) != len(keys) {
+		t.Fatalf("reopened store serves %d frames, want %d", len(frames), len(keys))
+	}
+	for k, f := range frames {
+		if f.Key != keys[k] || len(f.Points) != acked[k] {
+			t.Fatalf("series %v serves %d points, acknowledged %d", f.Key, len(f.Points), acked[k])
+		}
+		for i, p := range f.Points {
+			if p.T != time.Duration(i)*time.Millisecond || p.Last != float64(i) {
+				t.Fatalf("series %v point %d = (%v, %v): a rejected sample replayed or an acknowledged one moved", f.Key, i, p.T, p.Last)
+			}
+		}
+	}
+	if len(frames[1].Gaps) != 1 {
+		t.Fatalf("the gap marker journaled after the rotation: %v", frames[1].Gaps)
+	}
+}

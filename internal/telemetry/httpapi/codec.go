@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"time"
+
+	"envmon/internal/telemetry"
 )
 
 // The /query document's codec. A history reply is ~10k points and the
@@ -20,6 +22,17 @@ import (
 // is not in the encoder's own shape, as the encoder of the two parts that
 // are rare and small (a string needing escapes, the degraded section),
 // and as the reference the tests compare both directions against.
+//
+// The decoder's pass over a body has a second result, for whoever passes
+// a document on instead of reading it (envfedd): SplitQueryResult checks
+// every token as DecodeQueryResult does and returns each frame as the
+// bytes it arrived in, under the series key a merge orders by
+// (WireFrame), and WireResult.AppendJSON writes such frames back out.
+// What was checked but not decoded has AppendJSON's shape — its keys,
+// their order, no whitespace, plain strings — and numbers as the sender
+// spelled them, which from AppendJSON is the one way it spells them; it
+// decodes to exactly what a decode of the whole body would have held,
+// and nothing is passed on that DecodeQueryResult would have refused.
 
 // AppendJSON appends the document to dst exactly as
 // json.NewEncoder(w).Encode(r) writes it, trailing newline included. It
@@ -52,16 +65,23 @@ func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
 		}
 		dst = append(dst, ']')
 	}
-	if r.SimNowNS != 0 {
+	return appendTail(dst, start, r.SimNowNS, r.NewestNS, r.Degraded)
+}
+
+// appendTail closes a document whose frames are written: the freshness
+// metadata, the degraded section, the brace and the newline. On error
+// dst is cut back to start.
+func appendTail(dst []byte, start int, simNowNS, newestNS int64, degraded *Degraded) ([]byte, error) {
+	if simNowNS != 0 {
 		dst = append(dst, `,"sim_now_ns":`...)
-		dst = strconv.AppendInt(dst, r.SimNowNS, 10)
+		dst = strconv.AppendInt(dst, simNowNS, 10)
 	}
-	if r.NewestNS != 0 {
+	if newestNS != 0 {
 		dst = append(dst, `,"newest_ns":`...)
-		dst = strconv.AppendInt(dst, r.NewestNS, 10)
+		dst = strconv.AppendInt(dst, newestNS, 10)
 	}
-	if r.Degraded != nil {
-		sub, err := json.Marshal(r.Degraded)
+	if degraded != nil {
+		sub, err := json.Marshal(degraded)
 		if err != nil {
 			return dst[:start], err
 		}
@@ -182,6 +202,107 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// WireFrame is one frame of a /query document that has been checked and
+// not decoded: the series it belongs to — what a merge orders by — and the
+// frame object itself in AppendJSON's spelling. JSON from SplitQueryResult
+// aliases the body it was split from.
+type WireFrame struct {
+	Key  telemetry.SeriesKey
+	JSON []byte
+}
+
+// Wire is the frame in the form a WireResult carries: encoded as
+// AppendJSON encodes it, and failing on what AppendJSON fails on.
+func (f *Frame) Wire() (WireFrame, error) {
+	b, err := appendFrame(nil, f)
+	return WireFrame{Key: f.Key(), JSON: b}, err
+}
+
+// Decode is the frame as DecodeQueryResult would have returned it inside
+// its document. Nothing in the result aliases JSON.
+func (w *WireFrame) Decode() (Frame, error) {
+	var f Frame
+	if d := (scanner{b: w.JSON}); d.frame(&f, new(Frame)) && d.i == len(d.b) {
+		return f, nil
+	}
+	f = Frame{} // a label that needed an escape
+	err := json.Unmarshal(w.JSON, &f)
+	return f, err
+}
+
+// WireResult is the /query document in the hands of whoever passes it on
+// (envfedd): QueryResult with its frames left as bytes. AppendJSON writes
+// what QueryResult.AppendJSON would write for the same frames decoded, and
+// Answer applies the same rule.
+//
+// Err is how a document that could not be put together is served: a merge
+// that had to compute a frame (a series on several members) and could not
+// encode the result leaves the reason here, AppendJSON returns it, and the
+// answer is the 500 a single daemon gives for a value JSON cannot carry.
+type WireResult struct {
+	Frames   []WireFrame
+	SimNowNS int64
+	NewestNS int64
+	Degraded *Degraded
+	Err      error
+}
+
+// AppendJSON appends the document to dst, its frames as they are.
+func (r WireResult) AppendJSON(dst []byte) ([]byte, error) {
+	if r.Err != nil {
+		return dst, r.Err
+	}
+	start := len(dst)
+	size := 128
+	for i := range r.Frames {
+		size += len(r.Frames[i].JSON) + 1
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"frames":`...)
+	if r.Frames == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.Frames {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, r.Frames[i].JSON...)
+		}
+		dst = append(dst, ']')
+	}
+	return appendTail(dst, start, r.SimNowNS, r.NewestNS, r.Degraded)
+}
+
+// SplitQueryResult is DecodeQueryResult for a body that will be passed on:
+// it accepts what DecodeQueryResult accepts and fails, with the same error,
+// where it fails, and returns the frames as bytes in AppendJSON's spelling
+// under their series keys. A body already in that spelling is checked in
+// the decoder's own pass and its frames alias it; any other body is
+// decoded by encoding/json and its frames encoded again one by one, which
+// reencoded reports.
+func SplitQueryResult(body []byte) (w WireResult, reencoded bool, err error) {
+	var r QueryResult
+	if walkCanonical(body, &r, &w.Frames) {
+		w.SimNowNS, w.NewestNS, w.Degraded = r.SimNowNS, r.NewestNS, r.Degraded
+		return w, false, nil
+	}
+	r = QueryResult{} // the pass above may have filled it part-way
+	if err := json.Unmarshal(body, &r); err != nil {
+		return WireResult{}, false, err
+	}
+	w = WireResult{SimNowNS: r.SimNowNS, NewestNS: r.NewestNS, Degraded: r.Degraded}
+	if r.Frames != nil {
+		w.Frames = make([]WireFrame, len(r.Frames))
+	}
+	for i := range r.Frames {
+		if w.Frames[i], err = r.Frames[i].Wire(); err != nil {
+			return WireResult{}, false, err
+		}
+	}
+	return w, true, nil
+}
+
 // DecodeQueryResult decodes a /query response body into the value
 // json.Unmarshal would produce for it, and fails exactly when
 // json.Unmarshal would, with its error. A body in the shape AppendJSON
@@ -204,7 +325,15 @@ func DecodeQueryResult(body []byte) (QueryResult, error) {
 // insignificant whitespace, plain strings), and otherwise reports false
 // with r in an undefined state. It decides nothing about validity: what
 // it declines, encoding/json judges.
-func decodeCanonical(b []byte, r *QueryResult) bool {
+func decodeCanonical(b []byte, r *QueryResult) bool { return walkCanonical(b, r, nil) }
+
+// walkCanonical is the one pass over a body in AppendJSON's shape, behind
+// DecodeQueryResult and SplitQueryResult both. With wire nil the frames
+// are decoded into r.Frames. Otherwise each frame is matched token for
+// token by the same code and appended to *wire as the bytes it is, with
+// the key read from its labels; r takes the rest of the document. A body
+// declined one way is declined the other.
+func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 	end := len(b)
 	if end > 0 && b[end-1] == '\n' {
 		end--
@@ -212,7 +341,7 @@ func decodeCanonical(b []byte, r *QueryResult) bool {
 	if end == 0 || b[end-1] != '}' {
 		return false
 	}
-	d := scanner{b: b[:end-1]}
+	d := scanner{b: b[:end-1], split: wire != nil}
 	if !d.lit(`{"frames":`) {
 		return false
 	}
@@ -220,10 +349,24 @@ func decodeCanonical(b []byte, r *QueryResult) bool {
 		if !d.lit("[") {
 			return false
 		}
-		r.Frames = []Frame{}
-		for prev := new(Frame); !d.lit("]"); {
-			if len(r.Frames) > 0 && !d.lit(",") {
+		if d.split {
+			*wire = []WireFrame{}
+		} else {
+			r.Frames = []Frame{}
+		}
+		for n, prev := 0, new(Frame); !d.lit("]"); n++ {
+			if n > 0 && !d.lit(",") {
 				return false
+			}
+			if d.split {
+				// Only the labels are kept, so one Frame serves as every
+				// frame and as the one before it.
+				from := d.i
+				if !d.frame(prev, prev) {
+					return false
+				}
+				*wire = append(*wire, WireFrame{Key: prev.Key(), JSON: d.b[from:d.i:d.i]})
+				continue
 			}
 			r.Frames = append(r.Frames, Frame{})
 			f := &r.Frames[len(r.Frames)-1]
@@ -252,12 +395,19 @@ func decodeCanonical(b []byte, r *QueryResult) bool {
 	return d.i == len(d.b)
 }
 
-// scanner is decodeCanonical's position in the body, plus the last float
+// scanner is walkCanonical's position in the body, plus the last float
 // token parsed: a raw point repeats one number four times and neighbouring
 // points often repeat it again, and equal bytes parse to equal values.
+//
+// With split set the walk checks and does not keep: frame fills in the
+// labels only, and a number is matched against the grammar and, where its
+// spelling alone cannot show it finite, converted to find out — never
+// more, so that splitting a body costs no ParseFloat and no slice per
+// frame. Everything else, token for token, is the decoding walk.
 type scanner struct {
 	b       []byte
 	i       int
+	split   bool
 	lastTok []byte
 	lastVal float64
 }
@@ -271,9 +421,10 @@ func (d *scanner) lit(s string) bool {
 	return true
 }
 
-// frame decodes one frame object. prev is the frame before it (or an
-// empty one): labels other than the node mostly repeat from frame to
-// frame, and a repeated label shares the earlier frame's string.
+// frame decodes one frame object — on a split walk, its labels and no
+// more. prev is the frame before it (or an empty one, or f itself):
+// labels other than the node mostly repeat from frame to frame, and a
+// repeated label shares the earlier frame's string.
 func (d *scanner) frame(f, prev *Frame) bool {
 	var ok bool
 	if !d.lit(`{"node":`) {
@@ -299,7 +450,10 @@ func (d *scanner) frame(f, prev *Frame) bool {
 		if !ok {
 			return false
 		}
-		f.Reduced = &v
+		if !d.split {
+			reduced := v // its own variable, so that only a kept one is allocated
+			f.Reduced = &reduced
+		}
 	}
 	if !d.lit(`,"points":`) {
 		return false
@@ -313,32 +467,43 @@ func (d *scanner) frame(f, prev *Frame) bool {
 		// point. A wrong hint costs a regrow or some slack, never a wrong
 		// result, and cannot exceed what the shortest point spelling
 		// allows the array to hold.
-		array := d.b[d.i:]
-		if n := bytes.IndexByte(array, ']'); n >= 0 {
-			array = array[:n]
+		if !d.split {
+			array := d.b[d.i:]
+			if n := bytes.IndexByte(array, ']'); n >= 0 {
+				array = array[:n]
+			}
+			f.Points = make([]Point, 0, min(bytes.Count(array, []byte{'{'}), len(array)/minPointLen+1))
 		}
-		f.Points = make([]Point, 0, min(bytes.Count(array, []byte{'{'}), len(array)/minPointLen+1))
-		for !d.lit("]") {
-			if len(f.Points) > 0 && !d.lit(",") {
+		var checked Point // where a split walk puts every point
+		for n := 0; !d.lit("]"); n++ {
+			if n > 0 && !d.lit(",") {
 				return false
 			}
-			f.Points = append(f.Points, Point{})
-			if !d.point(&f.Points[len(f.Points)-1]) {
+			p := &checked
+			if !d.split {
+				f.Points = append(f.Points, Point{})
+				p = &f.Points[n]
+			}
+			if !d.point(p) {
 				return false
 			}
 		}
 	}
 	if d.lit(`,"gaps_ns":[`) {
-		f.GapsNS = []time.Duration{}
-		for !d.lit("]") {
-			if len(f.GapsNS) > 0 && !d.lit(",") {
+		if !d.split {
+			f.GapsNS = []time.Duration{}
+		}
+		for n := 0; !d.lit("]"); n++ {
+			if n > 0 && !d.lit(",") {
 				return false
 			}
 			g, ok := d.int()
 			if !ok {
 				return false
 			}
-			f.GapsNS = append(f.GapsNS, time.Duration(g))
+			if !d.split {
+				f.GapsNS = append(f.GapsNS, time.Duration(g))
+			}
 		}
 	}
 	return d.lit("}")
@@ -394,10 +559,11 @@ func (d *scanner) str(prev string) (string, bool) {
 
 // number consumes one token of the JSON number grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
-// is all integer part. strconv accepts much that JSON does not ("+1",
-// ".5", "1.", "01", "0x1p3", "Inf", "1_0"), so nothing reaches it that
-// has not passed here. What follows the token is the caller's to match.
-func (d *scanner) number() (tok []byte, integer bool) {
+// is all integer part, and whether it has an exponent. strconv accepts
+// much that JSON does not ("+1", ".5", "1.", "01", "0x1p3", "Inf", "1_0"),
+// so nothing reaches it that has not passed here. What follows the token
+// is the caller's to match.
+func (d *scanner) number() (tok []byte, integer, exponent bool) {
 	b, i := d.b, d.i
 	digits := func() bool {
 		from := i
@@ -412,35 +578,35 @@ func (d *scanner) number() (tok []byte, integer bool) {
 	if i < len(b) && b[i] == '0' {
 		i++
 	} else if !digits() {
-		return nil, false
+		return nil, false, false
 	}
 	integer = true
 	if i < len(b) && b[i] == '.' {
 		i++
 		integer = false
 		if !digits() {
-			return nil, false
+			return nil, false, false
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		integer = false
+		integer, exponent = false, true
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		if !digits() {
-			return nil, false
+			return nil, false, false
 		}
 	}
 	tok = b[d.i:i]
 	d.i = i
-	return tok, integer
+	return tok, integer, exponent
 }
 
 // int decodes an integer. A fraction, an exponent or an overflow is
 // encoding/json's to report.
 func (d *scanner) int() (int64, bool) {
-	tok, integer := d.number()
+	tok, integer, _ := d.number()
 	if !integer {
 		return 0, false
 	}
@@ -473,14 +639,25 @@ func (d *scanner) float() (float64, bool) {
 			return d.lastVal, true
 		}
 	}
-	tok, _ := d.number()
+	tok, _, exponent := d.number()
 	if tok == nil {
 		return 0, false
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, false
+	var v float64
+	// Past the grammar, a token fails to convert only by being too large
+	// for a float64, and one without an exponent is below ten to the count
+	// of its characters. A split walk, which wants the verdict and not the
+	// value, takes that much from the spelling.
+	if !d.split || exponent || len(tok) > maxPlainFloatLen {
+		var err error
+		if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
+			return 0, false
+		}
 	}
 	d.lastTok, d.lastVal = tok, v
 	return v, true
 }
+
+// maxPlainFloatLen is the longest number without an exponent that is
+// finite whatever its digits: under 1e308, and math.MaxFloat64 is 1.79e308.
+const maxPlainFloatLen = 308

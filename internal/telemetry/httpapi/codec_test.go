@@ -82,6 +82,7 @@ func checkCodec(t *testing.T, r QueryResult, canonical bool) []byte {
 		t.Fatalf("one-pass decode = %v, want %v, on %s", ok, canonical, got)
 	}
 	checkAgree(t, got)
+	checkSplit(t, got)
 	return got
 }
 
@@ -109,6 +110,123 @@ func TestCodecCoversEveryField(t *testing.T) {
 			t.Errorf("%T has %d fields, codec.go encodes and decodes %d: teach it the new one, its tests too, then update this count",
 				tc.doc, n, tc.fields)
 		}
+	}
+	// The same for the split, without a count to update: a document with
+	// every field of every type set, whatever the fields are by then, goes
+	// through the encoder, the one-pass walk and the split whole. A field
+	// the walk decodes but the split drops, or one only encoding/json
+	// knows (the body would be re-encoded), fails here.
+	var full QueryResult
+	setEveryField(reflect.ValueOf(&full).Elem())
+	body := checkCodec(t, full, true)
+	w, reencoded, err := SplitQueryResult(body)
+	if err != nil || reencoded || len(w.Frames) != len(full.Frames) {
+		t.Fatalf("a document with every field set splits to %d frames, reencoded %v, err %v: %s", len(w.Frames), reencoded, err, body)
+	}
+	for i := range w.Frames {
+		if f, err := w.Frames[i].Decode(); err != nil || !reflect.DeepEqual(f, full.Frames[i]) {
+			t.Errorf("frame %d decoded from its bytes: %v\n got %+v\nwant %+v", i, err, f, full.Frames[i])
+		}
+	}
+	if got, err := w.AppendJSON(nil); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("the split document written back (%v):\n got %s\nwant %s", err, got, body)
+	}
+	checkSplit(t, body)
+}
+
+// setEveryField sets every field under v, recursively, to a value that is
+// not its zero value and that the codec spells plainly.
+func setEveryField(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			setEveryField(v.Field(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			setEveryField(v.Index(i))
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		setEveryField(v.Elem())
+	case reflect.String:
+		v.SetString("s")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(2.5)
+	default:
+		panic("setEveryField: teach me " + v.Kind().String())
+	}
+}
+
+// checkSplit holds SplitQueryResult to DecodeQueryResult on one body: the
+// same verdict with the same error; re-encoded exactly when the one-pass
+// walk declines the body; and frames that, decoded one by one from the
+// bytes they were kept as, are the frames of the decoded document under
+// the keys they were filed by — as is the document they make up again.
+func checkSplit(t *testing.T, body []byte) {
+	t.Helper()
+	want, wantErr := DecodeQueryResult(body)
+	kept := bytes.Clone(body)
+	got, reencoded, gotErr := SplitQueryResult(kept)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("body %q:\nsplit error  %v\ndecode error %v", body, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	var fast QueryResult
+	if canonical := decodeCanonical(body, &fast); canonical == reencoded {
+		t.Fatalf("body %q: one-pass decode = %v, but reencoded = %v", body, canonical, reencoded)
+	}
+	if (got.Frames == nil) != (want.Frames == nil) || len(got.Frames) != len(want.Frames) {
+		t.Fatalf("body %q: %d frames split (nil: %v), %d decoded (nil: %v)", body,
+			len(got.Frames), got.Frames == nil, len(want.Frames), want.Frames == nil)
+	}
+	rebuilt := QueryResult{SimNowNS: got.SimNowNS, NewestNS: got.NewestNS, Degraded: got.Degraded}
+	if got.Frames != nil {
+		rebuilt.Frames = []Frame{}
+	}
+	for i := range got.Frames {
+		f, err := got.Frames[i].Decode()
+		if err != nil {
+			t.Fatalf("body %q: frame %d %q does not decode: %v", body, i, got.Frames[i].JSON, err)
+		}
+		if got.Frames[i].Key != want.Frames[i].Key() {
+			t.Fatalf("body %q: frame %d filed under %v, is %v", body, i, got.Frames[i].Key, want.Frames[i].Key())
+		}
+		rebuilt.Frames = append(rebuilt.Frames, f)
+		// The one thing a re-encode normalises: omitempty drops an empty
+		// gap list, so it comes back nil.
+		if reencoded && len(want.Frames[i].GapsNS) == 0 {
+			want.Frames[i].GapsNS = nil
+		}
+	}
+	if !sameResult(rebuilt, want) {
+		t.Fatalf("body %q:\nsplit, frames decoded one by one %+v\ndecoded whole                     %+v", body, rebuilt, want)
+	}
+	out, err := got.AppendJSON(nil)
+	if err != nil {
+		t.Fatalf("body %q: the split document does not encode: %v", body, err)
+	}
+	if again, err := DecodeQueryResult(out); err != nil || !sameResult(again, want) {
+		t.Fatalf("body %q: written back as %q, which decodes to (%v) %+v, want %+v", body, out, err, again, want)
+	}
+	if !reencoded && got.Frames != nil {
+		// Kept as they came: the frames, comma-separated, are the body's
+		// own array. (The degraded section is encoding/json's both ways.)
+		frames := make([][]byte, len(got.Frames))
+		for i := range got.Frames {
+			frames[i] = got.Frames[i].JSON
+		}
+		if array := "[" + string(bytes.Join(frames, []byte(","))) + "]"; !bytes.HasPrefix(body[len(`{"frames":`):], []byte(array)) {
+			t.Fatalf("body %q was not re-encoded, yet its frames came back as %s", body, array)
+		}
+	}
+	if !bytes.Equal(kept, body) {
+		t.Fatalf("SplitQueryResult wrote to its input: %q, was %q", kept, body)
 	}
 }
 
@@ -382,8 +500,12 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		point("-1e999"), point("1e-999"), point(`"1"`), point("true"),
 		tns("1.0"), tns("1e3"), tns("-0"), tns("9223372036854775807"), tns("9223372036854775808"),
 		tns("-9223372036854775808"), tns("-9223372036854775809"), tns("99999999999999999999999"), tns("01"),
+		tns("1234567890123456789"), point("1" + strings.Repeat("0", 308)), point("1" + strings.Repeat("0", 307) + ".5"),
+		point("1" + strings.Repeat("0", 309)), point("-1" + strings.Repeat("0", 308) + ".0"), point("0." + strings.Repeat("0", 400) + "1"),
+		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":null,"gaps_ns":[]}]}`,
 	} {
 		checkAgree(t, []byte(body))
+		checkSplit(t, []byte(body))
 	}
 	// The first group above, and every number the fast path has no
 	// business parsing, must not have been answered by the one-pass pass.
@@ -423,6 +545,7 @@ func TestDecodeSingleByteMutations(t *testing.T) {
 				mutated[at] = replacements[rng.Intn(len(replacements))]
 			}
 			checkAgree(t, mutated)
+			checkSplit(t, mutated)
 		}
 	}
 }
@@ -460,6 +583,33 @@ func FuzzDecodeQueryResult(f *testing.F) {
 	}
 	f.Add([]byte(`{ "frames": [ { "node": "n", "points": [ { "t_ns": 1, "min": 1e999 } ] } ] }`))
 	f.Fuzz(func(t *testing.T, body []byte) { checkAgree(t, body) })
+}
+
+// FuzzSplitQueryResult: on arbitrary bytes the split and the decoder
+// agree — a body splits exactly when it decodes, with the same error when
+// it does not, and the frames decoded one by one from the bytes they were
+// kept as are the decoded document's (checkSplit).
+func FuzzSplitQueryResult(f *testing.F) {
+	for _, doc := range seedDocuments(f) {
+		f.Add(doc)
+	}
+	// What TestQueryOnTheWire reads off a socket, an escaped label, both
+	// nulls, a float past float64 and a t_ns one digit short of int64's 19.
+	const labels = `"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw"`
+	for _, body := range []string{
+		`{"frames":[{` + labels + `,"points":[]}],"sim_now_ns":500000000000}` + "\n",
+		`{"frames":[{` + labels + `,"points":[],"gaps_ns":[1500000000]}],"sim_now_ns":500000000000}` + "\n",
+		`{"frames":[]}` + "\n",
+		`{"frames":[{"node":"a\u003cb","backend":"MSR","domain":"d","unit":"\u00b0C","resolution":"raw","points":null}]}`,
+		`{"frames":null}`,
+		`{"frames":[{` + labels + `,"points":null}]}`,
+		`{"frames":[{` + labels + `,"points":[{"t_ns":1,"min":1e999,"max":1,"mean":1,"last":1,"count":1}]}]}`,
+		`{"frames":[{` + labels + `,"reduced":2.5,"points":[{"t_ns":1234567890123456789,"min":1,"max":1,"mean":1,"last":1,"count":1}]}]}`,
+		`{ "frames": [ { "node": "n", "points": [ { "t_ns": 1, "min": 1e999 } ] } ] }`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkSplit(t, body) })
 }
 
 // bigFrame is a history reply: one series, n raw points.
@@ -515,6 +665,32 @@ func TestCodecAllocations(t *testing.T) {
 	}
 }
 
+// TestSplitAllocations is the gate on what the split is for: a frame that
+// is passed on costs its node label and its share of the frame list, and
+// nothing per point — no slice, no reduction, no float conversion.
+func TestSplitAllocations(t *testing.T) {
+	const frames = 512
+	recent, err := manyFrames(frames).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() { _, _, _ = SplitQueryResult(recent) }); n > frames+32 {
+		t.Errorf("splitting %d frames of 8 points: %v allocations, want at most one per frame", frames, n)
+	}
+	history, err := bigFrame(10240).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() { _, _, _ = SplitQueryResult(history) }); n > 8 {
+		t.Errorf("splitting a 10k-point frame: %v allocations, want a handful", n)
+	}
+	w, _, _ := SplitQueryResult(recent)
+	buf, _ := w.AppendJSON(nil)
+	if n := testing.AllocsPerRun(5, func() { buf, _ = w.AppendJSON(buf[:0]) }); n != 0 || !bytes.Equal(buf, recent) {
+		t.Errorf("writing the split document into a warm buffer: %v allocations, want 0 (same bytes: %v)", n, bytes.Equal(buf, recent))
+	}
+}
+
 // TestDecodeCopiesStrings: the client reuses nothing of the body today,
 // but a decoded label that aliased it would change under whoever does.
 func TestDecodeCopiesStrings(t *testing.T) {
@@ -535,6 +711,7 @@ func TestDecodeCopiesStrings(t *testing.T) {
 var (
 	benchBytes  []byte
 	benchResult QueryResult
+	benchWire   WireResult
 )
 
 func benchmarkEncode(b *testing.B, r QueryResult, codec bool) {
@@ -572,3 +749,14 @@ func BenchmarkEncodeRecent(b *testing.B)      { benchmarkEncode(b, manyFrames(51
 func BenchmarkEncodeRecentJSON(b *testing.B)  { benchmarkEncode(b, manyFrames(512), false) }
 func BenchmarkDecodeRecent(b *testing.B)      { benchmarkDecode(b, manyFrames(512), true) }
 func BenchmarkDecodeRecentJSON(b *testing.B)  { benchmarkDecode(b, manyFrames(512), false) }
+
+// BenchmarkSplitRecent is BenchmarkDecodeRecent's body checked and kept as
+// bytes instead of decoded: what envfedd pays per member body.
+func BenchmarkSplitRecent(b *testing.B) {
+	body, _ := manyFrames(512).AppendJSON(nil)
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchWire, _, _ = SplitQueryResult(body)
+	}
+}

@@ -4,6 +4,10 @@
 // and the resilience chains already hand out element by element — points,
 // ranking entries, breaker positions — is aliased here, not mirrored: the
 // one definition carries the JSON tags and the handlers pass its slices on.
+// The /query document has its own codec (codec.go), and a second form for
+// a server that passes frames on rather than producing them: WireResult,
+// the same document with each frame checked but left as the bytes it
+// arrived in, served by the same rules.
 //
 // Endpoints (all GET):
 //
@@ -175,7 +179,8 @@ func (f *Frame) Key() telemetry.SeriesKey {
 //
 // This document, with its Frame and Point, is written and read by the
 // hand-written codec in codec.go rather than by reflection: a field added
-// to any of the three is added there too (TestCodecCoversEveryField).
+// to any of the three is added there too (TestCodecCoversEveryField), and
+// one added to the document itself to WireResult as well.
 type QueryResult struct {
 	Frames   []Frame   `json:"frames"`
 	SimNowNS int64     `json:"sim_now_ns,omitempty"`
@@ -476,10 +481,20 @@ func (s *Server) simNow() int64 {
 // ("can't say; these racks are dark"), never a 404 that claims the series
 // does not exist.
 func (r QueryResult) Answer(q telemetry.Query) (status int, doc any) {
-	if len(r.Frames) == 0 && r.Degraded == nil && (q.Node != "" || q.Backend != "" || q.Domain != "") {
+	return answer(len(r.Frames), r.Degraded, q, r)
+}
+
+// Answer is QueryResult.Answer for the document with its frames on the
+// wire.
+func (r WireResult) Answer(q telemetry.Query) (status int, doc any) {
+	return answer(len(r.Frames), r.Degraded, q, r)
+}
+
+func answer(frames int, degraded *Degraded, q telemetry.Query, doc any) (int, any) {
+	if frames == 0 && degraded == nil && (q.Node != "" || q.Backend != "" || q.Domain != "") {
 		return http.StatusNotFound, ErrorBody{Error: "no matching series"}
 	}
-	return http.StatusOK, r
+	return http.StatusOK, doc
 }
 
 // NewestNS is a /query document's newest_ns: the newest point timestamp

@@ -93,6 +93,10 @@ type Shard struct {
 	rotations uint64
 	nextRef   uint64
 	buf       []byte
+	// unopened is set from the moment a rotation lets its segment go until
+	// the successor is open: past Rotate's return only when it failed (a
+	// full disk), and then AppendSeries opens the successor first.
+	unopened bool
 
 	// segments opened with each appender, across rotations
 	mappedSegs, writeSegs uint64
@@ -166,6 +170,7 @@ func (sh *Shard) openSegment() error {
 	}
 	sh.appended += seg.size
 	sh.nextRef = 0
+	sh.unopened = false
 	return nil
 }
 
@@ -202,7 +207,14 @@ func (sh *Shard) Sync() error {
 // in a block now, so it is unmapped, closed and deleted along with any
 // older segments, and a fresh segment begins. Series refs reset — the next
 // append of each series re-declares it in the new segment.
+//
+// That holds when Rotate fails, too. The old segment is let go first, so
+// after an error (a disk too full for the successor's first window, above
+// all) the shard has no segment and no ref is good; the caller re-declares
+// its series as after any rotation, and the first AppendSeries opens the
+// successor before it writes — once the disk lets it.
 func (sh *Shard) Rotate() error {
+	sh.unopened = true
 	if err := sh.seg.release(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -223,8 +235,15 @@ func (sh *Shard) Rotate() error {
 }
 
 // AppendSeries declares a series in the current segment and returns the
-// ref later sample/gap records use. Refs are segment-scoped.
+// ref later sample/gap records use. Refs are segment-scoped. After a Rotate
+// that failed there is no current segment, and this opens it: a declaration
+// is every segment's first record.
 func (sh *Shard) AppendSeries(key storage.SeriesKey, unit string) (uint64, error) {
+	if sh.unopened {
+		if err := sh.openSegment(); err != nil {
+			return 0, err
+		}
+	}
 	sh.nextRef++
 	ref := sh.nextRef
 	p := sh.begin()

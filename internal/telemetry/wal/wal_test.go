@@ -715,8 +715,10 @@ func TestWindowGrowthFailure(t *testing.T) {
 	}
 
 	// A rotation on a full disk fails too — ENOSPC is no reason to fall
-	// back to write(2) — and leaves a shard that refuses appends until a
-	// rotation succeeds.
+	// back to write(2) — and leaves a shard without a segment: it refuses
+	// records under the old refs for good, and opens the successor at the
+	// next rotation, as here, or the next declaration
+	// (TestFailedRotateOpensSuccessorAtNextDeclaration).
 	TestHookFallocate = func(int, uint32, int64, int64) error { return syscall.ENOSPC }
 	if err := sh.Rotate(); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Rotate on a full disk: err = %v", err)
@@ -737,6 +739,73 @@ func TestWindowGrowthFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.check(dir)
+}
+
+// TestFailedRotateOpensSuccessorAtNextDeclaration: a rotation lets the old
+// segment go before it opens the next, and a full disk can come between.
+// The shard is then without a segment, not closed: while the disk stays
+// full a declaration fails with the disk's error, and the first one after
+// that opens the successor and is its first record. Nothing is ever
+// appended under a ref from the segment that is gone.
+func TestFailedRotateOpensSuccessorAtNextDeclaration(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("no mapped appender off Linux")
+	}
+	dir := t.TempDir()
+	w := create(t, dir, 1, true)
+	sh := w.Shard(0)
+	ref, _ := sh.AppendSeries(testKey, "W")
+	log := &appendLog{t: t, sh: sh, ref: ref}
+	for i := 0; i < 3; i++ {
+		if err := log.sample(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	TestHookFallocate = func(int, uint32, int64, int64) error { return syscall.ENOSPC }
+	defer func() { TestHookFallocate = nil }()
+	if err := sh.Rotate(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Rotate on a full disk: err = %v", err)
+	}
+	log.acked = nil // rotated away, as after a compaction
+	if _, err := sh.AppendSeries(testKey, "W"); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("declaration while the disk is full: err = %v, want the disk's own", err)
+	}
+	if err := log.sample(); err == nil {
+		t.Fatal("a sample under a ref from the segment that is gone was acknowledged")
+	}
+
+	TestHookFallocate = nil
+	if err := log.sample(); err == nil {
+		t.Fatal("a sample under a ref from the segment that is gone was acknowledged once space was back")
+	}
+	var err error
+	if log.ref, err = sh.AppendSeries(testKey, "W"); err != nil || log.ref != 1 {
+		t.Fatalf("declaration after space came back: ref %d, err %v, want the new segment's first ref", log.ref, err)
+	}
+	if !sh.Mapped() || sh.Rotations() != 1 {
+		t.Fatalf("the successor: mapped %v after %d rotations", sh.Mapped(), sh.Rotations())
+	}
+	for i := 0; i < 3; i++ {
+		if err := log.sample(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sh.Rotate(); err != nil { // and rotations go on from there
+		t.Fatal(err)
+	}
+	log.acked = nil
+	log.ref, _ = sh.AppendSeries(testKey, "W")
+	if err := log.sample(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log.check(dir)
+	if segs, _ := segmentSeqs(filepath.Join(dir, "0")); len(segs) != 1 {
+		t.Fatalf("segments left on disk: %v, want the open one alone", segs)
+	}
 }
 
 // FuzzReplaySegment feeds one segment's bytes to the decoder. It must not
