@@ -41,10 +41,9 @@ func TestServingConformance(t *testing.T) {
 	fedSrv := httptest.NewServer(fedAPI)
 	t.Cleanup(fedSrv.Close)
 
-	d, err := newCapDaemon(config{
-		listen: "127.0.0.1:0", telemetry: member.URL, budget: 500,
-		interval: time.Hour, window: 5 * time.Second, logf: t.Logf,
-	})
+	cfg := testConfig(t, member.URL)
+	cfg.budget, cfg.interval = 500, time.Hour // an idle control loop: the subject is the chassis
+	d, err := newCapDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,21 +17,16 @@ import (
 )
 
 // config carries every envcapd knob, so the daemon is constructible from
-// a test without flag parsing.
+// a test without flag parsing; registerFlags holds the defaults.
 type config struct {
 	listen     string
 	telemetry  string
-	domain     string
 	ladderSpec string
 
-	budget, floor, max     float64
-	tolerance, deadband    float64
-	gain, slew             float64
-	freshness, recoverHold time.Duration
-	watchdog, ladderHold   time.Duration
-	interval, window       time.Duration
-	deadline               time.Duration
-	logCapacity            int
+	budget, floor        float64
+	freshness, watchdog  time.Duration
+	ladderHold, interval time.Duration
+	deadline             time.Duration
 
 	logf func(format string, args ...any)
 }
@@ -67,6 +62,9 @@ type capDaemon struct {
 // newCapDaemon builds the daemon and binds the listen address (so a
 // caller with ":0" can read the real port from Addr before running).
 func newCapDaemon(cfg config) (*capDaemon, error) {
+	if cfg.interval <= 0 {
+		return nil, fmt.Errorf("interval %v must be positive", cfg.interval)
+	}
 	if cfg.logf == nil {
 		cfg.logf = log.Printf
 	}
@@ -75,19 +73,12 @@ func newCapDaemon(cfg config) (*capDaemon, error) {
 		return nil, err
 	}
 	ctrl, err := powercap.New(powercap.Config{
-		BudgetW:     cfg.budget,
-		FloorW:      cfg.floor,
-		MaxW:        cfg.max,
-		ToleranceW:  cfg.tolerance,
-		DeadbandW:   cfg.deadband,
-		Gain:        cfg.gain,
-		SlewW:       cfg.slew,
-		Freshness:   cfg.freshness,
-		RecoverHold: cfg.recoverHold,
-		Watchdog:    cfg.watchdog,
-		Ladder:      ladder,
-		LadderHold:  cfg.ladderHold,
-		LogCapacity: cfg.logCapacity,
+		BudgetW:    cfg.budget,
+		FloorW:     cfg.floor,
+		Freshness:  cfg.freshness,
+		Watchdog:   cfg.watchdog,
+		Ladder:     ladder,
+		LadderHold: cfg.ladderHold,
 	})
 	if err != nil {
 		return nil, err
@@ -97,8 +88,6 @@ func newCapDaemon(cfg config) (*capDaemon, error) {
 		ctrl: ctrl,
 		src: powercap.ClientSource{
 			Client:   client.New(cfg.telemetry),
-			Domain:   cfg.domain,
-			Window:   cfg.window,
 			Deadline: cfg.deadline,
 		},
 		started: time.Now(),

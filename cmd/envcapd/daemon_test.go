@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,31 @@ import (
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
 )
+
+// testConfig is the flag defaults watching telemetry from an ephemeral
+// port, logging to the test.
+func testConfig(t *testing.T, telemetry string) config {
+	cfg := registerFlags(flag.NewFlagSet("envcapd", flag.ContinueOnError))
+	cfg.listen, cfg.telemetry, cfg.logf = "127.0.0.1:0", telemetry, t.Logf
+	return *cfg
+}
+
+// TestFlagSurface pins envcapd's flags: a flag added or removed shows up
+// here as a diff. Each one is a deployment setting or has a test that
+// shows what it changes (DESIGN §13, "Knobs").
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("envcapd", flag.ContinueOnError)
+	registerFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"budget", "deadline", "floor", "freshness", "interval", "ladder", "ladder-hold",
+		"listen", "telemetry", "watchdog",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags = %q\nwant    %q", got, want)
+	}
+}
 
 // fakeTelemetry serves a two-node fleet whose newest points sit just
 // under the server's simulated now, so every query reads fresh.
@@ -64,20 +92,13 @@ func waitFor(t *testing.T, what string, deadline time.Duration, ok func() bool) 
 // watchdog schedule, with zero violation seconds throughout.
 func TestDaemonHoldsThenDegrades(t *testing.T) {
 	tel := fakeTelemetry(t)
-	d, err := newCapDaemon(config{
-		listen:     "127.0.0.1:0",
-		telemetry:  tel.URL,
-		budget:     500, // fleet reads 210 W: comfortably under
-		floor:      100,
-		freshness:  2 * time.Second,
-		watchdog:   300 * time.Millisecond,
-		ladderSpec: "0.8,0.5",
-		ladderHold: 150 * time.Millisecond,
-		interval:   20 * time.Millisecond,
-		window:     5 * time.Second,
-		deadline:   time.Second,
-		logf:       t.Logf,
-	})
+	cfg := testConfig(t, tel.URL)
+	cfg.budget, cfg.floor = 500, 100 // fleet reads 210 W: comfortably under
+	// a watchdog, ladder and tick short enough to walk the whole ladder
+	// inside the test's wait
+	cfg.watchdog, cfg.ladderSpec, cfg.ladderHold = 300*time.Millisecond, "0.8,0.5", 150*time.Millisecond
+	cfg.interval = 20 * time.Millisecond
+	d, err := newCapDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +189,22 @@ func TestParseLadder(t *testing.T) {
 	if got, err := parseLadder(""); got != nil || err != nil {
 		t.Errorf("empty ladder = %v, %v", got, err)
 	}
-	// An ascending ladder is rejected by the controller's validation.
-	if _, err := newCapDaemon(config{listen: "127.0.0.1:0", telemetry: "http://x", budget: 100, ladderSpec: "0.2,0.8"}); err == nil {
-		t.Error("ascending ladder accepted")
+	// A ladder the controller's validation refuses, a budget no actuator
+	// can hold, and a loop that cannot tick are all refused before the
+	// daemon starts (main exits 2 with the message).
+	for name, breakIt := range map[string]func(*config){
+		"ascending -ladder": func(c *config) { c.ladderSpec = "0.2,0.8" },
+		"-ladder NaN":       func(c *config) { c.ladderSpec = "0.9,NaN" },
+		"-budget NaN":       func(c *config) { c.budget = math.NaN() },
+		"-budget +Inf":      func(c *config) { c.budget = math.Inf(1) },
+		"-interval 0":       func(c *config) { c.interval = 0 },
+		"-interval -1s":     func(c *config) { c.interval = -time.Second },
+	} {
+		cfg := testConfig(t, "http://x")
+		cfg.budget = 100
+		breakIt(&cfg)
+		if _, err := newCapDaemon(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -38,18 +38,15 @@ import (
 )
 
 // config carries every envfedd knob, so the daemon is constructible from
-// a test without flag parsing.
+// a test without flag parsing; registerFlags holds the defaults.
 type config struct {
-	listen           string
-	membersSpec      string
-	memberDeadline   time.Duration
-	queryDeadline    time.Duration
-	workers          int
-	retries          int
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	accessLog        bool
-	logf             func(format string, args ...any)
+	listen         string
+	membersSpec    string
+	memberDeadline time.Duration
+	queryDeadline  time.Duration
+	retries        int
+	accessLog      bool
+	logf           func(format string, args ...any)
 }
 
 // fedDaemon is an assembled envfedd: federator and the bound chassis
@@ -76,12 +73,9 @@ func newFedDaemon(cfg config) (*fedDaemon, error) {
 		retries = -1
 	}
 	fed, err := federation.New(federation.Config{
-		Members:          members,
-		MemberDeadline:   cfg.memberDeadline,
-		Workers:          cfg.workers,
-		Retries:          retries,
-		BreakerThreshold: cfg.breakerThreshold,
-		BreakerCooldown:  cfg.breakerCooldown,
+		Members:        members,
+		MemberDeadline: cfg.memberDeadline,
+		Retries:        retries,
 	})
 	if err != nil {
 		return nil, err
@@ -120,12 +114,7 @@ func registerFlags(fs *flag.FlagSet) *config {
 		"per-member call deadline; a member past it is reported missing")
 	fs.DurationVar(&cfg.queryDeadline, "deadline", 5*time.Second,
 		"default whole-query deadline when the request has no deadline_ms (0 disables)")
-	fs.IntVar(&cfg.workers, "workers", 0, "concurrent member calls per query (0 = min(8, members))")
 	fs.IntVar(&cfg.retries, "retries", 1, "extra attempts per failed member call within the deadline")
-	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3,
-		"consecutive member failures that open its breaker")
-	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 10*time.Second,
-		"how long an open breaker skips a member before probing it again")
 	fs.BoolVar(&cfg.accessLog, "access-log", false, "log one structured line per HTTP request")
 	return cfg
 }

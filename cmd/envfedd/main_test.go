@@ -3,17 +3,42 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
 )
+
+// testConfig is the flag defaults on an ephemeral port, logging to the
+// test; membersSpec is left to the test.
+func testConfig(t *testing.T) config {
+	cfg := registerFlags(flag.NewFlagSet("envfedd", flag.ContinueOnError))
+	cfg.listen, cfg.logf = "127.0.0.1:0", t.Logf
+	return *cfg
+}
+
+// TestFlagSurface pins envfedd's flags: a flag added or removed shows up
+// here as a diff. Each one is a deployment setting or has a test that
+// shows what it changes (DESIGN §13, "Knobs").
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("envfedd", flag.ContinueOnError)
+	registerFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"access-log", "deadline", "listen", "member-deadline", "members", "retries"}
+	if !slices.Equal(got, want) {
+		t.Errorf("flags = %q\nwant    %q", got, want)
+	}
+}
 
 // startMember spins one envmond-equivalent member (httpapi over an
 // in-memory store) holding the given nodes.
@@ -41,12 +66,20 @@ func TestEnvfeddEndToEnd(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 
-	d, err := newFedDaemon(config{
-		listen:      "127.0.0.1:0",
-		membersSpec: fmt.Sprintf("rack0=%s,rack1=%s,rack2=%s", m0.URL, m1.URL, deadURL),
-		retries:     -1,
-		logf:        t.Logf,
-	})
+	var mu sync.Mutex
+	var access []string
+	cfg := testConfig(t)
+	cfg.membersSpec = fmt.Sprintf("rack0=%s,rack1=%s,rack2=%s", m0.URL, m1.URL, deadURL)
+	cfg.retries = 0 // the dead rack fails on its first call
+	cfg.accessLog = true
+	cfg.logf = func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, " access ") {
+			mu.Lock()
+			access = append(access, line)
+			mu.Unlock()
+		}
+	}
+	d, err := newFedDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +178,23 @@ func TestEnvfeddEndToEnd(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+
+	// -access-log wrote one line per request, status and path included.
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(access, func(l string) bool { return strings.Contains(l, "access GET /topk 200 ") }) {
+		t.Errorf("no access-log line for GET /topk among %q", access)
+	}
 }
 
 func TestEnvfeddRejectsBadConfig(t *testing.T) {
-	if _, err := newFedDaemon(config{listen: "127.0.0.1:0", membersSpec: " , "}); err == nil {
+	cfg := testConfig(t)
+	cfg.membersSpec = " , "
+	if _, err := newFedDaemon(cfg); err == nil {
 		t.Fatal("empty member spec must fail")
 	}
-	if _, err := newFedDaemon(config{
-		listen:      "127.0.0.1:0",
-		membersSpec: "a=http://x:1,a=http://y:2",
-	}); err == nil {
+	cfg.membersSpec = "a=http://x:1,a=http://y:2"
+	if _, err := newFedDaemon(cfg); err == nil {
 		t.Fatal("duplicate member names must fail")
 	}
 }

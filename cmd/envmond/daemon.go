@@ -21,22 +21,20 @@ import (
 	"envmon/internal/workload"
 )
 
+// cycle is how often the simulated workload restarts.
+const cycle = 260 * time.Second
+
 // config carries every envmond knob, so the daemon is constructible from a
-// test without flag parsing.
+// test without flag parsing; registerFlags holds the defaults.
 type config struct {
-	listen      string
-	nodes       int
-	shards      int
-	storeShards int
-	workers     int
-	interval    time.Duration
-	epoch       time.Duration
-	tick        time.Duration
-	duration    time.Duration
-	cycle       time.Duration
-	seed        uint64
-	bgqRacks    int
-	envdbIvl    time.Duration
+	listen   string
+	nodes    int
+	shards   int
+	interval time.Duration
+	epoch    time.Duration
+	tick     time.Duration
+	seed     uint64
+	envdbIvl time.Duration
 	// faultSpec, when non-empty, decorates the backend registry with a
 	// deterministic fault injector (see faults.ParsePlan for the syntax).
 	faultSpec string
@@ -113,9 +111,6 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 	if cfg.epoch <= 0 || cfg.tick <= 0 {
 		return nil, fmt.Errorf("epoch and tick must be positive")
 	}
-	if cfg.cycle <= 0 {
-		return nil, fmt.Errorf("cycle must be positive")
-	}
 	if cfg.logf == nil {
 		cfg.logf = log.Printf
 	}
@@ -131,12 +126,12 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 		base = faults.Decorate(base, plan)
 	}
 
-	d := &daemon{cfg: cfg, started: time.Now(), nextCycle: cfg.cycle}
+	d := &daemon{cfg: cfg, started: time.Now(), nextCycle: cycle}
 	d.reg = obs.NewRegistry()
 	d.tracer = obs.NewTracer(d.reg)
 	d.slow = obs.NewSlowLog(d.reg, cfg.slowOp, 256)
 	if cfg.dataDir != "" {
-		st, err := telemetry.Open(cfg.dataDir, telemetry.Options{Shards: cfg.storeShards})
+		st, err := telemetry.Open(cfg.dataDir, telemetry.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("opening data dir: %w", err)
 		}
@@ -151,7 +146,7 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 				rec.Series, rec.Samples, rec.Gaps, cfg.dataDir, d.offset)
 		}
 	} else {
-		d.store = telemetry.New(telemetry.Options{Shards: cfg.storeShards})
+		d.store = telemetry.New(telemetry.Options{})
 	}
 	// Every error return from here on closes the store, and with it the
 	// block files and WAL segments Open holds.
@@ -198,30 +193,28 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 
 	// The second producer: a BG/Q machine shipping records through the
 	// environmental database, drained into the same store by the bridge.
-	if cfg.bgqRacks > 0 {
-		machine := bgq.New(bgq.Config{Name: "bgq", Racks: cfg.bgqRacks, Seed: cfg.seed})
-		machine.Run(workload.MMPS(cfg.cycle), 0)
-		db := envdb.New()
-		if _, err := machine.StartEnvironmentalPoller(d.domains.Clock(0), db, cfg.envdbIvl); err != nil {
-			return nil, err
-		}
-		d.bridge, err = telemetry.StartEnvDBBridge(d.domains.Clock(0), db, d.store, cfg.envdbIvl)
-		if err != nil {
-			return nil, err
-		}
-		d.bridge.Offset = d.offset
-		// A bridge stalled behind a rejecting store, or dropping records
-		// the store will never take, must be visible on a running daemon.
-		d.reg.CounterFunc("envmon_envdb_bridge_moved_total",
-			"Environmental-database records ingested into the store.",
-			func() float64 { return float64(d.bridge.Moved()) })
-		d.reg.CounterFunc("envmon_envdb_bridge_dropped_total",
-			"Environmental-database records the store rejected as out-of-order.",
-			func() float64 { return float64(d.bridge.Dropped()) })
-		d.reg.GaugeFunc("envmon_envdb_bridge_pending",
-			"Environmental-database records parked awaiting a healthy store.",
-			func() float64 { return float64(d.bridge.Pending()) })
+	machine := bgq.New(bgq.Config{Name: "bgq", Racks: 1, Seed: cfg.seed})
+	machine.Run(workload.MMPS(cycle), 0)
+	db := envdb.New()
+	if _, err := machine.StartEnvironmentalPoller(d.domains.Clock(0), db, cfg.envdbIvl); err != nil {
+		return nil, err
 	}
+	d.bridge, err = telemetry.StartEnvDBBridge(d.domains.Clock(0), db, d.store, cfg.envdbIvl)
+	if err != nil {
+		return nil, err
+	}
+	d.bridge.Offset = d.offset
+	// A bridge stalled behind a rejecting store, or dropping records the
+	// store will never take, must be visible on a running daemon.
+	d.reg.CounterFunc("envmon_envdb_bridge_moved_total",
+		"Environmental-database records ingested into the store.",
+		func() float64 { return float64(d.bridge.Moved()) })
+	d.reg.CounterFunc("envmon_envdb_bridge_dropped_total",
+		"Environmental-database records the store rejected as out-of-order.",
+		func() float64 { return float64(d.bridge.Dropped()) })
+	d.reg.GaugeFunc("envmon_envdb_bridge_pending",
+		"Environmental-database records parked awaiting a healthy store.",
+		func() float64 { return float64(d.bridge.Pending()) })
 
 	// Daemon-level gauges: uptime feeds the ingest-rate estimate in
 	// envtop's header; sim-now lets a scrape correlate wall and simulated
@@ -350,9 +343,6 @@ func (d *daemon) run(ctx context.Context) error {
 				return
 			case <-ticker.C:
 			}
-			if d.cfg.duration > 0 && d.domains.Now() >= d.cfg.duration {
-				continue // cap reached: keep serving, stop advancing
-			}
 			d.step()
 		}
 	}()
@@ -368,9 +358,7 @@ func (d *daemon) run(ctx context.Context) error {
 	// The loop is parked and no domain is advancing: one final flush
 	// drains everything the samplers recorded since the last barrier.
 	d.flush()
-	if d.bridge != nil {
-		d.bridge.Stop()
-	}
+	d.bridge.Stop()
 	// Seal the in-memory tail into blocks before exiting, so the next
 	// start recovers from blocks alone and the journal stays empty.
 	if d.cfg.dataDir != "" {
@@ -384,14 +372,15 @@ func (d *daemon) run(ctx context.Context) error {
 
 // step advances the domains one epoch and, at the barrier (domains parked,
 // sets quiescent), flushes the per-node cursors and restarts the workload
-// when its cycle has run out.
+// when its cycle has run out. The domains advance on one worker per host
+// core; the result is byte-identical at any worker count.
 func (d *daemon) step() {
 	target := d.domains.Now() + d.cfg.epoch
-	d.domains.AdvanceEpochs(target, d.cfg.epoch, d.cfg.workers, func(now time.Duration) {
+	d.domains.AdvanceEpochs(target, d.cfg.epoch, 0, func(now time.Duration) {
 		d.flush()
 		if now >= d.nextCycle {
 			d.cluster.Run(d.work, now, 50*time.Millisecond)
-			d.nextCycle = now + d.cfg.cycle
+			d.nextCycle = now + cycle
 		}
 	})
 }
@@ -403,9 +392,6 @@ func (d *daemon) flush() {
 		if err := cur.Flush(); err != nil {
 			d.cfg.logf("envmond: %v", err)
 		}
-	}
-	if d.bridge == nil {
-		return
 	}
 	if err := d.bridge.Err(); err != nil && err.Error() != d.bridgeErr {
 		d.bridgeErr = err.Error()

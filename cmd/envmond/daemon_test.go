@@ -2,32 +2,27 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"net/http"
 	"runtime"
 	"testing"
 	"time"
 
-	"envmon/internal/envdb"
 	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
+// testConfig is the flag defaults with a small, fast, quiet cluster on an
+// ephemeral port; seed 1 is what TestBarrierFlushLeavesSetsEmpty's pins
+// were read at.
 func testConfig() config {
-	return config{
-		listen:      "127.0.0.1:0",
-		nodes:       4,
-		shards:      2,
-		storeShards: 4,
-		workers:     2,
-		epoch:       time.Second,
-		tick:        2 * time.Millisecond,
-		cycle:       260 * time.Second,
-		seed:        1,
-		bgqRacks:    1,
-		envdbIvl:    envdb.DefaultPollInterval,
-		logf:        func(string, ...any) {},
-	}
+	cfg := registerFlags(flag.NewFlagSet("envmond", flag.ContinueOnError))
+	cfg.listen = "127.0.0.1:0"
+	cfg.nodes, cfg.shards, cfg.seed = 4, 2, 1
+	cfg.tick = 2 * time.Millisecond
+	cfg.logf = func(string, ...any) {}
+	return *cfg
 }
 
 // startDaemon runs d in the background and returns a channel carrying

@@ -40,30 +40,32 @@ import (
 	"envmon/internal/envdb"
 )
 
+// registerFlags declares envmond's flags on fs; the defaults live here
+// and nowhere else.
+func registerFlags(fs *flag.FlagSet) *config {
+	cfg := new(config)
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:9120", "HTTP listen address")
+	fs.IntVar(&cfg.nodes, "nodes", 8, "cluster nodes to simulate")
+	fs.IntVar(&cfg.shards, "shards", 4, "clock domains to shard the nodes across (0 = one per node)")
+	fs.DurationVar(&cfg.interval, "interval", 0, "MonEQ polling interval (0 = per-mechanism hardware minimum)")
+	fs.DurationVar(&cfg.epoch, "epoch", time.Second, "simulated time advanced per tick (also the barrier/flush granularity)")
+	fs.DurationVar(&cfg.tick, "tick", 100*time.Millisecond, "wall-clock interval between simulation ticks")
+	fs.Uint64Var(&cfg.seed, "seed", 42, "noise seed")
+	fs.DurationVar(&cfg.envdbIvl, "envdb-interval", envdb.DefaultPollInterval, "environmental-database polling interval")
+	fs.StringVar(&cfg.faultSpec, "faults", "", "deterministic fault plan, e.g. 'transient=0.1,lose=NVML#0@60s' (empty disables)")
+	fs.BoolVar(&cfg.resilient, "resilience", false, "wrap collectors in retry + breaker + fallback chains; /healthz reports breaker state")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "persist telemetry under this directory (WAL + compacted blocks); empty keeps the store in memory")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics, net/http/pprof, and /debug/slowops on this second address (empty disables)")
+	fs.BoolVar(&cfg.accessLog, "access-log", false, "log one structured line per HTTP request")
+	fs.DurationVar(&cfg.slowOp, "slow-op", 100*time.Millisecond, "queries and compactions slower than this land in the slow-op log (0 disables)")
+	return cfg
+}
+
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:9120", "HTTP listen address")
-	flag.IntVar(&cfg.nodes, "nodes", 8, "cluster nodes to simulate")
-	flag.IntVar(&cfg.shards, "shards", 4, "clock domains to shard the nodes across (0 = one per node)")
-	flag.IntVar(&cfg.storeShards, "store-shards", 8, "lock-striped shards of the telemetry store")
-	flag.IntVar(&cfg.workers, "workers", 0, "advance workers (0 = one per host core)")
-	flag.DurationVar(&cfg.interval, "interval", 0, "MonEQ polling interval (0 = per-mechanism hardware minimum)")
-	flag.DurationVar(&cfg.epoch, "epoch", time.Second, "simulated time advanced per tick (also the barrier/flush granularity)")
-	flag.DurationVar(&cfg.tick, "tick", 100*time.Millisecond, "wall-clock interval between simulation ticks")
-	flag.DurationVar(&cfg.duration, "duration", 0, "stop advancing after this much simulated time (0 = run forever)")
-	flag.DurationVar(&cfg.cycle, "cycle", 260*time.Second, "restart the workload every this much simulated time")
-	flag.Uint64Var(&cfg.seed, "seed", 42, "noise seed")
-	flag.IntVar(&cfg.bgqRacks, "bgq-racks", 1, "BG/Q racks feeding the envdb bridge (0 disables)")
-	flag.DurationVar(&cfg.envdbIvl, "envdb-interval", envdb.DefaultPollInterval, "environmental-database polling interval")
-	flag.StringVar(&cfg.faultSpec, "faults", "", "deterministic fault plan, e.g. 'transient=0.1,lose=NVML#0@60s' (empty disables)")
-	flag.BoolVar(&cfg.resilient, "resilience", false, "wrap collectors in retry + breaker + fallback chains; /healthz reports breaker state")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "persist telemetry under this directory (WAL + compacted blocks); empty keeps the store in memory")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics, net/http/pprof, and /debug/slowops on this second address (empty disables)")
-	flag.BoolVar(&cfg.accessLog, "access-log", false, "log one structured line per HTTP request")
-	flag.DurationVar(&cfg.slowOp, "slow-op", 100*time.Millisecond, "queries and compactions slower than this land in the slow-op log (0 disables)")
+	cfg := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	d, err := newDaemon(cfg)
+	d, err := newDaemon(*cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "envmond: %v\n", err)
 		os.Exit(2)

@@ -84,9 +84,6 @@ type Config struct {
 	// MemberDeadline bounds each individual member call (default 2 s). A
 	// query-level deadline shorter than this wins via context.
 	MemberDeadline time.Duration
-	// Workers bounds the fan-out pool: how many member calls run
-	// concurrently (default min(8, len(Members))).
-	Workers int
 	// Retries is how many extra attempts a failed member call gets within
 	// the query's deadline (default 1; negative means none). Attempts are
 	// spaced by the shared capped-backoff schedule.
@@ -101,12 +98,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MemberDeadline <= 0 {
 		c.MemberDeadline = 2 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
-	if c.Workers > len(c.Members) {
-		c.Workers = len(c.Members)
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
@@ -228,12 +219,12 @@ func (o *outcome[T]) missing(now time.Duration) httpapi.MissingMember {
 	return mm
 }
 
-// fanout runs fn against every member on a pool of cfg.Workers
-// goroutines and returns the outcomes in member order. Free function
-// because Go methods cannot take type parameters.
+// fanout runs fn against every member, at most 8 calls at a time, and
+// returns the outcomes in member order. Free function because Go methods
+// cannot take type parameters.
 func fanout[T any](ctx context.Context, f *Federator, fn func(context.Context, *client.Client) (T, error)) []outcome[T] {
 	out := make([]outcome[T], len(f.members))
-	sem := make(chan struct{}, f.cfg.Workers)
+	sem := make(chan struct{}, min(8, len(f.members)))
 	var wg sync.WaitGroup
 	for i, m := range f.members {
 		wg.Add(1)

@@ -19,11 +19,8 @@ type Log struct {
 	dropped uint64
 }
 
-// newLog builds a log holding the last capacity decisions (minimum 1).
+// newLog builds a log holding the last capacity decisions.
 func newLog(capacity int) *Log {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Log{ring: make([]Decision, 0, capacity)}
 }
 

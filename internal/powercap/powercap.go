@@ -29,6 +29,7 @@ package powercap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -108,9 +109,11 @@ type Config struct {
 	Ladder []float64
 	// LadderHold is the time spent on each rung. Default 5s.
 	LadderHold time.Duration
-	// LogCapacity bounds the decision log ring. Default 8192.
-	LogCapacity int
 }
+
+// logCapacity bounds the decision log ring: the newest 8192 decisions,
+// over two hours of envcapd's one-second tick.
+const logCapacity = 8192
 
 func (c Config) withDefaults() Config {
 	if c.FloorW == 0 {
@@ -146,14 +149,25 @@ func (c Config) withDefaults() Config {
 	if c.LadderHold == 0 {
 		c.LadderHold = 5 * time.Second
 	}
-	if c.LogCapacity == 0 {
-		c.LogCapacity = 8192
-	}
 	return c
 }
 
 // Validate checks a fully-defaulted config.
 func (c Config) Validate() error {
+	// Every comparison below is false for NaN, and an infinite budget is a
+	// cap nobody can actuate: a non-finite watt or gain value is refused
+	// before the range checks.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"budget", c.BudgetW}, {"floor", c.FloorW}, {"max", c.MaxW}, {"tolerance", c.ToleranceW},
+		{"deadband", c.DeadbandW}, {"gain", c.Gain}, {"slew", c.SlewW},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("powercap: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if c.BudgetW <= 0 {
 		return fmt.Errorf("powercap: budget %v W must be positive", c.BudgetW)
 	}
@@ -174,7 +188,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("powercap: ladder %v must descend", c.Ladder)
 	}
 	for _, f := range c.Ladder {
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) { // NaN fails both
 			return fmt.Errorf("powercap: ladder fraction %v outside (0, 1]", f)
 		}
 	}
@@ -250,7 +264,7 @@ func New(cfg Config) (*Controller, error) {
 		rung: -1,
 		// A cap may not rise before RecoverHold of fresh data even at
 		// start; lastUnfresh at 0 arms that hold.
-		log: newLog(cfg.LogCapacity),
+		log: newLog(logCapacity),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package powercap
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ func fresh(now time.Duration, watts float64) Observation {
 }
 
 func TestConfigValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{},                          // no budget
 		{BudgetW: -5},               // negative budget
@@ -30,6 +32,20 @@ func TestConfigValidation(t *testing.T) {
 		{BudgetW: 100, Gain: -1},    // negative gain
 		{BudgetW: 100, Ladder: []float64{0.5, 0.8}}, // ascending ladder
 		{BudgetW: 100, Ladder: []float64{1.5, 0.5}}, // fraction above 1
+		// Every comparison is false for NaN: a non-finite value must be
+		// refused outright, not slip past the range checks.
+		{BudgetW: nan},
+		{BudgetW: inf},
+		{BudgetW: 100, FloorW: nan},
+		{BudgetW: 100, MaxW: nan},
+		{BudgetW: 100, MaxW: inf},
+		{BudgetW: 100, ToleranceW: nan},
+		{BudgetW: 100, DeadbandW: inf},
+		{BudgetW: 100, Gain: nan},
+		{BudgetW: 100, Gain: inf},
+		{BudgetW: 100, SlewW: nan},
+		{BudgetW: 100, SlewW: inf},
+		{BudgetW: 100, Ladder: []float64{0.9, nan}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

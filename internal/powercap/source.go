@@ -13,7 +13,8 @@ import (
 // acceptance path, where the controller and the simulated fleet share a
 // clock), and ClientSource queries an envmond or envfedd endpoint over
 // HTTP (the envcapd daemon path). Both have the one method
-// Observe(ctx, now) Observation.
+// Observe(ctx, now) Observation, and both sum the "Total Power" domain
+// (telemetry.PowerDomain's default).
 
 // StoreSource measures fleet power straight from a telemetry store: the
 // sum over nodes of each series' newest value inside the lookback
@@ -22,8 +23,6 @@ import (
 // therefore a stale observation, never a zero-watt one.
 type StoreSource struct {
 	Store *telemetry.Store
-	// Domain selects the power domain; empty means "Total Power".
-	Domain string
 	// Window is the lookback [now-Window, now); non-positive selects 5s.
 	Window time.Duration
 }
@@ -38,7 +37,7 @@ func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 		from = 0
 	}
 	frames := s.Store.Query(telemetry.Query{
-		Domain: telemetry.PowerDomain(s.Domain), From: from, To: now,
+		Domain: telemetry.PowerDomain(""), From: from, To: now,
 		Resolution: telemetry.Raw, Aggregate: telemetry.AggLast,
 	})
 	o := Observation{Now: now}
@@ -68,8 +67,6 @@ func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 // observation — the fail-safe reading of every failure.
 type ClientSource struct {
 	Client *client.Client
-	// Domain selects the power domain; empty means "Total Power".
-	Domain string
 	// Window is how far behind the newest point of the response a series
 	// may have last reported and still count towards the sum;
 	// non-positive selects 5s. It is applied here, to the decoded frames:
@@ -86,7 +83,7 @@ func (s ClientSource) Observe(ctx context.Context, now time.Duration) Observatio
 		window = 5 * time.Second
 	}
 	doc, err := s.Client.QueryFull(ctx, client.QueryParams{
-		Domain:    telemetry.PowerDomain(s.Domain),
+		Domain:    telemetry.PowerDomain(""),
 		Aggregate: "last",
 		Deadline:  s.Deadline,
 	})

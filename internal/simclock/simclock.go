@@ -247,59 +247,3 @@ func (c *Clock) AdvanceTo(target time.Duration) {
 	c.advancing = false
 	c.mu.Unlock()
 }
-
-// Step advances to the next pending event and fires it (plus any other
-// events at the same instant that were already due). It reports whether an
-// event fired; false means the queue is empty and time did not move.
-func (c *Clock) Step() bool {
-	c.mu.Lock()
-	if len(c.events) == 0 {
-		c.mu.Unlock()
-		return false
-	}
-	next := c.events[0].at
-	c.mu.Unlock()
-	c.AdvanceTo(next)
-	return true
-}
-
-// Run drains the event queue, advancing time as needed, until no events
-// remain or until the event horizon limit is reached. It returns the number
-// of events fired. A non-positive limit means no limit on time (the queue
-// must eventually drain or Run will not return).
-func (c *Clock) Run(limit time.Duration) int {
-	fired := 0
-	for {
-		c.mu.Lock()
-		if len(c.events) == 0 {
-			c.mu.Unlock()
-			return fired
-		}
-		next := c.events[0].at
-		c.mu.Unlock()
-		if limit > 0 && next > limit {
-			c.AdvanceTo(limit)
-			return fired
-		}
-		c.AdvanceTo(next)
-		fired++
-	}
-}
-
-// Pending reports the number of scheduled events currently in the queue.
-func (c *Clock) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
-// NextEvent reports the absolute time of the earliest scheduled event and
-// whether one exists.
-func (c *Clock) NextEvent() (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.events) == 0 {
-		return 0, false
-	}
-	return c.events[0].at, true
-}

@@ -181,62 +181,6 @@ func TestReentrantAdvancePanics(t *testing.T) {
 	c.Advance(time.Second)
 }
 
-func TestStepAdvancesToNextEvent(t *testing.T) {
-	c := New()
-	fired := 0
-	c.AfterFunc(10*time.Millisecond, func(time.Duration) { fired++ })
-	c.AfterFunc(30*time.Millisecond, func(time.Duration) { fired++ })
-	if !c.Step() {
-		t.Fatal("Step() = false with pending events")
-	}
-	if c.Now() != 10*time.Millisecond || fired != 1 {
-		t.Fatalf("after first Step: now=%v fired=%d", c.Now(), fired)
-	}
-	if !c.Step() {
-		t.Fatal("second Step() = false")
-	}
-	if c.Now() != 30*time.Millisecond || fired != 2 {
-		t.Fatalf("after second Step: now=%v fired=%d", c.Now(), fired)
-	}
-	if c.Step() {
-		t.Fatal("Step() = true with empty queue")
-	}
-}
-
-func TestRunDrainsQueueUpToLimit(t *testing.T) {
-	c := New()
-	fired := 0
-	c.AfterFunc(time.Second, func(time.Duration) { fired++ })
-	c.AfterFunc(3*time.Second, func(time.Duration) { fired++ })
-	n := c.Run(2 * time.Second)
-	if n != 1 || fired != 1 {
-		t.Fatalf("Run(2s) fired %d/%d, want 1/1", n, fired)
-	}
-	if c.Now() != 2*time.Second {
-		t.Fatalf("Now() = %v, want 2s (clamped to limit)", c.Now())
-	}
-	n = c.Run(10 * time.Second)
-	if n != 1 || fired != 2 {
-		t.Fatalf("second Run fired %d/%d, want 1/2", n, fired)
-	}
-}
-
-func TestPendingAndNextEvent(t *testing.T) {
-	c := New()
-	if _, ok := c.NextEvent(); ok {
-		t.Fatal("NextEvent() ok on empty clock")
-	}
-	c.AfterFunc(5*time.Second, func(time.Duration) {})
-	c.AfterFunc(2*time.Second, func(time.Duration) {})
-	if got := c.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2", got)
-	}
-	at, ok := c.NextEvent()
-	if !ok || at != 2*time.Second {
-		t.Fatalf("NextEvent() = %v,%v want 2s,true", at, ok)
-	}
-}
-
 func TestAtClampsPastToNow(t *testing.T) {
 	c := New()
 	c.Advance(time.Minute)

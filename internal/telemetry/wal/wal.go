@@ -495,28 +495,6 @@ func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps 
 	return r.Err
 }
 
-// Reset deletes every segment under dir (all shard subdirectories). The
-// engine calls this once recovery has re-persisted everything the journal
-// held.
-func Reset(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	return nil
-}
-
 func segmentSeqs(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {

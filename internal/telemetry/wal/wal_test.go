@@ -253,32 +253,6 @@ func TestCreateResumesSequenceNumbers(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := w.Shard(2)
-	ref, _ := sh.AppendSeries(testKey, "W")
-	if err := sh.AppendSample(ref, 0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := Reset(dir); err != nil {
-		t.Fatal(err)
-	}
-	samples, gaps, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 0 || len(gaps) != 0 {
-		t.Fatal("records survived Reset")
-	}
-}
-
 func TestAppendSteadyStateZeroAllocs(t *testing.T) {
 	eachAppender(t, func(t *testing.T, mapped bool) {
 		w := create(t, t.TempDir(), 1, mapped)

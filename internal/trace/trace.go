@@ -122,22 +122,6 @@ func (s *Series) At(t time.Duration) (v float64, ok bool) {
 	return s.Samples[i-1].V, true
 }
 
-// Resample returns a step-interpolated copy of the series on a regular grid
-// of the given period starting at from and ending before to. Grid points
-// before the first sample are dropped.
-func (s *Series) Resample(from, to, period time.Duration) *Series {
-	if period <= 0 {
-		panic("trace: Resample with non-positive period")
-	}
-	out := NewSeries(s.Name, s.Unit)
-	for t := from; t < to; t += period {
-		if v, ok := s.At(t); ok {
-			out.Samples = append(out.Samples, Sample{T: t, V: v})
-		}
-	}
-	return out
-}
-
 // MeanValue returns the arithmetic mean of the sample values, or NaN when
 // empty.
 func (s *Series) MeanValue() float64 {

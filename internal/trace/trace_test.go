@@ -104,19 +104,6 @@ func TestClip(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := NewSeries("p", "W")
-	s.MustAppend(0, 10)
-	s.MustAppend(time.Second, 20)
-	r := s.Resample(0, 2*time.Second, 250*time.Millisecond)
-	if r.Len() != 8 {
-		t.Fatalf("resampled %d points, want 8", r.Len())
-	}
-	if r.Samples[0].V != 10 || r.Samples[3].V != 10 || r.Samples[4].V != 20 {
-		t.Errorf("resample values wrong: %+v", r.Samples)
-	}
-}
-
 func TestEnergyIntegration(t *testing.T) {
 	s := NewSeries("p", "W")
 	s.MustAppend(0, 100)
