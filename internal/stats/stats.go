@@ -1,8 +1,8 @@
 // Package stats provides the descriptive and inferential statistics used by
-// the experiment harness: summary statistics, quantiles, boxplot five-number
-// summaries (Figure 7 of the paper), Welch's unequal-variance t-test (the
-// paper reports the API-vs-daemon power difference on the Xeon Phi as
-// "statistically significant"), histograms, and simple linear fits.
+// the experiment harness: summary statistics, boxplot five-number summaries
+// (Figure 7 of the paper), Welch's unequal-variance t-test (the paper
+// reports the API-vs-daemon power difference on the Xeon Phi as
+// "statistically significant"), and autocorrelation.
 //
 // All functions are pure and operate on plain []float64 so they can be used
 // from tests, benchmarks, and report renderers without adapters.
@@ -65,26 +65,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the unbiased sample standard deviation, or 0 for fewer
-// than two values.
-func StdDev(xs []float64) float64 { return Describe(xs).StdDev }
-
-// Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
-// interpolation between order statistics (R's default "type 7"). It returns
-// NaN for an empty slice and panics on p outside [0, 1]. xs need not be
-// sorted.
-func Quantile(xs []float64, p float64) float64 {
-	if p < 0 || p > 1 {
-		panic("stats: Quantile p out of [0,1]")
-	}
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
-}
-
 func quantileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -99,9 +79,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	frac := h - float64(lo)
 	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Boxplot is the Tukey box-and-whisker summary of a sample, as drawn in the
 // paper's Figure 7.
@@ -278,48 +255,6 @@ func betacf(a, b, x float64) float64 {
 		if math.Abs(del-1) < eps {
 			break
 		}
-	}
-	return h
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max]. Counts[i]
-// covers [Edges[i], Edges[i+1]); the last bin is closed on the right.
-type Histogram struct {
-	Edges  []float64 // nbins+1 edges
-	Counts []int     // nbins counts
-}
-
-// MakeHistogram builds a Histogram. nbins must be positive; an empty input
-// returns a Histogram with zero counts over [0, 1].
-func MakeHistogram(xs []float64, nbins int) Histogram {
-	if nbins <= 0 {
-		panic("stats: MakeHistogram with non-positive nbins")
-	}
-	h := Histogram{Edges: make([]float64, nbins+1), Counts: make([]int, nbins)}
-	if len(xs) == 0 {
-		for i := range h.Edges {
-			h.Edges[i] = float64(i) / float64(nbins)
-		}
-		return h
-	}
-	s := Describe(xs)
-	lo, hi := s.Min, s.Max
-	if lo == hi {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(nbins)
-	for i := range h.Edges {
-		h.Edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
 	}
 	return h
 }

@@ -498,28 +498,59 @@ func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 // <= 0 means unbounded — in ingest order across blocks.
 func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
 	return each(s, key, from, to, func(e *seriesEntry) (off, length, n uint64) {
-		if e.maxT < from || (to > 0 && e.minT >= to) {
-			return 0, 0, 0 // the whole chunk lies outside the window
-		}
-		return e.ptOff, e.ptLen, e.numPoints
+		return e.points(from, to)
 	}, storage.DecodePoints, func(p storage.Point) time.Duration { return p.T }, fn)
+}
+
+// points locates the entry's point chunk for a scan of [from, to): n == 0
+// when the whole chunk lies outside the window.
+func (e *seriesEntry) points(from, to time.Duration) (off, length, n uint64) {
+	if e.maxT < from || (to > 0 && e.minT >= to) {
+		return 0, 0, 0
+	}
+	return e.ptOff, e.ptLen, e.numPoints
+}
+
+// PointsIn reports, from the indexes alone, how many points the chunks
+// EachPoint reads for [from, to) hold: a bound on what it streams, for
+// sizing the destination once.
+func (s *Store) PointsIn(key storage.SeriesKey, from, to time.Duration) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, bf := range s.files {
+		if e, ok := bf.entries[key]; ok {
+			_, _, k := e.points(from, to)
+			n += int(k)
+		}
+	}
+	return n
 }
 
 // EachClosedBucket streams the series' persisted sealed buckets at the
 // level, in order, for every bucket overlapping the window: buckets whose
-// [Start, Start+period) intersects [from, to).
+// [Start, Start+period) intersects [from, to). A chunk's closed buckets all
+// end by its open tail's start, so a chunk whose tail starts at or before
+// from is skipped unread.
 func (s *Store) EachClosedBucket(key storage.SeriesKey, level int, period, from, to time.Duration, fn func(storage.Bucket)) error {
 	// Start+period > from, as a lower bound on Start.
 	return each(s, key, from-period+1, to, func(e *seriesEntry) (off, length, n uint64) {
 		le := &e.levels[level]
+		if le.tail != nil && le.tail.Start <= from {
+			return 0, 0, 0
+		}
 		return le.off, le.length, le.numClosed
 	}, storage.DecodeBuckets, func(b storage.Bucket) time.Duration { return b.Start }, fn)
 }
 
 // EachGap streams the series' persisted gap markers inside [from, to) in
-// order.
+// order. A chunk whose newest marker (the index's lastGapT) is before from
+// is skipped unread.
 func (s *Store) EachGap(key storage.SeriesKey, from, to time.Duration, fn func(time.Duration)) error {
 	return each(s, key, from, to, func(e *seriesEntry) (off, length, n uint64) {
+		if e.lastGapT < from {
+			return 0, 0, 0
+		}
 		return e.gapOff, e.gapLen, e.numGaps
 	}, storage.DecodeGaps, func(g time.Duration) time.Duration { return g }, fn)
 }

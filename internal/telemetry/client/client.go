@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"envmon/internal/telemetry/httpapi"
@@ -69,7 +70,7 @@ func (e *StatusError) Error() string {
 
 // get fetches path and decodes its document with encoding/json.
 func (c *Client) get(ctx context.Context, path string, params url.Values, doc any) error {
-	body, err := c.fetch(ctx, path, params)
+	body, err := c.fetch(ctx, path, params, new(bytes.Buffer))
 	if err != nil {
 		return err
 	}
@@ -79,9 +80,19 @@ func (c *Client) get(ctx context.Context, path string, params url.Values, doc an
 	return nil
 }
 
-// fetch returns the body of a 200 answer to GET path, and a *StatusError
-// for any other status.
-func (c *Client) fetch(ctx context.Context, path string, params url.Values) ([]byte, error) {
+// bodies recycles the buffers QueryFull reads answers into: a chunked
+// /query body has no length up front, and reading it into a cold buffer
+// regrows it a dozen times. That is safe because DecodeQueryResult's
+// result aliases nothing of the body. One that grew past maxPooledBody is
+// dropped, not pooled, as the daemons' encode buffers are: an unwindowed
+// answer from a persistent store can be hundreds of MB.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 4 << 20
+
+// fetch returns the body of a 200 answer to GET path, read into buf, and a
+// *StatusError for any other status.
+func (c *Client) fetch(ctx context.Context, path string, params url.Values, buf *bytes.Buffer) ([]byte, error) {
 	u := c.base + path
 	if len(params) > 0 {
 		u += "?" + params.Encode()
@@ -104,7 +115,6 @@ func (c *Client) fetch(ctx context.Context, path string, params url.Values) ([]b
 	if resp.ContentLength > c.maxBody {
 		return nil, tooLong()
 	}
-	var buf bytes.Buffer
 	if resp.ContentLength > 0 {
 		// The whole body in one allocation: ReadFrom wants MinRead spare
 		// bytes for the read that finds EOF.
@@ -189,7 +199,14 @@ func (c *Client) Query(ctx context.Context, p QueryParams) ([]httpapi.Frame, err
 // partial results. Callers that must distinguish "complete answer" from
 // "some racks missing" use this.
 func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryResult, error) {
-	body, err := c.fetchQuery(ctx, p)
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	body, err := c.fetchQuery(ctx, p, buf)
 	if err != nil {
 		return httpapi.QueryResult{}, err
 	}
@@ -204,8 +221,9 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 // reading them (the federation tier): the same request, the same verdict
 // on the body, and the frames checked but left as the bytes they arrived
 // in. reencoded reports a body that was not in the codec's own spelling.
+// The body is the frames' own memory, so it is never pooled.
 func (c *Client) QueryWire(ctx context.Context, p QueryParams) (out httpapi.WireResult, reencoded bool, err error) {
-	body, err := c.fetchQuery(ctx, p)
+	body, err := c.fetchQuery(ctx, p, new(bytes.Buffer))
 	if err != nil {
 		return httpapi.WireResult{}, false, err
 	}
@@ -215,8 +233,9 @@ func (c *Client) QueryWire(ctx context.Context, p QueryParams) (out httpapi.Wire
 	return out, reencoded, err
 }
 
-// fetchQuery sends p as a /query request and returns the 200 body.
-func (c *Client) fetchQuery(ctx context.Context, p QueryParams) ([]byte, error) {
+// fetchQuery sends p as a /query request and returns the 200 body, read
+// into buf.
+func (c *Client) fetchQuery(ctx context.Context, p QueryParams, buf *bytes.Buffer) ([]byte, error) {
 	v := url.Values{}
 	if p.Node != "" {
 		v.Set("node", p.Node)
@@ -235,7 +254,7 @@ func (c *Client) fetchQuery(ctx context.Context, p QueryParams) ([]byte, error) 
 	if p.Aggregate != "" {
 		v.Set("agg", p.Aggregate)
 	}
-	return c.fetch(ctx, "/query", v)
+	return c.fetch(ctx, "/query", v, buf)
 }
 
 // TopKParams parameterizes TopK. K < 0 asks for every node (k=0 on the

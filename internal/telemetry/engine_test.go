@@ -188,6 +188,70 @@ func TestFlushMakesStateBlockOnly(t *testing.T) {
 	}
 }
 
+// TestWindowedQueryReadsNoExcludedChunk pins "a windowed query reads only
+// the chunks and ring entries its window can hold". Three generations are
+// sealed, a head of 5 s is not, and then every block file is truncated
+// under the open store, so any chunk read fails and counts in ReadErrors.
+// A window that starts past every seal, at any resolution and in TopK,
+// must count none, whether the rings still show the seam or (after a
+// reopen) hold only the head; a whole-range query must count them, which
+// shows the truncation is visible.
+func TestWindowedQueryReadsNoExcludedChunk(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := Options{Shards: 2, RawCapacity: 256, RollupCapacity: 64, GapCapacity: 64, WALSegmentBytes: 1 << 20}
+		st, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gen := 0; gen < 3; gen++ {
+			ingestWorkload(t, st, gen*100, 100)
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if reopen {
+			st.Close()
+			if st, err = Open(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ingestWorkload(t, st, 300, 100)
+		head := 300 * 50 * time.Millisecond
+		if n := st.StorageStats().Blocks; n < 3 {
+			t.Fatalf("reopen=%v: %d blocks sealed, want 3 generations", reopen, n)
+		}
+		entries, err := os.ReadDir(filepath.Join(dir, "blocks"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := os.Truncate(filepath.Join(dir, "blocks", e.Name()), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, res := range []Resolution{Raw, Res1s, Res10s, Res60s} {
+			// From the head's first instant and from past it, by a bucket
+			// boundary's worth at each level.
+			for _, from := range []time.Duration{head, head + time.Second} {
+				frames := st.Query(Query{From: from, Resolution: res, Aggregate: AggLast})
+				st.TopK(0, "", from, 0, res)
+				if got := st.StorageStats().ReadErrors; got != 0 {
+					t.Fatalf("reopen=%v: a %s window from %v read %d truncated chunks", reopen, res, from, got)
+				}
+				if len(frames) != 3 || frames[0].Points == nil || !frames[0].ReducedOK {
+					t.Fatalf("reopen=%v: a %s window from %v answered %+v", reopen, res, from, frames)
+				}
+			}
+		}
+		st.Query(Query{})
+		if st.StorageStats().ReadErrors == 0 {
+			t.Fatalf("reopen=%v: a whole-range query read the truncated blocks without an error", reopen)
+		}
+		st.Close()
+	}
+}
+
 func TestSeriesInfoReportsPersistence(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, smallOpts(1))

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -165,8 +166,12 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // appendFloat formats a finite f the way encoding/json does: shortest
 // digits that round-trip, positional unless the exponent is below -6 or
 // at least 21, and then with a two-digit negative exponent's leading zero
-// dropped (e-07 becomes e-7).
+// dropped (e-07 becomes e-7). A short decimal, what a sensor reporting
+// milliwatts or quarter watts yields, is spelled without strconv.
 func appendFloat(dst []byte, f float64) []byte {
+	if out, ok := appendShortDecimal(dst, f); ok {
+		return out
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -177,6 +182,94 @@ func appendFloat(dst []byte, f float64) []byte {
 		dst = dst[:n-1]
 	}
 	return dst
+}
+
+// pow10 holds the powers of ten a float64 represents exactly that the
+// short-decimal paths scale by.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// maxShortDigits is DBL_DIG: every decimal of this many significant digits
+// or fewer survives the trip to the nearest float64 and back.
+const maxShortDigits = 15
+
+// appendShortDecimal appends f when it is u/10^k for an integer u < 10^15
+// and k <= 6, the quotient taken as IEEE division, and reports whether it
+// was. Then f is the float64 nearest the decimal u·10^-k, which has at most
+// 15 significant digits, and no other decimal of at most 15 digits is
+// nearest f (DBL_DIG), so u with its trailing zeros stripped is exactly
+// the shortest spelling that round-trips: strconv's, byte for byte. Zero
+// of either sign and |f| < 1e-6 (exponent form) are left to the caller.
+func appendShortDecimal(dst []byte, f float64) ([]byte, bool) {
+	a := math.Abs(f)
+	if !(a >= 1e-6 && a < 1e15) {
+		return dst, false
+	}
+	k := 6
+	for a*pow10[k] >= 1e15 {
+		k--
+	}
+	u := uint64(a*pow10[k] + 0.5)
+	if u >= 1e15 || float64(u)/pow10[k] != a {
+		return dst, false
+	}
+	for k > 0 && u%10 == 0 {
+		u /= 10
+		k--
+	}
+	var buf [maxShortDigits + 3]byte // sign, digits, point, a leading zero
+	i := len(buf)
+	for frac := k; frac > 0; frac-- {
+		i--
+		buf[i] = '0' + byte(u%10)
+		u /= 10
+	}
+	if k > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = '0' + byte(u%10)
+		if u /= 10; u == 0 {
+			break
+		}
+	}
+	if f < 0 {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...), true
+}
+
+// parseShortDecimal converts a token number() has accepted that has no
+// exponent and at most 15 digits: it is m/10^frac with both exact in a
+// float64, so one IEEE division rounds it correctly and the result is
+// ParseFloat's to the bit, -0 included.
+func parseShortDecimal(tok []byte) (float64, bool) {
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	if len(tok) > maxShortDigits+1 {
+		return 0, false
+	}
+	var m uint64
+	frac := 0
+	for i, c := range tok {
+		if c == '.' {
+			frac = len(tok) - 1 - i
+			continue
+		}
+		m = m*10 + uint64(c-'0')
+	}
+	if frac == 0 && len(tok) > maxShortDigits {
+		return 0, false
+	}
+	v := float64(m) / pow10[frac]
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // plainByte reports whether c stands for itself inside a JSON string on
@@ -412,13 +505,47 @@ type scanner struct {
 	lastVal float64
 }
 
-// lit consumes s if the input continues with it.
+// lit consumes s if the input continues with it. Every literal of the
+// document is at most 16 bytes long: a key of 4 or more is compared as its
+// first and its last word, which overlap when it is shorter than two, and
+// punctuation byte by byte — a few loads and compares where a string
+// comparison would call into the runtime's memory compare once a token.
 func (d *scanner) lit(s string) bool {
-	if len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+	b := d.b[d.i:]
+	n := len(s)
+	if len(b) < n {
 		return false
 	}
-	d.i += len(s)
-	return true
+	eq := true
+	switch {
+	case n > 16:
+		eq = string(b[:n]) == s
+	case n >= 8:
+		eq = binary.LittleEndian.Uint64(b) == word64(s) && binary.LittleEndian.Uint64(b[n-8:]) == word64(s[n-8:])
+	case n >= 4:
+		eq = binary.LittleEndian.Uint32(b) == word32(s) && binary.LittleEndian.Uint32(b[n-4:]) == word32(s[n-4:])
+	default:
+		for i := 0; i < n && eq; i++ {
+			eq = b[i] == s[i]
+		}
+	}
+	if eq {
+		d.i += n
+	}
+	return eq
+}
+
+// word32 and word64 read the leading bytes of s as a little-endian word,
+// as binary.LittleEndian does a slice's.
+func word32(s string) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+func word64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // frame decodes one frame object — on a split walk, its labels and no
@@ -649,9 +776,15 @@ func (d *scanner) float() (float64, bool) {
 	// of its characters. A split walk, which wants the verdict and not the
 	// value, takes that much from the spelling.
 	if !d.split || exponent || len(tok) > maxPlainFloatLen {
-		var err error
-		if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
-			return 0, false
+		var ok bool
+		if !exponent {
+			v, ok = parseShortDecimal(tok)
+		}
+		if !ok {
+			var err error
+			if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
+				return 0, false
+			}
 		}
 	}
 	d.lastTok, d.lastVal = tok, v

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -288,6 +289,101 @@ func TestCodecFloats(t *testing.T) {
 	if got := checkCodec(t, mixed, true); !bytes.Contains(got, []byte(`"min":0,"max":-0,"mean":0,"last":-0`)) {
 		t.Fatalf("signs of zero lost: %s", got)
 	}
+}
+
+// checkFloatSpelling holds one value's spelling to encoding/json's, as a
+// one-point document and alone, and its decode to ParseFloat's bits.
+func checkFloatSpelling(t *testing.T, v float64) {
+	t.Helper()
+	r := oneFrame(rawPoint(1, v))
+	got, err := r.AppendJSON(nil)
+	if err != nil {
+		t.Fatalf("AppendJSON(%v): %v", v, err)
+	}
+	want, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("json.Marshal(%v): %v", v, err)
+	}
+	if !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%v (bits %#x) spelled\ncodec %s json  %s", v, math.Float64bits(v), got, want)
+	}
+	tok := appendFloat(nil, v)
+	d := scanner{b: tok}
+	back, ok := d.float()
+	if !ok || d.i != len(tok) || math.Float64bits(back) != math.Float64bits(v) {
+		t.Fatalf("%s decodes to %v (bits %#x, ok %v), want bits %#x", tok, back, math.Float64bits(back), ok, math.Float64bits(v))
+	}
+}
+
+// TestShortDecimalEdges walks the edges of the short-decimal paths: which
+// values and tokens each takes, and that every one is spelled and read back
+// as encoding/json and ParseFloat do. A sensor's integer milliwatts divided
+// by 1000 must take both paths, or they serve nothing.
+func TestShortDecimalEdges(t *testing.T) {
+	for _, tc := range []struct {
+		v     float64
+		short bool
+	}{
+		{4.35, true}, {-4.35, true}, {1e-6, true}, {-1e-6, true}, {9.999999e-7, false}, {1e-7, false},
+		{0.123456, true}, {0.1234567, false}, {1e15 - 1, true}, {1e15, false}, {99999999999999.9, true},
+		{123456789.123456, true}, {1 << 53, false}, {0, false}, {math.Copysign(0, -1), false},
+		{299.99999999999994, false}, {412.75, true}, {1e14, true}, {5e-324, false},
+		// 0.1+0.2 in float64 arithmetic; as a Go constant expression it
+		// would be exactly 0.3.
+		{0.30000000000000004, false},
+	} {
+		_, short := appendShortDecimal(nil, tc.v)
+		if short != tc.short {
+			t.Errorf("%v: short-decimal path taken = %v, want %v", tc.v, short, tc.short)
+		}
+		checkFloatSpelling(t, tc.v)
+	}
+	for _, tc := range []struct {
+		tok   string
+		short bool
+	}{
+		{"4.35", true}, {"4.350", true}, {"0.000001", true}, {"-0", true}, {"-0.0", true}, {"0", true},
+		{"999999999999999", true}, {"1000000000000000", false}, {"9007199254740992", false},
+		{"12345678901234.5", true}, {"123456789012345.6", false}, {"0.30000000000000004", false},
+		{"0.100000000000000", false}, {"-123456.789012345", true},
+	} {
+		v, short := parseShortDecimal([]byte(tc.tok))
+		if short != tc.short {
+			t.Errorf("%s: short-decimal path taken = %v, want %v", tc.tok, short, tc.short)
+		}
+		want, _ := strconv.ParseFloat(tc.tok, 64)
+		d := scanner{b: []byte(tc.tok)}
+		got, ok := d.float()
+		if short && math.Float64bits(v) != math.Float64bits(want) || !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s decodes to %v (short path %v), ParseFloat says %v", tc.tok, got, v, want)
+		}
+	}
+	for mw := 0; mw < 1_000_000; mw += 7 {
+		v := float64(mw) / 1000
+		if _, short := appendShortDecimal(nil, v); mw > 0 && !short {
+			t.Fatalf("%d mW / 1000 = %v did not take the short-decimal path", mw, v)
+		}
+		if _, short := parseShortDecimal(appendFloat(nil, v)); !short {
+			t.Fatalf("%s (%d mW) did not parse on the short-decimal path", appendFloat(nil, v), mw)
+		}
+		checkFloatSpelling(t, v)
+	}
+}
+
+// FuzzAppendFloat: for any float64 bit pattern JSON can carry, a
+// one-point document is spelled as encoding/json spells it and the number
+// reads back to the same bits. Few bit patterns are short decimals, so the
+// same input also names one, u/10^k, for the fast path's side.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{4.35, 1e-6, 1e15 - 1, 1e15, 1 << 53, math.Copysign(0, -1), 0.30000000000000004, 412.75, 5e-324} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		if v := math.Float64frombits(bits); finite(v) {
+			checkFloatSpelling(t, v)
+		}
+		checkFloatSpelling(t, float64(bits%1e15)/pow10[bits>>60%7])
+	})
 }
 
 // TestCodecRejectsNonFinite: JSON has no NaN or Inf. The reference

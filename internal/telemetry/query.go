@@ -121,17 +121,21 @@ type Frame struct {
 // together along the series' persisted watermark (block data first, then
 // ring entries past the watermark), so a restart changes nothing a reader
 // can observe.
-func (st *Store) Query(q Query) []Frame {
+func (st *Store) Query(q Query) []Frame { return st.query(q, true) }
+
+// query is Query; with points false every frame carries its reduction alone,
+// no points and no gap markers, which is all TopK folds.
+func (st *Store) query(q Query, points bool) []Frame {
 	if st.obs == nil {
-		return st.runQuery(q)
+		return st.runQuery(q, points)
 	}
 	start := time.Now()
-	out := st.runQuery(q)
+	out := st.runQuery(q, points)
 	st.observeQuery(q, len(out), time.Since(start))
 	return out
 }
 
-func (st *Store) runQuery(q Query) []Frame {
+func (st *Store) runQuery(q Query, points bool) []Frame {
 	var out []Frame
 	for i := range st.shards {
 		sh := &st.shards[i]
@@ -140,7 +144,7 @@ func (st *Store) runQuery(q Query) []Frame {
 			if !q.matches(s.key) {
 				continue
 			}
-			out = append(out, st.buildFrame(s, q))
+			out = append(out, st.buildFrame(s, q, points))
 		}
 		sh.mu.RUnlock()
 	}
@@ -148,17 +152,27 @@ func (st *Store) runQuery(q Query) []Frame {
 	return out
 }
 
+// The instant each kind of stream entry is ordered and windowed by.
+func pointT(p Point) time.Duration       { return p.T }
+func gapT(t time.Duration) time.Duration { return t }
+func bucketT(b Bucket) time.Duration     { return b.Start }
+
 // buildFrame resolves one series against the query window. Called with the
 // owning shard's read lock held; block reads nest the block store's read
 // lock inside it (the engine's fixed lock order). Block read failures are
 // counted in StorageStats and degrade the frame to what memory holds —
-// queries never fail outright.
-func (st *Store) buildFrame(s *series, q Query) Frame {
+// queries never fail outright. A window reads only what it can hold: the
+// ring entries inside it, found by bisection, and block chunks only when
+// the window reaches below the seam. With points false the frame is the
+// reduction alone.
+func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 	f := Frame{Key: s.key, Unit: s.unit, Resolution: q.Resolution}
 	// red accumulates the window reduction across points.
 	var red Bucket
 	add := func(p FramePoint, sum float64) {
-		f.Points = append(f.Points, p)
+		if points {
+			f.Points = append(f.Points, p)
+		}
 		if red.Count == 0 {
 			red = Bucket{Count: p.Count, Min: p.Min, Max: p.Max, Sum: sum, Last: p.Last}
 			return
@@ -174,20 +188,26 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 		red.Count += p.Count
 	}
 	// Each kind is served the same way: block data for the sealed prefix,
-	// then the ring from the seam on.
+	// then the ring from the seam on. The point list is sized once: the
+	// ring's part exactly, the blocks' from their index.
 	if q.Resolution == Raw {
 		point := func(p Point) {
 			add(FramePoint{T: p.T, Min: p.V, Max: p.V, Mean: p.V, Last: p.V, Count: 1}, p.V)
 		}
-		if st.blocks != nil && s.raw.sealed > 0 {
+		i, j := s.raw.window(q.From, q.To, pointT)
+		sealed := st.blocks != nil && s.raw.sealedFrom(q.From, pointT)
+		if points {
+			n := j - i
+			if sealed {
+				n += st.blocks.PointsIn(s.key, q.From, q.To)
+			}
+			f.Points = make([]FramePoint, 0, n)
+		}
+		if sealed {
 			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, point))
 		}
-		for i := s.raw.live(); i < s.raw.len(); i++ {
-			p := s.raw.at(i)
-			if p.T < q.From || (q.To > 0 && p.T >= q.To) {
-				continue
-			}
-			point(p)
+		for ; i < j; i++ {
+			point(s.raw.at(i))
 		}
 	} else {
 		period := q.Resolution.Period()
@@ -196,28 +216,29 @@ func (st *Store) buildFrame(s *series, q Query) Frame {
 			add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
 		}
 		rb := &s.roll[lvl]
-		if st.blocks != nil && rb.sealed > 0 {
+		// A bucket overlaps the window when Start+period > From.
+		i, j := rb.window(q.From-period+1, q.To, bucketT)
+		if points {
+			f.Points = make([]FramePoint, 0, j-i)
+		}
+		if st.blocks != nil && rb.sealedFrom(q.From-period+1, bucketT) {
 			st.noteRead(st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, bucket))
 		}
-		for i := rb.live(); i < rb.len(); i++ {
-			b := rb.at(i)
-			// include buckets overlapping the window
-			if b.Start+period <= q.From || (q.To > 0 && b.Start >= q.To) {
-				continue
-			}
-			bucket(b)
+		for ; i < j; i++ {
+			bucket(rb.at(i))
 		}
 	}
-	gap := func(t time.Duration) { f.Gaps = append(f.Gaps, t) }
-	if st.blocks != nil && s.gaps.sealed > 0 {
-		st.noteRead(st.blocks.EachGap(s.key, q.From, q.To, gap))
+	if len(f.Points) == 0 {
+		f.Points = nil // an empty window reads as one that was never sized
 	}
-	for i := s.gaps.live(); i < s.gaps.len(); i++ {
-		t := s.gaps.at(i)
-		if t < q.From || (q.To > 0 && t >= q.To) {
-			continue
+	if points {
+		i, j := s.gaps.window(q.From, q.To, gapT)
+		if st.blocks != nil && s.gaps.sealedFrom(q.From, gapT) {
+			st.noteRead(st.blocks.EachGap(s.key, q.From, q.To, func(t time.Duration) { f.Gaps = append(f.Gaps, t) }))
 		}
-		gap(t)
+		for ; i < j; i++ {
+			f.Gaps = append(f.Gaps, s.gaps.at(i))
+		}
 	}
 	if q.Aggregate != AggNone && red.Count > 0 {
 		f.ReducedOK = true
@@ -282,9 +303,9 @@ func CompareRank(a, b NodePower) int {
 // drawing" questions an operator service answers. domain selects which
 // measurement domain counts as power (see PowerDomain). A node's watts are
 // the sum over its matching backends. Ordering is deterministic:
-// CompareRank.
+// CompareRank. Each series' window is folded without building its points.
 func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resolution) (ranked []NodePower, total float64) {
-	frames := st.Query(Query{Domain: PowerDomain(domain), From: from, To: to, Resolution: res, Aggregate: AggMean})
+	frames := st.query(Query{Domain: PowerDomain(domain), From: from, To: to, Resolution: res, Aggregate: AggMean}, false)
 	// Frames arrive sorted by key, so same-node frames are adjacent and
 	// the fold is deterministic.
 	for _, f := range frames {

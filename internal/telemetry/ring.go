@@ -1,6 +1,11 @@
 package telemetry
 
-import "envmon/internal/telemetry/storage"
+import (
+	"sort"
+	"time"
+
+	"envmon/internal/telemetry/storage"
+)
 
 // Point is one raw sample — an alias of the storage layer's type, so ring
 // contents hand off to snapshots and chunks without conversion.
@@ -80,6 +85,35 @@ func (r *stream[T]) live() int {
 		return int(r.sealed - oldest)
 	}
 	return 0
+}
+
+// window returns the ring positions [i, j) of the live entries whose instant
+// at(v) lies in [lo, hi) — hi <= 0 means unbounded. Entries are in time order
+// (ingest refuses anything else), so both ends are found by bisection: a
+// window costs the entries it holds, not the ring.
+func (r *stream[T]) window(lo, hi time.Duration, at func(T) time.Duration) (i, j int) {
+	live := r.live()
+	i = live + sort.Search(r.n-live, func(k int) bool { return at(r.at(live+k)) >= lo })
+	j = r.n
+	if hi > 0 {
+		j = i + sort.Search(r.n-i, func(k int) bool { return at(r.at(i+k)) >= hi })
+	}
+	return i, j
+}
+
+// sealedFrom reports whether blocks may hold an entry whose instant is at
+// least lo, so that a window starting at lo has to read them. The ring
+// answers while it holds anything: the entry just below the seam, if still
+// resident, is the newest sealed one, and otherwise no sealed entry is newer
+// than the oldest resident. Only an empty ring leaves it to the block index.
+func (r *stream[T]) sealedFrom(lo time.Duration, at func(T) time.Duration) bool {
+	switch {
+	case r.sealed == 0:
+		return false
+	case r.n == 0:
+		return true
+	}
+	return at(r.at(max(r.live()-1, 0))) >= lo
 }
 
 // pressed reports whether one more push would evict an unsealed entry.

@@ -26,8 +26,11 @@ import (
 
 // TestStreamAgainstSliceModel drives one stream with random pushes and
 // seals and checks every seam answer against the obvious slice model.
+// Entries are instants in time order, repeats included, as ingest keeps
+// them, so the window answers are checked too.
 func TestStreamAgainstSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	at := func(v int) time.Duration { return time.Duration(v) }
 	for round := 0; round < 200; round++ {
 		capacity := 1 + rng.Intn(8)
 		r := newStream[int](capacity)
@@ -36,9 +39,42 @@ func TestStreamAgainstSliceModel(t *testing.T) {
 		if rng.Intn(3) == 0 { // a stream restored from a block index
 			sealed = rng.Intn(20)
 			all = make([]int, sealed)
+			for i := range all {
+				all[i] = i / 2
+			}
 			r.restore(uint64(sealed))
 		}
 		for op := 0; op < 60; op++ {
+			// A window [lo, hi) (hi 0: unbounded) over the ring is the live
+			// entries inside it, and the blocks may be skipped only when
+			// no sealed entry is at or after lo.
+			newest := 0
+			if len(all) > 0 {
+				newest = all[len(all)-1]
+			}
+			lo, hi := rng.Intn(newest+3)-1, 0
+			if rng.Intn(2) == 0 {
+				hi = lo + rng.Intn(4)
+			}
+			var want []int
+			for _, e := range all[sealed:] {
+				if e >= lo && (hi <= 0 || e < hi) {
+					want = append(want, e)
+				}
+			}
+			var got []int
+			for i, j := r.window(at(lo), at(hi), at); i < j; i++ {
+				got = append(got, r.at(i))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d op %d: window [%d, %d) serves %v, want %v (all %v, sealed %d)", round, op, lo, hi, got, want, all, sealed)
+			}
+			// Exact when nothing is sealed or the ring still holds the newest
+			// sealed entry.
+			reach := slices.ContainsFunc(all[:sealed], func(e int) bool { return e >= lo })
+			if got := r.sealedFrom(at(lo), at); reach && !got || (sealed == 0 || r.live() > 0) && got != reach {
+				t.Fatalf("round %d op %d: sealedFrom(%d) = %v, the blocks hold %v", round, op, lo, got, all[:sealed])
+			}
 			oldest := int(r.total) - r.len()
 			if want := r.len() == capacity && oldest >= sealed; r.pressed() != want {
 				t.Fatalf("round %d op %d: pressed = %v, want %v", round, op, r.pressed(), want)
@@ -52,7 +88,7 @@ func TestStreamAgainstSliceModel(t *testing.T) {
 				r.sealed = r.total
 				sealed = len(all)
 			}
-			v := rng.Int()
+			v := newest + rng.Intn(3)
 			r.push(v)
 			all = append(all, v)
 			if int(r.total) != len(all) || *r.tail() != v {
@@ -135,6 +171,30 @@ func TestSeamModel(t *testing.T) {
 		from := time.Duration(rng.Int63n(int64(horizon) + 1))
 		a, b := instants[rng.Intn(len(instants))], instants[rng.Intn(len(instants))]
 		windows := [][2]time.Duration{{0, 0}, {from, from + time.Duration(rng.Int63n(int64(horizon)+1))}, {min(a, b), max(a, b)}}
+		// And windows that start just inside the sealed part, at and just
+		// past where one series' ring meets its blocks: the edges of the
+		// bisection and of the test for whether blocks are read at all. For
+		// a rollup level both ends of the first live bucket are edges.
+		k := keys[rng.Intn(len(keys))]
+		if s := ps.shards[k.Hash()%uint64(len(ps.shards))].series[k]; s != nil {
+			var seams []time.Duration
+			if i := s.raw.live(); i < s.raw.len() {
+				seams = append(seams, s.raw.at(i).T)
+			}
+			if i := s.gaps.live(); i < s.gaps.len() {
+				seams = append(seams, s.gaps.at(i))
+			}
+			for l := range s.roll {
+				if rb := &s.roll[l]; rb.live() < rb.len() {
+					b := rb.at(rb.live())
+					seams = append(seams, b.Start, b.Start+rollupPeriods[l])
+				}
+			}
+			if len(seams) > 0 {
+				seam := seams[rng.Intn(len(seams))]
+				windows = append(windows, [2]time.Duration{seam - 1, 0}, [2]time.Duration{seam, 0}, [2]time.Duration{seam + 1, seam + time.Second})
+			}
+		}
 		for _, res := range []Resolution{Raw, Res1s, Res10s, Res60s} {
 			ws := windows
 			if p := res.Period(); p > 0 { // and one that ends exactly on bucket edges
