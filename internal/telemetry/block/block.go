@@ -102,7 +102,11 @@ type Store struct {
 	agg     map[storage.SeriesKey]*Agg
 	nextSeq uint64
 	bytes   int64
+	closed  bool
 }
+
+// errClosed is what a scan after Close returns.
+var errClosed = errors.New("block: store closed")
 
 // Open scans dir (created if missing) and opens every block file in
 // sequence order. Stray temporary files from an interrupted write are
@@ -465,6 +469,9 @@ func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 	at func(T) time.Duration, fn func(T)) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.closed {
+		return errClosed
+	}
 	var scratch []T
 	for _, bf := range s.files {
 		e, ok := bf.entries[key]
@@ -569,16 +576,20 @@ func (s *Store) Bytes() int64 {
 	return s.bytes
 }
 
-// Close closes every block file. The store is unusable afterwards.
+// Close closes every block file; a second Close does nothing. Every scan
+// after it fails; NumBlocks and Bytes still describe the files.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	var first error
 	for _, bf := range s.files {
 		if err := bf.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.files = nil
 	return first
 }

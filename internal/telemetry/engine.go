@@ -62,33 +62,41 @@ func Open(dir string, opts Options) (*Store, error) {
 		st.gaps.Add(a.Gaps)
 	})
 
-	// Replay the journal on top. Records arrive sorted by (series, index)
-	// and each is applied only where it extends its stream (replayable).
+	// Replay the journal on top: every series' samples, then every series'
+	// gaps, series in key order and each stream in index order, one series
+	// lookup per stream. A record is applied only where it extends its
+	// stream (replayable).
 	walDir := filepath.Join(dir, "wal")
 	samples, gaps, err := wal.Replay(walDir)
 	if err != nil {
-		blocks.Close()
+		st.Close()
 		return nil, err
 	}
-	for _, smp := range samples {
-		if s := st.recoverSeries(smp.Key, smp.Unit); st.replayable(smp.Index, s.raw.total) {
-			s.append(smp.T, smp.V)
-			st.samples.Add(1)
-			st.recovered.Samples++
+	for _, r := range samples {
+		s := st.recoverSeries(r.Key, r.Unit)
+		for _, e := range r.Entries {
+			if st.replayable(e.Index, s.raw.total) {
+				s.append(e.T, e.V)
+				st.recovered.Samples++
+			}
 		}
 	}
-	for _, g := range gaps {
-		if s := st.recoverSeries(g.Key, g.Unit); st.replayable(g.Index, s.gaps.total) {
-			s.appendGap(g.T)
-			st.gaps.Add(1)
-			st.recovered.Gaps++
+	for _, r := range gaps {
+		s := st.recoverSeries(r.Key, r.Unit)
+		for _, e := range r.Entries {
+			if st.replayable(e.Index, s.gaps.total) {
+				s.appendGap(e.T)
+				st.recovered.Gaps++
+			}
 		}
 	}
+	st.samples.Add(st.recovered.Samples)
+	st.gaps.Add(st.recovered.Gaps)
 	st.recovered.Series = int(st.nseries.Load())
 
 	w, err := wal.Create(walDir, st.opts.Shards)
 	if err != nil {
-		blocks.Close()
+		st.Close()
 		return nil, err
 	}
 	st.wal = w
@@ -104,7 +112,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		sh := &st.shards[i]
 		if err := st.compactShardLocked(sh, true); err != nil {
 			st.Close()
-			blocks.Close()
 			return nil, err
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -275,6 +278,64 @@ func TestSeriesInfoReportsPersistence(t *testing.T) {
 			// the tiny raw ring evicted it long ago.
 			t.Fatalf("series %v: oldest %v, want <= 50ms", info.Key, info.Oldest)
 		}
+	}
+}
+
+// openUnder lists this process's open descriptors that point below dir.
+func openUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+"/") {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestCloseReleasesEveryDescriptor: after Open, ingest, Flush and Close no
+// descriptor is left open under the data directory — journal segments and
+// block files alike — and a query reaching sealed data after Close counts a
+// read error rather than answering short in silence.
+func TestCloseReleasesEveryDescriptor(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("needs /proc/self/fd")
+	}
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{Shards: 2, RawCapacity: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := SeriesKey{Node: "c000-001", Backend: "MSR", Domain: "Total Power"}
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := st.Ingest(key, "W", time.Duration(i)*time.Second, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(0, 100)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(100, 110) // journaled, not sealed: what memory alone answers
+	if open := openUnder(t, dir); !slices.Contains(open, filepath.Join(dir, "blocks", "b-00000001.blk")) {
+		t.Fatalf("open before Close: %v, want the first block among them", open)
+	}
+	st.Close()
+	if open := openUnder(t, dir); len(open) > 0 {
+		t.Fatalf("descriptors left open under the data dir after Close: %v", open)
+	}
+	frames := st.Query(Query{})
+	if got := st.StorageStats().ReadErrors; got == 0 || len(frames) != 1 || len(frames[0].Points) != 10 {
+		t.Fatalf("a whole-range query after Close: %d read errors, %d frames, want 1 frame of the 10 unsealed points and the sealed read counted", got, len(frames))
 	}
 }
 

@@ -366,25 +366,28 @@ func (st *Store) IngestGap(key SeriesKey, unit string, t time.Duration) error {
 }
 
 // Close marks the store closed: subsequent Ingest calls fail with
-// ErrClosed. Queries keep working — a drained store remains readable,
-// including its block tier. A persistent store's WAL is synced and closed;
-// call Flush first for the stronger guarantee that everything in memory is
-// sealed into blocks.
+// ErrClosed. Queries keep answering from what memory holds. A persistent
+// store releases every descriptor: once in-flight queries have drained, its
+// WAL is synced and closed and its block files are closed, so a block read
+// after Close is a read error counted in StorageStats, never a silently
+// shorter answer. Call Flush first for the stronger guarantee that
+// everything in memory is sealed into blocks.
 func (st *Store) Close() {
-	if st.closed.Swap(true) {
+	if st.closed.Swap(true) || st.blocks == nil {
 		return
 	}
+	// Take every shard lock so no journal append or block read is mid-flight.
+	for i := range st.shards {
+		st.shards[i].mu.Lock()
+	}
 	if st.wal != nil {
-		// Take every shard lock so no journal append is mid-flight.
-		for i := range st.shards {
-			st.shards[i].mu.Lock()
-		}
 		_ = st.wal.Sync()
 		_ = st.wal.Close()
-		for i := range st.shards {
-			st.shards[i].wal = nil
-			st.shards[i].mu.Unlock()
-		}
+	}
+	_ = st.blocks.Close()
+	for i := range st.shards {
+		st.shards[i].wal = nil
+		st.shards[i].mu.Unlock()
 	}
 }
 

@@ -18,8 +18,9 @@
 // is below that watermark is a duplicate from an interrupted compaction
 // and is skipped, one at the watermark is applied, and ordering across
 // segments — even across restarts that changed the shard count — is
-// recovered by sorting on (series, index). Crash-anywhere safety falls
-// out of this idempotence rather than from a careful deletion protocol.
+// recovered by grouping records per series and applying each series in
+// index order. Crash-anywhere safety falls out of this idempotence rather
+// than from a careful deletion protocol.
 //
 // A run record carries consecutive samples of one series — what a cursor
 // flush holds — under one frame: the first sample's absolute index, a count,
@@ -48,6 +49,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +58,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -323,29 +326,34 @@ func (sh *Shard) commit(p []byte) error {
 	return nil
 }
 
-// Sample is one replayed sample record, resolved to its series.
-type Sample struct {
-	Key   storage.SeriesKey
-	Unit  string
+// Entry is one replayed sample or gap record: the absolute index in its
+// series' stream, the instant, and for a sample the value.
+type Entry struct {
 	Index uint64
 	T     time.Duration
 	V     float64
 }
 
-// Gap is one replayed gap record, resolved to its series.
-type Gap struct {
-	Key   storage.SeriesKey
-	Unit  string
-	Index uint64
-	T     time.Duration
+// Stream is one series' replayed sample records, or its gap records, in the
+// order they apply: by index, and equal indexes in the order they were read.
+// Unit is the one declared with the stream's first record in that order.
+type Stream struct {
+	Key     storage.SeriesKey
+	Unit    string
+	Entries []Entry
 }
 
-// Replay reads every shard directory under dir and returns all decodable
-// sample and gap records, sorted by (series, index) — the order they can
-// be applied in regardless of which shard layout wrote them. Segments end
-// silently at the first torn or corrupt record (the crash tail); wholly
-// unreadable files are an error.
-func Replay(dir string) ([]Sample, []Gap, error) {
+// Replay reads every shard directory under dir and returns every decodable
+// sample and gap record, grouped into one stream per series and kind, the
+// streams in storage.KeyLess order — the order they can be applied in
+// regardless of which shard layout wrote them. Records are read shard
+// directory by shard directory in os.ReadDir order, each directory's
+// segments by sequence; a declaration resolves its series once per segment,
+// so the cost is linear in the records read, and a stream is sorted only
+// when its indexes arrived out of order. Segments end silently at the first
+// torn or corrupt record (the crash tail); wholly unreadable files are an
+// error.
+func Replay(dir string) (samples, gaps []Stream, err error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, nil
@@ -353,8 +361,7 @@ func Replay(dir string) ([]Sample, []Gap, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	var samples []Sample
-	var gaps []Gap
+	j := newJournal()
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
@@ -366,50 +373,122 @@ func Replay(dir string) ([]Sample, []Gap, error) {
 		}
 		for _, seq := range seqs {
 			name := filepath.Join(sd, fmt.Sprintf("%08d.wal", seq))
-			if samples, gaps, err = replaySegment(name, samples, gaps); err != nil {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				return nil, nil, fmt.Errorf("wal: %w", err)
+			}
+			if err := j.replayBytes(name, data); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
-	sort.SliceStable(samples, func(i, j int) bool {
-		if samples[i].Key != samples[j].Key {
-			return storage.KeyLess(samples[i].Key, samples[j].Key)
-		}
-		return samples[i].Index < samples[j].Index
-	})
-	sort.SliceStable(gaps, func(i, j int) bool {
-		if gaps[i].Key != gaps[j].Key {
-			return storage.KeyLess(gaps[i].Key, gaps[j].Key)
-		}
-		return gaps[i].Index < gaps[j].Index
-	})
+	samples, gaps = j.streams()
 	return samples, gaps, nil
 }
 
-type seriesDecl struct {
-	key  storage.SeriesKey
+// journal groups records by series as replay decodes them.
+type journal struct {
+	series map[storage.SeriesKey]*group
+	refs   map[uint64]decl // the declarations of the segment being read
+}
+
+// group is one series' records in read order.
+type group struct {
+	key           storage.SeriesKey
+	samples, gaps column
+}
+
+// decl is a segment-scoped series ref, resolved.
+type decl struct {
+	g    *group
 	unit string
 }
 
-func replaySegment(name string, samples []Sample, gaps []Gap) ([]Sample, []Gap, error) {
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return samples, gaps, fmt.Errorf("wal: %w", err)
-	}
-	return replayBytes(name, data, samples, gaps)
+// column is one kind of a series' records in read order, with what it takes
+// to put them in apply order: whether any index arrived below the one read
+// before it, and where the unit their declarations gave changed.
+type column struct {
+	entries  []Entry
+	unsorted bool
+	units    []unitMark
 }
 
-// replayBytes decodes one segment's bytes. A segment ends at the first
-// frame that is empty (the zeros of a preallocated tail), longer than
-// what is left of the file, or fails its checksum.
-func replayBytes(name string, data []byte, samples []Sample, gaps []Gap) ([]Sample, []Gap, error) {
+// unitMark: the records read from entry pos on were declared under unit.
+type unitMark struct {
+	pos  int
+	unit string
+}
+
+func newJournal() *journal {
+	return &journal{series: map[storage.SeriesKey]*group{}}
+}
+
+// begin notes the unit of a record whose entries are appended next.
+func (c *column) begin(unit string) {
+	if n := len(c.units); n == 0 || c.units[n-1].unit != unit {
+		c.units = append(c.units, unitMark{len(c.entries), unit})
+	}
+}
+
+func (c *column) add(e Entry) {
+	if n := len(c.entries); n > 0 && e.Index < c.entries[n-1].Index {
+		c.unsorted = true
+	}
+	c.entries = append(c.entries, e)
+}
+
+// stream puts the column in apply order. Its unit is that of the entry
+// applied first: the lowest index, the earliest read among equals.
+func (c *column) stream(key storage.SeriesKey) Stream {
+	unit := c.units[0].unit
+	if len(c.units) > 1 {
+		first := 0
+		for i, e := range c.entries {
+			if e.Index < c.entries[first].Index {
+				first = i
+			}
+		}
+		for _, m := range c.units {
+			if m.pos <= first {
+				unit = m.unit
+			}
+		}
+	}
+	if c.unsorted {
+		slices.SortStableFunc(c.entries, func(a, b Entry) int { return cmp.Compare(a.Index, b.Index) })
+	}
+	return Stream{Key: key, Unit: unit, Entries: c.entries}
+}
+
+// streams returns every series' non-empty columns in key order.
+func (j *journal) streams() (samples, gaps []Stream) {
+	groups := make([]*group, 0, len(j.series))
+	for _, g := range j.series {
+		groups = append(groups, g)
+	}
+	sort.Slice(groups, func(a, b int) bool { return storage.KeyLess(groups[a].key, groups[b].key) })
+	for _, g := range groups {
+		if len(g.samples.entries) > 0 {
+			samples = append(samples, g.samples.stream(g.key))
+		}
+		if len(g.gaps.entries) > 0 {
+			gaps = append(gaps, g.gaps.stream(g.key))
+		}
+	}
+	return samples, gaps
+}
+
+// replayBytes decodes one segment's bytes into the journal. A segment ends
+// at the first frame that is empty (the zeros of a preallocated tail),
+// longer than what is left of the file, or fails its checksum.
+func (j *journal) replayBytes(name string, data []byte) error {
 	if len(data) < 8 || string(data[:4]) != magic {
-		return samples, gaps, fmt.Errorf("wal: %s: bad segment header", name)
+		return fmt.Errorf("wal: %s: bad segment header", name)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return samples, gaps, fmt.Errorf("wal: %s: unsupported version %d", name, v)
+		return fmt.Errorf("wal: %s: unsupported version %d", name, v)
 	}
-	refs := map[uint64]seriesDecl{}
+	j.refs = map[uint64]decl{}
 	off := 8
 	for off+8 <= len(data) {
 		plen := binary.LittleEndian.Uint32(data[off:])
@@ -424,16 +503,16 @@ func replayBytes(name string, data []byte, samples []Sample, gaps []Gap) ([]Samp
 			break // corrupt tail
 		}
 		off += 8 + int(plen)
-		if err := decodeRecord(payload, refs, &samples, &gaps); err != nil {
-			return samples, gaps, fmt.Errorf("wal: %s: %w", name, err)
+		if err := j.record(payload); err != nil {
+			return fmt.Errorf("wal: %s: %w", name, err)
 		}
 	}
-	return samples, gaps, nil
+	return nil
 }
 
-// decodeRecord decodes one checksummed payload; one too short for its
-// record type is io.ErrUnexpectedEOF (storage.Reader's error).
-func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps *[]Gap) error {
+// record decodes one checksummed payload; one too short for its record type
+// is io.ErrUnexpectedEOF (storage.Reader's error) and adds nothing.
+func (j *journal) record(p []byte) error {
 	r := storage.Reader{P: p}
 	typ, ref := r.Byte(), r.Uvarint()
 	if r.Err != nil {
@@ -441,22 +520,29 @@ func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps 
 	}
 	switch typ {
 	case recSeries:
-		var d seriesDecl
-		d.key.Node, d.key.Backend, d.key.Domain, d.unit = r.Str(), r.Str(), r.Str(), r.Str()
+		var key storage.SeriesKey
+		key.Node, key.Backend, key.Domain = r.Str(), r.Str(), r.Str()
+		unit := r.Str()
 		if r.Err == nil {
-			refs[ref] = d
+			g := j.series[key]
+			if g == nil {
+				g = &group{key: key}
+				j.series[key] = g
+			}
+			j.refs[ref] = decl{g: g, unit: unit}
 		}
 	case recSample:
-		d, ok := refs[ref]
+		d, ok := j.refs[ref]
 		if !ok {
 			return fmt.Errorf("sample record references undeclared series %d", ref)
 		}
-		s := Sample{Key: d.key, Unit: d.unit, Index: r.Uvarint(), T: time.Duration(r.Varint()), V: r.Float64()}
+		e := Entry{Index: r.Uvarint(), T: time.Duration(r.Varint()), V: r.Float64()}
 		if r.Err == nil {
-			*samples = append(*samples, s)
+			d.g.samples.begin(d.unit)
+			d.g.samples.add(e)
 		}
 	case recRun:
-		d, ok := refs[ref]
+		d, ok := j.refs[ref]
 		if !ok {
 			return fmt.Errorf("run record references undeclared series %d", ref)
 		}
@@ -467,7 +553,9 @@ func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps 
 		if n > uint64(len(r.P))/9 {
 			r.Err = io.ErrUnexpectedEOF
 		}
-		whole := len(*samples)
+		c := &d.g.samples
+		whole := len(c.entries)
+		c.begin(d.unit)
 		for ; n > 0 && r.Err == nil; n, idx = n-1, idx+1 {
 			step := r.Uvarint()
 			if step > uint64(math.MaxInt64-max(t, 0)) {
@@ -475,19 +563,20 @@ func decodeRecord(p []byte, refs map[uint64]seriesDecl, samples *[]Sample, gaps 
 				break
 			}
 			t += int64(step)
-			*samples = append(*samples, Sample{Key: d.key, Unit: d.unit, Index: idx, T: time.Duration(t), V: r.Float64()})
+			c.add(Entry{Index: idx, T: time.Duration(t), V: r.Float64()})
 		}
 		if r.Err != nil {
-			*samples = (*samples)[:whole]
+			c.entries = c.entries[:whole]
 		}
 	case recGap:
-		d, ok := refs[ref]
+		d, ok := j.refs[ref]
 		if !ok {
 			return fmt.Errorf("gap record references undeclared series %d", ref)
 		}
-		g := Gap{Key: d.key, Unit: d.unit, Index: r.Uvarint(), T: time.Duration(r.Varint())}
+		e := Entry{Index: r.Uvarint(), T: time.Duration(r.Varint())}
 		if r.Err == nil {
-			*gaps = append(*gaps, g)
+			d.g.gaps.begin(d.unit)
+			d.g.gaps.add(e)
 		}
 	default:
 		return fmt.Errorf("unknown record type %d", typ)

@@ -90,7 +90,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		samples, gaps, err := Replay(dir)
+		samples, gaps, err := replayFlat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if samples, gaps, err = Replay(dir); err != nil || len(gaps) != 0 || !reflect.DeepEqual(samples, want) {
+		if samples, gaps, err = replayFlat(dir); err != nil || len(gaps) != 0 || !reflect.DeepEqual(samples, want) {
 			t.Fatalf("run records replayed %d samples %d gaps (err %v), want the %d appended and 0", len(samples), len(gaps), err, len(want))
 		}
 	})
@@ -167,7 +167,7 @@ func TestReplayTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		samples, _, err := Replay(dir)
+		samples, _, err := replayFlat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestReplayTornTail(t *testing.T) {
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		samples, _, err = Replay(dir)
+		samples, _, err = replayFlat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestRotateDropsSegmentAndResetsRefs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Old segment is gone; its records do not replay.
-		samples, _, err := Replay(dir)
+		samples, _, err := replayFlat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestRotateDropsSegmentAndResetsRefs(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		samples, _, err = Replay(dir)
+		samples, _, err = replayFlat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestRecordsAcrossWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		samples, _, err := Replay(dir)
+		samples, _, err := replayFlat(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestReplayStopsAtPreallocatedTail(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(killed, "0", "00000001.wal"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		samples, gaps, err := Replay(killed)
+		samples, gaps, err := replayFlat(killed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +546,7 @@ func (l *appendLog) sample() error {
 // check replays dir and requires exactly the acknowledged samples.
 func (l *appendLog) check(dir string) {
 	l.t.Helper()
-	samples, _, err := Replay(dir)
+	samples, _, err := replayFlat(dir)
 	if err != nil {
 		l.t.Fatal(err)
 	}
@@ -782,10 +782,6 @@ func TestFailedRotateOpensSuccessorAtNextDeclaration(t *testing.T) {
 	}
 }
 
-// FuzzReplaySegment feeds one segment's bytes to the decoder. It must not
-// panic, must not read a frame past the bytes it was given, and must not
-// return a record from a frame that failed its checksum — checked against
-// a second, independent walk of the frames.
 // TestDecodeRecordTruncated: a payload that passes its checksum but stops
 // short of its record type's last field is io.ErrUnexpectedEOF, and
 // nothing of it is replayed.
@@ -806,10 +802,10 @@ func TestDecodeRecordTruncated(t *testing.T) {
 			whole = 1 + int(payload[3])
 		}
 		for n := 0; n <= len(payload); n++ {
-			refs := map[uint64]seriesDecl{1: {key: testKey, unit: "W"}}
-			var samples []Sample
-			var gaps []Gap
-			err := decodeRecord(payload[:n], refs, &samples, &gaps)
+			g, j := &group{key: testKey}, newJournal()
+			j.refs = map[uint64]decl{1: {g: g, unit: "W"}}
+			err := j.record(payload[:n])
+			samples, gaps, refs := g.samples.entries, g.gaps.entries, j.refs
 			if n == len(payload) {
 				if err != nil || len(samples)+len(gaps)+len(refs) != whole {
 					t.Errorf("whole record type %d: %v, %d samples, %d gaps, %d series", payload[0], err, len(samples), len(gaps), len(refs))
@@ -821,6 +817,12 @@ func TestDecodeRecordTruncated(t *testing.T) {
 	}
 }
 
+// FuzzReplaySegment feeds one segment's bytes to the decoder. It must not
+// panic, must not read a frame past the bytes it was given, and must not
+// return a record from a frame that failed its checksum — checked against
+// a second, independent walk of the frames. What it returns, grouped by
+// series, must be what the flat decode of the oracle returns in the order
+// of the stable (key, index) sort.
 func FuzzReplaySegment(f *testing.F) {
 	dir := f.TempDir()
 	w, err := Create(dir, 3)
@@ -890,7 +892,9 @@ func FuzzReplaySegment(f *testing.F) {
 	f.Add([]byte("ENVW\x01\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00")) // a frame 2^32-1 long
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		samples, gaps, err := replayBytes("fuzz", data, nil, nil)
+		j := newJournal()
+		err := j.replayBytes("fuzz", data)
+		samples, gaps := flatten(j.streams())
 		if len(data) < 8 {
 			if err == nil {
 				t.Fatal("a segment shorter than its header replayed without error")
@@ -927,6 +931,15 @@ func FuzzReplaySegment(f *testing.F) {
 		got := len(samples) + len(gaps)
 		if got > valid || (err == nil && got != valid) {
 			t.Fatalf("replay returned %d records (err %v); %d sample and gap frames pass their checksum", got, err, valid)
+		}
+		// And the grouping is the order the flat decode and the stable
+		// (key, index) sort give the same bytes, error or not.
+		wantS, wantG, wantErr := oracleSegment(data)
+		oracleSort(wantS, wantG)
+		oracleUnits(wantS, wantG)
+		if (err == nil) != (wantErr == nil) || !sameSamples(samples, wantS) || !slices.Equal(gaps, wantG) {
+			t.Fatalf("grouped replay (err %v) gave %d samples %d gaps; the oracle (err %v) %d and %d, or in another order",
+				err, len(samples), len(gaps), wantErr, len(wantS), len(wantG))
 		}
 	})
 }

@@ -161,43 +161,6 @@ func (w *Phased) PhaseWindow(name string) (start, end time.Duration, ok bool) {
 
 // --- Combinators ------------------------------------------------------------
 
-// delayed shifts a workload to start after a lead-in idle period.
-type delayed struct {
-	inner Workload
-	lead  time.Duration
-	tail  time.Duration
-}
-
-// WithIdleShoulders wraps w with idle periods before and after — how the
-// paper's Figure 1 and Figure 3 captures were taken ("capture started before
-// and terminated after program execution").
-func WithIdleShoulders(w Workload, lead, tail time.Duration) Workload {
-	if lead < 0 || tail < 0 {
-		panic("workload: negative idle shoulder")
-	}
-	return &delayed{inner: w, lead: lead, tail: tail}
-}
-
-func (d *delayed) Name() string { return d.inner.Name() }
-
-func (d *delayed) Duration() time.Duration {
-	return d.lead + d.inner.Duration() + d.tail
-}
-
-func (d *delayed) ActivityAt(t time.Duration) Activity {
-	return d.inner.ActivityAt(t - d.lead)
-}
-
-func (d *delayed) PhaseAt(t time.Duration) string {
-	if t < 0 || t >= d.Duration() {
-		return "idle"
-	}
-	if t < d.lead || t >= d.lead+d.inner.Duration() {
-		return "idle-shoulder"
-	}
-	return d.inner.PhaseAt(t - d.lead)
-}
-
 // modulated wraps a workload with a periodic multiplicative dip — the
 // rhythmic structure visible in the paper's Figure 3.
 type modulated struct {

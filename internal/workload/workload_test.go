@@ -99,41 +99,6 @@ func TestPhaseWindow(t *testing.T) {
 	}
 }
 
-func TestIdleShoulders(t *testing.T) {
-	inner := FixedRuntime(10 * time.Second)
-	w := WithIdleShoulders(inner, 5*time.Second, 3*time.Second)
-	if w.Duration() != 18*time.Second {
-		t.Fatalf("Duration = %v", w.Duration())
-	}
-	if a := w.ActivityAt(2 * time.Second); a != (Activity{}) {
-		t.Errorf("lead shoulder active: %+v", a)
-	}
-	if w.PhaseAt(2*time.Second) != "idle-shoulder" {
-		t.Errorf("PhaseAt lead = %q", w.PhaseAt(2*time.Second))
-	}
-	if a := w.ActivityAt(7 * time.Second); a.Compute == 0 {
-		t.Error("workload idle during its run")
-	}
-	if w.PhaseAt(7*time.Second) != "spin" {
-		t.Errorf("PhaseAt mid = %q", w.PhaseAt(7*time.Second))
-	}
-	if a := w.ActivityAt(16 * time.Second); a != (Activity{}) {
-		t.Errorf("tail shoulder active: %+v", a)
-	}
-	if w.PhaseAt(20*time.Second) != "idle" {
-		t.Errorf("PhaseAt past end = %q", w.PhaseAt(20*time.Second))
-	}
-}
-
-func TestIdleShouldersNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative shoulder did not panic")
-		}
-	}()
-	WithIdleShoulders(Sleep(time.Second), -1, 0)
-}
-
 func TestWithRhythmDipsAndSpikes(t *testing.T) {
 	base := NewPhased("b", Phase{Name: "c", Dur: time.Minute, Act: Activity{Compute: 0.9}})
 	w := WithRhythm(base, 5*time.Second, 400*time.Millisecond, 0.5, 0.1)
@@ -276,7 +241,6 @@ func TestActivityZeroOutsideRunProperty(t *testing.T) {
 		VectorAdd(10*time.Second, time.Minute),
 		PhiGauss(30*time.Second, time.Minute),
 		FixedRuntime(time.Minute),
-		WithIdleShoulders(MMPS(time.Minute), 5*time.Second, 5*time.Second),
 	}
 	for _, w := range ws {
 		if a := w.ActivityAt(-time.Second); a != (Activity{}) {
