@@ -170,20 +170,14 @@ func TestReachability(t *testing.T) {
 	// Roots: every main package under the three directories that hold
 	// binaries. Loading one loads everything it links.
 	var all []string // every non-test package directory in the module
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
+	seen := map[string]bool{}
+	for _, f := range moduleFiles(t) {
+		if dir := filepath.Dir(f); filepath.Ext(f) == ".go" && !seen[dir] {
+			seen[dir] = true
+			if bp, err := build.Default.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
+				all = append(all, filepath.ToSlash(filepath.Join(modulePath, dir)))
+			}
 		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if bp, err := build.Default.ImportDir(path, 0); err == nil && len(bp.GoFiles) > 0 {
-			all = append(all, filepath.ToSlash(filepath.Join(modulePath, path)))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, path := range all {
 		rel := strings.TrimPrefix(path, modulePath+"/")
