@@ -61,7 +61,7 @@ var architecture = []struct {
 		guard{scope: codecGo, one: strs("func QueryResult.AppendJSON", "func WireResult.AppendJSON", "func DecodeQueryResult", "func SplitQueryResult")},
 		guard{except: strs(codecGo), bad: strs("func QueryResult.AppendJSON", "func WireResult.AppendJSON", "func DecodeQueryResult", "func SplitQueryResult")},
 		guard{bad: strs("func QueryResult.MarshalJSON", "func QueryResult.UnmarshalJSON", "func WireResult.MarshalJSON", "func WireResult.UnmarshalJSON")},
-		guard{one: strs("func scanner.frame", "func scanner.point", `lit({"node":)`, `lit({"t_ns":)`)})},
+		guard{one: slices.Concat(strs("func scanner.frame", "func scanner.point", "key(keyNode)", "key(keyTNS)"), calls("newKey", codecKeys...))})},
 	{"spellings", "DESIGN §11 One owner per rule: what envmond and envfedd answer alike has one definition both call; bench/ spells the power domain on its own", guards(
 		guard{scope: httpapi, tests: true, bad: strs("type Point", "type NodePower", "type SourceHealth")},
 		guard{scope: "internal/federation/", bad: strs("~lessFrameKey", "~frameKey", "~mergeSimNow")},
@@ -88,6 +88,21 @@ var architecture = []struct {
 		guard{tests: true, except: strs("internal/telemetry/wal/"), bad: strs("syscall.Mmap")})},
 	{"benchmark-system", `EXPERIMENTS.md "What the stack costs": speed is pairs of bench/run.sh; CHANGES, ROADMAP and bench/README.md keep the history`, benchmarkSystem},
 	{"cited-tests", "every test DESIGN.md and the verify skill cite, and every -run alternative in CI and the skill, names a test that exists", citedTests},
+}
+
+// codecKeys are the keys the /query decoder matches, each defined once.
+// The two that open a frame and a point are matched in one place each, so
+// a second frame or point grammar fails the row.
+var codecKeys = strs(`{"frames":`, `,"sim_now_ns":`, `,"newest_ns":`, `,"degraded":`, `{"node":`, `,"backend":`,
+	`,"domain":`, `,"unit":`, `,"resolution":`, `,"reduced":`, `,"points":`, `,"gaps_ns":[`, `{"t_ns":`, `,"min":`,
+	`,"max":`, `,"mean":`, `,"last":`, `,"count":`, `,"count":1}`)
+
+// calls spells the pattern of a call of fn with each of args.
+func calls(fn string, args ...string) (out []string) {
+	for _, a := range args {
+		out = append(out, fn+"("+a+")")
+	}
+	return out
 }
 
 func flagSet(dir string) []guard {
@@ -168,7 +183,7 @@ func guards(gs ...guard) func(*archModule) []string {
 //	func F     a declaration funcName spells F ("func .M" is any method M)
 //	~s         an identifier containing s
 //	f()        a call of a function whose last identifier matches the glob f
-//	f(a)       such a call whose first argument is the string literal or the pkg.Name a
+//	f(a)       such a call whose first argument is the string literal or the pkg.Name a, or ends in the identifier a
 //	"s"        the string literal s
 //	for        a loop
 //	x == ""    an identifier ending in x, in any case, compared with ""
@@ -187,7 +202,7 @@ func (f *archFile) match(n ast.Node, p string) bool {
 		glob, arg, call := strings.Cut(strings.TrimSuffix(p, ")"), "(")
 		ok, _ := path.Match(glob, lastIdent(n.Fun))
 		return call && ok && strings.HasSuffix(p, ")") &&
-			(arg == "" || len(n.Args) > 0 && (strLit(n.Args[0]) == strconv.Quote(arg) || f.sel(n.Args[0]) == arg))
+			(arg == "" || len(n.Args) > 0 && (strLit(n.Args[0]) == strconv.Quote(arg) || f.sel(n.Args[0]) == arg || lastIdent(n.Args[0]) == arg))
 	case *ast.BasicLit:
 		return p == strLit(n)
 	case *ast.ForStmt, *ast.RangeStmt:

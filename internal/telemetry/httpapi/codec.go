@@ -241,37 +241,6 @@ func appendShortDecimal(dst []byte, f float64) ([]byte, bool) {
 	return append(dst, buf[i:]...), true
 }
 
-// parseShortDecimal converts a token number() has accepted that has no
-// exponent and at most 15 digits: it is m/10^frac with both exact in a
-// float64, so one IEEE division rounds it correctly and the result is
-// ParseFloat's to the bit, -0 included.
-func parseShortDecimal(tok []byte) (float64, bool) {
-	neg := tok[0] == '-'
-	if neg {
-		tok = tok[1:]
-	}
-	if len(tok) > maxShortDigits+1 {
-		return 0, false
-	}
-	var m uint64
-	frac := 0
-	for i, c := range tok {
-		if c == '.' {
-			frac = len(tok) - 1 - i
-			continue
-		}
-		m = m*10 + uint64(c-'0')
-	}
-	if frac == 0 && len(tok) > maxShortDigits {
-		return 0, false
-	}
-	v := float64(m) / pow10[frac]
-	if neg {
-		v = -v
-	}
-	return v, true
-}
-
 // plainByte reports whether c stands for itself inside a JSON string on
 // both sides of this codec: printable ASCII that encoding/json neither
 // escapes (quote, backslash, and <, >, & under its default HTML escaping)
@@ -435,11 +404,11 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 		return false
 	}
 	d := scanner{b: b[:end-1], split: wire != nil}
-	if !d.lit(`{"frames":`) {
+	if !d.key(keyFrames) {
 		return false
 	}
-	if !d.lit("null") {
-		if !d.lit("[") {
+	if !d.null() {
+		if !d.byte('[') {
 			return false
 		}
 		if d.split {
@@ -447,8 +416,8 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 		} else {
 			r.Frames = []Frame{}
 		}
-		for n, prev := 0, new(Frame); !d.lit("]"); n++ {
-			if n > 0 && !d.lit(",") {
+		for n, prev := 0, new(Frame); !d.byte(']'); n++ {
+			if n > 0 && !d.byte(',') {
 				return false
 			}
 			if d.split {
@@ -470,17 +439,17 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 		}
 	}
 	var ok bool
-	if d.lit(`,"sim_now_ns":`) {
+	if d.key(keySimNow) {
 		if r.SimNowNS, ok = d.int(); !ok {
 			return false
 		}
 	}
-	if d.lit(`,"newest_ns":`) {
+	if d.key(keyNewest) {
 		if r.NewestNS, ok = d.int(); !ok {
 			return false
 		}
 	}
-	if d.lit(`,"degraded":`) {
+	if d.key(keyDegraded) {
 		// Last key of the document, so its value is the rest of it.
 		// Unmarshal rejects anything there but exactly one JSON value.
 		return json.Unmarshal(d.b[d.i:], &r.Degraded) == nil
@@ -488,9 +457,10 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 	return d.i == len(d.b)
 }
 
-// scanner is walkCanonical's position in the body, plus the last float
-// token parsed: a raw point repeats one number four times and neighbouring
-// points often repeat it again, and equal bytes parse to equal values.
+// scanner is walkCanonical's position in the body. It reads each byte
+// once — a key is a word compare, punctuation a byte compare, and a number
+// is checked against the grammar and converted in one loop — besides the
+// vectorised scans behind a frame's capacity hint.
 //
 // With split set the walk checks and does not keep: frame fills in the
 // labels only, and a number is matched against the grammar and, where its
@@ -498,54 +468,97 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 // more, so that splitting a body costs no ParseFloat and no slice per
 // frame. Everything else, token for token, is the decoding walk.
 type scanner struct {
-	b       []byte
-	i       int
-	split   bool
-	lastTok []byte
-	lastVal float64
+	b      []byte
+	i      int
+	split  bool
+	parsed int // tokens float left to strconv, which the tests count
 }
 
-// lit consumes s if the input continues with it. Every literal of the
-// document is at most 16 bytes long: a key of 4 or more is compared as its
-// first and its last word, which overlap when it is shorter than two, and
-// punctuation byte by byte — a few loads and compares where a string
-// comparison would call into the runtime's memory compare once a token.
-func (d *scanner) lit(s string) bool {
+// A key is an object key with the punctuation around it, as the document
+// spells it (`,"max":`), in the form the scanner compares: its first eight
+// bytes and its last eight as little-endian words, which overlap below
+// sixteen bytes and coincide, masked to the key, at seven.
+type key struct {
+	lo, hi, mask uint64
+	n, at        int
+}
+
+func newKey(s string) key {
+	if len(s) < 7 || len(s) > 16 {
+		panic("httpapi: a key is compared as one or two words, so 7 to 16 bytes: " + s)
+	}
+	var w [16]byte
+	copy(w[:], s)
+	k := key{n: len(s), at: max(len(s)-8, 0), mask: ^uint64(0)}
+	if k.n < 8 {
+		k.mask = 1<<(8*k.n) - 1
+	}
+	k.lo = binary.LittleEndian.Uint64(w[:]) & k.mask
+	k.hi = binary.LittleEndian.Uint64(w[k.at:]) & k.mask
+	return k
+}
+
+// The keys the scanner matches, each defined once.
+var (
+	keyFrames     = newKey(`{"frames":`)
+	keySimNow     = newKey(`,"sim_now_ns":`)
+	keyNewest     = newKey(`,"newest_ns":`)
+	keyDegraded   = newKey(`,"degraded":`)
+	keyNode       = newKey(`{"node":`)
+	keyBackend    = newKey(`,"backend":`)
+	keyDomain     = newKey(`,"domain":`)
+	keyUnit       = newKey(`,"unit":`)
+	keyResolution = newKey(`,"resolution":`)
+	keyReduced    = newKey(`,"reduced":`)
+	keyPoints     = newKey(`,"points":`)
+	keyGaps       = newKey(`,"gaps_ns":[`)
+	keyTNS        = newKey(`{"t_ns":`)
+	keyMin        = newKey(`,"min":`)
+	keyMax        = newKey(`,"max":`)
+	keyMean       = newKey(`,"mean":`)
+	keyLast       = newKey(`,"last":`)
+	keyCount      = newKey(`,"count":`)
+	keyCountOne   = newKey(`,"count":1}`) // how a raw point ends
+)
+
+// key consumes k if the input continues with it. A value follows every
+// key, so a key that ends the input is no match, and each load is a whole
+// word of input.
+func (d *scanner) key(k key) bool {
 	b := d.b[d.i:]
-	n := len(s)
-	if len(b) < n {
+	if len(b) <= k.n || binary.LittleEndian.Uint64(b)&k.mask != k.lo || binary.LittleEndian.Uint64(b[k.at:])&k.mask != k.hi {
 		return false
 	}
-	eq := true
-	switch {
-	case n > 16:
-		eq = string(b[:n]) == s
-	case n >= 8:
-		eq = binary.LittleEndian.Uint64(b) == word64(s) && binary.LittleEndian.Uint64(b[n-8:]) == word64(s[n-8:])
-	case n >= 4:
-		eq = binary.LittleEndian.Uint32(b) == word32(s) && binary.LittleEndian.Uint32(b[n-4:]) == word32(s[n-4:])
-	default:
-		for i := 0; i < n && eq; i++ {
-			eq = b[i] == s[i]
-		}
+	d.i += k.n
+	return true
+}
+
+// byte consumes c if the input continues with it.
+func (d *scanner) byte(c byte) bool {
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
 	}
-	if eq {
+	return false
+}
+
+// null consumes the literal null, which may end the input.
+func (d *scanner) null() bool {
+	if b := d.b[d.i:]; len(b) >= 4 && string(b[:4]) == "null" {
+		d.i += 4
+		return true
+	}
+	return false
+}
+
+// repeat consumes tok if the input continues with it. Whether the token
+// there ends where tok does is the caller's to match.
+func (d *scanner) repeat(tok []byte) bool {
+	if n := len(tok); len(d.b)-d.i >= n && string(d.b[d.i:d.i+n]) == string(tok) {
 		d.i += n
+		return true
 	}
-	return eq
-}
-
-// word32 and word64 read the leading bytes of s as a little-endian word,
-// as binary.LittleEndian does a slice's.
-func word32(s string) uint32 {
-	_ = s[3]
-	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
-}
-
-func word64(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+	return false
 }
 
 // frame decodes one frame object — on a split walk, its labels and no
@@ -554,25 +567,25 @@ func word64(s string) uint64 {
 // repeated label shares the earlier frame's string.
 func (d *scanner) frame(f, prev *Frame) bool {
 	var ok bool
-	if !d.lit(`{"node":`) {
+	if !d.key(keyNode) {
 		return false
 	}
-	if f.Node, ok = d.str(prev.Node); !ok || !d.lit(`,"backend":`) {
+	if f.Node, ok = d.str(prev.Node); !ok || !d.key(keyBackend) {
 		return false
 	}
-	if f.Backend, ok = d.str(prev.Backend); !ok || !d.lit(`,"domain":`) {
+	if f.Backend, ok = d.str(prev.Backend); !ok || !d.key(keyDomain) {
 		return false
 	}
-	if f.Domain, ok = d.str(prev.Domain); !ok || !d.lit(`,"unit":`) {
+	if f.Domain, ok = d.str(prev.Domain); !ok || !d.key(keyUnit) {
 		return false
 	}
-	if f.Unit, ok = d.str(prev.Unit); !ok || !d.lit(`,"resolution":`) {
+	if f.Unit, ok = d.str(prev.Unit); !ok || !d.key(keyResolution) {
 		return false
 	}
 	if f.Resolution, ok = d.str(prev.Resolution); !ok {
 		return false
 	}
-	if d.lit(`,"reduced":`) {
+	if d.key(keyReduced) {
 		v, ok := d.float()
 		if !ok {
 			return false
@@ -582,11 +595,11 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			f.Reduced = &reduced
 		}
 	}
-	if !d.lit(`,"points":`) {
+	if !d.key(keyPoints) {
 		return false
 	}
-	if !d.lit("null") {
-		if !d.lit("[") {
+	if !d.null() {
+		if !d.byte('[') {
 			return false
 		}
 		// A capacity hint, so that a history frame's points are allocated
@@ -602,8 +615,8 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			f.Points = make([]Point, 0, min(bytes.Count(array, []byte{'{'}), len(array)/minPointLen+1))
 		}
 		var checked Point // where a split walk puts every point
-		for n := 0; !d.lit("]"); n++ {
-			if n > 0 && !d.lit(",") {
+		for n := 0; !d.byte(']'); n++ {
+			if n > 0 && !d.byte(',') {
 				return false
 			}
 			p := &checked
@@ -616,12 +629,12 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			}
 		}
 	}
-	if d.lit(`,"gaps_ns":[`) {
+	if d.key(keyGaps) {
 		if !d.split {
 			f.GapsNS = []time.Duration{}
 		}
-		for n := 0; !d.lit("]"); n++ {
-			if n > 0 && !d.lit(",") {
+		for n := 0; !d.byte(']'); n++ {
+			if n > 0 && !d.byte(',') {
 				return false
 			}
 			g, ok := d.int()
@@ -633,40 +646,53 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			}
 		}
 	}
-	return d.lit("}")
+	return d.byte('}')
 }
 
 const minPointLen = len(`{"t_ns":0,"min":0,"max":0,"mean":0,"last":0,"count":0},`)
 
+// point decodes one point object. A raw point is one sample, which
+// appendPoint formats once and copies: after the min token comes
+// `,"max":`tok`,"mean":`tok`,"last":`tok`,"count":1}`, matched as one chain
+// of compares, and all four statistics take min's one conversion. Any
+// other point — a rollup bucket, or a near miss such as a max token that
+// extends min's — is read on from max, field by field. The bytes decide.
 func (d *scanner) point(p *Point) bool {
-	if !d.lit(`{"t_ns":`) {
+	if !d.key(keyTNS) {
 		return false
 	}
 	t, ok := d.int()
-	if p.T = time.Duration(t); !ok || !d.lit(`,"min":`) {
+	if p.T = time.Duration(t); !ok || !d.key(keyMin) {
 		return false
 	}
-	if p.Min, ok = d.float(); !ok || !d.lit(`,"max":`) {
+	from := d.i
+	if p.Min, ok = d.float(); !ok || !d.key(keyMax) {
 		return false
 	}
-	if p.Max, ok = d.float(); !ok || !d.lit(`,"mean":`) {
+	tok, at := d.b[from:d.i-keyMax.n], d.i
+	if d.repeat(tok) && d.key(keyMean) && d.repeat(tok) && d.key(keyLast) && d.repeat(tok) && d.key(keyCountOne) {
+		p.Max, p.Mean, p.Last, p.Count = p.Min, p.Min, p.Min, 1
+		return true
+	}
+	d.i = at
+	if p.Max, ok = d.float(); !ok || !d.key(keyMean) {
 		return false
 	}
-	if p.Mean, ok = d.float(); !ok || !d.lit(`,"last":`) {
+	if p.Mean, ok = d.float(); !ok || !d.key(keyLast) {
 		return false
 	}
-	if p.Last, ok = d.float(); !ok || !d.lit(`,"count":`) {
+	if p.Last, ok = d.float(); !ok || !d.key(keyCount) {
 		return false
 	}
 	n, ok := d.int()
 	p.Count = int(n)
-	return ok && int64(p.Count) == n && d.lit("}")
+	return ok && int64(p.Count) == n && d.byte('}')
 }
 
 // str decodes a plain string (no escapes, printable ASCII only). The
 // result is a copy of the input bytes, or prev when it spells the same.
 func (d *scanner) str(prev string) (string, bool) {
-	if !d.lit(`"`) {
+	if !d.byte('"') {
 		return "", false
 	}
 	for j := d.i; j < len(d.b); j++ {
@@ -684,111 +710,113 @@ func (d *scanner) str(prev string) (string, bool) {
 	return "", false
 }
 
-// number consumes one token of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
-// is all integer part, and whether it has an exponent. strconv accepts
-// much that JSON does not ("+1", ".5", "1.", "01", "0x1p3", "Inf", "1_0"),
-// so nothing reaches it that has not passed here. What follows the token
-// is the caller's to match.
-func (d *scanner) number() (tok []byte, integer, exponent bool) {
-	b, i := d.b, d.i
-	digits := func() bool {
-		from := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > from
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return nil, false, false
-	}
-	integer = true
-	if i < len(b) && b[i] == '.' {
-		i++
-		integer = false
-		if !digits() {
-			return nil, false, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		integer, exponent = false, true
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return nil, false, false
-		}
-	}
-	tok = b[d.i:i]
-	d.i = i
-	return tok, integer, exponent
-}
+// The number readers check a token against the JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, in the loop that
+// accumulates its digits. strconv accepts much that JSON does not ("+1",
+// ".5", "1.", "01", "0x1p3", "Inf", "1_0"), so nothing reaches it that has
+// not passed here. What follows the token is the caller's to match.
 
 // int decodes an integer. A fraction, an exponent or an overflow is
 // encoding/json's to report.
 func (d *scanner) int() (int64, bool) {
-	tok, integer, _ := d.number()
-	if !integer {
+	b, i := d.b, d.i
+	neg := i < len(b) && b[i] == '-'
+	limit := uint64(math.MaxInt64)
+	if neg {
+		i++
+		limit++
+	}
+	from := i
+	var v uint64 // 19 digits cannot wrap it
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + uint64(c)
+	}
+	if n := i - from; n == 0 || n > 19 || n > 1 && b[from] == '0' || v > limit ||
+		i < len(b) && (b[i] == '.' || b[i]|0x20 == 'e') {
 		return 0, false
 	}
-	if len(tok) > 18 { // may not fit: let strconv find out
-		v, err := strconv.ParseInt(string(tok), 10, 64)
-		return v, err == nil
-	}
-	neg := tok[0] == '-'
+	d.i = i
 	if neg {
-		tok = tok[1:]
+		return -int64(v), true // -(1<<63) wraps to itself, as it should
 	}
-	var v int64
-	for _, c := range tok {
-		v = v*10 + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	return int64(v), true
 }
 
-// float decodes a number as a float64. A value out of range is
+// float decodes a number as a float64. A token without an exponent and of
+// at most 15 digits is m/10^frac with both exact in a float64, so one IEEE
+// division rounds it correctly and the result is ParseFloat's to the bit,
+// -0 included; any other token is ParseFloat's. A value out of range is
 // encoding/json's to report.
 func (d *scanner) float() (float64, bool) {
-	// The last token again, and nothing after it that could continue a
-	// number: the same token, without scanning or parsing it.
-	if n := len(d.lastTok); n > 0 && len(d.b)-d.i > n && string(d.b[d.i:d.i+n]) == string(d.lastTok) {
-		if c := d.b[d.i+n]; !('0' <= c && c <= '9') && c != '.' && c != 'e' && c != 'E' {
-			d.i += n
-			return d.lastVal, true
-		}
+	b, i := d.b, d.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
-	tok, _, exponent := d.number()
-	if tok == nil {
+	from := i
+	var m uint64 // wraps past 19 digits, and is then not used
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
+	}
+	digits := i - from
+	if digits == 0 || digits > 1 && b[from] == '0' {
 		return 0, false
 	}
-	var v float64
-	// Past the grammar, a token fails to convert only by being too large
-	// for a float64, and one without an exponent is below ten to the count
-	// of its characters. A split walk, which wants the verdict and not the
-	// value, takes that much from the spelling.
-	if !d.split || exponent || len(tok) > maxPlainFloatLen {
-		var ok bool
-		if !exponent {
-			v, ok = parseShortDecimal(tok)
-		}
-		if !ok {
-			var err error
-			if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
-				return 0, false
+	frac := 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		from = i
+		for ; i < len(b); i++ {
+			c := b[i] - '0'
+			if c > 9 {
+				break
 			}
+			m = m*10 + uint64(c)
+		}
+		if frac = i - from; frac == 0 {
+			return 0, false
 		}
 	}
-	d.lastTok, d.lastVal = tok, v
-	return v, true
+	exponent := i < len(b) && b[i]|0x20 == 'e'
+	if exponent {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		from = i
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		if i == from {
+			return 0, false
+		}
+	}
+	tok := b[d.i:i]
+	d.i = i
+	switch {
+	case !exponent && d.split && len(tok) <= maxPlainFloatLen:
+		// Past the grammar, a token fails to convert only by being too
+		// large for a float64, and one without an exponent is below ten
+		// to the count of its characters. A split walk, which wants the
+		// verdict and not the value, takes that much from the spelling.
+		return 0, true
+	case !exponent && digits+frac <= maxShortDigits:
+		v := float64(m) / pow10[frac]
+		if neg {
+			v = -v
+		}
+		return v, true
+	}
+	d.parsed++
+	v, err := strconv.ParseFloat(string(tok), 64)
+	return v, err == nil
 }
 
 // maxPlainFloatLen is the longest number without an exponent that is

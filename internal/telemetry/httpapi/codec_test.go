@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -345,17 +346,21 @@ func TestShortDecimalEdges(t *testing.T) {
 		{"4.35", true}, {"4.350", true}, {"0.000001", true}, {"-0", true}, {"-0.0", true}, {"0", true},
 		{"999999999999999", true}, {"1000000000000000", false}, {"9007199254740992", false},
 		{"12345678901234.5", true}, {"123456789012345.6", false}, {"0.30000000000000004", false},
-		{"0.100000000000000", false}, {"-123456.789012345", true},
+		{"0.100000000000000", false}, {"-123456.789012345", true}, {"1e-7", false}, {"4.35E2", false},
+		{"1" + strings.Repeat("0", 307), false}, {"1" + strings.Repeat("0", 308), false},
 	} {
-		v, short := parseShortDecimal([]byte(tc.tok))
-		if short != tc.short {
+		want, _ := strconv.ParseFloat(tc.tok, 64)
+		got, ok, parsed := readFloat([]byte(tc.tok), false)
+		if short := parsed == 0; short != tc.short {
 			t.Errorf("%s: short-decimal path taken = %v, want %v", tc.tok, short, tc.short)
 		}
-		want, _ := strconv.ParseFloat(tc.tok, 64)
-		d := scanner{b: []byte(tc.tok)}
-		got, ok := d.float()
-		if short && math.Float64bits(v) != math.Float64bits(want) || !ok || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s decodes to %v (short path %v), ParseFloat says %v", tc.tok, got, v, want)
+		if !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s decodes to %v (ok %v), ParseFloat says %v", tc.tok, got, ok, want)
+		}
+		// A split judges a token without an exponent by its length.
+		plain := !strings.ContainsAny(tc.tok, "eE") && len(tc.tok) <= maxPlainFloatLen
+		if _, ok, parsed := readFloat([]byte(tc.tok), true); !ok || (parsed == 0) != plain {
+			t.Errorf("%s split: ok %v after %d ParseFloat calls; judged by its spelling alone: %v", tc.tok, ok, parsed, plain)
 		}
 	}
 	for mw := 0; mw < 1_000_000; mw += 7 {
@@ -363,11 +368,19 @@ func TestShortDecimalEdges(t *testing.T) {
 		if _, short := appendShortDecimal(nil, v); mw > 0 && !short {
 			t.Fatalf("%d mW / 1000 = %v did not take the short-decimal path", mw, v)
 		}
-		if _, short := parseShortDecimal(appendFloat(nil, v)); !short {
+		if _, _, parsed := readFloat(appendFloat(nil, v), false); parsed != 0 {
 			t.Fatalf("%s (%d mW) did not parse on the short-decimal path", appendFloat(nil, v), mw)
 		}
 		checkFloatSpelling(t, v)
 	}
+}
+
+// readFloat reads tok as one number, on a decoding walk or a split one,
+// and counts the calls that reach strconv.ParseFloat.
+func readFloat(tok []byte, split bool) (v float64, ok bool, parsed int) {
+	d := scanner{b: tok, split: split}
+	v, ok = d.float()
+	return v, ok && d.i == len(tok), d.parsed
 }
 
 // FuzzAppendFloat: for any float64 bit pattern JSON can carry, a
@@ -573,7 +586,28 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[{"t_ns":` +
 			v + `,"min":1,"max":1,"mean":1,"last":1,"count":1}]}]}` + "\n"
 	}
-	for _, body := range []string{
+	stats := func(s string) string {
+		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[{"t_ns":1,` +
+			s + `}]}]}` + "\n"
+	}
+	// The raw-point shortcut's edges: bytes that start like a raw point and
+	// are not one, and raw points whose token takes strconv. Each must be
+	// read whole, on one path or the other; the last group, which
+	// AppendJSON writes, by the one-pass walk.
+	shortcut := []string{
+		stats(`"min":1,"max":1,"mean":1,"last":1,"count":1,"count":2`),
+		stats(`"min":1,"max":1,"mean":1,"last":1,"count":1,"extra":1`),
+	}
+	shortcutCanonical := []string{
+		stats(`"min":1,"max":1,"mean":1,"last":1,"count":10`),
+		stats(`"min":1.5,"max":1.55,"mean":1.5,"last":1.5,"count":1`),
+		stats(`"min":1.5,"max":1.5,"mean":1.5,"last":1.55,"count":1`),
+		stats(`"min":0,"max":-0,"mean":0,"last":0,"count":1`),
+		stats(`"min":1e-7,"max":1e-7,"mean":1e-7,"last":1e-7,"count":1`),
+		stats(`"min":1234567890123456,"max":1234567890123456,"mean":1234567890123456,"last":1234567890123456,"count":1`),
+		tns("1234567890123456789"),
+	}
+	for _, body := range slices.Concat([]string{
 		// Valid, not canonical.
 		`{ "frames": null }`, "{\"frames\":null}\n\n", " {\"frames\":null}", `{"frames":null,"extra":1}`,
 		`{"sim_now_ns":5,"frames":null}`, `{"frames":null,"newest_ns":2,"sim_now_ns":1}`, `{}`, `null`,
@@ -596,20 +630,26 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		point("-1e999"), point("1e-999"), point(`"1"`), point("true"),
 		tns("1.0"), tns("1e3"), tns("-0"), tns("9223372036854775807"), tns("9223372036854775808"),
 		tns("-9223372036854775808"), tns("-9223372036854775809"), tns("99999999999999999999999"), tns("01"),
-		tns("1234567890123456789"), point("1" + strings.Repeat("0", 308)), point("1" + strings.Repeat("0", 307) + ".5"),
+		tns("18446744073709551616"), tns("-18446744073709551617"), point("1" + strings.Repeat("0", 308)), point("1" + strings.Repeat("0", 307) + ".5"),
 		point("1" + strings.Repeat("0", 309)), point("-1" + strings.Repeat("0", 308) + ".0"), point("0." + strings.Repeat("0", 400) + "1"),
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":null,"gaps_ns":[]}]}`,
-	} {
+	}, shortcut, shortcutCanonical) {
 		checkAgree(t, []byte(body))
 		checkSplit(t, []byte(body))
 	}
+	for _, body := range shortcutCanonical {
+		var r QueryResult
+		if !decodeCanonical([]byte(body), &r) {
+			t.Errorf("one-pass decoder declined %s", body)
+		}
+	}
 	// The first group above, and every number the fast path has no
 	// business parsing, must not have been answered by the one-pass pass.
-	for _, body := range []string{
+	for _, body := range append([]string{
 		`{ "frames": null }`, `{"frames":null,"extra":1}`, `{"sim_now_ns":5,"frames":null}`,
 		point("+1"), point(".5"), point("1."), point("01"), point("0x1p3"), point("Inf"), point("1_0"),
-		point("1e999"), tns("1.0"), tns("9223372036854775808"), tns("01"),
-	} {
+		point("1e999"), tns("1.0"), tns("9223372036854775808"), tns("01"), tns("18446744073709551616"),
+	}, shortcut...) {
 		var r QueryResult
 		if decodeCanonical([]byte(body), &r) {
 			t.Errorf("one-pass decoder accepted %s", body)
@@ -660,7 +700,9 @@ func seedDocuments(t testing.TB) [][]byte {
 	escaped := oneFrame(rawPoint(1, 2))
 	escaped.Frames[0].Unit = "°C <&>"
 	var docs [][]byte
-	for _, r := range []QueryResult{{}, {Frames: []Frame{}}, full, degraded, escaped} {
+	// The last, a history reply in the stack's own numbers, is the shape the
+	// raw-point shortcut takes.
+	for _, r := range []QueryResult{{}, {Frames: []Frame{}}, full, degraded, escaped, quantizedFrame(6)} {
 		b, err := r.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -708,7 +750,38 @@ func FuzzSplitQueryResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkSplit(t, body) })
 }
 
-// bigFrame is a history reply: one series, n raw points.
+// quantizedFrame is a history reply as the stack serves one: n raw points
+// 50 ms apart under twelve-digit timestamps, valued in quarter watts, so
+// every number is on the short-decimal paths.
+func quantizedFrame(n int) QueryResult {
+	points := make([]Point, n)
+	for i := range points {
+		points[i] = rawPoint(100e9+int64(i)*50e6, float64(600+i*7919%400)/4)
+	}
+	r := oneFrame(points...)
+	r.SimNowNS, r.NewestNS = int64(points[n-1].T)+50e6, int64(points[n-1].T)
+	return r
+}
+
+// rollupFrame is the same series at 1 s: buckets of 20 samples whose min,
+// max, mean and last differ — the points the raw-point shortcut leaves to
+// the field-by-field path. A mean of 20 quarter watts is a multiple of
+// 1/80, a short decimal too.
+func rollupFrame(n int) QueryResult {
+	points := make([]Point, n)
+	for i := range points {
+		q := 600 + i*7919%400
+		points[i] = Point{T: time.Duration(100e9 + int64(i)*1e9), Min: float64(q) / 4, Max: float64(q+50) / 4,
+			Mean: float64(20*q+481) / 80, Last: float64(q+13) / 4, Count: 20}
+	}
+	r := oneFrame(points...)
+	r.Frames[0].Resolution = "1s"
+	r.SimNowNS, r.NewestNS = int64(points[n-1].T)+1e9, int64(points[n-1].T)
+	return r
+}
+
+// bigFrame is a history reply: one series, n raw points, six in seven of
+// them valued past what the short-decimal paths take — the strconv row.
 func bigFrame(n int) QueryResult {
 	points := make([]Point, n)
 	for i := range points {
@@ -837,22 +910,47 @@ func benchmarkDecode(b *testing.B, r QueryResult, codec bool) {
 	}
 }
 
-func BenchmarkEncodeHistory(b *testing.B)     { benchmarkEncode(b, bigFrame(10240), true) }
-func BenchmarkEncodeHistoryJSON(b *testing.B) { benchmarkEncode(b, bigFrame(10240), false) }
-func BenchmarkDecodeHistory(b *testing.B)     { benchmarkDecode(b, bigFrame(10240), true) }
-func BenchmarkDecodeHistoryJSON(b *testing.B) { benchmarkDecode(b, bigFrame(10240), false) }
-func BenchmarkEncodeRecent(b *testing.B)      { benchmarkEncode(b, manyFrames(512), true) }
-func BenchmarkEncodeRecentJSON(b *testing.B)  { benchmarkEncode(b, manyFrames(512), false) }
-func BenchmarkDecodeRecent(b *testing.B)      { benchmarkDecode(b, manyFrames(512), true) }
-func BenchmarkDecodeRecentJSON(b *testing.B)  { benchmarkDecode(b, manyFrames(512), false) }
-
-// BenchmarkSplitRecent is BenchmarkDecodeRecent's body checked and kept as
-// bytes instead of decoded: what envfedd pays per member body.
-func BenchmarkSplitRecent(b *testing.B) {
-	body, _ := manyFrames(512).AppendJSON(nil)
+// benchmarkSplit checks a body and keeps its frames as bytes, what envfedd
+// pays per member body; its encoding/json twin decodes the body and
+// encodes each frame again.
+func benchmarkSplit(b *testing.B, r QueryResult, codec bool) {
+	body, _ := r.AppendJSON(nil)
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchWire, _, _ = SplitQueryResult(body)
+		if codec {
+			benchWire, _, _ = SplitQueryResult(body)
+			continue
+		}
+		doc, _ := refDecode(body)
+		benchWire = WireResult{Frames: make([]WireFrame, len(doc.Frames))}
+		for j := range doc.Frames {
+			benchWire.Frames[j].JSON, _ = json.Marshal(&doc.Frames[j])
+		}
 	}
 }
+
+// History is the strconv row (bigFrame); Quantized and Recent are what the
+// stack serves, every number a short decimal and nearly every point raw;
+// Rollup is the traffic the raw-point shortcut does not take.
+func BenchmarkEncodeHistory(b *testing.B)       { benchmarkEncode(b, bigFrame(10240), true) }
+func BenchmarkEncodeHistoryJSON(b *testing.B)   { benchmarkEncode(b, bigFrame(10240), false) }
+func BenchmarkDecodeHistory(b *testing.B)       { benchmarkDecode(b, bigFrame(10240), true) }
+func BenchmarkDecodeHistoryJSON(b *testing.B)   { benchmarkDecode(b, bigFrame(10240), false) }
+func BenchmarkEncodeQuantized(b *testing.B)     { benchmarkEncode(b, quantizedFrame(10240), true) }
+func BenchmarkEncodeQuantizedJSON(b *testing.B) { benchmarkEncode(b, quantizedFrame(10240), false) }
+func BenchmarkDecodeQuantized(b *testing.B)     { benchmarkDecode(b, quantizedFrame(10240), true) }
+func BenchmarkDecodeQuantizedJSON(b *testing.B) { benchmarkDecode(b, quantizedFrame(10240), false) }
+func BenchmarkSplitQuantized(b *testing.B)      { benchmarkSplit(b, quantizedFrame(10240), true) }
+func BenchmarkSplitQuantizedJSON(b *testing.B)  { benchmarkSplit(b, quantizedFrame(10240), false) }
+func BenchmarkEncodeRollup(b *testing.B)        { benchmarkEncode(b, rollupFrame(10240), true) }
+func BenchmarkEncodeRollupJSON(b *testing.B)    { benchmarkEncode(b, rollupFrame(10240), false) }
+func BenchmarkDecodeRollup(b *testing.B)        { benchmarkDecode(b, rollupFrame(10240), true) }
+func BenchmarkDecodeRollupJSON(b *testing.B)    { benchmarkDecode(b, rollupFrame(10240), false) }
+func BenchmarkSplitRollup(b *testing.B)         { benchmarkSplit(b, rollupFrame(10240), true) }
+func BenchmarkSplitRollupJSON(b *testing.B)     { benchmarkSplit(b, rollupFrame(10240), false) }
+func BenchmarkEncodeRecent(b *testing.B)        { benchmarkEncode(b, manyFrames(512), true) }
+func BenchmarkEncodeRecentJSON(b *testing.B)    { benchmarkEncode(b, manyFrames(512), false) }
+func BenchmarkDecodeRecent(b *testing.B)        { benchmarkDecode(b, manyFrames(512), true) }
+func BenchmarkDecodeRecentJSON(b *testing.B)    { benchmarkDecode(b, manyFrames(512), false) }
+func BenchmarkSplitRecent(b *testing.B)         { benchmarkSplit(b, manyFrames(512), true) }
