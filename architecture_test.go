@@ -18,7 +18,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -88,6 +87,15 @@ var architecture = []struct {
 		guard{tests: true, except: strs("internal/telemetry/wal/"), bad: strs("syscall.Mmap")})},
 	{"benchmark-system", `EXPERIMENTS.md "What the stack costs": speed is pairs of bench/run.sh; CHANGES, ROADMAP and bench/README.md keep the history`, benchmarkSystem},
 	{"cited-tests", "every test DESIGN.md and the verify skill cite, and every -run alternative in CI and the skill, names a test that exists", citedTests},
+	{"ci", "DESIGN §13: a daemon's TestBinary runs it as built, so CI runs Go tests and no curl, jq, sleep, sed or awk; and a test binds port 0, never a fixed one", func(m *archModule) []string {
+		out := grepLines(".github/workflows/ci.yml", shellTool.FindString)
+		for _, f := range m.files {
+			if f.test {
+				out = append(out, grepLines(f.path, fixedPort.FindString)...)
+			}
+		}
+		return out
+	}},
 }
 
 // codecKeys are the keys the /query decoder matches, each defined once.
@@ -131,13 +139,10 @@ func guards(gs ...guard) func(*archModule) []string {
 	return func(m *archModule) (out []string) {
 		for _, g := range gs {
 			want, found, in := map[string]int{}, map[string][]string{}, strings.TrimSuffix(" in "+g.fn, " in ")
-			for _, p := range g.bad {
-				want[p] = 0
-			}
 			for _, p := range g.one {
 				want[p]++
 			}
-			patterns := slices.Sorted(maps.Keys(want))
+			patterns := slices.Compact(slices.Sorted(slices.Values(slices.Concat(g.bad, g.one))))
 			for _, f := range m.files {
 				if f.test && !g.tests || !strings.HasPrefix(f.path, g.scope) {
 					continue
@@ -224,18 +229,15 @@ func benchmarkSystem(m *archModule) (out []string) {
 			out = append(out, p+": a checked-in benchmark result")
 		}
 		if ext := path.Ext(p); (ext == ".go" || ext == ".md" || ext == ".yml") && !slices.Contains(strs("CHANGES.md", "ROADMAP.md", "bench/README.md"), p) {
-			out = append(out, grepLines(p, func(line string) string {
-				if retired.MatchString(line) {
-					return "names the retired benchmark path"
-				}
-				return ""
-			})...)
+			out = append(out, grepLines(p, retired.FindString)...)
 		}
 	}
 	return out
 }
 
 var (
+	shellTool    = regexp.MustCompile(`\b(curl|jq|sleep|sed|awk)\b`)
+	fixedPort    = regexp.MustCompile(`(127\.0\.0\.1|localhost|\[::1\]):[1-9]\d{3,}`) // a port a test could bind
 	testFunc     = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)`)
 	backtickSpan = regexp.MustCompile("`([^`]+)`")
 	citedTest    = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Fuzz|Benchmark)\w*)`)
@@ -369,20 +371,18 @@ func funcName(fd *ast.FuncDecl) string {
 	case fd.Recv == nil:
 		return fd.Name.Name
 	}
-	t := fd.Recv.List[0].Type
-	if s, ok := t.(*ast.StarExpr); ok {
-		t = s.X
-	}
-	return lastIdent(t) + "." + fd.Name.Name
+	return lastIdent(fd.Recv.List[0].Type) + "." + fd.Name.Name
 }
 
-// lastIdent is the identifier an expression ends in: x is "x", a.b.c "c".
+// lastIdent is the identifier an expression ends in: x, a.b.x and *x end in "x".
 func lastIdent(n ast.Node) string {
 	switch n := n.(type) {
 	case *ast.Ident:
 		return n.Name
 	case *ast.SelectorExpr:
 		return n.Sel.Name
+	case *ast.StarExpr:
+		return lastIdent(n.X)
 	}
 	return ""
 }

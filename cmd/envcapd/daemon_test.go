@@ -13,10 +13,34 @@ import (
 	"testing"
 	"time"
 
+	"envmon/internal/daemon/daemontest"
 	"envmon/internal/powercap"
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
 )
+
+func TestMain(m *testing.M) { daemontest.Main(m, main) }
+
+// TestBinary runs envcapd as built: a command line it cannot run is
+// refused with exit 2 and a message, never a panic (TestParseLadder holds
+// the rest of the refusals); a good one serves the budget it was given,
+// and SIGTERM drains it to exit 0. TestDaemonHoldsThenDegrades holds the
+// control loop.
+func TestBinary(t *testing.T) {
+	tel := fakeTelemetry(t).URL
+	daemontest.Refuses(t, "envcapd: interval 0s must be positive", "-telemetry", tel, "-budget", "500", "-interval", "0")
+	daemontest.Refuses(t, "envcapd: powercap: budget NaN is not finite", "-telemetry", tel, "-budget", "NaN")
+	daemontest.Refuses(t, "envcapd: -telemetry and a positive -budget are required", "-budget", "500")
+	d := daemontest.Start(t, "-telemetry", tel, "-budget", "500")
+	snap, err := d.Client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.Value("envcap_budget_watts"); v != 500 || !ok {
+		t.Errorf("envcap_budget_watts = %v, %v; want the -budget 500 it was given", v, ok)
+	}
+	d.Stop(t)
+}
 
 // testConfig is the flag defaults watching telemetry from an ephemeral
 // port, logging to the test.
@@ -134,7 +158,7 @@ func TestDaemonHoldsThenDegrades(t *testing.T) {
 	tel.Close()
 	waitFor(t, "degraded at the floor", 5*time.Second, func() bool {
 		getJSON(t, base+"/healthz", &st)
-		return st.Status == "degraded" && st.CapW == 100
+		return st.Status == "degraded" && st.Mode == "degraded" && st.CapW == 100
 	})
 	if st.Rung != 2 {
 		t.Errorf("final rung = %d, want 2 (past the 2-rung ladder)", st.Rung)

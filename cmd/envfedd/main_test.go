@@ -14,9 +14,25 @@ import (
 	"testing"
 	"time"
 
+	"envmon/internal/daemon/daemontest"
 	"envmon/internal/telemetry"
+	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
+
+func TestMain(m *testing.M) { daemontest.Main(m, main) }
+
+// TestBinary runs envfedd as built: without -members it refuses to start;
+// over one member it serves that member's ranking, and SIGTERM drains it
+// to exit 0. TestEnvfeddEndToEnd holds what it serves.
+func TestBinary(t *testing.T) {
+	daemontest.Refuses(t, "envfedd: -members is required")
+	d := daemontest.Start(t, "-members", "rack0="+startMember(t, "alpha", "beta").URL)
+	if top, err := d.Client.TopK(context.Background(), client.TopKParams{}); err != nil || len(top.Nodes) != 2 || top.Degraded != nil {
+		t.Fatalf("/topk: %v %+v", err, top)
+	}
+	d.Stop(t)
+}
 
 // testConfig is the flag defaults on an ephemeral port, logging to the
 // test; membersSpec is left to the test.

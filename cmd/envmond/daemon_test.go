@@ -6,12 +6,40 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"envmon/internal/daemon/daemontest"
 	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
+
+func TestMain(m *testing.M) { daemontest.Main(m, main) }
+
+// TestBinary runs envmond as built, for what no in-process test reaches:
+// the flags of a real command line, main, SIGTERM's drain to exit 0, and a
+// restart on the same -data-dir that reports the recovery and serves the
+// window from before it. TestRestartRecoversHistoryAndContinues holds the
+// rest of the restart contract.
+func TestBinary(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-nodes", "2", "-shards", "2", "-tick", "2ms", "-data-dir", dir}
+	first := daemontest.Start(t, args...)
+	waitSamples(t, first.Client)
+	first.Stop(t)
+
+	second := daemontest.Start(t, args...)
+	h, err := second.Client.Health(context.Background())
+	if err != nil || h.Storage == nil || h.Storage.DataDir != dir || h.Storage.RecoveredSeries == 0 {
+		t.Fatalf("/healthz after the restart: %v %+v", err, h.Storage)
+	}
+	frames, err := second.Client.Query(context.Background(), client.QueryParams{Domain: "Total Power", To: 2 * time.Second})
+	if err != nil || !slices.ContainsFunc(frames, func(f httpapi.Frame) bool { return len(f.Points) > 0 }) {
+		t.Fatalf("the window before the restart: %v, %d frames and no point", err, len(frames))
+	}
+	second.Stop(t)
+}
 
 // testConfig is the flag defaults with a small, fast, quiet cluster on an
 // ephemeral port; seed 1 is what TestBarrierFlushLeavesSetsEmpty's pins

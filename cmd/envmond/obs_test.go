@@ -86,6 +86,11 @@ func TestDaemonObservabilitySurfaces(t *testing.T) {
 	if v, ok := snap.Value(`envmon_http_requests_total{endpoint="query"}`); !ok || v <= 0 {
 		t.Errorf("http query requests = %v, %v", v, ok)
 	}
+	for family, labels := range map[string]string{"envmon_pipeline_seconds": `stage="query"`, "envmon_http_request_seconds": `endpoint="query"`} {
+		if _, ok := snap.Quantile(family, labels, 0.5); !ok {
+			t.Errorf("no %s_bucket{%s} histogram", family, labels)
+		}
+	}
 	s := client.SummarizeObs(snap)
 	if s.Samples <= 0 || s.Rate <= 0 {
 		t.Errorf("summary = %+v", s)
@@ -101,6 +106,7 @@ func TestDaemonObservabilitySurfaces(t *testing.T) {
 	if !strings.Contains(httpGet(t, dbg+"/debug/pprof/"), "profile") {
 		t.Error("debug pprof index not served")
 	}
+	httpGet(t, dbg+"/debug/pprof/cmdline")
 	var slow struct {
 		ThresholdNS time.Duration `json:"threshold_ns"`
 		Total       uint64        `json:"total"`
@@ -159,7 +165,8 @@ func TestDaemonMetricsPersistentFamilies(t *testing.T) {
 	if v, ok := snap.Value("envmon_wal_appended_bytes_total"); !ok || v <= 0 {
 		t.Errorf("envmon_wal_appended_bytes_total = %v, %v", v, ok)
 	}
-	for _, name := range []string{"envmon_wal_live_bytes", "envmon_compactions_total", "envmon_block_files"} {
+	for _, name := range []string{"envmon_wal_live_bytes", "envmon_wal_mapped_segments_total", "envmon_wal_fallback_segments_total",
+		"envmon_compactions_total", "envmon_block_files"} {
 		if _, ok := snap.Value(name); !ok {
 			t.Errorf("persistent daemon missing %s", name)
 		}

@@ -11,6 +11,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -27,41 +28,45 @@ type ErrorBody struct {
 
 // WriteJSON answers with doc as the JSON body under the given status.
 //
-// A doc that brings its own encoder (an AppendJSON method — the /query
-// document, whose replies are the large ones) is encoded by it into a
-// pooled buffer before anything is sent, so the body leaves in one Write
-// and a document that cannot be encoded is a 500 with the error envelope
-// rather than a 200 cut short. The length is known by then and is
-// deliberately not announced: without Content-Length net/http ends the
-// body only after ServeHTTP has returned, so whoever has read an answer
-// to its end finds the request already in /metrics and the access log.
+// Every document is encoded into a pooled buffer before anything is sent
+// — by its own encoder if it has one (an AppendJSON method: the /query
+// document, whose replies are the large ones), else by encoding/json — so
+// the body leaves in one Write, and a document that cannot be encoded (a
+// NaN or ±Inf anywhere in it) is a 500 with the error envelope rather
+// than a 200 cut short. The length is known by then and is deliberately
+// not announced: without Content-Length net/http ends the body only after
+// ServeHTTP has returned, so whoever has read an answer to its end finds
+// the request already in /metrics and the access log.
 func WriteJSON(w http.ResponseWriter, status int, doc any) {
-	if a, ok := doc.(jsonAppender); ok {
-		bp := encodeBufs.Get().(*[]byte)
-		body, err := a.AppendJSON((*bp)[:0])
-		if err != nil {
-			encodeBufs.Put(bp)
-			WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(body) // a failed write is the peer hanging up
-		if cap(body) <= maxPooledEncodeBuf {
-			*bp = body
-			encodeBufs.Put(bp)
-		}
+	bp := encodeBufs.Get().(*[]byte)
+	body, err := appendJSON((*bp)[:0], doc)
+	if err != nil {
+		encodeBufs.Put(bp)
+		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(doc) // a failed write is the peer hanging up
+	_, _ = w.Write(body) // a failed write is the peer hanging up
+	if cap(body) <= maxPooledEncodeBuf {
+		*bp = body
+		encodeBufs.Put(bp)
+	}
 }
 
 // jsonAppender is a document with a hand-written encoder: AppendJSON
 // appends the body json.NewEncoder(w).Encode(doc) would write.
 type jsonAppender interface {
 	AppendJSON(dst []byte) ([]byte, error)
+}
+
+func appendJSON(dst []byte, doc any) ([]byte, error) {
+	if a, ok := doc.(jsonAppender); ok {
+		return a.AppendJSON(dst)
+	}
+	buf := bytes.NewBuffer(dst)
+	err := json.NewEncoder(buf).Encode(doc)
+	return buf.Bytes(), err
 }
 
 // encodeBufs recycles WriteJSON's encode buffers. One that grew past

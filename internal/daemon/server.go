@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -69,7 +68,7 @@ func Listen(cfg Config) (*Server, error) {
 			s.ln.Close()
 			return nil, fmt.Errorf("binding -debug-addr: %w", err)
 		}
-		s.debug = newHTTPServer(s.debugMux(cfg.Registry, cfg.Slow))
+		s.debug = newHTTPServer(debugMux(cfg.Registry, cfg.Slow))
 	}
 	return s, nil
 }
@@ -81,7 +80,7 @@ func newHTTPServer(h http.Handler) *http.Server {
 // debugMux assembles the operator-only debug surface: the same /metrics
 // exposition as the API listener, the net/http/pprof handlers, and the
 // slow-op ring as JSON.
-func (s *Server) debugMux(reg *obs.Registry, slow *obs.SlowLog) *http.ServeMux {
+func debugMux(reg *obs.Registry, slow *obs.SlowLog) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -90,15 +89,11 @@ func (s *Server) debugMux(reg *obs.Registry, slow *obs.SlowLog) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		resp := struct {
+		WriteJSON(w, http.StatusOK, struct {
 			ThresholdNS time.Duration `json:"threshold_ns"`
 			Total       uint64        `json:"total"`
 			Ops         []obs.SlowOp  `json:"ops"`
-		}{slow.Threshold(), slow.Total(), slow.Snapshot()}
-		if err := json.NewEncoder(w).Encode(resp); err != nil {
-			s.logf("%s: /debug/slowops: %v", s.name, err)
-		}
+		}{slow.Threshold(), slow.Total(), slow.Snapshot()})
 	})
 	return mux
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,8 +113,10 @@ func TestCombinedEmptyWindowStaysNull(t *testing.T) {
 }
 
 // TestFederatedNonFiniteAnswers500: the front-end computes too — here the
-// count-weighted mean of two members' points overflows — and a document
-// it cannot encode is a 500 naming the series, as on a single daemon.
+// count-weighted mean of two members' points overflows, and so does the
+// spanning node's /topk sum — and a document it cannot encode is a 500
+// naming the series, as on a single daemon. A member whose own /topk
+// cannot be encoded is reported missing with its 500.
 func TestFederatedNonFiniteAnswers500(t *testing.T) {
 	reg := obs.NewRegistry()
 	base, _ := startFederation(t, sameSeriesOnTwoMembers(t, 1.7e308), reg)
@@ -122,6 +125,17 @@ func TestFederatedNonFiniteAnswers500(t *testing.T) {
 	if err := json.Unmarshal(body, &eb); err != nil || status != http.StatusInternalServerError ||
 		!strings.Contains(eb.Error, "n00000/rack/Total Power") || !strings.Contains(eb.Error, "+Inf") {
 		t.Fatalf("overflowing mean: %d %s", status, body)
+	}
+	if status, body := get(t, base+"/topk"); status != http.StatusInternalServerError || !strings.Contains(string(body), "+Inf") {
+		t.Fatalf("overflowing /topk sum: %d %s", status, body)
+	}
+	healthy := startMembers(t, 2, 1)[0]
+	healthy.Name = "healthy"
+	inf, _ := startFederation(t, []Member{sameSeriesOnTwoMembers(t, math.Inf(1))[0], healthy}, nil)
+	var topk httpapi.TopKResult
+	if status, body := get(t, inf+"/topk"); json.Unmarshal(body, &topk) != nil || status != http.StatusOK || len(topk.Nodes) != 2 ||
+		topk.Degraded == nil || len(topk.Degraded.Missing) != 1 || !strings.Contains(topk.Degraded.Missing[0].Reason, "(HTTP 500)") {
+		t.Fatalf("a member that cannot encode its /topk: %d %s", status, body)
 	}
 	if status, body := get(t, base+"/query?node=n00000&agg=max"); status != http.StatusOK {
 		t.Fatalf("the same series without the overflow: %d %s", status, body)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,6 +164,24 @@ func capRun(t *testing.T, seed uint64, shards, workers int, cutFeed time.Duratio
 	}
 }
 
+// acceptance is the closed loop at the acceptance geometry (8 shards, 4
+// workers) and seed, which TestClosedLoopHoldsBudgetUnderFaults judges and
+// TestClosedLoopReplaysByteIdentical compares with the other geometries:
+// one simulation, run once per package run.
+var acceptance struct {
+	once sync.Once
+	out  capRunOut
+}
+
+func acceptanceRun(t *testing.T) capRunOut {
+	t.Helper()
+	acceptance.once.Do(func() { acceptance.out = capRun(t, capSeed(t), 8, 4, 0) })
+	if acceptance.out.ctrl == nil {
+		t.Fatal("the acceptance run failed in an earlier test")
+	}
+	return acceptance.out
+}
+
 func capSeed(t *testing.T) uint64 {
 	t.Helper()
 	seed := uint64(1337)
@@ -185,7 +204,7 @@ func TestClosedLoopHoldsBudgetUnderFaults(t *testing.T) {
 		t.Skip("128-node closed-loop integration; skipped in -short")
 	}
 	cfg := capConfig()
-	out := capRun(t, capSeed(t), 8, 4, 0)
+	out := acceptanceRun(t)
 
 	if out.finalPower > cfg.BudgetW+cfg.ToleranceW {
 		t.Errorf("final fleet power %.1f W exceeds budget %v+%v W",
@@ -223,15 +242,14 @@ func TestClosedLoopReplaysByteIdentical(t *testing.T) {
 	}
 	seed := capSeed(t)
 	base := capRun(t, seed, 1, 1, 0)
-	for _, geo := range [][2]int{{8, 4}, {32, 8}} {
-		got := capRun(t, seed, geo[0], geo[1], 0)
-		if !bytes.Equal(base.csv, got.csv) {
-			t.Errorf("decision log differs at shards=%d workers=%d", geo[0], geo[1])
+	for what, run := range map[string]capRunOut{
+		"at shards=8 workers=4":                acceptanceRun(t),
+		"at shards=32 workers=8":               capRun(t, seed, 32, 8, 0),
+		"on a repeat run at the same geometry": capRun(t, seed, 8, 4, 0),
+	} {
+		if !bytes.Equal(base.csv, run.csv) {
+			t.Errorf("decision log differs %s", what)
 		}
-	}
-	again := capRun(t, seed, 8, 4, 0)
-	if !bytes.Equal(base.csv, again.csv) {
-		t.Error("repeat run differs at the same geometry")
 	}
 	other := capRun(t, seed+1, 8, 4, 0)
 	if bytes.Equal(base.csv, other.csv) {

@@ -95,7 +95,8 @@ func TestQueryOnTheWire(t *testing.T) {
 
 // TestQueryNonFiniteSampleAnswers500: the store accepts NaN and ±Inf, JSON
 // cannot carry them. The answer used to be a 200 whose body ended after
-// the header; it is a 500 that names the series and the sample.
+// the header; it is a 500 that names the series and the sample, and on
+// /topk, whose ranking folds the sample into a mean, the 500 envelope.
 func TestQueryNonFiniteSampleAnswers500(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		st := testStore(t)
@@ -109,6 +110,9 @@ func TestQueryNonFiniteSampleAnswers500(t *testing.T) {
 		get(t, srv, "/query?node=n01", http.StatusInternalServerError, &eb)
 		if !strings.Contains(eb.Error, "n01/MSR/Total Power") || !strings.Contains(eb.Error, "t_ns=10000000000") {
 			t.Errorf("error does not name the series and the sample: %q", eb.Error)
+		}
+		if get(t, srv, "/topk", http.StatusInternalServerError, &eb); !strings.Contains(eb.Error, "unsupported value") {
+			t.Errorf("/topk error: %q", eb.Error)
 		}
 		// Series without the bad sample are still served.
 		var q QueryResult
