@@ -22,11 +22,13 @@ import (
 
 func TestMain(m *testing.M) { daemontest.Main(m, main) }
 
-// TestBinary runs envfedd as built: without -members it refuses to start;
-// over one member it serves that member's ranking, and SIGTERM drains it
-// to exit 0. TestEnvfeddEndToEnd holds what it serves.
+// TestBinary runs envfedd as built: without -members, or with a member
+// that has no host, it refuses to start; over one member it serves that
+// member's ranking, and SIGTERM drains it to exit 0. TestEnvfeddEndToEnd
+// holds what it serves.
 func TestBinary(t *testing.T) {
 	daemontest.Refuses(t, "envfedd: -members is required")
+	daemontest.Refuses(t, `envfedd: federation: member "a=" has no host`, "-members", "a=")
 	d := daemontest.Start(t, "-members", "rack0="+startMember(t, "alpha", "beta").URL)
 	if top, err := d.Client.TopK(context.Background(), client.TopKParams{}); err != nil || len(top.Nodes) != 2 || top.Degraded != nil {
 		t.Fatalf("/topk: %v %+v", err, top)

@@ -193,7 +193,7 @@ func newDaemon(cfg config) (_ *daemon, err error) {
 
 	// The second producer: a BG/Q machine shipping records through the
 	// environmental database, drained into the same store by the bridge.
-	machine := bgq.New(bgq.Config{Name: "bgq", Racks: 1, Seed: cfg.seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: cfg.seed})
 	machine.Run(workload.MMPS(cycle), 0)
 	db := envdb.New()
 	if _, err := machine.StartEnvironmentalPoller(d.domains.Clock(0), db, cfg.envdbIvl); err != nil {

@@ -220,7 +220,7 @@ func main() {
 	}
 
 	// The machine room: one device per vendor mechanism.
-	machine := bgq.New(bgq.Config{Name: "bgq", Racks: 1, Seed: *seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: *seed})
 	card := machine.NodeCards()[0]
 	machine.Run(w, 0, card)
 

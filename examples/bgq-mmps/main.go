@@ -36,7 +36,7 @@ func main() {
 		idleAfter  = 10 * time.Minute
 	)
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "mira-sim", Racks: 1, Seed: 42})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: 42})
 	card := machine.NodeCards()[0]
 
 	// Path 1: the environmental database, always on.

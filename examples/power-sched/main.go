@@ -69,7 +69,7 @@ type placement struct {
 // panic.
 func bill(placements []placement, horizon time.Duration, seed uint64) (kwh, dollars float64, err error) {
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "sched", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	cards := machine.NodeCards()
 	if len(placements) > len(cards) {
 		return 0, 0, fmt.Errorf("schedule places %d jobs but the machine has %d node cards",

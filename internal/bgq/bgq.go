@@ -122,7 +122,6 @@ func domainRails() [NumDomains]power.Rail {
 
 // Config describes a simulated Blue Gene/Q machine.
 type Config struct {
-	Name  string // e.g. "Mira"
 	Racks int
 	Seed  uint64
 }
@@ -170,9 +169,6 @@ func New(cfg Config) *Machine {
 	if cfg.Racks <= 0 {
 		panic("bgq: machine needs at least one rack")
 	}
-	if cfg.Name == "" {
-		cfg.Name = "bgq"
-	}
 	m := &Machine{cfg: cfg}
 	for r := 0; r < cfg.Racks; r++ {
 		rack := &Rack{Index: r, Name: fmt.Sprintf("R%02d", r)}
@@ -197,14 +193,6 @@ func New(cfg Config) *Machine {
 	}
 	return m
 }
-
-// NewMira builds the 48-rack Mira configuration.
-func NewMira(seed uint64) *Machine {
-	return New(Config{Name: "Mira", Racks: MiraRacks, Seed: seed})
-}
-
-// Name reports the machine name.
-func (m *Machine) Name() string { return m.cfg.Name }
 
 // Racks returns the rack list.
 func (m *Machine) Racks() []*Rack { return m.racks }
@@ -281,11 +269,4 @@ func (nc *NodeCard) TotalPower(t time.Duration) float64 {
 		sum += w
 	}
 	return sum
-}
-
-// InputPower reports the BPM input-side (AC) power feeding this node card
-// at time t: output power divided by conversion efficiency. This is what
-// the environmental database records.
-func (nc *NodeCard) InputPower(t time.Duration) float64 {
-	return nc.TotalPower(t) / BPMEfficiency
 }

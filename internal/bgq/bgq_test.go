@@ -12,7 +12,34 @@ import (
 )
 
 func testMachine() *Machine {
-	return New(Config{Name: "test", Racks: 1, Seed: 42})
+	return New(Config{Racks: 1, Seed: 42})
+}
+
+// domainReading is one domain's share of an EMON poll.
+type domainReading struct {
+	Domain             Domain
+	Volts, Amps, Watts float64
+	Generation         time.Duration
+}
+
+// readDomains polls e once and regroups CollectInto's readings by domain:
+// power, voltage and current for each domain in Domains() order, each
+// stamped with that domain's generation.
+func readDomains(t testing.TB, e *EMON, now time.Duration) []domainReading {
+	t.Helper()
+	rs, err := e.CollectInto(nil, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]domainReading, NumDomains)
+	for i, d := range Domains() {
+		p, v, a := rs[3*i], rs[3*i+1], rs[3*i+2]
+		if p.Cap.Metric != core.Power || v.Cap.Metric != core.Voltage || a.Cap.Metric != core.Current {
+			t.Fatalf("%s: readings %d..%d are %v, %v, %v", d, 3*i, 3*i+2, p.Cap, v.Cap, a.Cap)
+		}
+		out[i] = domainReading{Domain: d, Volts: v.Value, Amps: a.Value, Watts: p.Value, Generation: p.Time}
+	}
+	return out
 }
 
 func TestTopologyCounts(t *testing.T) {
@@ -35,7 +62,7 @@ func TestTopologyCounts(t *testing.T) {
 }
 
 func TestMiraScale(t *testing.T) {
-	m := NewMira(1)
+	m := New(Config{Racks: MiraRacks, Seed: 1})
 	if m.Nodes() != 49152 {
 		t.Fatalf("Mira nodes = %d, want 49152 (paper: full system run)", m.Nodes())
 	}
@@ -133,7 +160,7 @@ func TestDomainSamplingSkew(t *testing.T) {
 	// "does not measure all domains at the exact same time").
 	m := testMachine()
 	e := m.NodeCards()[0].EMON()
-	readings := e.ReadDomains(10 * time.Second)
+	readings := readDomains(t, e, 10*time.Second)
 	gens := make(map[time.Duration]bool)
 	for _, r := range readings {
 		gens[r.Generation] = true
@@ -151,7 +178,7 @@ func TestDomainSamplingSkew(t *testing.T) {
 func TestEMONVoltsAmpsConsistent(t *testing.T) {
 	m := testMachine()
 	e := m.NodeCards()[0].EMON()
-	for _, r := range e.ReadDomains(42 * time.Second) {
+	for _, r := range readDomains(t, e, 42*time.Second) {
 		if math.Abs(r.Volts*r.Amps-r.Watts) > 1e-9*math.Max(1, r.Watts) {
 			t.Errorf("%s: V*I=%v != W=%v", r.Domain, r.Volts*r.Amps, r.Watts)
 		}
@@ -196,9 +223,10 @@ func TestEMONCollectorInterface(t *testing.T) {
 func TestEMONQueriesCounter(t *testing.T) {
 	m := testMachine()
 	e := m.NodeCards()[0].EMON()
-	e.ReadDomains(0)
-	if _, err := e.CollectInto(nil, time.Second); err != nil {
-		t.Fatal(err)
+	for _, now := range []time.Duration{0, time.Second} {
+		if _, err := e.CollectInto(nil, now); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if e.Queries() != 2 {
 		t.Errorf("Queries = %d, want 2", e.Queries())
@@ -207,7 +235,7 @@ func TestEMONQueriesCounter(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []float64 {
-		m := New(Config{Name: "x", Racks: 1, Seed: 7})
+		m := New(Config{Racks: 1, Seed: 7})
 		nc := m.NodeCards()[3]
 		m.Run(workload.MMPS(5*time.Minute), 0, nc)
 		var vals []float64
@@ -243,9 +271,15 @@ func TestCardsHaveIndependentNoise(t *testing.T) {
 
 func TestInputPowerExceedsOutput(t *testing.T) {
 	m := testMachine()
-	nc := m.NodeCards()[0]
-	out := nc.TotalPower(time.Minute)
-	in := nc.InputPower(time.Minute)
+	var in, out float64
+	for _, rec := range m.NodeCards()[0].BulkPower().Sample(time.Minute) {
+		switch rec.Sensor {
+		case "input_power":
+			in = rec.Value
+		case "output_power":
+			out = rec.Value
+		}
+	}
 	if in <= out {
 		t.Errorf("BPM input %v <= output %v; conversion loss missing", in, out)
 	}
@@ -334,8 +368,8 @@ func TestEMONNodeCardGranularity(t *testing.T) {
 	m := testMachine()
 	nc := m.NodeCards()[0]
 	e1, e2 := nc.EMON(), nc.EMON()
-	r1 := e1.ReadDomains(time.Minute)
-	r2 := e2.ReadDomains(time.Minute)
+	r1 := readDomains(t, e1, time.Minute)
+	r2 := readDomains(t, e2, time.Minute)
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Fatalf("two nodes on one card saw different EMON data: %v vs %v", r1[i], r2[i])
@@ -343,14 +377,15 @@ func TestEMONNodeCardGranularity(t *testing.T) {
 	}
 }
 
-func BenchmarkEMONReadDomains(b *testing.B) {
+func BenchmarkEMONCollectInto(b *testing.B) {
 	m := testMachine()
 	nc := m.NodeCards()[0]
 	m.Run(workload.MMPS(time.Hour), 0, nc)
 	e := nc.EMON()
+	var buf []core.Reading
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = e.ReadDomains(time.Duration(i) * time.Millisecond)
+		buf, _ = e.CollectInto(buf, time.Duration(i)*time.Millisecond)
 	}
 }

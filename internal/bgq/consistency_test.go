@@ -39,7 +39,7 @@ func TestBPMAndEMONAgree(t *testing.T) {
 			return
 		}
 		var sum float64
-		for _, r := range emon.ReadDomains(now) {
+		for _, r := range readDomains(t, emon, now) {
 			sum += r.Watts
 		}
 		emonTotals = append(emonTotals, sum)

@@ -1,23 +1,10 @@
 package bgq
 
 import (
-	"fmt"
 	"time"
 
 	"envmon/internal/core"
 )
-
-// EMONReading is one domain's data from an EMON query: the voltage and
-// current the API actually exposes, the derived power, and the generation
-// timestamp of the data (which lags the query time — EMON serves "total
-// power consumption from the oldest generation of power data").
-type EMONReading struct {
-	Domain     Domain
-	Volts      float64
-	Amps       float64
-	Watts      float64
-	Generation time.Duration
-}
 
 // EMON is the environmental monitoring API endpoint of one node card. It
 // implements core.Collector. Every compute node on the card sees the same
@@ -30,25 +17,6 @@ type EMON struct {
 
 // EMON returns the card's EMON API endpoint.
 func (nc *NodeCard) EMON() *EMON { return &EMON{card: nc} }
-
-// Card returns the node card this endpoint belongs to.
-func (e *EMON) Card() *NodeCard { return e.card }
-
-// ReadDomains performs one EMON query at simulated time now, returning all
-// 7 domains. The domains carry staggered generation timestamps; a workload
-// phase change can therefore appear in some domains one generation before
-// others — the "inconsistent cases" of Section II.A.
-func (e *EMON) ReadDomains(now time.Duration) []EMONReading {
-	e.queries++
-	out := make([]EMONReading, 0, NumDomains)
-	for _, d := range Domains() {
-		v, a, gen := e.card.DomainVI(d, now)
-		out = append(out, EMONReading{
-			Domain: d, Volts: v, Amps: a, Watts: v * a, Generation: gen,
-		})
-	}
-	return out
-}
 
 // Queries reports how many EMON queries have been issued on this endpoint.
 func (e *EMON) Queries() int { return e.queries }
@@ -67,9 +35,12 @@ func (e *EMON) Cost() time.Duration { return EMONReadCost }
 func (e *EMON) MinInterval() time.Duration { return EMONGeneration }
 
 // CollectInto implements core.Collector: per-domain power, voltage, and
-// current, plus the node-card total. The domain loop runs inline
-// against the card rather than through ReadDomains, so the poll path builds
-// no intermediate EMONReading slice.
+// current, plus the node-card total. The domains carry staggered generation
+// timestamps (each reading's Time); a workload phase change can therefore
+// appear in some domains one generation before others — the "inconsistent
+// cases" of Section II.A. The total is stamped with the oldest generation:
+// EMON serves "total power consumption from the oldest generation of power
+// data".
 func (e *EMON) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	e.queries++
 	out := buf[:0]
@@ -111,9 +82,4 @@ func domainComponent(d Domain) core.Component {
 	default: // link chips, HSS network, optics: interconnect hardware
 		return core.Board
 	}
-}
-
-// String aids debugging.
-func (r EMONReading) String() string {
-	return fmt.Sprintf("%s: %.2f W (%.3f V, %.2f A) @%v", r.Domain, r.Watts, r.Volts, r.Amps, r.Generation)
 }

@@ -11,12 +11,14 @@ import (
 // Example reads one EMON generation from a node card: the 7 domains with
 // voltage, current, and their staggered generation timestamps.
 func Example() {
-	machine := bgq.New(bgq.Config{Name: "mira-sim", Racks: 1, Seed: 42})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: 42})
 	card := machine.NodeCards()[0]
 	machine.Run(workload.MMPS(10*time.Minute), 0, card)
 
-	for _, r := range card.EMON().ReadDomains(5 * time.Minute) {
-		fmt.Printf("%-14s %6.1f W\n", r.Domain, r.Watts)
+	// Three readings per domain (power, voltage, current), then the total.
+	readings, _ := card.EMON().CollectInto(nil, 5*time.Minute)
+	for i, d := range bgq.Domains() {
+		fmt.Printf("%-14s %6.1f W\n", d, readings[3*i].Value)
 	}
 	// Output:
 	// Chip Core       810.6 W
@@ -31,7 +33,7 @@ func Example() {
 // ExampleMachine_AttachEnvironmentalPoller shows the facility-side path:
 // the environmental database sampling bulk power modules every 4 minutes.
 func ExampleMachine_AttachEnvironmentalPoller() {
-	machine := bgq.New(bgq.Config{Name: "mira-sim", Racks: 1, Seed: 42})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: 42})
 	fmt.Printf("%d node cards, %d nodes\n", len(machine.NodeCards()), machine.Nodes())
 	fmt.Printf("link cards per rack: %d, service cards: %d\n",
 		len(machine.Racks()[0].LinkCards), len(machine.Racks()[0].ServiceCards))

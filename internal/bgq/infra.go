@@ -110,22 +110,6 @@ func (m *Machine) buildInfrastructure(rack *Rack) {
 	}
 }
 
-// RackPower reports a rack's total draw at time t: node cards plus link
-// and service infrastructure (output side).
-func (m *Machine) RackPower(r *Rack, t time.Duration) float64 {
-	var sum float64
-	for _, mp := range r.Midplanes {
-		for _, nc := range mp.Boards {
-			sum += nc.TotalPower(t)
-		}
-	}
-	for _, lc := range r.LinkCards {
-		sum += lc.Power(t)
-	}
-	sum += float64(len(r.ServiceCards)) * 28
-	return sum
-}
-
 // interface conformance checks
 var (
 	_ envdb.Source = (*LinkCard)(nil)

@@ -64,24 +64,3 @@ func TestInfrastructureInEnvironmentalDatabase(t *testing.T) {
 		}
 	}
 }
-
-func TestRackPowerIncludesInfrastructure(t *testing.T) {
-	m := testMachine()
-	r := m.Racks()[0]
-	var boards float64
-	for _, mp := range r.Midplanes {
-		for _, nc := range mp.Boards {
-			boards += nc.TotalPower(time.Minute)
-		}
-	}
-	rack := m.RackPower(r, time.Minute)
-	infra := rack - boards
-	// 8 link cards at ~40 W + 2 service cards at ~28 W ~= 376 W
-	if infra < 300 || infra > 450 {
-		t.Errorf("infrastructure power = %.0f W, want ~376", infra)
-	}
-	// idle rack ~ 32*740 + infra ~ 24 kW
-	if rack < 22000 || rack > 27000 {
-		t.Errorf("idle rack power = %.0f W, want ~24 kW", rack)
-	}
-}

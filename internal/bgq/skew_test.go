@@ -18,15 +18,15 @@ import (
 // the earliest-sampled domain (Chip Core, skew 0) already shows loaded
 // power while later-sampled domains still report the idle generation.
 func TestEMONInconsistentSnapshotAtPhaseChange(t *testing.T) {
-	m := New(Config{Name: "skew", Racks: 1, Seed: 42})
+	m := New(Config{Racks: 1, Seed: 42})
 	nc := m.NodeCards()[0]
 
 	// Start the load exactly on a generation boundary.
 	start := 100 * EMONGeneration // 56 s
 	m.Run(workload.FixedRuntime(5*time.Minute), start, nc)
 
-	readings := nc.EMON().ReadDomains(start + time.Millisecond)
-	byDomain := map[Domain]EMONReading{}
+	readings := readDomains(t, nc.EMON(), start+time.Millisecond)
+	byDomain := map[Domain]domainReading{}
 	for _, r := range readings {
 		byDomain[r.Domain] = r
 	}
@@ -49,7 +49,7 @@ func TestEMONInconsistentSnapshotAtPhaseChange(t *testing.T) {
 	}
 
 	// One generation later the snapshot is consistent again.
-	later := nc.EMON().ReadDomains(start + 2*EMONGeneration)
+	later := readDomains(t, nc.EMON(), start+2*EMONGeneration)
 	for _, r := range later {
 		if r.Generation < start {
 			t.Errorf("%s still serving pre-change data two generations later", r.Domain)
@@ -60,10 +60,10 @@ func TestEMONInconsistentSnapshotAtPhaseChange(t *testing.T) {
 // TestEMONSkewBounded: the staggered sampling never exceeds one generation
 // window — data is stale, not ancient.
 func TestEMONSkewBounded(t *testing.T) {
-	m := New(Config{Name: "skew2", Racks: 1, Seed: 1})
+	m := New(Config{Racks: 1, Seed: 1})
 	nc := m.NodeCards()[0]
 	for _, at := range []time.Duration{time.Second, 10 * time.Second, time.Hour} {
-		for _, r := range nc.EMON().ReadDomains(at) {
+		for _, r := range readDomains(t, nc.EMON(), at) {
 			age := at - r.Generation
 			if age < 0 || age >= 2*EMONGeneration {
 				t.Errorf("%s at %v: generation age %v outside [0, 2x560ms)", r.Domain, at, age)

@@ -116,14 +116,13 @@ func conformanceCases() []conformanceCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				col.(*envdb.Backfill).SetWindow(time.Minute)
 				// The fault is the passage of time: by failT the only record
-				// has aged out of the one-minute window. Heal ships a fresh one.
-				return col, func() {}, func() { insert(590*time.Second, 1900) }
+				// has aged out of the lookback window. Heal ships a fresh one.
+				return col, func() {}, func() { insert(envdb.BackfillWindow+time.Minute, 1900) }
 			},
 			okPolls:   []time.Duration{60 * time.Second},
-			failT:     600 * time.Second,
-			healPolls: []time.Duration{601 * time.Second},
+			failT:     envdb.BackfillWindow + time.Minute,
+			healPolls: []time.Duration{envdb.BackfillWindow + time.Minute + time.Second},
 		},
 	}
 }

@@ -12,10 +12,10 @@ import (
 // when the card's own query path is down.
 const BackfillQueryCost = 2 * time.Millisecond
 
-// DefaultBackfillWindow is how far back a Backfill collector looks for
+// BackfillWindow is how far back a Backfill collector looks for
 // records. Two maximum polling intervals guarantee at least one batch from
 // any conforming poller, however slowly it is configured.
-const DefaultBackfillWindow = 2 * MaxPollInterval
+const BackfillWindow = 2 * MaxPollInterval
 
 // Backfill serves a location's recent environmental-database records as
 // core.Readings — the BG/Q fallback path. The paper's two BG/Q mechanisms
@@ -31,9 +31,8 @@ const DefaultBackfillWindow = 2 * MaxPollInterval
 // data here can lag the query time by a full polling interval, the same
 // staleness convention EMON's generation timestamps use.
 type Backfill struct {
-	db     *DB
-	loc    Location
-	window time.Duration
+	db  *DB
+	loc Location
 	// stats
 	queries int
 	skipped int // records whose sensor has no capability mapping
@@ -46,23 +45,10 @@ type BackfillTarget struct {
 	Location Location
 }
 
-// NewBackfill returns a collector over db for the given location, with the
-// default lookback window.
+// NewBackfill returns a collector over db for the given location.
 func NewBackfill(db *DB, loc Location) *Backfill {
-	return &Backfill{db: db, loc: loc, window: DefaultBackfillWindow}
+	return &Backfill{db: db, loc: loc}
 }
-
-// SetWindow overrides the lookback window (non-positive restores the
-// default).
-func (b *Backfill) SetWindow(w time.Duration) {
-	if w <= 0 {
-		w = DefaultBackfillWindow
-	}
-	b.window = w
-}
-
-// Location returns the location this collector serves.
-func (b *Backfill) Location() Location { return b.loc }
 
 // Queries reports how many database queries this collector has issued.
 func (b *Backfill) Queries() int { return b.queries }
@@ -114,7 +100,7 @@ var backfillSensors = []backfillSensor{
 // the resilience layer, not like a reading of zero.
 func (b *Backfill) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	b.queries++
-	from := now - b.window
+	from := now - BackfillWindow
 	if from < 0 {
 		from = 0
 	}

@@ -48,15 +48,14 @@ func TestBackfillEmptyWindowIsAnError(t *testing.T) {
 	loc := Location("R00-B0")
 	db.Insert(Record{Time: time.Second, Location: loc, Sensor: "output_power", Value: 1800, Unit: "W"})
 	b := NewBackfill(db, loc)
-	b.SetWindow(time.Minute)
-	rs, err := b.CollectInto(nil, time.Hour) // record is far outside the window
+	rs, err := b.CollectInto(nil, time.Second+BackfillWindow+time.Hour) // record is far outside the window
 	if err == nil {
 		t.Fatal("stale database accepted; must error so the chain sees a failed read, not zero power")
 	}
 	if len(rs) != 0 {
 		t.Errorf("readings = %+v alongside the error", rs)
 	}
-	if _, err := b.CollectInto(nil, time.Minute+time.Second); err != nil {
+	if _, err := b.CollectInto(nil, time.Second+BackfillWindow); err != nil {
 		t.Errorf("record inside the window: %v", err)
 	}
 }

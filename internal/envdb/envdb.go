@@ -150,41 +150,6 @@ func (db *DB) Query(loc Location, sensor string, from, to time.Duration) []Recor
 	return out
 }
 
-// Locations lists the distinct locations present, sorted.
-func (db *DB) Locations() []Location {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	seen := make(map[Location]bool)
-	for _, r := range db.records {
-		seen[r.Location] = true
-	}
-	out := make([]Location, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Sensors lists the distinct sensor names at a location (all locations if
-// loc is empty), sorted.
-func (db *DB) Sensors(loc Location) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	seen := make(map[string]bool)
-	for _, r := range db.records {
-		if loc == "" || r.Location == loc {
-			seen[r.Sensor] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Source produces one batch of records when polled — a service card, node
 // board, or bulk power module with attached sensors.
 type Source interface {
@@ -239,6 +204,3 @@ func (p *Poller) Stop() {
 
 // Polls reports how many polling rounds have completed.
 func (p *Poller) Polls() int { return p.polls }
-
-// Interval reports the configured polling interval.
-func (p *Poller) Interval() time.Duration { return p.interval }

@@ -52,25 +52,6 @@ func TestQuerySortedByTime(t *testing.T) {
 	}
 }
 
-func TestLocationsAndSensors(t *testing.T) {
-	db := New()
-	db.Insert(rec(0, "R00-B1", "input_power", 1))
-	db.Insert(rec(0, "R00-B0", "input_power", 1))
-	db.Insert(rec(0, "R00-B0", "coolant_temp", 18))
-	locs := db.Locations()
-	if len(locs) != 2 || locs[0] != "R00-B0" || locs[1] != "R00-B1" {
-		t.Fatalf("Locations = %v", locs)
-	}
-	sensors := db.Sensors("R00-B0")
-	if len(sensors) != 2 || sensors[0] != "coolant_temp" {
-		t.Fatalf("Sensors = %v", sensors)
-	}
-	all := db.Sensors("")
-	if len(all) != 2 {
-		t.Fatalf("all Sensors = %v", all)
-	}
-}
-
 func TestCapacityLimiter(t *testing.T) {
 	db := NewWithCapacity(1) // one record per simulated second
 	ok1 := db.Insert(rec(time.Second, "a", "s", 1))

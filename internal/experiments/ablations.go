@@ -209,7 +209,7 @@ func runAblationInterval(seed uint64) Result {
 // runTable3Interval is RunTable3Scale with a custom polling interval.
 func runTable3Interval(seed uint64, interval time.Duration) Table3Row {
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "mira-sim", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	card := machine.NodeCards()[0]
 	machine.Run(workload.FixedRuntime(table3Runtime), 0, card)
 	m, err := moneq.Initialize(moneq.Config{

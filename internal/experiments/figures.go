@@ -52,7 +52,7 @@ func mustBuild(key core.BackendKey, target any) core.Collector {
 func runFig1(seed uint64) Result {
 	r := Result{ID: "fig1", Title: "BPM input power for MMPS, sampled by the environmental database"}
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "fig1", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	db := envdb.New()
 	poller, err := machine.AttachEnvironmentalPoller(db, envdb.DefaultPollInterval)
 	if err != nil {
@@ -98,7 +98,7 @@ func runFig1(seed uint64) Result {
 func runFig2(seed uint64) Result {
 	r := Result{ID: "fig2", Title: "MonEQ per-domain power for MMPS at 560 ms"}
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "fig2", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	card := machine.NodeCards()[0]
 	const jobLen = 25 * time.Minute
 	machine.Run(workload.MMPS(jobLen), 0, card)

@@ -2,30 +2,39 @@ package experiments
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestTable1Golden pins the rendered capability matrix against a golden
-// file: the matrix is reconstructed survey data, so any change to a cell
-// must be deliberate (regenerate with the snippet in the test body).
-func TestTable1Golden(t *testing.T) {
-	r, err := Run("table1", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := r.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("testdata/table1.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(want) {
-		t.Errorf("table1 rendering drifted from golden file.\n"+
-			"If the change is intentional, regenerate testdata/table1.golden by\n"+
-			"writing Render output for Run(\"table1\", 42).\n--- got ---\n%s\n--- want ---\n%s",
-			b.String(), want)
+// TestRenderGolden pins every experiment's rendering at seed 42 against
+// testdata/<id>.golden: the shape checks hold what the paper claims, the
+// golden files hold the exact numbers, so a change anywhere under an
+// experiment (a vendor cost, a model constant, a chart) must be deliberate.
+// `repro <id>` prints exactly this rendering, so a deliberate change is
+// regenerated with
+//
+//	go run ./cmd/repro <id> > internal/experiments/testdata/<id>.golden
+func TestRenderGolden(t *testing.T) {
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			r, err := Run(id, testSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := r.Render(&b); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", id+".golden")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != string(want) {
+				t.Errorf("%s rendering drifted from %s; if the change is deliberate, regenerate the file.\n--- got ---\n%s\n--- want ---\n%s",
+					id, path, b.String(), want)
+			}
+		})
 	}
 }

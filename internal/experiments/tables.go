@@ -101,7 +101,7 @@ type Table3Row struct {
 // card with the job sized to nodes, returning the Table III quantities.
 func RunTable3Scale(seed uint64, nodes int) Table3Row {
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "mira-sim", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	card := machine.NodeCards()[0]
 	machine.Run(workload.FixedRuntime(table3Runtime), 0, card)
 	m, err := moneq.Initialize(moneq.Config{
@@ -194,7 +194,7 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	}
 
 	// BG/Q EMON
-	machine := bgq.New(bgq.Config{Name: "t4", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	emon := mustBuild(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, machine.NodeCards()[0])
 	addRow(emon, emon.Cost(), "1.10 ms")
 

@@ -41,7 +41,7 @@ func runTable5Tools(seed uint64) Result {
 	}
 
 	// Prove the MonEQ row: one Collect on each platform's collector.
-	machine := bgq.New(bgq.Config{Name: "t5", Racks: 1, Seed: seed})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 	emon := mustBuild(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, machine.NodeCards()[0])
 	emonOK := false
 	if rs, err := emon.CollectInto(nil, time.Second); err == nil && len(rs) > 0 {
@@ -151,7 +151,7 @@ func runAblationEnvdbCapacity(seed uint64) Result {
 	var outcomes []outcome
 	for _, interval := range []time.Duration{240 * time.Second, 60 * time.Second, 5 * time.Second} {
 		clock := simclock.New()
-		machine := bgq.New(bgq.Config{Name: "cap", Racks: 1, Seed: seed})
+		machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
 		db := envdb.NewWithCapacity(perRackBudget)
 		// Sub-minimum intervals cannot go through the validated poller —
 		// that is the interface's whole point — so drive sources directly

@@ -17,6 +17,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"envmon/internal/core"
@@ -91,13 +92,22 @@ func (p Plan) Enabled() bool {
 	return p.Transient > 0 || p.Spike > 0 || p.Stuck > 0 || p.Flap > 0 || len(p.Lose) > 0
 }
 
-// Validate checks probabilities and loss windows.
+// Validate checks probabilities, the spike factor, durations and loss
+// windows. Each comparison is written so that NaN fails it.
 func (p Plan) Validate() error {
 	for name, prob := range map[string]float64{
 		"transient": p.Transient, "spike": p.Spike, "stuck": p.Stuck,
 	} {
-		if prob < 0 || prob > 1 {
+		if !(prob >= 0 && prob <= 1) {
 			return fmt.Errorf("faults: %s probability %v outside [0, 1]", name, prob)
+		}
+	}
+	if f := p.SpikeFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
+		return fmt.Errorf("faults: spike factor %v must be finite and at least 1 (or 0 for the default)", f)
+	}
+	for name, d := range map[string]time.Duration{"stuckfor": p.StuckFor, "flap": p.Flap} {
+		if d < 0 {
+			return fmt.Errorf("faults: %s %v is negative", name, d)
 		}
 	}
 	for _, l := range p.Lose {
@@ -205,7 +215,12 @@ func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Re
 		if factor < 1 {
 			factor = 10
 		}
-		j.lastCost = time.Duration(float64(j.col.Cost()) * factor)
+		// A cost past the largest Duration saturates rather than wrapping.
+		if c := float64(j.col.Cost()) * factor; c < math.MaxInt64 {
+			j.lastCost = time.Duration(c)
+		} else {
+			j.lastCost = math.MaxInt64
+		}
 	}
 	if j.rng.Bool(j.plan.Stuck) {
 		dur := j.plan.StuckFor

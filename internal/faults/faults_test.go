@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -78,6 +79,13 @@ func TestParsePlanDefaultsAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"transient", "transient=x", "transient=1.5", "bogus=1",
 		"lose=NVML", "lose=NVML@x", "lose=NVML#z@1s", "lose=NVML@10s-5s", "lose=@10s",
+		// A NaN probability compares false both ways: an inert plan.
+		"transient=NaN", "spike=NaN", "stuck=NaN",
+		// A factor that is not finite, or below 1 and not the 0 default.
+		"spike=1,spikefactor=NaN", "spike=1,spikefactor=Inf", "spike=1,spikefactor=-Inf",
+		"spike=1,spikefactor=0.5", "spike=1,spikefactor=-2",
+		// Negative durations, and an explicit heal at or before the loss.
+		"stuckfor=-1s", "flap=-5s", "lose=NVML@5s-0s", "lose=NVML@5s-5s",
 	} {
 		if _, err := ParsePlan(bad, 1); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
@@ -229,6 +237,20 @@ func TestInjectorSpikeCost(t *testing.T) {
 	}
 	if j.Counters().Spikes != 1 {
 		t.Fatalf("spikes = %d, want 1", j.Counters().Spikes)
+	}
+
+	// A finite factor ParsePlan accepts may still overflow a Duration:
+	// the cost saturates instead of wrapping negative.
+	plan, err := ParsePlan("spike=1,spikefactor=1e300", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j = Wrap(newFake(), plan, "a", 0)
+	if _, err := j.CollectInto(nil, 0); err != nil {
+		t.Fatalf("poll: %v", err)
+	}
+	if j.Cost() != math.MaxInt64 {
+		t.Fatalf("spiked cost at factor 1e300 = %v, want the largest Duration", j.Cost())
 	}
 }
 

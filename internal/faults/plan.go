@@ -22,7 +22,10 @@ import (
 //	lose=NVML#*@30s            lose every NVML collector
 //	lose=SysMgmt API@5s-20s    loss that heals at t=20s
 //
-// The lose key may repeat. An empty spec returns the zero (inert) plan.
+// The lose key may repeat. An empty spec returns the zero (inert) plan; a
+// spec that Plan.Validate refuses (a NaN probability, a spike factor below
+// 1 or not finite, a negative duration, a heal not after its loss) is an
+// error.
 func ParsePlan(spec string, defaultSeed uint64) (Plan, error) {
 	plan := Plan{Seed: defaultSeed}
 	if strings.TrimSpace(spec) == "" {
@@ -99,6 +102,10 @@ func parseLoss(val string) (Loss, error) {
 	if hasUntil {
 		if loss.Until, err = time.ParseDuration(until); err != nil {
 			return Loss{}, err
+		}
+		// Until 0 means "never heals"; an explicit heal must follow the loss.
+		if loss.Until <= loss.At {
+			return Loss{}, fmt.Errorf("heals at %v, not after the loss at %v", loss.Until, loss.At)
 		}
 	}
 	return loss, nil

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -49,7 +50,8 @@ type Member struct {
 
 // ParseMembers parses a -members flag value: comma-separated base URLs,
 // each optionally prefixed "name=". Unnamed members are named m00, m01, …
-// in flag order.
+// in flag order. An entry whose URL has no host is refused: it would be a
+// member that can never answer.
 func ParseMembers(spec string) ([]Member, error) {
 	var out []Member
 	for _, part := range strings.Split(spec, ",") {
@@ -66,6 +68,9 @@ func ParseMembers(spec string) ([]Member, error) {
 		}
 		if !strings.HasPrefix(m.URL, "http://") && !strings.HasPrefix(m.URL, "https://") {
 			m.URL = "http://" + m.URL
+		}
+		if u, err := url.Parse(m.URL); err != nil || u.Host == "" {
+			return nil, fmt.Errorf("federation: member %q has no host", part)
 		}
 		out = append(out, m)
 	}

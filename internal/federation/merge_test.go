@@ -2,6 +2,8 @@ package federation
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,5 +183,16 @@ func TestParseMembers(t *testing.T) {
 	}
 	if _, err := ParseMembers(" , "); err == nil {
 		t.Fatal("empty spec must error")
+	}
+	// An entry with no host would be a member that can never answer.
+	for _, spec := range []string{"a=", "http://", " = ", "rack0=http://a:1,b="} {
+		_, err := ParseMembers(spec)
+		if err == nil {
+			t.Errorf("ParseMembers(%q) accepted a member with no host", spec)
+			continue
+		}
+		if bad := strings.TrimSpace(spec[strings.LastIndex(spec, ",")+1:]); !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("ParseMembers(%q) error %q does not name the entry %q", spec, err, bad)
+		}
 	}
 }

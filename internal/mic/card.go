@@ -264,12 +264,6 @@ func (c *Card) Temperatures(t time.Duration) (die, gddr, intake, exhaust float64
 	return c.dieC, c.memC, intake, exhaust
 }
 
-// FanRPM reports the cooling fan speed at t.
-func (c *Card) FanRPM(t time.Duration) float64 {
-	die, _, _, _ := c.Temperatures(t)
-	return c.fan.RPM(die)
-}
-
 // MemoryUsage reports GDDR occupancy following the workload's device
 // phases.
 func (c *Card) MemoryUsage(t time.Duration) (total, used, free uint64) {

@@ -1,7 +1,6 @@
 package mic
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -96,17 +95,6 @@ func (c *InBandCollector) CollectInto(buf []core.Reading, now time.Duration) ([]
 	return appendSnapshotReadings(buf[:0], snap, done), nil
 }
 
-// DirectSnapshot exposes the raw RPC for tests and tools; it returns the
-// snapshot and the completion time.
-func (c *InBandCollector) DirectSnapshot(now time.Duration) (Snapshot, time.Duration, error) {
-	resp, done, err := c.net.Call(c.client, c.svc.svc, now, []byte{CmdGetSnapshot})
-	if err != nil {
-		return Snapshot{}, done, err
-	}
-	snap, err := UnmarshalSnapshot(resp)
-	return snap, done, err
-}
-
 // appendSnapshotReadings converts an SMC snapshot into vendor-neutral
 // readings appended to buf.
 func appendSnapshotReadings(buf []core.Reading, s Snapshot, at time.Duration) []core.Reading {
@@ -180,17 +168,4 @@ func (c *OOBCollector) CollectInto(buf []core.Reading, now time.Duration) ([]cor
 		return buf[:0], err
 	}
 	return appendSnapshotReadings(buf[:0], snap, done), nil
-}
-
-// PowerMilliwatts is a convenience for the single-value out-of-band power
-// query (CmdGetPower).
-func (c *OOBCollector) PowerMilliwatts(now time.Duration) (uint32, time.Duration, error) {
-	data, done, err := c.bmc.Query(now, c.addr, ipmb.NetFnOEM, CmdGetPower, nil)
-	if err != nil {
-		return 0, done, err
-	}
-	if len(data) != 5 || data[0] != ipmb.CompletionOK {
-		return 0, done, fmt.Errorf("mic: bad GetPower response %v", data)
-	}
-	return binary.LittleEndian.Uint32(data[1:]), done, nil
 }

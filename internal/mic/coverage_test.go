@@ -18,13 +18,13 @@ func TestCardNameAndFan(t *testing.T) {
 		t.Errorf("Name = %q", c.Name())
 	}
 	c.Run(workload.PhiGauss(10*time.Second, 120*time.Second), 0)
-	cold := c.FanRPM(time.Second)
-	hot := c.FanRPM(2 * time.Minute)
+	cold := c.SnapshotAt(time.Second).FanRPM
+	hot := c.SnapshotAt(2 * time.Minute).FanRPM
 	if hot < cold {
-		t.Errorf("fan slowed under load: %.0f -> %.0f RPM", cold, hot)
+		t.Errorf("fan slowed under load: %d -> %d RPM", cold, hot)
 	}
 	if cold < 1200 || hot > 3600 {
-		t.Errorf("fan out of range: %.0f..%.0f", cold, hot)
+		t.Errorf("fan out of range: %d..%d", cold, hot)
 	}
 }
 
@@ -55,27 +55,6 @@ func TestCollectorIdentities(t *testing.T) {
 	}
 }
 
-func TestDirectSnapshot(t *testing.T) {
-	net := scif.NewNetwork(1)
-	card := newCard()
-	card.Run(workload.NoopKernel(time.Minute), 0)
-	svc, err := StartSysMgmt(net, 1, card)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewInBandCollector(net, svc)
-	snap, done, err := col.DirectSnapshot(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= 10*time.Second {
-		t.Error("no RPC cost accounted")
-	}
-	if snap.TotalMB != 8192 || snap.PowerMW < 100000 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-}
-
 func TestSMCIndividualCommands(t *testing.T) {
 	bus := ipmb.NewBus()
 	card := newCard()
@@ -92,7 +71,6 @@ func TestSMCIndividualCommands(t *testing.T) {
 		cmd    byte
 		length int
 	}{
-		{CmdGetPower, 5},
 		{CmdGetDieTemp, 3},
 		{CmdGetGDDRTemp, 3},
 		{CmdGetFanRPM, 3},
@@ -114,13 +92,12 @@ func TestSMCIndividualCommands(t *testing.T) {
 	}
 }
 
+// TestOOBPowerMilliwattsErrorPaths: the out-of-band collector errors when
+// no SMC answers at its address, and collects once one does.
 func TestOOBPowerMilliwattsErrorPaths(t *testing.T) {
 	// querying an address with no SMC behind it
 	bus := ipmb.NewBus()
 	col := NewOOBCollector(ipmb.NewBMC(bus), 0x44)
-	if _, _, err := col.PowerMilliwatts(0); err == nil {
-		t.Error("PowerMilliwatts with no responder succeeded")
-	}
 	if _, err := col.CollectInto(nil, 0); err == nil {
 		t.Error("Collect with no responder succeeded")
 	}

@@ -202,14 +202,6 @@ func TestOutOfBandPathEndToEnd(t *testing.T) {
 	if elapsed < 2*time.Millisecond {
 		t.Errorf("OOB transaction = %v; I2C should be slow", elapsed)
 	}
-	// single-value query
-	mw, _, err := col.PowerMilliwatts(11 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mw < 100000 || mw > 130000 {
-		t.Errorf("OOB power = %d mW", mw)
-	}
 }
 
 func TestOutOfBandDoesNotDisturbCard(t *testing.T) {
@@ -252,7 +244,7 @@ func TestSMCInvalidCommand(t *testing.T) {
 		t.Errorf("completion = %#x", data[0])
 	}
 	// wrong netFn also rejected
-	data, _, err = bmc.Query(time.Second, smc.SlaveAddr(), ipmb.NetFnApp, CmdGetPower, nil)
+	data, _, err = bmc.Query(time.Second, smc.SlaveAddr(), ipmb.NetFnApp, CmdGetSnapshot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,6 @@ func (c *Card) SnapshotAt(t time.Duration) Snapshot {
 
 // SMC command set (OEM network function).
 const (
-	CmdGetPower    = 0x01
 	CmdGetDieTemp  = 0x02
 	CmdGetGDDRTemp = 0x03
 	CmdGetFanRPM   = 0x06
@@ -132,11 +131,6 @@ func (s *SMC) Handle(now time.Duration, req ipmb.Message) ([]byte, time.Duration
 	}
 	snap := s.card.SnapshotAt(now)
 	switch req.Cmd {
-	case CmdGetPower:
-		var b [5]byte
-		b[0] = ipmb.CompletionOK
-		binary.LittleEndian.PutUint32(b[1:], snap.PowerMW)
-		return b[:], smcHandlingTime
 	case CmdGetDieTemp:
 		var b [3]byte
 		b[0] = ipmb.CompletionOK

@@ -66,7 +66,7 @@ func TestFullMiraScale(t *testing.T) {
 		t.Skip("full-machine integration; skipped in -short")
 	}
 	clock := simclock.New()
-	machine := bgq.NewMira(7)
+	machine := bgq.New(bgq.Config{Racks: bgq.MiraRacks, Seed: 7})
 	machine.Run(workload.MMPS(time.Minute), 0) // whole machine
 	cards := machine.NodeCards()
 	if len(cards) != 1536 {

@@ -13,7 +13,7 @@ import (
 
 func TestJobAcrossNodeCards(t *testing.T) {
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "job", Racks: 1, Seed: 42})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: 42})
 	machine.Run(workload.MMPS(time.Minute), 0)
 
 	var specs []NodeSpec

@@ -287,7 +287,7 @@ func TestSeriesLookup(t *testing.T) {
 
 func TestWithEMONBackend(t *testing.T) {
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "t", Racks: 1, Seed: 42})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: 42})
 	card := machine.NodeCards()[0]
 	machine.Run(workload.MMPS(5*time.Minute), 0, card)
 
@@ -461,7 +461,7 @@ func TestTable3EndToEnd(t *testing.T) {
 	// Full Table III reproduction at one scale: the toy fixed-runtime app
 	// on a BG/Q node card at the default interval.
 	clock := simclock.New()
-	machine := bgq.New(bgq.Config{Name: "t", Racks: 1, Seed: 1})
+	machine := bgq.New(bgq.Config{Racks: 1, Seed: 1})
 	card := machine.NodeCards()[0]
 	machine.Run(workload.FixedRuntime(202740*time.Millisecond), 0, card)
 	m, err := Initialize(Config{Clock: clock, Node: card.Name(), NumTasks: 1024}, card.EMON())
@@ -496,7 +496,7 @@ func TestReportOverheadFractionZeroRuntime(t *testing.T) {
 func TestOutputIsDeterministic(t *testing.T) {
 	run := func() string {
 		clock := simclock.New()
-		machine := bgq.New(bgq.Config{Name: "t", Racks: 1, Seed: 11})
+		machine := bgq.New(bgq.Config{Racks: 1, Seed: 11})
 		card := machine.NodeCards()[0]
 		machine.Run(workload.MMPS(time.Minute), 0, card)
 		var buf bytes.Buffer

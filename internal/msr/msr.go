@@ -175,13 +175,6 @@ func (d *Driver) Load() {
 	d.loaded = true
 }
 
-// Unload removes the module; subsequent opens fail.
-func (d *Driver) Unload() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.loaded = false
-}
-
 // SetWorldReadable grants read-only access to non-root users (requires the
 // module to be loaded, as chmod needs the device nodes to exist).
 func (d *Driver) SetWorldReadable(ok bool) error {
@@ -196,7 +189,6 @@ func (d *Driver) SetWorldReadable(ok bool) error {
 
 // Device is an open handle to /dev/cpu/<cpu>/msr.
 type Device struct {
-	cpu      int
 	regs     *RegisterFile
 	readOnly bool
 }
@@ -219,13 +211,10 @@ func (d *Driver) Open(cpu int, cred Credentials) (*Device, error) {
 		if !d.worldReadable {
 			return nil, fmt.Errorf("msr: /dev/cpu/%d/msr: %w", cpu, core.ErrPermission)
 		}
-		return &Device{cpu: cpu, regs: rf, readOnly: true}, nil
+		return &Device{regs: rf, readOnly: true}, nil
 	}
-	return &Device{cpu: cpu, regs: rf}, nil
+	return &Device{regs: rf}, nil
 }
-
-// CPU reports which logical processor the handle addresses.
-func (dev *Device) CPU() int { return dev.cpu }
 
 // Read reads an MSR through the device (pread on the character device).
 func (dev *Device) Read(addr Address, now time.Duration) (uint64, error) {

@@ -52,9 +52,6 @@ func (l *Library) DeviceGetHandleByIndex(i int) (*Device, Return) {
 
 // --- Device queries (the nvmlDeviceGet* family) ------------------------------
 
-// GetName mirrors nvmlDeviceGetName.
-func (d *Device) GetName() (string, Return) { return d.spec.Name, Success }
-
 // GetPowerUsage mirrors nvmlDeviceGetPowerUsage: board power in milliwatts.
 // Only Kepler parts support it ("the only NVIDIA GPUs which support power
 // data collection are those based on the Kepler architecture"). The value

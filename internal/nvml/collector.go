@@ -28,9 +28,6 @@ func NewCollector(lib *Library, idx int) (*Collector, error) {
 	return &Collector{lib: lib, dev: dev}, nil
 }
 
-// Device exposes the underlying handle.
-func (c *Collector) Device() *Device { return c.dev }
-
 // Platform implements core.Collector.
 func (c *Collector) Platform() core.Platform { return core.NVML }
 

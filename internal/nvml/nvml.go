@@ -16,6 +16,11 @@
 //   - Per-query collection cost is ~1.3 ms (NVML call + PCI bus transfer),
 //     the highest of the host-side APIs.
 //
+// The queries the collector makes — power, temperature, fan speed and
+// memory — are the model's read path, over the K20 spec of the paper's
+// experiments. GetClockInfo and the power-management limit are reached
+// only by their own tests; ROADMAP item 10 schedules their removal.
+//
 // Like the other vendor models, a device's observable state is advanced
 // lazily on a fixed update grid, so reads are deterministic and replayable;
 // readers must present non-decreasing timestamps.
@@ -130,27 +135,6 @@ func K20Spec() DeviceSpec {
 	}
 }
 
-// K40Spec is the other Kepler power-capable part the paper names.
-func K40Spec() DeviceSpec {
-	return DeviceSpec{
-		Name: "Tesla K40", Arch: Kepler, CUDACores: 2880,
-		MemoryBytes: 12 << 30, PeakTFLOPS: 1.43,
-		IdleW: 46, MaxW: 235, SMClockMHz: 745, MemClockMHz: 3004,
-		RampTau: 1700 * time.Millisecond,
-	}
-}
-
-// M2090Spec is a Fermi part without power collection support, for the
-// not-supported path.
-func M2090Spec() DeviceSpec {
-	return DeviceSpec{
-		Name: "Tesla M2090", Arch: Fermi, CUDACores: 512,
-		MemoryBytes: 6 << 30, PeakTFLOPS: 0.665,
-		IdleW: 50, MaxW: 250, SMClockMHz: 650, MemClockMHz: 1848,
-		RampTau: 1700 * time.Millisecond,
-	}
-}
-
 // MemoryInfo mirrors nvmlMemory_t.
 type MemoryInfo struct {
 	TotalBytes uint64
@@ -160,10 +144,9 @@ type MemoryInfo struct {
 
 // Device is one simulated GPU.
 type Device struct {
-	mu    sync.Mutex
-	spec  DeviceSpec
-	index int
-	seed  uint64
+	mu   sync.Mutex
+	spec DeviceSpec
+	seed uint64
 
 	model   power.DomainModel
 	lag     power.Lag
@@ -183,9 +166,8 @@ type Device struct {
 // NewDevice builds a device from a spec with a deterministic noise stream.
 func NewDevice(spec DeviceSpec, index int, seed uint64) *Device {
 	d := &Device{
-		spec:  spec,
-		index: index,
-		seed:  simrand.New(seed).Split(fmt.Sprintf("nvml-%s-%d", spec.Name, index)).Uint64(),
+		spec: spec,
+		seed: simrand.New(seed).Split(fmt.Sprintf("nvml-%s-%d", spec.Name, index)).Uint64(),
 		model: power.DomainModel{
 			Name:  "board",
 			IdleW: spec.IdleW, DynamicW: spec.MaxW - spec.IdleW,
@@ -217,9 +199,6 @@ func (d *Device) SetLost(lost bool) {
 	defer d.mu.Unlock()
 	d.lost = lost
 }
-
-// Index reports the device's enumeration index.
-func (d *Device) Index() int { return d.index }
 
 // Run assigns a workload starting at the given simulated time.
 func (d *Device) Run(w workload.Workload, start time.Duration) {

@@ -61,7 +61,9 @@ func TestK20SpecMatchesPaper(t *testing.T) {
 }
 
 func TestPowerNotSupportedOnFermi(t *testing.T) {
-	d := NewDevice(M2090Spec(), 0, 1)
+	// A Fermi part (Tesla M2090) has no board power sensor NVML can read.
+	fermi := DeviceSpec{Name: "Tesla M2090", Arch: Fermi, IdleW: 50, MaxW: 250, RampTau: 1700 * time.Millisecond}
+	d := NewDevice(fermi, 0, 1)
 	if _, ret := d.GetPowerUsage(0); ret != ErrorNotSupported {
 		t.Fatalf("Fermi power query = %v, want NotSupported", ret)
 	}
@@ -304,5 +306,20 @@ func BenchmarkGetPowerUsage(b *testing.B) {
 		if _, ret := d.GetPowerUsage(time.Duration(i) * time.Millisecond); ret != Success {
 			b.Fatal(ret)
 		}
+	}
+}
+
+func TestExtendedQueriesOnLostGPU(t *testing.T) {
+	d := newK20(42)
+	d.SetLost(true)
+	if _, ret := d.GetTemperature(TemperatureGPU, 0); ret != ErrorGPUIsLost {
+		t.Error("temperature on lost GPU")
+	}
+	if _, ret := d.GetPowerUsage(0); ret != ErrorGPUIsLost {
+		t.Error("power on lost GPU")
+	}
+	d.SetLost(false)
+	if _, ret := d.GetPowerUsage(time.Second); ret != Success {
+		t.Error("recovered GPU still failing")
 	}
 }

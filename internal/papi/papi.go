@@ -152,9 +152,6 @@ func (es *EventSet) AddEvent(event string) error {
 	return nil
 }
 
-// Events lists the set's fully qualified events in insertion order.
-func (es *EventSet) Events() []string { return append([]string(nil), es.events...) }
-
 // Start mirrors PAPI_start: zeroes the virtual counters at now.
 func (es *EventSet) Start(now time.Duration) error {
 	if es.state == setRunning {

@@ -344,9 +344,6 @@ func (s *Socket) SetPowerLimitAt(d Domain, now time.Duration, watts float64) err
 	return s.writeLimit(d, now, raw|enableBit)
 }
 
-// ClearPowerLimit disables the limit.
-func (s *Socket) ClearPowerLimit(d Domain) error { return s.writeLimit(d, 0, 0) }
-
 // PowerLimit reports the programmed limit and whether it is enabled.
 func (s *Socket) PowerLimit(d Domain) (watts float64, enabled bool) {
 	s.mu.Lock()

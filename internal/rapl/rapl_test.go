@@ -205,13 +205,14 @@ func TestPowerLimitEnforced(t *testing.T) {
 	if watts > 30.5 {
 		t.Errorf("limited PKG drew %v W, cap was 30", watts)
 	}
-	if err := s.ClearPowerLimit(PKG); err != nil {
+	// A controller lifts a cap mid-run by programming one above the draw.
+	if err := s.SetPowerLimitAt(PKG, 120*time.Second, 200); err != nil {
 		t.Fatal(err)
 	}
 	j2 := s.EnergyJoules(PKG, 180*time.Second)
 	unlimited := (j2 - j1) / 60
 	if unlimited < 40 {
-		t.Errorf("after clearing limit power = %v W, want ~47", unlimited)
+		t.Errorf("after lifting the limit power = %v W, want ~47", unlimited)
 	}
 }
 

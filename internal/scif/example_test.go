@@ -7,32 +7,22 @@ import (
 	"envmon/internal/scif"
 )
 
-// Example shows the SCIF connection lifecycle the Xeon Phi stack is built
-// on: a device-side service binds and listens, the host connects, and
-// messages cross the simulated PCIe bus with explicit delivery times.
+// Example shows the SCIF path the Xeon Phi stack is built on: a
+// device-side service claims a privileged port, and the host calls it
+// across the simulated PCIe bus, each hop with an explicit transit time.
 func Example() {
 	net := scif.NewNetwork(1) // host (node 0) + mic0 (node 1)
 
-	// device side
-	server, _ := net.NewEndpoint(1, false)
-	_ = server.Bind(5000)
-	_ = server.Listen()
+	// device side: a service that answers in 10 µs
+	svc, _ := net.RegisterService(1, 500, func(start time.Duration, req []byte) ([]byte, time.Duration) {
+		return []byte("power=115W"), 10 * time.Microsecond
+	})
 
-	// host side
-	client, _ := net.NewEndpoint(scif.HostNode, false)
-	conn, _ := client.Connect(1, 5000)
-	srvConn, _ := server.Accept()
-
-	_ = conn.Send(0, []byte("power?"))
-	if _, err := srvConn.Recv(0); err == scif.ErrWouldBlock {
-		fmt.Println("not yet delivered at send time")
-	}
-	at, _ := srvConn.NextArrival()
-	msg, _ := srvConn.Recv(at)
-	fmt.Printf("delivered %q after %v\n", msg, at)
+	// host side: 2 µs there, 10 µs handling, 2 µs back
+	resp, done, _ := net.Call(scif.HostNode, svc, 0, []byte("power?"))
+	fmt.Printf("%q done at %v\n", resp, done)
 	// Output:
-	// not yet delivered at send time
-	// delivered "power?" after 2µs
+	// "power=115W" done at 14µs
 }
 
 // Example_rma shows the one-sided bulk path: the device registers a

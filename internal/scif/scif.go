@@ -4,22 +4,26 @@
 //
 // SCIF's defining property, which the paper highlights, is symmetry: "all
 // drivers should expose the same interfaces on both the host and on the
-// Xeon Phi", so software can run wherever appropriate. We reproduce the
-// connection-oriented API shape: endpoints bind ports, listeners accept,
-// and connected endpoints exchange messages across the simulated PCIe bus
-// with a size-dependent delivery latency.
+// Xeon Phi", so software can run wherever appropriate. The path the
+// binaries take is the synchronous RPC: RegisterService claims a port on a
+// node (a privileged, bound, listening endpoint) and Call carries a request
+// across the simulated PCIe bus, runs the handler and carries the response
+// back, each hop with a size-dependent transit time that is the same in
+// both directions. The SysMgmt and RAS paths of internal/mic are built on
+// it.
+//
+// The connection layer (Connect, Accept, Send, Recv) and remote memory
+// access (rma.go) are reached only by their own tests; ROADMAP item 10
+// schedules their removal.
 //
 // The simulation is lazy and deterministic like the rest of the system:
-// messages carry an explicit delivery time and Recv(now) only yields
-// messages that have arrived by now. There are no goroutines or blocking
-// calls; "blocking" semantics belong to the caller, which advances the
-// simulated clock.
+// Call returns an explicit completion time and there are no goroutines or
+// blocking calls; the caller advances the simulated clock.
 package scif
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -94,18 +98,6 @@ func NewNetwork(cards int) *Network {
 	return n
 }
 
-// Nodes lists the fabric's nodes in order.
-func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Endpoint is a SCIF endpoint, analogous to a scif_epd_t.
 type Endpoint struct {
 	net        *Network
@@ -128,9 +120,6 @@ func (n *Network) NewEndpoint(node NodeID, privileged bool) (*Endpoint, error) {
 	}
 	return &Endpoint{net: n, node: node, privileged: privileged}, nil
 }
-
-// Node reports the endpoint's node.
-func (e *Endpoint) Node() NodeID { return e.node }
 
 // Bind claims a local port (scif_bind).
 func (e *Endpoint) Bind(port PortID) error {

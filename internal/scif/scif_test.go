@@ -8,10 +8,15 @@ import (
 )
 
 func TestNodes(t *testing.T) {
+	// Two cards: the host and mic0..mic1 are nodes 0, 1, 2; there is no 3.
 	n := NewNetwork(2)
-	nodes := n.Nodes()
-	if len(nodes) != 3 || nodes[0] != HostNode || nodes[2] != 2 {
-		t.Fatalf("Nodes = %v", nodes)
+	for _, node := range []NodeID{HostNode, 1, 2} {
+		if _, err := n.NewEndpoint(node, false); err != nil {
+			t.Errorf("node %d: %v", node, err)
+		}
+	}
+	if _, err := n.NewEndpoint(3, false); !errors.Is(err, ErrNoSuchNode) {
+		t.Errorf("node 3: err = %v, want ErrNoSuchNode", err)
 	}
 }
 

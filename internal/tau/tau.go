@@ -146,14 +146,6 @@ func (p *Profiler) Stop(name string, now time.Duration) error {
 	return nil
 }
 
-// Running reports the innermost running timer name, or "".
-func (p *Profiler) Running() string {
-	if len(p.stack) == 0 {
-		return ""
-	}
-	return p.stack[len(p.stack)-1].timer.Name
-}
-
 // Profile returns the per-timer records sorted by descending exclusive
 // time (TAU's default ordering). It errors if timers are still running.
 func (p *Profiler) Profile() ([]Timer, error) {

@@ -33,9 +33,6 @@ func TestBasicTimer(t *testing.T) {
 	if err := p.Start("main", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Running(); got != "main" {
-		t.Errorf("Running = %q", got)
-	}
 	if err := p.Stop("main", 25*time.Second); err != nil {
 		t.Fatal(err)
 	}
