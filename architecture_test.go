@@ -83,6 +83,7 @@ var architecture = []struct {
 		guard{scope: "internal/", bad: strs("func .Collect")})},
 	{"flag-sets", "DESIGN §13 Knobs: a daemon's flags are declared in registerFlags, which only main calls, once, with flag.CommandLine; main also calls flag.Parse", guards(
 		slices.Concat(flagSet("cmd/envmond/"), flagSet("cmd/envcapd/"), flagSet("cmd/envfedd/"))...)},
+	{"mechanisms", "DESIGN §3: each backend is one exported core.Mechanism holding its key, per-query cost and minimum interval; collectors embed it, the faults and resilience wrappers declare only the Cost they compute, and nothing else spells a core.BackendKey", mechanisms},
 	{"mmap", "DESIGN §9 Write path: only the journal maps files", guards(
 		guard{tests: true, except: strs("internal/telemetry/wal/"), bad: strs("syscall.Mmap")})},
 	{"benchmark-system", `EXPERIMENTS.md "What the stack costs": speed is pairs of bench/run.sh; CHANGES, ROADMAP and bench/README.md keep the history`, benchmarkSystem},
@@ -138,33 +139,11 @@ func TestArchitecture(t *testing.T) {
 func guards(gs ...guard) func(*archModule) []string {
 	return func(m *archModule) (out []string) {
 		for _, g := range gs {
-			want, found, in := map[string]int{}, map[string][]string{}, strings.TrimSuffix(" in "+g.fn, " in ")
+			want, in := map[string]int{}, strings.TrimSuffix(" in "+g.fn, " in ")
 			for _, p := range g.one {
 				want[p]++
 			}
-			patterns := slices.Compact(slices.Sorted(slices.Values(slices.Concat(g.bad, g.one))))
-			for _, f := range m.files {
-				if f.test && !g.tests || !strings.HasPrefix(f.path, g.scope) {
-					continue
-				}
-				for _, d := range f.ast.Decls {
-					decl, _ := d.(*ast.FuncDecl)
-					if g.fn != "" && g.fn != funcName(decl) || slices.ContainsFunc(g.except, func(e string) bool {
-						p, fn, _ := strings.Cut(e, "#")
-						return strings.HasPrefix(f.path, p) && (fn == "" || fn == funcName(decl))
-					}) {
-						continue
-					}
-					ast.Inspect(d, func(n ast.Node) bool {
-						for _, p := range patterns {
-							if n != nil && f.match(n, p) {
-								found[p] = append(found[p], m.at(n))
-							}
-						}
-						return n != nil
-					})
-				}
-			}
+			patterns, found := g.find(m)
 			for _, p := range patterns {
 				switch k := want[p]; {
 				case len(found[p]) == 0 && k > 0:
@@ -180,6 +159,45 @@ func guards(gs ...guard) func(*archModule) []string {
 	}
 }
 
+// find lists g's patterns and, for each, where it matches in g's scope.
+func (g guard) find(m *archModule) (patterns []string, found map[string][]string) {
+	patterns, found = slices.Compact(slices.Sorted(slices.Values(slices.Concat(g.bad, g.one)))), map[string][]string{}
+	for _, f := range m.files {
+		if f.test && !g.tests || !strings.HasPrefix(f.path, g.scope) {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			decl, _ := d.(*ast.FuncDecl)
+			if g.fn != "" && g.fn != funcName(decl) || slices.ContainsFunc(g.except, func(e string) bool {
+				p, fn, _ := strings.Cut(e, "#")
+				return strings.HasPrefix(f.path, p) && (fn == "" || fn == funcName(decl))
+			}) {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				for _, p := range patterns {
+					if n != nil && f.match(n, p) {
+						found[p] = append(found[p], m.at(n))
+					}
+				}
+				return n != nil
+			})
+		}
+	}
+	return patterns, found
+}
+
+// mechanisms: a backend is declared once, as the core.Mechanism its vendor
+// package exports, and that value spells its key's only literal.
+func mechanisms(m *archModule) []string {
+	_, found := guard{except: strs("internal/core/"), one: strs("core.Mechanism{}")}.find(m)
+	keys := slices.Repeat(strs("core.BackendKey{}"), len(found["core.Mechanism{}"]))
+	return guards(
+		guard{except: strs("internal/core/", "internal/faults/#Injector.Cost", "internal/resilience/#Collector.Cost"),
+			bad: strs("func .Platform", "func .Method", "func .MinInterval", "func .Cost")},
+		guard{except: strs("internal/core/"), bad: strs("core.BackendKey{}"), one: keys})(m)
+}
+
 // match reports whether n is what pattern p describes (a glob as in path.Match):
 //
 //	pkg.Name   a selector on an imported package, Name a glob ("json.*")
@@ -190,6 +208,7 @@ func guards(gs ...guard) func(*archModule) []string {
 //	f()        a call of a function whose last identifier matches the glob f
 //	f(a)       such a call whose first argument is the string literal or the pkg.Name a, or ends in the identifier a
 //	"s"        the string literal s
+//	T{}        a composite literal of T, also as an element whose T a []T or map[K]T literal elides
 //	for        a loop
 //	x == ""    an identifier ending in x, in any case, compared with ""
 func (f *archFile) match(n ast.Node, p string) bool {
@@ -208,6 +227,9 @@ func (f *archFile) match(n ast.Node, p string) bool {
 		ok, _ := path.Match(glob, lastIdent(n.Fun))
 		return call && ok && strings.HasSuffix(p, ")") &&
 			(arg == "" || len(n.Args) > 0 && (strLit(n.Args[0]) == strconv.Quote(arg) || f.sel(n.Args[0]) == arg || lastIdent(n.Args[0]) == arg))
+	case *ast.CompositeLit:
+		t, ok := strings.CutSuffix(p, "{}")
+		return ok && cmp.Or(f.sel(n.Type), f.elided[n]) == t
 	case *ast.BasicLit:
 		return p == strLit(n)
 	case *ast.ForStmt, *ast.RangeStmt:
@@ -300,7 +322,8 @@ type archFile struct {
 	path    string
 	test    bool
 	ast     *ast.File
-	imports map[string]string // the name an import binds → its path's last element
+	imports map[string]string            // the name an import binds → its path's last element
+	elided  map[*ast.CompositeLit]string // an element literal → the pkg.Name its slice or map literal elides
 }
 
 type archModule struct {
@@ -319,7 +342,7 @@ func loadModule(t *testing.T) *archModule {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := &archFile{path: p, test: strings.HasSuffix(p, "_test.go"), ast: af, imports: map[string]string{}}
+		f := &archFile{path: p, test: strings.HasSuffix(p, "_test.go"), ast: af, imports: map[string]string{}, elided: map[*ast.CompositeLit]string{}}
 		for _, im := range af.Imports {
 			ip, _ := strconv.Unquote(im.Path.Value)
 			local := path.Base(ip)
@@ -328,6 +351,28 @@ func loadModule(t *testing.T) *archModule {
 			}
 			f.imports[local] = path.Base(ip)
 		}
+		ast.Inspect(af, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			var elt ast.Expr
+			switch t := lit.Type.(type) {
+			case *ast.ArrayType:
+				elt = t.Elt
+			case *ast.MapType:
+				elt = t.Value
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					e = kv.Value
+				}
+				if el, ok := e.(*ast.CompositeLit); ok && el.Type == nil && elt != nil {
+					f.elided[el] = f.sel(elt)
+				}
+			}
+			return true
+		})
 		m.files = append(m.files, f)
 	}
 	return m

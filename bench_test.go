@@ -15,6 +15,7 @@ import (
 	"envmon/internal/core"
 	"envmon/internal/experiments"
 	"envmon/internal/mic"
+	"envmon/internal/micras"
 	"envmon/internal/moneq"
 	"envmon/internal/rapl"
 	"envmon/internal/simclock"
@@ -79,7 +80,7 @@ func BenchmarkAblation_MonEQAlloc(b *testing.B) {
 			clock := simclock.New()
 			socket := rapl.NewSocket(rapl.Config{Name: "bench", Seed: benchSeed})
 			socket.Run(workload.GaussElim(30*time.Second), 0)
-			col, err := core.Build(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
+			col, err := core.Build(rapl.MSR.Key, socket)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -121,7 +122,7 @@ func BenchmarkScale_ClusterStep(b *testing.B) {
 		c.Run(workload.PhiGauss(time.Second, 2*time.Second), 0, time.Millisecond)
 		d := c.Domains(0)
 		for i := range c.Nodes {
-			col, err := core.Build(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, c.Nodes[i].PhiFS)
+			col, err := core.Build(micras.Daemon.Key, c.Nodes[i].PhiFS)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -237,10 +237,10 @@ func main() {
 
 	// Assemble the node and build every collector through the registry.
 	var set core.DeviceSet
-	set.Attach(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, card)
-	set.Attach(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
-	set.Attach(core.BackendKey{Platform: core.NVML, Method: "NVML"}, lib)
-	set.Attach(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, micras.NewFS(phi))
+	set.Attach(bgq.EMONAPI.Key, card)
+	set.Attach(rapl.MSR.Key, socket)
+	set.Attach(nvml.API.Key, nvml.Target{Lib: lib})
+	set.Attach(micras.Daemon.Key, micras.NewFS(phi))
 	scopes := []string{"node card (32 nodes)", "socket", "board", "card"}
 	names := []string{card.Name(), socket.Name(), "gpu0 (K20)", phi.Name()}
 

@@ -71,7 +71,7 @@ func main() {
 	}
 
 	var set core.DeviceSet
-	set.Attach(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, fs)
+	set.Attach(micras.Daemon.Key, fs)
 	cols, err := set.Collectors(core.DefaultRegistry)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "micsmc:", err)

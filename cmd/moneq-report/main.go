@@ -152,7 +152,7 @@ func demoSet(interval time.Duration) *trace.Set {
 	clock := simclock.New()
 	socket := rapl.NewSocket(rapl.Config{Name: "demo", Seed: 42})
 	socket.Run(workload.GaussElim(30*time.Second), 0)
-	col, err := core.Build(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
+	col, err := core.Build(rapl.MSR.Key, socket)
 	if err != nil {
 		panic(err)
 	}

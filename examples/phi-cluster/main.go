@@ -24,6 +24,7 @@ import (
 
 	"envmon/internal/cluster"
 	"envmon/internal/core"
+	"envmon/internal/micras"
 	"envmon/internal/moneq"
 	"envmon/internal/report"
 	"envmon/internal/telemetry"
@@ -90,7 +91,7 @@ func main() {
 		d := part.Domains(0)
 		bufs := make([]bytes.Buffer, len(part.Nodes))
 		job, err := d.StartJob(cluster.DomainJobConfig{
-			Backends: []core.BackendKey{{Platform: core.XeonPhi, Method: "MICRAS daemon"}},
+			Backends: []core.BackendKey{micras.Daemon.Key},
 			Output:   func(i int) io.Writer { return &bufs[i] },
 		})
 		if err != nil {
@@ -124,7 +125,7 @@ func main() {
 	d := part.Domains(0)
 	store := telemetry.New(telemetry.Options{Shards: 4})
 	job, err := d.StartJob(cluster.DomainJobConfig{
-		Backends: []core.BackendKey{{Platform: core.XeonPhi, Method: "MICRAS daemon"}},
+		Backends: []core.BackendKey{micras.Daemon.Key},
 		Output:   func(int) io.Writer { return io.Discard },
 		Sinks:    func(int) []moneq.Sink { return []moneq.Sink{telemetry.MonEQSink{Store: store}} },
 	})

@@ -10,29 +10,17 @@ import (
 // implements core.Collector. Every compute node on the card sees the same
 // EMON data — the node-card granularity limitation the paper emphasizes.
 type EMON struct {
+	core.Mechanism
 	card *NodeCard
 	// stats
 	queries int
 }
 
 // EMON returns the card's EMON API endpoint.
-func (nc *NodeCard) EMON() *EMON { return &EMON{card: nc} }
+func (nc *NodeCard) EMON() *EMON { return &EMON{Mechanism: EMONAPI, card: nc} }
 
 // Queries reports how many EMON queries have been issued on this endpoint.
 func (e *EMON) Queries() int { return e.queries }
-
-// Platform implements core.Collector.
-func (e *EMON) Platform() core.Platform { return core.BlueGeneQ }
-
-// Method implements core.Collector.
-func (e *EMON) Method() string { return "EMON" }
-
-// Cost implements core.Collector: 1.10 ms per collection (paper, II.A).
-func (e *EMON) Cost() time.Duration { return EMONReadCost }
-
-// MinInterval implements core.Collector: EMON produces a new generation
-// every 560 ms — the "lowest polling interval possible" on BG/Q.
-func (e *EMON) MinInterval() time.Duration { return EMONGeneration }
 
 // CollectInto implements core.Collector: per-domain power, voltage, and
 // current, plus the node-card total. The domains carry staggered generation

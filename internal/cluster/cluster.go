@@ -83,7 +83,7 @@ func (n *Node) Attach(key core.BackendKey, target any, run Runner, power PowerFu
 // PKG-plane power.
 func (n *Node) AttachSocket(s *rapl.Socket) {
 	n.Sockets = append(n.Sockets, s)
-	n.Attach(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, s, s.Run,
+	n.Attach(rapl.MSR.Key, s, s.Run,
 		func(t time.Duration) float64 { return s.TruePower(rapl.PKG, t) })
 }
 
@@ -94,8 +94,7 @@ func (n *Node) AttachGPUs(lib *nvml.Library, devs ...*nvml.Device) {
 	for i, d := range devs {
 		d := d
 		n.GPUs = append(n.GPUs, d)
-		n.Attach(core.BackendKey{Platform: core.NVML, Method: "NVML"},
-			nvml.Target{Lib: lib, Index: i}, d.Run,
+		n.Attach(nvml.API.Key, nvml.Target{Lib: lib, Index: i}, d.Run,
 			func(t time.Duration) float64 {
 				mw, ret := d.GetPowerUsage(t)
 				if ret != nvml.Success {
@@ -119,10 +118,8 @@ func (n *Node) AttachPhi(card *mic.Card) error {
 	n.PhiNet = net
 	n.PhiSysMgmt = svc
 	n.PhiFS = micras.NewFS(card)
-	n.Attach(core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
-		mic.InBandTarget{Net: net, Svc: svc}, card.Run, card.TotalPower)
-	n.Attach(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"},
-		n.PhiFS, nil, nil)
+	n.Attach(mic.InBand.Key, mic.InBandTarget{Net: net, Svc: svc}, card.Run, card.TotalPower)
+	n.Attach(micras.Daemon.Key, n.PhiFS, nil, nil)
 	return nil
 }
 

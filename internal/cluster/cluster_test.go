@@ -6,6 +6,7 @@ import (
 
 	"envmon/internal/core"
 	"envmon/internal/mic"
+	"envmon/internal/micras"
 	"envmon/internal/workload"
 )
 
@@ -266,8 +267,7 @@ func TestGenericAttach(t *testing.T) {
 	// the typed wrappers built it.
 	card := mic.New(mic.Config{Index: 0, Seed: 77})
 	n := &Node{Name: "generic"}
-	n.Attach(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"},
-		nil, card.Run, card.TotalPower)
+	n.Attach(micras.Daemon.Key, nil, card.Run, card.TotalPower)
 	n.Run(workload.PhiGauss(5*time.Second, 10*time.Second), 0)
 	if p := n.SumPower(core.XeonPhi, 20*time.Second); p <= 0 {
 		t.Errorf("generic node power = %v", p)

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"envmon/internal/core"
+	"envmon/internal/micras"
 	"envmon/internal/workload"
 )
 
 // micrasOnly restricts a domain job to the daemon path — one collector per
 // node, so the per-node CSV has a single unambiguous series set.
-var micrasOnly = []core.BackendKey{{Platform: core.XeonPhi, Method: "MICRAS daemon"}}
+var micrasOnly = []core.BackendKey{micras.Daemon.Key}
 
 // domainJobCSV runs a sharded cluster profiling job and returns every
 // node's CSV concatenated in node order.

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"envmon/internal/core"
+	"envmon/internal/mic"
+	"envmon/internal/micras"
 	"envmon/internal/resilience"
 )
 
@@ -14,26 +16,13 @@ type ChainSpec struct {
 	Fallbacks []core.BackendKey
 }
 
-// DefaultChains mirrors the paper's degraded-mode paths:
-//
-//   - The Xeon Phi in-band SysMgmt API — the fast path through the SCIF
-//     network — falls back to the MICRAS daemon's pseudo-file, which stays
-//     readable when the in-band agent is down (at daemon granularity and
-//     cost).
-//   - BG/Q EMON falls back to the central environmental database: coarser
-//     (one batch per 60–1800 s polling interval) and staler, but fed
-//     independently of the card's own query path.
+// DefaultChains mirrors the paper's degraded-mode path on the nodes a
+// cluster builds: the Xeon Phi in-band SysMgmt API — the fast path through
+// the SCIF network — falls back to the MICRAS daemon's pseudo-file, which
+// stays readable when the in-band agent is down (at daemon granularity and
+// cost).
 func DefaultChains() []ChainSpec {
-	return []ChainSpec{
-		{
-			Primary:   core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
-			Fallbacks: []core.BackendKey{{Platform: core.XeonPhi, Method: "MICRAS daemon"}},
-		},
-		{
-			Primary:   core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"},
-			Fallbacks: []core.BackendKey{{Platform: core.BlueGeneQ, Method: "envdb backfill"}},
-		},
-	}
+	return []ChainSpec{{Primary: mic.InBand.Key, Fallbacks: []core.BackendKey{micras.Daemon.Key}}}
 }
 
 // buildResilient builds one node's collectors through reg and folds them

@@ -2,17 +2,21 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"envmon/internal/bgq"
 	"envmon/internal/core"
 	"envmon/internal/envdb"
 	"envmon/internal/faults"
+	"envmon/internal/ipmb"
 	"envmon/internal/mic"
 	"envmon/internal/micras"
 	"envmon/internal/msr"
 	"envmon/internal/nvml"
 	"envmon/internal/rapl"
+	"envmon/internal/scif"
 )
 
 // faultingMSR is a register whose reads fault like rdmsr on a dying part.
@@ -47,10 +51,10 @@ func conformanceCases() []conformanceCase {
 		{
 			// RAPL via the MSR driver: a status MSR starts faulting (#GP),
 			// then a working register comes back.
-			key: core.BackendKey{Platform: core.RAPL, Method: "MSR"},
+			key: rapl.MSR.Key,
 			build: func(t *testing.T) (core.Collector, func(), func()) {
 				sock := rapl.NewSocket(rapl.Config{Name: "conf0", Seed: 7})
-				col, err := core.Build(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, rapl.MSRTarget{Socket: sock})
+				col, err := core.Build(rapl.MSR.Key, sock)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,12 +73,12 @@ func conformanceCases() []conformanceCase {
 		},
 		{
 			// NVML: the GPU enters NVML_ERROR_GPU_IS_LOST, then recovers.
-			key: core.BackendKey{Platform: core.NVML, Method: "NVML"},
+			key: nvml.API.Key,
 			build: func(t *testing.T) (core.Collector, func(), func()) {
 				dev := nvml.NewDevice(nvml.K20Spec(), 0, 7)
 				lib := nvml.NewLibrary(dev)
 				lib.Init()
-				col, err := core.Build(core.BackendKey{Platform: core.NVML, Method: "NVML"}, nvml.Target{Lib: lib, Index: 0})
+				col, err := core.Build(nvml.API.Key, nvml.Target{Lib: lib})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,10 +91,10 @@ func conformanceCases() []conformanceCase {
 		{
 			// Xeon Phi via the MICRAS daemon: the polling session closes.
 			// A closed session never comes back — no heal.
-			key: core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"},
+			key: micras.Daemon.Key,
 			build: func(t *testing.T) (core.Collector, func(), func()) {
 				card := mic.New(mic.Config{Index: 0, Seed: 7})
-				col, err := core.Build(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, card)
+				col, err := core.Build(micras.Daemon.Key, micras.NewFS(card))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +108,7 @@ func conformanceCases() []conformanceCase {
 			// itself cannot fail, but its delivery path can — the backfill
 			// collector errors when the database has nothing in its window
 			// and answers again once records flow.
-			key: core.BackendKey{Platform: core.BlueGeneQ, Method: "envdb backfill"},
+			key: envdb.BackfillQuery.Key,
 			build: func(t *testing.T) (core.Collector, func(), func()) {
 				db := envdb.New()
 				loc := envdb.Location("R00-M0-N00")
@@ -112,7 +116,7 @@ func conformanceCases() []conformanceCase {
 					db.Insert(envdb.Record{Time: at, Location: loc, Sensor: "output_power", Value: w, Unit: "W"})
 				}
 				insert(30*time.Second, 1800)
-				col, err := core.Build(core.BackendKey{Platform: core.BlueGeneQ, Method: "envdb backfill"}, envdb.BackfillTarget{DB: db, Location: loc})
+				col, err := core.Build(envdb.BackfillQuery.Key, envdb.BackfillTarget{DB: db, Location: loc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,13 +223,88 @@ func TestInjectedTransientIsUniformAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestBadTargetIsUniformAcrossBackends checks every conformance backend
-// rejects a target of the wrong type with the shared sentinel, so callers
-// can always distinguish miswiring from device failure.
+// backend pairs an exported Mechanism with a builder of the one target
+// type its factory accepts.
+type backend struct {
+	mech   core.Mechanism
+	target func(t *testing.T) any
+}
+
+func backends() []backend {
+	socket := func(*testing.T) any { return rapl.NewSocket(rapl.Config{Name: "bt", Seed: 7}) }
+	card := func() *mic.Card { return mic.New(mic.Config{Index: 0, Seed: 7}) }
+	return []backend{
+		{rapl.MSR, socket},
+		{rapl.Perf, socket},
+		{nvml.API, func(*testing.T) any {
+			lib := nvml.NewLibrary(nvml.NewDevice(nvml.K20Spec(), 0, 7))
+			lib.Init()
+			return nvml.Target{Lib: lib}
+		}},
+		{bgq.EMONAPI, func(*testing.T) any { return bgq.New(bgq.Config{Racks: 1, Seed: 7}).NodeCards()[0] }},
+		{envdb.BackfillQuery, func(*testing.T) any { return envdb.BackfillTarget{DB: envdb.New(), Location: "R00-M0-N00"} }},
+		{micras.Daemon, func(*testing.T) any { return micras.NewFS(card()) }},
+		{mic.InBand, func(t *testing.T) any {
+			net := scif.NewNetwork(1)
+			svc, err := mic.StartSysMgmt(net, 1, card())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mic.InBandTarget{Net: net, Svc: svc}
+		}},
+		{mic.OOB, func(*testing.T) any {
+			bus := ipmb.NewBus()
+			smc := card().SMC(0)
+			bus.Attach(smc)
+			return mic.OOBTarget{BMC: ipmb.NewBMC(bus), SMCAddr: smc.SlaveAddr()}
+		}},
+	}
+}
+
+// TestBadTargetIsUniformAcrossBackends checks every registered backend
+// against its exported Mechanism: any other backend's target type, and the
+// device handles a caller might pass by mistake, are rejected with the
+// shared sentinel, so callers can always distinguish miswiring from device
+// failure; the one accepted type builds a collector reporting the
+// Mechanism's key, cost and interval.
 func TestBadTargetIsUniformAcrossBackends(t *testing.T) {
-	for _, tc := range conformanceCases() {
-		if _, err := core.Build(tc.key, struct{}{}); !errors.Is(err, core.ErrBadTarget) {
-			t.Errorf("%s: bad-target err = %v, want ErrBadTarget", tc.key, err)
-		}
+	all := backends()
+	byKey := map[core.BackendKey]backend{}
+	wrongs := []any{nil, struct{}{}, mic.New(mic.Config{}), nvml.NewLibrary()}
+	for _, b := range all {
+		byKey[b.mech.Key] = b
+		wrongs = append(wrongs, b.target(t))
+	}
+	keys := core.DefaultRegistry.Keys()
+	if len(keys) != len(all) {
+		t.Errorf("%d registered backends, %d exported mechanisms", len(keys), len(all))
+	}
+	for _, key := range keys {
+		t.Run(key.String(), func(t *testing.T) {
+			b, ok := byKey[key]
+			if !ok {
+				t.Fatalf("no Mechanism for registered backend %s", key)
+			}
+			want := b.target(t)
+			for _, wrong := range wrongs {
+				if fmt.Sprintf("%T", wrong) == fmt.Sprintf("%T", want) {
+					continue
+				}
+				if _, err := core.Build(key, wrong); !errors.Is(err, core.ErrBadTarget) {
+					t.Errorf("target %T: err = %v, want ErrBadTarget", wrong, err)
+				}
+			}
+			col, err := core.Build(key, want)
+			if err != nil {
+				t.Fatalf("target %T: %v", want, err)
+			}
+			if col.Platform() != key.Platform || col.Method() != key.Method {
+				t.Errorf("identity = %s/%s, want %s", col.Platform(), col.Method(), key)
+			}
+			if col.Cost() != b.mech.Cost() || col.MinInterval() != b.mech.MinInterval() {
+				t.Errorf("Cost %v / MinInterval %v, Mechanism says %v / %v",
+					col.Cost(), col.MinInterval(), b.mech.Cost(), b.mech.MinInterval())
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // ErrUnknownBackend is returned by Build when no factory is registered for
@@ -28,11 +29,35 @@ func (k BackendKey) String() string {
 	return fmt.Sprintf("%s/%s", k.Platform, k.Method)
 }
 
+// Mechanism is one vendor access path as the paper compares them: the key
+// it registers under, the simulated cost of one query, and the lowest
+// interval at which polling still yields fresh data (so cost ÷ interval is
+// its overhead share). Each vendor package exports one Mechanism per
+// backend; its collector embeds it, which supplies the identity half of
+// Collector, and every other package names the backend through it.
+type Mechanism struct {
+	Key      BackendKey
+	PerQuery time.Duration
+	Interval time.Duration
+}
+
+// Platform implements Collector.
+func (m Mechanism) Platform() Platform { return m.Key.Platform }
+
+// Method implements Collector.
+func (m Mechanism) Method() string { return m.Key.Method }
+
+// Cost implements Collector.
+func (m Mechanism) Cost() time.Duration { return m.PerQuery }
+
+// MinInterval implements Collector.
+func (m Mechanism) MinInterval() time.Duration { return m.Interval }
+
 // Factory constructs a collector for one backend. target carries the
-// vendor-specific handle the mechanism attaches to — a *rapl.Socket, an
-// *nvml.Device, a *bgq.NodeCard, a mic target struct. A factory must return
-// ErrBadTarget (wrapped or bare) when handed a target it does not
-// understand, so callers can distinguish miswiring from device errors.
+// vendor-specific handle the mechanism attaches to, one type per backend —
+// a *rapl.Socket, an nvml.Target, a *bgq.NodeCard, a mic target struct. A
+// factory must return ErrBadTarget (wrapped or bare) when handed any other
+// type, so callers can distinguish miswiring from device errors.
 type Factory func(target any) (Collector, error)
 
 // Registry maps backend keys to collector factories. Vendor packages

@@ -7,10 +7,17 @@ import (
 	"envmon/internal/core"
 )
 
-// BackfillQueryCost models one query against the central database server —
-// a remote round trip, slower than the on-card EMON read but available even
-// when the card's own query path is down.
-const BackfillQueryCost = 2 * time.Millisecond
+// BackfillQuery is the BG/Q fallback mechanism: one query against the
+// central database server, modeled at 2 ms — a remote round trip, slower
+// than the on-card EMON read but available even when the card's own query
+// path is down. The database gains new data only as fast as its pollers
+// insert it, so querying below the average polling interval returns the
+// same records again.
+var BackfillQuery = core.Mechanism{
+	Key:      core.BackendKey{Platform: core.BlueGeneQ, Method: "envdb backfill"},
+	PerQuery: 2 * time.Millisecond,
+	Interval: DefaultPollInterval,
+}
 
 // BackfillWindow is how far back a Backfill collector looks for
 // records. Two maximum polling intervals guarantee at least one batch from
@@ -22,8 +29,8 @@ const BackfillWindow = 2 * MaxPollInterval
 // are the per-job EMON query and the central environmental database; when
 // EMON is unreachable (node card lost, service network partition), the
 // database still holds the bulk-power view of the card, fed independently
-// by the infrastructure pollers. A resilience chain uses this collector as
-// the last source behind EMON: coarser (one batch per polling interval,
+// by the infrastructure pollers. A resilience chain can use this collector
+// as the last source behind EMON: coarser (one batch per polling interval,
 // 60–1800 s) and staler, but alive.
 //
 // Collect reports the newest record of each known sensor inside the
@@ -31,6 +38,7 @@ const BackfillWindow = 2 * MaxPollInterval
 // data here can lag the query time by a full polling interval, the same
 // staleness convention EMON's generation timestamps use.
 type Backfill struct {
+	core.Mechanism
 	db  *DB
 	loc Location
 	// stats
@@ -47,7 +55,7 @@ type BackfillTarget struct {
 
 // NewBackfill returns a collector over db for the given location.
 func NewBackfill(db *DB, loc Location) *Backfill {
-	return &Backfill{db: db, loc: loc}
+	return &Backfill{Mechanism: BackfillQuery, db: db, loc: loc}
 }
 
 // Queries reports how many database queries this collector has issued.
@@ -56,20 +64,6 @@ func (b *Backfill) Queries() int { return b.queries }
 // Skipped reports how many records were ignored because their sensor name
 // has no capability mapping.
 func (b *Backfill) Skipped() int { return b.skipped }
-
-// Platform implements core.Collector.
-func (b *Backfill) Platform() core.Platform { return core.BlueGeneQ }
-
-// Method implements core.Collector.
-func (b *Backfill) Method() string { return "envdb backfill" }
-
-// Cost implements core.Collector.
-func (b *Backfill) Cost() time.Duration { return BackfillQueryCost }
-
-// MinInterval implements core.Collector: the database gains new data only
-// as fast as its pollers insert it, so querying below the average polling
-// interval returns the same records again.
-func (b *Backfill) MinInterval() time.Duration { return DefaultPollInterval }
 
 // backfillSensor maps one environmental-database sensor name onto the
 // vendor-neutral capability taxonomy. The emission order below is the
@@ -158,17 +152,14 @@ func init() {
 	if len(backfillSensors) != numBackfillSensors {
 		panic("envdb: numBackfillSensors out of date")
 	}
-	core.Register(core.BackendKey{Platform: core.BlueGeneQ, Method: "envdb backfill"}, func(target any) (core.Collector, error) {
-		switch t := target.(type) {
-		case BackfillTarget:
-			if t.DB == nil {
-				return nil, fmt.Errorf("%w: envdb backfill needs a database", core.ErrBadTarget)
-			}
-			return NewBackfill(t.DB, t.Location), nil
-		case *Backfill:
-			return t, nil
-		default:
-			return nil, fmt.Errorf("%w: envdb backfill wants envdb.BackfillTarget or *envdb.Backfill, got %T", core.ErrBadTarget, target)
+	core.Register(BackfillQuery.Key, func(target any) (core.Collector, error) {
+		t, ok := target.(BackfillTarget)
+		if !ok {
+			return nil, fmt.Errorf("%w: envdb backfill wants envdb.BackfillTarget, got %T", core.ErrBadTarget, target)
 		}
+		if t.DB == nil {
+			return nil, fmt.Errorf("%w: envdb backfill needs a database", core.ErrBadTarget)
+		}
+		return NewBackfill(t.DB, t.Location), nil
 	})
 }

@@ -63,7 +63,7 @@ func TestBackfillEmptyWindowIsAnError(t *testing.T) {
 func TestBackfillRegistered(t *testing.T) {
 	db := New()
 	db.Insert(Record{Time: time.Second, Location: "R00-B0", Sensor: "output_power", Value: 1800, Unit: "W"})
-	key := core.BackendKey{Platform: core.BlueGeneQ, Method: "envdb backfill"}
+	key := BackfillQuery.Key
 	col, err := core.Build(key, BackfillTarget{DB: db, Location: "R00-B0"})
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,15 @@ type Result struct {
 	Notes []string
 }
 
+// noteSkipped records how many polls a poll loop skipped because the
+// collector failed. Only a -faults plan makes a simulated mechanism fail,
+// so without one the output is unchanged.
+func (r *Result) noteSkipped(failed int) {
+	if failed > 0 {
+		r.Notes = append(r.Notes, fmt.Sprintf("%d failed poll(s) skipped", failed))
+	}
+}
+
 // Passed reports whether every shape check succeeded.
 func (r Result) Passed() bool {
 	for _, c := range r.Checks {

@@ -8,6 +8,7 @@ import (
 
 	"envmon/internal/cluster"
 	"envmon/internal/core"
+	"envmon/internal/micras"
 	"envmon/internal/moneq"
 	"envmon/internal/workload"
 )
@@ -33,7 +34,6 @@ func runScaleDomains(seed uint64) Result {
 		Title:   fmt.Sprintf("Sharded MonEQ job on %d Phi nodes, %v window", nodes, window),
 		Headers: []string{"Workers", "Domains", "Polls/node", "Samples", "Identical to serial"},
 	}
-	micrasKey := []core.BackendKey{{Platform: core.XeonPhi, Method: "MICRAS daemon"}}
 	run := func(workers int) (moneq.JobReport, []byte) {
 		c, err := cluster.NewStampede(nodes, seed)
 		if err != nil {
@@ -43,7 +43,7 @@ func runScaleDomains(seed uint64) Result {
 		d := c.Domains(0)
 		bufs := make([]bytes.Buffer, nodes)
 		job, err := d.StartJob(cluster.DomainJobConfig{
-			Backends: micrasKey,
+			Backends: []core.BackendKey{micras.Daemon.Key},
 			Output:   func(i int) io.Writer { return &bufs[i] },
 		})
 		if err != nil {

@@ -106,7 +106,7 @@ func RunTable3Scale(seed uint64, nodes int) Table3Row {
 	machine.Run(workload.FixedRuntime(table3Runtime), 0, card)
 	m, err := moneq.Initialize(moneq.Config{
 		Clock: clock, Node: card.Name(), NumTasks: nodes,
-	}, mustBuild(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, card))
+	}, mustBuild(bgq.EMONAPI.Key, card))
 	if err != nil {
 		panic(fmt.Sprintf("table3: %v", err)) // programmer error in harness
 	}
@@ -178,8 +178,11 @@ type QueryCostRow struct {
 
 // MeasureQueryCosts exercises every mechanism once and reports measured
 // per-query costs (for the SCIF and IPMB paths, measured from the simulated
-// transaction completion time rather than the nominal constant). All seven
-// collectors are built through the core registry.
+// transaction completion time rather than the nominal constant). The four
+// nominal-cost collectors are built through the core registry, the three
+// Xeon Phi paths with their vendor constructors: the table times the SCIF
+// and IPMB round trips itself, which a -faults wrapper would hide, and
+// closes the daemon session.
 func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	var rows []QueryCostRow
 	addRow := func(c core.Collector, measured time.Duration, paper string) {
@@ -195,21 +198,21 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 
 	// BG/Q EMON
 	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
-	emon := mustBuild(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, machine.NodeCards()[0])
+	emon := mustBuild(bgq.EMONAPI.Key, machine.NodeCards()[0])
 	addRow(emon, emon.Cost(), "1.10 ms")
 
 	// RAPL via MSR and perf
 	socket := rapl.NewSocket(rapl.Config{Name: "t4", Seed: seed})
-	msrCol := mustBuild(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
+	msrCol := mustBuild(rapl.MSR.Key, socket)
 	addRow(msrCol, msrCol.Cost(), "0.03 ms")
-	perf := mustBuild(core.BackendKey{Platform: core.RAPL, Method: "perf"}, socket)
+	perf := mustBuild(rapl.Perf.Key, socket)
 	addRow(perf, perf.Cost(), "untested (expected > MSR)")
 
 	// NVML
 	gpu := nvml.NewDevice(nvml.K20Spec(), 0, seed)
 	lib := nvml.NewLibrary(gpu)
 	lib.Init()
-	gpuCol := mustBuild(core.BackendKey{Platform: core.NVML, Method: "NVML"}, lib)
+	gpuCol := mustBuild(nvml.API.Key, nvml.Target{Lib: lib})
 	addRow(gpuCol, gpuCol.Cost(), "1.3 ms")
 
 	// Xeon Phi in-band: measure an actual SCIF round trip.
@@ -219,8 +222,7 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	if err != nil {
 		panic(err)
 	}
-	inband := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
-		mic.InBandTarget{Net: net, Svc: svc}).(*mic.InBandCollector)
+	inband := mic.NewInBandCollector(net, svc)
 	start := time.Second
 	if _, err := inband.CollectInto(nil, start); err != nil {
 		panic(err)
@@ -228,7 +230,7 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	addRow(inband, inband.LastDone()-start, "14.2 ms")
 
 	// Xeon Phi daemon
-	daemon := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, card).(*micras.Collector)
+	daemon := micras.NewCollector(micras.NewFS(card))
 	defer daemon.Close()
 	addRow(daemon, daemon.Cost(), "0.04 ms")
 
@@ -236,8 +238,7 @@ func MeasureQueryCosts(seed uint64) []QueryCostRow {
 	bus := ipmb.NewBus()
 	smc := card.SMC(0)
 	bus.Attach(smc)
-	oob := mustBuild(core.BackendKey{Platform: core.XeonPhi, Method: "SMC/IPMB out-of-band"},
-		mic.OOBTarget{BMC: ipmb.NewBMC(bus), SMCAddr: smc.SlaveAddr()}).(*mic.OOBCollector)
+	oob := mic.NewOOBCollector(ipmb.NewBMC(bus), smc.SlaveAddr())
 	start = 2 * time.Second
 	if _, err := oob.CollectInto(nil, start); err != nil {
 		panic(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"envmon/internal/bgq"
-	"envmon/internal/core"
 	"envmon/internal/envdb"
 	"envmon/internal/mic"
 	"envmon/internal/msr"
@@ -42,7 +41,7 @@ func runTable5Tools(seed uint64) Result {
 
 	// Prove the MonEQ row: one Collect on each platform's collector.
 	machine := bgq.New(bgq.Config{Racks: 1, Seed: seed})
-	emon := mustBuild(core.BackendKey{Platform: core.BlueGeneQ, Method: "EMON"}, machine.NodeCards()[0])
+	emon := mustBuild(bgq.EMONAPI.Key, machine.NodeCards()[0])
 	emonOK := false
 	if rs, err := emon.CollectInto(nil, time.Second); err == nil && len(rs) > 0 {
 		emonOK = true

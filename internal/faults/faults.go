@@ -136,7 +136,7 @@ type Counters struct {
 // core.Collector and is driven from the wrapped
 // collector's clock domain, so it needs no locking.
 type Injector struct {
-	col      core.Collector
+	core.Collector
 	plan     Plan
 	rng      *simrand.Source
 	instance int
@@ -152,25 +152,16 @@ type Injector struct {
 // build index used by Loss matching.
 func Wrap(col core.Collector, plan Plan, label string, instance int) *Injector {
 	return &Injector{
-		col:      col,
-		plan:     plan,
-		rng:      simrand.New(plan.Seed).Split(label),
-		instance: instance,
-		lastCost: col.Cost(),
+		Collector: col,
+		plan:      plan,
+		rng:       simrand.New(plan.Seed).Split(label),
+		instance:  instance,
+		lastCost:  col.Cost(),
 	}
 }
 
 // Counters reports the injection counts so far.
 func (j *Injector) Counters() Counters { return j.counters }
-
-// Platform implements core.Collector.
-func (j *Injector) Platform() core.Platform { return j.col.Platform() }
-
-// Method implements core.Collector.
-func (j *Injector) Method() string { return j.col.Method() }
-
-// MinInterval implements core.Collector.
-func (j *Injector) MinInterval() time.Duration { return j.col.MinInterval() }
 
 // Cost implements core.Collector: the wrapped mechanism's cost for the
 // most recent poll, inflated on a spiked poll. Failed polls still cost the
@@ -180,7 +171,7 @@ func (j *Injector) Cost() time.Duration { return j.lastCost }
 // lost reports whether a loss window covers now for this instance.
 func (j *Injector) lost(now time.Duration) bool {
 	for _, l := range j.plan.Lose {
-		if l.matches(j.col.Method(), j.instance) && now >= l.At && (l.Until == 0 || now < l.Until) {
+		if l.matches(j.Method(), j.instance) && now >= l.At && (l.Until == 0 || now < l.Until) {
 			return true
 		}
 	}
@@ -192,14 +183,14 @@ func (j *Injector) lost(now time.Duration) bool {
 // consumed identically on every replay.
 func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	j.counters.Polls++
-	j.lastCost = j.col.Cost()
+	j.lastCost = j.Collector.Cost()
 	if j.lost(now) {
 		j.counters.LostPolls++
-		return buf[:0], fmt.Errorf("faults: %s: %w", j.col.Method(), ErrDeviceLost)
+		return buf[:0], fmt.Errorf("faults: %s: %w", j.Method(), ErrDeviceLost)
 	}
 	if p := j.plan.Flap; p > 0 && (now/p)%2 == 1 {
 		j.counters.FlapPolls++
-		return buf[:0], fmt.Errorf("faults: %s: %w", j.col.Method(), ErrFlapping)
+		return buf[:0], fmt.Errorf("faults: %s: %w", j.Method(), ErrFlapping)
 	}
 	if now < j.stuckUntil && len(j.cache) > 0 {
 		j.counters.StuckPolls++
@@ -207,7 +198,7 @@ func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Re
 	}
 	if j.rng.Bool(j.plan.Transient) {
 		j.counters.Transients++
-		return buf[:0], fmt.Errorf("faults: %s: %w", j.col.Method(), ErrTransient)
+		return buf[:0], fmt.Errorf("faults: %s: %w", j.Method(), ErrTransient)
 	}
 	if j.rng.Bool(j.plan.Spike) {
 		j.counters.Spikes++
@@ -216,7 +207,7 @@ func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Re
 			factor = 10
 		}
 		// A cost past the largest Duration saturates rather than wrapping.
-		if c := float64(j.col.Cost()) * factor; c < math.MaxInt64 {
+		if c := float64(j.Collector.Cost()) * factor; c < math.MaxInt64 {
 			j.lastCost = time.Duration(c)
 		} else {
 			j.lastCost = math.MaxInt64
@@ -229,7 +220,7 @@ func (j *Injector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Re
 		}
 		j.stuckUntil = now + dur
 	}
-	readings, err := j.col.CollectInto(buf, now)
+	readings, err := j.Collector.CollectInto(buf, now)
 	if err == nil {
 		j.cache = append(j.cache[:0], readings...)
 	}

@@ -44,6 +44,7 @@ func StartSysMgmt(net *scif.Network, node scif.NodeID, card *Card) (*SysMgmtServ
 // "which uses the symmetric communication interface (SCIF) network and the
 // capabilities designed into the coprocessor OS and the host driver").
 type InBandCollector struct {
+	core.Mechanism
 	net      *scif.Network
 	svc      *SysMgmtService
 	client   scif.NodeID
@@ -54,22 +55,8 @@ type InBandCollector struct {
 // NewInBandCollector returns a collector calling the card's SysMgmt agent
 // from the host node.
 func NewInBandCollector(net *scif.Network, svc *SysMgmtService) *InBandCollector {
-	return &InBandCollector{net: net, svc: svc, client: scif.HostNode}
+	return &InBandCollector{Mechanism: InBand, net: net, svc: svc, client: scif.HostNode}
 }
-
-// Platform implements core.Collector.
-func (c *InBandCollector) Platform() core.Platform { return core.XeonPhi }
-
-// Method implements core.Collector.
-func (c *InBandCollector) Method() string { return "SysMgmt API" }
-
-// Cost implements core.Collector.
-func (c *InBandCollector) Cost() time.Duration { return InBandQueryCost }
-
-// MinInterval implements core.Collector: the SMC refreshes every 50 ms,
-// but a 14.2 ms query cost makes anything faster than ~50 ms polling
-// pathological.
-func (c *InBandCollector) MinInterval() time.Duration { return SMCUpdatePeriod }
 
 // Queries reports how many Collect calls have been made.
 func (c *InBandCollector) Queries() int { return c.queries }
@@ -117,6 +104,7 @@ func appendSnapshotReadings(buf []core.Reading, s Snapshot, at time.Duration) []
 // OOBCollector is the out-of-band path: BMC queries over IPMB. Slow (the
 // I²C bus dominates) but invisible to the card's compute resources.
 type OOBCollector struct {
+	core.Mechanism
 	bmc      *ipmb.BMC
 	addr     byte
 	queries  int
@@ -130,20 +118,8 @@ const OOBQueryCost = 4500 * time.Microsecond
 // NewOOBCollector returns a collector querying the SMC at the given slave
 // address through the platform BMC.
 func NewOOBCollector(bmc *ipmb.BMC, smcAddr byte) *OOBCollector {
-	return &OOBCollector{bmc: bmc, addr: smcAddr}
+	return &OOBCollector{Mechanism: OOB, bmc: bmc, addr: smcAddr}
 }
-
-// Platform implements core.Collector.
-func (c *OOBCollector) Platform() core.Platform { return core.XeonPhi }
-
-// Method implements core.Collector.
-func (c *OOBCollector) Method() string { return "SMC/IPMB out-of-band" }
-
-// Cost implements core.Collector.
-func (c *OOBCollector) Cost() time.Duration { return OOBQueryCost }
-
-// MinInterval implements core.Collector: bounded by the SMC refresh.
-func (c *OOBCollector) MinInterval() time.Duration { return SMCUpdatePeriod }
 
 // Queries reports how many Collect calls have been made.
 func (c *OOBCollector) Queries() int { return c.queries }

@@ -22,15 +22,32 @@ type OOBTarget struct {
 	SMCAddr byte
 }
 
+// InBand is the Xeon Phi SysMgmt API over SCIF: 14.2 ms per query (paper,
+// II.D). The SMC refreshes every 50 ms, and a 14.2 ms query cost makes
+// anything faster pathological.
+var InBand = core.Mechanism{
+	Key:      core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"},
+	PerQuery: InBandQueryCost,
+	Interval: SMCUpdatePeriod,
+}
+
+// OOB is the out-of-band path, BMC queries of the SMC over IPMB, bounded by
+// the SMC refresh.
+var OOB = core.Mechanism{
+	Key:      core.BackendKey{Platform: core.XeonPhi, Method: "SMC/IPMB out-of-band"},
+	PerQuery: OOBQueryCost,
+	Interval: SMCUpdatePeriod,
+}
+
 func init() {
-	core.Register(core.BackendKey{Platform: core.XeonPhi, Method: "SysMgmt API"}, func(target any) (core.Collector, error) {
+	core.Register(InBand.Key, func(target any) (core.Collector, error) {
 		t, ok := target.(InBandTarget)
 		if !ok {
 			return nil, fmt.Errorf("%w: SysMgmt API wants mic.InBandTarget, got %T", core.ErrBadTarget, target)
 		}
 		return NewInBandCollector(t.Net, t.Svc), nil
 	})
-	core.Register(core.BackendKey{Platform: core.XeonPhi, Method: "SMC/IPMB out-of-band"}, func(target any) (core.Collector, error) {
+	core.Register(OOB.Key, func(target any) (core.Collector, error) {
 		t, ok := target.(OOBTarget)
 		if !ok {
 			return nil, fmt.Errorf("%w: SMC/IPMB wants mic.OOBTarget, got %T", core.ErrBadTarget, target)

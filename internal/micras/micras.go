@@ -133,6 +133,7 @@ func ParseKV(content []byte) (map[string]int64, error) {
 // implements core.Collector. While open, it holds the card's daemon-busy
 // contention cost; Close releases it.
 type Collector struct {
+	core.Mechanism
 	fs      *FS
 	closed  bool
 	queries int
@@ -141,7 +142,7 @@ type Collector struct {
 // NewCollector opens a device-side polling session against the daemon.
 func NewCollector(fs *FS) *Collector {
 	fs.card.SetDaemonBusy(true)
-	return &Collector{fs: fs}
+	return &Collector{Mechanism: Daemon, fs: fs}
 }
 
 // Close ends the polling session, releasing the on-card contention.
@@ -151,19 +152,6 @@ func (c *Collector) Close() {
 		c.fs.card.SetDaemonBusy(false)
 	}
 }
-
-// Platform implements core.Collector.
-func (c *Collector) Platform() core.Platform { return core.XeonPhi }
-
-// Method implements core.Collector.
-func (c *Collector) Method() string { return "MICRAS daemon" }
-
-// Cost implements core.Collector: ~0.04 ms per query.
-func (c *Collector) Cost() time.Duration { return mic.DaemonQueryCost }
-
-// MinInterval implements core.Collector: the files re-render per read but
-// the underlying SMC registers refresh every 50 ms.
-func (c *Collector) MinInterval() time.Duration { return mic.SMCUpdatePeriod }
 
 // Queries reports how many Collect calls have been made.
 func (c *Collector) Queries() int { return c.queries }

@@ -42,9 +42,9 @@ func buildMixed(t *testing.T) []core.Collector {
 	fs := micras.NewFS(card)
 
 	var set core.DeviceSet
-	set.Attach(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
-	set.Attach(core.BackendKey{Platform: core.NVML, Method: "NVML"}, lib)
-	set.Attach(core.BackendKey{Platform: core.XeonPhi, Method: "MICRAS daemon"}, fs)
+	set.Attach(rapl.MSR.Key, socket)
+	set.Attach(nvml.API.Key, nvml.Target{Lib: lib})
+	set.Attach(micras.Daemon.Key, fs)
 	cols, err := set.Collectors(core.DefaultRegistry)
 	if err != nil {
 		t.Fatal(err)
@@ -97,20 +97,10 @@ func TestMixedBackendSession(t *testing.T) {
 	}
 
 	// Collection cost is per-mechanism cadence times per-query cost.
-	wantCost := 100*msrReadCost() + 100*nvml.QueryCost + 120*mic.DaemonQueryCost
+	wantCost := 100*rapl.MSR.Cost() + 100*nvml.QueryCost + 120*mic.DaemonQueryCost
 	if r.CollectionCost != wantCost {
 		t.Errorf("CollectionCost = %v, want %v", r.CollectionCost, wantCost)
 	}
-}
-
-// msrReadCost avoids importing msr just for one constant in assertions.
-func msrReadCost() time.Duration {
-	socket := rapl.NewSocket(rapl.Config{Name: "cost", Seed: 1})
-	col, err := core.Build(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
-	if err != nil {
-		panic(err)
-	}
-	return col.Cost()
 }
 
 // deadCollector fails every Collect from call failFrom on.
@@ -265,7 +255,7 @@ func TestSteadyStatePollZeroAllocs(t *testing.T) {
 	clock := simclock.New()
 	socket := rapl.NewSocket(rapl.Config{Name: "a0", Seed: 11})
 	socket.Run(workload.FixedRuntime(time.Hour), 0)
-	col, err := core.Build(core.BackendKey{Platform: core.RAPL, Method: "MSR"}, socket)
+	col, err := core.Build(rapl.MSR.Key, socket)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,41 +141,3 @@ func (d *Device) GetMemoryInfo(now time.Duration) (MemoryInfo, Return) {
 		FreeBytes:  d.spec.MemoryBytes - used,
 	}, Success
 }
-
-// GetClockInfo mirrors nvmlDeviceGetClockInfo (MHz). The SM clock drops to
-// an idle P-state when nothing is resident.
-func (d *Device) GetClockInfo(ct ClockType, now time.Duration) (uint, Return) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch ct {
-	case ClockGraphics:
-		if d.activityAt(now).Compute > 0 {
-			return d.spec.SMClockMHz, Success
-		}
-		return 324, Success // idle P8 clock
-	case ClockMem:
-		return d.spec.MemClockMHz, Success
-	default:
-		return 0, ErrorInvalidArgument
-	}
-}
-
-// GetPowerManagementLimit mirrors nvmlDeviceGetPowerManagementLimit (mW).
-func (d *Device) GetPowerManagementLimit() (uint, Return) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return uint(d.limitW * 1000), Success
-}
-
-// SetPowerManagementLimit mirrors nvmlDeviceSetPowerManagementLimit (mW).
-// Limits outside [50% TDP, TDP] are rejected, as on real boards.
-func (d *Device) SetPowerManagementLimit(mw uint) Return {
-	w := float64(mw) / 1000
-	if w < d.spec.MaxW*0.5 || w > d.spec.MaxW {
-		return ErrorInvalidArgument
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.limitW = w
-	return Success
-}

@@ -13,6 +13,7 @@ import (
 // the paper's 1.3 ms per collection (which at MonEQ's ~100 ms polling is
 // the ~1.25% overhead the paper reports).
 type Collector struct {
+	core.Mechanism
 	lib     *Library
 	dev     *Device
 	queries int
@@ -25,21 +26,8 @@ func NewCollector(lib *Library, idx int) (*Collector, error) {
 	if ret != Success {
 		return nil, fmt.Errorf("nvml: device %d: %w", idx, ret.Error())
 	}
-	return &Collector{lib: lib, dev: dev}, nil
+	return &Collector{Mechanism: API, lib: lib, dev: dev}, nil
 }
-
-// Platform implements core.Collector.
-func (c *Collector) Platform() core.Platform { return core.NVML }
-
-// Method implements core.Collector.
-func (c *Collector) Method() string { return "NVML" }
-
-// Cost implements core.Collector.
-func (c *Collector) Cost() time.Duration { return QueryCost }
-
-// MinInterval implements core.Collector: the board power sensor refreshes
-// every ~60 ms; polling faster returns duplicates.
-func (c *Collector) MinInterval() time.Duration { return PowerUpdatePeriod }
 
 // Queries reports how many Collect calls have been made.
 func (c *Collector) Queries() int { return c.queries }

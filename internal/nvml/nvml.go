@@ -18,8 +18,7 @@
 //
 // The queries the collector makes — power, temperature, fan speed and
 // memory — are the model's read path, over the K20 spec of the paper's
-// experiments. GetClockInfo and the power-management limit are reached
-// only by their own tests; ROADMAP item 10 schedules their removal.
+// experiments.
 //
 // Like the other vendor models, a device's observable state is advanced
 // lazily on a fixed update grid, so reads are deterministic and replayable;
@@ -80,14 +79,6 @@ const (
 	Kepler
 )
 
-// ClockType selects a clock domain for GetClockInfo.
-type ClockType int
-
-const (
-	ClockGraphics ClockType = iota // SM clock
-	ClockMem
-)
-
 // TemperatureSensor selects a temperature for GetTemperature.
 type TemperatureSensor int
 
@@ -117,9 +108,7 @@ type DeviceSpec struct {
 	MemoryBytes uint64
 	PeakTFLOPS  float64
 	IdleW       float64
-	MaxW        float64 // board TDP
-	SMClockMHz  uint
-	MemClockMHz uint
+	MaxW        float64       // board TDP
 	RampTau     time.Duration // board power ramp time constant
 }
 
@@ -130,7 +119,7 @@ func K20Spec() DeviceSpec {
 	return DeviceSpec{
 		Name: "Tesla K20", Arch: Kepler, CUDACores: 2496,
 		MemoryBytes: 5 << 30, PeakTFLOPS: 1.17,
-		IdleW: 44, MaxW: 225, SMClockMHz: 706, MemClockMHz: 2600,
+		IdleW: 44, MaxW: 225,
 		RampTau: 1700 * time.Millisecond, // levels off ~5 s after a step
 	}
 }
@@ -159,7 +148,6 @@ type Device struct {
 	// progressive 60 ms grid state
 	nextCell int64
 	boardW   float64 // lagged board power as of nextCell boundary
-	limitW   float64 // power management limit (0: at spec TDP)
 	lost     bool    // fallen off the bus (XID error); queries fail
 }
 
@@ -179,7 +167,6 @@ func NewDevice(spec DeviceSpec, index int, seed uint64) *Device {
 		lag:     power.Lag{Tau: spec.RampTau},
 		thermal: power.Thermal{AmbientC: 38, RTh: 0.22, Tau: 40 * time.Second},
 		fan:     power.Fan{MinRPM: 1800, MaxRPM: 4200, StartC: 50, MaxC: 88},
-		limitW:  spec.MaxW,
 	}
 	// Prime the filters at idle so a workload that starts at t=0 ramps up
 	// from the idle floor instead of initializing at its loaded draw.
@@ -223,8 +210,8 @@ func (d *Device) advanceTo(t time.Duration) {
 		at := time.Duration(c) * PowerUpdatePeriod
 		rng := simrand.New(d.seed ^ uint64(c))
 		target := d.model.Power(d.activityAt(at+PowerUpdatePeriod/2), rng)
-		if target > d.limitW {
-			target = d.limitW
+		if target > d.spec.MaxW {
+			target = d.spec.MaxW
 		}
 		d.boardW = d.lag.Apply(at, target)
 		d.thermal.Update(at, d.boardW)

@@ -187,48 +187,6 @@ func TestMemoryInfoFollowsWorkload(t *testing.T) {
 	}
 }
 
-func TestClocks(t *testing.T) {
-	d := newK20(42)
-	if mhz, _ := d.GetClockInfo(ClockGraphics, 0); mhz != 324 {
-		t.Errorf("idle SM clock = %d, want 324 (P8)", mhz)
-	}
-	d.Run(workload.NoopKernel(time.Minute), 0)
-	if mhz, _ := d.GetClockInfo(ClockGraphics, time.Second); mhz != 706 {
-		t.Errorf("active SM clock = %d, want 706", mhz)
-	}
-	if mhz, _ := d.GetClockInfo(ClockMem, time.Second); mhz != 2600 {
-		t.Errorf("mem clock = %d, want 2600", mhz)
-	}
-	if _, ret := d.GetClockInfo(ClockType(9), 0); ret != ErrorInvalidArgument {
-		t.Error("bad clock type accepted")
-	}
-}
-
-func TestPowerManagementLimit(t *testing.T) {
-	d := newK20(42)
-	if mw, _ := d.GetPowerManagementLimit(); mw != 225000 {
-		t.Errorf("default limit = %d mW, want TDP 225000", mw)
-	}
-	if ret := d.SetPowerManagementLimit(150000); ret != Success {
-		t.Fatal(ret)
-	}
-	if mw, _ := d.GetPowerManagementLimit(); mw != 150000 {
-		t.Error("limit not stored")
-	}
-	if ret := d.SetPowerManagementLimit(10000); ret != ErrorInvalidArgument {
-		t.Error("limit below 50% TDP accepted")
-	}
-	if ret := d.SetPowerManagementLimit(999000); ret != ErrorInvalidArgument {
-		t.Error("limit above TDP accepted")
-	}
-	// Enforcement: with a 150 W cap, vecadd compute cannot exceed ~150 W.
-	d.Run(workload.VectorAdd(5*time.Second, 60*time.Second), 0)
-	p := d.truePowerAt(40 * time.Second)
-	if p > 151 {
-		t.Errorf("limited power = %.1f W, cap 150", p)
-	}
-}
-
 func TestFanSpeedRespondsToHeat(t *testing.T) {
 	d := newK20(42)
 	d.Run(workload.VectorAdd(5*time.Second, 200*time.Second), 0)

@@ -14,7 +14,7 @@ import (
 // the wrapping — instrumentation that perturbs the measured path would
 // repeat the mistake the paper warns about.
 type instrumentedCollector struct {
-	col   core.Collector
+	core.Collector
 	polls *Counter
 	errs  *Counter
 	sim   *FloatCounter
@@ -28,7 +28,7 @@ func wrapCollector(col core.Collector, reg *Registry, tr *Tracer) *instrumentedC
 	platform := col.Platform().String()
 	method := col.Method()
 	return &instrumentedCollector{
-		col: col,
+		Collector: col,
 		polls: reg.Counter("envmon_collect_polls_total",
 			"Collector polls, by vendor platform and access method.",
 			"platform", platform, "method", method),
@@ -42,23 +42,11 @@ func wrapCollector(col core.Collector, reg *Registry, tr *Tracer) *instrumentedC
 	}
 }
 
-// Platform implements core.Collector.
-func (ic *instrumentedCollector) Platform() core.Platform { return ic.col.Platform() }
-
-// Method implements core.Collector.
-func (ic *instrumentedCollector) Method() string { return ic.col.Method() }
-
-// MinInterval implements core.Collector.
-func (ic *instrumentedCollector) MinInterval() time.Duration { return ic.col.MinInterval() }
-
-// Cost implements core.Collector.
-func (ic *instrumentedCollector) Cost() time.Duration { return ic.col.Cost() }
-
 // CollectInto implements core.Collector.
 func (ic *instrumentedCollector) CollectInto(buf []core.Reading, now time.Duration) ([]core.Reading, error) {
 	sp := ic.stage.Begin()
-	readings, err := ic.col.CollectInto(buf, now)
-	cost := ic.col.Cost()
+	readings, err := ic.Collector.CollectInto(buf, now)
+	cost := ic.Cost()
 	sp.End(cost)
 	ic.polls.Inc()
 	ic.sim.Add(cost.Seconds())

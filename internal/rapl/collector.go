@@ -35,6 +35,7 @@ func componentFor(d Domain) core.Component {
 // paper warns about at >60 s sampling), and derives watts from
 // joules/elapsed.
 type MSRCollector struct {
+	core.Mechanism
 	dev        *msr.Device
 	energyUnit float64
 	last       [NumDomains]struct {
@@ -52,7 +53,7 @@ func NewMSRCollector(dev *msr.Device, now time.Duration) (*MSRCollector, error) 
 		return nil, fmt.Errorf("rapl: reading unit register: %w", err)
 	}
 	_, energyJ, _ := DecodeUnits(raw)
-	return &MSRCollector{dev: dev, energyUnit: energyJ}, nil
+	return &MSRCollector{Mechanism: MSR, dev: dev, energyUnit: energyJ}, nil
 }
 
 // statusAddr maps a domain to its energy status MSR.
@@ -70,20 +71,6 @@ func statusAddr(d Domain) msr.Address {
 		panic("rapl: bad domain")
 	}
 }
-
-// Platform implements core.Collector.
-func (c *MSRCollector) Platform() core.Platform { return core.RAPL }
-
-// Method implements core.Collector.
-func (c *MSRCollector) Method() string { return "MSR" }
-
-// Cost implements core.Collector: ~0.03 ms per query (paper, II.B).
-func (c *MSRCollector) Cost() time.Duration { return msr.ReadCost }
-
-// MinInterval implements core.Collector: the paper concludes RAPL is
-// "relatively accurate for data collection at about 60ms"; faster polling
-// aliases the jittered counter updates.
-func (c *MSRCollector) MinInterval() time.Duration { return 60 * time.Millisecond }
 
 // Queries reports how many Collect calls have been made.
 func (c *MSRCollector) Queries() int { return c.queries }
@@ -133,6 +120,7 @@ func (c *MSRCollector) CollectInto(buf []core.Reading, now time.Duration) ([]cor
 // reads; we model the syscall + perf framework cost as 5x the MSR read
 // (150 µs) and document the assumption in EXPERIMENTS.md.
 type PerfReader struct {
+	core.Mechanism
 	socket *Socket
 	base   [NumDomains]float64
 	last   [NumDomains]struct {
@@ -149,25 +137,12 @@ const PerfReadCost = 150 * time.Microsecond
 // NewPerfReader opens the perf-style reader on a socket at simulated time
 // now; like a real perf event, the counter reads zero at open.
 func NewPerfReader(s *Socket, now time.Duration) *PerfReader {
-	p := &PerfReader{socket: s}
+	p := &PerfReader{Mechanism: Perf, socket: s}
 	for _, d := range Domains() {
 		p.base[d] = s.EnergyJoules(d, now)
 	}
 	return p
 }
-
-// Platform implements core.Collector.
-func (p *PerfReader) Platform() core.Platform { return core.RAPL }
-
-// Method implements core.Collector.
-func (p *PerfReader) Method() string { return "perf" }
-
-// Cost implements core.Collector.
-func (p *PerfReader) Cost() time.Duration { return PerfReadCost }
-
-// MinInterval implements core.Collector (same counter cadence as the MSR
-// path).
-func (p *PerfReader) MinInterval() time.Duration { return 60 * time.Millisecond }
 
 // Queries reports how many Collect calls have been made.
 func (p *PerfReader) Queries() int { return p.queries }

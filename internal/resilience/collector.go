@@ -2,7 +2,7 @@
 // collection mechanisms: per-poll deadlines, capped exponential backoff
 // retries, three-state circuit breakers, and ordered fallback chains that
 // mirror the paper's real alternatives (Xeon Phi SysMgmt API → MICRAS
-// daemon pseudo-file; BG/Q EMON → environmental-database backfill).
+// daemon pseudo-file, the chain cluster.DefaultChains builds).
 //
 // Every unit of waiting — a retry backoff, a repeated query — is charged
 // as simulated collection cost, so the overhead comparison that is the
@@ -108,14 +108,15 @@ type source struct {
 }
 
 // Collector wraps a primary collector and ordered fallbacks with the
-// policy. It implements core.Collector and reports
-// the primary's Platform/Method/MinInterval, so series identity is stable
+// policy. It embeds the primary, so it reports the primary's
+// Platform/Method/MinInterval and series identity is stable
 // no matter which source answered — degraded operation shows up in Stats
 // and breaker state, not as a renamed series.
 //
 // A mutex guards all state: polls run on the chain's clock domain while
 // envmond's /healthz handler reads Status from an HTTP goroutine.
 type Collector struct {
+	core.Collector
 	mu      sync.Mutex
 	policy  Policy
 	sources []source
@@ -130,7 +131,7 @@ type Collector struct {
 // New builds a chain: primary first, fallbacks in preference order.
 func New(policy Policy, primary core.Collector, fallbacks ...core.Collector) *Collector {
 	cols := append([]core.Collector{primary}, fallbacks...)
-	c := &Collector{policy: policy.withDefaults()}
+	c := &Collector{Collector: primary, policy: policy.withDefaults()}
 	for _, col := range cols {
 		c.sources = append(c.sources, source{
 			col: col,
@@ -140,15 +141,6 @@ func New(policy Policy, primary core.Collector, fallbacks ...core.Collector) *Co
 	c.lastCost = primary.Cost()
 	return c
 }
-
-// Platform implements core.Collector (the primary's).
-func (c *Collector) Platform() core.Platform { return c.sources[0].col.Platform() }
-
-// Method implements core.Collector (the primary's).
-func (c *Collector) Method() string { return c.sources[0].col.Method() }
-
-// MinInterval implements core.Collector (the primary's).
-func (c *Collector) MinInterval() time.Duration { return c.sources[0].col.MinInterval() }
 
 // Cost implements core.Collector: the most recent poll's total simulated
 // spend, including retries, backoff waits, and fallback queries.
