@@ -87,7 +87,7 @@ var architecture = []struct {
 	{"mmap", "DESIGN §9 Write path: only the journal maps files", guards(
 		guard{tests: true, except: strs("internal/telemetry/wal/"), bad: strs("syscall.Mmap")})},
 	{"benchmark-system", `EXPERIMENTS.md "What the stack costs": speed is pairs of bench/run.sh; CHANGES, ROADMAP and bench/README.md keep the history`, benchmarkSystem},
-	{"cited-tests", "every test DESIGN.md and the verify skill cite, and every -run alternative in CI and the skill, names a test that exists", citedTests},
+	{"cited-tests", "every test DESIGN.md, the verify skill and the reachability allowlist's comments cite, and every -run alternative in CI and the skill, names a test that exists", citedTests},
 	{"ci", "DESIGN §13: a daemon's TestBinary runs it as built, so CI runs Go tests and no curl, jq, sleep, sed or awk; and a test binds port 0, never a fixed one", func(m *archModule) []string {
 		out := grepLines(".github/workflows/ci.yml", shellTool.FindString)
 		for _, f := range m.files {
@@ -262,13 +262,13 @@ var (
 	fixedPort    = regexp.MustCompile(`(127\.0\.0\.1|localhost|\[::1\]):[1-9]\d{3,}`) // a port a test could bind
 	testFunc     = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)`)
 	backtickSpan = regexp.MustCompile("`([^`]+)`")
-	citedTest    = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Fuzz|Benchmark)\w*)`)
+	citedTest    = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Fuzz|Benchmark|Example)\w*)`)
 	runPattern   = regexp.MustCompile(`(?:^|\s)-run '?([^'\s]+)`)
 )
 
 // citedTests: a test a document names in backticks exists, or is a prefix
 // of one that does (docs cite -run prefixes); a -run alternative is part
-// of a test's name.
+// of a test's name; a test an allowlist comment names exists.
 func citedTests(m *archModule) (out []string) {
 	var names []string
 	for _, f := range m.files {
@@ -298,7 +298,15 @@ func citedTests(m *archModule) (out []string) {
 			return bad
 		})...)
 	}
-	return out
+	return append(out, grepLines("testdata/reachability_allow.txt", func(line string) (bad string) {
+		_, comment, _ := strings.Cut(line, "#")
+		for _, c := range citedTest.FindAllStringSubmatch(comment, -1) {
+			if !slices.Contains(names, c[1]) {
+				bad += " no test is named " + c[1]
+			}
+		}
+		return bad
+	})...)
 }
 
 // moduleFiles lists every file of the module, slash-separated and relative

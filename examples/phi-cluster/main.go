@@ -25,7 +25,6 @@ import (
 	"envmon/internal/cluster"
 	"envmon/internal/core"
 	"envmon/internal/micras"
-	"envmon/internal/moneq"
 	"envmon/internal/report"
 	"envmon/internal/telemetry"
 	"envmon/internal/trace"
@@ -115,8 +114,9 @@ func main() {
 		samples, bytes.Equal(serial, parallel))
 
 	// Aggregation layer: the same sharded job streams into a telemetry
-	// store through the sink hook, and the store answers the cluster-wide
-	// question envmond serves remotely — which nodes draw the most power.
+	// store, one SetCursor per monitor after FinalizeAll, and the store
+	// answers the cluster-wide question envmond serves remotely — which
+	// nodes draw the most power.
 	part, err := cluster.NewStampede(16, 42)
 	if err != nil {
 		log.Fatal(err)
@@ -127,7 +127,6 @@ func main() {
 	job, err := d.StartJob(cluster.DomainJobConfig{
 		Backends: []core.BackendKey{micras.Daemon.Key},
 		Output:   func(int) io.Writer { return io.Discard },
-		Sinks:    func(int) []moneq.Sink { return []moneq.Sink{telemetry.MonEQSink{Store: store}} },
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -135,6 +134,11 @@ func main() {
 	d.AdvanceEpochs(30*time.Second, time.Second, 8, nil)
 	if _, err := job.FinalizeAll(); err != nil {
 		log.Fatal(err)
+	}
+	for _, m := range job.Monitors() {
+		if err := telemetry.NewSetCursor(store, m.Node(), m.Set()).Flush(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	ranked, total := store.TopK(3, "", 0, 0, telemetry.Res1s)
 	fmt.Printf("\ntelemetry store: %d series, %d samples; top power draws over the job:\n",

@@ -12,13 +12,14 @@
 // the environmental database's BPM records, the same data a facility
 // would use.
 //
-// Act two closes the loop with the real control plane: the same storm of
-// queued jobs is fed through internal/powercap — the feedback controller,
-// admission gate, and duty-cycle actuator that cmd/envcapd deploys — on a
-// live simulated GPU fleet with a hard power budget. Instead of a
-// precomputed schedule, admission timing *emerges* from the controller
-// holding the budget: jobs wait at the gate until measured power plus
-// reservations leave room.
+// Act two closes the loop in process: the same storm of queued jobs is
+// fed through internal/powercap — the feedback controller, admission gate,
+// and duty-cycle actuator — on a live simulated GPU fleet with a hard
+// power budget. (cmd/envcapd runs the same controller against a live
+// envmond, but it only decides and logs; it deploys no gate or actuator.)
+// Instead of a precomputed schedule, admission timing *emerges* from the
+// controller holding the budget: jobs wait at the gate until measured
+// power plus reservations leave room.
 package main
 
 import (
@@ -111,8 +112,9 @@ type closedLoopResult struct {
 // closeTheLoop runs a queue of GPU jobs through the real power-capping
 // stack — telemetry store, feedback controller, duty-cycle actuator,
 // admission gate — on a simulated fleet, holding budgetW for the whole
-// run. This is the same wiring cmd/envcapd deploys against a live
-// envmond, compressed into one deterministic simulation.
+// run, in one deterministic simulation. cmd/envcapd steps the same
+// controller against a live envmond but acts on nothing: only this
+// example wires the actuator and the gate.
 func closeTheLoop(nodes, jobs int, budgetW float64, total time.Duration, seed uint64) (closedLoopResult, error) {
 	var out closedLoopResult
 	c, err := cluster.NewGPUCluster(nodes, 1, seed)

@@ -10,7 +10,6 @@ import (
 
 	"envmon/internal/core"
 	"envmon/internal/faults"
-	"envmon/internal/moneq"
 	"envmon/internal/resilience"
 	"envmon/internal/telemetry"
 )
@@ -44,9 +43,6 @@ func chaosRun(t *testing.T, seed uint64, shards, workers int) ([]byte, *telemetr
 		Interval:   500 * time.Millisecond,
 		Resilience: &resilience.Policy{},
 		Output:     func(i int) io.Writer { return &bufs[i] },
-		Sinks: func(i int) []moneq.Sink {
-			return []moneq.Sink{telemetry.MonEQSink{Store: store, Node: c.Nodes[i].Name}}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +50,11 @@ func chaosRun(t *testing.T, seed uint64, shards, workers int) ([]byte, *telemetr
 	d.AdvanceEpochs(30*time.Second, time.Second, workers, nil)
 	if _, err := job.FinalizeAll(); err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range job.Monitors() {
+		if err := telemetry.NewSetCursor(store, m.Node(), m.Set()).Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var all bytes.Buffer
 	for i := range bufs {

@@ -79,9 +79,6 @@ type DomainJobConfig struct {
 	Backends []core.BackendKey
 	// Output, when non-nil, supplies the per-node CSV destination.
 	Output func(node int) io.Writer
-	// Sinks, when non-nil, supplies additional per-node sinks run at
-	// FinalizeAll — how a job streams into the telemetry store.
-	Sinks func(node int) []moneq.Sink
 	// Resilience, when non-nil, wraps every collector in a retry + circuit
 	// breaker chain with this policy and folds chain fallbacks (see
 	// DefaultChains) behind their primaries, so a backend fault degrades
@@ -131,16 +128,11 @@ func (d *Domains) StartJob(cfg DomainJobConfig) (*moneq.Job, error) {
 		if cfg.Output != nil {
 			out = cfg.Output(i)
 		}
-		var sinks []moneq.Sink
-		if cfg.Sinks != nil {
-			sinks = cfg.Sinks(i)
-		}
 		specs = append(specs, moneq.NodeSpec{
 			Node:       n.Name,
 			Rank:       i,
 			Collectors: cols,
 			Output:     out,
-			Sinks:      sinks,
 			Clock:      d.Clock(i),
 		})
 	}

@@ -194,13 +194,5 @@ func (p *Poller) Start(clock core.Clock) {
 	})
 }
 
-// Stop cancels future polls.
-func (p *Poller) Stop() {
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
-}
-
 // Polls reports how many polling rounds have completed.
 func (p *Poller) Polls() int { return p.polls }

@@ -184,23 +184,6 @@ func TestPollerCollectsOnSchedule(t *testing.T) {
 	}
 }
 
-func TestPollerStop(t *testing.T) {
-	clock := simclock.New()
-	db := New()
-	src := &fakeSource{loc: "x"}
-	p, _ := NewPoller(db, 60*time.Second, src)
-	p.Start(clock)
-	clock.Advance(2 * time.Minute)
-	p.Stop()
-	before := db.Len()
-	clock.Advance(10 * time.Minute)
-	if db.Len() != before {
-		t.Fatalf("poller kept polling after Stop: %d -> %d", before, db.Len())
-	}
-	// double Stop is harmless
-	p.Stop()
-}
-
 func TestPollerStartIdempotent(t *testing.T) {
 	clock := simclock.New()
 	db := New()

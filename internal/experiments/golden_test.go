@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -36,5 +38,39 @@ func TestRenderGolden(t *testing.T) {
 					id, path, b.String(), want)
 			}
 		})
+	}
+}
+
+// statusLine is EXPERIMENTS.md's one-line summary of `repro -all`.
+var statusLine = regexp.MustCompile(`\*\*Status: ([^*]*)\.\*\*`)
+
+// TestExperimentsStatusLine holds EXPERIMENTS.md's status line to what the
+// experiments report at seed 42: passing and total shape checks, and the
+// number of experiments.
+func TestExperimentsStatusLine(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := statusLine.FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md has no **Status: ….** line")
+	}
+	pass, total := 0, 0
+	for _, id := range IDs() {
+		r, err := Run(id, testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range r.Checks {
+			total++
+			if c.Pass {
+				pass++
+			}
+		}
+	}
+	want := fmt.Sprintf("%d/%d checks pass (%d experiments)", pass, total, len(IDs()))
+	if got := string(m[1]); got != want {
+		t.Errorf("EXPERIMENTS.md says %q, the experiments at seed %d give %q", got, testSeed, want)
 	}
 }

@@ -72,38 +72,8 @@ func (m Message) Marshal() []byte {
 	return out
 }
 
-// Frame-decoding errors.
-var (
-	ErrShortFrame   = errors.New("ipmb: frame too short")
-	ErrHeaderCheck  = errors.New("ipmb: header checksum mismatch")
-	ErrPayloadCheck = errors.New("ipmb: payload checksum mismatch")
-	ErrNoResponder  = errors.New("ipmb: no responder at address")
-)
-
-// Unmarshal decodes and validates a frame.
-func Unmarshal(b []byte) (Message, error) {
-	if len(b) < 7 {
-		return Message{}, fmt.Errorf("%w: %d bytes", ErrShortFrame, len(b))
-	}
-	if checksum(b[0], b[1]) != b[2] {
-		return Message{}, ErrHeaderCheck
-	}
-	var sum byte
-	for _, x := range b[3 : len(b)-1] {
-		sum += x
-	}
-	if -sum != b[len(b)-1] {
-		return Message{}, ErrPayloadCheck
-	}
-	return Message{
-		RsAddr: b[0],
-		NetFn:  b[1] >> 2,
-		RqAddr: b[3],
-		Seq:    b[4] >> 2,
-		Cmd:    b[5],
-		Data:   append([]byte(nil), b[6:len(b)-1]...),
-	}, nil
-}
+// ErrNoResponder is a request to an address no controller answers at.
+var ErrNoResponder = errors.New("ipmb: no responder at address")
 
 // TransferTime reports the bus occupancy of a frame: IPMB is 100 kHz I²C —
 // 9 clocks per byte plus start/stop — about 90 µs per byte.

@@ -1,59 +1,10 @@
 package ipmb
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestMarshalUnmarshalRoundTrip(t *testing.T) {
-	m := Message{RsAddr: 0x30, NetFn: NetFnOEM, RqAddr: 0x20, Seq: 5, Cmd: 0x01, Data: []byte{1, 2, 3}}
-	frame := m.Marshal()
-	got, err := Unmarshal(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RsAddr != m.RsAddr || got.NetFn != m.NetFn || got.RqAddr != m.RqAddr ||
-		got.Seq != m.Seq || got.Cmd != m.Cmd || !bytes.Equal(got.Data, m.Data) {
-		t.Fatalf("round trip: %+v != %+v", got, m)
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	f := func(rs, rq, cmd byte, seq uint8, data []byte) bool {
-		m := Message{RsAddr: rs, NetFn: NetFnSensorEvent, RqAddr: rq, Seq: seq & 0x3F, Cmd: cmd, Data: data}
-		got, err := Unmarshal(m.Marshal())
-		return err == nil && got.RsAddr == m.RsAddr && got.Seq == m.Seq &&
-			got.Cmd == m.Cmd && bytes.Equal(got.Data, m.Data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmarshalRejectsCorruption(t *testing.T) {
-	m := Message{RsAddr: 0x30, NetFn: NetFnApp, RqAddr: 0x20, Seq: 1, Cmd: 0x02, Data: []byte{9}}
-	frame := m.Marshal()
-
-	// short frame
-	if _, err := Unmarshal(frame[:5]); !errors.Is(err, ErrShortFrame) {
-		t.Errorf("short frame err = %v", err)
-	}
-	// header corruption
-	bad := append([]byte(nil), frame...)
-	bad[0] ^= 0xFF
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrHeaderCheck) {
-		t.Errorf("header corruption err = %v", err)
-	}
-	// payload corruption
-	bad2 := append([]byte(nil), frame...)
-	bad2[5] ^= 0x01
-	if _, err := Unmarshal(bad2); !errors.Is(err, ErrPayloadCheck) {
-		t.Errorf("payload corruption err = %v", err)
-	}
-}
 
 func TestChecksumDefinition(t *testing.T) {
 	// sum of covered bytes plus checksum must be 0 mod 256

@@ -28,9 +28,6 @@ type NodeSpec struct {
 	Collectors []core.Collector
 	// Output receives the node's CSV at FinalizeAll (may be nil).
 	Output io.Writer
-	// Sinks receive the node's collected set at FinalizeAll, after Output
-	// (e.g. a telemetry store the whole job streams into).
-	Sinks []Sink
 	// Clock, when non-nil, binds this node's monitor to its own clock
 	// domain instead of the job clock. All per-node clocks must be kept in
 	// step with each other (simclock.Group does this) so the aggregate
@@ -58,7 +55,6 @@ func StartJob(clock core.Clock, interval time.Duration, numTasks int, nodes []No
 			Rank:     spec.Rank,
 			NumTasks: numTasks,
 			Output:   spec.Output,
-			Sinks:    spec.Sinks,
 		}, spec.Collectors...)
 		if err != nil {
 			for _, started := range j.monitors {

@@ -7,11 +7,13 @@
 // device for each logical processor under /dev/cpu/*/msr" and "must be
 // given the correct read-only, root-only access before it is accessible by
 // any process running on the system". We model the register file, the
-// driver's device nodes, and that permission gate.
+// driver's device nodes, and that permission gate: only root may open a
+// device node.
 //
-// Registers are behavior objects: a static register holds a value; a
-// dynamic register computes its value from simulated time on every read
-// (how the RAPL energy-status counters are wired up by internal/rapl).
+// The model is read-only, as the paper's collection is. Registers are
+// behavior objects: a static register holds a value; a dynamic register
+// computes its value from simulated time on every read (how the RAPL
+// energy-status counters are wired up by internal/rapl).
 package msr
 
 import (
@@ -47,56 +49,19 @@ const ReadCost = 30 * time.Microsecond
 type Register interface {
 	// Read returns the register value at simulated time now.
 	Read(now time.Duration) (uint64, error)
-	// Write stores a value at simulated time now. Read-only registers
-	// return an error.
-	Write(now time.Duration, v uint64) error
 }
 
-// Static is a fixed, writable register (zero value: reads as 0).
-type Static struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-// NewStatic returns a Static register holding v.
-func NewStatic(v uint64) *Static { return &Static{v: v} }
+// Static is a register holding a fixed value.
+type Static uint64
 
 // Read implements Register.
-func (s *Static) Read(time.Duration) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.v, nil
-}
+func (s Static) Read(time.Duration) (uint64, error) { return uint64(s), nil }
 
-// Write implements Register.
-func (s *Static) Write(_ time.Duration, v uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.v = v
-	return nil
-}
-
-// ReadOnly wraps a register, rejecting writes — e.g. the unit register.
-type ReadOnly struct{ R Register }
-
-// Read implements Register.
-func (r ReadOnly) Read(now time.Duration) (uint64, error) { return r.R.Read(now) }
-
-// Write implements Register.
-func (r ReadOnly) Write(time.Duration, uint64) error {
-	return fmt.Errorf("msr: write to read-only register")
-}
-
-// Func is a dynamic read-only register computed from simulated time.
+// Func is a dynamic register computed from simulated time.
 type Func func(now time.Duration) uint64
 
 // Read implements Register.
 func (f Func) Read(now time.Duration) (uint64, error) { return f(now), nil }
-
-// Write implements Register.
-func (f Func) Write(time.Duration, uint64) error {
-	return fmt.Errorf("msr: write to dynamic register")
-}
 
 // RegisterFile is the MSR space of one logical processor (in RAPL's case,
 // shared across the socket's processors — the paper: "the collected metrics
@@ -131,17 +96,6 @@ func (rf *RegisterFile) Read(addr Address, now time.Duration) (uint64, error) {
 	return r.Read(now)
 }
 
-// Write writes an address, faulting on unknown addresses.
-func (rf *RegisterFile) Write(addr Address, now time.Duration, v uint64) error {
-	rf.mu.RLock()
-	r, ok := rf.regs[addr]
-	rf.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("msr: #GP writing unimplemented MSR %#x", uint32(addr))
-	}
-	return r.Write(now, v)
-}
-
 // Credentials model the caller's identity for the permission gate.
 type Credentials struct {
 	UID int // 0 is root
@@ -150,16 +104,12 @@ type Credentials struct {
 // Root is the superuser credential.
 var Root = Credentials{UID: 0}
 
-// Driver is the msr.ko kernel module: it owns the per-CPU device nodes and
-// their access mode.
+// Driver is the msr.ko kernel module: it owns the per-CPU device nodes,
+// which only root may open.
 type Driver struct {
 	mu     sync.Mutex
 	loaded bool
-	// worldReadable corresponds to the administrator having run
-	// `chmod a+r /dev/cpu/*/msr` (the "correct read-only ... access" step
-	// the paper describes; without it only root may open the devices).
-	worldReadable bool
-	files         map[int]*RegisterFile // cpu -> registers
+	files  map[int]*RegisterFile // cpu -> registers
 }
 
 // NewDriver returns an unloaded driver over the given per-CPU register
@@ -175,28 +125,14 @@ func (d *Driver) Load() {
 	d.loaded = true
 }
 
-// SetWorldReadable grants read-only access to non-root users (requires the
-// module to be loaded, as chmod needs the device nodes to exist).
-func (d *Driver) SetWorldReadable(ok bool) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.loaded {
-		return fmt.Errorf("msr: no device nodes; driver not loaded")
-	}
-	d.worldReadable = ok
-	return nil
-}
-
 // Device is an open handle to /dev/cpu/<cpu>/msr.
 type Device struct {
-	regs     *RegisterFile
-	readOnly bool
+	regs *RegisterFile
 }
 
 // Open opens the device node for a CPU with the given credentials. Errors
 // mirror the real failure modes: ENOENT when the driver is not loaded,
-// EACCES (core.ErrPermission) for non-root callers without the read-only
-// grant.
+// EACCES (core.ErrPermission) for non-root callers.
 func (d *Driver) Open(cpu int, cred Credentials) (*Device, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -208,10 +144,7 @@ func (d *Driver) Open(cpu int, cred Credentials) (*Device, error) {
 		return nil, fmt.Errorf("msr: no such CPU %d", cpu)
 	}
 	if cred.UID != 0 {
-		if !d.worldReadable {
-			return nil, fmt.Errorf("msr: /dev/cpu/%d/msr: %w", cpu, core.ErrPermission)
-		}
-		return &Device{regs: rf, readOnly: true}, nil
+		return nil, fmt.Errorf("msr: /dev/cpu/%d/msr: %w", cpu, core.ErrPermission)
 	}
 	return &Device{regs: rf}, nil
 }
@@ -219,12 +152,4 @@ func (d *Driver) Open(cpu int, cred Credentials) (*Device, error) {
 // Read reads an MSR through the device (pread on the character device).
 func (dev *Device) Read(addr Address, now time.Duration) (uint64, error) {
 	return dev.regs.Read(addr, now)
-}
-
-// Write writes an MSR; read-only handles (non-root) are rejected.
-func (dev *Device) Write(addr Address, now time.Duration, v uint64) error {
-	if dev.readOnly {
-		return fmt.Errorf("msr: write on read-only handle: %w", core.ErrPermission)
-	}
-	return dev.regs.Write(addr, now, v)
 }

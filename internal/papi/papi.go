@@ -20,7 +20,6 @@ package papi
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -62,25 +61,6 @@ func (l *Library) Init() error {
 	}
 	l.inited = true
 	return nil
-}
-
-// Components lists component names, sorted.
-func (l *Library) Components() []string {
-	out := make([]string, 0, len(l.components))
-	for name := range l.components {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EnumEvents lists a component's native events (PAPI_enum_cmp_event).
-func (l *Library) EnumEvents(component string) ([]string, error) {
-	c, ok := l.components[component]
-	if !ok {
-		return nil, fmt.Errorf("papi: no component %q", component)
-	}
-	return c.Events(), nil
 }
 
 // resolve splits a fully qualified event name "component:::EVENT" and

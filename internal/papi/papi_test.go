@@ -46,27 +46,6 @@ func TestDuplicateComponentRejected(t *testing.T) {
 	}
 }
 
-func TestComponentsAndEnum(t *testing.T) {
-	lib, _, _, _ := newTestLibrary(t)
-	comps := lib.Components()
-	want := []string{"micpower", "nvml", "rapl"}
-	if len(comps) != 3 {
-		t.Fatalf("Components = %v", comps)
-	}
-	for i := range want {
-		if comps[i] != want[i] {
-			t.Fatalf("Components = %v, want %v", comps, want)
-		}
-	}
-	events, err := lib.EnumEvents("rapl")
-	if err != nil || len(events) != 4 {
-		t.Fatalf("rapl events = %v, %v", events, err)
-	}
-	if _, err := lib.EnumEvents("bogus"); err == nil {
-		t.Fatal("unknown component enumerated")
-	}
-}
-
 func TestEventNameValidation(t *testing.T) {
 	lib, _, _, _ := newTestLibrary(t)
 	lib.Init()

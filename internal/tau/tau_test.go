@@ -179,30 +179,6 @@ func TestRAPLOnlyBackend(t *testing.T) {
 	}
 }
 
-func TestNonRootReadOnlyHandleWorks(t *testing.T) {
-	// TAU only reads; a read-only (chmod a+r) handle suffices.
-	socket := rapl.NewSocket(rapl.Config{Name: "ro", Seed: 1})
-	drv := socket.Driver(1)
-	drv.Load()
-	if err := drv.SetWorldReadable(true); err != nil {
-		t.Fatal(err)
-	}
-	dev, err := drv.Open(0, msr.Credentials{UID: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewProfiler(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start("region", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Stop("region", time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanPowerZeroDivision(t *testing.T) {
 	if (Timer{}).MeanPower() != 0 {
 		t.Error("zero-duration MeanPower should be 0")

@@ -65,21 +65,6 @@ func TestQueryFramesCarryWindowedGaps(t *testing.T) {
 	}
 }
 
-func TestMonEQSinkIngestsGaps(t *testing.T) {
-	st := New(Options{})
-	set := trace.NewSet()
-	set.Meta["node"] = "n0"
-	s := set.Add(trace.NewSeries("NVML/Total Power", "W"))
-	s.MustAppend(0, 55)
-	s.MustAppendGap(100 * time.Millisecond)
-	if err := (MonEQSink{Store: st}).Write(set); err != nil {
-		t.Fatal(err)
-	}
-	if st.Samples() != 1 || st.Gaps() != 1 {
-		t.Errorf("samples = %d, gaps = %d, want 1 and 1", st.Samples(), st.Gaps())
-	}
-}
-
 func TestSetCursorStreamsGapsIncrementally(t *testing.T) {
 	st := New(Options{})
 	set := trace.NewSet()

@@ -7,38 +7,6 @@ import (
 	"envmon/internal/trace"
 )
 
-// MonEQSink is a moneq.Sink adapter: at Finalize (and on Flush retries)
-// the session's collected set is ingested into the store, one telemetry
-// series per trace series. It satisfies the moneq.Sink interface
-// structurally, so moneq does not import this package and this package
-// does not import moneq.
-//
-// A failing ingest (closed store, series limit, out-of-order data)
-// surfaces through Finalize exactly like a CSV or JSON sink write error:
-// the report stays valid, the data stays accessible, and the write can be
-// retried against another store with Monitor.Flush. Note that unlike the
-// file sinks, ingestion is additive — retrying against a store that
-// already absorbed part of the set records those samples again.
-type MonEQSink struct {
-	// Store receives the samples. Required.
-	Store *Store
-	// Node overrides the session's node name (set.Meta["node"]) as the
-	// SeriesKey.Node of every ingested series.
-	Node string
-}
-
-// Name implements moneq.Sink.
-func (MonEQSink) Name() string { return "telemetry" }
-
-// Write implements moneq.Sink: every sample and gap marker of every
-// series in the set is ingested under (node, backend, domain) keys
-// derived from the trace series names ("method/capability"). Unlike a
-// SetCursor.Flush it leaves the set as it found it: a Finalize-time sink's
-// contract is that Set() stays readable and later sinks still see it.
-func (s MonEQSink) Write(set *trace.Set) error {
-	return NewSetCursor(s.Store, s.Node, set).flush(false)
-}
-
 // SetCursor streams a live trace.Set into a store incrementally: each
 // Flush ingests the samples that appeared since the previous Flush and
 // takes them off the set, so a monitor's set never holds more than the
@@ -78,9 +46,7 @@ func NewSetCursor(store *Store, node string, set *trace.Set) *SetCursor {
 // off the set, and the unconsumed rest stays at the front of its series, so
 // a later Flush resumes without duplication. Flush must not run
 // concurrently with writers of the set (call it at an epoch barrier).
-func (c *SetCursor) Flush() error { return c.flush(true) }
-
-func (c *SetCursor) flush(consume bool) error {
+func (c *SetCursor) Flush() error {
 	// One ingest-stage span per Flush (an epoch's worth of samples), not
 	// per sample — the span cost amortizes over the whole batch.
 	if o := c.store.obs; o != nil {
@@ -97,9 +63,7 @@ func (c *SetCursor) flush(consume bool) error {
 			c.units = append(c.units, ts.Unit)
 		}
 		n, err := c.store.ingestRun(c.keys[i], c.units[i], ts.Samples, c.Offset)
-		if consume {
-			ts.Samples = ts.Samples[:copy(ts.Samples, ts.Samples[n:])]
-		}
+		ts.Samples = ts.Samples[:copy(ts.Samples, ts.Samples[n:])]
 		if err != nil {
 			return fmt.Errorf("telemetry: streaming series %q: %w", ts.Name, err)
 		}
@@ -108,9 +72,7 @@ func (c *SetCursor) flush(consume bool) error {
 				break
 			}
 		}
-		if consume {
-			ts.Gaps = ts.Gaps[:copy(ts.Gaps, ts.Gaps[n:])]
-		}
+		ts.Gaps = ts.Gaps[:copy(ts.Gaps, ts.Gaps[n:])]
 		if err != nil {
 			return fmt.Errorf("telemetry: streaming gaps of series %q: %w", ts.Name, err)
 		}

@@ -10,64 +10,10 @@ import (
 	"envmon/internal/trace"
 )
 
-func demoSet(node string) *trace.Set {
-	set := trace.NewSet()
-	set.Meta["node"] = node
-	s := set.Add(trace.NewSeries("MSR/Total Power", "W"))
-	s.MustAppend(0, 100)
-	s.MustAppend(time.Second, 110)
-	set.Add(trace.NewSeries("MSR/Die Temperature", "degC")).MustAppend(time.Second, 55)
-	return set
-}
-
-func TestMonEQSinkWrite(t *testing.T) {
-	st := New(Options{})
-	sink := MonEQSink{Store: st}
-	set := demoSet("c401-001")
-	set.Series[1].MustAppendGap(2 * time.Second)
-	if err := sink.Write(set); err != nil {
-		t.Fatal(err)
-	}
-	frames := st.Query(Query{Node: "c401-001", Backend: "MSR", Domain: "Total Power"})
-	if len(frames) != 1 || len(frames[0].Points) != 2 || frames[0].Unit != "W" {
-		t.Fatalf("frames = %+v", frames)
-	}
-	if st.NumSeries() != 2 {
-		t.Errorf("series = %d, want 2", st.NumSeries())
-	}
-	// A Finalize-time sink reads the set, it does not take it: Set() stays
-	// whole, and a sink later in the list sees everything the first saw.
-	if len(set.Series[0].Samples) != 2 || len(set.Series[1].Samples) != 1 || len(set.Series[1].Gaps) != 1 {
-		t.Fatalf("Write consumed the set: %+v", set.Series)
-	}
-	second := New(Options{})
-	if err := (MonEQSink{Store: second}).Write(set); err != nil {
-		t.Fatal(err)
-	}
-	if second.Samples() != st.Samples() || second.Samples() != 3 {
-		t.Errorf("second sink ingested %d samples, first %d, want 3 each", second.Samples(), st.Samples())
-	}
-	// Node override takes precedence over set metadata.
-	if err := (MonEQSink{Store: st, Node: "other"}).Write(demoSet("ignored")); err != nil {
-		t.Fatal(err)
-	}
-	if frames := st.Query(Query{Node: "other"}); len(frames) != 2 {
-		t.Errorf("override frames = %d, want 2", len(frames))
-	}
-}
-
-func TestMonEQSinkErrorPropagates(t *testing.T) {
-	st := New(Options{})
-	st.Close()
-	err := MonEQSink{Store: st}.Write(demoSet("n"))
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
 func TestSetCursorStreamsIncrementally(t *testing.T) {
 	st := New(Options{})
 	set := trace.NewSet()
+	set.Meta["node"] = "ignored" // the cursor's node takes precedence
 	s1 := set.Add(trace.NewSeries("MSR/Total Power", "W"))
 	s1.MustAppend(0, 100)
 	cur := NewSetCursor(st, "n0", set)
@@ -98,7 +44,7 @@ func TestSetCursorStreamsIncrementally(t *testing.T) {
 	if st.Samples() != 3 {
 		t.Errorf("no-op flush duplicated samples: %d", st.Samples())
 	}
-	frames := st.Query(Query{Backend: "MSR"})
+	frames := st.Query(Query{Node: "n0", Backend: "MSR"})
 	if len(frames) != 1 || len(frames[0].Points) != 2 {
 		t.Fatalf("MSR frames = %+v", frames)
 	}

@@ -6,7 +6,7 @@
 // its environmental data into a central database that tools query, and
 // MonEQ exists so users consume power data without touching vendor
 // mechanisms. This package is that service's storage engine. Producers —
-// MonEQ sessions via MonEQSink/SetCursor, the BG/Q environmental database
+// MonEQ sessions via SetCursor, the BG/Q environmental database
 // via EnvDBBridge — ingest into per-(node, backend, domain) series; the
 // query layer (Query, TopK) serves windows of raw samples or multi-
 // resolution rollups to the HTTP daemon in cmd/envmond.
