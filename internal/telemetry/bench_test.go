@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,45 +27,66 @@ func benchKeys(n int) []SeriesKey {
 
 // BenchmarkTelemetry_Ingest sweeps shard count × series count over the
 // steady-state ingest path. The serial variants measure the allocation-free
-// hot path; the parallel variants measure lock-stripe contention with every
-// goroutine writing its own series, as concurrent clock domains do.
+// hot path, in a memory-only store and, journaled, in a persistent one whose
+// segment budget the loop never reaches: the journal append per sample and
+// the seals ring pressure forces, the path bench's ingest-durable measures.
+// The parallel variants measure lock-stripe contention with every goroutine
+// writing its own series, as concurrent clock domains do. Every key is built
+// and first touched off the clock.
 func BenchmarkTelemetry_Ingest(b *testing.B) {
+	serial := func(b *testing.B, st *Store, nseries int) {
+		keys := benchKeys(nseries)
+		for i, k := range keys {
+			if err := st.Ingest(k, "W", 0, float64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := keys[i%nseries]
+			at := time.Duration(i/nseries+1) * time.Millisecond
+			if err := st.Ingest(k, "W", at, float64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, shards := range []int{1, 8, 64} {
 		for _, nseries := range []int{128, 1024} {
 			name := fmt.Sprintf("shards=%d/series=%d", shards, nseries)
 			b.Run(name, func(b *testing.B) {
-				st := New(Options{Shards: shards})
-				keys := benchKeys(nseries)
-				for i, k := range keys { // first touch off the clock
-					if err := st.Ingest(k, "W", 0, float64(i)); err != nil {
-						b.Fatal(err)
-					}
+				serial(b, New(Options{Shards: shards}), nseries)
+			})
+			b.Run(name+"/journaled", func(b *testing.B) {
+				st, err := Open(b.TempDir(), Options{Shards: shards, WALSegmentBytes: 1 << 40})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k := keys[i%nseries]
-					at := time.Duration(i/nseries+1) * time.Millisecond
-					if err := st.Ingest(k, "W", at, float64(i)); err != nil {
-						b.Fatal(err)
-					}
-				}
+				defer st.Close()
+				serial(b, st, nseries)
 			})
 			b.Run(name+"/parallel", func(b *testing.B) {
 				st := New(Options{Shards: shards})
-				keys := benchKeys(nseries)
+				// Each goroutine owns a private stripe of series so
+				// per-series time ordering holds without coordination.
+				stripes := make([][]SeriesKey, runtime.GOMAXPROCS(0))
+				for g := range stripes {
+					stripes[g] = benchKeys(nseries)
+					for i := range stripes[g] {
+						stripes[g][i].Node += fmt.Sprintf("-g%d", g)
+						if err := st.Ingest(stripes[g][i], "W", 0, float64(i)); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
 				var goroutine atomic.Int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
-					// Each goroutine owns a private stripe of series so
-					// per-series time ordering holds without coordination.
-					g := int(goroutine.Add(1) - 1)
+					keys := stripes[goroutine.Add(1)-1]
 					at, i := time.Duration(0), 0
 					for pb.Next() {
-						k := keys[(g*31+i)%nseries]
-						k.Node += fmt.Sprintf("-g%d", g)
-						if err := st.Ingest(k, "W", at, float64(i)); err != nil {
+						if err := st.Ingest(keys[i%nseries], "W", at, float64(i)); err != nil {
 							b.Fatal(err)
 						}
 						i++

@@ -26,10 +26,10 @@ import (
 
 // Open opens a persistent store rooted at dir, creating the directory
 // layout on first use and recovering on every later one: block indexes
-// seed each series' persisted watermarks and rollup tails, the WAL replays
-// whatever the last run had acknowledged but not yet compacted, and the
-// replayed tail is immediately compacted into a block so the store starts
-// with an empty journal. Recovery is idempotent — every journal record
+// seed each series' persisted watermarks and open rollup buckets, the WAL
+// replays whatever the last run had acknowledged but not yet compacted, and
+// the replayed tail is immediately compacted into a block so the store
+// starts with an empty journal. Recovery is idempotent — every journal record
 // carries its series' absolute index, so records an existing block already
 // covers are skipped — and tolerates a torn record at each segment's tail
 // (the write the dying process never finished, never acknowledged).
@@ -44,9 +44,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	st.blocks = blocks
 
 	// Seed the head from the block indexes: per series, the persisted
-	// watermarks, newest instants, and each rollup level's open tail
-	// bucket, so incremental accumulation resumes exactly where the
-	// sealed data ends.
+	// watermarks, newest instants, and each rollup level's open bucket,
+	// restored into the record, so incremental accumulation resumes exactly
+	// where the sealed data ends.
 	blocks.Each(func(key storage.SeriesKey, a block.Agg) {
 		s := st.recoverSeries(key, a.Unit)
 		s.raw.restore(a.Points)
@@ -55,7 +55,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		for l := range s.roll {
 			s.roll[l].restore(a.Buckets[l])
 			if a.Tails[l] != nil {
-				s.roll[l].push(*a.Tails[l])
+				s.open[l] = *a.Tails[l]
 			}
 		}
 		st.samples.Add(a.Points)
@@ -121,14 +121,12 @@ func Open(dir string, opts Options) (*Store, error) {
 // recoverSeries returns the series for key, creating it unjournaled. Only
 // called from Open, before the store is shared, so no locks are taken.
 func (st *Store) recoverSeries(key SeriesKey, unit string) *series {
-	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
-	s := sh.series[key]
-	if s == nil {
-		s = newSeries(key, unit, st.opts)
-		sh.series[key] = s
-		st.nseries.Add(1)
+	h := key.Hash()
+	sh := st.shardOf(h)
+	if s := sh.lookup(h, key); s != nil {
+		return s
 	}
-	return s
+	return st.addSeries(sh, h, key, unit)
 }
 
 // replayable reports whether a journal record at index extends a stream
@@ -172,7 +170,7 @@ func (st *Store) journalReadyLocked(sh *shard, s *series, pressed bool) error {
 // segments. Caller holds sh.mu; lock order shard → blocks.
 func (st *Store) compactShardLocked(sh *shard, force bool) error {
 	var snaps []storage.SeriesSnapshot
-	for _, s := range sh.series {
+	for _, s := range sh.list {
 		if s.raw.total > s.raw.sealed || s.gaps.total > s.gaps.sealed {
 			snaps = append(snaps, s.snapshotLocked())
 		}
@@ -189,7 +187,7 @@ func (st *Store) compactShardLocked(sh *shard, force bool) error {
 		if err := st.blocks.Append(snaps); err != nil {
 			return err
 		}
-		for _, s := range sh.series {
+		for _, s := range sh.list {
 			s.markPersistedLocked()
 		}
 		st.compactions.Add(1)
@@ -214,35 +212,31 @@ func (st *Store) compactShardLocked(sh *shard, force bool) error {
 }
 
 // snapshotLocked seals the series' unpersisted tail for a block writer:
-// each stream's pending entries — for a rollup level the closed buckets
-// only, the open tail travels as state — plus the newest instants.
+// each stream's pending entries — for a rollup level its closed buckets, the
+// open bucket travels as state — plus the newest instants.
 func (s *series) snapshotLocked() storage.SeriesSnapshot {
 	sn := storage.SeriesSnapshot{Key: s.key, Unit: s.unit, LastT: s.lastT, LastGapT: s.lastGapT}
 	sn.StartPoint, sn.Points = s.raw.pending(s.raw.total)
 	sn.StartGap, sn.Gaps = s.gaps.pending(s.gaps.total)
 	for l := range s.roll {
-		rb := &s.roll[l]
-		if rb.len() == 0 {
+		if s.open[l].Count == 0 {
 			continue
 		}
 		lv := &sn.Levels[l]
-		lv.StartBucket, lv.Closed = rb.pending(rb.total - 1)
-		tb := *rb.tail()
+		lv.StartBucket, lv.Closed = s.roll[l].pending(s.roll[l].total)
+		tb := s.open[l]
 		lv.Tail = &tb
 	}
 	return sn
 }
 
 // markPersistedLocked advances the watermarks after a successful block
-// append: everything currently in memory is sealed, bar each rollup level's
-// open tail.
+// append: every stream is sealed; the open buckets are not in one.
 func (s *series) markPersistedLocked() {
 	s.raw.sealed = s.raw.total
 	s.gaps.sealed = s.gaps.total
 	for l := range s.roll {
-		if rb := &s.roll[l]; rb.total > 0 {
-			rb.sealed = rb.total - 1
-		}
+		s.roll[l].sealed = s.roll[l].total
 	}
 }
 
@@ -347,7 +341,7 @@ func (st *Store) MaxTime() time.Duration {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.series {
+		for _, s := range sh.list {
 			if s.raw.total > 0 && s.lastT > max {
 				max = s.lastT
 			}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"envmon/internal/telemetry/wal"
+	"envmon/internal/trace"
 )
 
 // smallOpts forces frequent compactions: tiny rings, tiny WAL budget.
@@ -559,4 +560,106 @@ func TestRotationOnAFullDiskReopensTheJournal(t *testing.T) {
 	if len(frames[1].Gaps) != 1 {
 		t.Fatalf("the gap marker journaled after the rotation: %v", frames[1].Gaps)
 	}
+}
+
+// collidingKeys share one index hash: the two Domain spellings were found
+// by a distinguished-point search for a collision of SeriesKey.Hash, so a
+// lookup of either walks a chain of two.
+var collidingKeys = [2]SeriesKey{
+	{Node: "c000-000", Backend: "MSR", Domain: "8q7zmwX7akp"},
+	{Node: "c000-000", Backend: "MSR", Domain: "qHKCzOlnJto"},
+}
+
+// TestIndexHashCollisionKeepsSeriesApart holds two keys of one index hash
+// apart on every path that finds a series: Ingest and a cursor flush
+// (lockSeries), Query, TopK and Series (the shard's list), Flush, and a
+// reopen at another shard count (recoverSeries). The store files both under
+// the hash first through addSeries, the insert those paths share.
+func TestIndexHashCollisionKeepsSeriesApart(t *testing.T) {
+	a, b := collidingKeys[0], collidingKeys[1]
+	h := a.Hash()
+	if b.Hash() != h || a == b {
+		t.Fatalf("keys %v and %v hash to %x and %x, want two keys of one hash", a, b, h, b.Hash())
+	}
+	dir := t.TempDir()
+	opts := Options{Shards: 2, RawCapacity: 8, RollupCapacity: 4, WALSegmentBytes: 1 << 20}
+	st, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Close() }()
+	sh := st.shardOf(h)
+	sa, sb := st.addSeries(sh, h, a, "W"), st.addSeries(sh, h, b, "V")
+	if sh.lookup(h, a) != sa || sh.lookup(h, b) != sb {
+		t.Fatal("lookup does not tell the two series of one hash apart")
+	}
+
+	// Series i's j-th sample is value(i, j), 300 ms after the one before.
+	value := func(i, j int) float64 { return float64(100*(i+1) + j) }
+	n := 0
+	at := func(j int) time.Duration { return time.Duration(j) * 300 * time.Millisecond }
+	check := func(what string) {
+		t.Helper()
+		for i, k := range collidingKeys {
+			frames := st.Query(Query{Domain: k.Domain})
+			if len(frames) != 1 || frames[0].Key != k || len(frames[0].Points) != n {
+				t.Fatalf("%s: Query of %v answered %+v, want one frame of %d points", what, k, frames, n)
+			}
+			var sum float64
+			for j, p := range frames[0].Points {
+				if p.T != at(j) || p.Last != value(i, j) {
+					t.Fatalf("%s: %v point %d is %v at %v, want %v at %v", what, k, j, p.Last, p.T, value(i, j), at(j))
+				}
+				sum += p.Last
+			}
+			ranked, total := st.TopK(0, k.Domain, 0, 0, Raw)
+			if want := sum / float64(n); len(ranked) != 1 || ranked[0].Watts != want || total != want {
+				t.Fatalf("%s: TopK over %v = %+v %v, want %v W", what, k, ranked, total, want)
+			}
+		}
+		infos := st.Series()
+		if st.NumSeries() != 2 || len(infos) != 2 ||
+			infos[0].Key != a || infos[0].Unit != "W" || infos[0].Samples != uint64(n) ||
+			infos[1].Key != b || infos[1].Unit != "V" || infos[1].Samples != uint64(n) {
+			t.Fatalf("%s: Series = %+v, want %v in W and %v in V, %d samples each", what, infos, a, b, n)
+		}
+	}
+	ingest := func(m int) {
+		for ; m > 0; m-- {
+			for i, k := range collidingKeys {
+				mustIngest(t, st, k, at(n), value(i, n))
+			}
+			n++
+		}
+	}
+
+	ingest(30)
+	check("ingest")
+	set := trace.NewSet()
+	for i, k := range collidingKeys {
+		ts := set.Add(trace.NewSeries(k.Backend+"/"+k.Domain, "W"))
+		for j := n; j < n+10; j++ {
+			ts.MustAppend(at(j), value(i, j))
+		}
+	}
+	if err := NewSetCursor(st, a.Node, set).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	n += 10
+	check("cursor flush")
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flush")
+	st.Close()
+	opts.Shards = 3
+	if st, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.shardOf(h).index[h]; s == nil || s.next == nil || s.next.next != nil {
+		t.Fatal("reopen did not file the two series under their one hash")
+	}
+	check("reopen")
+	ingest(5)
+	check("ingest after reopen")
 }

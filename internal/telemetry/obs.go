@@ -140,7 +140,7 @@ func (st *Store) sumSeries(fn func(*series) uint64) uint64 {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.series {
+		for _, s := range sh.list {
 			n += fn(s)
 		}
 		sh.mu.RUnlock()

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -140,7 +141,7 @@ func (st *Store) runQuery(q Query, points bool) []Frame {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.series {
+		for _, s := range sh.list {
 			if !q.matches(s.key) {
 				continue
 			}
@@ -215,17 +216,27 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 		bucket := func(b Bucket) {
 			add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
 		}
-		rb := &s.roll[lvl]
-		// A bucket overlaps the window when Start+period > From.
-		i, j := rb.window(q.From-period+1, q.To, bucketT)
+		rb, open := &s.roll[lvl], &s.open[lvl]
+		// A bucket overlaps the window when Start+period > From. The open
+		// bucket is newer than every closed one, so it comes last.
+		lo := q.From - period + 1
+		i, j := rb.window(lo, q.To, bucketT)
+		inWindow := open.Count > 0 && open.Start >= lo && (q.To <= 0 || open.Start < q.To)
 		if points {
-			f.Points = make([]FramePoint, 0, j-i)
+			n := j - i
+			if inWindow {
+				n++
+			}
+			f.Points = make([]FramePoint, 0, n)
 		}
-		if st.blocks != nil && rb.sealedFrom(q.From-period+1, bucketT) {
+		if st.blocks != nil && rb.sealedFrom(lo, bucketT) {
 			st.noteRead(st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, bucket))
 		}
 		for ; i < j; i++ {
 			bucket(rb.at(i))
+		}
+		if inWindow {
+			bucket(*open)
 		}
 	}
 	if len(f.Points) == 0 {
@@ -322,7 +333,7 @@ func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resoluti
 	for _, np := range ranked {
 		total += np.Watts
 	}
-	sort.SliceStable(ranked, func(i, j int) bool { return CompareRank(ranked[i], ranked[j]) < 0 })
+	slices.SortFunc(ranked, CompareRank)
 	if k > 0 && len(ranked) > k {
 		ranked = ranked[:k]
 	}

@@ -53,15 +53,19 @@ func (r *stream[T]) slot(i int) int {
 	return i
 }
 
+// push appends v, evicting the oldest entry from a full ring. A ring of size
+// 0 (a rollup level of RollupCapacity 1: its open bucket only) counts v and
+// holds nothing.
 func (r *stream[T]) push(v T) {
 	r.total++
-	if r.n < len(r.buf) {
+	switch {
+	case r.n < len(r.buf):
 		r.buf[r.slot(r.n)] = v
 		r.n++
-		return
+	case r.n > 0:
+		r.buf[r.head] = v
+		r.head = r.slot(1)
 	}
-	r.buf[r.head] = v
-	r.head = r.slot(1)
 }
 
 // at returns the i-th resident entry in age order (0 = oldest). i must be
@@ -69,14 +73,6 @@ func (r *stream[T]) push(v T) {
 func (r *stream[T]) at(i int) T { return r.buf[r.slot(i)] }
 
 func (r *stream[T]) len() int { return r.n }
-
-// tail returns the newest entry for in-place update, or nil when empty.
-func (r *stream[T]) tail() *T {
-	if r.n == 0 {
-		return nil
-	}
-	return &r.buf[r.slot(r.n-1)]
-}
 
 // live returns the ring position of the first entry past the seam: resident
 // entries below it are already served from blocks.

@@ -71,40 +71,48 @@ func ParseResolution(s string) (Resolution, error) {
 }
 
 // series is one stored time series: a stream of raw samples, one of gap
-// markers and one of buckets per rollup level, all preallocated. Access is
+// markers and one of closed buckets per rollup level, all preallocated, and
+// each level's open bucket in the record itself, so an ingest touches the
+// record and the raw ring and no other ring until a bucket closes. Access is
 // guarded by the owning shard's lock. Each stream carries its own position
-// against the count seam (see stream); a rollup level's open tail bucket is
-// still mutable and never sealed, so that level's seam sits at total-1.
+// against the count seam (see stream); a level's open bucket is outside its
+// stream and never sealed.
 type series struct {
+	// What a sample's ingest reads and writes comes first.
 	key      SeriesKey
 	unit     string
+	next     *series // the next series under the same index hash (see shard)
+	lastT    time.Duration
+	walRef   uint64 // series ref in the shard's current WAL segment
+	walEpoch uint64 // shard walEpoch the ref belongs to (0 = undeclared)
 	raw      stream[Point]
+	open     [numRollupLevels]Bucket // Count 0: the level has no bucket yet
+
 	gaps     stream[time.Duration]
 	roll     [numRollupLevels]stream[Bucket]
 	minT     time.Duration // first sample ever (valid when raw.total > 0)
-	lastT    time.Duration
 	lastGapT time.Duration
-
-	walRef   uint64 // series ref in the shard's current WAL segment
-	walEpoch uint64 // shard walEpoch the ref belongs to (0 = undeclared)
 }
 
+// newSeries allocates a series' rings. A level's RollupCapacity counts its
+// open bucket, so its ring holds one closed bucket fewer.
 func newSeries(key SeriesKey, unit string, opts Options) *series {
 	s := &series{key: key, unit: unit,
 		raw:  newStream[Point](opts.RawCapacity),
 		gaps: newStream[time.Duration](opts.GapCapacity)}
 	for i := range s.roll {
-		s.roll[i] = newStream[Bucket](opts.RollupCapacity)
+		s.roll[i] = newStream[Bucket](opts.RollupCapacity - 1)
 	}
 	return s
 }
 
 // append records one sample and updates every rollup level incrementally:
-// either the open tail bucket absorbs the sample or a new bucket is pushed.
-// The caller has already checked time order; t >= lastT holds. That is what
-// lets the bucket test be a subtraction: the tail bucket holds lastT and
-// starts on a multiple of period, so Start <= t, and t falls in it exactly
-// when t-Start < period. The division runs only when a bucket opens.
+// either the open bucket absorbs the sample or it closes into the level's
+// ring and a new one opens. The caller has already checked time order; t >=
+// lastT holds. That is what lets the bucket test be a subtraction: the open
+// bucket holds lastT and starts on a multiple of period, so Start <= t, and t
+// falls in it exactly when t-Start < period. The division runs only when a
+// bucket opens.
 func (s *series) append(t time.Duration, v float64) {
 	if s.raw.total == 0 {
 		s.minT = t
@@ -112,8 +120,8 @@ func (s *series) append(t time.Duration, v float64) {
 	s.raw.push(Point{T: t, V: v})
 	s.lastT = t
 	for i, period := range rollupPeriods {
-		rb := &s.roll[i]
-		if b := rb.tail(); b != nil && t-b.Start < period {
+		b := &s.open[i]
+		if t-b.Start < period && b.Count > 0 {
 			if v < b.Min {
 				b.Min = v
 			}
@@ -125,7 +133,10 @@ func (s *series) append(t time.Duration, v float64) {
 			b.Count++
 			continue
 		}
-		rb.push(Bucket{Start: t - t%period, Count: 1, Min: v, Max: v, Sum: v, Last: v})
+		if b.Count > 0 {
+			s.roll[i].push(*b)
+		}
+		*b = Bucket{Start: t - t%period, Count: 1, Min: v, Max: v, Sum: v, Last: v}
 	}
 }
 
@@ -137,14 +148,13 @@ func (s *series) appendGap(t time.Duration) {
 
 // samplePressed reports whether absorbing a sample at t would evict
 // unsealed data: from the raw ring, or from a rollup ring that is about to
-// open a new bucket rather than absorb the sample into its tail. t >= lastT,
-// as for append.
+// take the bucket the sample closes. t >= lastT, as for append.
 func (s *series) samplePressed(t time.Duration) bool {
 	if s.raw.pressed() {
 		return true
 	}
 	for l, period := range rollupPeriods {
-		if rb := &s.roll[l]; rb.pressed() && t-rb.tail().Start >= period {
+		if b := &s.open[l]; t-b.Start >= period && b.Count > 0 && s.roll[l].pressed() {
 			return true
 		}
 	}
@@ -157,7 +167,7 @@ func (s *series) samplePressed(t time.Duration) bool {
 // it is in time order and, in a journaled store, absorbing it would evict
 // nothing unsealed — judged as samplePressed would judge it once the samples
 // before it were in the rings: room() pushes are left per ring, the raw ring
-// spends one per sample and a rollup ring one per bucket opened. So a run
+// spends one per sample and a rollup ring one per bucket closed. So a run
 // seals at the sample index where sample-by-sample ingest would have. A
 // memory-only store has nothing unsealed and only order ends its stretch.
 func (s *series) stretch(run []trace.Sample, offset time.Duration, journaled bool) int {
@@ -165,9 +175,10 @@ func (s *series) stretch(run []trace.Sample, offset time.Duration, journaled boo
 	var room [numRollupLevels]int
 	var start [numRollupLevels]time.Duration
 	for l, period := range rollupPeriods {
-		room[l], start[l] = s.roll[l].room(), -period // no tail yet: any t >= 0 opens a bucket
-		if b := s.roll[l].tail(); b != nil {
-			start[l] = b.Start
+		room[l], start[l] = s.roll[l].room(), s.open[l].Start
+		if s.open[l].Count == 0 {
+			room[l]++          // the first bucket opens without closing one
+			start[l] = -period // and any t >= 0 opens it
 		}
 	}
 	for n, sm := range run {

@@ -91,8 +91,8 @@ func TestStreamAgainstSliceModel(t *testing.T) {
 			v := newest + rng.Intn(3)
 			r.push(v)
 			all = append(all, v)
-			if int(r.total) != len(all) || *r.tail() != v {
-				t.Fatalf("round %d op %d: total %d tail %d after pushing %d as entry %d", round, op, r.total, *r.tail(), v, len(all)-1)
+			if int(r.total) != len(all) || r.at(r.len()-1) != v {
+				t.Fatalf("round %d op %d: total %d newest %d after pushing %d as entry %d", round, op, r.total, r.at(r.len()-1), v, len(all)-1)
 			}
 			// Blocks serve [0, sealed); the ring must serve exactly the rest.
 			var live []int
@@ -176,7 +176,7 @@ func TestSeamModel(t *testing.T) {
 		// bisection and of the test for whether blocks are read at all. For
 		// a rollup level both ends of the first live bucket are edges.
 		k := keys[rng.Intn(len(keys))]
-		if s := ps.shards[k.Hash()%uint64(len(ps.shards))].series[k]; s != nil {
+		if s := ps.shardOf(k.Hash()).lookup(k.Hash(), k); s != nil {
 			var seams []time.Duration
 			if i := s.raw.live(); i < s.raw.len() {
 				seams = append(seams, s.raw.at(i).T)

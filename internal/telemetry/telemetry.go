@@ -112,9 +112,9 @@ type Options struct {
 	// RawCapacity is the fixed ring size for raw samples per series;
 	// older samples are evicted. Non-positive selects 4096.
 	RawCapacity int
-	// RollupCapacity is the fixed ring size, in buckets, of each rollup
-	// level per series. Non-positive selects 1024 (at the coarsest 60 s
-	// level that is ~17 hours of history).
+	// RollupCapacity is how many buckets each rollup level of a series
+	// holds in memory, its open bucket included. Non-positive selects 1024
+	// (at the coarsest 60 s level that is ~17 hours of history).
 	RollupCapacity int
 	// MaxSeries caps the number of distinct series the store will create;
 	// 0 means unlimited. The cap models the central server's finite
@@ -181,9 +181,14 @@ type Store struct {
 	recovered   RecoveryStats
 }
 
+// shard is one lock stripe. Its index is keyed by SeriesKey.Hash, the hash
+// that picked the shard, so an ingest hashes its key once; a hit compares the
+// whole key, and keys that share a hash chain through series.next. list holds
+// every series in creation order for the walks that visit them all.
 type shard struct {
-	mu     sync.RWMutex
-	series map[SeriesKey]*series
+	mu    sync.RWMutex
+	index map[uint64]*series
+	list  []*series
 
 	// wal is the shard's journal appender (nil in a memory-only store);
 	// walEpoch invalidates series' segment-scoped WAL refs on rotation.
@@ -197,9 +202,33 @@ func New(opts Options) *Store {
 	opts = opts.withDefaults()
 	st := &Store{opts: opts, shards: make([]shard, opts.Shards)}
 	for i := range st.shards {
-		st.shards[i].series = make(map[SeriesKey]*series)
+		st.shards[i].index = make(map[uint64]*series)
 	}
 	return st
+}
+
+// shardOf returns the shard a key of index hash h lives in.
+func (st *Store) shardOf(h uint64) *shard { return &st.shards[h%uint64(len(st.shards))] }
+
+// lookup returns the series keyed key, whose index hash is h, or nil.
+func (sh *shard) lookup(h uint64, key SeriesKey) *series {
+	s := sh.index[h]
+	for s != nil && s.key != key {
+		s = s.next
+	}
+	return s
+}
+
+// addSeries creates the series keyed key, whose index hash is h, in sh: the
+// one insert lockSeries and recoverSeries share. The caller has looked key up
+// and missed.
+func (st *Store) addSeries(sh *shard, h uint64, key SeriesKey, unit string) *series {
+	s := newSeries(key, unit, st.opts)
+	s.next = sh.index[h]
+	sh.index[h] = s
+	sh.list = append(sh.list, s)
+	st.nseries.Add(1)
+	return s
 }
 
 // lockSeries is the prologue Ingest and IngestGap share: it locks the key's
@@ -210,7 +239,8 @@ func New(opts Options) *Store {
 // as false here still has its journal, and no acknowledged ingest on a
 // persistent store goes unjournaled.
 func (st *Store) lockSeries(key SeriesKey, unit string, t time.Duration) (*shard, *series, error) {
-	sh := &st.shards[key.Hash()%uint64(len(st.shards))]
+	h := key.Hash()
+	sh := st.shardOf(h)
 	sh.mu.Lock()
 	if st.closed.Load() {
 		return nil, nil, st.reject(sh, ErrClosed)
@@ -218,14 +248,12 @@ func (st *Store) lockSeries(key SeriesKey, unit string, t time.Duration) (*shard
 	if t < 0 {
 		return nil, nil, st.reject(sh, ErrOutOfOrder)
 	}
-	s := sh.series[key]
+	s := sh.lookup(h, key)
 	if s == nil {
 		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
 			return nil, nil, st.reject(sh, ErrSeriesLimit)
 		}
-		s = newSeries(key, unit, st.opts)
-		sh.series[key] = s
-		st.nseries.Add(1)
+		s = st.addSeries(sh, h, key, unit)
 	}
 	return sh, s, nil
 }
@@ -429,7 +457,7 @@ func (st *Store) Series() []SeriesInfo {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, s := range sh.series {
+		for _, s := range sh.list {
 			info := SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.raw.total, Gaps: s.gaps.total,
 				Persisted: s.raw.sealed, Newest: s.lastT}
 			if st.blocks != nil && s.raw.total > 0 {

@@ -98,6 +98,53 @@ func TestRawRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestRollupRingEvictsOldest pins each rollup level's retention in a
+// memory-only store: at RollupCapacity C a level serves its newest
+// min(opened, C) buckets, the newest of them the open bucket with every
+// sample it has absorbed so far. C = 1 holds the open bucket alone.
+func TestRollupRingEvictsOldest(t *testing.T) {
+	for _, capacity := range []int{1, 2, 4} {
+		st := New(Options{RollupCapacity: capacity})
+		var starts [numRollupLevels][]time.Duration // every bucket each level opened
+		var open [numRollupLevels]FramePoint
+		for i := 0; i < 400; i++ {
+			at, v := time.Duration(i)*700*time.Millisecond, float64(i%13)
+			mustIngest(t, st, key("n0"), at, v)
+			for l, period := range rollupPeriods {
+				start := at - at%period
+				if n := len(starts[l]); n == 0 || starts[l][n-1] != start {
+					starts[l] = append(starts[l], start)
+					open[l] = FramePoint{T: start, Min: v, Max: v, Count: 0}
+				}
+				b := &open[l]
+				b.Min, b.Max, b.Last = min(b.Min, v), max(b.Max, v), v
+				b.Count++
+			}
+			if i%7 != 0 && i != 399 {
+				continue
+			}
+			for l := range rollupPeriods {
+				res := Resolution(l + 1)
+				pts := st.Query(Query{Resolution: res})[0].Points
+				want := starts[l][max(len(starts[l])-capacity, 0):]
+				if len(pts) != len(want) {
+					t.Fatalf("C=%d sample %d: %s serves %d buckets, want %d", capacity, i, res, len(pts), len(want))
+				}
+				for j, p := range pts {
+					if p.T != want[j] {
+						t.Fatalf("C=%d sample %d: %s bucket %d starts at %v, want %v", capacity, i, res, j, p.T, want[j])
+					}
+				}
+				got := pts[len(pts)-1]
+				got.Mean = 0
+				if got != open[l] {
+					t.Fatalf("C=%d sample %d: %s newest bucket %+v, want the open one %+v", capacity, i, res, got, open[l])
+				}
+			}
+		}
+	}
+}
+
 func TestRollupLadderIncrementalStats(t *testing.T) {
 	st := New(Options{})
 	k := key("n0")
