@@ -47,8 +47,9 @@ var architecture = []struct {
 	name, rule string
 	check      func(*archModule) []string
 }{
-	{"chassis", "DESIGN §13: internal/daemon owns the http.Server, the status-capturing writer and the signal wiring; bench/ wires its own", guards(
-		guard{except: strs("internal/daemon/", "bench/"), bad: strs("http.Server", "signal.NotifyContext", "signal.Notify", "type statusWriter")})},
+	{"chassis", "DESIGN §13: internal/daemon owns the http.Server, the status-capturing writer, the signal wiring and the JSON encoder every handler answers through (daemon.WriteJSON); trace's file sink streams its own, bench/ wires its own", guards(
+		guard{except: strs("internal/daemon/", "bench/"), bad: strs("http.Server", "signal.NotifyContext", "signal.Notify", "type statusWriter")},
+		guard{except: strs("internal/daemon/", "internal/trace/", "bench/"), bad: strs("json.NewEncoder")})},
 	{"codec", "DESIGN §7 and §11: httpapi/codec.go encodes, decodes and splits /query; handlers answer through daemon.WriteJSON, the client decodes or splits with the codec alone", guards(
 		guard{scope: httpapi, fn: "Server.handleQuery", one: strs("func Server.handleQuery"), bad: handlerCodecs},
 		guard{scope: "internal/federation/", fn: "Server.handleQuery", one: strs("func Server.handleQuery"), bad: handlerCodecs},

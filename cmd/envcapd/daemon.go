@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -131,10 +130,7 @@ func (d *capDaemon) step(ctx context.Context) {
 }
 
 func (d *capDaemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(d.ctrl.Status(d.now()))
+	daemon.WriteJSON(w, http.StatusOK, d.ctrl.Status(d.now()))
 }
 
 func (d *capDaemon) handleDecisions(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"envmon/internal/cluster"
+	"envmon/internal/faults"
 	"envmon/internal/telemetry"
 )
 
@@ -25,6 +27,39 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags = %q\nwant    %q", got, want)
+	}
+}
+
+// TestFaultsUsageLosesAnAttachedBackend: the plan in -faults' usage
+// string parses, and every backend it loses is one a node of envmond's
+// cluster attaches, so the example an operator copies injects a loss.
+func TestFaultsUsageLosesAnAttachedBackend(t *testing.T) {
+	fs := flag.NewFlagSet("envmond", flag.ContinueOnError)
+	registerFlags(fs)
+	_, spec, found := strings.Cut(fs.Lookup("faults").Usage, "'")
+	spec, _, closed := strings.Cut(spec, "'")
+	if !found || !closed {
+		t.Fatalf("-faults usage quotes no plan: %q", fs.Lookup("faults").Usage)
+	}
+	plan, err := faults.ParsePlan(spec, 42)
+	if err != nil {
+		t.Fatalf("usage plan %q: %v", spec, err)
+	}
+	c, err := cluster.NewStampede(1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var attached []string
+	for _, a := range c.Nodes[0].Devices().Attachments() {
+		attached = append(attached, a.Key.Method)
+	}
+	if len(plan.Lose) == 0 {
+		t.Errorf("usage plan %q loses no backend", spec)
+	}
+	for _, l := range plan.Lose {
+		if !slices.Contains(attached, l.Method) {
+			t.Errorf("usage plan loses %q; a node attaches %q", l.Method, attached)
+		}
 	}
 }
 

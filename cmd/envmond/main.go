@@ -52,7 +52,7 @@ func registerFlags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&cfg.tick, "tick", 100*time.Millisecond, "wall-clock interval between simulation ticks")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "noise seed")
 	fs.DurationVar(&cfg.envdbIvl, "envdb-interval", envdb.DefaultPollInterval, "environmental-database polling interval")
-	fs.StringVar(&cfg.faultSpec, "faults", "", "deterministic fault plan, e.g. 'transient=0.1,lose=NVML#0@60s' (empty disables)")
+	fs.StringVar(&cfg.faultSpec, "faults", "", "deterministic fault plan, e.g. 'transient=0.1,lose=SysMgmt API@60s-120s' (empty disables)")
 	fs.BoolVar(&cfg.resilient, "resilience", false, "wrap collectors in retry + breaker + fallback chains; /healthz reports breaker state")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "persist telemetry under this directory (WAL + compacted blocks); empty keeps the store in memory")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics, net/http/pprof, and /debug/slowops on this second address (empty disables)")

@@ -116,7 +116,7 @@ func (d *Domains) StartJob(cfg DomainJobConfig) (*moneq.Job, error) {
 				cfg.OnResilience(n.Name, rcs)
 			}
 		} else {
-			cols, err = n.Devices().CollectorsFor(reg, cfg.Backends...)
+			cols, err = n.Devices().Collectors(reg, cfg.Backends...)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", n.Name, err)

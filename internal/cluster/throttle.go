@@ -67,13 +67,10 @@ func (n *Node) ThrottleAt(t time.Duration) float64 {
 // SetSocketCaps programs a RAPL PKG power limit of watts on every socket
 // the node carries, effective from simulated time at. Nodes without
 // sockets are a no-op. Call with the node's clock domain parked.
-func (n *Node) SetSocketCaps(at time.Duration, watts float64) error {
+func (n *Node) SetSocketCaps(at time.Duration, watts float64) {
 	for _, s := range n.Sockets {
-		if err := s.SetPowerLimitAt(rapl.PKG, at, watts); err != nil {
-			return fmt.Errorf("cluster: node %s: %w", n.Name, err)
-		}
+		s.SetPowerLimitAt(rapl.PKG, at, watts)
 	}
-	return nil
 }
 
 // SetThrottle sets the duty-cycle factor on every node from simulated time
@@ -91,11 +88,8 @@ func (c *Cluster) SetThrottle(at time.Duration, factor float64) error {
 
 // SetSocketCaps programs a per-socket RAPL PKG limit on every node's
 // sockets, effective from simulated time at.
-func (c *Cluster) SetSocketCaps(at time.Duration, watts float64) error {
+func (c *Cluster) SetSocketCaps(at time.Duration, watts float64) {
 	for _, n := range c.Nodes {
-		if err := n.SetSocketCaps(at, watts); err != nil {
-			return err
-		}
+		n.SetSocketCaps(at, watts)
 	}
-	return nil
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Attachment pairs a backend key with the vendor-specific target its
 // factory consumes.
 type Attachment struct {
@@ -39,36 +41,16 @@ func (s *DeviceSet) ByPlatform(p Platform) []Attachment {
 	return out
 }
 
-// Collectors builds one collector per attachment via reg, in attach order.
-// The first factory error aborts the build.
-func (s *DeviceSet) Collectors(reg *Registry) ([]Collector, error) {
+// Collectors builds one collector per attachment via reg, in attach
+// order. Keys, when given, select the attachments whose backend is one of
+// them — the caller's way to take a subset of a node's access paths (say,
+// the daemon path but not the in-band one) without knowing how the node
+// was assembled; no keys means every attachment. The first factory error
+// aborts the build.
+func (s *DeviceSet) Collectors(reg *Registry, keys ...BackendKey) ([]Collector, error) {
 	cols := make([]Collector, 0, len(s.attachments))
 	for _, a := range s.attachments {
-		c, err := reg.Build(a.Key, a.Target)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
-	}
-	return cols, nil
-}
-
-// CollectorsFor builds collectors only for attachments whose key matches
-// one of the given backends, in attach order — the caller's way to select
-// a subset of a node's access paths (say, the daemon path but not the
-// in-band one) without knowing how the node was assembled. No keys means
-// every attachment, like Collectors.
-func (s *DeviceSet) CollectorsFor(reg *Registry, keys ...BackendKey) ([]Collector, error) {
-	if len(keys) == 0 {
-		return s.Collectors(reg)
-	}
-	want := make(map[BackendKey]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
-	}
-	var cols []Collector
-	for _, a := range s.attachments {
-		if !want[a.Key] {
+		if len(keys) > 0 && !slices.Contains(keys, a.Key) {
 			continue
 		}
 		c, err := reg.Build(a.Key, a.Target)

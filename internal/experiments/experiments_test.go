@@ -149,8 +149,8 @@ func TestFig5(t *testing.T) {
 
 func TestFig6(t *testing.T) {
 	r := runChecked(t, "fig6")
-	if len(r.Rows) != 4 {
-		t.Errorf("rows = %d, want 3 collection paths + RAS", len(r.Rows))
+	if len(r.Rows) != 3 {
+		t.Errorf("rows = %d, want 3 collection paths", len(r.Rows))
 	}
 }
 

@@ -105,10 +105,6 @@ type Card struct {
 	smcFilter  power.Lag // register smoothing (~300 ms)
 	smcPowerW  float64   // current power register
 	dieC, memC float64
-
-	// MCA error-log state (see ras.go)
-	mcaCell int64
-	mcaLog  []MCAEvent
 }
 
 // New builds a card. Internal RAPL planes are calibrated so a no-op

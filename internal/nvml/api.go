@@ -6,8 +6,8 @@ import (
 	"envmon/internal/simrand"
 )
 
-// Library is the NVML entry point: the equivalent of libnvidia-ml with its
-// nvmlInit/nvmlShutdown lifecycle.
+// Library is the NVML entry point: the equivalent of libnvidia-ml, which
+// answers no query before nvmlInit.
 type Library struct {
 	inited  bool
 	devices []*Device
@@ -22,12 +22,6 @@ func NewLibrary(devices ...*Device) *Library {
 // ErrorUninitialized.
 func (l *Library) Init() Return {
 	l.inited = true
-	return Success
-}
-
-// Shutdown mirrors nvmlShutdown().
-func (l *Library) Shutdown() Return {
-	l.inited = false
 	return Success
 }
 

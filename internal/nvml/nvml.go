@@ -1,7 +1,7 @@
 // Package nvml simulates the NVIDIA Management Library (paper Section II.C).
 //
 // The API shape deliberately mirrors the real C library: an explicit
-// Init/Shutdown lifecycle, device handles obtained by index, and typed
+// Init before any query, device handles obtained by index, and typed
 // return codes. Fidelity points from the paper:
 //
 //   - Only Kepler-architecture GPUs (K20, K40) support power collection;

@@ -56,9 +56,7 @@ func (a *ClusterActuator) Apply(now time.Duration, capW float64) error {
 	}
 	if a.SocketCapFrac > 0 {
 		perNode := capW / float64(len(a.Cluster.Nodes))
-		if err := a.Cluster.SetSocketCaps(now, perNode*a.SocketCapFrac); err != nil {
-			return err
-		}
+		a.Cluster.SetSocketCaps(now, perNode*a.SocketCapFrac)
 	}
 	a.applied = true
 	a.lastDuty = duty

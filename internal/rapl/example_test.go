@@ -42,9 +42,7 @@ func ExampleSocket_SetPowerLimitAt() {
 	socket := rapl.NewSocket(rapl.Config{Name: "socket0", Seed: 42})
 	socket.Run(workload.GaussElim(5*time.Minute), 0)
 
-	if err := socket.SetPowerLimitAt(rapl.PKG, 0, 30); err != nil {
-		panic(err)
-	}
+	socket.SetPowerLimitAt(rapl.PKG, 0, 30)
 	j0 := socket.EnergyJoules(rapl.PKG, 60*time.Second)
 	j1 := socket.EnergyJoules(rapl.PKG, 120*time.Second)
 	fmt.Printf("capped package power: %.0f W\n", (j1-j0)/60)

@@ -331,13 +331,12 @@ const (
 // re-programming caps mid-run never rewrites the history a collector may
 // not have read yet. now must not precede earlier reads or limit writes on
 // this socket (reads are non-decreasing per node by contract).
-func (s *Socket) SetPowerLimitAt(d Domain, now time.Duration, watts float64) error {
+func (s *Socket) SetPowerLimitAt(d Domain, now time.Duration, watts float64) {
 	raw := uint64(watts/PowerUnit)&limitMask | enableBit
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.integrateTo(d, int64(now/s.period))
 	s.limits[d] = limitState{raw: raw, watts: float64(raw&limitMask) * PowerUnit, enabled: true}
-	return nil
 }
 
 // PowerLimit reports the programmed limit and whether it is enabled.

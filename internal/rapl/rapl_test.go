@@ -189,9 +189,7 @@ func TestReadPatternIndependence(t *testing.T) {
 func TestPowerLimitEnforced(t *testing.T) {
 	s := NewSocket(Config{Name: "s0", Seed: 11})
 	s.Run(workload.GaussElim(5*time.Minute), 0)
-	if err := s.SetPowerLimitAt(PKG, 0, 30); err != nil {
-		t.Fatal(err)
-	}
+	s.SetPowerLimitAt(PKG, 0, 30)
 	w, on := s.PowerLimit(PKG)
 	if !on || w != 30 {
 		t.Fatalf("PowerLimit = %v, %v", w, on)
@@ -203,9 +201,7 @@ func TestPowerLimitEnforced(t *testing.T) {
 		t.Errorf("limited PKG drew %v W, cap was 30", watts)
 	}
 	// A controller lifts a cap mid-run by programming one above the draw.
-	if err := s.SetPowerLimitAt(PKG, 120*time.Second, 200); err != nil {
-		t.Fatal(err)
-	}
+	s.SetPowerLimitAt(PKG, 120*time.Second, 200)
 	j2 := s.EnergyJoules(PKG, 180*time.Second)
 	unlimited := (j2 - j1) / 60
 	if unlimited < 40 {
@@ -217,9 +213,7 @@ func TestPowerLimitViaMSR(t *testing.T) {
 	s := newIdleSocket()
 	// The limit register reads back what SetPowerLimitAt programmed:
 	// 20 W / 0.125 W = 160 steps, with the enable bit.
-	if err := s.SetPowerLimitAt(PKG, 0, 20); err != nil {
-		t.Fatal(err)
-	}
+	s.SetPowerLimitAt(PKG, 0, 20)
 	got, err := s.Registers().Read(msr.PkgPowerLimit, 0)
 	if want := uint64(160) | uint64(1)<<15; err != nil || got != want {
 		t.Fatalf("limit register readback = %#x, %v; want %#x", got, err, want)

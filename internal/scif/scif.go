@@ -9,7 +9,7 @@
 // port on a node and Call carries a request across the simulated PCIe bus,
 // runs the handler and carries the response back, each hop with a
 // size-dependent transit time that is the same in both directions. The
-// SysMgmt and RAS paths of internal/mic are built on it.
+// in-band SysMgmt path of internal/mic is built on it.
 //
 // The simulation is lazy and deterministic like the rest of the system:
 // Call returns an explicit completion time and there are no goroutines or

@@ -72,16 +72,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.next()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (s *Source) Intn(n int) int {
-	if n <= 0 {
-		panic("simrand: Intn with non-positive n")
-	}
-	// Lemire's nearly-divisionless bounded sampling is overkill here; modulo
-	// bias at n << 2^64 is negligible for simulation noise.
-	return int(s.next() % uint64(n))
-}
-
 // Uniform returns a uniform float64 in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()

@@ -82,22 +82,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestIntnRangeAndPanic(t *testing.T) {
-	s := New(3)
-	for i := 0; i < 1000; i++ {
-		v := s.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn(10) = %d out of range", v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	s.Intn(0)
-}
-
 func TestUniformRange(t *testing.T) {
 	s := New(5)
 	for i := 0; i < 1000; i++ {
