@@ -4,11 +4,18 @@
 //
 // A block file holds, per series: the raw points as a Gorilla chunk
 // (delta-of-delta timestamps, XOR values), the gap markers as a varint
-// chunk, and each rollup level's sealed buckets plus a snapshot of the
-// open tail bucket. Every chunk is labelled with the absolute index range
-// it covers in its series' stream, which is what lets the query layer
-// stitch blocks and the in-memory head together with no overlap and no
-// holes, and lets WAL replay skip records a block already holds.
+// chunk, and each rollup level's sealed buckets as six Gorilla columns
+// plus a snapshot of the open tail bucket. Every chunk is labelled with
+// the absolute index range it covers in its series' stream, which is what
+// lets the query layer stitch blocks and the in-memory head together with
+// no overlap and no holes, and lets WAL replay skip records a block
+// already holds.
+//
+// The writer writes format version 2, whose index carries a CRC-32C per
+// chunk: a chunk that fails it is a read error and is never decoded.
+// Version 1 files (buckets as varints and raw words, no chunk checksums)
+// stay readable; Open refuses a file whose magic or version it does not
+// know.
 //
 // Files are written once — temp file, fsync, atomic rename — and never
 // modified; readers keep them open and serve chunk reads by offset. The
@@ -37,7 +44,7 @@ import (
 const (
 	magic    = "ENVB"
 	trailer  = "BKNE"
-	version  = 1
+	version  = 2 // what writeFile writes; Open reads 1 and 2
 	numLvl   = storage.NumRollupLevels
 	footerSz = 4 + 4 + 8 + 4 // index crc + index len + index off + trailer
 )
@@ -63,10 +70,17 @@ type Agg struct {
 	LastGapT time.Duration
 }
 
+// chunkRef locates one chunk in its file. sum is the chunk's CRC-32C,
+// which only a version 2 index carries.
+type chunkRef struct {
+	off, length uint64
+	sum         uint32
+}
+
 type levelEntry struct {
 	startBucket uint64
 	numClosed   uint64
-	off, length uint64
+	chunk       chunkRef
 	tail        *storage.Bucket
 }
 
@@ -79,10 +93,7 @@ type seriesEntry struct {
 	lastGapT   time.Duration
 	startGap   uint64
 	numGaps    uint64
-	ptOff      uint64
-	ptLen      uint64
-	gapOff     uint64
-	gapLen     uint64
+	pt, gap    chunkRef
 	levels     [numLvl]levelEntry
 }
 
@@ -90,6 +101,7 @@ type file struct {
 	f       *os.File
 	seq     uint64
 	size    int64
+	version uint32
 	entries map[storage.SeriesKey]*seriesEntry
 }
 
@@ -107,6 +119,14 @@ type Store struct {
 
 // errClosed is what a scan after Close returns.
 var errClosed = errors.New("block: store closed")
+
+// ErrNotBlock and ErrUnknownVersion are what Open reports for a file
+// whose header does not start with the block magic, or names a format
+// version this reader does not know.
+var (
+	ErrNotBlock       = errors.New("block: bad magic")
+	ErrUnknownVersion = errors.New("block: unknown format version")
+)
 
 // Open scans dir (created if missing) and opens every block file in
 // sequence order. Stray temporary files from an interrupted write are
@@ -233,28 +253,11 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, version)
 
-	type chunkPos struct{ off, length uint64 }
-	ptPos := make([]chunkPos, len(snaps))
-	gapPos := make([]chunkPos, len(snaps))
-	lvlPos := make([][numLvl]chunkPos, len(snaps))
-	for i, sn := range snaps {
-		off := uint64(len(buf))
-		buf = storage.EncodePoints(buf, sn.Points)
-		ptPos[i] = chunkPos{off, uint64(len(buf)) - off}
-		off = uint64(len(buf))
-		buf = storage.EncodeGaps(buf, sn.Gaps)
-		gapPos[i] = chunkPos{off, uint64(len(buf)) - off}
-		for l, lv := range sn.Levels {
-			off = uint64(len(buf))
-			buf = storage.EncodeBuckets(buf, lv.Closed)
-			lvlPos[i][l] = chunkPos{off, uint64(len(buf)) - off}
-		}
-	}
-
-	indexOff := uint64(len(buf))
+	// The chunks go to buf and their index entries to idx in one pass; idx
+	// follows the chunks in the file.
 	idx := make([]byte, 0, 4<<10)
 	idx = binary.LittleEndian.AppendUint32(idx, uint32(len(snaps)))
-	for i, sn := range snaps {
+	for _, sn := range snaps {
 		idx = storage.AppendString(idx, sn.Key.Node)
 		idx = storage.AppendString(idx, sn.Key.Backend)
 		idx = storage.AppendString(idx, sn.Key.Domain)
@@ -270,15 +273,18 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 		idx = binary.AppendVarint(idx, int64(sn.LastGapT))
 		idx = binary.AppendUvarint(idx, sn.StartGap)
 		idx = binary.AppendUvarint(idx, uint64(len(sn.Gaps)))
-		idx = binary.AppendUvarint(idx, ptPos[i].off)
-		idx = binary.AppendUvarint(idx, ptPos[i].length)
-		idx = binary.AppendUvarint(idx, gapPos[i].off)
-		idx = binary.AppendUvarint(idx, gapPos[i].length)
-		for l, lv := range sn.Levels {
+		off := len(buf)
+		buf = storage.EncodePoints(buf, sn.Points)
+		idx = chunkAt(buf, off).append(idx)
+		off = len(buf)
+		buf = storage.EncodeGaps(buf, sn.Gaps)
+		idx = chunkAt(buf, off).append(idx)
+		for _, lv := range sn.Levels {
 			idx = binary.AppendUvarint(idx, lv.StartBucket)
 			idx = binary.AppendUvarint(idx, uint64(len(lv.Closed)))
-			idx = binary.AppendUvarint(idx, lvlPos[i][l].off)
-			idx = binary.AppendUvarint(idx, lvlPos[i][l].length)
+			off = len(buf)
+			buf = storage.EncodeBuckets(buf, lv.Closed)
+			idx = chunkAt(buf, off).append(idx)
 			if lv.Tail != nil {
 				idx = append(idx, 1)
 				idx = binary.AppendVarint(idx, int64(lv.Tail.Start))
@@ -292,6 +298,7 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 			}
 		}
 	}
+	indexOff := uint64(len(buf))
 	buf = append(buf, idx...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(idx, storage.Castagnoli))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(idx)))
@@ -339,6 +346,20 @@ func openFile(path string, seq uint64) (*file, error) {
 		f.Close()
 		return nil, fmt.Errorf("block: %s: too short", path)
 	}
+	header := make([]byte, 8)
+	if _, err := f.ReadAt(header, 0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("block: %w", err)
+	}
+	if string(header[:4]) != magic {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s starts %q", ErrNotBlock, path, header[:4])
+	}
+	v := binary.LittleEndian.Uint32(header[4:])
+	if v < 1 || v > version {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s is version %d", ErrUnknownVersion, path, v)
+	}
 	footer := make([]byte, footerSz)
 	if _, err := f.ReadAt(footer, size-int64(footerSz)); err != nil {
 		f.Close()
@@ -364,7 +385,7 @@ func openFile(path string, seq uint64) (*file, error) {
 		f.Close()
 		return nil, fmt.Errorf("block: %s: index checksum mismatch", path)
 	}
-	bf := &file{f: f, seq: seq, size: size, entries: map[storage.SeriesKey]*seriesEntry{}}
+	bf := &file{f: f, seq: seq, size: size, version: v, entries: map[storage.SeriesKey]*seriesEntry{}}
 	if err := bf.parseIndex(idx); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("block: %s: %w", path, err)
@@ -391,16 +412,13 @@ func (bf *file) parseIndex(idx []byte) error {
 		e.lastGapT = time.Duration(r.Varint())
 		e.startGap = r.Uvarint()
 		e.numGaps = r.Uvarint()
-		e.ptOff = r.Uvarint()
-		e.ptLen = r.Uvarint()
-		e.gapOff = r.Uvarint()
-		e.gapLen = r.Uvarint()
+		e.pt = bf.readRef(&r)
+		e.gap = bf.readRef(&r)
 		for l := 0; l < numLvl; l++ {
 			le := &e.levels[l]
 			le.startBucket = r.Uvarint()
 			le.numClosed = r.Uvarint()
-			le.off = r.Uvarint()
-			le.length = r.Uvarint()
+			le.chunk = bf.readRef(&r)
 			if r.Byte() == 1 {
 				tail := &storage.Bucket{
 					Start: time.Duration(r.Varint()),
@@ -421,12 +439,52 @@ func (bf *file) parseIndex(idx []byte) error {
 	return nil
 }
 
-func (bf *file) chunk(off, length uint64) ([]byte, error) {
-	buf := make([]byte, length)
-	if _, err := bf.f.ReadAt(buf, int64(off)); err != nil {
+// chunkAt labels the chunk buf holds from off on.
+func chunkAt(buf []byte, off int) chunkRef {
+	c := buf[off:]
+	return chunkRef{uint64(off), uint64(len(c)), crc32.Checksum(c, storage.Castagnoli)}
+}
+
+// append writes the reference as a version 2 index spells it.
+func (c chunkRef) append(idx []byte) []byte {
+	idx = binary.AppendUvarint(idx, c.off)
+	idx = binary.AppendUvarint(idx, c.length)
+	return binary.LittleEndian.AppendUint32(idx, c.sum)
+}
+
+// readRef reads a chunk reference as the file's version spells it.
+func (bf *file) readRef(r *storage.Reader) chunkRef {
+	c := chunkRef{off: r.Uvarint(), length: r.Uvarint()}
+	if bf.version >= 2 {
+		c.sum = r.Uint32()
+	}
+	return c
+}
+
+// chunk reads a chunk, and in a version 2 file checks it against its
+// CRC-32C, so that a flipped bit is a read error and never a decoded value.
+func (bf *file) chunk(c chunkRef) ([]byte, error) {
+	buf := make([]byte, c.length)
+	if _, err := bf.f.ReadAt(buf, int64(c.off)); err != nil {
 		return nil, fmt.Errorf("block: reading chunk: %w", err)
 	}
+	if bf.version >= 2 && crc32.Checksum(buf, storage.Castagnoli) != c.sum {
+		return nil, fmt.Errorf("block: %s: chunk at byte %d fails its checksum", bf.f.Name(), c.off)
+	}
 	return buf, nil
+}
+
+// decodeBuckets decodes a level chunk in its file's format.
+func decodeBuckets(version uint32, dst []storage.Bucket, chunk []byte, n int) ([]storage.Bucket, error) {
+	if version == 1 {
+		return storage.DecodeBucketsV1(dst, chunk, n)
+	}
+	return storage.DecodeBuckets(dst, chunk, n)
+}
+
+// anyVersion adapts a chunk decoder that every format version shares.
+func anyVersion[T any](decode func([]T, []byte, int) ([]T, error)) func(uint32, []T, []byte, int) ([]T, error) {
+	return func(_ uint32, dst []T, chunk []byte, n int) ([]T, error) { return decode(dst, chunk, n) }
 }
 
 // Agg reports the series' cross-block aggregate.
@@ -458,14 +516,15 @@ func (s *Store) Each(fn func(key storage.SeriesKey, a Agg)) {
 
 // each is the store's one scan loop. For every block file holding key, in
 // sequence (= ingest) order: locate the entry's chunk of one kind, decode its
-// n entries, and pass fn those whose instant at(v) lies in [lo, hi) — hi <= 0
-// means unbounded. locate answers n == 0 for a file with nothing to scan.
+// n entries in the file's format, and pass fn those whose instant at(v) lies
+// in [lo, hi) — hi <= 0 means unbounded. locate answers n == 0 for a file
+// with nothing to scan.
 // A series' entries are in time order (ingest rejects anything else), so the
 // window is a sub-slice found by bisection: at runs O(log n) times a chunk,
 // and fn is the only per-entry call.
 func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
-	locate func(*seriesEntry) (off, length, n uint64),
-	decode func(dst []T, chunk []byte, n int) ([]T, error),
+	locate func(*seriesEntry) (c chunkRef, n uint64),
+	decode func(version uint32, dst []T, chunk []byte, n int) ([]T, error),
 	at func(T) time.Duration, fn func(T)) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -478,15 +537,15 @@ func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 		if !ok {
 			continue
 		}
-		off, length, n := locate(e)
+		c, n := locate(e)
 		if n == 0 {
 			continue
 		}
-		chunk, err := bf.chunk(off, length)
+		chunk, err := bf.chunk(c)
 		if err != nil {
 			return err
 		}
-		scratch, err = decode(scratch[:0], chunk, int(n))
+		scratch, err = decode(bf.version, scratch[:0], chunk, int(n))
 		if err != nil {
 			return err
 		}
@@ -504,18 +563,18 @@ func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 // EachPoint streams the series' persisted points inside [from, to) — to
 // <= 0 means unbounded — in ingest order across blocks.
 func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
-	return each(s, key, from, to, func(e *seriesEntry) (off, length, n uint64) {
+	return each(s, key, from, to, func(e *seriesEntry) (chunkRef, uint64) {
 		return e.points(from, to)
-	}, storage.DecodePoints, func(p storage.Point) time.Duration { return p.T }, fn)
+	}, anyVersion(storage.DecodePoints), func(p storage.Point) time.Duration { return p.T }, fn)
 }
 
 // points locates the entry's point chunk for a scan of [from, to): n == 0
 // when the whole chunk lies outside the window.
-func (e *seriesEntry) points(from, to time.Duration) (off, length, n uint64) {
+func (e *seriesEntry) points(from, to time.Duration) (c chunkRef, n uint64) {
 	if e.maxT < from || (to > 0 && e.minT >= to) {
-		return 0, 0, 0
+		return chunkRef{}, 0
 	}
-	return e.ptOff, e.ptLen, e.numPoints
+	return e.pt, e.numPoints
 }
 
 // PointsIn reports, from the indexes alone, how many points the chunks
@@ -527,7 +586,7 @@ func (s *Store) PointsIn(key storage.SeriesKey, from, to time.Duration) int {
 	n := 0
 	for _, bf := range s.files {
 		if e, ok := bf.entries[key]; ok {
-			_, _, k := e.points(from, to)
+			_, k := e.points(from, to)
 			n += int(k)
 		}
 	}
@@ -541,25 +600,25 @@ func (s *Store) PointsIn(key storage.SeriesKey, from, to time.Duration) int {
 // from is skipped unread.
 func (s *Store) EachClosedBucket(key storage.SeriesKey, level int, period, from, to time.Duration, fn func(storage.Bucket)) error {
 	// Start+period > from, as a lower bound on Start.
-	return each(s, key, from-period+1, to, func(e *seriesEntry) (off, length, n uint64) {
+	return each(s, key, from-period+1, to, func(e *seriesEntry) (chunkRef, uint64) {
 		le := &e.levels[level]
 		if le.tail != nil && le.tail.Start <= from {
-			return 0, 0, 0
+			return chunkRef{}, 0
 		}
-		return le.off, le.length, le.numClosed
-	}, storage.DecodeBuckets, func(b storage.Bucket) time.Duration { return b.Start }, fn)
+		return le.chunk, le.numClosed
+	}, decodeBuckets, func(b storage.Bucket) time.Duration { return b.Start }, fn)
 }
 
 // EachGap streams the series' persisted gap markers inside [from, to) in
 // order. A chunk whose newest marker (the index's lastGapT) is before from
 // is skipped unread.
 func (s *Store) EachGap(key storage.SeriesKey, from, to time.Duration, fn func(time.Duration)) error {
-	return each(s, key, from, to, func(e *seriesEntry) (off, length, n uint64) {
+	return each(s, key, from, to, func(e *seriesEntry) (chunkRef, uint64) {
 		if e.lastGapT < from {
-			return 0, 0, 0
+			return chunkRef{}, 0
 		}
-		return e.gapOff, e.gapLen, e.numGaps
-	}, storage.DecodeGaps, func(g time.Duration) time.Duration { return g }, fn)
+		return e.gap, e.numGaps
+	}, anyVersion(storage.DecodeGaps), func(g time.Duration) time.Duration { return g }, fn)
 }
 
 // NumBlocks reports how many block files the store serves.

@@ -1,6 +1,8 @@
 package block
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -205,5 +207,48 @@ func TestSequenceResumesAfterReopen(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, blockName(2))); err != nil {
 		t.Fatalf("second block not at seq 2: %v", err)
+	}
+}
+
+// TestOpenRefusesUnknownBlockVersion rewrites a sealed file's header, its
+// version word to 3 in one case and its magic to XXXX in the other: Open
+// must refuse both, with the error that names what is wrong.
+func TestOpenRefusesUnknownBlockVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		patch func(header []byte)
+		want  error
+	}{
+		{"version 3", func(h []byte) { binary.LittleEndian.PutUint32(h[4:], 3) }, ErrUnknownVersion},
+		{"magic XXXX", func(h []byte) { copy(h, "XXXX") }, ErrNotBlock},
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append([]storage.SeriesSnapshot{snapshotA(0, 10, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, blockName(1))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.patch(data[:8])
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: Open accepted the file", tc.name)
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Open said %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }

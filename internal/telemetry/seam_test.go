@@ -355,16 +355,36 @@ func blocksDigest(t *testing.T, dir string) string {
 }
 
 // TestBlockBytesOnDiskPinned pins the bytes compaction writes: which
-// entries each block holds and the absolute indexes it labels them with are
-// exactly what the seam decides. The constant was computed by this same
-// test at the parent of the commit that introduced stream[T] (13a67b9,
-// three hand-written rings and six counters on series), before the refactor
-// started, so it holds the old engine's bytes, not the new one's. WAL
-// framing is not pinned here: internal/telemetry/wal was not touched by
-// that change and its own tests cover the record format.
+// entries each block holds, the absolute indexes it labels them with, and
+// how block format v2 spells them. v1Digest is what the same workload wrote
+// in format v1, computed at the parent of the commit that introduced
+// stream[T] (13a67b9) and held through every engine change since; it now
+// pins the checked-in copy of those bytes (testdata/blocks-v1.tar.gz), and
+// TestBlockFormatV1StaysReadable holds every v2 chunk to decode to its v1
+// counterpart, so the seam the v1 digest pinned has not moved. WAL framing
+// is not pinned here: internal/telemetry/wal's own tests cover the record
+// format.
 func TestBlockBytesOnDiskPinned(t *testing.T) {
-	const want = "65fc8b0523d1726a944a47607b9bf87463ad364a8a0b6477349c48de267c5797"
-	opts := Options{Shards: 3, RawCapacity: 16, RollupCapacity: 3, GapCapacity: 4, WALSegmentBytes: 8 << 10}
+	const want = "6a03291f8454b2d4457fe092f50a8b1c6d43c5379214adf3bb59a8053b494c0a"
+	if got := blocksDigest(t, pinnedWorkload(t)); got != want {
+		t.Fatalf("blocks/ digest = %s, want %s", got, want)
+	}
+}
+
+// v1Digest is blocksDigest of the workload's blocks in format v1.
+const v1Digest = "65fc8b0523d1726a944a47607b9bf87463ad364a8a0b6477349c48de267c5797"
+
+// pinnedWorkloadOpts are the options pinnedWorkload ends with.
+var pinnedWorkloadOpts = Options{Shards: 2, RawCapacity: 16, RollupCapacity: 3, GapCapacity: 4, WALSegmentBytes: 8 << 10}
+
+// pinnedWorkload runs the workload whose blocks TestBlockBytesOnDiskPinned
+// pins, closes the store and returns its directory: 5 000 seeded ingests
+// and gaps over five series on tiny rings, two flushes, and a reopen
+// without a flush at another shard count.
+func pinnedWorkload(t *testing.T) string {
+	t.Helper()
+	opts := pinnedWorkloadOpts
+	opts.Shards = 3
 	dir := t.TempDir()
 	st, err := Open(dir, opts)
 	if err != nil {
@@ -408,8 +428,7 @@ func TestBlockBytesOnDiskPinned(t *testing.T) {
 	// Reopen without a flush, at another shard count: the replayed tail is
 	// sealed by Open and later blocks start from the restored seam.
 	st.Close()
-	opts.Shards = 2
-	if st, err = Open(dir, opts); err != nil {
+	if st, err = Open(dir, pinnedWorkloadOpts); err != nil {
 		t.Fatal(err)
 	}
 	ingest(4000, 5000)
@@ -417,9 +436,7 @@ func TestBlockBytesOnDiskPinned(t *testing.T) {
 	if n := st.StorageStats().Blocks; n < 10 {
 		t.Fatalf("workload sealed only %d blocks", n)
 	}
-	if got := blocksDigest(t, dir); got != want {
-		t.Fatalf("blocks/ digest = %s, want %s", got, want)
-	}
+	return dir
 }
 
 // TestIngestPastCloseIsRejectedUnderTheLock is the deterministic half of

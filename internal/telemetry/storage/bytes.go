@@ -9,7 +9,7 @@ import (
 
 // The byte vocabulary the journal's records and the blocks' indexes share:
 // uvarint and zig-zag varint integers, length-prefixed strings,
-// little-endian float64 bit patterns, CRC-32C checksums.
+// little-endian float64 bit patterns and uint32s, CRC-32C checksums.
 
 // Castagnoli is the CRC-32C table both on-disk formats checksum with.
 var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -70,6 +70,14 @@ func (r *Reader) Str() string { return string(r.take(r.Uvarint())) }
 func (r *Reader) Float64() float64 {
 	if b := r.take(8); b != nil {
 		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// Uint32 reads four bytes as a little-endian integer.
+func (r *Reader) Uint32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
 }
