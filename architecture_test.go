@@ -104,8 +104,8 @@ var architecture = []struct {
 // The two that open a frame and a point are matched in one place each, so
 // a second frame or point grammar fails the row.
 var codecKeys = strs(`{"frames":`, `,"sim_now_ns":`, `,"newest_ns":`, `,"degraded":`, `{"node":`, `,"backend":`,
-	`,"domain":`, `,"unit":`, `,"resolution":`, `,"reduced":`, `,"points":`, `,"gaps_ns":[`, `{"t_ns":`, `,"min":`,
-	`,"max":`, `,"mean":`, `,"last":`, `,"count":`, `,"count":1}`)
+	`,"domain":`, `,"unit":`, `,"resolution":`, `,"reduced":`, `,"t_ns":[`, `],"v":[`, `,"points":[`, `,"gaps_ns":[`,
+	`{"t_ns":`, `,"min":`, `,"max":`, `,"mean":`, `,"last":`, `,"count":`)
 
 // calls spells the pattern of a call of fn with each of args.
 func calls(fn string, args ...string) (out []string) {

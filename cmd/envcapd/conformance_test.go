@@ -103,15 +103,15 @@ func TestServingConformance(t *testing.T) {
 						t.Errorf("GET %s = %d %q, want the 400 envelope", path, resp.StatusCode, body)
 					}
 				}
-				// … and one spelling of every empty answer: [] and never null
-				// for a window or a ranking with nothing in it, the 404
-				// envelope for a filter nothing matches.
+				// … and one spelling of every empty answer: no sample array
+				// for a window with nothing in it, [] for an empty ranking,
+				// never null, the 404 envelope for a filter nothing matches.
 				for _, row := range []struct {
 					path   string
 					status int
 					body   string
 				}{
-					{"/query?node=n00&from=60s", 200, `{"frames":[{"node":"n00","backend":"NVML","domain":"Total Power","unit":"W","resolution":"raw","points":[]}]` + dmn.simNow + `}`},
+					{"/query?node=n00&from=60s", 200, `{"frames":[{"node":"n00","backend":"NVML","domain":"Total Power","unit":"W","resolution":"raw"}]` + dmn.simNow + `}`},
 					{"/topk?from=60s", 200, `{"domain":"Total Power","total_watts":0` + dmn.simNow + `,"nodes":[]}`},
 					{"/query?node=nope", 404, `{"error":"no matching series"}`},
 				} {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"envmon/internal/envdb"
 	"envmon/internal/telemetry/client"
+	"envmon/internal/telemetry/httpapi"
 )
 
 // stop shuts a daemon that was stepped by hand: run on an already
@@ -34,7 +37,9 @@ func stop(t *testing.T, d *daemon) {
 // for a fixed window are exactly what the retaining hand-off produced
 // (the constants were read at 841c486 by running this test, minus the
 // emptiness check, against that commit's telemetry package: same config,
-// same seed, same at GOMAXPROCS=1).
+// same seed, same at GOMAXPROCS=1). They hash the answer as /query spelled
+// it then, each raw sample a point object (pointSpelling), so that they
+// pin the samples and not the wire's spelling of them.
 func TestBarrierFlushLeavesSetsEmpty(t *testing.T) {
 	const n = 30
 	pins := map[int]struct {
@@ -78,11 +83,51 @@ func TestBarrierFlushLeavesSetsEmpty(t *testing.T) {
 			if !strings.Contains(rec.Body.String(), `"gaps_ns":[`) {
 				t.Error("no gap marker reached the store; the fault plan no longer exercises the gap hand-off")
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(rec.Body.Bytes())); got != want.query {
+			if got := fmt.Sprintf("%x", sha256.Sum256(pointSpelling(t, rec.Body.Bytes()))); got != want.query {
 				t.Errorf("/query bytes hash to %s, want %s", got, want.query)
 			}
 		})
 	}
+}
+
+// pointSpelling re-spells a raw /query answer as /query wrote it before a
+// raw frame's samples were its t_ns and v columns: each sample a point
+// object whose four statistics are its value with a count of one, and an
+// empty window "points":[].
+func pointSpelling(t *testing.T, body []byte) []byte {
+	t.Helper()
+	doc, err := httpapi.DecodeQueryResult(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type frame struct {
+		Node       string          `json:"node"`
+		Backend    string          `json:"backend"`
+		Domain     string          `json:"domain"`
+		Unit       string          `json:"unit"`
+		Resolution string          `json:"resolution"`
+		Reduced    *float64        `json:"reduced,omitempty"`
+		Points     []httpapi.Point `json:"points"`
+		GapsNS     []time.Duration `json:"gaps_ns,omitempty"`
+	}
+	var old struct {
+		Frames   []frame `json:"frames"`
+		SimNowNS int64   `json:"sim_now_ns,omitempty"`
+		NewestNS int64   `json:"newest_ns,omitempty"`
+	}
+	old.SimNowNS, old.NewestNS = doc.SimNowNS, doc.NewestNS
+	for _, f := range doc.Frames {
+		points := []httpapi.Point{}
+		for i, v := range f.V {
+			points = append(points, httpapi.Point{T: f.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1})
+		}
+		old.Frames = append(old.Frames, frame{f.Node, f.Backend, f.Domain, f.Unit, f.Resolution, f.Reduced, points, f.GapsNS})
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestBridgeCountersOnMetrics scrapes /metrics while the advance loop runs

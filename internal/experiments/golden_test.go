@@ -6,8 +6,24 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// seedRuns is every experiment run once at testSeed, in IDs order, for the
+// tests that read the same results: TestRenderGolden renders them and
+// TestExperimentsStatusLine counts their checks.
+var seedRuns = sync.OnceValues(func() (map[string]Result, error) {
+	runs := make(map[string]Result, len(IDs()))
+	for _, id := range IDs() {
+		r, err := Run(id, testSeed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		runs[id] = r
+	}
+	return runs, nil
+})
 
 // TestRenderGolden pins every experiment's rendering at seed 42 against
 // testdata/<id>.golden: the shape checks hold what the paper claims, the
@@ -18,12 +34,13 @@ import (
 //
 //	go run ./cmd/repro <id> > internal/experiments/testdata/<id>.golden
 func TestRenderGolden(t *testing.T) {
+	runs, err := seedRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			r, err := Run(id, testSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := runs[id]
 			var b strings.Builder
 			if err := r.Render(&b); err != nil {
 				t.Fatal(err)
@@ -56,12 +73,12 @@ func TestExperimentsStatusLine(t *testing.T) {
 	if m == nil {
 		t.Fatal("EXPERIMENTS.md has no **Status: ….** line")
 	}
+	runs, err := seedRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pass, total := 0, 0
-	for _, id := range IDs() {
-		r, err := Run(id, testSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range runs {
 		for _, c := range r.Checks {
 			total++
 			if c.Pass {

@@ -358,7 +358,7 @@ func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.Wir
 		lists = append(lists, memberFrames[httpapi.WireFrame]{member: outs[i].m.name, frames: doc.Frames})
 		clocks.add(doc.SimNowNS)
 		// Each member's newest_ns is httpapi.NewestNS of its own frames, and
-		// a combine keeps every point, so the newest of theirs is what
+		// a combine keeps every sample, so the newest of theirs is what
 		// NewestNS would find in the merged frames.
 		res.NewestNS = max(res.NewestNS, doc.NewestNS)
 		if doc.reencoded {

@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
@@ -155,29 +157,34 @@ type MemberQuery struct {
 // MergeFrames merges the members' frames into one key-sorted list — the
 // order a single store serves, storage.KeyLess. In the node-partitioned
 // case every series lives on exactly one member and this is a pure sorted
-// union. A series key reported by several members is combined: points
+// union. A series key reported by several members is combined: samples
 // interleaved by timestamp, gap markers unioned (never dropped — a gap on
 // any member is a gap in the federation's answer), and the window
-// reduction recomputed from the combined points under agg.
+// reduction recomputed from the combined samples under agg. err is the
+// first combine that failed (combineFrames).
 //
 // This is the merge Federator.Query runs on frames still on the wire
 // (mergeWire), on frames already decoded: the same walk, the same combine.
-func MergeFrames(parts []MemberQuery, agg string) []httpapi.Frame {
+func MergeFrames(parts []MemberQuery, agg string) (out []httpapi.Frame, err error) {
 	lists := make([]memberFrames[httpapi.Frame], len(parts))
 	total := 0
 	for i, p := range parts {
 		lists[i] = memberFrames[httpapi.Frame]{member: p.Member, frames: p.Doc.Frames}
 		total += len(p.Doc.Frames)
 	}
-	out := make([]httpapi.Frame, 0, total)
+	out = make([]httpapi.Frame, 0, total)
 	mergeByKey(lists, (*httpapi.Frame).Key, func(group []httpapi.Frame) {
 		if len(group) == 1 {
 			out = append(out, group[0])
-		} else {
-			out = append(out, combineFrames(group, agg))
+			return
 		}
+		f, cerr := combineFrames(group, agg)
+		if cerr != nil && err == nil {
+			err = cerr
+		}
+		out = append(out, f)
 	})
-	return out
+	return out, err
 }
 
 // mergeWire is MergeFrames on frames that were checked and not decoded. A
@@ -215,7 +222,11 @@ func mergeWire(lists []memberFrames[httpapi.WireFrame], agg string) (out []httpa
 				return
 			}
 		}
-		f := combineFrames(frames, agg)
+		f, cerr := combineFrames(frames, agg)
+		if cerr != nil {
+			fail(cerr)
+			return
+		}
 		w, werr := f.Wire()
 		if werr != nil {
 			fail(werr)
@@ -305,18 +316,37 @@ func mergeByKey[F any](lists []memberFrames[F], key func(*F) telemetry.SeriesKey
 	}
 }
 
-// combineFrames folds same-key frames from several members into one:
-// points interleaved by timestamp (stable, so equal-timestamp points keep
-// member-name order), gaps unioned sorted and deduplicated, and the
-// window reduction recomputed from the combined points.
-func combineFrames(frames []httpapi.Frame, agg string) httpapi.Frame {
+// combineFrames folds same-key frames from several members into one, in
+// the shape the first frame's resolution gives them all: a raw frame's
+// t_ns and v columns, or a rollup frame's points, interleaved by timestamp
+// (stable, so equal timestamps keep member-name order); gaps unioned
+// sorted and deduplicated; and the window reduction recomputed from the
+// combined samples. A frame in another shape — columns of two lengths, a
+// raw frame with points, a rollup frame with columns — is an error, not a
+// frame with what could not be placed left out.
+func combineFrames(frames []httpapi.Frame, agg string) (httpapi.Frame, error) {
 	out := frames[0]
-	out.Points = nil
-	out.GapsNS = nil
-	out.Reduced = nil
+	out.TNS, out.V, out.Points, out.GapsNS, out.Reduced = nil, nil, nil, nil, nil
+	raw := out.Resolution == telemetry.Raw.String()
+	type sample struct {
+		t time.Duration
+		v float64
+	}
+	var samples []sample
 	for _, f := range frames {
+		if len(f.TNS) != len(f.V) || raw && len(f.Points) > 0 || !raw && len(f.TNS) > 0 {
+			return out, fmt.Errorf("federation: series %v: a member sent a %q frame with %d times, %d values and %d points",
+				f.Key(), out.Resolution, len(f.TNS), len(f.V), len(f.Points))
+		}
+		for i, t := range f.TNS {
+			samples = append(samples, sample{t, f.V[i]})
+		}
 		out.Points = append(out.Points, f.Points...)
 		out.GapsNS = append(out.GapsNS, f.GapsNS...)
+	}
+	slices.SortStableFunc(samples, func(a, b sample) int { return cmp.Compare(a.t, b.t) })
+	for _, s := range samples {
+		out.TNS, out.V = append(out.TNS, s.t), append(out.V, s.v)
 	}
 	sort.SliceStable(out.Points, func(i, j int) bool { return out.Points[i].T < out.Points[j].T })
 	sort.Slice(out.GapsNS, func(i, j int) bool { return out.GapsNS[i] < out.GapsNS[j] })
@@ -327,22 +357,31 @@ func combineFrames(frames []httpapi.Frame, agg string) httpapi.Frame {
 		}
 	}
 	out.GapsNS = dedup
-	if a, err := telemetry.ParseAggregate(agg); err == nil && a != telemetry.AggNone && len(out.Points) > 0 {
-		out.Reduced = reducePoints(out.Points, a)
+	// A raw sample is a bucket of one.
+	at := func(i int) httpapi.Point {
+		if raw {
+			v := out.V[i]
+			return httpapi.Point{T: out.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1}
+		}
+		return out.Points[i]
 	}
-	return out
+	if a, err := telemetry.ParseAggregate(agg); err == nil && a != telemetry.AggNone && len(samples)+len(out.Points) > 0 {
+		out.Reduced = reducePoints(len(samples)+len(out.Points), at, a)
+	}
+	return out, nil
 }
 
-// reducePoints recomputes a window reduction over combined points. Mean is
-// count-weighted (each point's Mean×Count reconstructs its bucket sum),
-// matching the store's bucket fold.
-func reducePoints(points []httpapi.Point, a telemetry.Aggregate) *float64 {
+// reducePoints recomputes a window reduction over n combined points, at(i)
+// the i-th in time order. Mean is count-weighted (each point's Mean×Count
+// reconstructs its bucket sum), matching the store's bucket fold.
+func reducePoints(n int, at func(int) httpapi.Point, a telemetry.Aggregate) *float64 {
 	var v float64
 	switch a {
 	case telemetry.AggMean:
 		var sum float64
 		var count int
-		for _, p := range points {
+		for i := range n {
+			p := at(i)
 			sum += p.Mean * float64(p.Count)
 			count += p.Count
 		}
@@ -351,21 +390,21 @@ func reducePoints(points []httpapi.Point, a telemetry.Aggregate) *float64 {
 		}
 		v = sum / float64(count)
 	case telemetry.AggMin:
-		v = points[0].Min
-		for _, p := range points[1:] {
-			if p.Min < v {
+		v = at(0).Min
+		for i := 1; i < n; i++ {
+			if p := at(i); p.Min < v {
 				v = p.Min
 			}
 		}
 	case telemetry.AggMax:
-		v = points[0].Max
-		for _, p := range points[1:] {
-			if p.Max > v {
+		v = at(0).Max
+		for i := 1; i < n; i++ {
+			if p := at(i); p.Max > v {
 				v = p.Max
 			}
 		}
 	case telemetry.AggLast:
-		v = points[len(points)-1].Last
+		v = at(n - 1).Last
 	default:
 		return nil
 	}

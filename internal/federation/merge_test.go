@@ -86,25 +86,26 @@ func TestMergeTopKEmpty(t *testing.T) {
 	}
 }
 
-func frame(node string, points []httpapi.Point, gaps []time.Duration) httpapi.Frame {
+// rawFrame is node's raw frame: one sample per time in tns, valued v[i].
+func rawFrame(node string, tns []time.Duration, v []float64, gaps []time.Duration) httpapi.Frame {
 	return httpapi.Frame{
 		Node: node, Backend: "b", Domain: "d", Unit: "W", Resolution: "raw",
-		Points: points, GapsNS: gaps,
+		TNS: tns, V: v, GapsNS: gaps,
 	}
 }
 
 func TestMergeFramesDisjointSortedUnion(t *testing.T) {
 	parts := []MemberQuery{
 		{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
-			frame("n2", []httpapi.Point{{T: 1, Mean: 2, Count: 1}}, nil),
+			rawFrame("n2", []time.Duration{1}, []float64{2}, nil),
 		}}},
 		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
-			frame("n1", []httpapi.Point{{T: 1, Mean: 1, Count: 1}}, []time.Duration{5}),
+			rawFrame("n1", []time.Duration{1}, []float64{1}, []time.Duration{5}),
 		}}},
 	}
-	got := MergeFrames(parts, "")
-	if len(got) != 2 || got[0].Node != "n1" || got[1].Node != "n2" {
-		t.Fatalf("merged frames out of order: %+v", got)
+	got, err := MergeFrames(parts, "")
+	if err != nil || len(got) != 2 || got[0].Node != "n1" || got[1].Node != "n2" {
+		t.Fatalf("merged frames out of order (%v): %+v", err, got)
 	}
 	if len(got[0].GapsNS) != 1 || got[0].GapsNS[0] != 5 {
 		t.Fatalf("gap marker dropped: %+v", got[0])
@@ -112,39 +113,71 @@ func TestMergeFramesDisjointSortedUnion(t *testing.T) {
 }
 
 func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
-	// Same series key from two members: points interleave by time, gaps
-	// union (duplicates collapse), mean recomputes count-weighted.
+	// Same series key from two members: samples interleave by time (equal
+	// times in member order), gaps union (duplicates collapse), and the
+	// reduction is recomputed — at raw resolution from the columns.
 	parts := []MemberQuery{
-		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
-			frame("n1", []httpapi.Point{
-				{T: 10, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1},
-				{T: 30, Min: 3, Max: 3, Mean: 3, Last: 3, Count: 1},
-			}, []time.Duration{40, 50}),
-		}}},
 		{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
-			frame("n1", []httpapi.Point{
-				{T: 20, Min: 8, Max: 8, Mean: 8, Last: 8, Count: 3},
-			}, []time.Duration{50, 60}),
+			rawFrame("n1", []time.Duration{20, 30}, []float64{8, 9}, []time.Duration{50, 60}),
+		}}},
+		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{
+			rawFrame("n1", []time.Duration{10, 30}, []float64{1, 3}, []time.Duration{40, 50}),
 		}}},
 	}
-	got := MergeFrames(parts, "mean")
-	if len(got) != 1 {
-		t.Fatalf("want 1 combined frame, got %d", len(got))
+	got, err := MergeFrames(parts, "mean")
+	if err != nil || len(got) != 1 {
+		t.Fatalf("want 1 combined frame, got %d (%v)", len(got), err)
 	}
 	f := got[0]
-	if len(f.Points) != 3 || f.Points[0].T != 10 || f.Points[1].T != 20 || f.Points[2].T != 30 {
-		t.Fatalf("points not interleaved by time: %+v", f.Points)
+	if want := []time.Duration{10, 20, 30, 30}; !reflect.DeepEqual(f.TNS, want) || f.Points != nil {
+		t.Fatalf("t_ns = %v, want %v, and no points (%+v)", f.TNS, want, f.Points)
 	}
-	wantGaps := []time.Duration{40, 50, 60}
-	if !reflect.DeepEqual(f.GapsNS, wantGaps) {
-		t.Fatalf("gaps = %v, want %v", f.GapsNS, wantGaps)
+	if want := []float64{1, 8, 3, 9}; !reflect.DeepEqual(f.V, want) {
+		t.Fatalf("v = %v, want %v: samples not interleaved by time, in member order", f.V, want)
 	}
-	if f.Reduced == nil {
-		t.Fatal("reduced missing")
+	if want := []time.Duration{40, 50, 60}; !reflect.DeepEqual(f.GapsNS, want) {
+		t.Fatalf("gaps = %v, want %v", f.GapsNS, want)
+	}
+	if want := (1.0 + 8 + 3 + 9) / 4; f.Reduced == nil || *f.Reduced != want {
+		t.Fatalf("reduced = %v, want %v", f.Reduced, want)
+	}
+
+	// A rollup series: buckets interleave, and the mean is count-weighted.
+	bucket := func(t time.Duration, v float64, count int) httpapi.Point {
+		return httpapi.Point{T: t, Min: v, Max: v, Mean: v, Last: v, Count: count}
+	}
+	rollup := func(points ...httpapi.Point) httpapi.QueryResult {
+		return httpapi.QueryResult{Frames: []httpapi.Frame{{Node: "n1", Backend: "b", Domain: "d", Unit: "W", Resolution: "1s", Points: points}}}
+	}
+	got, err = MergeFrames([]MemberQuery{
+		{Member: "m0", Doc: rollup(bucket(10, 1, 1), bucket(30, 3, 1))},
+		{Member: "m1", Doc: rollup(bucket(20, 8, 3))},
+	}, "mean")
+	if err != nil || len(got) != 1 {
+		t.Fatalf("want 1 combined frame, got %d (%v)", len(got), err)
+	}
+	f = got[0]
+	if len(f.Points) != 3 || f.Points[0].T != 10 || f.Points[1].T != 20 || f.Points[2].T != 30 || f.TNS != nil {
+		t.Fatalf("points not interleaved by time: %+v", f)
 	}
 	// Count-weighted mean: (1*1 + 8*3 + 3*1) / 5
-	if want := (1.0 + 24.0 + 3.0) / 5.0; *f.Reduced != want {
-		t.Fatalf("reduced = %v, want %v", *f.Reduced, want)
+	if want := (1.0 + 24.0 + 3.0) / 5.0; f.Reduced == nil || *f.Reduced != want {
+		t.Fatalf("reduced = %v, want %v", f.Reduced, want)
+	}
+
+	// What a combine cannot place is an error, never a sample dropped.
+	for name, bad := range map[string]httpapi.Frame{
+		"columns of two lengths": rawFrame("n1", []time.Duration{1, 2}, []float64{1}, nil),
+		"a raw frame with points": {Node: "n1", Backend: "b", Domain: "d", Unit: "W", Resolution: "raw",
+			Points: []httpapi.Point{bucket(1, 1, 1)}},
+	} {
+		_, err := MergeFrames([]MemberQuery{
+			{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rawFrame("n1", []time.Duration{5}, []float64{5}, nil)}}},
+			{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{bad}}},
+		}, "mean")
+		if err == nil || !strings.Contains(err.Error(), "n1") {
+			t.Errorf("%s: combine error %v, want one naming the series", name, err)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func sameSeriesOnTwoMembers(t *testing.T, v float64) []Member {
 // has read it to its end the byte counter has advanced by exactly its
 // length.
 func TestFederatedQueryOnTheWire(t *testing.T) {
-	base, _ := startFederation(t, startMembers(t, 64, 4), obs.NewRegistry())
+	base, _ := startFederation(t, startMembers(t, 128, 4), obs.NewRegistry())
 	resp, err := http.Get(base + "/query?agg=last")
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestFederatedQueryOnTheWire(t *testing.T) {
 		t.Fatalf("status %d, body %d bytes", resp.StatusCode, len(body))
 	}
 	var doc httpapi.QueryResult
-	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Frames) != 64 {
+	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Frames) != 128 {
 		t.Fatalf("document: %v, %d frames", err, len(doc.Frames))
 	}
 	var want bytes.Buffer
@@ -70,17 +70,18 @@ func TestFederatedQueryOnTheWire(t *testing.T) {
 	}
 
 	// Every empty answer, to the byte, is the one a single daemon gives
-	// (httpapi's TestQueryOnTheWire): an empty list is [] and never null.
-	// The one exception is TestCombinedEmptyWindowStaysNull's.
+	// (httpapi's TestQueryOnTheWire): an empty window spells no sample
+	// array, an empty list is [], and nothing is null. A combined frame
+	// answers alike: TestCombinedEmptyWindowSpellsNoArrays.
 	empty, _ := startFederation(t, startMembers(t, 0, 2), nil)
 	for _, row := range []struct {
 		base, path string
 		status     int
 		body       string
 	}{
-		{base, "/query?node=n00000&from=10s", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[]}],"sim_now_ns":4000000000}`},
-		{base, "/query?node=n00000&from=10s&res=10s&agg=max", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"10s","points":[]}],"sim_now_ns":4000000000}`},
-		{base, "/query?node=n00000&from=3200ms", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[],"gaps_ns":[3500000000]}],"sim_now_ns":4000000000}`},
+		{base, "/query?node=n00000&from=10s", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw"}],"sim_now_ns":4000000000}`},
+		{base, "/query?node=n00000&from=10s&res=10s&agg=max", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"10s"}],"sim_now_ns":4000000000}`},
+		{base, "/query?node=n00000&from=3200ms", 200, `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","gaps_ns":[3500000000]}],"sim_now_ns":4000000000}`},
 		{base, "/topk?from=10s", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":4000000000,"nodes":[]}`},
 		{base, "/topk?domain=nope", 200, `{"domain":"nope","total_watts":0,"sim_now_ns":4000000000,"nodes":[]}`},
 		{base, "/query?node=nope", 404, `{"error":"no matching series"}`},
@@ -94,21 +95,22 @@ func TestFederatedQueryOnTheWire(t *testing.T) {
 	}
 }
 
-// TestCombinedEmptyWindowStaysNull pins one byte-level habit of the wire
-// that clients may have come to rely on: same-key frames that combine to
-// zero points are served as "points":null (combineFrames appends nothing
-// to a nil slice), where a single daemon serves "points":[].
-func TestCombinedEmptyWindowStaysNull(t *testing.T) {
+// TestCombinedEmptyWindowSpellsNoArrays: same-key frames that combine to
+// no samples are served as a single daemon serves an empty window — no
+// t_ns, v or points array, and nothing spelled null — at raw resolution
+// and at a rollup.
+func TestCombinedEmptyWindowSpellsNoArrays(t *testing.T) {
 	members := sameSeriesOnTwoMembers(t, 7)
-	status, one := get(t, members[0].URL+"/query?node=n00000&from=3s")
-	if status != http.StatusOK || !bytes.Contains(one, []byte(`"points":[]`)) {
-		t.Fatalf("a member alone: %d %s", status, one)
-	}
 	base, _ := startFederation(t, members, nil)
-	status, body := get(t, base+"/query?node=n00000&from=3s")
-	const want = `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":null}],"sim_now_ns":4000000000}` + "\n"
-	if status != http.StatusOK || string(body) != want {
-		t.Fatalf("combined empty window: %d\n got %s\nwant %s", status, body, want)
+	for _, res := range []string{"raw", "1s"} {
+		path := "/query?node=n00000&from=3s&res=" + res
+		want := `{"frames":[{"node":"n00000","backend":"rack","domain":"Total Power","unit":"W","resolution":"` + res + `"}],"sim_now_ns":4000000000}` + "\n"
+		if status, one := get(t, members[0].URL+path); status != http.StatusOK || string(one) != want {
+			t.Fatalf("a member alone: %d\n got %s\nwant %s", status, one, want)
+		}
+		if status, body := get(t, base+path); status != http.StatusOK || string(body) != want {
+			t.Fatalf("combined empty window: %d\n got %s\nwant %s", status, body, want)
+		}
 	}
 }
 
@@ -160,16 +162,22 @@ func fixedMember(t *testing.T, name string, status int, body string) Member {
 }
 
 // wireFrame spells one frame as envmond's codec does: node n, one raw
-// point of value v per time in ts (seconds), and whatever follows the
-// points.
+// sample of value v per time in ts (seconds), and whatever follows the
+// columns.
 func wireFrame(n string, v float64, tail string, ts ...int) string {
-	var points []string
+	var times, values []string
 	for _, t := range ts {
-		points = append(points, fmt.Sprintf(`{"t_ns":%d000000000,"min":%v,"max":%v,"mean":%v,"last":%v,"count":1}`, t, v, v, v, v))
+		times = append(times, fmt.Sprintf("%d000000000", t))
+		values = append(values, fmt.Sprint(v))
 	}
-	return `{"node":"` + n + `","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[` +
-		strings.Join(points, ",") + `]` + tail + `}`
+	return `{"node":"` + n + `","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[` +
+		strings.Join(times, ",") + `],"v":[` + strings.Join(values, ",") + `]` + tail + `}`
 }
+
+// pointFrame is a raw sample in the spelling /query had before raw frames
+// were columns: valid JSON, which the walk declines and encoding/json
+// reads, and a frame a combine cannot place.
+const pointFrame = `{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":1000000000,"min":1,"max":1,"mean":1,"last":1,"count":1}]}`
 
 func wireDoc(newest int, frames ...string) string {
 	return fmt.Sprintf(`{"frames":[%s],"sim_now_ns":4000000000,"newest_ns":%d000000000}`+"\n", strings.Join(frames, ","), newest)
@@ -191,7 +199,7 @@ func TestFederatedQueryForwardsAndCombines(t *testing.T) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(httpapi.QueryResult{
 		Frames: []httpapi.Frame{{Node: "n2", Backend: "rack", Domain: "Inlet", Unit: "°C <&>", Resolution: "raw",
-			Points: []httpapi.Point{{T: 2e9, Min: 21.5, Max: 21.5, Mean: 21.5, Last: 21.5, Count: 1}}, GapsNS: []time.Duration{1e9}}},
+			TNS: []time.Duration{2e9}, V: []float64{21.5}, GapsNS: []time.Duration{1e9}}},
 		SimNowNS: 5e9, NewestNS: 2e9,
 	}); err != nil {
 		t.Fatal(err)
@@ -216,7 +224,7 @@ func TestFederatedQueryForwardsAndCombines(t *testing.T) {
 				{"b", 200, wireDoc(2, wireFrame("n2", 2, "", 2))},
 			},
 			path: "/query", status: 200,
-			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":1000000000,"min":1,"max":1,"mean":1,"last":1,"count":1}],"gaps_ns":[1500000000]},{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":2000000000,"min":2,"max":2,"mean":2,"last":2,"count":1}]},{"node":"n3","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":3000000000,"min":3,"max":3,"mean":3,"last":3,"count":1}]}],"sim_now_ns":4000000000,"newest_ns":3000000000}` + "\n",
+			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[1000000000],"v":[1],"gaps_ns":[1500000000]},{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000],"v":[2]},{"node":"n3","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[3000000000],"v":[3]}],"sim_now_ns":4000000000,"newest_ns":3000000000}` + "\n",
 			metrics: []string{`envfed_query_frames_total{path="forwarded"} 3`, `envfed_query_frames_total{path="combined"} 0`,
 				`envfed_member_bodies_reencoded_total{member="a"} 0`},
 		},
@@ -227,9 +235,29 @@ func TestFederatedQueryForwardsAndCombines(t *testing.T) {
 				{"b", 200, indented.String()},
 			},
 			path: "/query", status: 200,
-			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":1000000000,"min":1,"max":1,"mean":1,"last":1,"count":1}]},{"node":"n2","backend":"rack","domain":"Inlet","unit":"°C \u003c\u0026\u003e","resolution":"raw","points":[{"t_ns":2000000000,"min":21.5,"max":21.5,"mean":21.5,"last":21.5,"count":1}],"gaps_ns":[1000000000]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
+			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[1000000000],"v":[1]},{"node":"n2","backend":"rack","domain":"Inlet","unit":"°C \u003c\u0026\u003e","resolution":"raw","t_ns":[2000000000],"v":[21.5],"gaps_ns":[1000000000]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
 			metrics: []string{`envfed_query_frames_total{path="forwarded"} 2`,
 				`envfed_member_bodies_reencoded_total{member="a"} 0`, `envfed_member_bodies_reencoded_total{member="b"} 1`},
+		},
+		{
+			name: "a member spelling raw samples as points",
+			members: []fixed{
+				{"a", 200, wireDoc(1, pointFrame)},
+				{"b", 200, wireDoc(2, wireFrame("n2", 2, "", 2))},
+			},
+			path: "/query", status: 200,
+			want: `{"frames":[` + pointFrame + `,{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000],"v":[2]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
+			metrics: []string{`envfed_query_frames_total{path="forwarded"} 2`,
+				`envfed_member_bodies_reencoded_total{member="a"} 1`, `envfed_member_bodies_reencoded_total{member="b"} 0`},
+		},
+		{
+			name: "a key on two members, one spelling raw samples as points",
+			members: []fixed{
+				{"a", 200, wireDoc(1, pointFrame)},
+				{"b", 200, wireDoc(2, wireFrame("n1", 2, "", 2))},
+			},
+			path: "/query", status: 500,
+			want: `{"error":"federation: series {n1 rack Total Power}: a member sent a \"raw\" frame with 0 times, 0 values and 1 points"}` + "\n",
 		},
 		{
 			name: "a key on two members and twice on one",
@@ -238,18 +266,18 @@ func TestFederatedQueryForwardsAndCombines(t *testing.T) {
 				{"a", 200, wireDoc(5, wireFrame("n1", 1, `,"gaps_ns":[2500000000]`, 1), wireFrame("n1", 3, "", 3, 5))},
 			},
 			path: "/query?agg=mean", status: 200,
-			want:    `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","reduced":4.6,"points":[{"t_ns":1000000000,"min":1,"max":1,"mean":1,"last":1,"count":1},{"t_ns":2000000000,"min":8,"max":8,"mean":8,"last":8,"count":1},{"t_ns":3000000000,"min":3,"max":3,"mean":3,"last":3,"count":1},{"t_ns":4000000000,"min":8,"max":8,"mean":8,"last":8,"count":1},{"t_ns":5000000000,"min":3,"max":3,"mean":3,"last":3,"count":1}],"gaps_ns":[2500000000,5000000000]},{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":2000000000,"min":2,"max":2,"mean":2,"last":2,"count":1}]}],"sim_now_ns":4000000000,"newest_ns":5000000000}` + "\n",
+			want:    `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","reduced":4.6,"t_ns":[1000000000,2000000000,3000000000,4000000000,5000000000],"v":[1,8,3,8,3],"gaps_ns":[2500000000,5000000000]},{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000],"v":[2]}],"sim_now_ns":4000000000,"newest_ns":5000000000}` + "\n",
 			metrics: []string{`envfed_query_frames_total{path="forwarded"} 1`, `envfed_query_frames_total{path="combined"} 1`},
 		},
 		{
 			name: "one malformed point on one member",
 			members: []fixed{
 				{"a", 200, wireDoc(1, wireFrame("n1", 1, "", 1))},
-				{"b", 200, strings.Replace(wireDoc(2, wireFrame("n2", 2, "", 1, 2)), `"mean":2,"last":2,"count":1}]`, `"mean":+2,"last":2,"count":1}]`, 1)},
+				{"b", 200, strings.Replace(wireDoc(2, wireFrame("n2", 2, "", 1, 2)), `"v":[2,2]`, `"v":[2,+2]`, 1)},
 				{"c", 200, wireDoc(3, wireFrame("n3", 3, "", 3))},
 			},
 			path: "/query?node=n2", status: 200, // a filter, and its series on the broken member: 200 and degraded, never 404
-			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":1000000000,"min":1,"max":1,"mean":1,"last":1,"count":1}]},{"node":"n3","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":3000000000,"min":3,"max":3,"mean":3,"last":3,"count":1}]}],"sim_now_ns":4000000000,"newest_ns":3000000000,"degraded":{"members":3,"responded":2,"missing":[{"member":"b","url":"URL(b)","reason":"client: decoding /query response: invalid character '+' looking for beginning of value","state":"closed"}]}}` + "\n",
+			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[1000000000],"v":[1]},{"node":"n3","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[3000000000],"v":[3]}],"sim_now_ns":4000000000,"newest_ns":3000000000,"degraded":{"members":3,"responded":2,"missing":[{"member":"b","url":"URL(b)","reason":"client: decoding /query response: invalid character '+' looking for beginning of value","state":"closed"}]}}` + "\n",
 			metrics: []string{`envfed_query_frames_total{path="forwarded"} 2`, `envfed_member_errors_total{member="b"} 1`,
 				`envfed_member_bodies_reencoded_total{member="b"} 0`},
 		},

@@ -67,11 +67,11 @@ func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 // observation — the fail-safe reading of every failure.
 type ClientSource struct {
 	Client *client.Client
-	// Window is how far behind the newest point of the response a series
-	// may have last reported and still count towards the sum;
-	// non-positive selects 5s. It is applied here, to the decoded frames:
-	// the query itself carries no from/to, so the server answers with
-	// every raw point it retains.
+	// Window is how far behind the newest sample of the response a series
+	// may have last reported (the last of its t_ns column) and still count
+	// towards the sum; non-positive selects 5s. It is applied here, to the
+	// decoded frames: the query itself carries no from/to, so the server
+	// answers with every raw sample it retains.
 	Window time.Duration
 	// Deadline, when positive, bounds each query server-side.
 	Deadline time.Duration
@@ -95,13 +95,13 @@ func (s ClientSource) Observe(ctx context.Context, now time.Duration) Observatio
 	cutoff := newest - window
 	for _, f := range doc.Frames {
 		o.Gaps += len(f.GapsNS)
-		if f.Reduced == nil || len(f.Points) == 0 {
+		if f.Reduced == nil || len(f.TNS) == 0 {
 			continue
 		}
 		// Only series that reported inside the lookback window count: a
 		// dead node's last-ever reading must age out of the sum instead
 		// of being billed as current draw forever.
-		if f.Points[len(f.Points)-1].T < cutoff {
+		if f.TNS[len(f.TNS)-1] < cutoff {
 			continue
 		}
 		o.MeasuredW += *f.Reduced

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -132,4 +134,50 @@ func TestQuantileFromRenderedHistogram(t *testing.T) {
 	if q, ok := snap.Quantile("lat_seconds", `stage="query"`, 0.99); !ok || q != 1 {
 		t.Errorf("p99 = %v, %v (want 1)", q, ok)
 	}
+}
+
+// FuzzParseMetrics: ParseMetrics reads bytes it did not write — whatever
+// answers /metrics where a remote tool points — so on arbitrary input it
+// returns a snapshot or an error and never panics, and neither does a
+// question put to the snapshot. An exposition internal/obs renders, with
+// a label value and sample values from the fuzzer, reads back every
+// sample's value.
+func FuzzParseMetrics(f *testing.F) {
+	f.Add([]byte("# HELP x_total help text\n# TYPE x_total counter\nx_total{a=\"b c\",d=\"e\"} 42\nx_total 7\n\nnot-a-sample\n"+
+		"y_seconds_bucket{le=\"+Inf\",stage=\"query\"} 3\ny_gauge 2.5e3\n"), `b c`, 2.5, uint64(3))
+	f.Add([]byte("x{le=\"0.1\"} 1\nx{le=\"NaN\"} 2\n\r\n{ 1\n 1\nx 1 2\nx NaN\n"), "quote \" back \\ line \n end", math.Inf(-1), uint64(0))
+	f.Add([]byte{}, "", math.Copysign(0, -1), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, text []byte, label string, v float64, n uint64) {
+		if snap, err := ParseMetrics(bytes.NewReader(text)); err == nil {
+			snap.Value("x")
+			snap.Sum("x")
+			snap.Quantile("y_seconds", `stage="query"`, 0.99)
+			SummarizeObs(snap)
+		}
+		label = label[:min(len(label), 1024)] // a line stays under the scanner's limit
+		reg := obs.NewRegistry()
+		reg.GaugeFunc("fuzz_gauge", "g", func() float64 { return v }, "label", label)
+		reg.Counter("fuzz_total", "c", "label", label).Add(n)
+		h := reg.Histogram("fuzz_seconds", "h", []float64{0.5, 1}, "label", label)
+		h.Observe(0.25)
+		h.Observe(2)
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ParseMetrics(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("rendered exposition does not parse: %v\n%s", err, b.String())
+		}
+		// Sum adds to +0, so a -0 reads back as 0, which == takes as equal.
+		for _, want := range []struct {
+			family string
+			v      float64
+			n      int
+		}{{"fuzz_gauge", v, 1}, {"fuzz_total", float64(n), 1}, {"fuzz_seconds_sum", 2.25, 1}, {"fuzz_seconds_count", 2, 1}, {"fuzz_seconds_bucket", 1 + 1 + 2, 3}} {
+			if got, samples := snap.Sum(want.family); samples != want.n || got != want.v && !(math.IsNaN(got) && math.IsNaN(want.v)) {
+				t.Errorf("%s reads back as %v over %d samples, want %v over %d, from\n%s", want.family, got, samples, want.v, want.n, b.String())
+			}
+		}
+	})
 }

@@ -13,13 +13,16 @@ import (
 	"envmon/internal/telemetry"
 )
 
-// The /query document's codec. A history reply is ~10k points and the
+// The /query document's codec. A history reply is ~10k samples and the
 // reflection-driven encoding/json spends more time on it than the store
 // does answering, on both ends of the wire, so QueryResult has a
 // hand-written encoder and decoder beside its type. Neither defines a
 // format: AppendJSON writes byte for byte what json.NewEncoder(w).Encode
-// writes, and DecodeQueryResult returns what json.Unmarshal returns.
-// encoding/json stays as the decoder's fallback for every document that
+// writes, and DecodeQueryResult returns what json.Unmarshal returns. A
+// raw frame's samples are two columns, "t_ns" and "v", and a rollup
+// frame's buckets are "points"; a frame's resolution decides which the
+// walk reads, and every array is omitempty, so an empty window spells
+// none of them and no array is ever null. encoding/json stays as the decoder's fallback for every document that
 // is not in the encoder's own shape, as the encoder of the two parts that
 // are rare and small (a string needing escapes, the degraded section),
 // and as the reference the tests compare both directions against.
@@ -38,7 +41,7 @@ import (
 // AppendJSON appends the document to dst exactly as
 // json.NewEncoder(w).Encode(r) writes it, trailing newline included. It
 // fails, as encoding/json does, on a value JSON cannot carry (NaN, ±Inf),
-// naming the series and the point.
+// naming the series and the sample.
 func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
 	start := len(dst)
 	// Room for the typical spelling up front: append would reallocate a
@@ -47,7 +50,7 @@ func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
 	for i := range r.Frames {
 		f := &r.Frames[i]
 		size += 128 + len(f.Node) + len(f.Backend) + len(f.Domain) + len(f.Unit) + len(f.Resolution) +
-			128*len(f.Points) + 20*len(f.GapsNS)
+			24*(len(f.TNS)+len(f.V)) + 128*len(f.Points) + 20*len(f.GapsNS)
 	}
 	dst = slices.Grow(dst, size)
 	dst = append(dst, `{"frames":`...)
@@ -105,59 +108,53 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 		}
 		dst = appendFloat(append(dst, `,"reduced":`...), *f.Reduced)
 	}
-	dst = append(dst, `,"points":`...)
-	if f.Points == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range f.Points {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			p := &f.Points[i]
-			if !(finite(p.Min) && finite(p.Max) && finite(p.Mean) && finite(p.Last)) {
-				return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: point min=%v max=%v mean=%v last=%v is not representable in JSON",
-					f.Node, f.Backend, f.Domain, p.T, p.Min, p.Max, p.Mean, p.Last)
-			}
-			dst = appendPoint(dst, p)
+	if i := slices.IndexFunc(f.V, func(v float64) bool { return !finite(v) }); i >= 0 {
+		var t time.Duration
+		if i < len(f.TNS) {
+			t = f.TNS[i]
 		}
-		dst = append(dst, ']')
+		return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: value %v is not representable in JSON",
+			f.Node, f.Backend, f.Domain, t, f.V[i])
 	}
-	if len(f.GapsNS) > 0 {
-		dst = append(dst, `,"gaps_ns":[`...)
-		for i, g := range f.GapsNS {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(g), 10)
-		}
-		dst = append(dst, ']')
+	if i := slices.IndexFunc(f.Points, func(p Point) bool {
+		return !(finite(p.Min) && finite(p.Max) && finite(p.Mean) && finite(p.Last))
+	}); i >= 0 {
+		p := &f.Points[i]
+		return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: point min=%v max=%v mean=%v last=%v is not representable in JSON",
+			f.Node, f.Backend, f.Domain, p.T, p.Min, p.Max, p.Mean, p.Last)
 	}
+	dst = appendArray(dst, `,"t_ns":[`, f.TNS, appendDuration)
+	dst = appendArray(dst, `,"v":[`, f.V, appendFloat)
+	dst = appendArray(dst, `,"points":[`, f.Points, appendPoint)
+	dst = appendArray(dst, `,"gaps_ns":[`, f.GapsNS, appendDuration)
 	return append(dst, '}'), nil
 }
 
-func appendPoint(dst []byte, p *Point) []byte {
-	dst = append(dst, `{"t_ns":`...)
-	dst = strconv.AppendInt(dst, int64(p.T), 10)
-	dst = append(dst, `,"min":`...)
-	from := len(dst)
-	dst = appendFloat(dst, p.Min)
-	to := len(dst)
-	// A raw point is one sample, so all four statistics are the same
-	// float: format it once and copy the digits. Compared as bit patterns,
-	// not with ==, because -0 == 0 and the two print differently.
-	if b := math.Float64bits(p.Min); b == math.Float64bits(p.Max) &&
-		b == math.Float64bits(p.Mean) && b == math.Float64bits(p.Last) {
-		dst = append(append(dst, `,"max":`...), dst[from:to]...)
-		dst = append(append(dst, `,"mean":`...), dst[from:to]...)
-		dst = append(append(dst, `,"last":`...), dst[from:to]...)
-	} else {
-		dst = appendFloat(append(dst, `,"max":`...), p.Max)
-		dst = appendFloat(append(dst, `,"mean":`...), p.Mean)
-		dst = appendFloat(append(dst, `,"last":`...), p.Last)
+// appendArray appends key, which opens the array, and xs in it, or nothing
+// when there are no xs: every array of a frame is omitempty.
+func appendArray[T any](dst []byte, key string, xs []T, appendX func([]byte, T) []byte) []byte {
+	if len(xs) == 0 {
+		return dst
 	}
-	dst = append(dst, `,"count":`...)
-	dst = strconv.AppendInt(dst, int64(p.Count), 10)
+	dst = append(dst, key...)
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendX(dst, x)
+	}
+	return append(dst, ']')
+}
+
+func appendDuration(dst []byte, d time.Duration) []byte { return strconv.AppendInt(dst, int64(d), 10) }
+
+func appendPoint(dst []byte, p Point) []byte {
+	dst = appendDuration(append(dst, `{"t_ns":`...), p.T)
+	dst = appendFloat(append(dst, `,"min":`...), p.Min)
+	dst = appendFloat(append(dst, `,"max":`...), p.Max)
+	dst = appendFloat(append(dst, `,"mean":`...), p.Mean)
+	dst = appendFloat(append(dst, `,"last":`...), p.Last)
+	dst = strconv.AppendInt(append(dst, `,"count":`...), int64(p.Count), 10)
 	return append(dst, '}')
 }
 
@@ -471,7 +468,8 @@ type scanner struct {
 	b      []byte
 	i      int
 	split  bool
-	parsed int // tokens float left to strconv, which the tests count
+	parsed int       // tokens float left to strconv, which the tests count
+	kept   []float64 // the block keep hands reductions out of
 }
 
 // A key is an object key with the punctuation around it, as the document
@@ -510,7 +508,9 @@ var (
 	keyUnit       = newKey(`,"unit":`)
 	keyResolution = newKey(`,"resolution":`)
 	keyReduced    = newKey(`,"reduced":`)
-	keyPoints     = newKey(`,"points":`)
+	keyColumnT    = newKey(`,"t_ns":[`)
+	keyColumnV    = newKey(`],"v":[`) // the t_ns column ends where v begins
+	keyPoints     = newKey(`,"points":[`)
 	keyGaps       = newKey(`,"gaps_ns":[`)
 	keyTNS        = newKey(`{"t_ns":`)
 	keyMin        = newKey(`,"min":`)
@@ -518,7 +518,6 @@ var (
 	keyMean       = newKey(`,"mean":`)
 	keyLast       = newKey(`,"last":`)
 	keyCount      = newKey(`,"count":`)
-	keyCountOne   = newKey(`,"count":1}`) // how a raw point ends
 )
 
 // key consumes k if the input continues with it. A value follows every
@@ -546,16 +545,6 @@ func (d *scanner) byte(c byte) bool {
 func (d *scanner) null() bool {
 	if b := d.b[d.i:]; len(b) >= 4 && string(b[:4]) == "null" {
 		d.i += 4
-		return true
-	}
-	return false
-}
-
-// repeat consumes tok if the input continues with it. Whether the token
-// there ends where tok does is the caller's to match.
-func (d *scanner) repeat(tok []byte) bool {
-	if n := len(tok); len(d.b)-d.i >= n && string(d.b[d.i:d.i+n]) == string(tok) {
-		d.i += n
 		return true
 	}
 	return false
@@ -591,59 +580,33 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			return false
 		}
 		if !d.split {
-			reduced := v // its own variable, so that only a kept one is allocated
-			f.Reduced = &reduced
+			f.Reduced = d.keep(v)
 		}
 	}
-	if !d.key(keyPoints) {
-		return false
-	}
-	if !d.null() {
-		if !d.byte('[') {
-			return false
-		}
-		// A capacity hint, so that a history frame's points are allocated
-		// once: the array runs to the next ']' and holds one '{' per
-		// point. A wrong hint costs a regrow or some slack, never a wrong
-		// result, and cannot exceed what the shortest point spelling
-		// allows the array to hold.
-		if !d.split {
-			array := d.b[d.i:]
-			if n := bytes.IndexByte(array, ']'); n >= 0 {
-				array = array[:n]
-			}
-			f.Points = make([]Point, 0, min(bytes.Count(array, []byte{'{'}), len(array)/minPointLen+1))
-		}
-		var checked Point // where a split walk puts every point
-		for n := 0; !d.byte(']'); n++ {
-			if n > 0 && !d.byte(',') {
-				return false
-			}
-			p := &checked
+	if f.Resolution == rawResolution {
+		if d.key(keyColumnT) { // both columns or neither, and no points
 			if !d.split {
-				f.Points = append(f.Points, Point{})
-				p = &f.Points[n]
+				n := d.hint(',', 2) + 1
+				f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
 			}
-			if !d.point(p) {
+			if !array(d, &f.TNS, d.duration) || !d.key(keyColumnV) || !array(d, &f.V, d.float) || !d.byte(']') {
 				return false
 			}
+		}
+	} else if d.key(keyPoints) {
+		if !d.split {
+			f.Points = make([]Point, 0, d.hint('{', minPointLen))
+		}
+		if !array(d, &f.Points, d.point) || !d.byte(']') {
+			return false
 		}
 	}
 	if d.key(keyGaps) {
 		if !d.split {
-			f.GapsNS = []time.Duration{}
+			f.GapsNS = make([]time.Duration, 0, d.hint(',', 2)+1)
 		}
-		for n := 0; !d.byte(']'); n++ {
-			if n > 0 && !d.byte(',') {
-				return false
-			}
-			g, ok := d.int()
-			if !ok {
-				return false
-			}
-			if !d.split {
-				f.GapsNS = append(f.GapsNS, time.Duration(g))
-			}
+		if !array(d, &f.GapsNS, d.duration) || !d.byte(']') {
+			return false
 		}
 	}
 	return d.byte('}')
@@ -651,42 +614,73 @@ func (d *scanner) frame(f, prev *Frame) bool {
 
 const minPointLen = len(`{"t_ns":0,"min":0,"max":0,"mean":0,"last":0,"count":0},`)
 
-// point decodes one point object. A raw point is one sample, which
-// appendPoint formats once and copies: after the min token comes
-// `,"max":`tok`,"mean":`tok`,"last":`tok`,"count":1}`, matched as one chain
-// of compares, and all four statistics take min's one conversion. Any
-// other point — a rollup bucket, or a near miss such as a max token that
-// extends min's — is read on from max, field by field. The bytes decide.
-func (d *scanner) point(p *Point) bool {
+// rawResolution is how a raw frame names its resolution.
+var rawResolution = telemetry.Raw.String()
+
+// keep is where a decoded reduction lives: a block of them per document,
+// not an allocation per frame.
+func (d *scanner) keep(v float64) *float64 {
+	if len(d.kept) == cap(d.kept) {
+		d.kept = make([]float64, 0, 64)
+	}
+	d.kept = append(d.kept, v)
+	return &d.kept[len(d.kept)-1]
+}
+
+// hint is a capacity hint for the array at the input, its '[' consumed,
+// so that its elements are allocated once: the count of c (what opens or
+// separates its elements) before the next ']', and no more than the array
+// could hold at size bytes an element. A wrong hint costs a regrow or some
+// slack, never a wrong result.
+func (d *scanner) hint(c byte, size int) int {
+	array := d.b[d.i:]
+	if n := bytes.IndexByte(array, ']'); n >= 0 {
+		array = array[:n]
+	}
+	return min(bytes.Count(array, []byte{c}), len(array)/size+1)
+}
+
+// array decodes the elements of an array, its '[' consumed, up to the ']'
+// that ends it, which it leaves; a split walk checks them and keeps none.
+func array[T any](d *scanner, out *[]T, number func() (T, bool)) bool {
+	for n := 0; d.i < len(d.b) && d.b[d.i] != ']'; n++ {
+		if n > 0 && !d.byte(',') {
+			return false
+		}
+		v, ok := number()
+		if !ok {
+			return false
+		}
+		if !d.split {
+			*out = append(*out, v)
+		}
+	}
+	return true
+}
+
+// point decodes one rollup bucket, field by field.
+func (d *scanner) point() (p Point, ok bool) {
 	if !d.key(keyTNS) {
-		return false
+		return p, false
 	}
-	t, ok := d.int()
-	if p.T = time.Duration(t); !ok || !d.key(keyMin) {
-		return false
+	if p.T, ok = d.duration(); !ok || !d.key(keyMin) {
+		return p, false
 	}
-	from := d.i
 	if p.Min, ok = d.float(); !ok || !d.key(keyMax) {
-		return false
+		return p, false
 	}
-	tok, at := d.b[from:d.i-keyMax.n], d.i
-	if d.repeat(tok) && d.key(keyMean) && d.repeat(tok) && d.key(keyLast) && d.repeat(tok) && d.key(keyCountOne) {
-		p.Max, p.Mean, p.Last, p.Count = p.Min, p.Min, p.Min, 1
-		return true
-	}
-	d.i = at
 	if p.Max, ok = d.float(); !ok || !d.key(keyMean) {
-		return false
+		return p, false
 	}
 	if p.Mean, ok = d.float(); !ok || !d.key(keyLast) {
-		return false
+		return p, false
 	}
 	if p.Last, ok = d.float(); !ok || !d.key(keyCount) {
-		return false
+		return p, false
 	}
 	n, ok := d.int()
 	p.Count = int(n)
-	return ok && int64(p.Count) == n && d.byte('}')
+	return p, ok && int64(p.Count) == n && d.byte('}')
 }
 
 // str decodes a plain string (no escapes, printable ASCII only). The
@@ -715,6 +709,12 @@ func (d *scanner) str(prev string) (string, bool) {
 // accumulates its digits. strconv accepts much that JSON does not ("+1",
 // ".5", "1.", "01", "0x1p3", "Inf", "1_0"), so nothing reaches it that has
 // not passed here. What follows the token is the caller's to match.
+
+// duration decodes an integer count of nanoseconds.
+func (d *scanner) duration() (time.Duration, bool) {
+	v, ok := d.int()
+	return time.Duration(v), ok
+}
 
 // int decodes an integer. A fraction, an exponent or an overflow is
 // encoding/json's to report.

@@ -90,14 +90,27 @@ func checkCodec(t *testing.T, r QueryResult, canonical bool) []byte {
 
 func f64(v float64) *float64 { return &v }
 
-func rawPoint(t int64, v float64) Point {
-	return Point{T: time.Duration(t), Min: v, Max: v, Mean: v, Last: v, Count: 1}
+// oneFrame is a document of one frame at resolution res, and nothing in
+// its window.
+func oneFrame(res string) QueryResult {
+	return QueryResult{Frames: []Frame{{Node: "n00", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: res}}}
 }
 
-func oneFrame(points ...Point) QueryResult {
-	return QueryResult{Frames: []Frame{{
-		Node: "n00", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw", Points: points,
-	}}}
+// rawFrame is a document of one raw frame whose i-th sample is v[i] at
+// i+1 ns.
+func rawFrame(v ...float64) QueryResult {
+	r := oneFrame("raw")
+	for i, x := range v {
+		r.Frames[0].TNS, r.Frames[0].V = append(r.Frames[0].TNS, time.Duration(i+1)), append(r.Frames[0].V, x)
+	}
+	return r
+}
+
+// bucketsFrame is a document of one frame at 1 s holding points.
+func bucketsFrame(points ...Point) QueryResult {
+	r := oneFrame("1s")
+	r.Frames[0].Points = points
+	return r
 }
 
 // TestCodecCoversEveryField is the tripwire for a field added to a wire
@@ -107,7 +120,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 	for _, tc := range []struct {
 		doc    any
 		fields int
-	}{{QueryResult{}, 4}, {Frame{}, 8}, {Point{}, 6}} {
+	}{{QueryResult{}, 4}, {Frame{}, 10}, {Point{}, 6}} {
 		if n := reflect.TypeOf(tc.doc).NumField(); n != tc.fields {
 			t.Errorf("%T has %d fields, codec.go encodes and decodes %d: teach it the new one, its tests too, then update this count",
 				tc.doc, n, tc.fields)
@@ -117,9 +130,12 @@ func TestCodecCoversEveryField(t *testing.T) {
 	// every field of every type set, whatever the fields are by then, goes
 	// through the encoder, the one-pass walk and the split whole. A field
 	// the walk decodes but the split drops, or one only encoding/json
-	// knows (the body would be re-encoded), fails here.
+	// knows (the body would be re-encoded), fails here. Its two frames are
+	// one of each shape a resolution gives: columns, and points.
 	var full QueryResult
 	setEveryField(reflect.ValueOf(&full).Elem())
+	full.Frames[0].Resolution, full.Frames[0].Points = rawResolution, nil
+	full.Frames[1].TNS, full.Frames[1].V = nil, nil
 	body := checkCodec(t, full, true)
 	w, reencoded, err := SplitQueryResult(body)
 	if err != nil || reencoded || len(w.Frames) != len(full.Frames) {
@@ -201,9 +217,9 @@ func checkSplit(t *testing.T, body []byte) {
 		}
 		rebuilt.Frames = append(rebuilt.Frames, f)
 		// The one thing a re-encode normalises: omitempty drops an empty
-		// gap list, so it comes back nil.
-		if reencoded && len(want.Frames[i].GapsNS) == 0 {
-			want.Frames[i].GapsNS = nil
+		// array, so it comes back nil.
+		if w := &want.Frames[i]; reencoded {
+			w.TNS, w.V, w.Points, w.GapsNS = nilIfEmpty(w.TNS), nilIfEmpty(w.V), nilIfEmpty(w.Points), nilIfEmpty(w.GapsNS)
 		}
 	}
 	if !sameResult(rebuilt, want) {
@@ -232,27 +248,42 @@ func checkSplit(t *testing.T, body []byte) {
 	}
 }
 
+// nilIfEmpty is what a decode of an omitempty array's absence gives.
+func nilIfEmpty[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	return xs
+}
+
 func TestCodecShapes(t *testing.T) {
 	power := Frame{Node: "n00", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"}
-	withPoints := power
-	withPoints.Points = []Point{rawPoint(1e9, 101.5), {T: 2e9, Min: 1, Max: 3, Mean: 2, Last: 3, Count: 4}}
+	withPoints := power // raw: the samples are the columns
+	withPoints.TNS, withPoints.V = []time.Duration{1e9, 2e9}, []float64{101.5, -0.25}
 	withPoints.GapsNS = []time.Duration{1500000000, 1750000000}
 	withPoints.Reduced = f64(2.25)
-	emptyPoints := power
-	emptyPoints.Points = []Point{}
+	buckets := withPoints // a rollup: the samples are the points
+	buckets.Resolution, buckets.TNS, buckets.V = "10s", nil, nil
+	buckets.Points = []Point{{T: 1e9, Min: 101.5, Max: 101.5, Mean: 101.5, Last: 101.5, Count: 1}, {T: 2e9, Min: 1, Max: 3, Mean: 2, Last: 3, Count: 4}}
+	emptyPoints := power // omitempty drops every empty array: each decodes as nil, like the reference
+	emptyPoints.TNS, emptyPoints.V, emptyPoints.Points = []time.Duration{}, []float64{}, []Point{}
 	emptyGaps := withPoints
-	emptyGaps.GapsNS = []time.Duration{} // omitempty drops it: decodes as nil, like the reference
+	emptyGaps.GapsNS = []time.Duration{}
+	extreme := Frame{Resolution: "raw", TNS: []time.Duration{math.MinInt64, math.MaxInt64, 0}, V: []float64{0, 1, 2}}
+	short := withPoints // columns of two lengths: the encoder writes them, the walk reads them
+	short.V = short.V[:1]
 
 	for name, r := range map[string]QueryResult{
 		"zero value, frames null":  {},
 		"frames empty":             {Frames: []Frame{}},
 		"points null":              {Frames: []Frame{power}},
 		"points empty":             {Frames: []Frame{emptyPoints}},
-		"points, gaps, reduced":    {Frames: []Frame{withPoints}, SimNowNS: 4e9, NewestNS: 2e9},
+		"points, gaps, reduced":    {Frames: []Frame{withPoints, buckets}, SimNowNS: 4e9, NewestNS: 2e9},
 		"empty gaps slice":         {Frames: []Frame{emptyGaps}},
-		"several frames":           {Frames: []Frame{withPoints, power, emptyPoints, withPoints}, SimNowNS: 1},
-		"negative and extreme int": {Frames: []Frame{{Points: []Point{{T: math.MinInt64, Count: -3}, {T: math.MaxInt64, Count: math.MaxInt64}}, GapsNS: []time.Duration{-1, 0, 999999999999999999, 1000000000000000000}}}, SimNowNS: -1, NewestNS: math.MinInt64},
+		"several frames":           {Frames: []Frame{withPoints, power, emptyPoints, buckets, withPoints}, SimNowNS: 1},
+		"negative and extreme int": {Frames: []Frame{{Points: []Point{{T: math.MinInt64, Count: -3}, {T: math.MaxInt64, Count: math.MaxInt64}}, GapsNS: []time.Duration{-1, 0, 999999999999999999, 1000000000000000000}}, extreme}, SimNowNS: -1, NewestNS: math.MinInt64},
 		"empty labels":             {Frames: []Frame{{Points: []Point{{}}}}},
+		"columns of two lengths":   {Frames: []Frame{short}},
 		"degraded, missing null":   {Frames: []Frame{withPoints}, SimNowNS: 4e9, Degraded: &Degraded{Members: 4, Responded: 3}},
 		"degraded, frames null": {Degraded: &Degraded{Members: 2, Missing: []MissingMember{
 			{Member: "rack01", URL: "http://127.0.0.1:1/?a=1&b=<2>", Reason: `dial: "refused"`, State: "open"},
@@ -260,6 +291,18 @@ func TestCodecShapes(t *testing.T) {
 		}}},
 	} {
 		t.Run(name, func(t *testing.T) { checkCodec(t, r, true) })
+	}
+	// Shapes the encoder writes for a frame that holds them, as
+	// encoding/json would, and the walk leaves to encoding/json: the
+	// resolution decides between columns and points, and a column comes
+	// with its twin.
+	tOnly, vOnly, rawPoints, rollupColumns := power, power, buckets, withPoints
+	tOnly.TNS, vOnly.V = []time.Duration{1}, []float64{1}
+	rawPoints.Resolution, rollupColumns.Resolution = "raw", "1s"
+	for name, f := range map[string]Frame{
+		"t_ns without v": tOnly, "v without t_ns": vOnly, "a raw frame with points": rawPoints, "a rollup frame with columns": rollupColumns,
+	} {
+		t.Run(name, func(t *testing.T) { checkCodec(t, QueryResult{Frames: []Frame{f}}, false) })
 	}
 }
 
@@ -275,28 +318,30 @@ func TestCodecFloats(t *testing.T) {
 		9007199254740993, 1 << 53, 4.35, 0.000001234567890123456, 299.99999999999994,
 	}
 	for _, v := range edges {
-		// As a raw point (all four alike), as a rollup point (all four
-		// different, the edge in each position), and as the reduction.
-		checkCodec(t, oneFrame(rawPoint(1, v), rawPoint(2, v), rawPoint(3, -v)), true)
-		checkCodec(t, oneFrame(Point{Min: v, Max: 2, Mean: 3, Last: 4}, Point{Min: 1, Max: v, Mean: 3, Last: 4},
+		// As a raw sample, as a rollup point (the edge in each position),
+		// and as the reduction.
+		checkCodec(t, rawFrame(v, v, -v), true)
+		checkCodec(t, bucketsFrame(Point{Min: v, Max: 2, Mean: 3, Last: 4}, Point{Min: 1, Max: v, Mean: 3, Last: 4},
 			Point{Min: 1, Max: 2, Mean: v, Last: 4}, Point{Min: 1, Max: 2, Mean: 3, Last: v}), true)
-		r := oneFrame()
+		r := oneFrame("raw")
 		r.Frames[0].Reduced = f64(v)
 		checkCodec(t, r, true)
 	}
-	// -0 and 0 are == but print differently: a raw-point shortcut keyed on
-	// == would print one of them wrong.
-	mixed := oneFrame(Point{Min: 0, Max: math.Copysign(0, -1), Mean: 0, Last: math.Copysign(0, -1)})
+	// -0 and 0 are == but print differently.
+	mixed := bucketsFrame(Point{Min: 0, Max: math.Copysign(0, -1), Mean: 0, Last: math.Copysign(0, -1)})
 	if got := checkCodec(t, mixed, true); !bytes.Contains(got, []byte(`"min":0,"max":-0,"mean":0,"last":-0`)) {
+		t.Fatalf("signs of zero lost: %s", got)
+	}
+	if got := checkCodec(t, rawFrame(0, math.Copysign(0, -1)), true); !bytes.Contains(got, []byte(`"v":[0,-0]`)) {
 		t.Fatalf("signs of zero lost: %s", got)
 	}
 }
 
 // checkFloatSpelling holds one value's spelling to encoding/json's, as a
-// one-point document and alone, and its decode to ParseFloat's bits.
+// one-sample document and alone, and its decode to ParseFloat's bits.
 func checkFloatSpelling(t *testing.T, v float64) {
 	t.Helper()
-	r := oneFrame(rawPoint(1, v))
+	r := rawFrame(v)
 	got, err := r.AppendJSON(nil)
 	if err != nil {
 		t.Fatalf("AppendJSON(%v): %v", v, err)
@@ -384,7 +429,7 @@ func readFloat(tok []byte, split bool) (v float64, ok bool, parsed int) {
 }
 
 // FuzzAppendFloat: for any float64 bit pattern JSON can carry, a
-// one-point document is spelled as encoding/json spells it and the number
+// one-sample document is spelled as encoding/json spells it and the number
 // reads back to the same bits. Few bit patterns are short decimals, so the
 // same input also names one, u/10^k, for the fast path's side.
 func FuzzAppendFloat(f *testing.F) {
@@ -403,9 +448,11 @@ func FuzzAppendFloat(f *testing.F) {
 // refuses them and so does the codec — with an error that says where.
 func TestCodecRejectsNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for i := 0; i < 5; i++ {
-			p := rawPoint(7e9, 1)
-			r := oneFrame(rawPoint(6e9, 1), p)
+		for i := 0; i < 6; i++ {
+			one := Point{T: 6e9, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1}
+			p := one
+			p.T = 7e9
+			r := bucketsFrame(one, p)
 			switch i {
 			case 0:
 				r.Frames[0].Points[1].Min = v
@@ -416,6 +463,9 @@ func TestCodecRejectsNonFinite(t *testing.T) {
 			case 3:
 				r.Frames[0].Points[1].Last = v
 			case 4:
+				r = oneFrame("raw")
+				r.Frames[0].TNS, r.Frames[0].V = []time.Duration{6e9, 7e9}, []float64{1, v}
+			case 5:
 				r.Frames[0].Reduced = f64(v)
 			}
 			if _, err := refEncode(r); err == nil {
@@ -431,7 +481,7 @@ func TestCodecRejectsNonFinite(t *testing.T) {
 			if !strings.Contains(err.Error(), "n00/MSR/Total Power") {
 				t.Errorf("error does not name the series: %v", err)
 			}
-			if i < 4 && !strings.Contains(err.Error(), "t_ns=7000000000") {
+			if i < 5 && !strings.Contains(err.Error(), "t_ns=7000000000") {
 				t.Errorf("error does not name the point: %v", err)
 			}
 		}
@@ -452,7 +502,7 @@ func TestCodecStrings(t *testing.T) {
 	}
 	for _, s := range oddStrings {
 		for field := 0; field < 5; field++ {
-			f := Frame{Node: "n", Backend: "b", Domain: "d", Unit: "u", Resolution: "raw", Points: []Point{rawPoint(1, 2)}}
+			f := Frame{Node: "n", Backend: "b", Domain: "d", Unit: "u", Resolution: "raw", TNS: []time.Duration{1}, V: []float64{2}}
 			*[]*string{&f.Node, &f.Backend, &f.Domain, &f.Unit, &f.Resolution}[field] = s
 			checkCodec(t, QueryResult{Frames: []Frame{f}}, false)
 		}
@@ -515,16 +565,36 @@ func randomResult(rng *rand.Rand) (r QueryResult, canonical bool) {
 			if i > 0 && rng.Intn(2) == 0 { // labels repeat across frames
 				f.Backend, f.Unit = r.Frames[i-1].Backend, r.Frames[i-1].Unit
 			}
+			if rng.Intn(2) == 0 {
+				f.Resolution = rawResolution
+			}
 			if rng.Intn(3) == 0 {
 				f.Reduced = f64(float())
 			}
-			if rng.Intn(8) > 0 {
+			// The shape the resolution gives, and now and then the other
+			// one or columns of two lengths.
+			columns := (f.Resolution == rawResolution) != (rng.Intn(40) == 0)
+			switch {
+			case rng.Intn(8) == 0: // a window with nothing in it
+			case columns:
+				f.TNS, f.V = make([]time.Duration, rng.Intn(6)), make([]float64, rng.Intn(6))
+				if rng.Intn(16) > 0 {
+					f.V = f.V[:min(len(f.TNS), len(f.V))]
+					f.TNS = f.TNS[:len(f.V)]
+				}
+				for j := range f.TNS {
+					f.TNS[j] = time.Duration(integer())
+				}
+				for j := range f.V {
+					f.V[j] = float()
+				}
+			default:
 				f.Points = make([]Point, rng.Intn(6))
 				for j := range f.Points {
-					if rng.Intn(2) == 0 {
-						f.Points[j] = rawPoint(integer(), float())
-					} else {
-						f.Points[j] = Point{T: time.Duration(integer()), Min: float(), Max: float(), Mean: float(), Last: float(), Count: int(integer())}
+					f.Points[j] = Point{T: time.Duration(integer()), Min: float(), Max: float(), Mean: float(), Last: float(), Count: int(integer())}
+					if rng.Intn(2) == 0 { // a bucket of one sample
+						p := &f.Points[j]
+						p.Max, p.Mean, p.Last, p.Count = p.Min, p.Min, p.Min, 1
 					}
 				}
 			}
@@ -550,6 +620,11 @@ func randomResult(rng *rand.Rand) (r QueryResult, canonical bool) {
 			for _, o := range oddStrings {
 				canonical = canonical && s != o
 			}
+		}
+		if f.Resolution == rawResolution {
+			canonical = canonical && len(f.Points) == 0 && (len(f.TNS) > 0) == (len(f.V) > 0)
+		} else {
+			canonical = canonical && len(f.TNS) == 0 && len(f.V) == 0
 		}
 	}
 	return r, canonical
@@ -578,34 +653,33 @@ func TestCodecRandomDocuments(t *testing.T) {
 // JSON does not. The one-pass decoder must decline every one, and the
 // public decoder must answer each as json.Unmarshal does.
 func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
+	frame := func(res, rest string) string {
+		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"` + res + `"` + rest + `}]}` + "\n"
+	}
 	point := func(min string) string {
-		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[{"t_ns":1,"min":` +
-			min + `,"max":1,"mean":1,"last":1,"count":1}]}]}` + "\n"
+		return frame("1s", `,"points":[{"t_ns":1,"min":`+min+`,"max":1,"mean":1,"last":1,"count":1}]`)
 	}
-	tns := func(v string) string {
-		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[{"t_ns":` +
-			v + `,"min":1,"max":1,"mean":1,"last":1,"count":1}]}]}` + "\n"
+	tns := func(v string) string { return frame("raw", `,"t_ns":[`+v+`],"v":[1]`) }
+	value := func(v string) string { return frame("raw", `,"t_ns":[1],"v":[`+v+`]`) }
+	// The shape's edges: valid documents the resolution does not give that
+	// shape, a column without its twin or out of order, a bucket that does
+	// not end where one ends; and documents in the shape, with the numbers
+	// that take strconv. Each must be read whole, on one path or the
+	// other; the second group, which AppendJSON writes, by the one-pass walk.
+	shape := []string{
+		frame("raw", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1}]`),
+		frame("1s", `,"t_ns":[1],"v":[1]`),
+		frame("raw", `,"t_ns":[1]`), frame("raw", `,"v":[1]`), frame("raw", `,"v":[1],"t_ns":[1]`),
+		frame("raw", `,"t_ns":[1],"v":[1],"points":[]`), frame("raw", `,"t_ns":null,"v":null`),
+		frame("raw", `,"t_ns":[1] ,"v":[1]`), frame("raw", `,"t_ns":[1],"v":[1],"t_ns":[2],"v":[2]`),
+		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1,"count":2}]`),
+		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1,"extra":1}]`),
 	}
-	stats := func(s string) string {
-		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[{"t_ns":1,` +
-			s + `}]}]}` + "\n"
-	}
-	// The raw-point shortcut's edges: bytes that start like a raw point and
-	// are not one, and raw points whose token takes strconv. Each must be
-	// read whole, on one path or the other; the last group, which
-	// AppendJSON writes, by the one-pass walk.
-	shortcut := []string{
-		stats(`"min":1,"max":1,"mean":1,"last":1,"count":1,"count":2`),
-		stats(`"min":1,"max":1,"mean":1,"last":1,"count":1,"extra":1`),
-	}
-	shortcutCanonical := []string{
-		stats(`"min":1,"max":1,"mean":1,"last":1,"count":10`),
-		stats(`"min":1.5,"max":1.55,"mean":1.5,"last":1.5,"count":1`),
-		stats(`"min":1.5,"max":1.5,"mean":1.5,"last":1.55,"count":1`),
-		stats(`"min":0,"max":-0,"mean":0,"last":0,"count":1`),
-		stats(`"min":1e-7,"max":1e-7,"mean":1e-7,"last":1e-7,"count":1`),
-		stats(`"min":1234567890123456,"max":1234567890123456,"mean":1234567890123456,"last":1234567890123456,"count":1`),
-		tns("1234567890123456789"),
+	shapeCanonical := []string{
+		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":10}]`),
+		frame("1s", `,"points":[{"t_ns":1,"min":1.5,"max":1.55,"mean":1.5,"last":1.5,"count":1}]`),
+		frame("raw", `,"t_ns":[1,2],"v":[1]`), frame("raw", `,"gaps_ns":[5]`),
+		value("0,-0"), value("1e-7"), value("1234567890123456"), tns("1234567890123456789"),
 	}
 	for _, body := range slices.Concat([]string{
 		// Valid, not canonical.
@@ -618,6 +692,7 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":null,"gaps_ns":null}]}`,
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","reduced":null,"points":[]}]}`,
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[{"t_ns":1}]}]}`,
+		frame("raw", `,"t_ns":[],"v":[]`), frame("1s", `,"points":[]`),
 		`{"frames":null,"degraded":null} `, `{"frames":null,"degraded":{"members":1},"degraded":{"members":2}}`,
 		// Not JSON, or not this type: the error must be encoding/json's.
 		``, `{`, `}`, `{"frames":[}`, `{"frames":[],}`, `{"frames":[,]}`, `{"frames":null,"degraded":}`,
@@ -625,19 +700,22 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[],"gaps_ns":[1,]}]}`,
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":[],"gaps_ns":[1.5]}]}`,
 		`{"frames":[{"node":"unterminated`, "{\"frames\":[{\"node\":\"raw\ttab\"}]}",
+		frame("raw", `,"t_ns":[1],"v":[1`), frame("raw", `,"t_ns":[1,],"v":[1]`), frame("raw", `,"t_ns":[,1],"v":[1]`),
 		point("+1"), point(".5"), point("1."), point("01"), point("-"), point("-01"), point("0x1p3"), point("Inf"),
 		point("NaN"), point("1_0"), point("1e"), point("1e+"), point("1E5"), point("-0"), point("1e999"),
 		point("-1e999"), point("1e-999"), point(`"1"`), point("true"),
+		value("+1"), value("01"), value("1e999"), value("1,"), value(",1"), value("1 2"), value("null"),
 		tns("1.0"), tns("1e3"), tns("-0"), tns("9223372036854775807"), tns("9223372036854775808"),
 		tns("-9223372036854775808"), tns("-9223372036854775809"), tns("99999999999999999999999"), tns("01"),
 		tns("18446744073709551616"), tns("-18446744073709551617"), point("1" + strings.Repeat("0", 308)), point("1" + strings.Repeat("0", 307) + ".5"),
 		point("1" + strings.Repeat("0", 309)), point("-1" + strings.Repeat("0", 308) + ".0"), point("0." + strings.Repeat("0", 400) + "1"),
+		value("1" + strings.Repeat("0", 309)), value("0." + strings.Repeat("0", 400) + "1"),
 		`{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"raw","points":null,"gaps_ns":[]}]}`,
-	}, shortcut, shortcutCanonical) {
+	}, shape, shapeCanonical) {
 		checkAgree(t, []byte(body))
 		checkSplit(t, []byte(body))
 	}
-	for _, body := range shortcutCanonical {
+	for _, body := range shapeCanonical {
 		var r QueryResult
 		if !decodeCanonical([]byte(body), &r) {
 			t.Errorf("one-pass decoder declined %s", body)
@@ -649,7 +727,8 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		`{ "frames": null }`, `{"frames":null,"extra":1}`, `{"sim_now_ns":5,"frames":null}`,
 		point("+1"), point(".5"), point("1."), point("01"), point("0x1p3"), point("Inf"), point("1_0"),
 		point("1e999"), tns("1.0"), tns("9223372036854775808"), tns("01"), tns("18446744073709551616"),
-	}, shortcut...) {
+		value("+1"), value("01"), value("1e999"),
+	}, shape...) {
 		var r QueryResult
 		if decodeCanonical([]byte(body), &r) {
 			t.Errorf("one-pass decoder accepted %s", body)
@@ -690,19 +769,28 @@ func TestDecodeSingleByteMutations(t *testing.T) {
 // test start from.
 func seedDocuments(t testing.TB) [][]byte {
 	t.Helper()
-	full := oneFrame(rawPoint(1e9, 101.5), rawPoint(2e9, 101.5), Point{T: 3e9, Min: -0.5, Max: 1e21, Mean: 1e-7, Last: 3, Count: 60})
+	full := rawFrame(101.5, 101.5)
+	full.Frames[0].TNS = []time.Duration{1e9, 2e9}
 	full.Frames[0].Reduced = f64(99.25)
 	full.Frames[0].GapsNS = []time.Duration{1500000000, 2500000000}
-	full.Frames = append(full.Frames, Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"})
+	full.Frames = append(full.Frames, Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"},
+		Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "1s", Reduced: f64(1e21),
+			Points: []Point{{T: 3e9, Min: -0.5, Max: 1e21, Mean: 1e-7, Last: 3, Count: 60}}})
 	full.SimNowNS, full.NewestNS = 4e9, 3e9
 	degraded := full
 	degraded.Degraded = &Degraded{Members: 2, Responded: 1, Missing: []MissingMember{{Member: "rack01", Reason: "breaker open", State: "open"}}}
-	escaped := oneFrame(rawPoint(1, 2))
+	escaped := rawFrame(2)
 	escaped.Frames[0].Unit = "°C <&>"
+	// A window that holds nothing, at both resolutions, and a raw frame
+	// carrying points: the spelling raw samples had before they were
+	// columns, which the walk declines and encoding/json reads.
+	empty := QueryResult{Frames: []Frame{oneFrame("raw").Frames[0], oneFrame("10s").Frames[0]}, SimNowNS: 4e9}
+	rawPoints := oneFrame("raw")
+	rawPoints.Frames[0].Points = []Point{{T: 1e9, Min: 2, Max: 2, Mean: 2, Last: 2, Count: 1}}
 	var docs [][]byte
-	// The last, a history reply in the stack's own numbers, is the shape the
-	// raw-point shortcut takes.
-	for _, r := range []QueryResult{{}, {Frames: []Frame{}}, full, degraded, escaped, quantizedFrame(6)} {
+	// Then a history reply in the stack's own numbers and the same series
+	// at 1 s: a column-shaped raw reply and a rollup reply.
+	for _, r := range []QueryResult{{}, {Frames: []Frame{}}, full, degraded, escaped, quantizedFrame(6), rollupFrame(4), empty, rawPoints} {
 		b, err := r.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -731,18 +819,22 @@ func FuzzSplitQueryResult(f *testing.F) {
 	for _, doc := range seedDocuments(f) {
 		f.Add(doc)
 	}
-	// What TestQueryOnTheWire reads off a socket, an escaped label, both
-	// nulls, a float past float64 and a t_ns one digit short of int64's 19.
+	// What TestQueryOnTheWire reads off a socket, and what it read before
+	// an empty window spelled no array, an escaped label, both nulls, a
+	// float past float64 and a t_ns one digit short of int64's 19.
 	const labels = `"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw"`
 	for _, body := range []string{
 		`{"frames":[{` + labels + `,"points":[]}],"sim_now_ns":500000000000}` + "\n",
 		`{"frames":[{` + labels + `,"points":[],"gaps_ns":[1500000000]}],"sim_now_ns":500000000000}` + "\n",
+		`{"frames":[{` + labels + `}],"sim_now_ns":500000000000}` + "\n",
+		`{"frames":[{` + labels + `,"gaps_ns":[1500000000]}],"sim_now_ns":500000000000}` + "\n",
 		`{"frames":[]}` + "\n",
 		`{"frames":[{"node":"a\u003cb","backend":"MSR","domain":"d","unit":"\u00b0C","resolution":"raw","points":null}]}`,
 		`{"frames":null}`,
 		`{"frames":[{` + labels + `,"points":null}]}`,
 		`{"frames":[{` + labels + `,"points":[{"t_ns":1,"min":1e999,"max":1,"mean":1,"last":1,"count":1}]}]}`,
 		`{"frames":[{` + labels + `,"reduced":2.5,"points":[{"t_ns":1234567890123456789,"min":1,"max":1,"mean":1,"last":1,"count":1}]}]}`,
+		`{"frames":[{` + labels + `,"reduced":2.5,"t_ns":[1234567890123456789],"v":[1e999]}]}`,
 		`{ "frames": [ { "node": "n", "points": [ { "t_ns": 1, "min": 1e999 } ] } ] }`,
 	} {
 		f.Add([]byte(body))
@@ -750,22 +842,34 @@ func FuzzSplitQueryResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkSplit(t, body) })
 }
 
-// quantizedFrame is a history reply as the stack serves one: n raw points
+// quantizedFrame is a history reply as the stack serves one: n raw samples
 // 50 ms apart under twelve-digit timestamps, valued in quarter watts, so
 // every number is on the short-decimal paths.
 func quantizedFrame(n int) QueryResult {
-	points := make([]Point, n)
-	for i := range points {
-		points[i] = rawPoint(100e9+int64(i)*50e6, float64(600+i*7919%400)/4)
+	r := oneFrame("raw")
+	f := &r.Frames[0]
+	for i := range n {
+		f.TNS, f.V = append(f.TNS, time.Duration(100e9+int64(i)*50e6)), append(f.V, float64(600+i*7919%400)/4)
 	}
-	r := oneFrame(points...)
-	r.SimNowNS, r.NewestNS = int64(points[n-1].T)+50e6, int64(points[n-1].T)
+	r.SimNowNS, r.NewestNS = int64(f.TNS[n-1])+50e6, int64(f.TNS[n-1])
+	return r
+}
+
+// quantizedPoints is quantizedFrame's reply in the spelling raw samples had
+// before they were columns: each one a point object whose four statistics
+// are its value, with a count of one.
+func quantizedPoints(n int) QueryResult {
+	r := quantizedFrame(n)
+	f := &r.Frames[0]
+	for i, v := range f.V {
+		f.Points = append(f.Points, Point{T: f.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1})
+	}
+	f.TNS, f.V = nil, nil
 	return r
 }
 
 // rollupFrame is the same series at 1 s: buckets of 20 samples whose min,
-// max, mean and last differ — the points the raw-point shortcut leaves to
-// the field-by-field path. A mean of 20 quarter watts is a multiple of
+// max, mean and last differ. A mean of 20 quarter watts is a multiple of
 // 1/80, a short decimal too.
 func rollupFrame(n int) QueryResult {
 	points := make([]Point, n)
@@ -774,36 +878,52 @@ func rollupFrame(n int) QueryResult {
 		points[i] = Point{T: time.Duration(100e9 + int64(i)*1e9), Min: float64(q) / 4, Max: float64(q+50) / 4,
 			Mean: float64(20*q+481) / 80, Last: float64(q+13) / 4, Count: 20}
 	}
-	r := oneFrame(points...)
-	r.Frames[0].Resolution = "1s"
+	r := bucketsFrame(points...)
 	r.SimNowNS, r.NewestNS = int64(points[n-1].T)+1e9, int64(points[n-1].T)
 	return r
 }
 
-// bigFrame is a history reply: one series, n raw points, six in seven of
+// bigFrame is a history reply: one series, n raw samples, six in seven of
 // them valued past what the short-decimal paths take — the strconv row.
 func bigFrame(n int) QueryResult {
-	points := make([]Point, n)
-	for i := range points {
-		points[i] = rawPoint(int64(i)*1e9, 180+float64(i%977)/7)
+	r := oneFrame("raw")
+	f := &r.Frames[0]
+	for i := range n {
+		f.TNS, f.V = append(f.TNS, time.Duration(i)*1e9), append(f.V, 180+float64(i%977)/7)
 	}
-	r := oneFrame(points...)
 	r.SimNowNS, r.NewestNS = int64(n)*1e9, int64(n-1)*1e9
 	return r
 }
 
-// manyFrames is a fleet-wide recent reply: n series, 8 points each.
+// manyFrames is a fleet-wide recent reply: n series, 8 samples each.
 func manyFrames(n int) QueryResult {
 	r := QueryResult{Frames: make([]Frame, n), SimNowNS: 9e9, NewestNS: 8e9}
 	for i := range r.Frames {
-		points := make([]Point, 8)
-		for j := range points {
-			points[j] = rawPoint(int64(j)*1e9, float64((i*7919+j)%1000)/4)
+		f := Frame{Node: fmt.Sprintf("n%05d", i), Backend: "rack", Domain: "Total Power", Unit: "W", Resolution: "raw"}
+		for j := range 8 {
+			f.TNS, f.V = append(f.TNS, time.Duration(j)*1e9), append(f.V, float64((i*7919+j)%1000)/4)
 		}
-		r.Frames[i] = Frame{Node: fmt.Sprintf("n%05d", i), Backend: "rack", Domain: "Total Power", Unit: "W",
-			Resolution: "raw", Reduced: f64(points[7].Last), Points: points}
+		f.Reduced = f64(f.V[7])
+		r.Frames[i] = f
 	}
 	return r
+}
+
+// TestWireBytesPerSample is the wire's tripwire, the serving-side twin of
+// the store's TestBlockBytesPerSample: a history reply in the stack's own
+// numbers costs at most 24 bytes a sample. Spelled as point objects, raw
+// samples cost 82.
+func TestWireBytesPerSample(t *testing.T) {
+	const n = 10240
+	body, err := quantizedFrame(n).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSample := float64(len(body)) / n
+	t.Logf("%d samples in %d bytes: %.1f B/sample", n, len(body), perSample)
+	if perSample > 24 {
+		t.Errorf("a raw history reply costs %.1f B/sample on the wire, gate 24", perSample)
+	}
 }
 
 // TestCodecAllocations is the gate on what the codec is for. Encoding
@@ -931,8 +1051,9 @@ func benchmarkSplit(b *testing.B, r QueryResult, codec bool) {
 }
 
 // History is the strconv row (bigFrame); Quantized and Recent are what the
-// stack serves, every number a short decimal and nearly every point raw;
-// Rollup is the traffic the raw-point shortcut does not take.
+// stack serves, raw samples whose every number is a short decimal; Rollup
+// is the stack's buckets. DecodeQuantizedPointsJSON is the gate's fixed
+// reference: encoding/json reading Quantized's samples as point objects.
 func BenchmarkEncodeHistory(b *testing.B)       { benchmarkEncode(b, bigFrame(10240), true) }
 func BenchmarkEncodeHistoryJSON(b *testing.B)   { benchmarkEncode(b, bigFrame(10240), false) }
 func BenchmarkDecodeHistory(b *testing.B)       { benchmarkDecode(b, bigFrame(10240), true) }
@@ -941,16 +1062,19 @@ func BenchmarkEncodeQuantized(b *testing.B)     { benchmarkEncode(b, quantizedFr
 func BenchmarkEncodeQuantizedJSON(b *testing.B) { benchmarkEncode(b, quantizedFrame(10240), false) }
 func BenchmarkDecodeQuantized(b *testing.B)     { benchmarkDecode(b, quantizedFrame(10240), true) }
 func BenchmarkDecodeQuantizedJSON(b *testing.B) { benchmarkDecode(b, quantizedFrame(10240), false) }
-func BenchmarkSplitQuantized(b *testing.B)      { benchmarkSplit(b, quantizedFrame(10240), true) }
-func BenchmarkSplitQuantizedJSON(b *testing.B)  { benchmarkSplit(b, quantizedFrame(10240), false) }
-func BenchmarkEncodeRollup(b *testing.B)        { benchmarkEncode(b, rollupFrame(10240), true) }
-func BenchmarkEncodeRollupJSON(b *testing.B)    { benchmarkEncode(b, rollupFrame(10240), false) }
-func BenchmarkDecodeRollup(b *testing.B)        { benchmarkDecode(b, rollupFrame(10240), true) }
-func BenchmarkDecodeRollupJSON(b *testing.B)    { benchmarkDecode(b, rollupFrame(10240), false) }
-func BenchmarkSplitRollup(b *testing.B)         { benchmarkSplit(b, rollupFrame(10240), true) }
-func BenchmarkSplitRollupJSON(b *testing.B)     { benchmarkSplit(b, rollupFrame(10240), false) }
-func BenchmarkEncodeRecent(b *testing.B)        { benchmarkEncode(b, manyFrames(512), true) }
-func BenchmarkEncodeRecentJSON(b *testing.B)    { benchmarkEncode(b, manyFrames(512), false) }
-func BenchmarkDecodeRecent(b *testing.B)        { benchmarkDecode(b, manyFrames(512), true) }
-func BenchmarkDecodeRecentJSON(b *testing.B)    { benchmarkDecode(b, manyFrames(512), false) }
-func BenchmarkSplitRecent(b *testing.B)         { benchmarkSplit(b, manyFrames(512), true) }
+func BenchmarkDecodeQuantizedPointsJSON(b *testing.B) {
+	benchmarkDecode(b, quantizedPoints(10240), false)
+}
+func BenchmarkSplitQuantized(b *testing.B)     { benchmarkSplit(b, quantizedFrame(10240), true) }
+func BenchmarkSplitQuantizedJSON(b *testing.B) { benchmarkSplit(b, quantizedFrame(10240), false) }
+func BenchmarkEncodeRollup(b *testing.B)       { benchmarkEncode(b, rollupFrame(10240), true) }
+func BenchmarkEncodeRollupJSON(b *testing.B)   { benchmarkEncode(b, rollupFrame(10240), false) }
+func BenchmarkDecodeRollup(b *testing.B)       { benchmarkDecode(b, rollupFrame(10240), true) }
+func BenchmarkDecodeRollupJSON(b *testing.B)   { benchmarkDecode(b, rollupFrame(10240), false) }
+func BenchmarkSplitRollup(b *testing.B)        { benchmarkSplit(b, rollupFrame(10240), true) }
+func BenchmarkSplitRollupJSON(b *testing.B)    { benchmarkSplit(b, rollupFrame(10240), false) }
+func BenchmarkEncodeRecent(b *testing.B)       { benchmarkEncode(b, manyFrames(512), true) }
+func BenchmarkEncodeRecentJSON(b *testing.B)   { benchmarkEncode(b, manyFrames(512), false) }
+func BenchmarkDecodeRecent(b *testing.B)       { benchmarkDecode(b, manyFrames(512), true) }
+func BenchmarkDecodeRecentJSON(b *testing.B)   { benchmarkDecode(b, manyFrames(512), false) }
+func BenchmarkSplitRecent(b *testing.B)        { benchmarkSplit(b, manyFrames(512), true) }

@@ -143,14 +143,18 @@ type SeriesResult struct {
 	Series []SeriesInfo `json:"series"`
 }
 
-// Point is one frame point: a raw sample or one rollup bucket.
+// Point is one rollup bucket of a frame.
 type Point = telemetry.FramePoint
 
-// Frame is one series' result in the /query document. GapsNS marks the
-// failed-poll instants inside the window: explicit "no data here" markers,
-// never encoded as zero-valued points. It differs from telemetry.Frame
-// only in what is the wire's own shape: a flat key, the resolution by
-// name, and an absent rather than invalid reduction.
+// Frame is one series' result in the /query document. The resolution
+// decides how its window is spelled: a raw frame carries two columns, the
+// sample times TNS and the values V, and a rollup frame carries Points,
+// one per bucket. A window that holds nothing spells neither. GapsNS marks
+// the failed-poll instants inside the window: explicit "no data here"
+// markers, never encoded as zero-valued points. It differs from
+// telemetry.Frame only in what is the wire's own shape: a flat key, the
+// resolution by name, raw samples as columns, and an absent rather than
+// invalid reduction.
 type Frame struct {
 	Node       string          `json:"node"`
 	Backend    string          `json:"backend"`
@@ -158,7 +162,9 @@ type Frame struct {
 	Unit       string          `json:"unit"`
 	Resolution string          `json:"resolution"`
 	Reduced    *float64        `json:"reduced,omitempty"`
-	Points     []Point         `json:"points"`
+	TNS        []time.Duration `json:"t_ns,omitempty"`
+	V          []float64       `json:"v,omitempty"`
+	Points     []Point         `json:"points,omitempty"`
 	GapsNS     []time.Duration `json:"gaps_ns,omitempty"`
 }
 
@@ -170,8 +176,8 @@ func (f *Frame) Key() telemetry.SeriesKey {
 
 // QueryResult is the /query document. SimNowNS and NewestNS are the
 // response's freshness metadata: the server's simulated now at answer
-// time and the newest point timestamp across the returned frames (0 when
-// no frame has points) — together they let a caller distinguish "fresh
+// time and the newest sample time across the returned frames (0 when no
+// frame holds a sample) — together they let a caller distinguish "fresh
 // zero" from "stale frame" without a second /healthz round trip. On a
 // federated endpoint SimNowNS is the minimum across answering members
 // (the conservative view: data can be no fresher than the laggiest
@@ -457,6 +463,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for i, f := range frames {
 			out.Frames[i] = frameDoc(f)
 		}
+		rawColumns(frames, out.Frames)
 		out.NewestNS = NewestNS(out.Frames)
 		return out.Answer(q)
 	})
@@ -474,7 +481,7 @@ func (s *Server) simNow() int64 {
 // Answer is how a /query result is served, on one daemon or federated. A
 // query returns one frame per matching series regardless of window, so
 // zero frames under a filter means the series key does not exist: a 404,
-// distinguishable from an empty window (200 with empty points). An
+// distinguishable from an empty window (200, a frame with no samples). An
 // unfiltered query over an empty store stays 200: "nothing stored yet" is
 // a valid answer to "show me everything". So does a federated result with
 // members missing: the honest answer there is a 200 partial result
@@ -497,37 +504,64 @@ func answer(frames int, degraded *Degraded, q telemetry.Query, doc any) (int, an
 	return http.StatusOK, doc
 }
 
-// NewestNS is a /query document's newest_ns: the newest point timestamp
-// across frames, each of which holds its points in time order; 0 when no
-// frame has points.
+// NewestNS is a /query document's newest_ns: the newest sample time
+// across frames, the last of a raw frame's t_ns column or a rollup
+// frame's last bucket start (each frame is in time order); 0 when no frame
+// holds any.
 func NewestNS(frames []Frame) (newest int64) {
 	for i := range frames {
-		if p := frames[i].Points; len(p) > 0 && int64(p[len(p)-1].T) > newest {
-			newest = int64(p[len(p)-1].T)
+		if t := frames[i].TNS; len(t) > 0 {
+			newest = max(newest, int64(t[len(t)-1]))
+		}
+		if p := frames[i].Points; len(p) > 0 {
+			newest = max(newest, int64(p[len(p)-1].T))
 		}
 	}
 	return newest
 }
 
-// frameDoc puts one store frame in its wire form. The store's frames are
-// deep copies (telemetry.Store.Query), so the points and gap markers are
-// handed over as they are; only a frame without points needs a slice of
-// its own, because the wire spells an empty window [] and a nil slice
-// would encode as null.
+// frameDoc puts one store frame in its wire form, all but a raw frame's
+// columns (rawColumns). The store's frames are deep copies
+// (telemetry.Store.Query), so a rollup frame's points and the gap markers
+// are handed over as they are.
 func frameDoc(f telemetry.Frame) Frame {
 	jf := Frame{
 		Node: f.Key.Node, Backend: f.Key.Backend, Domain: f.Key.Domain,
-		Unit: f.Unit, Resolution: f.Resolution.String(),
-		Points: f.Points, GapsNS: f.Gaps,
+		Unit: f.Unit, Resolution: f.Resolution.String(), GapsNS: f.Gaps,
 	}
-	if jf.Points == nil {
-		jf.Points = []Point{}
+	if f.Resolution != telemetry.Raw {
+		jf.Points = f.Points
 	}
 	if f.ReducedOK {
 		v := f.Reduced
 		jf.Reduced = &v
 	}
 	return jf
+}
+
+// rawColumns fills each raw frame's t_ns and v columns from the store's
+// points, all frames' columns in one allocation each. The store still
+// widens a raw sample into a FramePoint, so this is a copy back; ROADMAP
+// item 6 has buildFrame fill the columns itself.
+func rawColumns(frames []telemetry.Frame, docs []Frame) {
+	n := 0
+	for i := range frames {
+		if frames[i].Resolution == telemetry.Raw {
+			n += len(frames[i].Points)
+		}
+	}
+	tns, vs := make([]time.Duration, 0, n), make([]float64, 0, n)
+	for i := range frames {
+		f := &frames[i]
+		if f.Resolution != telemetry.Raw || len(f.Points) == 0 {
+			continue
+		}
+		from := len(tns)
+		for _, p := range f.Points {
+			tns, vs = append(tns, p.T), append(vs, p.Last)
+		}
+		docs[i].TNS, docs[i].V = tns[from:len(tns):len(tns)], vs[from:len(vs):len(vs)]
+	}
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {

@@ -23,7 +23,7 @@ func TestQueryOnTheWire(t *testing.T) {
 	st := telemetry.New(telemetry.Options{Shards: 2})
 	defer st.Close()
 	k := telemetry.SeriesKey{Node: "n00", Backend: "MSR", Domain: "Total Power"}
-	for s := 0; s < 500; s++ {
+	for s := 0; s < 1000; s++ {
 		if err := st.Ingest(k, "W", time.Duration(s)*time.Second, 180+float64(s%7)/3); err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestQueryOnTheWire(t *testing.T) {
 	if err := st.IngestGap(k, "W", 1500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, func() time.Duration { return 500 * time.Second })
+	srv := New(st, func() time.Duration { return 1000 * time.Second })
 	srv.Instrument(obs.NewRegistry())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -49,8 +49,8 @@ func TestQueryOnTheWire(t *testing.T) {
 		t.Fatalf("status %d, body %d bytes", resp.StatusCode, len(body))
 	}
 	doc, err := refDecode(body)
-	if err != nil || len(doc.Frames) != 1 || len(doc.Frames[0].Points) != 500 || len(doc.Frames[0].GapsNS) != 1 ||
-		doc.Frames[0].Reduced == nil || doc.SimNowNS != int64(500*time.Second) || doc.NewestNS != int64(499*time.Second) {
+	if err != nil || len(doc.Frames) != 1 || len(doc.Frames[0].TNS) != 1000 || len(doc.Frames[0].V) != 1000 || doc.Frames[0].Points != nil ||
+		len(doc.Frames[0].GapsNS) != 1 || doc.Frames[0].Reduced == nil || doc.SimNowNS != int64(1000*time.Second) || doc.NewestNS != int64(999*time.Second) {
 		t.Fatalf("document: %v %.300s", err, body)
 	}
 	if want, _ := refEncode(doc); !bytes.Equal(body, want) {
@@ -61,7 +61,8 @@ func TestQueryOnTheWire(t *testing.T) {
 		t.Errorf("metrics missing %q", want)
 	}
 
-	// Every empty answer, to the byte: an empty list is [] and never null.
+	// Every empty answer, to the byte: an empty window spells no sample
+	// array at either resolution, an empty list is [], and nothing is null.
 	nothing := telemetry.New(telemetry.Options{})
 	defer nothing.Close()
 	empty := httptest.NewServer(New(nothing, nil))
@@ -71,11 +72,13 @@ func TestQueryOnTheWire(t *testing.T) {
 		status     int
 		body       string
 	}{
-		{ts.URL, "/query?node=n00&from=600s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","points":[]}],"sim_now_ns":500000000000}`},
-		{ts.URL, "/query?node=n00&from=600s&res=10s&agg=max", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"10s","points":[]}],"sim_now_ns":500000000000}`},
-		{ts.URL, "/query?node=n00&from=1200ms&to=1600ms", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","points":[],"gaps_ns":[1500000000]}],"sim_now_ns":500000000000}`},
-		{ts.URL, "/topk?from=600s", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":500000000000,"nodes":[]}`},
-		{ts.URL, "/topk?domain=nope", 200, `{"domain":"nope","total_watts":0,"sim_now_ns":500000000000,"nodes":[]}`},
+		{ts.URL, "/query?node=n00&from=1200s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw"}],"sim_now_ns":1000000000000}`},
+		{ts.URL, "/query?node=n00&from=1200s&res=10s&agg=max", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"10s"}],"sim_now_ns":1000000000000}`},
+		{ts.URL, "/query?node=n00&from=1200ms&to=1600ms", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","gaps_ns":[1500000000]}],"sim_now_ns":1000000000000}`},
+		{ts.URL, "/query?node=n00&from=2s&to=4s&res=1s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"1s","points":[{"t_ns":2000000000,"min":180.66666666666666,"max":180.66666666666666,"mean":180.66666666666666,"last":180.66666666666666,"count":1},{"t_ns":3000000000,"min":181,"max":181,"mean":181,"last":181,"count":1}]}],"sim_now_ns":1000000000000,"newest_ns":3000000000}`},
+		{ts.URL, "/query?node=n00&from=2s&to=4s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000,3000000000],"v":[180.66666666666666,181]}],"sim_now_ns":1000000000000,"newest_ns":3000000000}`},
+		{ts.URL, "/topk?from=1200s", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":1000000000000,"nodes":[]}`},
+		{ts.URL, "/topk?domain=nope", 200, `{"domain":"nope","total_watts":0,"sim_now_ns":1000000000000,"nodes":[]}`},
 		{ts.URL, "/query?node=nope", 404, `{"error":"no matching series"}`},
 		{empty.URL, "/query", 200, `{"frames":[]}`},
 		{empty.URL, "/topk", 200, `{"domain":"Total Power","total_watts":0,"nodes":[]}`},
@@ -117,7 +120,7 @@ func TestQueryNonFiniteSampleAnswers500(t *testing.T) {
 		// Series without the bad sample are still served.
 		var q QueryResult
 		get(t, srv, "/query?node=n00", http.StatusOK, &q)
-		if len(q.Frames) != 1 || len(q.Frames[0].Points) != 10 {
+		if len(q.Frames) != 1 || len(q.Frames[0].TNS) != 10 {
 			t.Errorf("n00 after a bad sample on n01: %+v", q)
 		}
 		if want := `envmon_http_errors_total{code="500",endpoint="query"} 1`; !strings.Contains(metricsText(t, srv), want+"\n") {

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -137,19 +136,12 @@ func (st *Store) query(q Query, points bool) []Frame {
 }
 
 func (st *Store) runQuery(q Query, points bool) []Frame {
-	var out []Frame
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.list {
-			if !q.matches(s.key) {
-				continue
-			}
-			out = append(out, st.buildFrame(s, q, points))
-		}
-		sh.mu.RUnlock()
+	o := st.keyOrder(func(s *series) bool { return q.matches(s.key) })
+	if o.n == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return lessKey(out[i].Key, out[j].Key) })
+	out := make([]Frame, o.n)
+	st.eachInOrder(o, func(at int, s *series) { out[at] = st.buildFrame(s, q, points) })
 	return out
 }
 

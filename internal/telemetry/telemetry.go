@@ -60,7 +60,7 @@ package telemetry
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -453,24 +453,90 @@ type SeriesInfo struct {
 // Series lists every stored series, sorted by key, so output is
 // deterministic at any shard count.
 func (st *Store) Series() []SeriesInfo {
-	var out []SeriesInfo
+	o := st.keyOrder(func(*series) bool { return true })
+	if o.n == 0 {
+		return nil
+	}
+	out := make([]SeriesInfo, o.n)
+	st.eachInOrder(o, func(at int, s *series) {
+		info := &out[at]
+		*info = SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.raw.total, Gaps: s.gaps.total,
+			Persisted: s.raw.sealed, Newest: s.lastT}
+		if st.blocks != nil && s.raw.total > 0 {
+			info.Oldest = s.minT
+		} else if s.raw.len() > 0 {
+			info.Oldest = s.raw.at(0).T
+		}
+	})
+	return out
+}
+
+// keyOrder is a listing's series in key order, found without moving a
+// value: byShard holds each shard's series sorted by key, and rank[i][j]
+// is the place of byShard[i][j] in the shards' merged order.
+type keyOrder struct {
+	byShard [][]*series
+	rank    [][]int
+	n       int
+}
+
+// keyOrder collects the series keep accepts, each shard's under its read
+// lock, sorts each shard's pointers by key and merges the shards' lists
+// into each series' place. A listing is then built by eachInOrder straight
+// into an exactly sized slice.
+func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
+	o := keyOrder{byShard: make([][]*series, len(st.shards)), rank: make([][]int, len(st.shards))}
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.list {
-			info := SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.raw.total, Gaps: s.gaps.total,
-				Persisted: s.raw.sealed, Newest: s.lastT}
-			if st.blocks != nil && s.raw.total > 0 {
-				info.Oldest = s.minT
-			} else if s.raw.len() > 0 {
-				info.Oldest = s.raw.at(0).T
+			if keep(s) {
+				o.byShard[i] = append(o.byShard[i], s)
 			}
-			out = append(out, info)
+		}
+		sh.mu.RUnlock()
+		slices.SortFunc(o.byShard[i], func(a, b *series) int {
+			switch {
+			case lessKey(a.key, b.key):
+				return -1
+			case lessKey(b.key, a.key):
+				return 1
+			}
+			return 0
+		})
+		o.rank[i] = make([]int, len(o.byShard[i]))
+		o.n += len(o.byShard[i])
+	}
+	// A key lives in one shard, so the merge meets no ties.
+	head := make([]int, len(o.byShard))
+	for at := 0; at < o.n; at++ {
+		next := -1
+		for i, l := range o.byShard {
+			if head[i] < len(l) && (next < 0 || lessKey(l[head[i]].key, o.byShard[next][head[next]].key)) {
+				next = i
+			}
+		}
+		o.rank[next][head[next]] = at
+		head[next]++
+	}
+	return o
+}
+
+// eachInOrder calls fn with every series of o and its place in key order,
+// under the series' shard's read lock (the engine's lock order: one shard
+// at a time, block reads nested inside).
+func (st *Store) eachInOrder(o keyOrder, fn func(at int, s *series)) {
+	for i := range st.shards {
+		if len(o.byShard[i]) == 0 {
+			continue
+		}
+		sh := &st.shards[i]
+		sh.mu.RLock()
+		for j, s := range o.byShard[i] {
+			fn(o.rank[i][j], s)
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return lessKey(out[i].Key, out[j].Key) })
-	return out
 }
 
 // lessKey orders keys deterministically; an alias of the storage layer's
