@@ -53,7 +53,7 @@ var architecture = []struct {
 	{"codec", "DESIGN §7 and §11: httpapi/codec.go encodes, decodes and splits /query; handlers answer through daemon.WriteJSON, the client decodes or splits with the codec alone", guards(
 		guard{scope: httpapi, fn: "Server.handleQuery", one: strs("func Server.handleQuery"), bad: handlerCodecs},
 		guard{scope: "internal/federation/", fn: "Server.handleQuery", one: strs("func Server.handleQuery"), bad: handlerCodecs},
-		guard{scope: "internal/telemetry/client/", fn: "Client.QueryFull", one: strs("httpapi.DecodeQueryResult"), bad: strs("json.*", "get()")},
+		guard{scope: "internal/telemetry/client/", fn: "Client.Query", one: strs("httpapi.DecodeQueryResult"), bad: strs("json.*", "get()")},
 		guard{scope: "internal/telemetry/client/", fn: "Client.QueryWire", one: strs("httpapi.SplitQueryResult"), bad: strs("json.*", "get()", "~DecodeQueryResult")},
 		guard{scope: httpapi, fn: "DecodeQueryResult", one: strs("decodeCanonical()")},
 		guard{scope: httpapi, fn: "decodeCanonical", one: strs("walkCanonical()")},
@@ -62,6 +62,10 @@ var architecture = []struct {
 		guard{except: strs(codecGo), bad: strs("func QueryResult.AppendJSON", "func WireResult.AppendJSON", "func DecodeQueryResult", "func SplitQueryResult")},
 		guard{bad: strs("func QueryResult.MarshalJSON", "func QueryResult.UnmarshalJSON", "func WireResult.MarshalJSON", "func WireResult.UnmarshalJSON")},
 		guard{one: slices.Concat(strs("func scanner.frame", "func scanner.point", "key(keyNode)", "key(keyTNS)"), calls("newKey", codecKeys...))})},
+	{"one-request", "DESIGN §13: a /query or /topk request is one httpapi.Request from the URL to the store, spelled by AppendQuery / AppendTopK alone; client.go's bench/ shim (QueryParams, TopKParams, QueryFull, TopK) is for bench/ only", guards(
+		guard{tests: true, except: strs("bench/"), bad: strs("client.QueryParams", "client.TopKParams", ".QueryFull")},
+		guard{scope: "internal/telemetry/client/", tests: true, except: strs(clientShim...), one: strs("~QueryParams", "~TopKParams"), bad: strs("url.*", "func .TopK")},
+		guard{scope: "internal/federation/server.go", bad: strs("httpapi.Request{}", "telemetry.Query{}", "client.QueryParams{}", "client.TopKParams{}")})},
 	{"spellings", "DESIGN §11 One owner per rule: what envmond and envfedd answer alike has one definition both call; bench/ spells the power domain on its own", guards(
 		guard{scope: httpapi, tests: true, bad: strs("type Point", "type NodePower", "type SourceHealth")},
 		guard{scope: "internal/federation/", bad: strs("~lessFrameKey", "~frameKey", "~mergeSimNow")},
@@ -99,6 +103,12 @@ var architecture = []struct {
 		return out
 	}},
 }
+
+// clientShim is client.go's bench/ shim: the functions that may name
+// QueryParams and TopKParams, whose type declarations are the one other
+// place each may be named.
+var clientShim = strs("internal/telemetry/client/client.go#QueryParams.request", "internal/telemetry/client/client.go#TopKParams.request",
+	"internal/telemetry/client/client.go#Client.QueryFull", "internal/telemetry/client/client.go#Client.TopK")
 
 // codecKeys are the keys the /query decoder matches, each defined once.
 // The two that open a frame and a point are matched in one place each, so

@@ -64,6 +64,9 @@ func newCapDaemon(cfg config) (*capDaemon, error) {
 	if cfg.interval <= 0 {
 		return nil, fmt.Errorf("interval %v must be positive", cfg.interval)
 	}
+	if cfg.deadline > time.Hour {
+		return nil, fmt.Errorf("-deadline %v exceeds the 1h a query may ask for", cfg.deadline)
+	}
 	if cfg.logf == nil {
 		cfg.logf = log.Printf
 	}

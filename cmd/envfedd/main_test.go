@@ -16,7 +16,6 @@ import (
 
 	"envmon/internal/daemon/daemontest"
 	"envmon/internal/telemetry"
-	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -30,7 +29,7 @@ func TestBinary(t *testing.T) {
 	daemontest.Refuses(t, "envfedd: -members is required")
 	daemontest.Refuses(t, `envfedd: federation: member "a=" has no host`, "-members", "a=")
 	d := daemontest.Start(t, "-members", "rack0="+startMember(t, "alpha", "beta").URL)
-	if top, err := d.Client.TopK(context.Background(), client.TopKParams{}); err != nil || len(top.Nodes) != 2 || top.Degraded != nil {
+	if top, err := d.Client.Rank(context.Background(), httpapi.Request{}); err != nil || len(top.Nodes) != 2 || top.Degraded != nil {
 		t.Fatalf("/topk: %v %+v", err, top)
 	}
 	d.Stop(t)

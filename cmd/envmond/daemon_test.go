@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"envmon/internal/daemon/daemontest"
+	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
@@ -34,11 +35,17 @@ func TestBinary(t *testing.T) {
 	if err != nil || h.Storage == nil || h.Storage.DataDir != dir || h.Storage.RecoveredSeries == 0 {
 		t.Fatalf("/healthz after the restart: %v %+v", err, h.Storage)
 	}
-	frames, err := second.Client.Query(context.Background(), client.QueryParams{Domain: "Total Power", To: 2 * time.Second})
-	if err != nil || !slices.ContainsFunc(frames, func(f httpapi.Frame) bool { return len(f.Points) > 0 }) {
-		t.Fatalf("the window before the restart: %v, %d frames and no point", err, len(frames))
+	doc, err := second.Client.Query(context.Background(), httpapi.Request{Query: telemetry.Query{Domain: "Total Power", To: 2 * time.Second}})
+	if err != nil || !slices.ContainsFunc(doc.Frames, func(f httpapi.Frame) bool { return len(f.TNS) > 0 }) {
+		t.Fatalf("the window before the restart: %v, %d frames and no sample", err, len(doc.Frames))
 	}
 	second.Stop(t)
+}
+
+// queryFrames is every series' frames over [0, to) at res.
+func queryFrames(c *client.Client, to time.Duration, res telemetry.Resolution) ([]httpapi.Frame, error) {
+	doc, err := c.Query(context.Background(), httpapi.Request{Query: telemetry.Query{To: to, Resolution: res}})
+	return doc.Frames, err
 }
 
 // testConfig is the flag defaults with a small, fast, quiet cluster on an
@@ -173,7 +180,7 @@ func TestRestartRecoversHistoryAndContinues(t *testing.T) {
 		t.Fatal("first run did not return after cancel")
 	}
 	// Second life: same data directory.
-	before := map[string][]httpapi.Frame{}
+	before := map[telemetry.Resolution][]httpapi.Frame{}
 	d2, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatalf("reopening data dir: %v", err)
@@ -229,8 +236,8 @@ func TestRestartRecoversHistoryAndContinues(t *testing.T) {
 	if preWindow == 0 {
 		t.Fatal("restarted daemon has no offset: nothing was recovered")
 	}
-	for _, res := range []string{"raw", "1s"} {
-		frames, err := c2.Query(context.Background(), client.QueryParams{To: preWindow, Resolution: res})
+	for _, res := range []telemetry.Resolution{telemetry.Raw, telemetry.Res1s} {
+		frames, err := queryFrames(c2, preWindow, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +246,8 @@ func TestRestartRecoversHistoryAndContinues(t *testing.T) {
 		}
 		before[res] = frames
 	}
-	for _, res := range []string{"10s", "60s"} {
-		frames, err := c2.Query(context.Background(), client.QueryParams{To: preWindow, Resolution: res})
+	for _, res := range []telemetry.Resolution{telemetry.Res10s, telemetry.Res60s} {
+		frames, err := queryFrames(c2, preWindow, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,8 +278,8 @@ func TestRestartRecoversHistoryAndContinues(t *testing.T) {
 	// e.g., the envdb drain interval) also show up in the frame list, but
 	// their windowed frames must be empty — their first sample is at or
 	// past the offset.
-	for _, res := range []string{"raw", "1s"} {
-		frames, err := c2.Query(context.Background(), client.QueryParams{To: preWindow, Resolution: res})
+	for _, res := range []telemetry.Resolution{telemetry.Raw, telemetry.Res1s} {
+		frames, err := queryFrames(c2, preWindow, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +291,7 @@ func TestRestartRecoversHistoryAndContinues(t *testing.T) {
 		for _, f := range frames {
 			want, ok := old[f.Node+"/"+f.Backend+"/"+f.Domain]
 			if !ok {
-				if len(f.Points) != 0 || len(f.GapsNS) != 0 {
+				if len(f.TNS) != 0 || len(f.Points) != 0 || len(f.GapsNS) != 0 {
 					t.Errorf("new series %s/%s/%s has %s data inside the recovered window",
 						f.Node, f.Backend, f.Domain, res)
 				}

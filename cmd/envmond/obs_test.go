@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"envmon/internal/obs"
+	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/client"
+	"envmon/internal/telemetry/httpapi"
 )
 
 // TestDaemonObservabilitySurfaces runs a resilient daemon with every
@@ -51,7 +53,7 @@ func TestDaemonObservabilitySurfaces(t *testing.T) {
 	waitSamples(t, c)
 	// A query through the API populates the query stage and, with the
 	// nanosecond threshold, the slow-op ring.
-	if _, err := c.Query(context.Background(), client.QueryParams{To: time.Second, Resolution: "60s"}); err != nil {
+	if _, err := c.Query(context.Background(), httpapi.Request{Query: telemetry.Query{To: time.Second, Resolution: telemetry.Res60s}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -38,6 +38,7 @@ import (
 	"envmon/internal/rapl"
 	"envmon/internal/report"
 	"envmon/internal/resilience"
+	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 	"envmon/internal/workload"
@@ -119,7 +120,7 @@ func remoteRound(ctx context.Context, cl *client.Client, base string, k int) err
 	if from < 0 {
 		from = 0
 	}
-	top, err := cl.TopK(ctx, client.TopKParams{K: k, From: from})
+	top, err := cl.Rank(ctx, httpapi.Request{Query: telemetry.Query{From: from}, K: k})
 	if err != nil {
 		return err
 	}
@@ -193,7 +194,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "noise seed")
 		wlName   = flag.String("workload", "mmps", "workload to run (mmps|gauss|vecadd|noop)")
 		remote   = flag.String("remote", "", "watch a running envmond daemon at this base URL instead of simulating locally")
-		topK     = flag.Int("topk", 8, "nodes to show in -remote mode")
+		topK     = flag.Int("topk", 8, "nodes to show in -remote mode (0 = every node)")
 		retries  = flag.Int("retries", 5, "consecutive failed polls tolerated in -remote mode before giving up")
 	)
 	flag.Parse()
@@ -204,6 +205,10 @@ func main() {
 	}
 	if *duration <= 0 {
 		fmt.Fprintln(os.Stderr, "envtop: -duration must be positive")
+		os.Exit(2)
+	}
+	if *topK < 0 {
+		fmt.Fprintln(os.Stderr, "envtop: -topk must not be negative")
 		os.Exit(2)
 	}
 	if *remote != "" {

@@ -93,6 +93,27 @@ func TestParsePlanDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// FuzzParsePlan: a -faults value is bytes an operator typed. A plan
+// ParsePlan accepts renders (String) to a spec it accepts again, and that
+// renders the same.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{"", "seed=7,transient=0.1,spike=0.05,spikefactor=20,stuck=0.01,stuckfor=2s,flap=30s",
+		"lose=NVML@30s,lose=SysMgmt API#2@5s-20s,lose=EMON#*@1m0s", "transient=NaN", "spike=1,spikefactor=0.5",
+		"lose=NVML#0@1s", "lose=a=b@1s", "transient=-0.5", "stuck=1e-300,stuckfor=1ns", " , lose= x @0s-1h "} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParsePlan(spec, 1)
+		if err != nil {
+			return
+		}
+		again, err := ParsePlan(plan.String(), 1)
+		if err != nil || again.String() != plan.String() {
+			t.Fatalf("%q: renders %q, which parses (%v) and renders %q", spec, plan.String(), err, again.String())
+		}
+	})
+}
+
 // pollTrace runs n polls at interval and returns a replay signature:
 // error identities and reading values per poll.
 func pollTrace(j *Injector, n int, interval time.Duration) string {

@@ -11,7 +11,6 @@ import (
 
 	"envmon/internal/obs"
 	"envmon/internal/telemetry"
-	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -53,7 +52,7 @@ func startGatedMember(t *testing.T, name string) *gatedMember {
 func abandon(fed *Federator) {
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(10*time.Millisecond, cancel)
-	fed.Query(ctx, client.QueryParams{Node: nodeName(0)})
+	fed.Query(ctx, httpapi.Request{Query: telemetry.Query{Node: nodeName(0)}})
 	cancel()
 }
 
@@ -81,7 +80,7 @@ func TestAbandonedQueriesSayNothingAboutTheMember(t *testing.T) {
 	if mi := fed.Members()[0]; mi.State != "closed" || mi.Trips != 0 || mi.LastError != "" {
 		t.Errorf("after three abandoned queries the member reads %+v, want closed, never tripped, no error", mi)
 	}
-	res := fed.Query(context.Background(), client.QueryParams{Node: nodeName(0)})
+	res := fed.Query(context.Background(), httpapi.Request{Query: telemetry.Query{Node: nodeName(0)}})
 	if res.Degraded != nil || len(res.Frames) != 1 {
 		t.Errorf("the next, unhurried query: %d frames, degraded %+v", len(res.Frames), res.Degraded)
 	}
@@ -102,7 +101,7 @@ func TestAbandonedQueriesSayNothingAboutTheMember(t *testing.T) {
 	slow.held.Store(true)
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-		fed.Query(ctx, client.QueryParams{Node: nodeName(0)})
+		fed.Query(ctx, httpapi.Request{Query: telemetry.Query{Node: nodeName(0)}})
 		cancel()
 	}
 	slow.held.Store(false)
@@ -123,7 +122,7 @@ func TestAbandonedProbeDoesNotWedgeTheBreaker(t *testing.T) {
 	}
 	m.failing.Store(true)
 	for i := 0; i < 2; i++ {
-		fed.Query(context.Background(), client.QueryParams{Node: nodeName(0)})
+		fed.Query(context.Background(), httpapi.Request{Query: telemetry.Query{Node: nodeName(0)}})
 	}
 	if mi := fed.Members()[0]; mi.State != "open" {
 		t.Fatalf("two failures at threshold 2: %+v", mi)
@@ -137,7 +136,7 @@ func TestAbandonedProbeDoesNotWedgeTheBreaker(t *testing.T) {
 	if mi := fed.Members()[0]; mi.State != "half-open" || mi.Trips != 1 {
 		t.Errorf("after an abandoned probe the member reads %+v, want half-open, tripped once", mi)
 	}
-	res := fed.Query(context.Background(), client.QueryParams{Node: nodeName(0)})
+	res := fed.Query(context.Background(), httpapi.Request{Query: telemetry.Query{Node: nodeName(0)}})
 	if res.Degraded != nil || len(res.Frames) != 1 {
 		t.Errorf("the probe after it: %d frames, degraded %+v", len(res.Frames), res.Degraded)
 	}

@@ -332,15 +332,16 @@ type memberDoc struct {
 	reencoded bool // the body was not in the codec's own spelling
 }
 
-// Query fans the query out and merges the members' frames, which arrive
-// checked but not decoded and leave as the bytes they came in wherever
-// one member holds the key (mergeWire). A member's 404 on a filtered query
-// means "no matching series on that rack" and counts as an empty answer,
-// not a failure. The document's frames alias the members' response
-// bodies.
-func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.WireResult {
+// Query fans r out and merges the members' frames, which arrive checked
+// but not decoded and leave as the bytes they came in wherever one member
+// holds the key (mergeWire). Members are sent r without its deadline: ctx
+// carries that. A member's 404 on a filtered query means "no matching
+// series on that rack" and counts as an empty answer, not a failure. The
+// document's frames alias the members' response bodies.
+func (f *Federator) Query(ctx context.Context, r httpapi.Request) httpapi.WireResult {
+	r.Deadline = 0
 	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (memberDoc, error) {
-		doc, reencoded, err := cl.QueryWire(ctx, p)
+		doc, reencoded, err := cl.QueryWire(ctx, r)
 		var se *client.StatusError
 		if errors.As(err, &se) && se.Code == 404 {
 			return memberDoc{}, nil
@@ -366,23 +367,23 @@ func (f *Federator) Query(ctx context.Context, p client.QueryParams) httpapi.Wir
 		}
 	}
 	var combined int
-	res.Frames, combined, res.Err = mergeWire(lists, p.Aggregate)
+	res.Frames, combined, res.Err = mergeWire(lists, r.Aggregate)
 	res.SimNowNS = clocks.min
 	f.observeFrames(len(res.Frames)-combined, combined)
 	return res
 }
 
-// TopK fans out and merges the global ranking. p.K bounds the merged
-// ranking only (K ≤ 0 ranks every node; the wire default of 10 is the
-// handler's to apply): members are always asked for every node, because
-// the global total must cover nodes outside each member's local top k,
-// and summing it in canonical node order is what makes the result
-// byte-identical under re-partitioning.
-func (f *Federator) TopK(ctx context.Context, p client.TopKParams) httpapi.TopKResult {
-	k := p.K
-	p.K = -1
+// TopK fans r out and merges the global ranking. r.K bounds the merged
+// ranking only (0 ranks every node): members are sent k=0 and always rank
+// every node, because the global total must cover nodes outside each
+// member's local top k, and summing it in canonical node order is what
+// makes the result byte-identical under re-partitioning. As for Query,
+// ctx carries the deadline.
+func (f *Federator) TopK(ctx context.Context, r httpapi.Request) httpapi.TopKResult {
+	k := r.K
+	r.K, r.Deadline = 0, 0
 	outs := fanout(ctx, f, func(ctx context.Context, cl *client.Client) (httpapi.TopKResult, error) {
-		return cl.TopK(ctx, p)
+		return cl.Rank(ctx, r)
 	})
 	parts := make([]MemberTopK, 0, len(outs))
 	var clocks simClocks
@@ -392,7 +393,7 @@ func (f *Federator) TopK(ctx context.Context, p client.TopKParams) httpapi.TopKR
 			clocks.add(outs[i].doc.SimNowNS)
 		}
 	}
-	res := MergeTopK(parts, k, telemetry.PowerDomain(p.Domain))
+	res := MergeTopK(parts, k, telemetry.PowerDomain(r.Domain))
 	res.SimNowNS = clocks.min
 	res.Degraded = degraded(f, outs)
 	return res

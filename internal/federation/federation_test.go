@@ -16,7 +16,6 @@ import (
 
 	"envmon/internal/obs"
 	"envmon/internal/telemetry"
-	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -281,7 +280,7 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		fed.TopK(ctx, client.TopKParams{K: 3})
+		fed.TopK(ctx, httpapi.Request{K: 3})
 	}
 	var deadInfo *httpapi.MemberInfo
 	for _, mi := range fed.Members() {
@@ -296,7 +295,7 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 		t.Fatalf("dead member breaker state = %q, want open (trips=%d lastErr=%q)",
 			deadInfo.State, deadInfo.Trips, deadInfo.LastError)
 	}
-	out := fed.TopK(ctx, client.TopKParams{K: 3})
+	out := fed.TopK(ctx, httpapi.Request{K: 3})
 	if out.Degraded == nil || len(out.Degraded.Missing) != 1 {
 		t.Fatalf("degraded after breaker open: %+v", out.Degraded)
 	}

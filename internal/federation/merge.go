@@ -160,12 +160,16 @@ type MemberQuery struct {
 // union. A series key reported by several members is combined: samples
 // interleaved by timestamp, gap markers unioned (never dropped — a gap on
 // any member is a gap in the federation's answer), and the window
-// reduction recomputed from the combined samples under agg. err is the
-// first combine that failed (combineFrames).
+// reduction recomputed from the combined samples under agg ("" for none).
+// err is an unknown agg, or the first combine that failed (combineFrames).
 //
 // This is the merge Federator.Query runs on frames still on the wire
 // (mergeWire), on frames already decoded: the same walk, the same combine.
 func MergeFrames(parts []MemberQuery, agg string) (out []httpapi.Frame, err error) {
+	a, err := telemetry.ParseAggregate(agg)
+	if err != nil {
+		return nil, err
+	}
 	lists := make([]memberFrames[httpapi.Frame], len(parts))
 	total := 0
 	for i, p := range parts {
@@ -178,7 +182,7 @@ func MergeFrames(parts []MemberQuery, agg string) (out []httpapi.Frame, err erro
 			out = append(out, group[0])
 			return
 		}
-		f, cerr := combineFrames(group, agg)
+		f, cerr := combineFrames(group, a)
 		if cerr != nil && err == nil {
 			err = cerr
 		}
@@ -194,7 +198,7 @@ func MergeFrames(parts []MemberQuery, agg string) (out []httpapi.Frame, err erro
 // what the walk sees (a duplicate key), as MergeTopK takes its own.
 // combined counts the frames that came of a combine; err is the first one
 // that could not be encoded (a reduction that overflowed, say).
-func mergeWire(lists []memberFrames[httpapi.WireFrame], agg string) (out []httpapi.WireFrame, combined int, err error) {
+func mergeWire(lists []memberFrames[httpapi.WireFrame], agg telemetry.Aggregate) (out []httpapi.WireFrame, combined int, err error) {
 	total := 0
 	for _, l := range lists {
 		total += len(l.frames)
@@ -324,7 +328,7 @@ func mergeByKey[F any](lists []memberFrames[F], key func(*F) telemetry.SeriesKey
 // combined samples. A frame in another shape — columns of two lengths, a
 // raw frame with points, a rollup frame with columns — is an error, not a
 // frame with what could not be placed left out.
-func combineFrames(frames []httpapi.Frame, agg string) (httpapi.Frame, error) {
+func combineFrames(frames []httpapi.Frame, agg telemetry.Aggregate) (httpapi.Frame, error) {
 	out := frames[0]
 	out.TNS, out.V, out.Points, out.GapsNS, out.Reduced = nil, nil, nil, nil, nil
 	raw := out.Resolution == telemetry.Raw.String()
@@ -365,8 +369,8 @@ func combineFrames(frames []httpapi.Frame, agg string) (httpapi.Frame, error) {
 		}
 		return out.Points[i]
 	}
-	if a, err := telemetry.ParseAggregate(agg); err == nil && a != telemetry.AggNone && len(samples)+len(out.Points) > 0 {
-		out.Reduced = reducePoints(len(samples)+len(out.Points), at, a)
+	if agg != telemetry.AggNone && len(samples)+len(out.Points) > 0 {
+		out.Reduced = reducePoints(len(samples)+len(out.Points), at, agg)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -141,6 +142,11 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 	if want := (1.0 + 8 + 3 + 9) / 4; f.Reduced == nil || *f.Reduced != want {
 		t.Fatalf("reduced = %v, want %v", f.Reduced, want)
 	}
+	// An aggregate the merge does not know is an error, not a combine
+	// without a reduction.
+	if _, err := MergeFrames(parts, "median"); err == nil || !strings.Contains(err.Error(), "median") {
+		t.Fatalf("unknown aggregate: error %v", err)
+	}
 
 	// A rollup series: buckets interleave, and the mean is count-weighted.
 	bucket := func(t time.Duration, v float64, count int) httpapi.Point {
@@ -228,4 +234,31 @@ func TestParseMembers(t *testing.T) {
 			t.Errorf("ParseMembers(%q) error %q does not name the entry %q", spec, err, bad)
 		}
 	}
+}
+
+// FuzzParseMembers: a -members value is bytes an operator typed. Whatever
+// it accepts has a non-empty name and a URL with a host for every member,
+// and the members rejoined as name=url,… parse back to the same list.
+func FuzzParseMembers(f *testing.F) {
+	for _, s := range []string{"rack0=http://a:1, http://b:2 ,c:3", "a=", "http://", " = ", "rack0=http://a:1,b=",
+		"=http://x", "x=y=z", "a b=https://h/p?q=1", "http://h=1/p", "m00=a,m00=b", "r/0=http://a"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ms, err := ParseMembers(spec)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(ms))
+		for i, m := range ms {
+			if u, err := url.Parse(m.URL); m.Name == "" || err != nil || u.Host == "" {
+				t.Fatalf("%q: member %+v has no name or no host (%v)", spec, m, err)
+			}
+			parts[i] = m.Name + "=" + m.URL
+		}
+		rejoined := strings.Join(parts, ",")
+		if back, err := ParseMembers(rejoined); err != nil || !reflect.DeepEqual(back, ms) {
+			t.Fatalf("%q: parsed %+v, rejoined %q, which parses to %+v (%v)", spec, ms, rejoined, back, err)
+		}
+	})
 }

@@ -7,8 +7,6 @@ import (
 
 	"envmon/internal/daemon"
 	"envmon/internal/obs"
-	"envmon/internal/telemetry"
-	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -77,37 +75,25 @@ func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, d, err := httpapi.ParseQuery(r)
+	req, err := httpapi.ParseQuery(r)
 	if err != nil {
 		daemon.BadRequest(w, err)
 		return
 	}
-	ctx, cancel := s.queryCtx(r, d)
+	ctx, cancel := s.queryCtx(r, req.Deadline)
 	defer cancel()
-	// Forward the canonical spellings of what was validated here.
-	p := client.QueryParams{
-		Node: q.Node, Backend: q.Backend, Domain: q.Domain,
-		From: q.From, To: q.To,
-		Resolution: q.Resolution.String(),
-	}
-	if q.Aggregate != telemetry.AggNone {
-		p.Aggregate = q.Aggregate.String()
-	}
 	// The single-daemon 404 rule, applied cluster-wide: see Answer.
-	status, doc := s.fed.Query(ctx, p).Answer(q)
+	status, doc := s.fed.Query(ctx, req).Answer(req.Query)
 	daemon.WriteJSON(w, status, doc)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k, q, d, err := httpapi.ParseTopK(r)
+	req, err := httpapi.ParseTopK(r)
 	if err != nil {
 		daemon.BadRequest(w, err)
 		return
 	}
-	ctx, cancel := s.queryCtx(r, d)
+	ctx, cancel := s.queryCtx(r, req.Deadline)
 	defer cancel()
-	daemon.WriteJSON(w, http.StatusOK, s.fed.TopK(ctx, client.TopKParams{
-		K: k, Domain: q.Domain, From: q.From, To: q.To,
-		Resolution: q.Resolution.String(),
-	}))
+	daemon.WriteJSON(w, http.StatusOK, s.fed.TopK(ctx, req))
 }

@@ -2,7 +2,10 @@ package federation
 
 import (
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"envmon/internal/obs"
@@ -30,5 +33,39 @@ func TestServerCountsBytesAndErrors(t *testing.T) {
 	}
 	if strings.Contains(string(metrics), `envfed_http_response_bytes_total{endpoint="topk"} 0`+"\n") {
 		t.Error("topk response bytes not counted")
+	}
+}
+
+// TestForwardedRequestsPinned: what the front-end asks a member for each
+// request, byte for byte, as read off it at 0784428: the canonical
+// spelling (httpapi.AppendQuery / AppendTopK), no deadline_ms (the
+// fan-out's context carries the deadline), and k=0 on /topk. Each request
+// gets a fresh federator over one member that records the request and
+// answers with an error, so no breaker carries over.
+func TestForwardedRequestsPinned(t *testing.T) {
+	for in, want := range map[string]string{
+		"/query": "/query?res=raw",
+		"/query?node=n1&backend=NVML&domain=Total+Power&from=5s&to=1m&res=10s&agg=mean&deadline_ms=900": "/query?agg=mean&backend=NVML&domain=Total+Power&from=5s&node=n1&res=10s&to=1m0s",
+		"/query?agg=none&from=-5s": "/query?from=-5s&res=raw",
+		"/topk":                    "/topk?k=0&res=raw",
+		"/topk?k=3&domain=Total+Power&from=1s&res=1s&deadline_ms=900&node=x&agg=max": "/topk?domain=Total+Power&from=1s&k=0&res=1s",
+	} {
+		var mu sync.Mutex
+		var got []string
+		member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			got = append(got, r.URL.RequestURI())
+			mu.Unlock()
+			http.Error(w, `{"error":"recording"}`, http.StatusInternalServerError)
+		}))
+		base, _ := startFederation(t, []Member{{Name: "rec", URL: member.URL}}, obs.NewRegistry())
+		if status, body := get(t, base+in); status != http.StatusOK {
+			t.Errorf("%s: status %d: %s", in, status, body)
+		}
+		member.Close()
+		if mu.Lock(); !slices.Equal(got, []string{want}) {
+			t.Errorf("%s: the member was asked %q, want [%q]", in, got, want)
+		}
+		mu.Unlock()
 	}
 }

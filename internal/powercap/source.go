@@ -6,6 +6,7 @@ import (
 
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/client"
+	"envmon/internal/telemetry/httpapi"
 )
 
 // Two sources produce the controller's observations, one per deployment:
@@ -73,7 +74,8 @@ type ClientSource struct {
 	// decoded frames: the query itself carries no from/to, so the server
 	// answers with every raw sample it retains.
 	Window time.Duration
-	// Deadline, when positive, bounds each query server-side.
+	// Deadline, when positive, bounds each query server-side; it is sent
+	// rounded up to a whole millisecond.
 	Deadline time.Duration
 }
 
@@ -82,10 +84,9 @@ func (s ClientSource) Observe(ctx context.Context, now time.Duration) Observatio
 	if window <= 0 {
 		window = 5 * time.Second
 	}
-	doc, err := s.Client.QueryFull(ctx, client.QueryParams{
-		Domain:    telemetry.PowerDomain(""),
-		Aggregate: "last",
-		Deadline:  s.Deadline,
+	doc, err := s.Client.Query(ctx, httpapi.Request{
+		Query:    telemetry.Query{Domain: telemetry.PowerDomain(""), Aggregate: telemetry.AggLast},
+		Deadline: s.Deadline,
 	})
 	o := Observation{Now: now}
 	if err != nil {

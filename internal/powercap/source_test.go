@@ -117,3 +117,18 @@ func TestClientSourceAgesOutDeadNodes(t *testing.T) {
 		t.Errorf("measured = %v W, want 210 (dead node's 500 W aged out)", o.MeasuredW)
 	}
 }
+
+// TestClientSourceSubMillisecondDeadline: a deadline under a millisecond
+// is sent rounded up to one (deadline_ms=1), not as deadline_ms=0, which
+// the server refuses, so every observe would read as no data.
+func TestClientSourceSubMillisecondDeadline(t *testing.T) {
+	st := sourceStore(t)
+	defer st.Close()
+	srv := httptest.NewServer(httpapi.New(st, func() time.Duration { return 9 * time.Second }))
+	defer srv.Close()
+
+	src := ClientSource{Client: client.New(srv.URL), Window: 5 * time.Second, Deadline: 500 * time.Microsecond}
+	if o := src.Observe(context.Background(), 0); !o.Valid || o.MeasuredW != 210 {
+		t.Errorf("observation under a 500µs deadline = %+v, want valid at 210 W", o)
+	}
+}

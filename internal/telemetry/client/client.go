@@ -11,12 +11,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
 )
 
@@ -68,9 +67,9 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("HTTP %d", e.Code)
 }
 
-// get fetches path and decodes its document with encoding/json.
-func (c *Client) get(ctx context.Context, path string, params url.Values, doc any) error {
-	body, err := c.fetch(ctx, path, params, new(bytes.Buffer))
+// get fetches path?query and decodes its document with encoding/json.
+func (c *Client) get(ctx context.Context, path, query string, doc any) error {
+	body, err := c.fetch(ctx, path, query, new(bytes.Buffer))
 	if err != nil {
 		return err
 	}
@@ -80,7 +79,7 @@ func (c *Client) get(ctx context.Context, path string, params url.Values, doc an
 	return nil
 }
 
-// bodies recycles the buffers QueryFull reads answers into: a chunked
+// bodies recycles the buffers Query reads answers into: a chunked
 // /query body has no length up front, and reading it into a cold buffer
 // regrows it a dozen times. That is safe because DecodeQueryResult's
 // result aliases nothing of the body. One that grew past maxPooledBody is
@@ -90,12 +89,12 @@ var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 4 << 20
 
-// fetch returns the body of a 200 answer to GET path, read into buf, and a
-// *StatusError for any other status.
-func (c *Client) fetch(ctx context.Context, path string, params url.Values, buf *bytes.Buffer) ([]byte, error) {
+// fetch returns the body of a 200 answer to GET path?query, read into buf,
+// and a *StatusError for any other status.
+func (c *Client) fetch(ctx context.Context, path, query string, buf *bytes.Buffer) ([]byte, error) {
 	u := c.base + path
-	if len(params) > 0 {
-		u += "?" + params.Encode()
+	if query != "" {
+		u += "?" + query
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -141,64 +140,23 @@ func (c *Client) fetch(ctx context.Context, path string, params url.Values, buf 
 // Health fetches /healthz.
 func (c *Client) Health(ctx context.Context) (httpapi.Health, error) {
 	var h httpapi.Health
-	err := c.get(ctx, "/healthz", nil, &h)
+	err := c.get(ctx, "/healthz", "", &h)
 	return h, err
 }
 
 // Series fetches /series.
 func (c *Client) Series(ctx context.Context) ([]httpapi.SeriesInfo, error) {
 	var out httpapi.SeriesResult
-	if err := c.get(ctx, "/series", nil, &out); err != nil {
+	if err := c.get(ctx, "/series", "", &out); err != nil {
 		return nil, err
 	}
 	return out.Series, nil
 }
 
-// QueryParams selects series and a window for Query. Zero values are
-// wildcards / unbounded, matching the server's defaults.
-type QueryParams struct {
-	Node       string
-	Backend    string
-	Domain     string
-	From       time.Duration
-	To         time.Duration
-	Resolution string // "raw" (default), "1s", "10s", "60s"
-	Aggregate  string // "none" (default), "mean", "min", "max", "last"
-	// Deadline, when positive, is sent as deadline_ms: the server answers
-	// 504 within the budget instead of holding the connection open.
-	Deadline time.Duration
-}
-
-func windowValues(v url.Values, from, to time.Duration) {
-	if from != 0 {
-		v.Set("from", from.String())
-	}
-	if to != 0 {
-		v.Set("to", to.String())
-	}
-}
-
-func deadlineValue(v url.Values, d time.Duration) {
-	if d > 0 {
-		v.Set("deadline_ms", strconv.FormatInt(d.Milliseconds(), 10))
-	}
-}
-
-// Query fetches /query and returns the frames alone — the common case for
-// display tools. A thin wrapper over QueryFull.
-func (c *Client) Query(ctx context.Context, p QueryParams) ([]httpapi.Frame, error) {
-	out, err := c.QueryFull(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return out.Frames, nil
-}
-
-// QueryFull fetches /query and returns the whole document, including the
+// Query fetches /query and returns the whole document, including the
 // degraded/missing-members section a federated endpoint attaches to
-// partial results. Callers that must distinguish "complete answer" from
-// "some racks missing" use this.
-func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryResult, error) {
+// partial results. A raw frame comes back as its t_ns and v columns.
+func (c *Client) Query(ctx context.Context, r httpapi.Request) (httpapi.QueryResult, error) {
 	buf := bodies.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -206,7 +164,7 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 			bodies.Put(buf)
 		}
 	}()
-	body, err := c.fetchQuery(ctx, p, buf)
+	body, err := c.fetch(ctx, "/query", string(httpapi.AppendQuery(nil, r)), buf)
 	if err != nil {
 		return httpapi.QueryResult{}, err
 	}
@@ -214,8 +172,82 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 	if err != nil {
 		err = fmt.Errorf("client: decoding /query response: %w", err)
 	}
-	// A shim until ROADMAP item 6 moves bench/, which counts a raw frame's
-	// samples as len(Points): each raw frame's columns widened into points.
+	return out, err
+}
+
+// QueryWire is Query for a caller that passes the frames on instead of
+// reading them (the federation tier): the same request, the same verdict
+// on the body, and the frames checked but left as the bytes they arrived
+// in. reencoded reports a body that was not in the codec's own spelling.
+// The body is the frames' own memory, so it is never pooled.
+func (c *Client) QueryWire(ctx context.Context, r httpapi.Request) (out httpapi.WireResult, reencoded bool, err error) {
+	body, err := c.fetch(ctx, "/query", string(httpapi.AppendQuery(nil, r)), new(bytes.Buffer))
+	if err != nil {
+		return httpapi.WireResult{}, false, err
+	}
+	if out, reencoded, err = httpapi.SplitQueryResult(body); err != nil {
+		err = fmt.Errorf("client: decoding /query response: %w", err)
+	}
+	return out, reencoded, err
+}
+
+// Rank fetches /topk: the r.K nodes drawing the most power, every node
+// when r.K is 0.
+func (c *Client) Rank(ctx context.Context, r httpapi.Request) (httpapi.TopKResult, error) {
+	var out httpapi.TopKResult
+	err := c.get(ctx, "/topk", string(httpapi.AppendTopK(nil, r)), &out)
+	return out, err
+}
+
+// Members fetches a federation front-end's /members document: every
+// downstream daemon with its breaker position. Plain envmond daemons do
+// not serve this endpoint (404).
+func (c *Client) Members(ctx context.Context) ([]httpapi.MemberInfo, error) {
+	var out httpapi.MembersResult
+	if err := c.get(ctx, "/members", "", &out); err != nil {
+		return nil, err
+	}
+	return out.Members, nil
+}
+
+// ---- bench/ shim: from here to the end of the file. ----
+//
+// What bench/ calls and nothing else may (TestArchitecture/one-request):
+// the request as strings, and a raw frame counted as len(Points). ROADMAP
+// item 6 moves bench/ to Request, Query and Rank and deletes it.
+
+// QueryParams is a /query request with the resolution and aggregate
+// spelled as strings ("" for raw and none).
+type QueryParams struct {
+	Node       string
+	Backend    string
+	Domain     string
+	From       time.Duration
+	To         time.Duration
+	Resolution string
+	Aggregate  string
+	Deadline   time.Duration
+}
+
+func (p QueryParams) request() (httpapi.Request, error) {
+	res, err := telemetry.ParseResolution(p.Resolution)
+	if err != nil {
+		return httpapi.Request{}, err
+	}
+	agg, err := telemetry.ParseAggregate(p.Aggregate)
+	return httpapi.Request{Query: telemetry.Query{
+		Node: p.Node, Backend: p.Backend, Domain: p.Domain, From: p.From, To: p.To, Resolution: res, Aggregate: agg,
+	}, Deadline: p.Deadline}, err
+}
+
+// QueryFull is Query on QueryParams, with each raw frame's columns widened
+// into Points as well.
+func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryResult, error) {
+	r, err := p.request()
+	if err != nil {
+		return httpapi.QueryResult{}, err
+	}
+	out, err := c.Query(ctx, r)
 	for i := range out.Frames {
 		f := &out.Frames[i]
 		if n := min(len(f.TNS), len(f.V)); n > 0 {
@@ -228,89 +260,34 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 	return out, err
 }
 
-// QueryWire is QueryFull for a caller that passes the frames on instead of
-// reading them (the federation tier): the same request, the same verdict
-// on the body, and the frames checked but left as the bytes they arrived
-// in. reencoded reports a body that was not in the codec's own spelling.
-// The body is the frames' own memory, so it is never pooled.
-func (c *Client) QueryWire(ctx context.Context, p QueryParams) (out httpapi.WireResult, reencoded bool, err error) {
-	body, err := c.fetchQuery(ctx, p, new(bytes.Buffer))
-	if err != nil {
-		return httpapi.WireResult{}, false, err
-	}
-	if out, reencoded, err = httpapi.SplitQueryResult(body); err != nil {
-		err = fmt.Errorf("client: decoding /query response: %w", err)
-	}
-	return out, reencoded, err
-}
-
-// fetchQuery sends p as a /query request and returns the 200 body, read
-// into buf.
-func (c *Client) fetchQuery(ctx context.Context, p QueryParams, buf *bytes.Buffer) ([]byte, error) {
-	v := url.Values{}
-	if p.Node != "" {
-		v.Set("node", p.Node)
-	}
-	if p.Backend != "" {
-		v.Set("backend", p.Backend)
-	}
-	if p.Domain != "" {
-		v.Set("domain", p.Domain)
-	}
-	windowValues(v, p.From, p.To)
-	deadlineValue(v, p.Deadline)
-	if p.Resolution != "" {
-		v.Set("res", p.Resolution)
-	}
-	if p.Aggregate != "" {
-		v.Set("agg", p.Aggregate)
-	}
-	return c.fetch(ctx, "/query", v, buf)
-}
-
-// TopKParams parameterizes TopK. K < 0 asks for every node (k=0 on the
-// wire); K == 0 leaves the server default (10); an empty Domain means the
-// server default ("Total Power").
+// TopKParams is a /topk request: K < 0 ranks every node (k=0), K == 0
+// asks for the server's default of 10.
 type TopKParams struct {
 	K          int
 	Domain     string
 	From       time.Duration
 	To         time.Duration
 	Resolution string
-	// Deadline, when positive, is sent as deadline_ms (see QueryParams).
-	Deadline time.Duration
+	Deadline   time.Duration
 }
 
-// TopK fetches /topk.
+func (p TopKParams) request() (httpapi.Request, error) {
+	res, err := telemetry.ParseResolution(p.Resolution)
+	r := httpapi.Request{Query: telemetry.Query{Domain: p.Domain, From: p.From, To: p.To, Resolution: res}, K: p.K, Deadline: p.Deadline}
+	switch {
+	case p.K < 0:
+		r.K = 0
+	case p.K == 0:
+		r.K = 10
+	}
+	return r, err
+}
+
+// TopK is Rank on TopKParams.
 func (c *Client) TopK(ctx context.Context, p TopKParams) (httpapi.TopKResult, error) {
-	v := url.Values{}
-	if p.K > 0 {
-		v.Set("k", strconv.Itoa(p.K))
-	} else if p.K < 0 {
-		// The server's default for an absent k is 10; an explicit k=0 is
-		// "rank everyone" — what the federation tier needs to merge exactly.
-		v.Set("k", "0")
+	r, err := p.request()
+	if err != nil {
+		return httpapi.TopKResult{}, err
 	}
-	if p.Domain != "" {
-		v.Set("domain", p.Domain)
-	}
-	windowValues(v, p.From, p.To)
-	deadlineValue(v, p.Deadline)
-	if p.Resolution != "" {
-		v.Set("res", p.Resolution)
-	}
-	var out httpapi.TopKResult
-	err := c.get(ctx, "/topk", v, &out)
-	return out, err
-}
-
-// Members fetches a federation front-end's /members document: every
-// downstream daemon with its breaker position. Plain envmond daemons do
-// not serve this endpoint (404).
-func (c *Client) Members(ctx context.Context) ([]httpapi.MemberInfo, error) {
-	var out httpapi.MembersResult
-	if err := c.get(ctx, "/members", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Members, nil
+	return c.Rank(ctx, r)
 }

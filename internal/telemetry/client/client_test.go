@@ -54,13 +54,14 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("series = %+v", series)
 	}
 
-	frames, err := cl.Query(ctx, QueryParams{
-		Node: "n01", Resolution: "1s", Aggregate: "mean",
+	doc, err := cl.Query(ctx, httpapi.Request{Query: telemetry.Query{
+		Node: "n01", Resolution: telemetry.Res1s, Aggregate: telemetry.AggMean,
 		From: time.Second, To: 4 * time.Second,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := doc.Frames
 	if len(frames) != 1 || len(frames[0].Points) != 3 {
 		t.Fatalf("frames = %+v", frames)
 	}
@@ -68,7 +69,7 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("reduced = %v, want 110", frames[0].Reduced)
 	}
 
-	top, err := cl.TopK(ctx, TopKParams{K: 1, Resolution: "1s"})
+	top, err := cl.Rank(ctx, httpapi.Request{Query: telemetry.Query{Resolution: telemetry.Res1s}, K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +80,9 @@ func TestClientRoundTrip(t *testing.T) {
 
 func TestClientSurfacesServerErrors(t *testing.T) {
 	cl := startDaemon(t)
-	_, err := cl.Query(context.Background(), QueryParams{Resolution: "5m"})
+	_, err := cl.Rank(context.Background(), httpapi.Request{K: 1 << 20})
 	if err == nil {
-		t.Fatal("bad resolution accepted")
+		t.Fatal("k past the maximum accepted")
 	}
 	if !strings.Contains(err.Error(), "HTTP 400") {
 		t.Errorf("error %q does not carry the server status", err)
@@ -110,7 +111,7 @@ func TestOverlongResponseRefusedByName(t *testing.T) {
 		_, _ = w.Write([]byte(`{"frames":`))
 	}))
 	t.Cleanup(announced.Close)
-	_, err := New(announced.URL).QueryFull(context.Background(), QueryParams{})
+	_, err := New(announced.URL).Query(context.Background(), httpapi.Request{})
 	if err == nil || err.Error() != "client: /query response exceeds 64 MiB" {
 		t.Errorf("announced 64 MiB + 1: error %v", err)
 	}
@@ -129,12 +130,12 @@ func TestOverlongResponseRefusedByName(t *testing.T) {
 	t.Cleanup(streamed.Close)
 	cl := New(streamed.URL)
 	cl.maxBody = 1 << 20
-	_, err = cl.QueryFull(context.Background(), QueryParams{})
+	_, err = cl.Query(context.Background(), httpapi.Request{})
 	if err == nil || err.Error() != "client: /query response exceeds 1 MiB" {
 		t.Errorf("streamed 1 MiB + 1 against a 1 MiB limit: error %v", err)
 	}
 	size.Store(1 << 20)
-	if _, err := cl.QueryFull(context.Background(), QueryParams{}); err != nil {
+	if _, err := cl.Query(context.Background(), httpapi.Request{}); err != nil {
 		t.Errorf("streamed exactly the limit: %v", err)
 	}
 }
@@ -147,7 +148,7 @@ func TestQueryDecodeErrorIsWrapped(t *testing.T) {
 		_, _ = w.Write([]byte(`{"frames":[{"node":7}]}`))
 	}))
 	t.Cleanup(srv.Close)
-	_, err := New(srv.URL).QueryFull(context.Background(), QueryParams{})
+	_, err := New(srv.URL).Query(context.Background(), httpapi.Request{})
 	var typeErr *json.UnmarshalTypeError
 	if err == nil || !strings.HasPrefix(err.Error(), "client: decoding /query response: ") || !errors.As(err, &typeErr) {
 		t.Fatalf("error %v", err)

@@ -24,6 +24,7 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -346,55 +347,115 @@ func parseDuration(r *http.Request, name string) (time.Duration, error) {
 	return d, nil
 }
 
+// Request is one /query or /topk request, the one value that carries it
+// from the URL to the store: what the store is asked (telemetry.Query), how
+// many nodes /topk ranks, and how long the caller waits. ParseQuery and
+// ParseTopK read it from a URL; AppendQuery and AppendTopK write the URL
+// each of them reverses.
+type Request struct {
+	telemetry.Query
+	K        int           // /topk only: the ranking's length, 0 for every node
+	Deadline time.Duration // 0 for none
+}
+
 // parseWindowed reads what /query and /topk share: the domain filter, the
 // from/to window (empty means unbounded), deadline_ms and res.
-func parseWindowed(r *http.Request) (q telemetry.Query, deadline time.Duration, err error) {
-	q.Domain = r.FormValue("domain")
-	if q.From, err = parseDuration(r, "from"); err != nil {
-		return q, 0, err
+func parseWindowed(r *http.Request) (req Request, err error) {
+	req.Domain = r.FormValue("domain")
+	if req.From, err = parseDuration(r, "from"); err != nil {
+		return req, err
 	}
-	if q.To, err = parseDuration(r, "to"); err != nil {
-		return q, 0, err
+	if req.To, err = parseDuration(r, "to"); err != nil {
+		return req, err
 	}
-	if deadline, err = ParseDeadline(r); err != nil {
-		return q, 0, err
+	if req.Deadline, err = ParseDeadline(r); err != nil {
+		return req, err
 	}
-	q.Resolution, err = telemetry.ParseResolution(r.FormValue("res"))
-	return q, deadline, err
+	req.Resolution, err = telemetry.ParseResolution(r.FormValue("res"))
+	return req, err
 }
 
 // ParseQuery reads the /query parameter grammar: the node/backend/domain
 // filters, the window, res, agg, and the caller's deadline. Exported
 // because the federation front-end validates the same grammar before
 // fanning out, so a typo is one 400 there, not N member errors.
-func ParseQuery(r *http.Request) (q telemetry.Query, deadline time.Duration, err error) {
-	if q, deadline, err = parseWindowed(r); err != nil {
-		return q, 0, err
+func ParseQuery(r *http.Request) (req Request, err error) {
+	if req, err = parseWindowed(r); err != nil {
+		return req, err
 	}
-	q.Node, q.Backend = r.FormValue("node"), r.FormValue("backend")
-	q.Aggregate, err = telemetry.ParseAggregate(r.FormValue("agg"))
-	return q, deadline, err
+	req.Node, req.Backend = r.FormValue("node"), r.FormValue("backend")
+	req.Aggregate, err = telemetry.ParseAggregate(r.FormValue("agg"))
+	return req, err
 }
 
 // ParseTopK reads the /topk parameter grammar: k (default 10, 0 ranks
-// everyone, at most maxTopK), and in q the domain, window and res.
-func ParseTopK(r *http.Request) (k int, q telemetry.Query, deadline time.Duration, err error) {
-	if q, deadline, err = parseWindowed(r); err != nil {
-		return 0, q, 0, err
+// everyone, at most maxTopK), the domain, the window, res and the
+// caller's deadline.
+func ParseTopK(r *http.Request) (req Request, err error) {
+	if req, err = parseWindowed(r); err != nil {
+		return req, err
 	}
-	k = 10
+	req.K = 10
 	if v := r.FormValue("k"); v != "" {
-		k, err = strconv.Atoi(v)
+		req.K, err = strconv.Atoi(v)
 		switch {
 		case err != nil:
 			err = fmt.Errorf("bad k %q: %v", v, err)
-		case k < 0:
-			err = fmt.Errorf("bad k %d: must be non-negative", k)
-		case k > maxTopK:
-			err = fmt.Errorf("bad k %d: exceeds maximum %d", k, maxTopK)
+		case req.K < 0:
+			err = fmt.Errorf("bad k %d: must be non-negative", req.K)
+		case req.K > maxTopK:
+			err = fmt.Errorf("bad k %d: exceeds maximum %d", req.K, maxTopK)
 		}
 	}
-	return k, q, deadline, err
+	return req, err
+}
+
+// AppendQuery appends r's /query string (no "?") to dst in the canonical
+// spelling ParseQuery reverses: keys in url.Values.Encode order, res
+// always, agg unless none, every other empty or zero field left out, and
+// a deadline rounded up to a whole millisecond.
+func AppendQuery(dst []byte, r Request) []byte {
+	v := windowed(r)
+	if r.Aggregate != telemetry.AggNone {
+		v.Set("agg", r.Aggregate.String())
+	}
+	if r.Node != "" {
+		v.Set("node", r.Node)
+	}
+	if r.Backend != "" {
+		v.Set("backend", r.Backend)
+	}
+	return append(dst, v.Encode()...)
+}
+
+// AppendTopK is AppendQuery for /topk, which ParseTopK reverses: k always,
+// and no node, backend or agg, which /topk does not read.
+func AppendTopK(dst []byte, r Request) []byte {
+	v := windowed(r)
+	v.Set("k", strconv.Itoa(r.K))
+	return append(dst, v.Encode()...)
+}
+
+// windowed spells what parseWindowed reads.
+func windowed(r Request) url.Values {
+	v := url.Values{"res": {r.Resolution.String()}}
+	if r.Domain != "" {
+		v.Set("domain", r.Domain)
+	}
+	if r.From != 0 {
+		v.Set("from", r.From.String())
+	}
+	if r.To != 0 {
+		v.Set("to", r.To.String())
+	}
+	if r.Deadline > 0 {
+		ms := r.Deadline / time.Millisecond
+		if r.Deadline%time.Millisecond != 0 {
+			ms++
+		}
+		v.Set("deadline_ms", strconv.FormatInt(int64(ms), 10))
+	}
+	return v
 }
 
 // maxDeadlineMS is the largest deadline_ms a request may ask for: one
@@ -452,20 +513,20 @@ func runGuarded(w http.ResponseWriter, deadline time.Duration, compute func() (i
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	q, deadline, err := ParseQuery(r)
+	req, err := ParseQuery(r)
 	if err != nil {
 		daemon.BadRequest(w, err)
 		return
 	}
-	runGuarded(w, deadline, func() (int, any) {
-		frames := s.store.Query(q)
+	runGuarded(w, req.Deadline, func() (int, any) {
+		frames := s.store.Query(req.Query)
 		out := QueryResult{Frames: make([]Frame, len(frames)), SimNowNS: s.simNow()}
 		for i, f := range frames {
 			out.Frames[i] = frameDoc(f)
 		}
 		rawColumns(frames, out.Frames)
 		out.NewestNS = NewestNS(out.Frames)
-		return out.Answer(q)
+		return out.Answer(req.Query)
 	})
 }
 
@@ -565,18 +626,18 @@ func rawColumns(frames []telemetry.Frame, docs []Frame) {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k, q, deadline, err := ParseTopK(r)
+	req, err := ParseTopK(r)
 	if err != nil {
 		daemon.BadRequest(w, err)
 		return
 	}
-	runGuarded(w, deadline, func() (int, any) {
-		ranked, total := s.store.TopK(k, q.Domain, q.From, q.To, q.Resolution)
+	runGuarded(w, req.Deadline, func() (int, any) {
+		ranked, total := s.store.TopK(req.K, req.Domain, req.From, req.To, req.Resolution)
 		if ranked == nil {
 			ranked = []NodePower{} // an empty ranking is [] on the wire, not null
 		}
 		return http.StatusOK, TopKResult{
-			Domain: telemetry.PowerDomain(q.Domain), TotalWatts: total, SimNowNS: s.simNow(), Nodes: ranked,
+			Domain: telemetry.PowerDomain(req.Domain), TotalWatts: total, SimNowNS: s.simNow(), Nodes: ranked,
 		}
 	})
 }
