@@ -75,6 +75,9 @@ var architecture = []struct {
 		guard{scope: httpapi, fn: "Server.handleTopK", one: strs("func Server.handleTopK"), bad: strs("for")},
 		guard{scope: "internal/telemetry/", except: strs("internal/telemetry/storage/bytes.go", codecGo),
 			bad: strs("crc32.MakeTable", "func appendString", "func readString", "type idxReader")})},
+	{"raw-columns", "DESIGN §7: a raw sample travels as the t_ns and v columns from buildFrame to the socket; Store.Query, which widens them into FramePoints, is a shim for bench/ only", guards(
+		guard{except: strs("bench/", "internal/telemetry/query.go#Store.Query"), bad: strs("Query(_)")},
+		guard{scope: httpapi, bad: strs("~rawColumns")})},
 	{"count-seam", "DESIGN §9 Count seam: stream[T] in telemetry/ring.go is the only seam bookkeeping, and only the engine files touch the watermark", guards(
 		guard{scope: "internal/telemetry/", bad: strs("~pointRing", "~gapRing", "~bucketRing", "~gapsPersisted", "~bucketsPersisted", "~bucketsTotal")},
 		guard{scope: "internal/telemetry/", except: strs("internal/telemetry/ring.go", "internal/telemetry/engine.go", "internal/telemetry/query.go",
@@ -218,6 +221,7 @@ func mechanisms(m *archModule) []string {
 //	~s         an identifier containing s
 //	f()        a call of a function whose last identifier matches the glob f
 //	f(a)       such a call whose first argument is the string literal or the pkg.Name a, or ends in the identifier a
+//	f(_)       such a call with exactly one argument (Store.Query's shape; every other Query takes a context or none)
 //	"s"        the string literal s
 //	T{}        a composite literal of T, also as an element whose T a []T or map[K]T literal elides
 //	for        a loop
@@ -236,8 +240,8 @@ func (f *archFile) match(n ast.Node, p string) bool {
 	case *ast.CallExpr:
 		glob, arg, call := strings.Cut(strings.TrimSuffix(p, ")"), "(")
 		ok, _ := path.Match(glob, lastIdent(n.Fun))
-		return call && ok && strings.HasSuffix(p, ")") &&
-			(arg == "" || len(n.Args) > 0 && (strLit(n.Args[0]) == strconv.Quote(arg) || f.sel(n.Args[0]) == arg || lastIdent(n.Args[0]) == arg))
+		return call && ok && strings.HasSuffix(p, ")") && (arg == "" || arg == "_" && len(n.Args) == 1 ||
+			len(n.Args) > 0 && (strLit(n.Args[0]) == strconv.Quote(arg) || f.sel(n.Args[0]) == arg || lastIdent(n.Args[0]) == arg))
 	case *ast.CompositeLit:
 		t, ok := strings.CutSuffix(p, "{}")
 		return ok && cmp.Or(f.sel(n.Type), f.elided[n]) == t

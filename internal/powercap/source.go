@@ -37,7 +37,7 @@ func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 	if from < 0 {
 		from = 0
 	}
-	frames := s.Store.Query(telemetry.Query{
+	frames := s.Store.Frames(telemetry.Query{
 		Domain: telemetry.PowerDomain(""), From: from, To: now,
 		Resolution: telemetry.Raw, Aggregate: telemetry.AggLast,
 	})
@@ -50,8 +50,8 @@ func (s StoreSource) Observe(_ context.Context, now time.Duration) Observation {
 		}
 		o.MeasuredW += f.Reduced
 		o.Valid = true
-		if n := len(f.Points); n > 0 && f.Points[n-1].T > newest {
-			newest = f.Points[n-1].T
+		if n := len(f.TNS); n > 0 && f.TNS[n-1] > newest {
+			newest = f.TNS[n-1]
 		}
 	}
 	if o.Valid {

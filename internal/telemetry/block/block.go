@@ -46,6 +46,7 @@ const (
 	trailer  = "BKNE"
 	version  = 2 // what writeFile writes; Open reads 1 and 2
 	numLvl   = storage.NumRollupLevels
+	headerSz = 4 + 4         // magic + version
 	footerSz = 4 + 4 + 8 + 4 // index crc + index len + index off + trailer
 )
 
@@ -342,11 +343,11 @@ func openFile(path string, seq uint64) (*file, error) {
 		return nil, fmt.Errorf("block: %w", err)
 	}
 	size := st.Size()
-	if size < int64(8+footerSz) {
+	if size < int64(headerSz+footerSz) {
 		f.Close()
 		return nil, fmt.Errorf("block: %s: too short", path)
 	}
-	header := make([]byte, 8)
+	header := make([]byte, headerSz)
 	if _, err := f.ReadAt(header, 0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("block: %w", err)
@@ -386,14 +387,18 @@ func openFile(path string, seq uint64) (*file, error) {
 		return nil, fmt.Errorf("block: %s: index checksum mismatch", path)
 	}
 	bf := &file{f: f, seq: seq, size: size, version: v, entries: map[storage.SeriesKey]*seriesEntry{}}
-	if err := bf.parseIndex(idx); err != nil {
+	if err := bf.parseIndex(idx, idxOff); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("block: %s: %w", path, err)
 	}
 	return bf, nil
 }
 
-func (bf *file) parseIndex(idx []byte) error {
+// parseIndex reads the index into bf.entries. Every chunk it names must
+// lie in the chunk section, between the header and the index at end: a
+// chunk is read into a buffer of its stated length before its checksum
+// can refuse it.
+func (bf *file) parseIndex(idx []byte, end uint64) error {
 	if len(idx) < 4 {
 		return errors.New("index truncated")
 	}
@@ -414,11 +419,13 @@ func (bf *file) parseIndex(idx []byte) error {
 		e.numGaps = r.Uvarint()
 		e.pt = bf.readRef(&r)
 		e.gap = bf.readRef(&r)
+		inside := e.pt.within(end) && e.gap.within(end)
 		for l := 0; l < numLvl; l++ {
 			le := &e.levels[l]
 			le.startBucket = r.Uvarint()
 			le.numClosed = r.Uvarint()
 			le.chunk = bf.readRef(&r)
+			inside = inside && le.chunk.within(end)
 			if r.Byte() == 1 {
 				tail := &storage.Bucket{
 					Start: time.Duration(r.Varint()),
@@ -433,6 +440,9 @@ func (bf *file) parseIndex(idx []byte) error {
 		}
 		if r.Err != nil {
 			return fmt.Errorf("index truncated: %w", r.Err)
+		}
+		if !inside {
+			return fmt.Errorf("series %v: a chunk lies outside bytes [%d, %d)", e.key, headerSz, end)
 		}
 		bf.entries[e.key] = e
 	}
@@ -450,6 +460,11 @@ func (c chunkRef) append(idx []byte) []byte {
 	idx = binary.AppendUvarint(idx, c.off)
 	idx = binary.AppendUvarint(idx, c.length)
 	return binary.LittleEndian.AppendUint32(idx, c.sum)
+}
+
+// within reports whether the chunk lies in bytes [headerSz, end).
+func (c chunkRef) within(end uint64) bool {
+	return c.off >= headerSz && c.off <= end && c.length <= end-c.off
 }
 
 // readRef reads a chunk reference as the file's version spells it.
@@ -514,6 +529,11 @@ func (s *Store) Each(fn func(key storage.SeriesKey, a Agg)) {
 	}
 }
 
+// Decode buffers for each, one pool per kind of entry: a history query
+// decodes its series' chunk in every block file into one, and fn takes
+// entries by value, so no buffer outlives its scan.
+var pointBufs, bucketBufs, gapBufs sync.Pool
+
 // each is the store's one scan loop. For every block file holding key, in
 // sequence (= ingest) order: locate the entry's chunk of one kind, decode its
 // n entries in the file's format, and pass fn those whose instant at(v) lies
@@ -525,13 +545,21 @@ func (s *Store) Each(fn func(key storage.SeriesKey, a Agg)) {
 func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 	locate func(*seriesEntry) (c chunkRef, n uint64),
 	decode func(version uint32, dst []T, chunk []byte, n int) ([]T, error),
-	at func(T) time.Duration, fn func(T)) error {
+	at func(T) time.Duration, fn func(T), bufs *sync.Pool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return errClosed
 	}
-	var scratch []T
+	buf, _ := bufs.Get().(*[]T)
+	if buf == nil {
+		buf = new([]T)
+	}
+	scratch := (*buf)[:0]
+	defer func() {
+		*buf = scratch[:0]
+		bufs.Put(buf)
+	}()
 	for _, bf := range s.files {
 		e, ok := bf.entries[key]
 		if !ok {
@@ -565,7 +593,7 @@ func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
 	return each(s, key, from, to, func(e *seriesEntry) (chunkRef, uint64) {
 		return e.points(from, to)
-	}, anyVersion(storage.DecodePoints), func(p storage.Point) time.Duration { return p.T }, fn)
+	}, anyVersion(storage.DecodePoints), func(p storage.Point) time.Duration { return p.T }, fn, &pointBufs)
 }
 
 // points locates the entry's point chunk for a scan of [from, to): n == 0
@@ -606,7 +634,7 @@ func (s *Store) EachClosedBucket(key storage.SeriesKey, level int, period, from,
 			return chunkRef{}, 0
 		}
 		return le.chunk, le.numClosed
-	}, decodeBuckets, func(b storage.Bucket) time.Duration { return b.Start }, fn)
+	}, decodeBuckets, func(b storage.Bucket) time.Duration { return b.Start }, fn, &bucketBufs)
 }
 
 // EachGap streams the series' persisted gap markers inside [from, to) in
@@ -618,7 +646,7 @@ func (s *Store) EachGap(key storage.SeriesKey, from, to time.Duration, fn func(t
 			return chunkRef{}, 0
 		}
 		return e.gap, e.numGaps
-	}, anyVersion(storage.DecodeGaps), func(g time.Duration) time.Duration { return g }, fn)
+	}, anyVersion(storage.DecodeGaps), func(g time.Duration) time.Duration { return g }, fn, &gapBufs)
 }
 
 // NumBlocks reports how many block files the store serves.

@@ -79,15 +79,23 @@ func (c *Client) get(ctx context.Context, path, query string, doc any) error {
 	return nil
 }
 
-// bodies recycles the buffers Query reads answers into: a chunked
-// /query body has no length up front, and reading it into a cold buffer
-// regrows it a dozen times. That is safe because DecodeQueryResult's
-// result aliases nothing of the body. One that grew past maxPooledBody is
-// dropped, not pooled, as the daemons' encode buffers are: an unwindowed
-// answer from a persistent store can be hundreds of MB.
+// bodies recycles the buffers Query and QueryWire read answers into: a
+// chunked /query body has no length up front, and reading it into a cold
+// buffer regrows it a dozen times. Nothing either returns aliases the
+// buffer. One that grew past maxPooledBody is dropped, not pooled, as the
+// daemons' encode buffers are: an unwindowed answer from a persistent
+// store can be hundreds of MB.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBody = 4 << 20
+
+// putBody returns a buffer from bodies.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+}
 
 // fetch returns the body of a 200 answer to GET path?query, read into buf,
 // and a *StatusError for any other status.
@@ -158,12 +166,7 @@ func (c *Client) Series(ctx context.Context) ([]httpapi.SeriesInfo, error) {
 // partial results. A raw frame comes back as its t_ns and v columns.
 func (c *Client) Query(ctx context.Context, r httpapi.Request) (httpapi.QueryResult, error) {
 	buf := bodies.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodies.Put(buf)
-		}
-	}()
+	defer putBody(buf)
 	body, err := c.fetch(ctx, "/query", string(httpapi.AppendQuery(nil, r)), buf)
 	if err != nil {
 		return httpapi.QueryResult{}, err
@@ -179,13 +182,18 @@ func (c *Client) Query(ctx context.Context, r httpapi.Request) (httpapi.QueryRes
 // reading them (the federation tier): the same request, the same verdict
 // on the body, and the frames checked but left as the bytes they arrived
 // in. reencoded reports a body that was not in the codec's own spelling.
-// The body is the frames' own memory, so it is never pooled.
+// The frames alias what they are split from, so the body is read into a
+// pooled buffer and split from one copy of exactly its length: one
+// allocation the size of the body, where a buffer grown from empty
+// allocates about twice that.
 func (c *Client) QueryWire(ctx context.Context, r httpapi.Request) (out httpapi.WireResult, reencoded bool, err error) {
-	body, err := c.fetch(ctx, "/query", string(httpapi.AppendQuery(nil, r)), new(bytes.Buffer))
+	buf := bodies.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	body, err := c.fetch(ctx, "/query", string(httpapi.AppendQuery(nil, r)), buf)
 	if err != nil {
 		return httpapi.WireResult{}, false, err
 	}
-	if out, reencoded, err = httpapi.SplitQueryResult(body); err != nil {
+	if out, reencoded, err = httpapi.SplitQueryResult(bytes.Clone(body)); err != nil {
 		err = fmt.Errorf("client: decoding /query response: %w", err)
 	}
 	return out, reencoded, err

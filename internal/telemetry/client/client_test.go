@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -137,6 +139,36 @@ func TestOverlongResponseRefusedByName(t *testing.T) {
 	size.Store(1 << 20)
 	if _, err := cl.Query(context.Background(), httpapi.Request{}); err != nil {
 		t.Errorf("streamed exactly the limit: %v", err)
+	}
+}
+
+// TestQueryWireAllocatesTheBodyOnce: a chunked body says nothing of its
+// length, and the frames QueryWire returns alias what they were split
+// from, so the body is read into a pooled buffer and split from one exact
+// copy, where a buffer grown from empty allocates about twice the body.
+// The least of a few reads counts: a collection may empty the pool.
+func TestQueryWireAllocatesTheBodyOnce(t *testing.T) {
+	const size = 1 << 20
+	body := []byte(`{"frames":null` + strings.Repeat(" ", size-len(`{"frames":null}`)) + `}`)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(body[:1])
+		w.(http.Flusher).Flush()
+		_, _ = w.Write(body[1:])
+	}))
+	t.Cleanup(srv.Close)
+	cl := New(srv.URL)
+	least := uint64(math.MaxUint64)
+	for range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := cl.QueryWire(context.Background(), httpapi.Request{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > size*5/4 {
+		t.Errorf("reading a %d B chunked body allocated %d B, want about the body", size, least)
 	}
 }
 

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"archive/tar"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -196,7 +198,7 @@ func TestBlockFormatV1StaysReadable(t *testing.T) {
 }
 
 // untar extracts a gzipped tar of plain files into dir.
-func untar(t *testing.T, archive, dir string) {
+func untar(t testing.TB, archive, dir string) {
 	t.Helper()
 	f, err := os.Open(archive)
 	if err != nil {
@@ -229,7 +231,7 @@ func untar(t *testing.T, archive, dir string) {
 	}
 }
 
-func blockFiles(t *testing.T, dir string) []string {
+func blockFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "blocks"))
 	if err != nil {
@@ -288,4 +290,69 @@ func dumpBlockFile(t *testing.T, scratch, path string) string {
 		}
 	})
 	return b.String()
+}
+
+// FuzzOpenBlock hands block.Open one file of any bytes, as they are and
+// again with the footer's index checksum made to match, so that a mutation
+// reaches the index parser and not only the checksum in front of it. What
+// Open accepts is then read back through every scan a query makes. Open
+// and the scans may refuse the file; nothing may panic or allocate past
+// the file's size. Seeds: the files of TestBlockBytesOnDiskPinned's
+// workload and of the v1 fixture.
+func FuzzOpenBlock(f *testing.F) {
+	v1 := f.TempDir()
+	untar(f, filepath.Join("testdata", "blocks-v1.tar.gz"), filepath.Join(v1, "blocks"))
+	for _, dir := range []string{pinnedWorkload(f), v1} {
+		for _, name := range blockFiles(f, dir) {
+			data, err := os.ReadFile(filepath.Join(dir, "blocks", name))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, withIndexSum(data)} {
+			if file == nil {
+				continue
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "b-00000001.blk"), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bs, err := block.Open(dir)
+			if err != nil {
+				continue
+			}
+			bs.Each(func(key SeriesKey, _ block.Agg) {
+				_ = bs.EachPoint(key, math.MinInt64, 0, func(Point) {})
+				_ = bs.EachGap(key, math.MinInt64, 0, func(time.Duration) {})
+				for l, period := range storage.RollupPeriods {
+					_ = bs.EachClosedBucket(key, l, period, -1<<62, 0, func(Bucket) {})
+				}
+				_ = bs.PointsIn(key, math.MinInt64, 0)
+			})
+			if err := bs.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// withIndexSum is a copy of a block file whose footer's index checksum is
+// recomputed over the index the footer locates; nil when the footer does
+// not locate one inside the file.
+func withIndexSum(data []byte) []byte {
+	const footer = 4 + 4 + 8 + 4 // index crc, index length, index offset, trailer
+	if len(data) < 8+footer {
+		return nil
+	}
+	end := len(data) - footer
+	n, off := binary.LittleEndian.Uint32(data[end+4:]), binary.LittleEndian.Uint64(data[end+8:])
+	if off > uint64(len(data)) || uint64(n) > uint64(len(data))-off {
+		return nil
+	}
+	out := slices.Clone(data)
+	binary.LittleEndian.PutUint32(out[end:], crc32.Checksum(out[off:off+uint64(n)], storage.Castagnoli))
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"time"
@@ -22,7 +23,12 @@ import (
 // raw frame's samples are two columns, "t_ns" and "v", and a rollup
 // frame's buckets are "points"; a frame's resolution decides which the
 // walk reads, and every array is omitempty, so an empty window spells
-// none of them and no array is ever null. encoding/json stays as the decoder's fallback for every document that
+// none of them and no array is ever null. The columns are the store's
+// own (telemetry.Store.Frames fills them in buildFrame and the handler
+// passes them on), so a raw sample goes from the ring to the socket as
+// one time and one value. Numbers are written eight digits at a time
+// (appendInt, appendShortDecimal), byte for byte as strconv writes them.
+// encoding/json stays as the decoder's fallback for every document that
 // is not in the encoder's own shape, as the encoder of the two parts that
 // are rare and small (a string needing escapes, the degraded section),
 // and as the reference the tests compare both directions against.
@@ -78,11 +84,11 @@ func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
 func appendTail(dst []byte, start int, simNowNS, newestNS int64, degraded *Degraded) ([]byte, error) {
 	if simNowNS != 0 {
 		dst = append(dst, `,"sim_now_ns":`...)
-		dst = strconv.AppendInt(dst, simNowNS, 10)
+		dst = appendInt(dst, simNowNS)
 	}
 	if newestNS != 0 {
 		dst = append(dst, `,"newest_ns":`...)
-		dst = strconv.AppendInt(dst, newestNS, 10)
+		dst = appendInt(dst, newestNS)
 	}
 	if degraded != nil {
 		sub, err := json.Marshal(degraded)
@@ -146,7 +152,7 @@ func appendArray[T any](dst []byte, key string, xs []T, appendX func([]byte, T) 
 	return append(dst, ']')
 }
 
-func appendDuration(dst []byte, d time.Duration) []byte { return strconv.AppendInt(dst, int64(d), 10) }
+func appendDuration(dst []byte, d time.Duration) []byte { return appendInt(dst, int64(d)) }
 
 func appendPoint(dst []byte, p Point) []byte {
 	dst = appendDuration(append(dst, `{"t_ns":`...), p.T)
@@ -154,11 +160,72 @@ func appendPoint(dst []byte, p Point) []byte {
 	dst = appendFloat(append(dst, `,"max":`...), p.Max)
 	dst = appendFloat(append(dst, `,"mean":`...), p.Mean)
 	dst = appendFloat(append(dst, `,"last":`...), p.Last)
-	dst = strconv.AppendInt(append(dst, `,"count":`...), int64(p.Count), 10)
+	dst = appendInt(append(dst, `,"count":`...), int64(p.Count))
 	return append(dst, '}')
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendInt appends x in decimal, byte for byte as strconv.AppendInt(dst,
+// x, 10) does, eight digits at a time: the magnitude is cut into groups of
+// eight at 10^8 (a constant division), and each group is turned into
+// ASCII inside one uint64 (digits8) and stored with one write.
+func appendInt(dst []byte, x int64) []byte {
+	u := uint64(x)
+	if x < 0 {
+		dst = append(dst, '-')
+		u = -u // MinInt64's magnitude, 1<<63, is a uint64
+	}
+	return appendUint(dst, u)
+}
+
+func appendUint(dst []byte, u uint64) []byte {
+	if u < 1e8 {
+		return appendLeading(dst, u)
+	}
+	hi, lo := u/1e8, u%1e8
+	if hi < 1e8 {
+		dst = appendLeading(dst, hi)
+	} else { // u < 2^64 < 10^20, so hi/1e8 < 10^4
+		dst = append8(appendLeading(dst, hi/1e8), hi%1e8)
+	}
+	return append8(dst, lo)
+}
+
+// digits8 spells n < 10^8 as eight decimal digits, leading zeros
+// included, one digit value (0–9, not yet ASCII) per byte and the most
+// significant in the lowest byte, so that a little-endian store writes
+// them in reading order. Each step halves the width of every lane at
+// once: n becomes two 4-digit lanes of 32 bits, then four 2-digit lanes
+// of 16, then eight digits of 8. Dividing a lane by 100 or by 10 is a
+// multiply and a shift, exact over the lane's range (10486/2^20 for
+// x < 10^4, 103/2^10 for x < 10^2), and no lane's product carries into
+// the lane above it.
+func digits8(n uint64) uint64 {
+	v := n/1e4 | n%1e4<<32
+	q := v * 10486 >> 20 & 0x0000007f_0000007f
+	v = q | (v-q*100)<<16
+	q = v * 103 >> 10 & 0x000f_000f_000f_000f
+	return q | (v-q*10)<<8
+}
+
+// ascii turns digits8's digit values into their ASCII spelling.
+const ascii = 0x30303030_30303030
+
+// append8 appends n < 10^8 as exactly eight digits.
+func append8(dst []byte, n uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, digits8(n)|ascii)
+}
+
+// appendLeading appends n < 10^8 without leading zeros: a zero digit is a
+// zero byte of digits8's word and the leading ones are its low bytes, so
+// they are shifted out, and the bytes shifted in are written and cut off.
+func appendLeading(dst []byte, n uint64) []byte {
+	v := digits8(n)
+	skip := min(bits.TrailingZeros64(v)/8, 7) // n == 0 keeps one "0"
+	dst = binary.LittleEndian.AppendUint64(dst, v>>(8*skip)|ascii)
+	return dst[:len(dst)-skip]
+}
 
 // appendFloat formats a finite f the way encoding/json does: shortest
 // digits that round-trip, positional unless the exponent is below -6 or
@@ -196,6 +263,12 @@ const maxShortDigits = 15
 // nearest f (DBL_DIG), so u with its trailing zeros stripped is exactly
 // the shortest spelling that round-trips: strconv's, byte for byte. Zero
 // of either sign and |f| < 1e-6 (exponent form) are left to the caller.
+//
+// u is written as its integer part and its k fraction digits: the
+// integer part by appendUint, the fraction by digits8, which spells it
+// with 8-k leading zeros; shifted out, they leave the fraction's digits in
+// the word's low bytes and its trailing zeros as zero bytes above them,
+// which one count of leading zero bits finds.
 func appendShortDecimal(dst []byte, f float64) ([]byte, bool) {
 	a := math.Abs(f)
 	if !(a >= 1e-6 && a < 1e15) {
@@ -205,37 +278,28 @@ func appendShortDecimal(dst []byte, f float64) ([]byte, bool) {
 	for a*pow10[k] >= 1e15 {
 		k--
 	}
-	u := uint64(a*pow10[k] + 0.5)
+	u := uint64(int64(a*pow10[k] + 0.5))
 	if u >= 1e15 || float64(u)/pow10[k] != a {
 		return dst, false
 	}
-	for k > 0 && u%10 == 0 {
-		u /= 10
-		k--
-	}
-	var buf [maxShortDigits + 3]byte // sign, digits, point, a leading zero
-	i := len(buf)
-	for frac := k; frac > 0; frac-- {
-		i--
-		buf[i] = '0' + byte(u%10)
-		u /= 10
-	}
-	if k > 0 {
-		i--
-		buf[i] = '.'
-	}
-	for {
-		i--
-		buf[i] = '0' + byte(u%10)
-		if u /= 10; u == 0 {
-			break
-		}
+	var whole, frac uint64
+	if k == 6 { // |f| < 10^9: every value a sensor reports
+		whole, frac = u/1e6, u%1e6
+	} else {
+		p := uint64(pow10[k])
+		whole, frac = u/p, u%p
 	}
 	if f < 0 {
-		i--
-		buf[i] = '-'
+		dst = append(dst, '-')
 	}
-	return append(dst, buf[i:]...), true
+	dst = appendUint(dst, whole)
+	if frac == 0 {
+		return dst, true
+	}
+	v := digits8(frac) >> (8 * (8 - k))
+	n := 8 - bits.LeadingZeros64(v)/8 // k less the trailing zeros
+	dst = binary.LittleEndian.AppendUint64(append(dst, '.'), v|ascii)
+	return dst[:len(dst)-8+n], true
 }
 
 // plainByte reports whether c stands for itself inside a JSON string on

@@ -444,6 +444,67 @@ func FuzzAppendFloat(f *testing.F) {
 	})
 }
 
+// TestAppendIntDigitBoundaries holds appendInt to strconv.AppendInt at
+// every change in the digit count, on both sides of each eight-digit
+// group, and at both ends of int64.
+func TestAppendIntDigitBoundaries(t *testing.T) {
+	xs := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for n, p := 1, int64(10); n <= 18; n, p = n+1, p*10 {
+		xs = append(xs, p-1, p, -(p - 1), -p)
+	}
+	for _, x := range xs {
+		checkIntSpelling(t, x)
+	}
+}
+
+// checkIntSpelling holds one integer's spelling to strconv's, after a
+// prefix so that an append that overwrites shows, and reads it back.
+func checkIntSpelling(t *testing.T, x int64) {
+	t.Helper()
+	got, want := appendInt([]byte("x"), x), strconv.AppendInt([]byte("x"), x, 10)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("appendInt(%d) = %s, strconv says %s", x, got, want)
+	}
+	d := scanner{b: got[1:]}
+	if back, ok := d.int(); !ok || d.i != len(got)-1 || back != x {
+		t.Fatalf("%s reads back as %d (ok %v)", got[1:], back, ok)
+	}
+}
+
+// TestShortDecimalFractions: a value with each fraction length 1–6, with
+// trailing zeros in its scaled integer and without, on each side of the
+// 10^6 split and of zero, is spelled as encoding/json spells it.
+func TestShortDecimalFractions(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		for _, frac := range []string{strings.Repeat("0", k-1) + "1", "1" + strings.Repeat("0", k-1), strings.Repeat("9", k), "5" + strings.Repeat("0", k-1)} {
+			for _, whole := range []string{"0", "1", "412", "999999999", "1000000000", "99999999"} {
+				if whole == "0" && strings.Trim(frac, "0") == "" {
+					continue
+				}
+				tok := whole + "." + frac
+				v, err := strconv.ParseFloat(tok, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, short := appendShortDecimal(nil, v); !short && len(strings.TrimLeft(whole+frac, "0")) <= maxShortDigits {
+					t.Errorf("%s: short-decimal path not taken", tok)
+				}
+				checkFloatSpelling(t, v)
+				checkFloatSpelling(t, -v)
+			}
+		}
+	}
+}
+
+// FuzzAppendInt: any int64 is spelled as strconv.AppendInt spells it,
+// and the decoder's integer reader gives it back.
+func FuzzAppendInt(f *testing.F) {
+	for _, x := range []int64{0, 1, -1, 99999999, 100000000, 1e16, math.MaxInt64, math.MinInt64} {
+		f.Add(x)
+	}
+	f.Fuzz(func(t *testing.T, x int64) { checkIntSpelling(t, x) })
+}
+
 // TestCodecRejectsNonFinite: JSON has no NaN or Inf. The reference
 // refuses them and so does the codec — with an error that says where.
 func TestCodecRejectsNonFinite(t *testing.T) {

@@ -519,12 +519,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	runGuarded(w, req.Deadline, func() (int, any) {
-		frames := s.store.Query(req.Query)
+		frames := s.store.Frames(req.Query)
 		out := QueryResult{Frames: make([]Frame, len(frames)), SimNowNS: s.simNow()}
 		for i, f := range frames {
 			out.Frames[i] = frameDoc(f)
 		}
-		rawColumns(frames, out.Frames)
 		out.NewestNS = NewestNS(out.Frames)
 		return out.Answer(req.Query)
 	})
@@ -581,48 +580,20 @@ func NewestNS(frames []Frame) (newest int64) {
 	return newest
 }
 
-// frameDoc puts one store frame in its wire form, all but a raw frame's
-// columns (rawColumns). The store's frames are deep copies
-// (telemetry.Store.Query), so a rollup frame's points and the gap markers
-// are handed over as they are.
+// frameDoc puts one store frame in its wire form. The store's frames are
+// deep copies (telemetry.Store.Frames), so a raw frame's columns, a rollup
+// frame's points and the gap markers are handed over as they are.
 func frameDoc(f telemetry.Frame) Frame {
 	jf := Frame{
 		Node: f.Key.Node, Backend: f.Key.Backend, Domain: f.Key.Domain,
-		Unit: f.Unit, Resolution: f.Resolution.String(), GapsNS: f.Gaps,
-	}
-	if f.Resolution != telemetry.Raw {
-		jf.Points = f.Points
+		Unit: f.Unit, Resolution: f.Resolution.String(),
+		TNS: f.TNS, V: f.V, Points: f.Points, GapsNS: f.Gaps,
 	}
 	if f.ReducedOK {
 		v := f.Reduced
 		jf.Reduced = &v
 	}
 	return jf
-}
-
-// rawColumns fills each raw frame's t_ns and v columns from the store's
-// points, all frames' columns in one allocation each. The store still
-// widens a raw sample into a FramePoint, so this is a copy back; ROADMAP
-// item 6 has buildFrame fill the columns itself.
-func rawColumns(frames []telemetry.Frame, docs []Frame) {
-	n := 0
-	for i := range frames {
-		if frames[i].Resolution == telemetry.Raw {
-			n += len(frames[i].Points)
-		}
-	}
-	tns, vs := make([]time.Duration, 0, n), make([]float64, 0, n)
-	for i := range frames {
-		f := &frames[i]
-		if f.Resolution != telemetry.Raw || len(f.Points) == 0 {
-			continue
-		}
-		from := len(tns)
-		for _, p := range f.Points {
-			tns, vs = append(tns, p.T), append(vs, p.Last)
-		}
-		docs[i].TNS, docs[i].V = tns[from:len(tns):len(tns)], vs[from:len(vs):len(vs)]
-	}
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {

@@ -2,8 +2,10 @@ package httpapi
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -144,5 +146,47 @@ func TestBadRequests(t *testing.T) {
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /query: status %d, want 405", rec.Code)
+	}
+}
+
+// discard is a ResponseWriter that keeps nothing of the body.
+type discard http.Header
+
+func (d discard) Header() http.Header       { return http.Header(d) }
+func (discard) Write(b []byte) (int, error) { return len(b), nil }
+func (discard) WriteHeader(int)             {}
+
+// TestRawHistoryAllocPerPoint is the gate on the raw /query path: a
+// sample travels from the store to the socket as its two columns, 16 B,
+// and nothing else is allocated per sample — no FramePoint, no copy of
+// the columns, no body (the encode buffer is pooled). The least of a few
+// runs counts: a collection may empty the pool before any one of them.
+func TestRawHistoryAllocPerPoint(t *testing.T) {
+	const samples, runs = 10240, 5
+	st := telemetry.New(telemetry.Options{Shards: 1, RawCapacity: samples})
+	k := telemetry.SeriesKey{Node: "n00", Backend: "MSR", Domain: "Total Power"}
+	for i := range samples {
+		if err := st.Ingest(k, "W", time.Duration(i)*50*time.Millisecond, 100+float64(i%400)/4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(st, nil)
+	reqs := make([]*http.Request, runs+1)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/query?node=n00", nil)
+	}
+	w := discard{}
+	srv.ServeHTTP(w, reqs[runs]) // warms the pooled encode buffer
+	perSample := math.Inf(1)
+	for _, r := range reqs[:runs] {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.ServeHTTP(w, r)
+		runtime.ReadMemStats(&after)
+		perSample = min(perSample, float64(after.TotalAlloc-before.TotalAlloc)/samples)
+	}
+	t.Logf("%.1f B allocated per raw sample served", perSample)
+	if perSample > 24 {
+		t.Errorf("a raw /query allocates %.1f B per sample, gate 24 (the columns take 16)", perSample)
 	}
 }

@@ -83,11 +83,12 @@ func (q Query) matches(k SeriesKey) bool {
 		(q.Domain == "" || q.Domain == k.Domain)
 }
 
-// FramePoint is one resolved point: a raw sample (Count 1, all four
-// statistics equal to the value) or one rollup bucket. The tags are the
-// /query wire's: httpapi serves the store's points as they are.
+// FramePoint is one rollup bucket of a frame; a raw sample widened by
+// Query is one too (Count 1, all four statistics equal to the value). The
+// tags are the /query wire's: httpapi serves the store's points as they
+// are.
 type FramePoint struct {
-	T     time.Duration `json:"t_ns"` // sample time, or bucket start
+	T     time.Duration `json:"t_ns"` // bucket start, or sample time
 	Min   float64       `json:"min"`
 	Max   float64       `json:"max"`
 	Mean  float64       `json:"mean"`
@@ -95,11 +96,16 @@ type FramePoint struct {
 	Count int           `json:"count"`
 }
 
-// Frame is the query result for one matching series.
+// Frame is the query result for one matching series. A raw frame from
+// Frames carries its samples as two columns, TNS and V (sample i is V[i]
+// at TNS[i]), and a rollup frame its buckets as Points; a window that
+// holds nothing leaves all three nil.
 type Frame struct {
 	Key        SeriesKey
 	Unit       string
 	Resolution Resolution
+	TNS        []time.Duration
+	V          []float64
 	Points     []FramePoint
 	// Gaps are the failed-poll instants inside the window still held in the
 	// gap ring: explicit "the mechanism did not answer here" markers, so a
@@ -113,7 +119,7 @@ type Frame struct {
 	ReducedOK bool
 }
 
-// Query runs q and returns one frame per matching series, sorted by key.
+// Frames runs q and returns one frame per matching series, sorted by key.
 // Frames are deep copies: the caller may hold them while ingest continues.
 // Results are a pure function of each series' ingest stream —
 // byte-identical at any shard count. A persistent store serves the full
@@ -121,10 +127,28 @@ type Frame struct {
 // together along the series' persisted watermark (block data first, then
 // ring entries past the watermark), so a restart changes nothing a reader
 // can observe.
-func (st *Store) Query(q Query) []Frame { return st.query(q, true) }
+func (st *Store) Frames(q Query) []Frame { return st.query(q, true) }
 
-// query is Query; with points false every frame carries its reduction alone,
-// no points and no gap markers, which is all TopK folds.
+// Query is Frames with each raw frame's columns widened into Points, as
+// bench/ reads them; ROADMAP item 6 deletes it. Nothing else may call it
+// (TestArchitecture/raw-columns).
+func (st *Store) Query(q Query) []Frame {
+	frames := st.Frames(q)
+	for i := range frames {
+		f := &frames[i]
+		if len(f.TNS) > 0 {
+			f.Points = make([]FramePoint, len(f.TNS))
+			for j, v := range f.V {
+				f.Points[j] = FramePoint{T: f.TNS[j], Min: v, Max: v, Mean: v, Last: v, Count: 1}
+			}
+		}
+		f.TNS, f.V = nil, nil
+	}
+	return frames
+}
+
+// query is Frames; with points false every frame carries its reduction
+// alone, no samples, buckets or gap markers, which is all TopK folds.
 func (st *Store) query(q Query, points bool) []Frame {
 	if st.obs == nil {
 		return st.runQuery(q, points)
@@ -160,32 +184,32 @@ func bucketT(b Bucket) time.Duration     { return b.Start }
 // reduction alone.
 func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 	f := Frame{Key: s.key, Unit: s.unit, Resolution: q.Resolution}
-	// red accumulates the window reduction across points.
+	// red accumulates the window reduction across samples or buckets.
 	var red Bucket
-	add := func(p FramePoint, sum float64) {
-		if points {
-			f.Points = append(f.Points, p)
-		}
+	fold := func(b Bucket) {
 		if red.Count == 0 {
-			red = Bucket{Count: p.Count, Min: p.Min, Max: p.Max, Sum: sum, Last: p.Last}
+			red = b
 			return
 		}
-		if p.Min < red.Min {
-			red.Min = p.Min
+		if b.Min < red.Min {
+			red.Min = b.Min
 		}
-		if p.Max > red.Max {
-			red.Max = p.Max
+		if b.Max > red.Max {
+			red.Max = b.Max
 		}
-		red.Sum += sum
-		red.Last = p.Last
-		red.Count += p.Count
+		red.Sum += b.Sum
+		red.Last = b.Last
+		red.Count += b.Count
 	}
 	// Each kind is served the same way: block data for the sealed prefix,
-	// then the ring from the seam on. The point list is sized once: the
-	// ring's part exactly, the blocks' from their index.
+	// then the ring from the seam on. The columns or the point list are
+	// sized once: the ring's part exactly, the blocks' from their index.
 	if q.Resolution == Raw {
-		point := func(p Point) {
-			add(FramePoint{T: p.T, Min: p.V, Max: p.V, Mean: p.V, Last: p.V, Count: 1}, p.V)
+		sample := func(p Point) {
+			if points {
+				f.TNS, f.V = append(f.TNS, p.T), append(f.V, p.V)
+			}
+			fold(Bucket{Count: 1, Min: p.V, Max: p.V, Sum: p.V, Last: p.V})
 		}
 		i, j := s.raw.window(q.From, q.To, pointT)
 		sealed := st.blocks != nil && s.raw.sealedFrom(q.From, pointT)
@@ -194,19 +218,25 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 			if sealed {
 				n += st.blocks.PointsIn(s.key, q.From, q.To)
 			}
-			f.Points = make([]FramePoint, 0, n)
+			f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
 		}
 		if sealed {
-			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, point))
+			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, sample))
 		}
 		for ; i < j; i++ {
-			point(s.raw.at(i))
+			sample(s.raw.at(i))
+		}
+		if len(f.TNS) == 0 {
+			f.TNS, f.V = nil, nil // an empty window reads as one that was never sized
 		}
 	} else {
 		period := q.Resolution.Period()
 		lvl := int(q.Resolution - 1)
 		bucket := func(b Bucket) {
-			add(FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count}, b.Sum)
+			if points {
+				f.Points = append(f.Points, FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count})
+			}
+			fold(b)
 		}
 		rb, open := &s.roll[lvl], &s.open[lvl]
 		// A bucket overlaps the window when Start+period > From. The open
@@ -230,9 +260,9 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 		if inWindow {
 			bucket(*open)
 		}
-	}
-	if len(f.Points) == 0 {
-		f.Points = nil // an empty window reads as one that was never sized
+		if len(f.Points) == 0 {
+			f.Points = nil // an empty window reads as one that was never sized
+		}
 	}
 	if points {
 		i, j := s.gaps.window(q.From, q.To, gapT)

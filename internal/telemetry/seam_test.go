@@ -381,7 +381,7 @@ var pinnedWorkloadOpts = Options{Shards: 2, RawCapacity: 16, RollupCapacity: 3, 
 // pins, closes the store and returns its directory: 5 000 seeded ingests
 // and gaps over five series on tiny rings, two flushes, and a reopen
 // without a flush at another shard count.
-func pinnedWorkload(t *testing.T) string {
+func pinnedWorkload(t testing.TB) string {
 	t.Helper()
 	opts := pinnedWorkloadOpts
 	opts.Shards = 3
