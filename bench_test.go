@@ -122,10 +122,11 @@ func BenchmarkScale_ClusterStep(b *testing.B) {
 		c.Run(workload.PhiGauss(time.Second, 2*time.Second), 0, time.Millisecond)
 		d := c.Domains(0)
 		for i := range c.Nodes {
-			col, err := core.Build(micras.Daemon.Key, c.Nodes[i].PhiFS)
+			cols, err := c.Nodes[i].Devices().Collectors(core.DefaultRegistry, micras.Daemon.Key)
 			if err != nil {
 				b.Fatal(err)
 			}
+			col := cols[0]
 			var buf []core.Reading
 			d.Clock(i).Every(mic.SMCUpdatePeriod, func(now time.Duration) {
 				readings, err := col.CollectInto(buf, now)

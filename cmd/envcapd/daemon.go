@@ -13,6 +13,7 @@ import (
 	"envmon/internal/obs"
 	"envmon/internal/powercap"
 	"envmon/internal/telemetry/client"
+	"envmon/internal/telemetry/httpapi"
 )
 
 // config carries every envcapd knob, so the daemon is constructible from
@@ -64,8 +65,8 @@ func newCapDaemon(cfg config) (*capDaemon, error) {
 	if cfg.interval <= 0 {
 		return nil, fmt.Errorf("interval %v must be positive", cfg.interval)
 	}
-	if cfg.deadline > time.Hour {
-		return nil, fmt.Errorf("-deadline %v exceeds the 1h a query may ask for", cfg.deadline)
+	if cfg.deadline > httpapi.MaxDeadline {
+		return nil, fmt.Errorf("-deadline %v exceeds the %v a query may ask for", cfg.deadline, httpapi.MaxDeadline)
 	}
 	if cfg.logf == nil {
 		cfg.logf = log.Printf

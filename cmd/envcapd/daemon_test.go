@@ -236,11 +236,21 @@ func TestParseLadder(t *testing.T) {
 // TestDeadlineBeyondAnHourRefused: a query may ask for at most an hour
 // (deadline_ms=3600000), so a -deadline past it would turn every observe
 // into a 400 and walk the cap down the ladder; it is refused at startup,
-// by name.
+// by name. Exactly an hour is accepted.
 func TestDeadlineBeyondAnHourRefused(t *testing.T) {
 	cfg := testConfig(t, "http://x")
 	cfg.budget, cfg.deadline = 100, 2*time.Hour
 	if _, err := newCapDaemon(cfg); err == nil || !strings.Contains(err.Error(), "-deadline 2h0m0s") {
 		t.Errorf("-deadline 2h: error %v, want a refusal naming the flag", err)
+	}
+	cfg.deadline = time.Hour
+	d, err := newCapDaemon(cfg)
+	if err != nil {
+		t.Fatalf("-deadline 1h refused: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // release the listener at once
+	if err := d.run(ctx); err != nil {
+		t.Errorf("run: %v", err)
 	}
 }

@@ -39,8 +39,9 @@ type config struct {
 	// deterministic fault injector (see faults.ParsePlan for the syntax).
 	faultSpec string
 	// resilient wraps every collector in a retry + circuit-breaker chain
-	// with the paper's fallback topology (cluster.DefaultChains) and
-	// surfaces breaker state on /healthz.
+	// with the paper's fallback path (the MICRAS daemon behind the in-band
+	// SysMgmt API, folded by cluster's StartJob) and surfaces breaker state
+	// on /healthz.
 	resilient bool
 	// dataDir, when non-empty, opens the telemetry store persistently
 	// there: ingest is journaled write-ahead, sealed data compacts to

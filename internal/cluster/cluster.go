@@ -5,11 +5,11 @@
 // and helpers to run a workload across a partition and aggregate power.
 //
 // Nodes are device-generic: every device is attached through Attach (or a
-// typed wrapper like AttachSocket/AttachGPUs/AttachPhi that also fills the
-// legacy convenience fields), which records the backend key + target for
-// the core registry, a workload runner, and an optional power source.
-// Node.Run, Node.SumPower, and Node.Collectors then work uniformly over
-// whatever mix of vendors the node carries.
+// typed wrapper like AttachSocket/AttachGPUs/AttachPhi), which records the
+// backend key + target for the core registry, a workload runner, and an
+// optional power source. That attachment list is the one record of a
+// node's devices: Node.Run, Node.SumPower, and Node.Devices().Collectors
+// work uniformly over whatever mix of vendors the node carries.
 //
 // Per-node device state is independent, so cluster-wide sweeps parallelize
 // with internal/par; sums fold in node order so results replay bit-exactly.
@@ -46,20 +46,6 @@ type powerSource struct {
 type Node struct {
 	Name string
 
-	// Typed views of the attached devices, filled by the typed attach
-	// wrappers; generic code should use Run/SumPower/Collectors instead.
-	Sockets []*rapl.Socket
-
-	// GPU stack (nil if the node has no GPUs)
-	GPULib *nvml.Library
-	GPUs   []*nvml.Device
-
-	// Xeon Phi stack (nil if the node has no coprocessor)
-	Phi        *mic.Card
-	PhiNet     *scif.Network
-	PhiSysMgmt *mic.SysMgmtService
-	PhiFS      *micras.FS
-
 	devices  core.DeviceSet
 	runners  []Runner
 	powers   []powerSource
@@ -82,7 +68,6 @@ func (n *Node) Attach(key core.BackendKey, target any, run Runner, power PowerFu
 // AttachSocket attaches a RAPL socket: MSR backend, host-side workload,
 // PKG-plane power.
 func (n *Node) AttachSocket(s *rapl.Socket) {
-	n.Sockets = append(n.Sockets, s)
 	n.Attach(rapl.MSR.Key, s, s.Run,
 		func(t time.Duration) float64 { return s.TruePower(rapl.PKG, t) })
 }
@@ -90,10 +75,8 @@ func (n *Node) AttachSocket(s *rapl.Socket) {
 // AttachGPUs attaches an initialized NVML library and its devices, one
 // backend attachment per device index.
 func (n *Node) AttachGPUs(lib *nvml.Library, devs ...*nvml.Device) {
-	n.GPULib = lib
 	for i, d := range devs {
 		d := d
-		n.GPUs = append(n.GPUs, d)
 		n.Attach(nvml.API.Key, nvml.Target{Lib: lib, Index: i}, d.Run,
 			func(t time.Duration) float64 {
 				mw, ret := d.GetPowerUsage(t)
@@ -114,12 +97,8 @@ func (n *Node) AttachPhi(card *mic.Card) error {
 	if err != nil {
 		return fmt.Errorf("cluster: starting SysMgmt: %w", err)
 	}
-	n.Phi = card
-	n.PhiNet = net
-	n.PhiSysMgmt = svc
-	n.PhiFS = micras.NewFS(card)
 	n.Attach(mic.InBand.Key, mic.InBandTarget{Net: net, Svc: svc}, card.Run, card.TotalPower)
-	n.Attach(micras.Daemon.Key, n.PhiFS, nil, nil)
+	n.Attach(micras.Daemon.Key, micras.NewFS(card), nil, nil)
 	return nil
 }
 

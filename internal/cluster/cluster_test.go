@@ -7,8 +7,22 @@ import (
 	"envmon/internal/core"
 	"envmon/internal/mic"
 	"envmon/internal/micras"
+	"envmon/internal/nvml"
+	"envmon/internal/rapl"
 	"envmon/internal/workload"
 )
+
+// targets returns the node's attachment targets of type T, in attach order:
+// the one record of what devices a node carries.
+func targets[T any](n *Node) []T {
+	var out []T
+	for _, a := range n.Devices().Attachments() {
+		if t, ok := a.Target.(T); ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 func TestNewStampedeShape(t *testing.T) {
 	c, err := NewStampede(16, 42)
@@ -19,10 +33,11 @@ func TestNewStampedeShape(t *testing.T) {
 		t.Fatalf("nodes = %d", len(c.Nodes))
 	}
 	for _, n := range c.Nodes {
-		if len(n.Sockets) != 2 {
-			t.Fatalf("%s has %d sockets, want 2 (Stampede spec)", n.Name, len(n.Sockets))
+		if s := targets[*rapl.Socket](n); len(s) != 2 {
+			t.Fatalf("%s has %d sockets, want 2 (Stampede spec)", n.Name, len(s))
 		}
-		if n.Phi == nil || n.PhiNet == nil || n.PhiSysMgmt == nil || n.PhiFS == nil {
+		ib, fs := targets[mic.InBandTarget](n), targets[*micras.FS](n)
+		if len(ib) != 1 || ib[0].Net == nil || ib[0].Svc == nil || len(fs) != 1 || fs[0] == nil {
 			t.Fatalf("%s missing Phi stack", n.Name)
 		}
 	}
@@ -43,10 +58,11 @@ func TestNewGPUCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes {
-		if len(n.GPUs) != 2 || n.GPULib == nil {
+		gpus := targets[nvml.Target](n)
+		if len(gpus) != 2 || gpus[0].Lib == nil {
 			t.Fatalf("%s GPU stack incomplete", n.Name)
 		}
-		if count, ret := n.GPULib.DeviceGetCount(); ret != 0 || count != 2 {
+		if count, ret := gpus[0].Lib.DeviceGetCount(); ret != 0 || count != 2 {
 			t.Fatalf("library not initialized: %d, %v", count, ret)
 		}
 	}
@@ -150,7 +166,8 @@ func TestPerNodeCollectionStacksWork(t *testing.T) {
 	}
 	c.Run(workload.NoopKernel(time.Minute), 0, 0)
 	for _, n := range c.Nodes {
-		col := mic.NewInBandCollector(n.PhiNet, n.PhiSysMgmt)
+		ib := targets[mic.InBandTarget](n)[0]
+		col := mic.NewInBandCollector(ib.Net, ib.Svc)
 		rs, err := col.CollectInto(nil, 10*time.Second)
 		if err != nil {
 			t.Fatalf("%s in-band: %v", n.Name, err)
@@ -158,7 +175,7 @@ func TestPerNodeCollectionStacksWork(t *testing.T) {
 		if len(rs) == 0 {
 			t.Fatalf("%s returned no readings", n.Name)
 		}
-		if _, err := n.PhiFS.ReadFile("/sys/class/micras/power", 11*time.Second); err != nil {
+		if _, err := targets[*micras.FS](n)[0].ReadFile("/sys/class/micras/power", 11*time.Second); err != nil {
 			t.Fatalf("%s micras: %v", n.Name, err)
 		}
 	}

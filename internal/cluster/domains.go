@@ -71,8 +71,6 @@ type DomainJobConfig struct {
 	// Interval is the polling interval applied to every collector; zero
 	// selects each collector's own hardware minimum.
 	Interval time.Duration
-	// NumTasks for the overhead model; non-positive means one per node.
-	NumTasks int
 	// Backends, when non-empty, restricts collection to attachments with
 	// these keys (e.g. only the MICRAS daemon path). Empty collects every
 	// attachment on every node.
@@ -80,9 +78,9 @@ type DomainJobConfig struct {
 	// Output, when non-nil, supplies the per-node CSV destination.
 	Output func(node int) io.Writer
 	// Resilience, when non-nil, wraps every collector in a retry + circuit
-	// breaker chain with this policy and folds chain fallbacks (see
-	// DefaultChains) behind their primaries, so a backend fault degrades
-	// collection instead of erroring every poll.
+	// breaker chain with this policy and folds the MICRAS daemon path
+	// behind the in-band SysMgmt path (see buildResilient), so a backend
+	// fault degrades collection instead of erroring every poll.
 	Resilience *resilience.Policy
 	// OnResilience, when non-nil, receives each node's assembled chains —
 	// the hook a daemon uses to surface breaker state on /healthz. Called
@@ -100,18 +98,13 @@ func (d *Domains) StartJob(cfg DomainJobConfig) (*moneq.Job, error) {
 	if reg == nil {
 		reg = core.DefaultRegistry
 	}
-	numTasks := cfg.NumTasks
-	if numTasks <= 0 {
-		numTasks = len(d.cluster.Nodes)
-	}
-	chains := DefaultChains()
 	specs := make([]moneq.NodeSpec, 0, len(d.cluster.Nodes))
 	for i, n := range d.cluster.Nodes {
 		var cols []core.Collector
 		var err error
 		if cfg.Resilience != nil {
 			var rcs []*resilience.Collector
-			cols, rcs, err = buildResilient(n, reg, *cfg.Resilience, chains, cfg.Backends)
+			cols, rcs, err = buildResilient(n, reg, *cfg.Resilience, cfg.Backends)
 			if err == nil && cfg.OnResilience != nil {
 				cfg.OnResilience(n.Name, rcs)
 			}
@@ -136,5 +129,5 @@ func (d *Domains) StartJob(cfg DomainJobConfig) (*moneq.Job, error) {
 			Clock:      d.Clock(i),
 		})
 	}
-	return moneq.StartJob(d.group.Clock(0), cfg.Interval, numTasks, specs)
+	return moneq.StartJob(d.group.Clock(0), cfg.Interval, len(d.cluster.Nodes), specs)
 }

@@ -26,7 +26,7 @@ func TestConcurrentNodeCollection(t *testing.T) {
 		wg.Add(1)
 		go func(n *Node) {
 			defer wg.Done()
-			col := micras.NewCollector(n.PhiFS)
+			col := micras.NewCollector(targets[*micras.FS](n)[0])
 			defer col.Close()
 			for ts := time.Second; ts < 60*time.Second; ts += 500 * time.Millisecond {
 				if _, err := col.CollectInto(nil, ts); err != nil {

@@ -4,26 +4,20 @@ import (
 	"fmt"
 	"time"
 
-	"envmon/internal/rapl"
 	"envmon/internal/workload"
 )
 
 // Throttle hooks: the actuation surface the power-capping control plane
-// (internal/powercap) commands. Two mechanisms compose, mirroring how a
-// real facility caps a node:
+// (internal/powercap) commands. It is one mechanism, job-level
+// duty-cycling: every workload a node runs is wrapped in the node's
+// workload.Throttle schedule, so SetThrottle slows the job on every device
+// — the scheduler-level knob that works on hardware with no capping
+// interface (the stack models each vendor mechanism as the read path the
+// paper prices).
 //
-//   - Job-level duty-cycling: every workload a node runs is wrapped in the
-//     node's workload.Throttle schedule, so SetThrottle slows the job on
-//     every device — the scheduler-level knob that works on hardware with
-//     no capping interface (the paper's NVML and MICRAS mechanisms are
-//     read-only).
-//   - RAPL-style per-socket caps: SetSocketCaps programs a PKG power limit
-//     into each socket's limit MSR, the hardware-enforced knob the RAPL
-//     simulation honors by clamping physical draw.
-//
-// Both are timestamped with the simulated instant they take effect;
-// history before that instant is immutable, so lazily-integrated energy
-// counters replay identically no matter when they are read.
+// A throttle step is timestamped with the simulated instant it takes
+// effect; history before that instant is immutable, so lazily-integrated
+// energy counters replay identically no matter when they are read.
 
 // throttleSched returns the node's duty-cycle schedule, creating it on
 // first use. Callers are the setup path and epoch-barrier callbacks —
@@ -64,15 +58,6 @@ func (n *Node) ThrottleAt(t time.Duration) float64 {
 	return n.throttle.At(t)
 }
 
-// SetSocketCaps programs a RAPL PKG power limit of watts on every socket
-// the node carries, effective from simulated time at. Nodes without
-// sockets are a no-op. Call with the node's clock domain parked.
-func (n *Node) SetSocketCaps(at time.Duration, watts float64) {
-	for _, s := range n.Sockets {
-		s.SetPowerLimitAt(rapl.PKG, at, watts)
-	}
-}
-
 // SetThrottle sets the duty-cycle factor on every node from simulated time
 // at onward — the fleet-wide actuation a machine power budget commands.
 // Nodes are walked in order, so the call is deterministic. Call with every
@@ -84,12 +69,4 @@ func (c *Cluster) SetThrottle(at time.Duration, factor float64) error {
 		}
 	}
 	return nil
-}
-
-// SetSocketCaps programs a per-socket RAPL PKG limit on every node's
-// sockets, effective from simulated time at.
-func (c *Cluster) SetSocketCaps(at time.Duration, watts float64) {
-	for _, n := range c.Nodes {
-		n.SetSocketCaps(at, watts)
-	}
 }

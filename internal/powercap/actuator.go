@@ -6,11 +6,11 @@ import (
 	"envmon/internal/cluster"
 )
 
-// ClusterActuator turns a fleet cap in watts into the two knobs the
-// simulated cluster exposes: a job-level duty-cycle factor on every node
-// and, optionally, per-socket RAPL PKG limits. The cap-to-duty map is
-// linear over the node's power envelope: capW/nodes at IdleW parks the
-// jobs (factor 0), at NodeMaxW runs them flat out (factor 1).
+// ClusterActuator turns a fleet cap in watts into the knob the simulated
+// cluster exposes: a job-level duty-cycle factor on every node. The
+// cap-to-duty map is linear over the node's power envelope: capW/nodes at
+// IdleW parks the jobs (factor 0), at NodeMaxW runs them flat out
+// (factor 1).
 //
 // Apply must be called with the cluster's clock domains parked (an epoch
 // barrier, or setup) — the same contract as cluster.SetThrottle.
@@ -19,9 +19,6 @@ type ClusterActuator struct {
 	// IdleW and NodeMaxW bound one node's draw for the duty map.
 	IdleW    float64
 	NodeMaxW float64
-	// SocketCapFrac, when positive, also programs each socket's RAPL PKG
-	// limit to this fraction of the per-node cap.
-	SocketCapFrac float64
 
 	applied  bool
 	lastDuty float64
@@ -53,10 +50,6 @@ func (a *ClusterActuator) Apply(now time.Duration, capW float64) error {
 	}
 	if err := a.Cluster.SetThrottle(now, duty); err != nil {
 		return err
-	}
-	if a.SocketCapFrac > 0 {
-		perNode := capW / float64(len(a.Cluster.Nodes))
-		a.Cluster.SetSocketCaps(now, perNode*a.SocketCapFrac)
 	}
 	a.applied = true
 	a.lastDuty = duty

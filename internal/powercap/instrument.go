@@ -57,8 +57,6 @@ type Status struct {
 	// LastDataAgeNS is time since the last fresh observation; -1 when no
 	// fresh observation has ever arrived.
 	LastDataAgeNS int64 `json:"last_data_age_ns"`
-	// PendingJobs mirrors the admission gate when one is attached.
-	PendingJobs int `json:"pending_jobs,omitempty"`
 }
 
 // statusWord maps a mode to the coarse health word daemons expose.

@@ -46,11 +46,6 @@ func TestTruePower(t *testing.T) {
 	if loaded <= 10 {
 		t.Errorf("loaded TruePower = %v", loaded)
 	}
-	// limit clamps TruePower too
-	s.SetPowerLimitAt(PKG, 0, 15)
-	if got := s.TruePower(PKG, 31*time.Second); got != 15 {
-		t.Errorf("limited TruePower = %v, want 15", got)
-	}
 }
 
 func TestCollectorMinIntervals(t *testing.T) {

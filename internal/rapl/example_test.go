@@ -36,16 +36,3 @@ func Example() {
 	// energy unit: 15.3 uJ
 	// package power: 47 W
 }
-
-// ExampleSocket_SetPowerLimitAt shows RAPL's design purpose: capping power.
-func ExampleSocket_SetPowerLimitAt() {
-	socket := rapl.NewSocket(rapl.Config{Name: "socket0", Seed: 42})
-	socket.Run(workload.GaussElim(5*time.Minute), 0)
-
-	socket.SetPowerLimitAt(rapl.PKG, 0, 30)
-	j0 := socket.EnergyJoules(rapl.PKG, 60*time.Second)
-	j1 := socket.EnergyJoules(rapl.PKG, 120*time.Second)
-	fmt.Printf("capped package power: %.0f W\n", (j1-j0)/60)
-	// Output:
-	// capped package power: 30 W
-}

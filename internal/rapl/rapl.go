@@ -14,8 +14,10 @@
 //     intervals. We model the 32-bit wrap exactly.
 //   - Scope is the whole socket: "it's not possible to collect data for
 //     individual cores", and DRAM is summed across channels.
-//   - Power limiting (the interface's design goal) is enforced: an enabled
-//     PKG/DRAM limit clamps that domain's physical draw.
+//
+// The model is the read path the paper prices. The power-limit MSRs are
+// installed at their SDM addresses and read as disabled (zero): nothing in
+// the stack caps power through RAPL.
 package rapl
 
 import (
@@ -88,8 +90,6 @@ const (
 
 	// EnergyUnit is 2^-16 J ≈ 15.3 µJ (Sandy Bridge energy status unit).
 	EnergyUnit = 1.0 / (1 << 16)
-	// PowerUnit is 1/8 W (for the power-limit register fields).
-	PowerUnit = 0.125
 
 	// UpdatePeriod is the counter refresh cadence.
 	UpdatePeriod = time.Millisecond
@@ -132,12 +132,6 @@ type Config struct {
 	DeviceSide bool
 }
 
-type limitState struct {
-	raw     uint64 // register image
-	watts   float64
-	enabled bool
-}
-
 type integState struct {
 	nextCell int64   // first grid cell not yet integrated
 	joules   float64 // accumulated energy over [0, nextCell*period)
@@ -151,7 +145,6 @@ type Socket struct {
 	period time.Duration
 	models [NumDomains]power.DomainModel
 	integ  [NumDomains]integState
-	limits [NumDomains]limitState
 
 	job        workload.Workload
 	jobStart   time.Duration
@@ -237,16 +230,11 @@ func (s *Socket) activityAt(t time.Duration) workload.Activity {
 }
 
 // cellPower computes the physical draw of domain d during grid cell i,
-// with deterministic per-cell noise and power-limit clamping. Callers hold
-// s.mu.
+// with deterministic per-cell noise. Callers hold s.mu.
 func (s *Socket) cellPower(d Domain, cell int64) float64 {
 	mid := time.Duration(cell)*s.period + s.period/2
 	rng := simrand.New(s.seed ^ uint64(d)<<58 ^ uint64(cell))
-	w := s.models[d].Power(s.activityAt(mid), rng)
-	if lim := s.limits[d]; lim.enabled && w > lim.watts {
-		w = lim.watts
-	}
-	return w
+	return s.models[d].Power(s.activityAt(mid), rng)
 }
 
 // integrateTo advances domain d's energy accumulator so it covers
@@ -306,61 +294,8 @@ func (s *Socket) Counter(d Domain, t time.Duration) uint32 {
 func (s *Socket) TruePower(d Domain, t time.Duration) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := s.models[d].Power(s.activityAt(t), nil)
-	if lim := s.limits[d]; lim.enabled && w > lim.watts {
-		w = lim.watts
-	}
-	return w
+	return s.models[d].Power(s.activityAt(t), nil)
 }
-
-// --- Power limits -----------------------------------------------------------
-
-// limit register layout (simplified SDM fields we honor):
-//
-//	bits 14:0  power limit, in PowerUnit steps
-//	bit  15    enable
-const (
-	limitMask = 0x7FFF
-	enableBit = 1 << 15
-)
-
-// SetPowerLimitAt programs and enables a power limit on a domain (PKG and
-// DRAM are limitable; PP0/PP1 accept the write but we also honor it),
-// effective from the given simulated time: energy already accrued is
-// flushed under the old limit first, so a closed-loop controller
-// re-programming caps mid-run never rewrites the history a collector may
-// not have read yet. now must not precede earlier reads or limit writes on
-// this socket (reads are non-decreasing per node by contract).
-func (s *Socket) SetPowerLimitAt(d Domain, now time.Duration, watts float64) {
-	raw := uint64(watts/PowerUnit)&limitMask | enableBit
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.integrateTo(d, int64(now/s.period))
-	s.limits[d] = limitState{raw: raw, watts: float64(raw&limitMask) * PowerUnit, enabled: true}
-}
-
-// PowerLimit reports the programmed limit and whether it is enabled.
-func (s *Socket) PowerLimit(d Domain) (watts float64, enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.limits[d].watts, s.limits[d].enabled
-}
-
-func (s *Socket) readLimit(d Domain) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.limits[d].raw
-}
-
-// --- MSR wiring ---------------------------------------------------------------
-
-// limitRegister exposes a domain's programmed limit as an msr.Register.
-type limitRegister struct {
-	s *Socket
-	d Domain
-}
-
-func (r limitRegister) Read(time.Duration) (uint64, error) { return r.s.readLimit(r.d), nil }
 
 // installRegisters binds the RAPL MSRs.
 func (s *Socket) installRegisters() {
@@ -377,10 +312,10 @@ func (s *Socket) installRegisters() {
 			return uint64(s.Counter(dom, now))
 		}))
 	}
-	s.regs.Install(msr.PkgPowerLimit, limitRegister{s, PKG})
-	s.regs.Install(msr.PP0PowerLimit, limitRegister{s, PP0})
-	s.regs.Install(msr.PP1PowerLimit, limitRegister{s, PP1})
-	s.regs.Install(msr.DRAMPowerLimit, limitRegister{s, DRAM})
+	// No limit is ever programmed: each limit register reads as disabled.
+	for _, addr := range []msr.Address{msr.PkgPowerLimit, msr.PP0PowerLimit, msr.PP1PowerLimit, msr.DRAMPowerLimit} {
+		s.regs.Install(addr, msr.Static(0))
+	}
 }
 
 // DecodeUnits parses an MSR_RAPL_POWER_UNIT value into (power, energy,

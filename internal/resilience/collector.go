@@ -2,7 +2,7 @@
 // collection mechanisms: per-poll deadlines, capped exponential backoff
 // retries, three-state circuit breakers, and ordered fallback chains that
 // mirror the paper's real alternatives (Xeon Phi SysMgmt API → MICRAS
-// daemon pseudo-file, the chain cluster.DefaultChains builds).
+// daemon pseudo-file, the one chain a cluster node's job folds).
 //
 // Every unit of waiting — a retry backoff, a repeated query — is charged
 // as simulated collection cost, so the overhead comparison that is the

@@ -118,6 +118,13 @@ type Store struct {
 	closed  bool
 }
 
+// The two calls that make a sealed file's rename durable, as variables so
+// tests can stand in a filesystem that refuses them.
+var (
+	openDir = os.Open
+	syncDir = (*os.File).Sync
+)
+
 // errClosed is what a scan after Close returns.
 var errClosed = errors.New("block: store closed")
 
@@ -212,7 +219,9 @@ func (s *Store) publish(bf *file) {
 }
 
 // Append writes one block holding the snapshots and publishes it. Empty
-// snapshots (nothing new anywhere) are a no-op.
+// snapshots (nothing new anywhere) are a no-op. A failed write publishes
+// nothing and keeps the block's sequence number, so a retry rewrites the
+// same file.
 func (s *Store) Append(snaps []storage.SeriesSnapshot) error {
 	nonEmpty := snaps[:0:0]
 	for _, sn := range snaps {
@@ -325,9 +334,18 @@ func writeFile(path string, snaps []storage.SeriesSnapshot) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("block: %w", err)
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	// Until the directory is synced the rename may not survive a crash,
+	// and the caller is about to drop the journal that also holds the data.
+	d, err := openDir(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("block: %w", err)
+	}
+	err = syncDir(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("block: %w", err)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -250,5 +251,59 @@ func TestOpenRefusesUnknownBlockVersion(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: Open said %v, want %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSealFailsUntilItsRenameIsDurable: a seal whose directory cannot be
+// opened or synced after the rename fails. Append publishes nothing, the
+// retry rewrites the same file, and a reopen serves each sample once.
+func TestSealFailsUntilItsRenameIsDurable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail func()
+	}{
+		{"open", func() { openDir = func(string) (*os.File, error) { return nil, syscall.EIO } }},
+		{"sync", func() { syncDir = func(*os.File) error { return syscall.EIO } }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			snaps := []storage.SeriesSnapshot{snapshotA(0, 20, 0)}
+			tc.fail()
+			err = s.Append(snaps)
+			openDir, syncDir = os.Open, (*os.File).Sync
+			if !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Append with an unsyncable directory: err = %v, want EIO", err)
+			}
+			if _, ok := s.Agg(keyA); ok || s.NumBlocks() != 0 {
+				t.Fatalf("a failed seal published %d blocks", s.NumBlocks())
+			}
+			if err := s.Append(snaps); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 || filepath.Base(names[0]) != blockName(1) {
+				t.Fatalf("after the retry the directory holds %v, want one %s", names, blockName(1))
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var pts []storage.Point
+			if err := s.EachPoint(keyA, 0, 0, func(p storage.Point) { pts = append(pts, p) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) != 20 || pts[0].T != 0 || pts[19].T != 19*time.Second {
+				t.Fatalf("reopened store serves %d points (%v), want each of the 20 once", len(pts), pts)
+			}
+		})
 	}
 }

@@ -458,13 +458,14 @@ func windowed(r Request) url.Values {
 	return v
 }
 
-// maxDeadlineMS is the largest deadline_ms a request may ask for: one
-// hour. Anything larger is a mistake, and far enough past it the product
-// with time.Millisecond wraps negative, which every caller reads as "none".
-const maxDeadlineMS = int(time.Hour / time.Millisecond)
+// MaxDeadline is the largest deadline a request may ask for: one hour.
+// Anything larger is a mistake, and far enough past it the product of
+// deadline_ms with time.Millisecond wraps negative, which every caller
+// reads as "none".
+const MaxDeadline = time.Hour
 
 // ParseDeadline reads the optional deadline_ms parameter: how long the
-// caller is willing to wait for the result, at most maxDeadlineMS. Zero
+// caller is willing to wait for the result, at most MaxDeadline. Zero
 // means no deadline.
 func ParseDeadline(r *http.Request) (time.Duration, error) {
 	v := r.FormValue("deadline_ms")
@@ -475,8 +476,8 @@ func ParseDeadline(r *http.Request) (time.Duration, error) {
 	if err != nil || ms <= 0 {
 		return 0, fmt.Errorf("bad deadline_ms %q: must be a positive integer", v)
 	}
-	if ms > maxDeadlineMS {
-		return 0, fmt.Errorf("bad deadline_ms %q: exceeds maximum %d", v, maxDeadlineMS)
+	if max := int(MaxDeadline / time.Millisecond); ms > max {
+		return 0, fmt.Errorf("bad deadline_ms %q: exceeds maximum %d", v, max)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

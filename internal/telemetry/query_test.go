@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"envmon/internal/telemetry/storage"
 )
 
 // populate fills a store with a deterministic grid: nodes n00..n(N-1),
@@ -60,7 +62,7 @@ func TestQueryFiltersAndWindow(t *testing.T) {
 	// Frames arrive sorted by key.
 	all := st.Query(Query{})
 	for i := 1; i < len(all); i++ {
-		if !lessKey(all[i-1].Key, all[i].Key) {
+		if !storage.KeyLess(all[i-1].Key, all[i].Key) {
 			t.Fatalf("frames not sorted at %d: %+v then %+v", i, all[i-1].Key, all[i].Key)
 		}
 	}

@@ -74,24 +74,26 @@ func TestSetCursorSteadyStateZeroAllocs(t *testing.T) {
 }
 
 func TestSetCursorResumesAfterError(t *testing.T) {
-	st := New(Options{MaxSeries: 1})
+	st := New(Options{})
 	set := trace.NewSet()
 	set.Add(trace.NewSeries("MSR/Total Power", "W")).MustAppend(0, 1)
-	set.Add(trace.NewSeries("NVML/Total Power", "W")).MustAppend(0, 2)
+	nv := set.Add(trace.NewSeries("NVML/Total Power", "W"))
+	nv.Samples = []trace.Sample{{T: time.Second, V: 2}, {T: 500 * time.Millisecond, V: 3}}
 	cur := NewSetCursor(st, "n0", set)
-	if err := cur.Flush(); !errors.Is(err, ErrSeriesLimit) {
-		t.Fatalf("err = %v, want ErrSeriesLimit", err)
+	if err := cur.Flush(); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
-	// The first series landed; the failed one is retried from its cursor.
-	if st.Samples() != 1 {
-		t.Fatalf("samples = %d, want 1", st.Samples())
+	// The first series landed, and the second up to the refused sample;
+	// the rest of the second is retried from its cursor.
+	if st.Samples() != 2 || cur.Pending() != 1 {
+		t.Fatalf("samples = %d, pending = %d; want 2, 1", st.Samples(), cur.Pending())
 	}
-	st.opts.MaxSeries = 0 // lift the limit; the cursor resumes cleanly
+	nv.Samples[0].T = 2 * time.Second // what the store refused, repaired
 	if err := cur.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Samples() != 2 || st.NumSeries() != 2 {
-		t.Errorf("after resume: %d samples, %d series", st.Samples(), st.NumSeries())
+	if st.Samples() != 3 || st.NumSeries() != 2 || cur.Pending() != 0 {
+		t.Errorf("after resume: %d samples, %d series, %d pending", st.Samples(), st.NumSeries(), cur.Pending())
 	}
 }
 

@@ -99,9 +99,6 @@ var (
 	// ErrOutOfOrder is returned when a sample's time precedes the series'
 	// newest sample (or is negative). Equal timestamps are accepted.
 	ErrOutOfOrder = errors.New("telemetry: out-of-order sample")
-	// ErrSeriesLimit is returned when creating one more series would
-	// exceed Options.MaxSeries.
-	ErrSeriesLimit = errors.New("telemetry: series limit reached")
 )
 
 // Options parameterizes New. The zero value selects the defaults.
@@ -116,11 +113,6 @@ type Options struct {
 	// holds in memory, its open bucket included. Non-positive selects 1024
 	// (at the coarsest 60 s level that is ~17 hours of history).
 	RollupCapacity int
-	// MaxSeries caps the number of distinct series the store will create;
-	// 0 means unlimited. The cap models the central server's finite
-	// processing capacity (the envdb capacity limit, one layer up). Under
-	// concurrent first-touch of new series the cap is approximate.
-	MaxSeries int
 	// GapCapacity is the fixed ring size for failed-poll markers per
 	// series. Non-positive selects 1024.
 	GapCapacity int
@@ -250,9 +242,6 @@ func (st *Store) lockSeries(key SeriesKey, unit string, t time.Duration) (*shard
 	}
 	s := sh.lookup(h, key)
 	if s == nil {
-		if max := st.opts.MaxSeries; max > 0 && st.nseries.Load() >= int64(max) {
-			return nil, nil, st.reject(sh, ErrSeriesLimit)
-		}
 		s = st.addSeries(sh, h, key, unit)
 	}
 	return sh, s, nil
@@ -497,9 +486,9 @@ func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
 		sh.mu.RUnlock()
 		slices.SortFunc(o.byShard[i], func(a, b *series) int {
 			switch {
-			case lessKey(a.key, b.key):
+			case storage.KeyLess(a.key, b.key):
 				return -1
-			case lessKey(b.key, a.key):
+			case storage.KeyLess(b.key, a.key):
 				return 1
 			}
 			return 0
@@ -512,7 +501,7 @@ func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
 	for at := 0; at < o.n; at++ {
 		next := -1
 		for i, l := range o.byShard {
-			if head[i] < len(l) && (next < 0 || lessKey(l[head[i]].key, o.byShard[next][head[next]].key)) {
+			if head[i] < len(l) && (next < 0 || storage.KeyLess(l[head[i]].key, o.byShard[next][head[next]].key)) {
 				next = i
 			}
 		}
@@ -538,7 +527,3 @@ func (st *Store) eachInOrder(o keyOrder, fn func(at int, s *series)) {
 		sh.mu.RUnlock()
 	}
 }
-
-// lessKey orders keys deterministically; an alias of the storage layer's
-// ordering so listings, frames, and block indexes all agree.
-func lessKey(a, b SeriesKey) bool { return storage.KeyLess(a, b) }

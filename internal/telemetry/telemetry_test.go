@@ -67,17 +67,6 @@ func TestCloseStopsIngestKeepsQueries(t *testing.T) {
 	}
 }
 
-func TestMaxSeriesLimit(t *testing.T) {
-	st := New(Options{MaxSeries: 2})
-	mustIngest(t, st, key("n0"), 0, 1)
-	mustIngest(t, st, key("n1"), 0, 1)
-	if err := st.Ingest(key("n2"), "W", 0, 1); !errors.Is(err, ErrSeriesLimit) {
-		t.Errorf("third series: err = %v, want ErrSeriesLimit", err)
-	}
-	// Existing series keep accepting samples at the limit.
-	mustIngest(t, st, key("n0"), time.Second, 2)
-}
-
 func TestRawRingEvictsOldest(t *testing.T) {
 	st := New(Options{RawCapacity: 4})
 	for i := 0; i < 10; i++ {
