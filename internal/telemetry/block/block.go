@@ -2,20 +2,22 @@
 // immutable on-disk files of compressed chunks, produced by compacting the
 // head's unpersisted tail (a storage.SeriesSnapshot per series).
 //
-// A block file holds, per series: the raw points as a Gorilla chunk
-// (delta-of-delta timestamps, XOR values), the gap markers as a varint
-// chunk, and each rollup level's sealed buckets as six Gorilla columns
-// plus a snapshot of the open tail bucket. Every chunk is labelled with
-// the absolute index range it covers in its series' stream, which is what
-// lets the query layer stitch blocks and the in-memory head together with
-// no overlap and no holes, and lets WAL replay skip records a block
-// already holds.
+// A block file holds, per series: the raw points as a Gorilla-style chunk
+// (delta-of-delta timestamps; values XOR-coded, or as exact-scale integers
+// when every value is one), the gap markers as a varint chunk, and each
+// rollup level's sealed buckets as six such columns plus a snapshot of the
+// open tail bucket. Every chunk is labelled with the absolute index range
+// it covers in its series' stream, which is what lets the query layer
+// stitch blocks and the in-memory head together with no overlap and no
+// holes, and lets WAL replay skip records a block already holds.
 //
-// The writer writes format version 2, whose index carries a CRC-32C per
-// chunk: a chunk that fails it is a read error and is never decoded.
-// Version 1 files (buckets as varints and raw words, no chunk checksums)
-// stay readable; Open refuses a file whose magic or version it does not
-// know.
+// The writer writes format version 3, whose index carries a CRC-32C per
+// chunk (a chunk that fails it is a read error and is never decoded) and
+// whose float columns each name their mode, XOR or scaled (see
+// storage.EncodePoints). Version 2 files, the same less the modes, read
+// through the same decoders with every column XOR; version 1 files
+// (buckets as varints and raw words, no chunk checksums) stay readable
+// too. Open refuses a file whose magic or version it does not know.
 //
 // Files are written once — temp file, fsync, atomic rename — and never
 // modified; readers keep them open and serve chunk reads by offset. The
@@ -44,7 +46,7 @@ import (
 const (
 	magic    = "ENVB"
 	trailer  = "BKNE"
-	version  = 2 // what writeFile writes; Open reads 1 and 2
+	version  = 3 // what writeFile writes; Open reads 1, 2 and 3
 	numLvl   = storage.NumRollupLevels
 	headerSz = 4 + 4         // magic + version
 	footerSz = 4 + 4 + 8 + 4 // index crc + index len + index off + trailer
@@ -72,7 +74,7 @@ type Agg struct {
 }
 
 // chunkRef locates one chunk in its file. sum is the chunk's CRC-32C,
-// which only a version 2 index carries.
+// which a version 1 index does not carry.
 type chunkRef struct {
 	off, length uint64
 	sum         uint32
@@ -415,7 +417,9 @@ func openFile(path string, seq uint64) (*file, error) {
 // parseIndex reads the index into bf.entries. Every chunk it names must
 // lie in the chunk section, between the header and the index at end: a
 // chunk is read into a buffer of its stated length before its checksum
-// can refuse it.
+// can refuse it. And every entry count is believed only as far as its
+// chunk's bytes could hold that many entries, since a scan sizes its
+// destination from the counts before it decodes a byte.
 func (bf *file) parseIndex(idx []byte, end uint64) error {
 	if len(idx) < 4 {
 		return errors.New("index truncated")
@@ -438,12 +442,14 @@ func (bf *file) parseIndex(idx []byte, end uint64) error {
 		e.pt = bf.readRef(&r)
 		e.gap = bf.readRef(&r)
 		inside := e.pt.within(end) && e.gap.within(end)
+		counted := e.pt.holds(e.numPoints, minPointBits) && e.gap.holds(e.numGaps, minGapBits)
 		for l := 0; l < numLvl; l++ {
 			le := &e.levels[l]
 			le.startBucket = r.Uvarint()
 			le.numClosed = r.Uvarint()
 			le.chunk = bf.readRef(&r)
 			inside = inside && le.chunk.within(end)
+			counted = counted && le.chunk.holds(le.numClosed, minBucketBits)
 			if r.Byte() == 1 {
 				tail := &storage.Bucket{
 					Start: time.Duration(r.Varint()),
@@ -462,10 +468,27 @@ func (bf *file) parseIndex(idx []byte, end uint64) error {
 		if !inside {
 			return fmt.Errorf("series %v: a chunk lies outside bytes [%d, %d)", e.key, headerSz, end)
 		}
+		if !counted {
+			return fmt.Errorf("series %v: an entry count exceeds what its chunk can hold", e.key)
+		}
 		bf.entries[e.key] = e
 	}
 	return nil
 }
+
+// The fewest bits one entry of each kind of chunk costs in any format
+// version: a point one bit of timestamp and one of value, a bucket one bit
+// in each of its six columns, a gap marker one varint byte.
+const (
+	minPointBits  = 2
+	minBucketBits = 6
+	minGapBits    = 8
+)
+
+// holds reports whether the chunk is long enough for n entries of at
+// least minBits each. Only meaningful for a chunk that lies within its
+// file, whose length cannot overflow.
+func (c chunkRef) holds(n, minBits uint64) bool { return n <= c.length*8/minBits }
 
 // chunkAt labels the chunk buf holds from off on.
 func chunkAt(buf []byte, off int) chunkRef {
@@ -473,7 +496,7 @@ func chunkAt(buf []byte, off int) chunkRef {
 	return chunkRef{uint64(off), uint64(len(c)), crc32.Checksum(c, storage.Castagnoli)}
 }
 
-// append writes the reference as a version 2 index spells it.
+// append writes the reference as a version 2 or 3 index spells it.
 func (c chunkRef) append(idx []byte) []byte {
 	idx = binary.AppendUvarint(idx, c.off)
 	idx = binary.AppendUvarint(idx, c.length)
@@ -494,7 +517,7 @@ func (bf *file) readRef(r *storage.Reader) chunkRef {
 	return c
 }
 
-// chunk reads a chunk, and in a version 2 file checks it against its
+// chunk reads a chunk, and from version 2 on checks it against its
 // CRC-32C, so that a flipped bit is a read error and never a decoded value.
 func (bf *file) chunk(c chunkRef) ([]byte, error) {
 	buf := make([]byte, c.length)
@@ -507,17 +530,29 @@ func (bf *file) chunk(c chunkRef) ([]byte, error) {
 	return buf, nil
 }
 
+// decodePoints decodes a point chunk in its file's format: v1 and v2
+// point chunks are alike, with no column modes.
+func decodePoints(version uint32, dst []storage.Point, chunk []byte, n int) ([]storage.Point, error) {
+	if version < 3 {
+		return storage.DecodePointsV2(dst, chunk, n)
+	}
+	return storage.DecodePoints(dst, chunk, n)
+}
+
 // decodeBuckets decodes a level chunk in its file's format.
 func decodeBuckets(version uint32, dst []storage.Bucket, chunk []byte, n int) ([]storage.Bucket, error) {
-	if version == 1 {
+	switch version {
+	case 1:
 		return storage.DecodeBucketsV1(dst, chunk, n)
+	case 2:
+		return storage.DecodeBucketsV2(dst, chunk, n)
 	}
 	return storage.DecodeBuckets(dst, chunk, n)
 }
 
-// anyVersion adapts a chunk decoder that every format version shares.
-func anyVersion[T any](decode func([]T, []byte, int) ([]T, error)) func(uint32, []T, []byte, int) ([]T, error) {
-	return func(_ uint32, dst []T, chunk []byte, n int) ([]T, error) { return decode(dst, chunk, n) }
+// decodeGaps decodes a gap chunk, which every format version spells alike.
+func decodeGaps(_ uint32, dst []time.Duration, chunk []byte, n int) ([]time.Duration, error) {
+	return storage.DecodeGaps(dst, chunk, n)
 }
 
 // Agg reports the series' cross-block aggregate.
@@ -611,7 +646,7 @@ func each[T any](s *Store, key storage.SeriesKey, lo, hi time.Duration,
 func (s *Store) EachPoint(key storage.SeriesKey, from, to time.Duration, fn func(storage.Point)) error {
 	return each(s, key, from, to, func(e *seriesEntry) (chunkRef, uint64) {
 		return e.points(from, to)
-	}, anyVersion(storage.DecodePoints), func(p storage.Point) time.Duration { return p.T }, fn, &pointBufs)
+	}, decodePoints, func(p storage.Point) time.Duration { return p.T }, fn, &pointBufs)
 }
 
 // points locates the entry's point chunk for a scan of [from, to): n == 0
@@ -664,7 +699,7 @@ func (s *Store) EachGap(key storage.SeriesKey, from, to time.Duration, fn func(t
 			return chunkRef{}, 0
 		}
 		return e.gap, e.numGaps
-	}, anyVersion(storage.DecodeGaps), func(g time.Duration) time.Duration { return g }, fn, &gapBufs)
+	}, decodeGaps, func(g time.Duration) time.Duration { return g }, fn, &gapBufs)
 }
 
 // NumBlocks reports how many block files the store serves.

@@ -3,8 +3,10 @@ package block
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -212,15 +214,16 @@ func TestSequenceResumesAfterReopen(t *testing.T) {
 }
 
 // TestOpenRefusesUnknownBlockVersion rewrites a sealed file's header, its
-// version word to 3 in one case and its magic to XXXX in the other: Open
-// must refuse both, with the error that names what is wrong.
+// version word to the one after the newest in one case and its magic to
+// XXXX in the other: Open must refuse both, with the error that names what
+// is wrong.
 func TestOpenRefusesUnknownBlockVersion(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		patch func(header []byte)
 		want  error
 	}{
-		{"version 3", func(h []byte) { binary.LittleEndian.PutUint32(h[4:], 3) }, ErrUnknownVersion},
+		{"the next version", func(h []byte) { binary.LittleEndian.PutUint32(h[4:], version+1) }, ErrUnknownVersion},
 		{"magic XXXX", func(h []byte) { copy(h, "XXXX") }, ErrNotBlock},
 	} {
 		dir := t.TempDir()
@@ -305,5 +308,85 @@ func TestSealFailsUntilItsRenameIsDurable(t *testing.T) {
 				t.Fatalf("reopened store serves %d points (%v), want each of the 20 once", len(pts), pts)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesAnOverstatedCount forges one entry count of a sealed
+// file's index, with the index checksum made to match, to 4 194 404: more
+// points, gap markers or closed buckets than its chunk's bytes could hold.
+// Open must refuse the file, since a scan sizes its destination from the
+// counts before it decodes a byte: the forged point count once opened, and
+// one raw query allocated 67 MB before the decoder failed.
+func TestOpenRefusesAnOverstatedCount(t *testing.T) {
+	const forged = 4_194_404
+	for _, field := range []string{"points", "gaps", "closed buckets"} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := snapshotA(0, 100, 0)
+		sn.Gaps, sn.LastGapT = []time.Duration{3 * time.Second, 7 * time.Second}, 7*time.Second
+		sn.Levels[0].Closed = []storage.Bucket{{Start: 0, Count: 1, Min: 1, Max: 1, Sum: 1, Last: 1}}
+		if err := s.Append([]storage.SeriesSnapshot{sn}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, blockName(1))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footer := data[len(data)-footerSz:]
+		idxOff := binary.LittleEndian.Uint64(footer[8:])
+		idx := data[idxOff : len(data)-footerSz]
+
+		// Walk the one entry up to the count, as parseIndex reads it.
+		r := storage.Reader{P: idx[4:]}
+		at := func() int { return len(idx) - len(r.P) }
+		for range 4 {
+			r.Str()
+		}
+		r.Uvarint() // startPoint
+		pos := at()
+		if field != "points" {
+			r.Uvarint()
+			r.Varint() // minT, maxT, lastGapT
+			r.Varint()
+			r.Varint()
+			r.Uvarint() // startGap
+			pos = at()
+		}
+		if field == "closed buckets" {
+			r.Uvarint()
+			for range 2 { // the point and gap chunk refs
+				r.Uvarint()
+				r.Uvarint()
+				r.Uint32()
+			}
+			r.Uvarint() // startBucket
+			pos = at()
+		}
+		r.Uvarint()
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		forgedIdx := binary.AppendUvarint(slices.Clone(idx[:pos]), forged)
+		forgedIdx = append(forgedIdx, idx[at():]...)
+		out := append(slices.Clone(data[:idxOff]), forgedIdx...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(forgedIdx, storage.Castagnoli))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(forgedIdx)))
+		out = binary.LittleEndian.AppendUint64(out, idxOff)
+		out = append(out, trailer...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir); err == nil {
+			n := s.PointsIn(keyA, 0, 0)
+			s.Close()
+			t.Fatalf("%s: Open accepted %d %s in a file of %d bytes (PointsIn %d)", field, forged, field, len(out), n)
+		}
 	}
 }

@@ -2,12 +2,15 @@ package telemetry
 
 import (
 	"archive/tar"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,22 +25,70 @@ import (
 )
 
 // The tests in this file pin the block format from the outside: what it
-// costs per sample on a poller's stream, that format v1 directories still
-// open and answer as they did, and that a corrupt chunk is never served.
+// costs per sample on a poller's stream, that format v1 and v2 directories
+// still open and answer as they did, and that a corrupt chunk is never
+// served.
 
-// TestBlockBytesPerSample seals a stream shaped like bench's ingest-durable
-// one (16 series at a 50 ms cadence, a slow quarter-watt triangle plus two
-// bits of noise, a failed poll every 997th slot) through Open and Flush,
-// and holds the block bytes per ingested sample, rollup ladder and gap
-// chunks included, to at most 2.0. Format v1, whose buckets were raw
-// words, read about 3.5 here.
+// TestBlockBytesPerSample seals three streams shaped like bench's
+// ingest-durable one and holds the block bytes per ingested sample, rollup
+// ladder and gap chunks included, against what block format v2 wrote for
+// the same stream:
+//   - quarter-watt, bench's own: a slow triangle plus two bits of noise in
+//     0.25 W steps. v1, whose buckets were raw words, read about 3.5 here
+//     and v2 1.791; the gate is 1.3.
+//   - NVML-style, float64(mw)/1000 with a quarter-watt of noise in mW:
+//     exact at three decimals, so at most half of v2's 8.162.
+//   - RAPL-derived, 2^-14 J energy units over the measured interval, which
+//     jitters by up to 20 µs: full-precision watts that no decimal scale
+//     holds, within 1 % of v2's 8.419. (Over a fixed 50 ms the watts are
+//     units·5/4096, exact at twelve decimals, and scaled mode finds the
+//     units themselves.)
+//
+// Each stream's store is reopened, so that every answer comes from its
+// blocks, and must answer every resolution as a memory store fed the same
+// stream does.
 func TestBlockBytesPerSample(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		value func(rng *rand.Rand, k, p int) float64
+		limit float64
+	}{
+		{"quarter-watt", func(rng *rand.Rand, k, p int) float64 {
+			return 200 + 12.5*float64(k) + float64(p)*0.25 + float64(rng.Intn(4))*0.25
+		}, 1.3},
+		{"nvml-mw", func(rng *rand.Rand, k, p int) float64 {
+			return float64(150_000+1_000*k+40*p+rng.Intn(250)) / 1000
+		}, 8.162 / 2},
+		{"rapl-derived", func(rng *rand.Rand, k, p int) float64 {
+			units := int((200+12.5*float64(k)+float64(p)*0.25)*0.05*16384) + rng.Intn(64)
+			dt := time.Duration(50_000_000 + rng.Intn(20_000))
+			return float64(units) / 16384 / dt.Seconds()
+		}, 8.419 * 1.01},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perSample := sealedStream(t, tc.value)
+			t.Logf("%.3f B per sample", perSample)
+			if perSample > tc.limit {
+				t.Fatalf("blocks hold %.3f B per sample, want at most %.3f", perSample, tc.limit)
+			}
+		})
+	}
+}
+
+// sealedStream ingests 16 series at a 50 ms cadence for 12 Ki epochs, a
+// failed poll every 997th slot, value(rng, k, p) the sample of series k at
+// phase p of its triangle, seals it all with Flush and reopens. It holds
+// the reopened store's answers to a memory store's and returns the block
+// bytes per sample.
+func sealedStream(t *testing.T, value func(rng *rand.Rand, k, p int) float64) float64 {
 	const series, epochs, cadence = 16, 12 << 10, 50 * time.Millisecond
-	st, err := Open(t.TempDir(), Options{Shards: 2})
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer func() { st.Close() }()
+	ref := New(Options{Shards: 1, RawCapacity: epochs, RollupCapacity: 1 << 10, GapCapacity: 1 << 8})
 	keys := make([]SeriesKey, series)
 	for k := range keys {
 		keys[k] = SeriesKey{Node: fmt.Sprintf("n%04d", k), Backend: "MSR", Domain: "Total Power"}
@@ -48,7 +99,7 @@ func TestBlockBytesPerSample(t *testing.T) {
 		at := time.Duration(j+1) * cadence
 		for k, key := range keys {
 			if (j*series+k)%997 == 0 {
-				if err := st.IngestGap(key, "W", at); err != nil {
+				if err := errors.Join(st.IngestGap(key, "W", at), ref.IngestGap(key, "W", at)); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -57,8 +108,8 @@ func TestBlockBytesPerSample(t *testing.T) {
 			if p >= 200 {
 				p = 400 - p
 			}
-			v := 200 + 12.5*float64(k) + float64(p)*0.25 + float64(rng.Intn(4))*0.25
-			if err := st.Ingest(key, "W", at, v); err != nil {
+			v := value(rng, k, p)
+			if err := errors.Join(st.Ingest(key, "W", at, v), ref.Ingest(key, "W", at, v)); err != nil {
 				t.Fatal(err)
 			}
 			samples++
@@ -67,18 +118,27 @@ func TestBlockBytesPerSample(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	perSample := float64(st.StorageStats().BlockBytes) / float64(samples)
-	t.Logf("%d samples sealed into %d blocks: %.3f B per sample", samples, st.StorageStats().Blocks, perSample)
-	if perSample > 2.0 {
-		t.Fatalf("blocks hold %.3f B per sample, want at most 2.0", perSample)
+	st.Close()
+	if st, err = Open(dir, Options{Shards: 2}); err != nil {
+		t.Fatal(err)
 	}
+	stats := st.StorageStats()
+	gotFrames, gotTop, gotTotal := allQueries(st)
+	wantFrames, wantTop, wantTotal := allQueries(ref)
+	if !reflect.DeepEqual(gotFrames, wantFrames) || !reflect.DeepEqual(gotTop, wantTop) || gotTotal != wantTotal {
+		t.Fatal("the sealed stream answers differently from a memory store fed the same")
+	}
+	if n := st.StorageStats().ReadErrors; n != 0 {
+		t.Fatalf("%d read errors", n)
+	}
+	return float64(stats.BlockBytes) / float64(samples)
 }
 
 // TestFlippedChunkByteIsNeverServed seals one series into one block, flips
-// a byte of its point chunk (the low byte of the chunk's first value, so a
-// decoder that trusted it would serve every value off by that flip, a
-// reading nobody measured) and reopens: a raw query must serve no value
-// that was never ingested, and count the chunk in ReadErrors.
+// a bit of its point chunk's first value (every later value is coded
+// against it, so a decoder that trusted it would serve every value off by
+// that flip, readings nobody measured) and reopens: a raw query must serve
+// no value that was never ingested, and count the chunk in ReadErrors.
 func TestFlippedChunkByteIsNeverServed(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 1}
@@ -88,12 +148,14 @@ func TestFlippedChunkByteIsNeverServed(t *testing.T) {
 	}
 	key := SeriesKey{Node: "c000-001", Backend: "MSR", Domain: "Total Power"}
 	ingested := map[Point]bool{}
+	var pts []Point
 	for i := 0; i < 1000; i++ {
 		p := Point{T: time.Duration(i) * 50 * time.Millisecond, V: 200 + float64(i%40)*0.25}
 		if err := st.Ingest(key, "W", p.T, p.V); err != nil {
 			t.Fatal(err)
 		}
 		ingested[p] = true
+		pts = append(pts, p)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
@@ -103,13 +165,27 @@ func TestFlippedChunkByteIsNeverServed(t *testing.T) {
 		t.Fatalf("sealed %d blocks, want 1", n)
 	}
 	// The block's first chunk is the series' points, after the 8-byte
-	// header; a point chunk starts with the raw first timestamp and value.
+	// header. Where in it the first value lies depends on the value
+	// column's mode, so the encoder finds it: the first bit at which the
+	// chunk differs from that of the same points with the first value a
+	// quarter-watt up is one of the first value's.
 	path := filepath.Join(dir, "blocks", "b-00000001.blk")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8+8+7] ^= 0xff
+	chunk := storage.EncodePoints(nil, pts)
+	if !bytes.HasPrefix(data[8:], chunk) {
+		t.Fatal("the block's first chunk is not the series' points")
+	}
+	up := slices.Clone(pts)
+	up[0].V += 0.25
+	other := storage.EncodePoints(nil, up)
+	i := 0
+	for chunk[i] == other[i] {
+		i++
+	}
+	data[8+i] ^= byte(1 << (bits.Len8(chunk[i]^other[i]) - 1))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -130,42 +206,57 @@ func TestFlippedChunkByteIsNeverServed(t *testing.T) {
 	}
 }
 
-// TestBlockFormatV1StaysReadable holds format v2 to the bytes format v1
-// wrote. testdata/blocks-v1.tar.gz is the blocks/ directory
-// TestBlockBytesOnDiskPinned's workload wrote in format v1, whose digest
-// that test pinned as v1Digest. Run at format v2, the workload must write
-// the same files, each holding, series by series, the same points, gap
-// markers and closed buckets per level under the same persisted index
-// ranges, instants and tails; and the store opened on either directory
-// alone must answer every resolution the same.
+// TestBlockFormatV1StaysReadable holds the format the store writes to the
+// bytes format v1 wrote. testdata/blocks-v1.tar.gz is the blocks/
+// directory TestBlockBytesOnDiskPinned's workload wrote in format v1,
+// whose digest that test pinned as v1Digest.
 func TestBlockFormatV1StaysReadable(t *testing.T) {
-	v1 := t.TempDir()
-	untar(t, filepath.Join("testdata", "blocks-v1.tar.gz"), filepath.Join(v1, "blocks"))
-	if got := blocksDigest(t, v1); got != v1Digest {
-		t.Fatalf("v1 fixture digest = %s, want %s", got, v1Digest)
+	holdToFixture(t, filepath.Join("testdata", "blocks-v1.tar.gz"), v1Digest)
+}
+
+// TestBlockFormatV2StaysReadable holds the format the store writes to the
+// bytes format v2 wrote. testdata/blocks-v2.tar.gz is the blocks/
+// directory TestBlockBytesOnDiskPinned's workload wrote in format v2,
+// whose digest that test pinned as v2Digest; its chunks decode through the
+// v3 decoders with every column XOR.
+func TestBlockFormatV2StaysReadable(t *testing.T) {
+	holdToFixture(t, filepath.Join("testdata", "blocks-v2.tar.gz"), v2Digest)
+}
+
+// holdToFixture unpacks a fixture of the pinned workload's blocks/ in an
+// older format, checks it against its digest, and runs the workload at
+// the current format. That must write the same files, each holding, series
+// by series, the same points, gap markers and closed buckets per level
+// under the same persisted index ranges, instants and tails; and the store
+// opened on either directory alone must answer every resolution the same.
+func holdToFixture(t *testing.T, archive, digest string) {
+	old := t.TempDir()
+	untar(t, archive, filepath.Join(old, "blocks"))
+	if got := blocksDigest(t, old); got != digest {
+		t.Fatalf("%s digest = %s, want %s", archive, got, digest)
 	}
-	v2 := pinnedWorkload(t)
-	names1, names2 := blockFiles(t, v1), blockFiles(t, v2)
-	if !slices.Equal(names1, names2) {
-		t.Fatalf("v2 wrote files %v, v1 wrote %v", names2, names1)
+	cur := pinnedWorkload(t)
+	namesOld, namesCur := blockFiles(t, old), blockFiles(t, cur)
+	if !slices.Equal(namesOld, namesCur) {
+		t.Fatalf("the store wrote files %v, the fixture holds %v", namesCur, namesOld)
 	}
 	scratch := t.TempDir()
-	for _, name := range names1 {
-		d1 := dumpBlockFile(t, scratch, filepath.Join(v1, "blocks", name))
-		d2 := dumpBlockFile(t, scratch, filepath.Join(v2, "blocks", name))
-		if d1 != d2 {
-			l1, l2 := strings.Split(d1, "\n"), strings.Split(d2, "\n")
-			for i := range min(len(l1), len(l2)) {
-				if l1[i] != l2[i] {
-					t.Fatalf("%s line %d: v2 holds %q, v1 %q", name, i, l2[i], l1[i])
+	for _, name := range namesOld {
+		dOld := dumpBlockFile(t, scratch, filepath.Join(old, "blocks", name))
+		dCur := dumpBlockFile(t, scratch, filepath.Join(cur, "blocks", name))
+		if dOld != dCur {
+			lOld, lCur := strings.Split(dOld, "\n"), strings.Split(dCur, "\n")
+			for i := range min(len(lOld), len(lCur)) {
+				if lOld[i] != lCur[i] {
+					t.Fatalf("%s line %d: the store's file holds %q, the fixture's %q", name, i, lCur[i], lOld[i])
 				}
 			}
-			t.Fatalf("%s: v2 holds %d lines, v1 %d", name, len(l2), len(l1))
+			t.Fatalf("%s: the store's file holds %d lines, the fixture's %d", name, len(lCur), len(lOld))
 		}
 	}
 
 	// The blocks alone: the workload's unsealed journal tail goes.
-	if err := os.RemoveAll(filepath.Join(v2, "wal")); err != nil {
+	if err := os.RemoveAll(filepath.Join(cur, "wal")); err != nil {
 		t.Fatal(err)
 	}
 	type answer struct {
@@ -174,7 +265,7 @@ func TestBlockFormatV1StaysReadable(t *testing.T) {
 		total  float64
 	}
 	var answers [2]answer
-	for i, dir := range []string{v1, v2} {
+	for i, dir := range []string{old, cur} {
 		st, err := Open(dir, pinnedWorkloadOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -183,8 +274,8 @@ func TestBlockFormatV1StaysReadable(t *testing.T) {
 		a.frames, a.top, a.total = allQueries(st)
 		stats := st.StorageStats()
 		st.Close()
-		if stats.ReadErrors != 0 || stats.Blocks != len(names1) {
-			t.Fatalf("%s: %d read errors over %d blocks, want 0 over %d", dir, stats.ReadErrors, stats.Blocks, len(names1))
+		if stats.ReadErrors != 0 || stats.Blocks != len(namesOld) {
+			t.Fatalf("%s: %d read errors over %d blocks, want 0 over %d", dir, stats.ReadErrors, stats.Blocks, len(namesOld))
 		}
 		for res, frames := range a.frames {
 			if len(frames) != 5 || len(frames[0].Points) == 0 {
@@ -193,7 +284,7 @@ func TestBlockFormatV1StaysReadable(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(answers[0], answers[1]) {
-		t.Fatal("the store answers differently over the v2 blocks than over the v1 ones")
+		t.Fatalf("the store answers differently over its own blocks than over those of %s", archive)
 	}
 }
 
@@ -297,12 +388,18 @@ func dumpBlockFile(t *testing.T, scratch, path string) string {
 // reaches the index parser and not only the checksum in front of it. What
 // Open accepts is then read back through every scan a query makes. Open
 // and the scans may refuse the file; nothing may panic or allocate past
-// the file's size. Seeds: the files of TestBlockBytesOnDiskPinned's
-// workload and of the v1 fixture.
+// the file's size, and PointsIn, which a raw query sizes its columns by,
+// never claims more points than the file's bytes can encode at two bits a
+// point. Seeds: the files of TestBlockBytesOnDiskPinned's workload and of
+// the v1 and v2 fixtures.
 func FuzzOpenBlock(f *testing.F) {
-	v1 := f.TempDir()
-	untar(f, filepath.Join("testdata", "blocks-v1.tar.gz"), filepath.Join(v1, "blocks"))
-	for _, dir := range []string{pinnedWorkload(f), v1} {
+	dirs := []string{pinnedWorkload(f)}
+	for _, archive := range []string{"blocks-v1.tar.gz", "blocks-v2.tar.gz"} {
+		dir := f.TempDir()
+		untar(f, filepath.Join("testdata", archive), filepath.Join(dir, "blocks"))
+		dirs = append(dirs, dir)
+	}
+	for _, dir := range dirs {
 		for _, name := range blockFiles(f, dir) {
 			data, err := os.ReadFile(filepath.Join(dir, "blocks", name))
 			if err != nil {
@@ -330,7 +427,9 @@ func FuzzOpenBlock(f *testing.F) {
 				for l, period := range storage.RollupPeriods {
 					_ = bs.EachClosedBucket(key, l, period, -1<<62, 0, func(Bucket) {})
 				}
-				_ = bs.PointsIn(key, math.MinInt64, 0)
+				if n := bs.PointsIn(key, math.MinInt64, 0); n > 4*len(file) {
+					t.Fatalf("a file of %d bytes claims %d points for %v", len(file), n, key)
+				}
 			})
 			if err := bs.Close(); err != nil {
 				t.Fatal(err)

@@ -356,23 +356,28 @@ func blocksDigest(t *testing.T, dir string) string {
 
 // TestBlockBytesOnDiskPinned pins the bytes compaction writes: which
 // entries each block holds, the absolute indexes it labels them with, and
-// how block format v2 spells them. v1Digest is what the same workload wrote
+// how block format v3 spells them. v1Digest is what the same workload wrote
 // in format v1, computed at the parent of the commit that introduced
-// stream[T] (13a67b9) and held through every engine change since; it now
-// pins the checked-in copy of those bytes (testdata/blocks-v1.tar.gz), and
-// TestBlockFormatV1StaysReadable holds every v2 chunk to decode to its v1
-// counterpart, so the seam the v1 digest pinned has not moved. WAL framing
-// is not pinned here: internal/telemetry/wal's own tests cover the record
-// format.
+// stream[T] (13a67b9) and held through every engine change since, and
+// v2Digest what it wrote in format v2. Each now pins a checked-in copy of
+// those bytes (testdata/blocks-v1.tar.gz, testdata/blocks-v2.tar.gz), and
+// TestBlockFormatV1StaysReadable and TestBlockFormatV2StaysReadable hold
+// every v3 chunk to decode to its counterparts, so the seam the old
+// digests pinned has not moved. WAL framing is not pinned here:
+// internal/telemetry/wal's own tests cover the record format.
 func TestBlockBytesOnDiskPinned(t *testing.T) {
-	const want = "6a03291f8454b2d4457fe092f50a8b1c6d43c5379214adf3bb59a8053b494c0a"
+	const want = "13c81d0bb77588f5f313a062721e74724d6fe1ae7c47e50f53f3aea94013e596"
 	if got := blocksDigest(t, pinnedWorkload(t)); got != want {
 		t.Fatalf("blocks/ digest = %s, want %s", got, want)
 	}
 }
 
-// v1Digest is blocksDigest of the workload's blocks in format v1.
-const v1Digest = "65fc8b0523d1726a944a47607b9bf87463ad364a8a0b6477349c48de267c5797"
+// v1Digest and v2Digest are blocksDigest of the workload's blocks in
+// formats v1 and v2.
+const (
+	v1Digest = "65fc8b0523d1726a944a47607b9bf87463ad364a8a0b6477349c48de267c5797"
+	v2Digest = "6a03291f8454b2d4457fe092f50a8b1c6d43c5379214adf3bb59a8053b494c0a"
+)
 
 // pinnedWorkloadOpts are the options pinnedWorkload ends with.
 var pinnedWorkloadOpts = Options{Shards: 2, RawCapacity: 16, RollupCapacity: 3, GapCapacity: 4, WALSegmentBytes: 8 << 10}

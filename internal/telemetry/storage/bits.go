@@ -100,6 +100,33 @@ func (r *bitReader) readBits(n uint) uint64 {
 	return word >> (64 - n)
 }
 
+// peek returns the next 64 bits left-aligned, zeros past the end, without
+// consuming them.
+func (r *bitReader) peek() uint64 {
+	i, s := r.pos>>3, r.pos&7
+	if i+8 < uint(len(r.buf)) {
+		return binary.BigEndian.Uint64(r.buf[i:])<<s | uint64(r.buf[i+8])>>(8-s)
+	}
+	// Near the end: the bytes that are there, then zeros.
+	var word uint64
+	for k := i; k < i+8; k++ {
+		word <<= 8
+		if k < uint(len(r.buf)) {
+			word |= uint64(r.buf[k])
+		}
+	}
+	return word << s
+}
+
+// skip consumes n bits.
+func (r *bitReader) skip(n uint) {
+	if r.pos+n > uint(len(r.buf))*8 {
+		r.fail(r.truncated())
+		return
+	}
+	r.pos += n
+}
+
 // fail records err unless an earlier one is set, and moves the reader to
 // the end so that nothing more is read.
 func (r *bitReader) fail(err error) {

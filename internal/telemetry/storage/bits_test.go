@@ -44,11 +44,22 @@ func (r *refReader) readBits(n uint) (uint64, error) {
 	return v, nil
 }
 
+// peek is the next 64 bits, zeros past the end, left in place.
+func (r refReader) peek() uint64 {
+	var v uint64
+	for i := 0; i < 64; i++ {
+		b, _ := r.readBits(1) // 0 past the end
+		v = v<<1 | b
+	}
+	return v
+}
+
 // TestBitIOMatchesPerBitReference writes random values of random widths
 // (1 to 64) through both writers and requires the same bytes; then reads
 // every stream back in random chunkings, whole and cut short at every byte
-// length, and requires the same values and the same failing read, with the
-// same error, from both readers.
+// length, by readBit, readBits, or peek then skip, and requires the same
+// values, the same 64 bits ahead, and the same failing read, with the same
+// error, from both readers.
 func TestBitIOMatchesPerBitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	width := func() uint { return uint(1 + rng.Intn(64)) }
@@ -76,11 +87,21 @@ func TestBitIOMatchesPerBitReference(t *testing.T) {
 			r := bitReader{buf: got[:cut]}
 			rr := refReader{buf: ref.buf[:cut]}
 			for read := uint(0); read < total+64; {
+				if got, want := r.peek(), rr.peek(); got != want {
+					t.Fatalf("round %d cut %d: peek at bit %d = %x, reference %x", round, cut, read, got, want)
+				}
 				n := width()
 				var v uint64
-				if n == 1 || rng.Intn(4) == 0 {
+				switch k := rng.Intn(4); {
+				case n == 1 || k == 0:
 					n, v = 1, r.readBit()
-				} else {
+				case k == 1:
+					v = r.peek() >> (64 - n)
+					r.skip(n)
+					if r.err != nil {
+						v = 0
+					}
+				default:
 					v = r.readBits(n)
 				}
 				want, werr := rr.readBits(n)

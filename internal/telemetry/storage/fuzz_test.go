@@ -11,10 +11,13 @@ import (
 // an on-disk index. The fuzzers hold them, on any chunk and any n, to
 // never panic and never return more than n entries; and they read the
 // input as entries to round-trip bit-exactly through the encoder, in
-// order or not (the codecs' arithmetic wraps). The seed corpus under
-// testdata/fuzz holds chunks that TestBlockBytesOnDiskPinned's workload
-// writes, in format v1 and v2; the seeds added here are hostile values:
-// NaN payloads, ±0, infinities and a delta-of-delta that needs 64 bits.
+// order or not (the codecs' arithmetic wraps), once as raw bit patterns
+// and once as thousandths of an integer, which a scaled column codes. The
+// seed corpus under testdata/fuzz holds chunks that
+// TestBlockBytesOnDiskPinned's workload writes, in format v1, v2 and v3;
+// the seeds added here are hostile values: NaN payloads, ±0, infinities, a
+// delta-of-delta that needs 64 bits, and the edges of a scaled column's
+// exactness (hostileColumns).
 
 func hostilePoints() []Point {
 	return []Point{
@@ -24,6 +27,35 @@ func hostilePoints() []Point {
 		{T: math.MinInt64, V: math.Inf(-1)},
 		{T: math.MaxInt64, V: math.Float64frombits(1)},
 		{T: math.MaxInt64, V: math.NaN()},
+	}
+}
+
+// hostileColumns are value columns at the edges of scaled mode: each is
+// coded exactly at one decimal exponent (scaled), or falls back to XOR.
+func hostileColumns() []struct {
+	v      []float64
+	scaled bool
+} {
+	const p53 = 1 << 53
+	tenth, fifth := 0.1, 0.2 // float64 sums, not the exact constant 0.3
+	return []struct {
+		v      []float64
+		scaled bool
+	}{
+		// Exact at e=1 but not at e=2, beside a value that needs e=2.
+		{[]float64{0.5, 900719925474099.1, 0.25}, false},
+		{[]float64{900719925474099.1, 900719925474099.2}, false},
+		{[]float64{tenth + fifth, 0.3, 0.1}, false},
+		{[]float64{p53, -p53, p53 + 2}, false},
+		{[]float64{p53 - 1, -(p53 - 1), 0}, true},
+		{[]float64{0, math.Copysign(0, -1), 0}, false},
+		{[]float64{math.SmallestNonzeroFloat64, 0x1p-1022 / 2, 0}, false},
+		// Steps near 2^53: a gcd, and deltas of n/g, as wide as they get.
+		{[]float64{1e15, 2e15, -3e15, 4.5e15}, true},
+		{[]float64{9007199254740991e-7, -9007199254740991e-7, 1e-7}, false},
+		{[]float64{1e22, 1e21, 1e-22}, false},
+		{[]float64{math.NaN(), 1, 2}, false},
+		{[]float64{150.123, 150.125, 149.999, 1e6 + 0.001, -150.123}, true},
 	}
 }
 
@@ -43,34 +75,50 @@ func checkCount[T any](t *testing.T, name string, got []T, n int) {
 	}
 }
 
+// millis reads each word as a signed 32-bit count of thousandths.
+func millis(w uint64) float64 { return float64(int32(w)) / 1000 }
+
 func FuzzDecodePoints(f *testing.F) {
 	pts := hostilePoints()
 	f.Add(EncodePoints(nil, pts), len(pts))
 	f.Add(EncodePoints(nil, pts), 1<<40)
+	for _, col := range hostileColumns() {
+		pts := make([]Point, len(col.v))
+		for i, v := range col.v {
+			pts[i] = Point{T: time.Duration(i) * time.Second, V: v}
+		}
+		f.Add(EncodePoints(nil, pts), len(pts))
+	}
+	f.Add(EncodePoints(nil, quarterWatt(64)), 64)
 	f.Fuzz(func(t *testing.T, chunk []byte, n int) {
 		got, _ := DecodePoints(nil, chunk, n)
 		checkCount(t, "DecodePoints", got, n)
+		got, _ = DecodePointsV2(nil, chunk, n)
+		checkCount(t, "DecodePointsV2", got, n)
 
 		w := words(chunk)
-		pts := make([]Point, len(w)/2)
-		for i := range pts {
-			pts[i] = Point{T: time.Duration(w[2*i]), V: math.Float64frombits(w[2*i+1])}
+		raw, scaled := make([]Point, len(w)/2), make([]Point, len(w)/2)
+		for i := range raw {
+			raw[i] = Point{T: time.Duration(w[2*i]), V: math.Float64frombits(w[2*i+1])}
+			scaled[i] = Point{T: raw[i].T, V: millis(w[2*i+1])}
 		}
-		back, err := DecodePoints(nil, EncodePoints(nil, pts), len(pts))
-		if err != nil {
-			t.Fatalf("round trip of %d points: %v", len(pts), err)
-		}
-		for i := range pts {
-			if back[i].T != pts[i].T || math.Float64bits(back[i].V) != math.Float64bits(pts[i].V) {
-				t.Fatalf("point %d came back %v %x, went in %v %x", i,
-					back[i].T, math.Float64bits(back[i].V), pts[i].T, math.Float64bits(pts[i].V))
+		for _, pts := range [][]Point{raw, scaled} {
+			back, err := DecodePoints(nil, EncodePoints(nil, pts), len(pts))
+			if err != nil {
+				t.Fatalf("round trip of %d points: %v", len(pts), err)
+			}
+			for i := range pts {
+				if back[i].T != pts[i].T || math.Float64bits(back[i].V) != math.Float64bits(pts[i].V) {
+					t.Fatalf("point %d came back %v %x, went in %v %x", i,
+						back[i].T, math.Float64bits(back[i].V), pts[i].T, math.Float64bits(pts[i].V))
+				}
 			}
 		}
 	})
 }
 
-// FuzzDecodeBuckets feeds every chunk to both formats' decoders: v1's
-// varints and raw words, v2's Gorilla columns.
+// FuzzDecodeBuckets feeds every chunk to all three formats' decoders: v1's
+// varints and raw words, v2's Gorilla columns, v3's moded columns.
 func FuzzDecodeBuckets(f *testing.F) {
 	var bs []Bucket
 	for i, p := range hostilePoints() {
@@ -78,30 +126,43 @@ func FuzzDecodeBuckets(f *testing.F) {
 	}
 	f.Add(EncodeBuckets(nil, bs), len(bs))
 	f.Add(EncodeBuckets(nil, bs), -1)
+	for _, col := range hostileColumns() {
+		bs := make([]Bucket, len(col.v))
+		for i, v := range col.v {
+			bs[i] = Bucket{Start: time.Duration(i) * time.Second, Count: i + 1, Min: v, Max: v + 0.25, Sum: 2 * v, Last: -v}
+		}
+		f.Add(EncodeBuckets(nil, bs), len(bs))
+	}
 	f.Fuzz(func(t *testing.T, chunk []byte, n int) {
 		got, _ := DecodeBuckets(nil, chunk, n)
 		checkCount(t, "DecodeBuckets", got, n)
+		got, _ = DecodeBucketsV2(nil, chunk, n)
+		checkCount(t, "DecodeBucketsV2", got, n)
 		got, _ = DecodeBucketsV1(nil, chunk, n)
 		checkCount(t, "DecodeBucketsV1", got, n)
 
 		w := words(chunk)
-		bs := make([]Bucket, len(w)/6)
-		for i := range bs {
+		raw, scaled := make([]Bucket, len(w)/6), make([]Bucket, len(w)/6)
+		for i := range raw {
 			c := w[6*i:]
-			bs[i] = Bucket{Start: time.Duration(c[0]), Count: int(c[1]),
+			raw[i] = Bucket{Start: time.Duration(c[0]), Count: int(c[1]),
 				Min: math.Float64frombits(c[2]), Max: math.Float64frombits(c[3]),
 				Sum: math.Float64frombits(c[4]), Last: math.Float64frombits(c[5])}
+			scaled[i] = Bucket{Start: raw[i].Start, Count: raw[i].Count,
+				Min: millis(c[2]), Max: millis(c[3]), Sum: millis(c[4]), Last: millis(c[5])}
 		}
-		back, err := DecodeBuckets(nil, EncodeBuckets(nil, bs), len(bs))
-		if err != nil {
-			t.Fatalf("round trip of %d buckets: %v", len(bs), err)
-		}
-		for i, b := range bs {
-			g := back[i]
-			if g.Start != b.Start || g.Count != b.Count || math.Float64bits(g.Min) != math.Float64bits(b.Min) ||
-				math.Float64bits(g.Max) != math.Float64bits(b.Max) || math.Float64bits(g.Sum) != math.Float64bits(b.Sum) ||
-				math.Float64bits(g.Last) != math.Float64bits(b.Last) {
-				t.Fatalf("bucket %d came back %+v, went in %+v", i, g, b)
+		for _, bs := range [][]Bucket{raw, scaled} {
+			back, err := DecodeBuckets(nil, EncodeBuckets(nil, bs), len(bs))
+			if err != nil {
+				t.Fatalf("round trip of %d buckets: %v", len(bs), err)
+			}
+			for i, b := range bs {
+				g := back[i]
+				if g.Start != b.Start || g.Count != b.Count || math.Float64bits(g.Min) != math.Float64bits(b.Min) ||
+					math.Float64bits(g.Max) != math.Float64bits(b.Max) || math.Float64bits(g.Sum) != math.Float64bits(b.Sum) ||
+					math.Float64bits(g.Last) != math.Float64bits(b.Last) {
+					t.Fatalf("bucket %d came back %+v, went in %+v", i, g, b)
+				}
 			}
 		}
 	})

@@ -147,3 +147,92 @@ func TestKeyHashDistinguishesFieldBoundaries(t *testing.T) {
 		t.Fatal("field boundaries not separated in hash")
 	}
 }
+
+// quarterWatt is a poller's stream of n points: 50 ms apart, a slow
+// triangle plus two bits of noise in quarter-watt steps, the shape bench's
+// write stream has.
+func quarterWatt(n int) []Point {
+	rng := rand.New(rand.NewSource(43))
+	pts := make([]Point, n)
+	for i := range pts {
+		p := i % 400
+		if p >= 200 {
+			p = 400 - p
+		}
+		pts[i] = Point{T: time.Duration(i+1) * 50 * time.Millisecond, V: 200 + float64(p)*0.25 + float64(rng.Intn(4))*0.25}
+	}
+	return pts
+}
+
+func benchmarkDecode(b *testing.B, chunk []byte, n int) {
+	dst := make([]Point, 0, n)
+	b.SetBytes(int64(n))
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = DecodePoints(dst[:0], chunk, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeScaled and BenchmarkDecodeXOR decode the same 4096
+// quarter-watt points, the one chunk's values in scaled mode and the
+// other's held to XOR.
+func BenchmarkDecodeScaled(b *testing.B) {
+	pts := quarterWatt(4096)
+	benchmarkDecode(b, encodePoints(nil, pts, true), len(pts))
+}
+
+func BenchmarkDecodeXOR(b *testing.B) {
+	pts := quarterWatt(4096)
+	benchmarkDecode(b, encodePoints(nil, pts, false), len(pts))
+}
+
+func BenchmarkEncodeScaled(b *testing.B) {
+	pts := quarterWatt(4096)
+	var chunk []byte
+	for i := 0; i < b.N; i++ {
+		chunk = encodePoints(chunk[:0], pts, true)
+	}
+}
+
+func BenchmarkEncodeXOR(b *testing.B) {
+	pts := quarterWatt(4096)
+	var chunk []byte
+	for i := 0; i < b.N; i++ {
+		chunk = encodePoints(chunk[:0], pts, false)
+	}
+}
+
+// TestScaledModeIsExactOrAbsent round-trips the hostile columns, as point
+// values and as bucket statistics, bit for bit, and holds the value
+// column's mode (a point chunk's first bit) to the rule: scaled where one
+// exponent holds every value as an integer under 2^53, else XOR.
+func TestScaledModeIsExactOrAbsent(t *testing.T) {
+	for i, col := range hostileColumns() {
+		pts := make([]Point, len(col.v))
+		bs := make([]Bucket, len(col.v))
+		for j, v := range col.v {
+			pts[j] = Point{T: time.Duration(j) * time.Second, V: v}
+			bs[j] = Bucket{Start: pts[j].T, Count: 1, Min: v, Max: v, Sum: v, Last: v}
+		}
+		chunk := roundTripPoints(t, pts)
+		if scaled := chunk[0]>>7 == 1; scaled != col.scaled {
+			t.Errorf("column %d %v: scaled mode %v, want %v", i, col.v, scaled, col.scaled)
+		}
+		got, err := DecodeBuckets(nil, EncodeBuckets(nil, bs), len(bs))
+		if err != nil {
+			t.Fatalf("column %d: %v", i, err)
+		}
+		for j, v := range col.v {
+			for _, s := range stats(&got[j]) {
+				if math.Float64bits(s) != math.Float64bits(v) {
+					t.Fatalf("column %d bucket %d came back %+v, went in %v", i, j, got[j], v)
+				}
+			}
+		}
+	}
+	if chunk := EncodePoints(nil, quarterWatt(4096)); chunk[0]>>7 != 1 || len(chunk) > 4096*6/8 {
+		t.Errorf("quarter-watt points: %d bytes, scaled mode %v; want scaled, at most 6 bits a point", len(chunk), chunk[0]>>7 == 1)
+	}
+}
