@@ -61,7 +61,7 @@ var architecture = []struct {
 		guard{scope: codecGo, one: strs("func QueryResult.AppendJSON", "func WireResult.AppendJSON", "func DecodeQueryResult", "func SplitQueryResult")},
 		guard{except: strs(codecGo), bad: strs("func QueryResult.AppendJSON", "func WireResult.AppendJSON", "func DecodeQueryResult", "func SplitQueryResult")},
 		guard{bad: strs("func QueryResult.MarshalJSON", "func QueryResult.UnmarshalJSON", "func WireResult.MarshalJSON", "func WireResult.UnmarshalJSON")},
-		guard{one: slices.Concat(strs("func scanner.frame", "func scanner.point", "key(keyNode)", "key(keyTNS)"), calls("newKey", codecKeys...))})},
+		guard{one: slices.Concat(strs("func scanner.frame", "key(keyNode)", "key(keyColumnT)", "key(keyColumnMin)"), calls("newKey", codecKeys...))})},
 	{"one-request", "DESIGN §13: a /query or /topk request is one httpapi.Request from the URL to the store, spelled by AppendQuery / AppendTopK alone; client.go's bench/ shim (QueryParams, TopKParams, QueryFull, TopK) is for bench/ only", guards(
 		guard{tests: true, except: strs("bench/"), bad: strs("client.QueryParams", "client.TopKParams", ".QueryFull")},
 		guard{scope: "internal/telemetry/client/", tests: true, except: strs(clientShim...), one: strs("~QueryParams", "~TopKParams"), bad: strs("url.*", "func .TopK")},
@@ -75,9 +75,14 @@ var architecture = []struct {
 		guard{scope: httpapi, fn: "Server.handleTopK", one: strs("func Server.handleTopK"), bad: strs("for")},
 		guard{scope: "internal/telemetry/", except: strs("internal/telemetry/storage/bytes.go", codecGo),
 			bad: strs("crc32.MakeTable", "func appendString", "func readString", "type idxReader")})},
-	{"raw-columns", "DESIGN §7: a raw sample travels as the t_ns and v columns from buildFrame to the socket; Store.Query, which widens them into FramePoints, is a shim for bench/ only", guards(
+	{"raw-columns", "DESIGN §7: every frame is columns from buildFrame to the socket, t_ns and v and for a rollup four more; Store.Query and client's QueryFull, which widen them into FramePoints in Points, are shims for bench/ only", guards(
 		guard{except: strs("bench/", "internal/telemetry/query.go#Store.Query"), bad: strs("Query(_)")},
-		guard{scope: httpapi, bad: strs("~rawColumns")})},
+		guard{scope: httpapi, bad: strs("~rawColumns")},
+		guard{except: append(strs("bench/"), framePointShim...), one: strs("~FramePoint", "~FramePoint", "~FramePoint")},
+		guard{scope: "internal/telemetry/query.go", except: strs(framePointShim...), bad: strs(".Points")},
+		guard{scope: "internal/telemetry/client/", except: strs(framePointShim...), bad: strs(".Points")},
+		guard{scope: httpapi, bad: strs(".Points")},
+		guard{scope: "internal/federation/", bad: strs(".Points")})},
 	{"count-seam", "DESIGN §9 Count seam: stream[T] in telemetry/ring.go is the only seam bookkeeping, and only the engine files touch the watermark", guards(
 		guard{scope: "internal/telemetry/", bad: strs("~pointRing", "~gapRing", "~bucketRing", "~gapsPersisted", "~bucketsPersisted", "~bucketsTotal")},
 		guard{scope: "internal/telemetry/", except: strs("internal/telemetry/ring.go", "internal/telemetry/engine.go", "internal/telemetry/query.go",
@@ -113,12 +118,18 @@ var architecture = []struct {
 var clientShim = strs("internal/telemetry/client/client.go#QueryParams.request", "internal/telemetry/client/client.go#TopKParams.request",
 	"internal/telemetry/client/client.go#Client.QueryFull", "internal/telemetry/client/client.go#Client.TopK")
 
+// framePointShim is the two functions that may build FramePoints and
+// fill a frame's Points, for bench/. Outside them FramePoint is named three
+// times: its declaration and the Points fields of telemetry.Frame and
+// httpapi.Frame.
+var framePointShim = strs("internal/telemetry/query.go#Store.Query", "internal/telemetry/client/client.go#Client.QueryFull")
+
 // codecKeys are the keys the /query decoder matches, each defined once.
-// The two that open a frame and a point are matched in one place each, so
-// a second frame or point grammar fails the row.
+// The ones that open a frame, its columns and its bucket columns are
+// matched in one place each, so a second frame grammar fails the row.
 var codecKeys = strs(`{"frames":`, `,"sim_now_ns":`, `,"newest_ns":`, `,"degraded":`, `{"node":`, `,"backend":`,
-	`,"domain":`, `,"unit":`, `,"resolution":`, `,"reduced":`, `,"t_ns":[`, `],"v":[`, `,"points":[`, `,"gaps_ns":[`,
-	`{"t_ns":`, `,"min":`, `,"max":`, `,"mean":`, `,"last":`, `,"count":`)
+	`,"domain":`, `,"unit":`, `,"resolution":`, `,"reduced":`, `,"t_ns":[`, `],"v":[`, `],"min":[`, `],"max":[`,
+	`],"last":[`, `],"count":[`, `,"gaps_ns":[`)
 
 // calls spells the pattern of a call of fn with each of args.
 func calls(fn string, args ...string) (out []string) {

@@ -100,6 +100,14 @@ func pointSpelling(t *testing.T, body []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type point struct {
+		T     time.Duration `json:"t_ns"`
+		Min   float64       `json:"min"`
+		Max   float64       `json:"max"`
+		Mean  float64       `json:"mean"`
+		Last  float64       `json:"last"`
+		Count int           `json:"count"`
+	}
 	type frame struct {
 		Node       string          `json:"node"`
 		Backend    string          `json:"backend"`
@@ -107,7 +115,7 @@ func pointSpelling(t *testing.T, body []byte) []byte {
 		Unit       string          `json:"unit"`
 		Resolution string          `json:"resolution"`
 		Reduced    *float64        `json:"reduced,omitempty"`
-		Points     []httpapi.Point `json:"points"`
+		Points     []point         `json:"points"`
 		GapsNS     []time.Duration `json:"gaps_ns,omitempty"`
 	}
 	var old struct {
@@ -117,9 +125,9 @@ func pointSpelling(t *testing.T, body []byte) []byte {
 	}
 	old.SimNowNS, old.NewestNS = doc.SimNowNS, doc.NewestNS
 	for _, f := range doc.Frames {
-		points := []httpapi.Point{}
+		points := []point{}
 		for i, v := range f.V {
-			points = append(points, httpapi.Point{T: f.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1})
+			points = append(points, point{T: f.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1})
 		}
 		old.Frames = append(old.Frames, frame{f.Node, f.Backend, f.Domain, f.Unit, f.Resolution, f.Reduced, points, f.GapsNS})
 	}

@@ -125,6 +125,8 @@ func TestPartitionInvariance(t *testing.T) {
 		"/query?domain=Total+Power&agg=mean&res=raw",
 		"/query?node=" + nodeName(42),
 		"/query?node=" + nodeName(97), // a node with a gap marker
+		"/query?domain=Total+Power&agg=mean&res=1s",
+		"/query?node=" + nodeName(97) + "&res=1s&agg=max",
 	}
 	baseline := make(map[string][]byte, len(paths))
 	for _, m := range []int{1, 2, 4, 16} {
@@ -163,6 +165,13 @@ func TestPartitionInvariance(t *testing.T) {
 	}
 	if len(gapped.Frames) != 1 || len(gapped.Frames[0].GapsNS) != 1 {
 		t.Fatalf("gap marker lost in federation: %+v", gapped.Frames)
+	}
+	var buckets httpapi.QueryResult
+	if err := json.Unmarshal(baseline["/query?node="+nodeName(97)+"&res=1s&agg=max"], &buckets); err != nil {
+		t.Fatal(err)
+	}
+	if f := buckets.Frames; len(f) != 1 || len(f[0].TNS) != 3 || f[0].Buckets == nil || len(f[0].Count) != 3 || len(f[0].GapsNS) != 1 || f[0].Reduced == nil {
+		t.Fatalf("the gap node at 1 s: %+v", f)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/httpapi"
@@ -157,10 +156,10 @@ type MemberQuery struct {
 // MergeFrames merges the members' frames into one key-sorted list — the
 // order a single store serves, storage.KeyLess. In the node-partitioned
 // case every series lives on exactly one member and this is a pure sorted
-// union. A series key reported by several members is combined: samples
+// union. A series key reported by several members is combined: columns
 // interleaved by timestamp, gap markers unioned (never dropped — a gap on
 // any member is a gap in the federation's answer), and the window
-// reduction recomputed from the combined samples under agg ("" for none).
+// reduction recomputed from the combined columns under agg ("" for none).
 // err is an unknown agg, or the first combine that failed (combineFrames).
 //
 // This is the merge Federator.Query runs on frames still on the wire
@@ -320,39 +319,50 @@ func mergeByKey[F any](lists []memberFrames[F], key func(*F) telemetry.SeriesKey
 	}
 }
 
-// combineFrames folds same-key frames from several members into one, in
-// the shape the first frame's resolution gives them all: a raw frame's
-// t_ns and v columns, or a rollup frame's points, interleaved by timestamp
-// (stable, so equal timestamps keep member-name order); gaps unioned
-// sorted and deduplicated; and the window reduction recomputed from the
-// combined samples. A frame in another shape — columns of two lengths, a
-// raw frame with points, a rollup frame with columns — is an error, not a
-// frame with what could not be placed left out.
+// combineFrames folds same-key frames from several members into one: every
+// column interleaved by t_ns under one stable permutation (equal times
+// keep member-name order), gaps unioned sorted and deduplicated, and the
+// window reduction recomputed from the combined columns. A frame the
+// combine cannot place — columns of unequal length, bucket columns on some
+// of the key's frames and not on others — is an error, not a frame with
+// what could not be placed left out.
 func combineFrames(frames []httpapi.Frame, agg telemetry.Aggregate) (httpapi.Frame, error) {
 	out := frames[0]
-	out.TNS, out.V, out.Points, out.GapsNS, out.Reduced = nil, nil, nil, nil, nil
-	raw := out.Resolution == telemetry.Raw.String()
-	type sample struct {
-		t time.Duration
-		v float64
-	}
-	var samples []sample
+	out.TNS, out.V, out.Buckets, out.GapsNS, out.Reduced = nil, nil, nil, nil, nil
+	all := httpapi.Frame{Buckets: new(httpapi.Buckets)} // the frames' columns end to end, in member order
 	for _, f := range frames {
-		if len(f.TNS) != len(f.V) || raw && len(f.Points) > 0 || !raw && len(f.TNS) > 0 {
-			return out, fmt.Errorf("federation: series %v: a member sent a %q frame with %d times, %d values and %d points",
-				f.Key(), out.Resolution, len(f.TNS), len(f.V), len(f.Points))
+		var b httpapi.Buckets
+		if f.Buckets != nil {
+			b = *f.Buckets
 		}
-		for i, t := range f.TNS {
-			samples = append(samples, sample{t, f.V[i]})
+		n, m := len(f.TNS), len(b.Count)
+		if len(f.V) != n || m != 0 && m != n || len(b.Min) != m || len(b.Max) != m || len(b.Last) != m {
+			return out, fmt.Errorf("federation: series %v: a member sent a %q frame with %d times, %d values, %d min, %d max, %d last and %d counts",
+				f.Key(), f.Resolution, n, len(f.V), len(b.Min), len(b.Max), len(b.Last), m)
 		}
-		out.Points = append(out.Points, f.Points...)
+		all.TNS, all.V = append(all.TNS, f.TNS...), append(all.V, f.V...)
+		all.Min, all.Max = append(all.Min, b.Min...), append(all.Max, b.Max...)
+		all.Last, all.Count = append(all.Last, b.Last...), append(all.Count, b.Count...)
 		out.GapsNS = append(out.GapsNS, f.GapsNS...)
 	}
-	slices.SortStableFunc(samples, func(a, b sample) int { return cmp.Compare(a.t, b.t) })
-	for _, s := range samples {
-		out.TNS, out.V = append(out.TNS, s.t), append(out.V, s.v)
+	if m := len(all.Count); m > 0 && m != len(all.TNS) {
+		return out, fmt.Errorf("federation: series %v: members sent %q frames with bucket columns and without", out.Key(), out.Resolution)
 	}
-	sort.SliceStable(out.Points, func(i, j int) bool { return out.Points[i].T < out.Points[j].T })
+	if all.Count != nil {
+		out.Buckets = new(httpapi.Buckets)
+	}
+	perm := make([]int, len(all.TNS))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return cmp.Compare(all.TNS[a], all.TNS[b]) })
+	for _, j := range perm {
+		out.TNS, out.V = append(out.TNS, all.TNS[j]), append(out.V, all.V[j])
+		if b := out.Buckets; b != nil {
+			b.Min, b.Max = append(b.Min, all.Min[j]), append(b.Max, all.Max[j])
+			b.Last, b.Count = append(b.Last, all.Last[j]), append(b.Count, all.Count[j])
+		}
+	}
 	sort.Slice(out.GapsNS, func(i, j int) bool { return out.GapsNS[i] < out.GapsNS[j] })
 	dedup := out.GapsNS[:0]
 	for i, g := range out.GapsNS {
@@ -361,54 +371,45 @@ func combineFrames(frames []httpapi.Frame, agg telemetry.Aggregate) (httpapi.Fra
 		}
 	}
 	out.GapsNS = dedup
-	// A raw sample is a bucket of one.
-	at := func(i int) httpapi.Point {
-		if raw {
-			v := out.V[i]
-			return httpapi.Point{T: out.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1}
-		}
-		return out.Points[i]
-	}
-	if agg != telemetry.AggNone && len(samples)+len(out.Points) > 0 {
-		out.Reduced = reducePoints(len(samples)+len(out.Points), at, agg)
+	if agg != telemetry.AggNone && len(out.TNS) > 0 {
+		out.Reduced = reduceColumns(&out, agg)
 	}
 	return out, nil
 }
 
-// reducePoints recomputes a window reduction over n combined points, at(i)
-// the i-th in time order. Mean is count-weighted (each point's Mean×Count
-// reconstructs its bucket sum), matching the store's bucket fold.
-func reducePoints(n int, at func(int) httpapi.Point, a telemetry.Aggregate) *float64 {
+// reduceColumns recomputes a window reduction over a combined frame's
+// columns, in time order. A raw sample is a bucket of one: where the
+// bucket columns are absent, min, max and last read as v and count as 1.
+// Mean is count-weighted, Σ v·count ∕ Σ count (a bucket's mean times its
+// count rebuilds its sum), matching the store's bucket fold.
+func reduceColumns(f *httpapi.Frame, a telemetry.Aggregate) *float64 {
+	mins, maxs, lasts, counts := f.V, f.V, f.V, []int(nil)
+	if b := f.Buckets; b != nil {
+		mins, maxs, lasts, counts = b.Min, b.Max, b.Last, b.Count
+	}
 	var v float64
 	switch a {
 	case telemetry.AggMean:
 		var sum float64
 		var count int
-		for i := range n {
-			p := at(i)
-			sum += p.Mean * float64(p.Count)
-			count += p.Count
+		for i, x := range f.V {
+			c := 1
+			if counts != nil {
+				c = counts[i]
+			}
+			sum += x * float64(c)
+			count += c
 		}
 		if count == 0 {
 			return nil
 		}
 		v = sum / float64(count)
-	case telemetry.AggMin:
-		v = at(0).Min
-		for i := 1; i < n; i++ {
-			if p := at(i); p.Min < v {
-				v = p.Min
-			}
-		}
+	case telemetry.AggMin: // the first of equal values (0 and -0), as the store's fold keeps
+		v = slices.MinFunc(mins, cmp.Compare[float64])
 	case telemetry.AggMax:
-		v = at(0).Max
-		for i := 1; i < n; i++ {
-			if p := at(i); p.Max > v {
-				v = p.Max
-			}
-		}
+		v = slices.MaxFunc(maxs, cmp.Compare[float64])
 	case telemetry.AggLast:
-		v = at(n - 1).Last
+		v = lasts[len(lasts)-1]
 	default:
 		return nil
 	}

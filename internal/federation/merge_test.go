@@ -130,8 +130,8 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 		t.Fatalf("want 1 combined frame, got %d (%v)", len(got), err)
 	}
 	f := got[0]
-	if want := []time.Duration{10, 20, 30, 30}; !reflect.DeepEqual(f.TNS, want) || f.Points != nil {
-		t.Fatalf("t_ns = %v, want %v, and no points (%+v)", f.TNS, want, f.Points)
+	if want := []time.Duration{10, 20, 30, 30}; !reflect.DeepEqual(f.TNS, want) || f.Buckets != nil {
+		t.Fatalf("t_ns = %v, want %v, and no bucket columns (%+v)", f.TNS, want, f)
 	}
 	if want := []float64{1, 8, 3, 9}; !reflect.DeepEqual(f.V, want) {
 		t.Fatalf("v = %v, want %v: samples not interleaved by time, in member order", f.V, want)
@@ -149,22 +149,16 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 	}
 
 	// A rollup series: buckets interleave, and the mean is count-weighted.
-	bucket := func(t time.Duration, v float64, count int) httpapi.Point {
-		return httpapi.Point{T: t, Min: v, Max: v, Mean: v, Last: v, Count: count}
-	}
-	rollup := func(points ...httpapi.Point) httpapi.QueryResult {
-		return httpapi.QueryResult{Frames: []httpapi.Frame{{Node: "n1", Backend: "b", Domain: "d", Unit: "W", Resolution: "1s", Points: points}}}
-	}
 	got, err = MergeFrames([]MemberQuery{
-		{Member: "m0", Doc: rollup(bucket(10, 1, 1), bucket(30, 3, 1))},
-		{Member: "m1", Doc: rollup(bucket(20, 8, 3))},
+		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rollupFrame("n1", bucket(10, 1, 1), bucket(30, 3, 1))}}},
+		{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rollupFrame("n1", bucket(20, 8, 3))}}},
 	}, "mean")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("want 1 combined frame, got %d (%v)", len(got), err)
 	}
 	f = got[0]
-	if len(f.Points) != 3 || f.Points[0].T != 10 || f.Points[1].T != 20 || f.Points[2].T != 30 || f.TNS != nil {
-		t.Fatalf("points not interleaved by time: %+v", f)
+	if want := []time.Duration{10, 20, 30}; !reflect.DeepEqual(f.TNS, want) || f.Buckets == nil || len(f.Count) != 3 {
+		t.Fatalf("buckets not interleaved by time: %+v", f)
 	}
 	// Count-weighted mean: (1*1 + 8*3 + 3*1) / 5
 	if want := (1.0 + 24.0 + 3.0) / 5.0; f.Reduced == nil || *f.Reduced != want {
@@ -172,10 +166,12 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 	}
 
 	// What a combine cannot place is an error, never a sample dropped.
+	short := rollupFrame("n1", bucket(1, 1, 1), bucket(2, 2, 1))
+	short.Last = short.Last[:1] // its own Buckets
 	for name, bad := range map[string]httpapi.Frame{
-		"columns of two lengths": rawFrame("n1", []time.Duration{1, 2}, []float64{1}, nil),
-		"a raw frame with points": {Node: "n1", Backend: "b", Domain: "d", Unit: "W", Resolution: "raw",
-			Points: []httpapi.Point{bucket(1, 1, 1)}},
+		"columns of two lengths":            rawFrame("n1", []time.Duration{1, 2}, []float64{1}, nil),
+		"a bucket column shorter than t_ns": short,
+		"a raw frame beside a rollup frame": rollupFrame("n1", bucket(1, 1, 1)),
 	} {
 		_, err := MergeFrames([]MemberQuery{
 			{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rawFrame("n1", []time.Duration{5}, []float64{5}, nil)}}},
@@ -183,6 +179,66 @@ func TestMergeFramesCombinesSpanningSeries(t *testing.T) {
 		}, "mean")
 		if err == nil || !strings.Contains(err.Error(), "n1") {
 			t.Errorf("%s: combine error %v, want one naming the series", name, err)
+		}
+	}
+}
+
+// bucketRow is one rollup bucket: its start and its columns' values.
+type bucketRow struct {
+	t                    time.Duration
+	mean, min, max, last float64
+	count                int
+}
+
+// bucket is a bucket of count samples all valued v.
+func bucket(t time.Duration, v float64, count int) bucketRow {
+	return bucketRow{t, v, v, v, v, count}
+}
+
+// rollupFrame is node's 1 s frame holding rows, as columns.
+func rollupFrame(node string, rows ...bucketRow) httpapi.Frame {
+	f := httpapi.Frame{Node: node, Backend: "b", Domain: "d", Unit: "W", Resolution: "1s", Buckets: new(httpapi.Buckets)}
+	for _, r := range rows {
+		f.TNS, f.V = append(f.TNS, r.t), append(f.V, r.mean)
+		f.Min, f.Max = append(f.Min, r.min), append(f.Max, r.max)
+		f.Last, f.Count = append(f.Last, r.last), append(f.Count, r.count)
+	}
+	return f
+}
+
+// TestMergeFramesPermutesBucketColumnsTogether: a series at 1 s on three
+// members, every bucket's six numbers distinct, combines into the frame
+// whose columns are the rows sorted by start — one permutation for all
+// six, equal starts in member order — with each reduction taken from the
+// right column.
+func TestMergeFramesPermutesBucketColumnsTogether(t *testing.T) {
+	row := func(t time.Duration, k float64) bucketRow {
+		return bucketRow{t, 10 * k, 10*k - 1, 10*k + 1, 10*k + 0.5, int(k)}
+	}
+	parts := []MemberQuery{
+		{Member: "m2", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rollupFrame("n1", row(2e9, 6), row(5e9, 7))}}},
+		{Member: "m0", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rollupFrame("n1", row(1e9, 1), row(3e9, 2), row(4e9, 3))}}},
+		{Member: "m1", Doc: httpapi.QueryResult{Frames: []httpapi.Frame{rollupFrame("n1", row(3e9, 4), row(6e9, 5))}}},
+	}
+	want := rollupFrame("n1", row(1e9, 1), row(2e9, 6), row(3e9, 2), row(3e9, 4), row(4e9, 3), row(5e9, 7), row(6e9, 5))
+	for _, tc := range []struct {
+		agg  string
+		want float64
+	}{
+		{"min", 9}, {"max", 71}, {"last", 50.5},
+		{"mean", (10*1*1 + 60*6 + 20*2 + 40*4 + 30*3 + 70*7 + 50*5) / 28.0},
+	} {
+		got, err := MergeFrames(parts, tc.agg)
+		if err != nil || len(got) != 1 {
+			t.Fatalf("agg %s: %d frames (%v)", tc.agg, len(got), err)
+		}
+		f := got[0]
+		if f.Reduced == nil || *f.Reduced != tc.want {
+			t.Errorf("agg %s: reduced = %v, want %v", tc.agg, f.Reduced, tc.want)
+		}
+		f.Reduced = nil
+		if !reflect.DeepEqual(f, want) {
+			t.Fatalf("agg %s: combined\n got %+v\nwant %+v", tc.agg, f, want)
 		}
 	}
 }

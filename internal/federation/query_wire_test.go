@@ -174,10 +174,14 @@ func wireFrame(n string, v float64, tail string, ts ...int) string {
 		strings.Join(times, ",") + `],"v":[` + strings.Join(values, ",") + `]` + tail + `}`
 }
 
-// pointFrame is a raw sample in the spelling /query had before raw frames
-// were columns: valid JSON, which the walk declines and encoding/json
-// reads, and a frame a combine cannot place.
+// pointFrame is a raw sample in the spelling /query had before every frame
+// was columns: valid JSON, which the walk declines, and a "points" key
+// nothing reads any more, so encoding/json passes over it.
 const pointFrame = `{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","points":[{"t_ns":1000000000,"min":1,"max":1,"mean":1,"last":1,"count":1}]}`
+
+// bucketFrame is n1's rollup bucket at 2 s, in the columns a rollup frame
+// carries.
+const bucketFrame = `{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"1s","t_ns":[2000000000],"v":[2],"min":[1],"max":[3],"last":[3],"count":[4]}`
 
 func wireDoc(newest int, frames ...string) string {
 	return fmt.Sprintf(`{"frames":[%s],"sim_now_ns":4000000000,"newest_ns":%d000000000}`+"\n", strings.Join(frames, ","), newest)
@@ -240,24 +244,52 @@ func TestFederatedQueryForwardsAndCombines(t *testing.T) {
 				`envfed_member_bodies_reencoded_total{member="a"} 0`, `envfed_member_bodies_reencoded_total{member="b"} 1`},
 		},
 		{
+			// The document has one spelling: a member sending the retired
+			// point objects is read as encoding/json reads a key no field
+			// names, and its frame holds nothing.
 			name: "a member spelling raw samples as points",
 			members: []fixed{
 				{"a", 200, wireDoc(1, pointFrame)},
 				{"b", 200, wireDoc(2, wireFrame("n2", 2, "", 2))},
 			},
 			path: "/query", status: 200,
-			want: `{"frames":[` + pointFrame + `,{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000],"v":[2]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
+			want: `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw"},{"node":"n2","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000],"v":[2]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
 			metrics: []string{`envfed_query_frames_total{path="forwarded"} 2`,
 				`envfed_member_bodies_reencoded_total{member="a"} 1`, `envfed_member_bodies_reencoded_total{member="b"} 0`},
 		},
 		{
+			// The retired spelling holds nothing a reader sees, so the key's
+			// combined frame is the other member's sample.
 			name: "a key on two members, one spelling raw samples as points",
 			members: []fixed{
 				{"a", 200, wireDoc(1, pointFrame)},
 				{"b", 200, wireDoc(2, wireFrame("n1", 2, "", 2))},
 			},
+			path: "/query", status: 200,
+			want:    `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000],"v":[2]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
+			metrics: []string{`envfed_query_frames_total{path="combined"} 1`, `envfed_member_bodies_reencoded_total{member="a"} 1`},
+		},
+		{
+			name: "a key on two members, one sending bucket columns",
+			members: []fixed{
+				{"a", 200, wireDoc(2, bucketFrame)},
+				{"b", 200, wireDoc(1, wireFrame("n1", 1, "", 1))},
+			},
 			path: "/query", status: 500,
-			want: `{"error":"federation: series {n1 rack Total Power}: a member sent a \"raw\" frame with 0 times, 0 values and 1 points"}` + "\n",
+			want: `{"error":"federation: series {n1 rack Total Power}: members sent \"1s\" frames with bucket columns and without"}` + "\n",
+		},
+		{
+			// Not read off ef95c36, which spelled buckets as points: the
+			// columns of both bodies permuted together, and the mean
+			// (1·1 + 2·4 + 5·1) / 6 worked by hand.
+			name: "a key on two members, both sending bucket columns",
+			members: []fixed{
+				{"a", 200, wireDoc(2, bucketFrame)},
+				{"b", 200, wireDoc(1, `{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"1s","t_ns":[1000000000,2000000000],"v":[1,5],"min":[1,5],"max":[1,5],"last":[1,5],"count":[1,1]}`)},
+			},
+			path: "/query?agg=mean", status: 200,
+			want:    `{"frames":[{"node":"n1","backend":"rack","domain":"Total Power","unit":"W","resolution":"1s","reduced":2.3333333333333335,"t_ns":[1000000000,2000000000,2000000000],"v":[1,2,5],"min":[1,1,5],"max":[1,3,5],"last":[1,3,5],"count":[1,4,1]}],"sim_now_ns":4000000000,"newest_ns":2000000000}` + "\n",
+			metrics: []string{`envfed_query_frames_total{path="combined"} 1`},
 		},
 		{
 			name: "a key on two members and twice on one",

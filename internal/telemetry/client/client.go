@@ -258,10 +258,10 @@ func (c *Client) QueryFull(ctx context.Context, p QueryParams) (httpapi.QueryRes
 	out, err := c.Query(ctx, r)
 	for i := range out.Frames {
 		f := &out.Frames[i]
-		if n := min(len(f.TNS), len(f.V)); n > 0 {
-			f.Points = make([]httpapi.Point, n)
+		if n := min(len(f.TNS), len(f.V)); n > 0 && f.Buckets == nil {
+			f.Points = make([]telemetry.FramePoint, n)
 			for j, v := range f.V[:n] {
-				f.Points[j] = httpapi.Point{T: f.TNS[j], Min: v, Max: v, Mean: v, Last: v, Count: 1}
+				f.Points[j] = telemetry.FramePoint{T: f.TNS[j], Min: v, Max: v, Mean: v, Last: v, Count: 1}
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := doc.Frames
-	if len(frames) != 1 || len(frames[0].Points) != 3 {
+	if len(frames) != 1 || len(frames[0].TNS) != 3 || frames[0].Buckets == nil || len(frames[0].Count) != 3 {
 		t.Fatalf("frames = %+v", frames)
 	}
 	if frames[0].Reduced == nil || *frames[0].Reduced != 110 {

@@ -20,14 +20,14 @@ import (
 // hand-written encoder and decoder beside its type. Neither defines a
 // format: AppendJSON writes byte for byte what json.NewEncoder(w).Encode
 // writes, and DecodeQueryResult returns what json.Unmarshal returns. A
-// raw frame's samples are two columns, "t_ns" and "v", and a rollup
-// frame's buckets are "points"; a frame's resolution decides which the
-// walk reads, and every array is omitempty, so an empty window spells
-// none of them and no array is ever null. The columns are the store's
-// own (telemetry.Store.Frames fills them in buildFrame and the handler
-// passes them on), so a raw sample goes from the ring to the socket as
-// one time and one value. Numbers are written eight digits at a time
-// (appendInt, appendShortDecimal), byte for byte as strconv writes them.
+// frame is columns, "t_ns" and "v" and a rollup's "min", "max", "last" and
+// "count"; the walk reads them by key, and every array is omitempty, so an
+// empty window spells none of them and no array is ever null. The columns
+// are the store's own (telemetry.Store.Frames fills them in buildFrame and
+// the handler passes them on), so a raw sample goes from the ring to the
+// socket as one time and one value. Numbers are written eight digits at a
+// time (appendInt, appendShortDecimal), byte for byte as strconv writes
+// them.
 // encoding/json stays as the decoder's fallback for every document that
 // is not in the encoder's own shape, as the encoder of the two parts that
 // are rare and small (a string needing escapes, the degraded section),
@@ -56,7 +56,7 @@ func (r QueryResult) AppendJSON(dst []byte) ([]byte, error) {
 	for i := range r.Frames {
 		f := &r.Frames[i]
 		size += 128 + len(f.Node) + len(f.Backend) + len(f.Domain) + len(f.Unit) + len(f.Resolution) +
-			24*(len(f.TNS)+len(f.V)) + 128*len(f.Points) + 20*len(f.GapsNS)
+			24*(len(f.TNS)+len(f.V)) + 20*len(f.GapsNS)
 	}
 	dst = slices.Grow(dst, size)
 	dst = append(dst, `{"frames":`...)
@@ -114,24 +114,26 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 		}
 		dst = appendFloat(append(dst, `,"reduced":`...), *f.Reduced)
 	}
-	if i := slices.IndexFunc(f.V, func(v float64) bool { return !finite(v) }); i >= 0 {
-		var t time.Duration
-		if i < len(f.TNS) {
-			t = f.TNS[i]
-		}
-		return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: value %v is not representable in JSON",
-			f.Node, f.Backend, f.Domain, t, f.V[i])
+	var b Buckets
+	if f.Buckets != nil {
+		b = *f.Buckets
 	}
-	if i := slices.IndexFunc(f.Points, func(p Point) bool {
-		return !(finite(p.Min) && finite(p.Max) && finite(p.Mean) && finite(p.Last))
-	}); i >= 0 {
-		p := &f.Points[i]
-		return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: point min=%v max=%v mean=%v last=%v is not representable in JSON",
-			f.Node, f.Backend, f.Domain, p.T, p.Min, p.Max, p.Mean, p.Last)
+	for _, col := range [...][]float64{f.V, b.Min, b.Max, b.Last} {
+		if i := slices.IndexFunc(col, func(v float64) bool { return !finite(v) }); i >= 0 {
+			var t time.Duration
+			if i < len(f.TNS) {
+				t = f.TNS[i]
+			}
+			return dst, fmt.Errorf("httpapi: series %s/%s/%s at t_ns=%d: value %v is not representable in JSON",
+				f.Node, f.Backend, f.Domain, t, col[i])
+		}
 	}
 	dst = appendArray(dst, `,"t_ns":[`, f.TNS, appendDuration)
 	dst = appendArray(dst, `,"v":[`, f.V, appendFloat)
-	dst = appendArray(dst, `,"points":[`, f.Points, appendPoint)
+	dst = appendArray(dst, `,"min":[`, b.Min, appendFloat)
+	dst = appendArray(dst, `,"max":[`, b.Max, appendFloat)
+	dst = appendArray(dst, `,"last":[`, b.Last, appendFloat)
+	dst = appendArray(dst, `,"count":[`, b.Count, appendCount)
 	dst = appendArray(dst, `,"gaps_ns":[`, f.GapsNS, appendDuration)
 	return append(dst, '}'), nil
 }
@@ -154,15 +156,7 @@ func appendArray[T any](dst []byte, key string, xs []T, appendX func([]byte, T) 
 
 func appendDuration(dst []byte, d time.Duration) []byte { return appendInt(dst, int64(d)) }
 
-func appendPoint(dst []byte, p Point) []byte {
-	dst = appendDuration(append(dst, `{"t_ns":`...), p.T)
-	dst = appendFloat(append(dst, `,"min":`...), p.Min)
-	dst = appendFloat(append(dst, `,"max":`...), p.Max)
-	dst = appendFloat(append(dst, `,"mean":`...), p.Mean)
-	dst = appendFloat(append(dst, `,"last":`...), p.Last)
-	dst = appendInt(append(dst, `,"count":`...), int64(p.Count))
-	return append(dst, '}')
-}
+func appendCount(dst []byte, n int) []byte { return appendInt(dst, int64(n)) }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
@@ -529,11 +523,12 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 // more, so that splitting a body costs no ParseFloat and no slice per
 // frame. Everything else, token for token, is the decoding walk.
 type scanner struct {
-	b      []byte
-	i      int
-	split  bool
-	parsed int       // tokens float left to strconv, which the tests count
-	kept   []float64 // the block keep hands reductions out of
+	b       []byte
+	i       int
+	split   bool
+	parsed  int       // tokens float left to strconv, which the tests count
+	kept    []float64 // the block keep hands reductions out of
+	checked Buckets   // where a split walk reads bucket columns into, keeping none
 }
 
 // A key is an object key with the punctuation around it, as the document
@@ -562,26 +557,23 @@ func newKey(s string) key {
 
 // The keys the scanner matches, each defined once.
 var (
-	keyFrames     = newKey(`{"frames":`)
-	keySimNow     = newKey(`,"sim_now_ns":`)
-	keyNewest     = newKey(`,"newest_ns":`)
-	keyDegraded   = newKey(`,"degraded":`)
-	keyNode       = newKey(`{"node":`)
-	keyBackend    = newKey(`,"backend":`)
-	keyDomain     = newKey(`,"domain":`)
-	keyUnit       = newKey(`,"unit":`)
-	keyResolution = newKey(`,"resolution":`)
-	keyReduced    = newKey(`,"reduced":`)
-	keyColumnT    = newKey(`,"t_ns":[`)
-	keyColumnV    = newKey(`],"v":[`) // the t_ns column ends where v begins
-	keyPoints     = newKey(`,"points":[`)
-	keyGaps       = newKey(`,"gaps_ns":[`)
-	keyTNS        = newKey(`{"t_ns":`)
-	keyMin        = newKey(`,"min":`)
-	keyMax        = newKey(`,"max":`)
-	keyMean       = newKey(`,"mean":`)
-	keyLast       = newKey(`,"last":`)
-	keyCount      = newKey(`,"count":`)
+	keyFrames      = newKey(`{"frames":`)
+	keySimNow      = newKey(`,"sim_now_ns":`)
+	keyNewest      = newKey(`,"newest_ns":`)
+	keyDegraded    = newKey(`,"degraded":`)
+	keyNode        = newKey(`{"node":`)
+	keyBackend     = newKey(`,"backend":`)
+	keyDomain      = newKey(`,"domain":`)
+	keyUnit        = newKey(`,"unit":`)
+	keyResolution  = newKey(`,"resolution":`)
+	keyReduced     = newKey(`,"reduced":`)
+	keyColumnT     = newKey(`,"t_ns":[`)
+	keyColumnV     = newKey(`],"v":[`) // each column ends where the next begins
+	keyColumnMin   = newKey(`],"min":[`)
+	keyColumnMax   = newKey(`],"max":[`)
+	keyColumnLast  = newKey(`],"last":[`)
+	keyColumnCount = newKey(`],"count":[`)
+	keyGaps        = newKey(`,"gaps_ns":[`)
 )
 
 // key consumes k if the input continues with it. A value follows every
@@ -647,21 +639,27 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			f.Reduced = d.keep(v)
 		}
 	}
-	if f.Resolution == rawResolution {
-		if d.key(keyColumnT) { // both columns or neither, and no points
+	if d.key(keyColumnT) { // t_ns and v both or neither
+		if !d.split {
+			n := d.hint(',', 2) + 1
+			f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
+		}
+		if !array(d, &f.TNS, d.duration) || !d.key(keyColumnV) || !array(d, &f.V, d.float) {
+			return false
+		}
+		if d.key(keyColumnMin) { // then a rollup's four bucket columns, all or none
+			b := &d.checked
 			if !d.split {
-				n := d.hint(',', 2) + 1
-				f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
+				n := len(f.V)
+				f.Buckets = &Buckets{Min: make([]float64, 0, n), Max: make([]float64, 0, n), Last: make([]float64, 0, n), Count: make([]int, 0, n)}
+				b = f.Buckets
 			}
-			if !array(d, &f.TNS, d.duration) || !d.key(keyColumnV) || !array(d, &f.V, d.float) || !d.byte(']') {
+			if !array(d, &b.Min, d.float) || !d.key(keyColumnMax) || !array(d, &b.Max, d.float) ||
+				!d.key(keyColumnLast) || !array(d, &b.Last, d.float) || !d.key(keyColumnCount) || !array(d, &b.Count, d.count) {
 				return false
 			}
 		}
-	} else if d.key(keyPoints) {
-		if !d.split {
-			f.Points = make([]Point, 0, d.hint('{', minPointLen))
-		}
-		if !array(d, &f.Points, d.point) || !d.byte(']') {
+		if !d.byte(']') {
 			return false
 		}
 	}
@@ -675,11 +673,6 @@ func (d *scanner) frame(f, prev *Frame) bool {
 	}
 	return d.byte('}')
 }
-
-const minPointLen = len(`{"t_ns":0,"min":0,"max":0,"mean":0,"last":0,"count":0},`)
-
-// rawResolution is how a raw frame names its resolution.
-var rawResolution = telemetry.Raw.String()
 
 // keep is where a decoded reduction lives: a block of them per document,
 // not an allocation per frame.
@@ -722,31 +715,6 @@ func array[T any](d *scanner, out *[]T, number func() (T, bool)) bool {
 	return true
 }
 
-// point decodes one rollup bucket, field by field.
-func (d *scanner) point() (p Point, ok bool) {
-	if !d.key(keyTNS) {
-		return p, false
-	}
-	if p.T, ok = d.duration(); !ok || !d.key(keyMin) {
-		return p, false
-	}
-	if p.Min, ok = d.float(); !ok || !d.key(keyMax) {
-		return p, false
-	}
-	if p.Max, ok = d.float(); !ok || !d.key(keyMean) {
-		return p, false
-	}
-	if p.Mean, ok = d.float(); !ok || !d.key(keyLast) {
-		return p, false
-	}
-	if p.Last, ok = d.float(); !ok || !d.key(keyCount) {
-		return p, false
-	}
-	n, ok := d.int()
-	p.Count = int(n)
-	return p, ok && int64(p.Count) == n && d.byte('}')
-}
-
 // str decodes a plain string (no escapes, printable ASCII only). The
 // result is a copy of the input bytes, or prev when it spells the same.
 func (d *scanner) str(prev string) (string, bool) {
@@ -778,6 +746,13 @@ func (d *scanner) str(prev string) (string, bool) {
 func (d *scanner) duration() (time.Duration, bool) {
 	v, ok := d.int()
 	return time.Duration(v), ok
+}
+
+// count decodes a bucket's sample count, an int; one past int's range is
+// encoding/json's to report.
+func (d *scanner) count() (int, bool) {
+	v, ok := d.int()
+	return int(v), ok && int64(int(v)) == v
 }
 
 // int decodes an integer. A fraction, an exponent or an overflow is

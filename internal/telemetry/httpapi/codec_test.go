@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"envmon/internal/telemetry"
 )
 
 // The reference both halves of the codec are pinned against: what every
@@ -106,10 +108,34 @@ func rawFrame(v ...float64) QueryResult {
 	return r
 }
 
-// bucketsFrame is a document of one frame at 1 s holding points.
-func bucketsFrame(points ...Point) QueryResult {
+// bucket is one rollup bucket, the row a rollup frame's columns hold.
+type bucket struct {
+	T                    time.Duration
+	Min, Max, Mean, Last float64
+	Count                int
+}
+
+// bucketColumns puts buckets in a frame as its columns, the mean in v.
+func bucketColumns(f *Frame, buckets ...bucket) {
+	f.Buckets = new(Buckets)
+	for _, b := range buckets {
+		f.TNS, f.V = append(f.TNS, b.T), append(f.V, b.Mean)
+		f.Min, f.Max = append(f.Min, b.Min), append(f.Max, b.Max)
+		f.Last, f.Count = append(f.Last, b.Last), append(f.Count, b.Count)
+	}
+}
+
+// withBuckets is a copy of f's bucket columns, changed by change.
+func withBuckets(f Frame, change func(*Buckets)) *Buckets {
+	b := *f.Buckets
+	change(&b)
+	return &b
+}
+
+// bucketsFrame is a document of one frame at 1 s holding buckets.
+func bucketsFrame(buckets ...bucket) QueryResult {
 	r := oneFrame("1s")
-	r.Frames[0].Points = points
+	bucketColumns(&r.Frames[0], buckets...)
 	return r
 }
 
@@ -120,22 +146,33 @@ func TestCodecCoversEveryField(t *testing.T) {
 	for _, tc := range []struct {
 		doc    any
 		fields int
-	}{{QueryResult{}, 4}, {Frame{}, 10}, {Point{}, 6}} {
-		if n := reflect.TypeOf(tc.doc).NumField(); n != tc.fields {
-			t.Errorf("%T has %d fields, codec.go encodes and decodes %d: teach it the new one, its tests too, then update this count",
+	}{{QueryResult{}, 4}, {Frame{}, 10}, {Buckets{}, 4}} {
+		typ, n := reflect.TypeOf(tc.doc), 0
+		for i := range typ.NumField() {
+			if typ.Field(i).Tag.Get("json") != "-" {
+				n++
+			}
+		}
+		if n != tc.fields {
+			t.Errorf("%T has %d fields on the wire, codec.go encodes and decodes %d: teach it the new one, its tests too, then update this count",
 				tc.doc, n, tc.fields)
 		}
 	}
 	// The same for the split, without a count to update: a document with
-	// every field of every type set, whatever the fields are by then, goes
-	// through the encoder, the one-pass walk and the split whole. A field
-	// the walk decodes but the split drops, or one only encoding/json
+	// every wire field of every type set, whatever the fields are by then,
+	// goes through the encoder, the one-pass walk and the split whole. A
+	// field the walk decodes but the split drops, or one only encoding/json
 	// knows (the body would be re-encoded), fails here. Its two frames are
-	// one of each shape a resolution gives: columns, and points.
+	// one of each shape: a raw frame's two columns, and a rollup frame's
+	// six.
 	var full QueryResult
 	setEveryField(reflect.ValueOf(&full).Elem())
-	full.Frames[0].Resolution, full.Frames[0].Points = rawResolution, nil
-	full.Frames[1].TNS, full.Frames[1].V = nil, nil
+	for i := range full.Frames {
+		full.Frames[i].Points = nil // not on the wire
+	}
+	raw := &full.Frames[0]
+	raw.Resolution, raw.Buckets = "raw", nil
+	full.Frames[1].Resolution = "1s"
 	body := checkCodec(t, full, true)
 	w, reencoded, err := SplitQueryResult(body)
 	if err != nil || reencoded || len(w.Frames) != len(full.Frames) {
@@ -219,7 +256,13 @@ func checkSplit(t *testing.T, body []byte) {
 		// The one thing a re-encode normalises: omitempty drops an empty
 		// array, so it comes back nil.
 		if w := &want.Frames[i]; reencoded {
-			w.TNS, w.V, w.Points, w.GapsNS = nilIfEmpty(w.TNS), nilIfEmpty(w.V), nilIfEmpty(w.Points), nilIfEmpty(w.GapsNS)
+			w.TNS, w.V, w.GapsNS = nilIfEmpty(w.TNS), nilIfEmpty(w.V), nilIfEmpty(w.GapsNS)
+			if b := w.Buckets; b != nil {
+				b.Min, b.Max, b.Last, b.Count = nilIfEmpty(b.Min), nilIfEmpty(b.Max), nilIfEmpty(b.Last), nilIfEmpty(b.Count)
+				if b.Min == nil && b.Max == nil && b.Last == nil && b.Count == nil {
+					w.Buckets = nil
+				}
+			}
 		}
 	}
 	if !sameResult(rebuilt, want) {
@@ -258,33 +301,50 @@ func nilIfEmpty[T any](xs []T) []T {
 
 func TestCodecShapes(t *testing.T) {
 	power := Frame{Node: "n00", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"}
-	withPoints := power // raw: the samples are the columns
-	withPoints.TNS, withPoints.V = []time.Duration{1e9, 2e9}, []float64{101.5, -0.25}
-	withPoints.GapsNS = []time.Duration{1500000000, 1750000000}
-	withPoints.Reduced = f64(2.25)
-	buckets := withPoints // a rollup: the samples are the points
+	samples := power // raw: two columns
+	samples.TNS, samples.V = []time.Duration{1e9, 2e9}, []float64{101.5, -0.25}
+	samples.GapsNS = []time.Duration{1500000000, 1750000000}
+	samples.Reduced = f64(2.25)
+	buckets := samples // a rollup: the same two columns and four more
 	buckets.Resolution, buckets.TNS, buckets.V = "10s", nil, nil
-	buckets.Points = []Point{{T: 1e9, Min: 101.5, Max: 101.5, Mean: 101.5, Last: 101.5, Count: 1}, {T: 2e9, Min: 1, Max: 3, Mean: 2, Last: 3, Count: 4}}
-	emptyPoints := power // omitempty drops every empty array: each decodes as nil, like the reference
-	emptyPoints.TNS, emptyPoints.V, emptyPoints.Points = []time.Duration{}, []float64{}, []Point{}
-	emptyGaps := withPoints
+	bucketColumns(&buckets, bucket{T: 1e9, Min: 101.5, Max: 101.5, Mean: 101.5, Last: 101.5, Count: 1}, bucket{T: 2e9, Min: 1, Max: 3, Mean: 2, Last: 3, Count: 4})
+	emptyColumns := power // omitempty drops every empty array: each decodes as nil, like the reference
+	emptyColumns.TNS, emptyColumns.V = []time.Duration{}, []float64{}
+	emptyColumns.Buckets = &Buckets{Min: []float64{}, Max: []float64{}, Last: []float64{}, Count: []int{}}
+	emptyGaps := samples
 	emptyGaps.GapsNS = []time.Duration{}
 	extreme := Frame{Resolution: "raw", TNS: []time.Duration{math.MinInt64, math.MaxInt64, 0}, V: []float64{0, 1, 2}}
-	short := withPoints // columns of two lengths: the encoder writes them, the walk reads them
+	extremeBuckets := Frame{GapsNS: []time.Duration{-1, 0, 999999999999999999, 1000000000000000000}}
+	bucketColumns(&extremeBuckets, bucket{T: math.MinInt64, Count: -3}, bucket{T: math.MaxInt64, Count: math.MaxInt64})
+	zeroBucket := Frame{}
+	bucketColumns(&zeroBucket, bucket{})
+	short := samples // columns of two lengths: the encoder writes them, the walk reads them
 	short.V = short.V[:1]
+	shortBuckets := buckets
+	shortBuckets.Buckets = withBuckets(buckets, func(b *Buckets) { b.Last = b.Last[:1] })
+	// The walk reads columns by key, not by resolution.
+	rawColumnsAt1s, bucketsAtRaw := samples, buckets
+	rawColumnsAt1s.Resolution, bucketsAtRaw.Resolution = "1s", "raw"
+	// Points is the bench shim's widening, never on the wire.
+	withPoints := samples
+	withPoints.Points = []telemetry.FramePoint{{T: 1e9, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1}}
 
 	for name, r := range map[string]QueryResult{
-		"zero value, frames null":  {},
-		"frames empty":             {Frames: []Frame{}},
-		"points null":              {Frames: []Frame{power}},
-		"points empty":             {Frames: []Frame{emptyPoints}},
-		"points, gaps, reduced":    {Frames: []Frame{withPoints, buckets}, SimNowNS: 4e9, NewestNS: 2e9},
-		"empty gaps slice":         {Frames: []Frame{emptyGaps}},
-		"several frames":           {Frames: []Frame{withPoints, power, emptyPoints, buckets, withPoints}, SimNowNS: 1},
-		"negative and extreme int": {Frames: []Frame{{Points: []Point{{T: math.MinInt64, Count: -3}, {T: math.MaxInt64, Count: math.MaxInt64}}, GapsNS: []time.Duration{-1, 0, 999999999999999999, 1000000000000000000}}, extreme}, SimNowNS: -1, NewestNS: math.MinInt64},
-		"empty labels":             {Frames: []Frame{{Points: []Point{{}}}}},
-		"columns of two lengths":   {Frames: []Frame{short}},
-		"degraded, missing null":   {Frames: []Frame{withPoints}, SimNowNS: 4e9, Degraded: &Degraded{Members: 4, Responded: 3}},
+		"zero value, frames null":       {},
+		"frames empty":                  {Frames: []Frame{}},
+		"points null":                   {Frames: []Frame{power}},
+		"points empty":                  {Frames: []Frame{emptyColumns}},
+		"points, gaps, reduced":         {Frames: []Frame{samples, buckets}, SimNowNS: 4e9, NewestNS: 2e9},
+		"empty gaps slice":              {Frames: []Frame{emptyGaps}},
+		"several frames":                {Frames: []Frame{samples, power, emptyColumns, buckets, samples}, SimNowNS: 1},
+		"negative and extreme int":      {Frames: []Frame{extremeBuckets, extreme}, SimNowNS: -1, NewestNS: math.MinInt64},
+		"empty labels":                  {Frames: []Frame{zeroBucket}},
+		"columns of two lengths":        {Frames: []Frame{short}},
+		"bucket columns of two lengths": {Frames: []Frame{shortBuckets}},
+		"a rollup frame with columns":   {Frames: []Frame{rawColumnsAt1s}},
+		"bucket columns at raw":         {Frames: []Frame{bucketsAtRaw}},
+		"a raw frame with points":       {Frames: []Frame{withPoints}},
+		"degraded, missing null":        {Frames: []Frame{samples}, SimNowNS: 4e9, Degraded: &Degraded{Members: 4, Responded: 3}},
 		"degraded, frames null": {Degraded: &Degraded{Members: 2, Missing: []MissingMember{
 			{Member: "rack01", URL: "http://127.0.0.1:1/?a=1&b=<2>", Reason: `dial: "refused"`, State: "open"},
 			{Member: "rack02", Reason: "breaker open"},
@@ -293,14 +353,16 @@ func TestCodecShapes(t *testing.T) {
 		t.Run(name, func(t *testing.T) { checkCodec(t, r, true) })
 	}
 	// Shapes the encoder writes for a frame that holds them, as
-	// encoding/json would, and the walk leaves to encoding/json: the
-	// resolution decides between columns and points, and a column comes
-	// with its twin.
-	tOnly, vOnly, rawPoints, rollupColumns := power, power, buckets, withPoints
+	// encoding/json would, and the walk leaves to encoding/json: t_ns and v
+	// come together, and the four bucket columns come after them, all four
+	// or none.
+	tOnly, vOnly, noV, noCount, bucketsOnly := power, power, buckets, buckets, buckets
 	tOnly.TNS, vOnly.V = []time.Duration{1}, []float64{1}
-	rawPoints.Resolution, rollupColumns.Resolution = "raw", "1s"
+	noV.V, bucketsOnly.TNS, bucketsOnly.V = nil, nil, nil
+	noCount.Buckets = withBuckets(buckets, func(b *Buckets) { b.Count = nil })
 	for name, f := range map[string]Frame{
-		"t_ns without v": tOnly, "v without t_ns": vOnly, "a raw frame with points": rawPoints, "a rollup frame with columns": rollupColumns,
+		"t_ns without v": tOnly, "v without t_ns": vOnly, "bucket columns without v": noV,
+		"a bucket column missing": noCount, "bucket columns without t_ns or v": bucketsOnly,
 	} {
 		t.Run(name, func(t *testing.T) { checkCodec(t, QueryResult{Frames: []Frame{f}}, false) })
 	}
@@ -318,18 +380,18 @@ func TestCodecFloats(t *testing.T) {
 		9007199254740993, 1 << 53, 4.35, 0.000001234567890123456, 299.99999999999994,
 	}
 	for _, v := range edges {
-		// As a raw sample, as a rollup point (the edge in each position),
+		// As a raw sample, as a rollup bucket (the edge in each column),
 		// and as the reduction.
 		checkCodec(t, rawFrame(v, v, -v), true)
-		checkCodec(t, bucketsFrame(Point{Min: v, Max: 2, Mean: 3, Last: 4}, Point{Min: 1, Max: v, Mean: 3, Last: 4},
-			Point{Min: 1, Max: 2, Mean: v, Last: 4}, Point{Min: 1, Max: 2, Mean: 3, Last: v}), true)
+		checkCodec(t, bucketsFrame(bucket{Min: v, Max: 2, Mean: 3, Last: 4}, bucket{Min: 1, Max: v, Mean: 3, Last: 4},
+			bucket{Min: 1, Max: 2, Mean: v, Last: 4}, bucket{Min: 1, Max: 2, Mean: 3, Last: v}), true)
 		r := oneFrame("raw")
 		r.Frames[0].Reduced = f64(v)
 		checkCodec(t, r, true)
 	}
 	// -0 and 0 are == but print differently.
-	mixed := bucketsFrame(Point{Min: 0, Max: math.Copysign(0, -1), Mean: 0, Last: math.Copysign(0, -1)})
-	if got := checkCodec(t, mixed, true); !bytes.Contains(got, []byte(`"min":0,"max":-0,"mean":0,"last":-0`)) {
+	mixed := bucketsFrame(bucket{Min: 0, Max: math.Copysign(0, -1), Mean: 0, Last: math.Copysign(0, -1)})
+	if got := checkCodec(t, mixed, true); !bytes.Contains(got, []byte(`"v":[0],"min":[0],"max":[-0],"last":[-0]`)) {
 		t.Fatalf("signs of zero lost: %s", got)
 	}
 	if got := checkCodec(t, rawFrame(0, math.Copysign(0, -1)), true); !bytes.Contains(got, []byte(`"v":[0,-0]`)) {
@@ -510,19 +572,19 @@ func FuzzAppendInt(f *testing.F) {
 func TestCodecRejectsNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for i := 0; i < 6; i++ {
-			one := Point{T: 6e9, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1}
+			one := bucket{T: 6e9, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1}
 			p := one
 			p.T = 7e9
 			r := bucketsFrame(one, p)
 			switch i {
 			case 0:
-				r.Frames[0].Points[1].Min = v
+				r.Frames[0].Min[1] = v
 			case 1:
-				r.Frames[0].Points[1].Max = v
+				r.Frames[0].Max[1] = v
 			case 2:
-				r.Frames[0].Points[1].Mean = v
+				r.Frames[0].V[1] = v
 			case 3:
-				r.Frames[0].Points[1].Last = v
+				r.Frames[0].Last[1] = v
 			case 4:
 				r = oneFrame("raw")
 				r.Frames[0].TNS, r.Frames[0].V = []time.Duration{6e9, 7e9}, []float64{1, v}
@@ -543,7 +605,7 @@ func TestCodecRejectsNonFinite(t *testing.T) {
 				t.Errorf("error does not name the series: %v", err)
 			}
 			if i < 5 && !strings.Contains(err.Error(), "t_ns=7000000000") {
-				t.Errorf("error does not name the point: %v", err)
+				t.Errorf("error does not name the sample or bucket: %v", err)
 			}
 		}
 	}
@@ -626,36 +688,51 @@ func randomResult(rng *rand.Rand) (r QueryResult, canonical bool) {
 			if i > 0 && rng.Intn(2) == 0 { // labels repeat across frames
 				f.Backend, f.Unit = r.Frames[i-1].Backend, r.Frames[i-1].Unit
 			}
-			if rng.Intn(2) == 0 {
-				f.Resolution = rawResolution
+			raw := rng.Intn(2) == 0
+			if raw {
+				f.Resolution = "raw"
 			}
 			if rng.Intn(3) == 0 {
 				f.Reduced = f64(float())
 			}
-			// The shape the resolution gives, and now and then the other
-			// one or columns of two lengths.
-			columns := (f.Resolution == rawResolution) != (rng.Intn(40) == 0)
-			switch {
-			case rng.Intn(8) == 0: // a window with nothing in it
-			case columns:
-				f.TNS, f.V = make([]time.Duration, rng.Intn(6)), make([]float64, rng.Intn(6))
-				if rng.Intn(16) > 0 {
-					f.V = f.V[:min(len(f.TNS), len(f.V))]
-					f.TNS = f.TNS[:len(f.V)]
+			// Two columns, and for a rollup four more; now and then columns
+			// of several lengths, a bucket column left out or, at raw,
+			// bucket columns all the same.
+			n := rng.Intn(6)
+			length := func() int {
+				if rng.Intn(16) == 0 {
+					return rng.Intn(6)
 				}
+				return n
+			}
+			floats := func() []float64 {
+				xs := make([]float64, length())
+				for j := range xs {
+					xs[j] = float()
+				}
+				return xs
+			}
+			if rng.Intn(8) > 0 { // else a window with nothing in it
+				f.TNS = make([]time.Duration, length())
 				for j := range f.TNS {
 					f.TNS[j] = time.Duration(integer())
 				}
-				for j := range f.V {
-					f.V[j] = float()
-				}
-			default:
-				f.Points = make([]Point, rng.Intn(6))
-				for j := range f.Points {
-					f.Points[j] = Point{T: time.Duration(integer()), Min: float(), Max: float(), Mean: float(), Last: float(), Count: int(integer())}
-					if rng.Intn(2) == 0 { // a bucket of one sample
-						p := &f.Points[j]
-						p.Max, p.Mean, p.Last, p.Count = p.Min, p.Min, p.Min, 1
+				f.V = floats()
+				if !raw || rng.Intn(40) == 0 {
+					f.Buckets = new(Buckets)
+					f.Min, f.Max, f.Last = floats(), floats(), floats()
+					f.Count = make([]int, length())
+					for j := range f.Count {
+						f.Count[j] = int(integer())
+					}
+					if rng.Intn(2) == 0 { // buckets of one sample
+						f.Min, f.Max, f.Last = slices.Clone(f.V), slices.Clone(f.V), slices.Clone(f.V)
+						for j := range f.Count {
+							f.Count[j] = 1
+						}
+					}
+					if rng.Intn(40) == 0 {
+						*[]*[]float64{&f.V, &f.Min, &f.Max, &f.Last}[rng.Intn(4)] = nil
 					}
 				}
 			}
@@ -682,11 +759,18 @@ func randomResult(rng *rand.Rand) (r QueryResult, canonical bool) {
 				canonical = canonical && s != o
 			}
 		}
-		if f.Resolution == rawResolution {
-			canonical = canonical && len(f.Points) == 0 && (len(f.TNS) > 0) == (len(f.V) > 0)
-		} else {
-			canonical = canonical && len(f.TNS) == 0 && len(f.V) == 0
+		// t_ns and v both or neither, then the bucket columns all or none.
+		var b Buckets
+		if f.Buckets != nil {
+			b = *f.Buckets
 		}
+		columns, buckets := len(f.TNS) > 0 && len(f.V) > 0, 0
+		for _, n := range []int{len(b.Min), len(b.Max), len(b.Last), len(b.Count)} {
+			if n > 0 {
+				buckets++
+			}
+		}
+		canonical = canonical && (columns || len(f.TNS) == 0 && len(f.V) == 0) && (buckets == 0 || buckets == 4 && columns)
 	}
 	return r, canonical
 }
@@ -718,29 +802,42 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		return `{"frames":[{"node":"n","backend":"b","domain":"d","unit":"u","resolution":"` + res + `"` + rest + `}]}` + "\n"
 	}
 	point := func(min string) string {
-		return frame("1s", `,"points":[{"t_ns":1,"min":`+min+`,"max":1,"mean":1,"last":1,"count":1}]`)
+		return frame("1s", `,"t_ns":[1],"v":[1],"min":[`+min+`],"max":[1],"last":[1],"count":[1]`)
+	}
+	count := func(n string) string {
+		return frame("1s", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"last":[1],"count":[`+n+`]`)
 	}
 	tns := func(v string) string { return frame("raw", `,"t_ns":[`+v+`],"v":[1]`) }
 	value := func(v string) string { return frame("raw", `,"t_ns":[1],"v":[`+v+`]`) }
-	// The shape's edges: valid documents the resolution does not give that
-	// shape, a column without its twin or out of order, a bucket that does
-	// not end where one ends; and documents in the shape, with the numbers
-	// that take strconv. Each must be read whole, on one path or the
-	// other; the second group, which AppendJSON writes, by the one-pass walk.
+	// The shape's edges: valid documents with a column without its twin
+	// or out of order, bucket columns without t_ns and v or not all four,
+	// the retired point objects, a count that is not an int; and documents
+	// in the shape, with the numbers that take strconv. Each must be read
+	// whole, on one path or the other; the second group, which AppendJSON
+	// writes, by the one-pass walk.
 	shape := []string{
 		frame("raw", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1}]`),
-		frame("1s", `,"t_ns":[1],"v":[1]`),
+		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1}]`),
 		frame("raw", `,"t_ns":[1]`), frame("raw", `,"v":[1]`), frame("raw", `,"v":[1],"t_ns":[1]`),
 		frame("raw", `,"t_ns":[1],"v":[1],"points":[]`), frame("raw", `,"t_ns":null,"v":null`),
 		frame("raw", `,"t_ns":[1] ,"v":[1]`), frame("raw", `,"t_ns":[1],"v":[1],"t_ns":[2],"v":[2]`),
-		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1,"count":2}]`),
-		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":1,"extra":1}]`),
+		frame("1s", `,"t_ns":[1],"min":[1],"max":[1],"last":[1],"count":[1]`),
+		frame("1s", `,"min":[1],"max":[1],"last":[1],"count":[1]`),
+		frame("1s", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"last":[1]`),
+		frame("1s", `,"t_ns":[1],"v":[1],"max":[1],"min":[1],"last":[1],"count":[1]`),
+		frame("1s", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"mean":[1],"last":[1],"count":[1]`),
+		frame("1s", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"last":[1],"count":[1],"count":[2]`),
+		frame("1s", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"last":[1],"count":[1],"extra":[1]`),
+		count("1.5"), count("1e3"), count("9223372036854775808"), count("-9223372036854775809"),
 	}
 	shapeCanonical := []string{
-		frame("1s", `,"points":[{"t_ns":1,"min":1,"max":1,"mean":1,"last":1,"count":10}]`),
-		frame("1s", `,"points":[{"t_ns":1,"min":1.5,"max":1.55,"mean":1.5,"last":1.5,"count":1}]`),
+		frame("1s", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"last":[1],"count":[10]`),
+		frame("1s", `,"t_ns":[1],"v":[1.5],"min":[1.5],"max":[1.55],"last":[1.5],"count":[1]`),
+		frame("1s", `,"t_ns":[1,2],"v":[1,2],"min":[1],"max":[1,2,3],"last":[2],"count":[1,2]`),
+		frame("1s", `,"t_ns":[1],"v":[1]`), frame("raw", `,"t_ns":[1],"v":[1],"min":[1],"max":[1],"last":[1],"count":[1]`),
 		frame("raw", `,"t_ns":[1,2],"v":[1]`), frame("raw", `,"gaps_ns":[5]`),
 		value("0,-0"), value("1e-7"), value("1234567890123456"), tns("1234567890123456789"),
+		count("9223372036854775807"), count("-9223372036854775808"),
 	}
 	for _, body := range slices.Concat([]string{
 		// Valid, not canonical.
@@ -766,7 +863,7 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		point("NaN"), point("1_0"), point("1e"), point("1e+"), point("1E5"), point("-0"), point("1e999"),
 		point("-1e999"), point("1e-999"), point(`"1"`), point("true"),
 		value("+1"), value("01"), value("1e999"), value("1,"), value(",1"), value("1 2"), value("null"),
-		tns("1.0"), tns("1e3"), tns("-0"), tns("9223372036854775807"), tns("9223372036854775808"),
+		tns("1.0"), tns("1e3"), tns("-0"), count("-0"), tns("9223372036854775807"), tns("9223372036854775808"),
 		tns("-9223372036854775808"), tns("-9223372036854775809"), tns("99999999999999999999999"), tns("01"),
 		tns("18446744073709551616"), tns("-18446744073709551617"), point("1" + strings.Repeat("0", 308)), point("1" + strings.Repeat("0", 307) + ".5"),
 		point("1" + strings.Repeat("0", 309)), point("-1" + strings.Repeat("0", 308) + ".0"), point("0." + strings.Repeat("0", 400) + "1"),
@@ -788,7 +885,7 @@ func TestDecodeDeclinesWhatItDoesNotEmit(t *testing.T) {
 		`{ "frames": null }`, `{"frames":null,"extra":1}`, `{"sim_now_ns":5,"frames":null}`,
 		point("+1"), point(".5"), point("1."), point("01"), point("0x1p3"), point("Inf"), point("1_0"),
 		point("1e999"), tns("1.0"), tns("9223372036854775808"), tns("01"), tns("18446744073709551616"),
-		value("+1"), value("01"), value("1e999"),
+		value("+1"), value("01"), value("1e999"), count("01"), count("+1"),
 	}, shape...) {
 		var r QueryResult
 		if decodeCanonical([]byte(body), &r) {
@@ -834,24 +931,20 @@ func seedDocuments(t testing.TB) [][]byte {
 	full.Frames[0].TNS = []time.Duration{1e9, 2e9}
 	full.Frames[0].Reduced = f64(99.25)
 	full.Frames[0].GapsNS = []time.Duration{1500000000, 2500000000}
-	full.Frames = append(full.Frames, Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"},
-		Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "1s", Reduced: f64(1e21),
-			Points: []Point{{T: 3e9, Min: -0.5, Max: 1e21, Mean: 1e-7, Last: 3, Count: 60}}})
+	rollup := Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "1s", Reduced: f64(1e21)}
+	bucketColumns(&rollup, bucket{T: 3e9, Min: -0.5, Max: 1e21, Mean: 1e-7, Last: 3, Count: 60})
+	full.Frames = append(full.Frames, Frame{Node: "n01", Backend: "MSR", Domain: "Total Power", Unit: "W", Resolution: "raw"}, rollup)
 	full.SimNowNS, full.NewestNS = 4e9, 3e9
 	degraded := full
 	degraded.Degraded = &Degraded{Members: 2, Responded: 1, Missing: []MissingMember{{Member: "rack01", Reason: "breaker open", State: "open"}}}
 	escaped := rawFrame(2)
 	escaped.Frames[0].Unit = "°C <&>"
-	// A window that holds nothing, at both resolutions, and a raw frame
-	// carrying points: the spelling raw samples had before they were
-	// columns, which the walk declines and encoding/json reads.
+	// A window that holds nothing, at both resolutions.
 	empty := QueryResult{Frames: []Frame{oneFrame("raw").Frames[0], oneFrame("10s").Frames[0]}, SimNowNS: 4e9}
-	rawPoints := oneFrame("raw")
-	rawPoints.Frames[0].Points = []Point{{T: 1e9, Min: 2, Max: 2, Mean: 2, Last: 2, Count: 1}}
 	var docs [][]byte
 	// Then a history reply in the stack's own numbers and the same series
-	// at 1 s: a column-shaped raw reply and a rollup reply.
-	for _, r := range []QueryResult{{}, {Frames: []Frame{}}, full, degraded, escaped, quantizedFrame(6), rollupFrame(4), empty, rawPoints} {
+	// at 1 s: a raw reply and a rollup reply.
+	for _, r := range []QueryResult{{}, {Frames: []Frame{}}, full, degraded, escaped, quantizedFrame(6), rollupFrame(4), empty} {
 		b, err := r.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -861,11 +954,30 @@ func seedDocuments(t testing.TB) [][]byte {
 	return docs
 }
 
+// fuzzSeeds are seedDocuments and the shapes the walk declines or reads
+// only at an edge: a bucket column without v, a count that is a float or
+// past int, columns of unequal length, and the retired point objects,
+// which encoding/json reads past.
+func fuzzSeeds(t testing.TB) [][]byte {
+	docs := seedDocuments(t)
+	const labels = `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"1s"`
+	for _, frame := range []string{
+		`,"t_ns":[1000000000],"min":[1],"max":[2],"last":[2],"count":[4]`,
+		`,"t_ns":[1000000000],"v":[1.5],"min":[1],"max":[2],"last":[2],"count":[4.5]`,
+		`,"t_ns":[1000000000],"v":[1.5],"min":[1],"max":[2],"last":[2],"count":[9223372036854775808]`,
+		`,"t_ns":[1000000000,2000000000],"v":[1.5],"min":[1,2,3],"max":[2],"last":[2,3],"count":[4,4]`,
+		`,"points":[{"t_ns":1000000000,"min":1,"max":2,"mean":1.5,"last":2,"count":4}]`,
+	} {
+		docs = append(docs, []byte(labels+frame+`}],"sim_now_ns":4000000000}`+"\n"))
+	}
+	return docs
+}
+
 // FuzzDecodeQueryResult: on arbitrary bytes the decoder and
 // json.Unmarshal agree on whether the body is acceptable, on the error
 // when it is not and on the value when it is.
 func FuzzDecodeQueryResult(f *testing.F) {
-	for _, doc := range seedDocuments(f) {
+	for _, doc := range fuzzSeeds(f) {
 		f.Add(doc)
 	}
 	f.Add([]byte(`{ "frames": [ { "node": "n", "points": [ { "t_ns": 1, "min": 1e999 } ] } ] }`))
@@ -877,7 +989,7 @@ func FuzzDecodeQueryResult(f *testing.F) {
 // it does not, and the frames decoded one by one from the bytes they were
 // kept as are the decoded document's (checkSplit).
 func FuzzSplitQueryResult(f *testing.F) {
-	for _, doc := range seedDocuments(f) {
+	for _, doc := range fuzzSeeds(f) {
 		f.Add(doc)
 	}
 	// What TestQueryOnTheWire reads off a socket, and what it read before
@@ -916,31 +1028,65 @@ func quantizedFrame(n int) QueryResult {
 	return r
 }
 
-// quantizedPoints is quantizedFrame's reply in the spelling raw samples had
-// before they were columns: each one a point object whose four statistics
-// are its value, with a count of one.
-func quantizedPoints(n int) QueryResult {
+// pointsResult is the /query document as it was spelled before every
+// frame was columns: a raw sample or a bucket as one object each. It is
+// the decoder gate's fixed reference (BenchmarkDecodeQuantizedPointsJSON),
+// field for field the types encoding/json read such a body into then.
+type pointsResult struct {
+	Frames []struct {
+		Node       string          `json:"node"`
+		Backend    string          `json:"backend"`
+		Domain     string          `json:"domain"`
+		Unit       string          `json:"unit"`
+		Resolution string          `json:"resolution"`
+		Reduced    *float64        `json:"reduced,omitempty"`
+		TNS        []time.Duration `json:"t_ns,omitempty"`
+		V          []float64       `json:"v,omitempty"`
+		Points     []struct {
+			T     time.Duration `json:"t_ns"`
+			Min   float64       `json:"min"`
+			Max   float64       `json:"max"`
+			Mean  float64       `json:"mean"`
+			Last  float64       `json:"last"`
+			Count int           `json:"count"`
+		} `json:"points,omitempty"`
+		GapsNS []time.Duration `json:"gaps_ns,omitempty"`
+	} `json:"frames"`
+	SimNowNS int64     `json:"sim_now_ns,omitempty"`
+	NewestNS int64     `json:"newest_ns,omitempty"`
+	Degraded *Degraded `json:"degraded,omitempty"`
+}
+
+// quantizedPoints is quantizedFrame's reply in that spelling: each sample a
+// point object whose four statistics are its value, with a count of one.
+func quantizedPoints(n int) []byte {
 	r := quantizedFrame(n)
 	f := &r.Frames[0]
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"frames":[{"node":%q,"backend":%q,"domain":%q,"unit":%q,"resolution":%q,"points":[`, f.Node, f.Backend, f.Domain, f.Unit, f.Resolution)
 	for i, v := range f.V {
-		f.Points = append(f.Points, Point{T: f.TNS[i], Min: v, Max: v, Mean: v, Last: v, Count: 1})
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		x := appendFloat(nil, v)
+		fmt.Fprintf(&b, `{"t_ns":%d,"min":%s,"max":%s,"mean":%s,"last":%s,"count":1}`, f.TNS[i], x, x, x, x)
 	}
-	f.TNS, f.V = nil, nil
-	return r
+	fmt.Fprintf(&b, `]}],"sim_now_ns":%d,"newest_ns":%d}`+"\n", r.SimNowNS, r.NewestNS)
+	return []byte(b.String())
 }
 
 // rollupFrame is the same series at 1 s: buckets of 20 samples whose min,
 // max, mean and last differ. A mean of 20 quarter watts is a multiple of
 // 1/80, a short decimal too.
 func rollupFrame(n int) QueryResult {
-	points := make([]Point, n)
-	for i := range points {
+	buckets := make([]bucket, n)
+	for i := range buckets {
 		q := 600 + i*7919%400
-		points[i] = Point{T: time.Duration(100e9 + int64(i)*1e9), Min: float64(q) / 4, Max: float64(q+50) / 4,
+		buckets[i] = bucket{T: time.Duration(100e9 + int64(i)*1e9), Min: float64(q) / 4, Max: float64(q+50) / 4,
 			Mean: float64(20*q+481) / 80, Last: float64(q+13) / 4, Count: 20}
 	}
-	r := bucketsFrame(points...)
-	r.SimNowNS, r.NewestNS = int64(points[n-1].T)+1e9, int64(points[n-1].T)
+	r := bucketsFrame(buckets...)
+	r.SimNowNS, r.NewestNS = int64(buckets[n-1].T)+1e9, int64(buckets[n-1].T)
 	return r
 }
 
@@ -972,18 +1118,25 @@ func manyFrames(n int) QueryResult {
 
 // TestWireBytesPerSample is the wire's tripwire, the serving-side twin of
 // the store's TestBlockBytesPerSample: a history reply in the stack's own
-// numbers costs at most 24 bytes a sample. Spelled as point objects, raw
-// samples cost 82.
+// numbers costs at most 24 bytes a sample, and the same series at 1 s at
+// most 48 bytes a bucket. Spelled as point objects, raw samples cost 82
+// and buckets 87.
 func TestWireBytesPerSample(t *testing.T) {
 	const n = 10240
-	body, err := quantizedFrame(n).AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSample := float64(len(body)) / n
-	t.Logf("%d samples in %d bytes: %.1f B/sample", n, len(body), perSample)
-	if perSample > 24 {
-		t.Errorf("a raw history reply costs %.1f B/sample on the wire, gate 24", perSample)
+	for _, tc := range []struct {
+		what string
+		r    QueryResult
+		gate float64
+	}{{"raw history reply", quantizedFrame(n), 24}, {"rollup reply", rollupFrame(n), 48}} {
+		body, err := tc.r.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := float64(len(body)) / n
+		t.Logf("%s: %d entries in %d bytes: %.1f B each", tc.what, n, len(body), per)
+		if per > tc.gate {
+			t.Errorf("a %s costs %.1f B a sample or bucket on the wire, gate %v", tc.what, per, tc.gate)
+		}
 	}
 }
 
@@ -1033,6 +1186,16 @@ func TestSplitAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, func() { _, _, _ = SplitQueryResult(history) }); n > 8 {
 		t.Errorf("splitting a 10k-point frame: %v allocations, want a handful", n)
+	}
+	rollups := manyFrames(frames)
+	for i := range rollups.Frames {
+		f := &rollups.Frames[i]
+		f.Resolution, f.Buckets = "1s", &Buckets{Min: f.V, Max: f.V, Last: f.V, Count: make([]int, len(f.V))}
+	}
+	if body, err := rollups.AppendJSON(nil); err != nil {
+		t.Fatal(err)
+	} else if n := testing.AllocsPerRun(5, func() { _, _, _ = SplitQueryResult(body) }); n > frames+32 {
+		t.Errorf("splitting %d rollup frames of 8 buckets: %v allocations, want at most one per frame", frames, n)
 	}
 	w, _, _ := SplitQueryResult(recent)
 	buf, _ := w.AppendJSON(nil)
@@ -1124,7 +1287,13 @@ func BenchmarkEncodeQuantizedJSON(b *testing.B) { benchmarkEncode(b, quantizedFr
 func BenchmarkDecodeQuantized(b *testing.B)     { benchmarkDecode(b, quantizedFrame(10240), true) }
 func BenchmarkDecodeQuantizedJSON(b *testing.B) { benchmarkDecode(b, quantizedFrame(10240), false) }
 func BenchmarkDecodeQuantizedPointsJSON(b *testing.B) {
-	benchmarkDecode(b, quantizedPoints(10240), false)
+	body := quantizedPoints(10240)
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var doc pointsResult
+		_ = json.Unmarshal(body, &doc)
+	}
 }
 func BenchmarkSplitQuantized(b *testing.B)     { benchmarkSplit(b, quantizedFrame(10240), true) }
 func BenchmarkSplitQuantizedJSON(b *testing.B) { benchmarkSplit(b, quantizedFrame(10240), false) }

@@ -1,8 +1,8 @@
 // Package httpapi serves a telemetry.Store over HTTP/JSON — the wire layer
 // of the envmond daemon. It also defines the JSON document types, which
 // the client package shares, so the two sides cannot drift. What the store
-// and the resilience chains already hand out element by element — points,
-// ranking entries, breaker positions — is aliased here, not mirrored: the
+// and the resilience chains already hand out element by element — ranking
+// entries, breaker positions — is aliased here, not mirrored: the
 // one definition carries the JSON tags and the handlers pass its slices on.
 // The /query document has its own codec (codec.go), and a second form for
 // a server that passes frames on rather than producing them: WireResult,
@@ -144,29 +144,27 @@ type SeriesResult struct {
 	Series []SeriesInfo `json:"series"`
 }
 
-// Point is one rollup bucket of a frame.
-type Point = telemetry.FramePoint
+// Buckets is a rollup frame's bucket columns.
+type Buckets = telemetry.Buckets
 
-// Frame is one series' result in the /query document. The resolution
-// decides how its window is spelled: a raw frame carries two columns, the
-// sample times TNS and the values V, and a rollup frame carries Points,
-// one per bucket. A window that holds nothing spells neither. GapsNS marks
-// the failed-poll instants inside the window: explicit "no data here"
-// markers, never encoded as zero-valued points. It differs from
-// telemetry.Frame only in what is the wire's own shape: a flat key, the
-// resolution by name, raw samples as columns, and an absent rather than
-// invalid reduction.
+// Frame is one series' result in the /query document, as the store's
+// columns, a rollup frame's Buckets flattened in after v. GapsNS marks the
+// failed-poll instants inside the window: explicit "no data here" markers.
+// It differs from telemetry.Frame only in what is the wire's own shape: a
+// flat key, the resolution by name, and an absent rather than invalid
+// reduction. Points is not on the wire: client's QueryFull fills it.
 type Frame struct {
-	Node       string          `json:"node"`
-	Backend    string          `json:"backend"`
-	Domain     string          `json:"domain"`
-	Unit       string          `json:"unit"`
-	Resolution string          `json:"resolution"`
-	Reduced    *float64        `json:"reduced,omitempty"`
-	TNS        []time.Duration `json:"t_ns,omitempty"`
-	V          []float64       `json:"v,omitempty"`
-	Points     []Point         `json:"points,omitempty"`
-	GapsNS     []time.Duration `json:"gaps_ns,omitempty"`
+	Node       string                 `json:"node"`
+	Backend    string                 `json:"backend"`
+	Domain     string                 `json:"domain"`
+	Unit       string                 `json:"unit"`
+	Resolution string                 `json:"resolution"`
+	Reduced    *float64               `json:"reduced,omitempty"`
+	TNS        []time.Duration        `json:"t_ns,omitempty"`
+	V          []float64              `json:"v,omitempty"`
+	*Buckets                          // nil on a raw frame
+	Points     []telemetry.FramePoint `json:"-"`
+	GapsNS     []time.Duration        `json:"gaps_ns,omitempty"`
 }
 
 // Key is the series the frame belongs to, as the store spells it — and
@@ -184,7 +182,7 @@ func (f *Frame) Key() telemetry.SeriesKey {
 // (the conservative view: data can be no fresher than the laggiest
 // member's clock) and Degraded is present when a member was unreachable.
 //
-// This document, with its Frame and Point, is written and read by the
+// This document, with its Frame and Buckets, is written and read by the
 // hand-written codec in codec.go rather than by reflection: a field added
 // to any of the three is added there too (TestCodecCoversEveryField), and
 // one added to the document itself to WireResult as well.
@@ -565,30 +563,26 @@ func answer(frames int, degraded *Degraded, q telemetry.Query, doc any) (int, an
 	return http.StatusOK, doc
 }
 
-// NewestNS is a /query document's newest_ns: the newest sample time
-// across frames, the last of a raw frame's t_ns column or a rollup
-// frame's last bucket start (each frame is in time order); 0 when no frame
-// holds any.
+// NewestNS is a /query document's newest_ns: the newest sample time or
+// bucket start across frames, the last of each frame's t_ns column (each
+// frame is in time order); 0 when no frame holds any.
 func NewestNS(frames []Frame) (newest int64) {
 	for i := range frames {
 		if t := frames[i].TNS; len(t) > 0 {
 			newest = max(newest, int64(t[len(t)-1]))
-		}
-		if p := frames[i].Points; len(p) > 0 {
-			newest = max(newest, int64(p[len(p)-1].T))
 		}
 	}
 	return newest
 }
 
 // frameDoc puts one store frame in its wire form. The store's frames are
-// deep copies (telemetry.Store.Frames), so a raw frame's columns, a rollup
-// frame's points and the gap markers are handed over as they are.
+// deep copies (telemetry.Store.Frames), so the columns and the gap markers
+// are handed over as they are.
 func frameDoc(f telemetry.Frame) Frame {
 	jf := Frame{
 		Node: f.Key.Node, Backend: f.Key.Backend, Domain: f.Key.Domain,
 		Unit: f.Unit, Resolution: f.Resolution.String(),
-		TNS: f.TNS, V: f.V, Points: f.Points, GapsNS: f.Gaps,
+		TNS: f.TNS, V: f.V, Buckets: f.Buckets, GapsNS: f.Gaps,
 	}
 	if f.ReducedOK {
 		v := f.Reduced

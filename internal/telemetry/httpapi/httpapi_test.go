@@ -86,14 +86,14 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("frames = %+v", out.Frames)
 	}
 	f := out.Frames[0]
-	if f.Node != "n01" || f.Resolution != "1s" || len(f.Points) != 3 {
-		t.Errorf("frame = %+v", f)
+	if f.Node != "n01" || f.Resolution != "1s" || len(f.TNS) != 3 || len(f.V) != 3 || f.Buckets == nil || len(f.Count) != 3 {
+		t.Fatalf("frame = %+v", f)
 	}
 	if f.Reduced == nil || *f.Reduced != 110 {
 		t.Errorf("reduced = %v, want 110", f.Reduced)
 	}
-	if f.Points[0].T != 2*time.Second || f.Points[0].Count != 1 {
-		t.Errorf("points[0] = %+v", f.Points[0])
+	if f.TNS[0] != 2*time.Second || f.Count[0] != 1 {
+		t.Errorf("first bucket at %v of %d samples", f.TNS[0], f.Count[0])
 	}
 	// No aggregate requested: reduced omitted from the JSON.
 	req := httptest.NewRequest(http.MethodGet, "/query?node=n01", nil)

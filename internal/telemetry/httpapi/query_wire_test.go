@@ -49,7 +49,7 @@ func TestQueryOnTheWire(t *testing.T) {
 		t.Fatalf("status %d, body %d bytes", resp.StatusCode, len(body))
 	}
 	doc, err := refDecode(body)
-	if err != nil || len(doc.Frames) != 1 || len(doc.Frames[0].TNS) != 1000 || len(doc.Frames[0].V) != 1000 || doc.Frames[0].Points != nil ||
+	if err != nil || len(doc.Frames) != 1 || len(doc.Frames[0].TNS) != 1000 || len(doc.Frames[0].V) != 1000 || doc.Frames[0].Buckets != nil ||
 		len(doc.Frames[0].GapsNS) != 1 || doc.Frames[0].Reduced == nil || doc.SimNowNS != int64(1000*time.Second) || doc.NewestNS != int64(999*time.Second) {
 		t.Fatalf("document: %v %.300s", err, body)
 	}
@@ -75,7 +75,7 @@ func TestQueryOnTheWire(t *testing.T) {
 		{ts.URL, "/query?node=n00&from=1200s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw"}],"sim_now_ns":1000000000000}`},
 		{ts.URL, "/query?node=n00&from=1200s&res=10s&agg=max", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"10s"}],"sim_now_ns":1000000000000}`},
 		{ts.URL, "/query?node=n00&from=1200ms&to=1600ms", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","gaps_ns":[1500000000]}],"sim_now_ns":1000000000000}`},
-		{ts.URL, "/query?node=n00&from=2s&to=4s&res=1s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"1s","points":[{"t_ns":2000000000,"min":180.66666666666666,"max":180.66666666666666,"mean":180.66666666666666,"last":180.66666666666666,"count":1},{"t_ns":3000000000,"min":181,"max":181,"mean":181,"last":181,"count":1}]}],"sim_now_ns":1000000000000,"newest_ns":3000000000}`},
+		{ts.URL, "/query?node=n00&from=2s&to=4s&res=1s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"1s","t_ns":[2000000000,3000000000],"v":[180.66666666666666,181],"min":[180.66666666666666,181],"max":[180.66666666666666,181],"last":[180.66666666666666,181],"count":[1,1]}],"sim_now_ns":1000000000000,"newest_ns":3000000000}`},
 		{ts.URL, "/query?node=n00&from=2s&to=4s", 200, `{"frames":[{"node":"n00","backend":"MSR","domain":"Total Power","unit":"W","resolution":"raw","t_ns":[2000000000,3000000000],"v":[180.66666666666666,181]}],"sim_now_ns":1000000000000,"newest_ns":3000000000}`},
 		{ts.URL, "/topk?from=1200s", 200, `{"domain":"Total Power","total_watts":0,"sim_now_ns":1000000000000,"nodes":[]}`},
 		{ts.URL, "/topk?domain=nope", 200, `{"domain":"nope","total_watts":0,"sim_now_ns":1000000000000,"nodes":[]}`},

@@ -8,11 +8,11 @@ import (
 )
 
 // Aggregate selects the window reduction a query computes per frame in
-// addition to the point list.
+// addition to the columns.
 type Aggregate uint8
 
 const (
-	// AggNone skips the reduction; the frame carries points only.
+	// AggNone skips the reduction; the frame carries its columns only.
 	AggNone Aggregate = iota
 	// AggMean reduces to the sample-weighted mean over the window.
 	AggMean
@@ -64,9 +64,9 @@ func ParseAggregate(s string) (Aggregate, error) {
 //
 // Node, Backend, and Domain match exactly; an empty field matches every
 // series. The window is half-open [From, To); To <= 0 means unbounded.
-// At Raw resolution the frame carries one point per sample still in the
-// ring; at a rollup resolution it carries one point per bucket that
-// overlaps the window.
+// At Raw resolution the frame carries one entry per sample in the window;
+// at a rollup resolution it carries one per bucket that overlaps the
+// window.
 type Query struct {
 	Node       string
 	Backend    string
@@ -83,30 +83,40 @@ func (q Query) matches(k SeriesKey) bool {
 		(q.Domain == "" || q.Domain == k.Domain)
 }
 
-// FramePoint is one rollup bucket of a frame; a raw sample widened by
-// Query is one too (Count 1, all four statistics equal to the value). The
-// tags are the /query wire's: httpapi serves the store's points as they
-// are.
+// FramePoint is one sample or bucket of a frame widened into an object, a
+// raw sample as a bucket of one (Count 1, all four statistics equal to the
+// value). Only the two shims bench/ reads build it, Store.Query and
+// client's QueryFull; ROADMAP item 6 deletes all three.
 type FramePoint struct {
-	T     time.Duration `json:"t_ns"` // bucket start, or sample time
-	Min   float64       `json:"min"`
-	Max   float64       `json:"max"`
-	Mean  float64       `json:"mean"`
-	Last  float64       `json:"last"`
-	Count int           `json:"count"`
+	T     time.Duration // bucket start, or sample time
+	Min   float64
+	Max   float64
+	Mean  float64
+	Last  float64
+	Count int
 }
 
-// Frame is the query result for one matching series. A raw frame from
-// Frames carries its samples as two columns, TNS and V (sample i is V[i]
-// at TNS[i]), and a rollup frame its buckets as Points; a window that
-// holds nothing leaves all three nil.
+// Buckets is a rollup frame's bucket columns beside its TNS (the starts)
+// and V (the means). The tags are the /query wire's.
+type Buckets struct {
+	Min   []float64 `json:"min,omitempty"`
+	Max   []float64 `json:"max,omitempty"`
+	Last  []float64 `json:"last,omitempty"`
+	Count []int     `json:"count,omitempty"`
+}
+
+// Frame is the query result for one matching series, as columns: TNS and
+// V, the sample times and values at Raw or the bucket starts and means at
+// a rollup resolution, and a rollup frame's Buckets too. A window that
+// holds nothing leaves every column nil.
 type Frame struct {
 	Key        SeriesKey
 	Unit       string
 	Resolution Resolution
 	TNS        []time.Duration
 	V          []float64
-	Points     []FramePoint
+	Buckets    *Buckets
+	Points     []FramePoint // the columns widened, by the Store.Query shim only
 	// Gaps are the failed-poll instants inside the window still held in the
 	// gap ring: explicit "the mechanism did not answer here" markers, so a
 	// consumer never mistakes missing data for zero power. Served at every
@@ -129,8 +139,8 @@ type Frame struct {
 // can observe.
 func (st *Store) Frames(q Query) []Frame { return st.query(q, true) }
 
-// Query is Frames with each raw frame's columns widened into Points, as
-// bench/ reads them; ROADMAP item 6 deletes it. Nothing else may call it
+// Query is Frames with each frame's columns widened into Points, as bench/
+// reads them; ROADMAP item 6 deletes it. Nothing else may call it
 // (TestArchitecture/raw-columns).
 func (st *Store) Query(q Query) []Frame {
 	frames := st.Frames(q)
@@ -139,10 +149,14 @@ func (st *Store) Query(q Query) []Frame {
 		if len(f.TNS) > 0 {
 			f.Points = make([]FramePoint, len(f.TNS))
 			for j, v := range f.V {
-				f.Points[j] = FramePoint{T: f.TNS[j], Min: v, Max: v, Mean: v, Last: v, Count: 1}
+				p := FramePoint{T: f.TNS[j], Min: v, Max: v, Mean: v, Last: v, Count: 1}
+				if b := f.Buckets; b != nil {
+					p.Min, p.Max, p.Last, p.Count = b.Min[j], b.Max[j], b.Last[j], b.Count[j]
+				}
+				f.Points[j] = p
 			}
 		}
-		f.TNS, f.V = nil, nil
+		f.TNS, f.V, f.Buckets = nil, nil, nil
 	}
 	return frames
 }
@@ -202,8 +216,8 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 		red.Count += b.Count
 	}
 	// Each kind is served the same way: block data for the sealed prefix,
-	// then the ring from the seam on. The columns or the point list are
-	// sized once: the ring's part exactly, the blocks' from their index.
+	// then the ring from the seam on. The columns are sized once: the
+	// ring's part exactly, the blocks' from their index.
 	if q.Resolution == Raw {
 		sample := func(p Point) {
 			if points {
@@ -232,9 +246,12 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 	} else {
 		period := q.Resolution.Period()
 		lvl := int(q.Resolution - 1)
+		var cols *Buckets
 		bucket := func(b Bucket) {
 			if points {
-				f.Points = append(f.Points, FramePoint{T: b.Start, Min: b.Min, Max: b.Max, Mean: b.Mean(), Last: b.Last, Count: b.Count})
+				f.TNS, f.V = append(f.TNS, b.Start), append(f.V, b.Mean())
+				cols.Min, cols.Max = append(cols.Min, b.Min), append(cols.Max, b.Max)
+				cols.Last, cols.Count = append(cols.Last, b.Last), append(cols.Count, b.Count)
 			}
 			fold(b)
 		}
@@ -249,7 +266,8 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 			if inWindow {
 				n++
 			}
-			f.Points = make([]FramePoint, 0, n)
+			f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
+			cols = &Buckets{Min: make([]float64, 0, n), Max: make([]float64, 0, n), Last: make([]float64, 0, n), Count: make([]int, 0, n)}
 		}
 		if st.blocks != nil && rb.sealedFrom(lo, bucketT) {
 			st.noteRead(st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, bucket))
@@ -260,8 +278,8 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 		if inWindow {
 			bucket(*open)
 		}
-		if len(f.Points) == 0 {
-			f.Points = nil // an empty window reads as one that was never sized
+		if f.Buckets = cols; len(f.TNS) == 0 { // an empty window reads as one that was never sized
+			f.TNS, f.V, f.Buckets = nil, nil, nil
 		}
 	}
 	if points {

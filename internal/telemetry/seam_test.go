@@ -126,7 +126,8 @@ func modelSeed(t *testing.T) int64 {
 // budget) on a persistent store whose rings hold 2–8 entries, so pressure
 // compaction fires constantly, must stay indistinguishable — on Query at
 // every resolution, window and aggregate, on TopK and on Series — from a
-// memory store whose rings never evict.
+// memory store whose rings never evict. Half the series are valued in
+// quarter watts, so seals write scaled columns as well as XOR ones.
 func TestSeamModel(t *testing.T) {
 	seed := modelSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -158,6 +159,14 @@ func TestSeamModel(t *testing.T) {
 	lastSample, lastGap := make([]time.Duration, len(keys)), make([]time.Duration, len(keys))
 	var horizon time.Duration
 	instants := []time.Duration{0} // every accepted instant, for windows that end exactly on one
+	// value draws series k's next sample: full-precision watts, or on one
+	// series in two quarter watts, which seal as long scaled columns.
+	value := func(k int) float64 {
+		if k%2 == 0 {
+			return float64(400+rng.Intn(400)) / 4
+		}
+		return 100 + float64(k)*20 + 50*rng.Float64()
+	}
 
 	op := 0
 	check := func(what string) {
@@ -263,7 +272,7 @@ func TestSeamModel(t *testing.T) {
 				if rng.Intn(20) == 0 {
 					at += time.Duration(rng.Intn(90)) * time.Second
 				}
-				sm := trace.Sample{T: at, V: 100 + float64(k)*20 + 50*rng.Float64()}
+				sm := trace.Sample{T: at, V: value(k)}
 				if i == bad {
 					sm.T -= at - lastSample[k] + time.Duration(1+rng.Intn(5))*time.Second // behind everything before it
 				}
@@ -310,7 +319,7 @@ func TestSeamModel(t *testing.T) {
 			if p < 20 {
 				perr, rerr = ps.IngestGap(keys[k], "W", ts), ref.IngestGap(keys[k], "W", ts)
 			} else {
-				v := 100 + float64(k)*20 + 50*rng.Float64()
+				v := value(k)
 				perr, rerr = ps.Ingest(keys[k], "W", ts, v), ref.Ingest(keys[k], "W", ts, v)
 			}
 			if perr != rerr || (perr == nil) != (ts >= *last) {
