@@ -97,6 +97,7 @@ var architecture = []struct {
 	{"flag-sets", "DESIGN §13 Knobs: a daemon's flags are declared in registerFlags, which only main calls, once, with flag.CommandLine; main also calls flag.Parse", guards(
 		slices.Concat(flagSet("cmd/envmond/"), flagSet("cmd/envcapd/"), flagSet("cmd/envfedd/"))...)},
 	{"mechanisms", "DESIGN §3: each backend is one exported core.Mechanism holding its key, per-query cost and minimum interval; collectors embed it, the faults and resilience wrappers declare only the Cost they compute, and nothing else spells a core.BackendKey", mechanisms},
+	{"handle-maps", "DESIGN §10 Registry: the registry interns every metric handle, so outside internal/obs no map holds obs handles, bare or in a struct of them; internal/daemon's per-path table is the exception, because its request path must not take the registry lock", handleMaps},
 	{"mmap", "DESIGN §9 Write path: only the journal maps files", guards(
 		guard{tests: true, except: strs("internal/telemetry/wal/"), bad: strs("syscall.Mmap")})},
 	{"benchmark-system", `EXPERIMENTS.md "What the stack costs": speed is pairs of bench/run.sh; CHANGES, ROADMAP and bench/README.md keep the history`, benchmarkSystem},
@@ -223,6 +224,29 @@ func mechanisms(m *archModule) []string {
 		guard{except: strs("internal/core/"), bad: strs("core.BackendKey{}"), one: keys})(m)
 }
 
+// handleMaps: outside internal/obs, no map's values are obs handles or a
+// struct type holding one.
+func handleMaps(m *archModule) []string {
+	handles := strs("obs.Counter", "obs.FloatCounter", "obs.Histogram", "obs.Stage")
+	var bad []string
+	for _, h := range handles {
+		bad = append(bad, "map[]"+h)
+	}
+	for _, f := range m.files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok && slices.ContainsFunc(st.Fields.List, func(fd *ast.Field) bool {
+					return slices.Contains(handles, f.sel(deref(fd.Type)))
+				}) {
+					bad = append(bad, "map[]"+ts.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	return guards(guard{except: strs("internal/obs/", "internal/daemon/handler.go"), bad: bad})(m)
+}
+
 // match reports whether n is what pattern p describes (a glob as in path.Match):
 //
 //	pkg.Name   a selector on an imported package, Name a glob ("json.*")
@@ -236,6 +260,7 @@ func mechanisms(m *archModule) []string {
 //	"s"        the string literal s
 //	T{}        a composite literal of T, also as an element whose T a []T or map[K]T literal elides
 //	for        a loop
+//	map[]T     a map type whose values are T or *T: pkg.Name, or a Name its package declares
 //	x == ""    an identifier ending in x, in any case, compared with ""
 func (f *archFile) match(n ast.Node, p string) bool {
 	switch n := n.(type) {
@@ -260,6 +285,8 @@ func (f *archFile) match(n ast.Node, p string) bool {
 		return p == strLit(n)
 	case *ast.ForStmt, *ast.RangeStmt:
 		return p == "for"
+	case *ast.MapType:
+		return p == "map[]"+cmp.Or(f.sel(deref(n.Value)), lastIdent(n.Value))
 	case *ast.BinaryExpr:
 		x, ok := strings.CutSuffix(p, ` == ""`)
 		return ok && n.Op == token.EQL && strings.HasSuffix(strings.ToLower(lastIdent(n.X)), x) && strLit(n.Y) == `""`
@@ -464,6 +491,14 @@ func lastIdent(n ast.Node) string {
 		return lastIdent(n.X)
 	}
 	return ""
+}
+
+// deref is the type a pointer type points to; any other node as it is.
+func deref(n ast.Expr) ast.Expr {
+	if s, ok := n.(*ast.StarExpr); ok {
+		return s.X
+	}
+	return n
 }
 
 // strLit is a string literal in its canonical quoted spelling, so `x` and

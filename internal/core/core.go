@@ -1,6 +1,6 @@
 // Package core defines the vendor-neutral abstractions that unify the four
 // environmental-data collection mechanisms the paper studies: metrics,
-// hardware components, sensors, devices, and collectors.
+// hardware components, device sets, and collectors.
 //
 // The paper's central complaint is that "there is hardly a uniform method of
 // access" across vendors — each platform exposes different data through a
@@ -195,26 +195,6 @@ type Reading struct {
 	// mechanisms serve stale data (EMON serves "the oldest generation"; NVML
 	// updates internally every ~60 ms), Time can precede the query time.
 	Time time.Duration
-}
-
-// Sensor is a single measurable quantity on a device.
-type Sensor interface {
-	// Capability reports what the sensor measures.
-	Capability() Capability
-	// Read returns the sensor's value at the given simulated time. The
-	// returned Reading.Time may be earlier than now if the underlying
-	// mechanism serves buffered/stale data.
-	Read(now time.Duration) (Reading, error)
-}
-
-// Device is a piece of hardware with sensors and an access mechanism.
-type Device interface {
-	// Name identifies the device instance (e.g. "mic0", "R00-M0-N04").
-	Name() string
-	// Platform reports which vendor mechanism the device belongs to.
-	Platform() Platform
-	// Sensors lists the device's sensors in a stable order.
-	Sensors() []Sensor
 }
 
 // Collector is a mechanism for gathering a batch of environmental data from

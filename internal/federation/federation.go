@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"envmon/internal/obs"
 	"envmon/internal/resilience"
 	"envmon/internal/telemetry"
 	"envmon/internal/telemetry/client"
@@ -127,6 +128,10 @@ type member struct {
 	mu      sync.Mutex // guards breaker and lastErr (Breaker is not concurrency-safe)
 	breaker *resilience.Breaker
 	lastErr string
+
+	// this member's metric handles, nil until Instrument
+	latency                *obs.Histogram
+	errs, skips, reencoded *obs.Counter
 }
 
 // Federator fans queries out to its members and merges the answers. Safe
@@ -135,7 +140,7 @@ type Federator struct {
 	cfg     Config
 	members []*member
 	start   time.Time // epoch of the breakers' wall clock
-	obs     *fedObs   // nil until Instrument
+	obs     fedObs    // document-level handles, nil until Instrument
 }
 
 // New builds a federator. Member names must be unique.
@@ -257,7 +262,7 @@ func callMember[T any](ctx context.Context, f *Federator, m *member, fn func(con
 	if !allowed {
 		o.err = errBreakerOpen
 		o.open = true
-		f.observeSkip(m)
+		m.skips.Inc()
 		return o
 	}
 	var bo resilience.Backoff
@@ -277,7 +282,10 @@ func callMember[T any](ctx context.Context, f *Federator, m *member, fn func(con
 			o.err = err
 			return o
 		}
-		f.observeCall(m, elapsed, err)
+		m.latency.ObserveDuration(elapsed)
+		if err != nil {
+			m.errs.Inc()
+		}
 		m.mu.Lock()
 		m.breaker.Record(f.clock(), err == nil)
 		if err != nil {
@@ -318,7 +326,7 @@ func degraded[T any](f *Federator, outs []outcome[T]) *httpapi.Degraded {
 		return nil
 	}
 	sort.Slice(missing, func(i, j int) bool { return missing[i].Member < missing[j].Member })
-	f.observePartial(len(missing))
+	f.obs.partial.Inc()
 	return &httpapi.Degraded{
 		Members:   len(outs),
 		Responded: len(outs) - len(missing),
@@ -363,13 +371,14 @@ func (f *Federator) Query(ctx context.Context, r httpapi.Request) httpapi.WireRe
 		// NewestNS would find in the merged frames.
 		res.NewestNS = max(res.NewestNS, doc.NewestNS)
 		if doc.reencoded {
-			f.observeReencoded(outs[i].m)
+			outs[i].m.reencoded.Inc()
 		}
 	}
 	var combined int
 	res.Frames, combined, res.Err = mergeWire(lists, r.Aggregate)
 	res.SimNowNS = clocks.min
-	f.observeFrames(len(res.Frames)-combined, combined)
+	f.obs.forwarded.Add(uint64(len(res.Frames) - combined))
+	f.obs.combined.Add(uint64(combined))
 	return res
 }
 

@@ -287,6 +287,8 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	fed.Instrument(reg)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		fed.TopK(ctx, httpapi.Request{K: 3})
@@ -310,6 +312,20 @@ func TestBreakerOpensAndSkips(t *testing.T) {
 	}
 	if mm := out.Degraded.Missing[0]; mm.Reason != "breaker open" {
 		t.Fatalf("skip reason = %q, want \"breaker open\"", mm.Reason)
+	}
+	// The two calls that opened the breaker were made; the third fan-out
+	// and this one skipped rack99, and no live member was ever skipped.
+	var metrics strings.Builder
+	if err := reg.WriteText(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`envfed_member_skipped_total{member="rack99"} 2`,
+		`envfed_member_skipped_total{member="rack00"} 0`,
+	} {
+		if !strings.Contains(metrics.String(), want+"\n") {
+			t.Errorf("metrics missing %q:\n%s", want, metrics.String())
+		}
 	}
 }
 

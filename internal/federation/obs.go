@@ -1,19 +1,13 @@
 package federation
 
-import (
-	"time"
+import "envmon/internal/obs"
 
-	"envmon/internal/obs"
-)
-
-// fedObs holds the federator's metric handles, interned per member at
-// Instrument time so the fan-out path never touches the registry lock.
+// fedObs holds the federator's document-level metric handles; each
+// member holds its own (member.latency, ...). All are made at Instrument
+// time, so the fan-out path never touches the registry lock, and all are
+// nil before it: a nil handle counts nothing.
 type fedObs struct {
-	latency   map[string]*obs.Histogram
-	errors    map[string]*obs.Counter
-	skips     map[string]*obs.Counter
-	reencoded map[string]*obs.Counter
-	partial   *obs.Counter
+	partial *obs.Counter
 	// which path a /query frame took through the merge
 	forwarded, combined *obs.Counter
 }
@@ -28,27 +22,21 @@ func (f *Federator) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	o := &fedObs{
-		latency:   make(map[string]*obs.Histogram, len(f.members)),
-		errors:    make(map[string]*obs.Counter, len(f.members)),
-		skips:     make(map[string]*obs.Counter, len(f.members)),
-		reencoded: make(map[string]*obs.Counter, len(f.members)),
-	}
 	for _, m := range f.members {
-		o.latency[m.name] = reg.Histogram("envfed_member_request_seconds",
+		m.latency = reg.Histogram("envfed_member_request_seconds",
 			"Fan-out request latency, by member.", obs.DefLatencyBuckets, "member", m.name)
-		o.errors[m.name] = reg.Counter("envfed_member_errors_total",
+		m.errs = reg.Counter("envfed_member_errors_total",
 			"Failed member calls (after the transport gave up), by member.", "member", m.name)
-		o.skips[m.name] = reg.Counter("envfed_member_skipped_total",
+		m.skips = reg.Counter("envfed_member_skipped_total",
 			"Member calls skipped outright because the breaker was open, by member.", "member", m.name)
-		o.reencoded[m.name] = reg.Counter("envfed_member_bodies_reencoded_total",
+		m.reencoded = reg.Counter("envfed_member_bodies_reencoded_total",
 			"/query bodies not in the codec's own spelling, decoded by encoding/json and encoded again: the member runs another codec, or a label needs an escape.", "member", m.name)
 	}
-	o.partial = reg.Counter("envfed_partial_responses_total",
+	f.obs.partial = reg.Counter("envfed_partial_responses_total",
 		"Federated responses missing at least one member (explicit degraded state).")
 	const framesHelp = "Frames served on /query, by path: forwarded as the bytes one member sent, or combined from several members' frames (a series spanning racks)."
-	o.forwarded = reg.Counter("envfed_query_frames_total", framesHelp, "path", "forwarded")
-	o.combined = reg.Counter("envfed_query_frames_total", framesHelp, "path", "combined")
+	f.obs.forwarded = reg.Counter("envfed_query_frames_total", framesHelp, "path", "forwarded")
+	f.obs.combined = reg.Counter("envfed_query_frames_total", framesHelp, "path", "combined")
 	count := func(state string) func() float64 {
 		return func() float64 {
 			n := 0
@@ -63,42 +51,5 @@ func (f *Federator) Instrument(reg *obs.Registry) {
 	for _, state := range []string{"closed", "open", "half-open"} {
 		reg.GaugeFunc("envfed_member_breaker",
 			"Members by breaker state.", count(state), "state", state)
-	}
-	f.obs = o
-}
-
-func (f *Federator) observeCall(m *member, d time.Duration, err error) {
-	if f.obs == nil {
-		return
-	}
-	f.obs.latency[m.name].ObserveDuration(d)
-	if err != nil {
-		f.obs.errors[m.name].Inc()
-	}
-}
-
-func (f *Federator) observeSkip(m *member) {
-	if f.obs == nil {
-		return
-	}
-	f.obs.skips[m.name].Inc()
-}
-
-func (f *Federator) observeReencoded(m *member) {
-	if f.obs != nil {
-		f.obs.reencoded[m.name].Inc()
-	}
-}
-
-func (f *Federator) observeFrames(forwarded, combined int) {
-	if f.obs != nil {
-		f.obs.forwarded.Add(uint64(forwarded))
-		f.obs.combined.Add(uint64(combined))
-	}
-}
-
-func (f *Federator) observePartial(missing int) {
-	if f.obs != nil && missing > 0 {
-		f.obs.partial.Inc()
 	}
 }

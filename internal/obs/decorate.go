@@ -18,7 +18,7 @@ type instrumentedCollector struct {
 	polls *Counter
 	errs  *Counter
 	sim   *FloatCounter
-	stage *Stage
+	stage Stage
 }
 
 // wrapCollector instruments col against reg and tr (either may be nil;

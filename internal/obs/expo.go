@@ -55,23 +55,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 		sort.Slice(children, func(i, j int) bool { return children[i].labels < children[j].labels })
 
 		for _, ch := range children {
-			writeChild(bw, f.name, ch)
+			ch.v.write(bw, f.name, ch.labels)
 		}
 	}
 	return bw.Flush()
-}
-
-func writeChild(bw *bufio.Writer, name string, ch *child) {
-	switch {
-	case ch.c != nil:
-		writeSample(bw, name, ch.labels, formatUint(ch.c.Value()))
-	case ch.fc != nil:
-		writeSample(bw, name, ch.labels, formatFloat(ch.fc.Value()))
-	case ch.fn != nil:
-		writeSample(bw, name, ch.labels, formatFloat(ch.fn()))
-	case ch.h != nil:
-		writeHistogram(bw, name, ch)
-	}
 }
 
 func writeSample(bw *bufio.Writer, name, labels, value string) {
@@ -82,12 +69,23 @@ func writeSample(bw *bufio.Writer, name, labels, value string) {
 	bw.WriteByte('\n')
 }
 
-// writeHistogram emits the cumulative _bucket series plus _sum and
-// _count. Counts are read once per bucket; a concurrent Observe between
-// bucket reads can make _count lag the +Inf bucket by a few observations,
-// which the format tolerates (scrapes are snapshots, not transactions).
-func writeHistogram(bw *bufio.Writer, name string, ch *child) {
-	h := ch.h
+func (c *Counter) write(bw *bufio.Writer, name, labels string) {
+	writeSample(bw, name, labels, formatUint(c.Value()))
+}
+
+func (c *FloatCounter) write(bw *bufio.Writer, name, labels string) {
+	writeSample(bw, name, labels, formatFloat(c.Value()))
+}
+
+func (fn funcValue) write(bw *bufio.Writer, name, labels string) {
+	writeSample(bw, name, labels, formatFloat(fn()))
+}
+
+// write emits the cumulative _bucket series plus _sum and _count. Counts
+// are read once per bucket; a concurrent Observe between bucket reads can
+// make _count lag the +Inf bucket by a few observations, which the format
+// tolerates (scrapes are snapshots, not transactions).
+func (h *Histogram) write(bw *bufio.Writer, name, labels string) {
 	var cum uint64
 	for i := range h.counts {
 		cum += h.counts[i].Value()
@@ -95,10 +93,10 @@ func writeHistogram(bw *bufio.Writer, name string, ch *child) {
 		if i < len(h.bounds) {
 			le = formatFloat(h.bounds[i])
 		}
-		writeSample(bw, name+"_bucket", mergeLabels(ch.labels, `le="`+le+`"`), formatUint(cum))
+		writeSample(bw, name+"_bucket", mergeLabels(labels, `le="`+le+`"`), formatUint(cum))
 	}
-	writeSample(bw, name+"_sum", ch.labels, formatFloat(h.Sum()))
-	writeSample(bw, name+"_count", ch.labels, formatUint(h.count.Value()))
+	writeSample(bw, name+"_sum", labels, formatFloat(h.Sum()))
+	writeSample(bw, name+"_count", labels, formatUint(h.count.Value()))
 }
 
 // mergeLabels prepends one rendered pair to a canonical label string

@@ -20,6 +20,12 @@
 //     (Counter, FloatCounter, Histogram) are created once at wiring time —
 //     name and label set interned then — and the operations the hot paths call
 //     (Inc, Add, Observe) touch only preallocated atomics.
+//   - One table of handles. Every handle is made in one place, the
+//     registry's get-or-create, and the registry is the only map of them:
+//     the tracer, the slow-op log and their callers ask it again rather
+//     than keep their own. Each child of a family holds one value, a
+//     handle or a scrape-time func, which renders itself. A nil handle
+//     counts nothing, so uninstrumented code needs no guards.
 //   - Zero marginal cost where a counter already exists. Most of the
 //     telemetry store's metrics are func metrics: closures evaluated only
 //     at scrape time over atomics the store was already maintaining, so
@@ -35,6 +41,7 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"math"
 	"sort"
@@ -63,15 +70,23 @@ func (t metricType) String() string {
 	}
 }
 
-// child is one labeled instance inside a family. Exactly one of the value
-// fields is set; render order is the sorted labels string.
+// child is one labeled instance inside a family: its rendered label set
+// (`{k="v",...}`, or "" for the unlabeled child), which is also its render
+// order, and its one value.
 type child struct {
-	labels string // rendered `{k="v",...}`, or "" for the unlabeled child
-	c      *Counter
-	fc     *FloatCounter
-	fn     func() float64 // func metric, evaluated at render time
-	h      *Histogram
+	labels string
+	v      value
 }
+
+// value is what a child holds: a handle the instrumented code updates
+// (*Counter, *FloatCounter, *Histogram) or a func read at scrape time.
+// write renders it as the exposition lines of one child.
+type value interface {
+	write(bw *bufio.Writer, name, labels string)
+}
+
+// funcValue is a func metric's value, evaluated at render time.
+type funcValue func() float64
 
 // family groups every child of one metric name.
 type family struct {
@@ -194,49 +209,47 @@ func (r *Registry) getFamily(name, help string, typ metricType) *family {
 	return f
 }
 
+// handle is the one get-or-create behind every constructor: the child of
+// name and the label set kv, made by mk on first use. A later call for the
+// same child returns the same handle; a func metric registers once, and
+// any other clash (a func registered twice, or a child asked for as
+// another kind) panics, as a type conflict does. A nil registry makes
+// nothing and returns V's zero value, a nil handle that counts nothing.
+func handle[V value](r *Registry, name, help string, typ metricType, kv []string, mk func() V) V {
+	var v V
+	if r == nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.getFamily(name, help, typ)
+	ls := renderLabels(kv)
+	ch, ok := f.children[ls]
+	if !ok {
+		v = mk()
+		f.children[ls] = &child{labels: ls, v: v}
+		return v
+	}
+	v, same := ch.v.(V)
+	if _, fn := ch.v.(funcValue); fn || !same {
+		panic(fmt.Sprintf("obs: metric %s%s declared twice as a func metric or as another kind", name, ls))
+	}
+	return v
+}
+
 // Counter returns the counter for name and label set, creating it on
 // first use. kv alternates label key, value; the same name+labels always
 // returns the same handle. Safe to call from non-hot paths at runtime
 // (e.g. an error counter keyed by status code); hot paths should hold the
 // handle.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeCounter)
-	ls := renderLabels(kv)
-	if ch, ok := f.children[ls]; ok {
-		if ch.c == nil {
-			panic(fmt.Sprintf("obs: metric %s%s redeclared with a different value kind", name, ls))
-		}
-		return ch.c
-	}
-	c := &Counter{}
-	f.children[ls] = &child{labels: ls, c: c}
-	return c
+	return handle(r, name, help, typeCounter, kv, func() *Counter { return new(Counter) })
 }
 
 // FloatCounter returns a float-valued counter (e.g. accumulated seconds)
 // for name and label set, creating it on first use.
 func (r *Registry) FloatCounter(name, help string, kv ...string) *FloatCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeCounter)
-	ls := renderLabels(kv)
-	if ch, ok := f.children[ls]; ok {
-		if ch.fc == nil {
-			panic(fmt.Sprintf("obs: metric %s%s redeclared with a different value kind", name, ls))
-		}
-		return ch.fc
-	}
-	fc := &FloatCounter{}
-	f.children[ls] = &child{labels: ls, fc: fc}
-	return fc
+	return handle(r, name, help, typeCounter, kv, func() *FloatCounter { return new(FloatCounter) })
 }
 
 // GaugeFunc registers a gauge whose value is fn(), evaluated at render
@@ -244,17 +257,7 @@ func (r *Registry) FloatCounter(name, help string, kv ...string) *FloatCounter {
 // already maintains (an atomic counter, a store statistic). fn must be
 // safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeGauge)
-	ls := renderLabels(kv)
-	if _, ok := f.children[ls]; ok {
-		panic(fmt.Sprintf("obs: func metric %s%s registered twice", name, ls))
-	}
-	f.children[ls] = &child{labels: ls, fn: fn}
+	handle(r, name, help, typeGauge, kv, func() funcValue { return fn })
 }
 
 // CounterFunc registers a counter whose value is fn(), evaluated at
@@ -263,17 +266,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string)
 // telemetry store's atomics, the WAL's byte totals) is exposed without
 // adding a single instruction to its hot path.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, kv ...string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeCounter)
-	ls := renderLabels(kv)
-	if _, ok := f.children[ls]; ok {
-		panic(fmt.Sprintf("obs: func metric %s%s registered twice", name, ls))
-	}
-	f.children[ls] = &child{labels: ls, fn: fn}
+	handle(r, name, help, typeCounter, kv, func() funcValue { return fn })
 }
 
 // Histogram returns the fixed-bucket histogram for name and label set,
@@ -281,22 +274,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, kv ...strin
 // seconds by convention; +Inf is implicit). Later calls for an existing
 // histogram ignore buckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, kv ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typeHistogram)
-	ls := renderLabels(kv)
-	if ch, ok := f.children[ls]; ok {
-		if ch.h == nil {
-			panic(fmt.Sprintf("obs: metric %s%s redeclared with a different value kind", name, ls))
-		}
-		return ch.h
-	}
-	h := newHistogram(buckets)
-	f.children[ls] = &child{labels: ls, h: h}
-	return h
+	return handle(r, name, help, typeHistogram, kv, func() *Histogram { return newHistogram(buckets) })
 }
 
 // Counter is a monotonically increasing integer metric. The zero value is

@@ -202,3 +202,69 @@ func TestSlowLog(t *testing.T) {
 		t.Error("disabled slowlog recorded")
 	}
 }
+
+// TestExpositionText pins the whole rendering of one registry holding
+// every kind of child, byte for byte: family order by name whatever the
+// registration order, child order by label string, label escaping, HELP
+// and TYPE lines, histogram buckets with le leading, and number spelling.
+func TestExpositionText(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("envmon_z_seconds", "Latency.", []float64{0.1, 1}, "stage", "query").Observe(0.5)
+	c := r.Counter("envmon_c_total", "Labeled counter.", "method", "MSR")
+	c.Add(3)
+	r.Counter("envmon_c_total", "Labeled counter.", "method", `a"b\c`+"\nd").Inc()
+	r.Counter("envmon_b_total", "Plain counter.").Inc()
+	r.FloatCounter("envmon_f_seconds_total", "Float counter.").Add(0.25)
+	r.GaugeFunc("envmon_g", "Func gauge.", func() float64 { return 1.5 }, "state", "open")
+	r.CounterFunc("envmon_a_total", "Func counter.", func() float64 { return 7 })
+
+	const want = `# HELP envmon_a_total Func counter.
+# TYPE envmon_a_total counter
+envmon_a_total 7
+# HELP envmon_b_total Plain counter.
+# TYPE envmon_b_total counter
+envmon_b_total 1
+# HELP envmon_c_total Labeled counter.
+# TYPE envmon_c_total counter
+envmon_c_total{method="MSR"} 3
+envmon_c_total{method="a\"b\\c\nd"} 1
+# HELP envmon_f_seconds_total Float counter.
+# TYPE envmon_f_seconds_total counter
+envmon_f_seconds_total 0.25
+# HELP envmon_g Func gauge.
+# TYPE envmon_g gauge
+envmon_g{state="open"} 1.5
+# HELP envmon_z_seconds Latency.
+# TYPE envmon_z_seconds histogram
+envmon_z_seconds_bucket{le="0.1",stage="query"} 0
+envmon_z_seconds_bucket{le="1",stage="query"} 1
+envmon_z_seconds_bucket{le="+Inf",stage="query"} 1
+envmon_z_seconds_sum{stage="query"} 0.5
+envmon_z_seconds_count{stage="query"} 1
+`
+	if got := render(t, r); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestHandleClashesPanic: a func metric registers once, and a child keeps
+// the kind it was made as; any other second declaration panics.
+func TestHandleClashesPanic(t *testing.T) {
+	fn := func() float64 { return 0 }
+	for name, clash := range map[string]func(r *Registry){
+		"gauge func twice":           func(r *Registry) { r.GaugeFunc("envmon_g", "g", fn); r.GaugeFunc("envmon_g", "g", fn) },
+		"counter func twice":         func(r *Registry) { r.CounterFunc("envmon_c", "c", fn); r.CounterFunc("envmon_c", "c", fn) },
+		"counter then float counter": func(r *Registry) { r.Counter("envmon_c", "c"); r.FloatCounter("envmon_c", "c") },
+		"counter then counter func":  func(r *Registry) { r.Counter("envmon_c", "c"); r.CounterFunc("envmon_c", "c", fn) },
+		"counter func then counter":  func(r *Registry) { r.CounterFunc("envmon_c", "c", fn); r.Counter("envmon_c", "c") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			clash(NewRegistry())
+		})
+	}
+}

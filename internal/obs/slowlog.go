@@ -27,12 +27,11 @@ type SlowLog struct {
 	threshold time.Duration
 	counters  *Registry // for the per-kind slow-op counters; may be nil
 
-	mu     sync.Mutex
-	buf    []SlowOp
-	head   int // index of oldest entry
-	n      int
-	total  uint64
-	byKind map[string]*Counter
+	mu    sync.Mutex
+	buf   []SlowOp
+	head  int // index of oldest entry
+	n     int
+	total uint64
 }
 
 // NewSlowLog returns a slow-op log keeping the most recent capacity
@@ -47,7 +46,6 @@ func NewSlowLog(reg *Registry, threshold time.Duration, capacity int) *SlowLog {
 		threshold: threshold,
 		counters:  reg,
 		buf:       make([]SlowOp, capacity),
-		byKind:    make(map[string]*Counter),
 	}
 }
 
@@ -78,14 +76,11 @@ func (l *SlowLog) Observe(kind string, wall, sim time.Duration, detail func() st
 		l.head = (l.head + 1) % len(l.buf)
 	}
 	l.total++
-	c := l.byKind[kind]
-	if c == nil && l.counters != nil {
-		c = l.counters.Counter("envmon_slow_ops_total",
-			"Operations that exceeded the slow-op threshold, by kind.", "kind", kind)
-		l.byKind[kind] = c
-	}
 	l.mu.Unlock()
-	c.Inc()
+	// Only a slow operation gets here, so the registry's lock is taken at
+	// the rate the log records, never on a fast path.
+	l.counters.Counter("envmon_slow_ops_total",
+		"Operations that exceeded the slow-op threshold, by kind.", "kind", kind).Inc()
 	return true
 }
 

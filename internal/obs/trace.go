@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Pipeline tracing: per-stage span accounting for the collection and
 // storage pipeline (collect -> resilience -> ingest -> wal_append ->
@@ -21,30 +18,23 @@ import (
 // The two clocks together are the paper's Table 1 split: wall time is our
 // overhead, simulated time is the modeled mechanism's.
 type Tracer struct {
-	reg    *Registry
-	mu     sync.Mutex
-	stages map[string]*Stage
+	reg *Registry
 }
 
 // NewTracer returns a tracer registering its stages in reg. A nil reg (or
-// nil tracer) yields nil stages whose operations are no-ops.
+// nil tracer) yields stages whose handles are nil and count nothing.
 func NewTracer(reg *Registry) *Tracer {
-	return &Tracer{reg: reg, stages: make(map[string]*Stage)}
+	return &Tracer{reg: reg}
 }
 
-// Stage returns the named stage, creating and registering it on first
-// use. Call at wiring time and hold the handle; a nil tracer returns nil,
-// and a nil *Stage is safe to observe into.
-func (t *Tracer) Stage(name string) *Stage {
-	if t == nil || t.reg == nil {
-		return nil
+// Stage returns the named stage's three handles, which the registry makes
+// on first use and returns again after, so two calls for one name count
+// into one series. Call at wiring time and hold the value.
+func (t *Tracer) Stage(name string) Stage {
+	if t == nil {
+		return Stage{}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.stages[name]; ok {
-		return s
-	}
-	s := &Stage{
+	return Stage{
 		wall: t.reg.Histogram("envmon_pipeline_seconds",
 			"Wall-clock span durations per pipeline stage.", DefLatencyBuckets, "stage", name),
 		sim: t.reg.FloatCounter("envmon_pipeline_sim_seconds_total",
@@ -52,12 +42,11 @@ func (t *Tracer) Stage(name string) *Stage {
 		ops: t.reg.Counter("envmon_pipeline_ops_total",
 			"Spans recorded per pipeline stage.", "stage", name),
 	}
-	t.stages[name] = s
-	return s
 }
 
-// Stage is one pipeline stage's accounting. All methods are nil-safe and
-// allocation-free.
+// Stage is one pipeline stage's accounting. Its methods are
+// allocation-free, and the zero Stage (an uninstrumented one) counts
+// nothing.
 type Stage struct {
 	wall *Histogram
 	sim  *FloatCounter
@@ -66,10 +55,7 @@ type Stage struct {
 
 // Observe records one completed span: wall host time and sim simulated
 // cost (zero for stages the simulation does not charge).
-func (s *Stage) Observe(wall, sim time.Duration) {
-	if s == nil {
-		return
-	}
+func (s Stage) Observe(wall, sim time.Duration) {
 	s.wall.ObserveDuration(wall)
 	if sim > 0 {
 		s.sim.Add(sim.Seconds())
@@ -79,8 +65,8 @@ func (s *Stage) Observe(wall, sim time.Duration) {
 
 // Begin opens a span clocked from time.Now. Span is a value — no
 // allocation — and End records it.
-func (s *Stage) Begin() Span {
-	if s == nil {
+func (s Stage) Begin() Span {
+	if s.ops == nil {
 		return Span{}
 	}
 	return Span{stage: s, start: time.Now()}
@@ -88,14 +74,14 @@ func (s *Stage) Begin() Span {
 
 // Span is an open stage span. The zero value's End is a no-op.
 type Span struct {
-	stage *Stage
+	stage Stage
 	start time.Time
 }
 
 // End closes the span, charging sim simulated cost alongside the measured
 // wall time.
 func (sp Span) End(sim time.Duration) {
-	if sp.stage == nil {
+	if sp.stage.ops == nil {
 		return
 	}
 	sp.stage.Observe(time.Since(sp.start), sim)

@@ -19,32 +19,13 @@ const (
 	Gauge
 )
 
-// KindedComponent extends Component with per-event kinds. Components that
-// do not implement it are treated as all-Counter (PAPI's default).
-type KindedComponent interface {
-	Component
-	Kind(event string) EventKind
-}
-
-// kindOf reports an event's kind.
-func kindOf(c Component, event string) EventKind {
-	if kc, ok := c.(KindedComponent); ok {
-		return kc.Kind(event)
-	}
-	return Counter
-}
-
 // --- RAPL component -----------------------------------------------------------
 
 // RAPLComponent exposes the paper's Table II planes as PAPI native events
 // in nanojoules, the real PAPI rapl component's unit.
 type RAPLComponent struct {
-	socket *Socketish
+	socket *rapl.Socket
 }
-
-// Socketish is the minimal RAPL surface the component needs; *rapl.Socket
-// satisfies it.
-type Socketish = rapl.Socket
 
 // NewRAPLComponent wraps a socket.
 func NewRAPLComponent(s *rapl.Socket) *RAPLComponent {
@@ -72,7 +53,7 @@ func (c *RAPLComponent) Events() []string {
 	}
 }
 
-// Kind implements KindedComponent: all RAPL events are counters.
+// Kind implements Component: all RAPL events are counters.
 func (c *RAPLComponent) Kind(string) EventKind { return Counter }
 
 // Read implements Component: cumulative energy in nanojoules.
@@ -125,7 +106,7 @@ func (c *NVMLComponent) Events() []string {
 	}
 }
 
-// Kind implements KindedComponent: NVML events are instantaneous gauges.
+// Kind implements Component: NVML events are instantaneous gauges.
 func (c *NVMLComponent) Kind(string) EventKind { return Gauge }
 
 // Read implements Component.
@@ -177,7 +158,7 @@ func (c *MICComponent) Events() []string {
 	return []string{"die_temp", "tot0", "vccp"}
 }
 
-// Kind implements KindedComponent.
+// Kind implements Component.
 func (c *MICComponent) Kind(string) EventKind { return Gauge }
 
 // Read implements Component. The event is validated before the card is

@@ -7,19 +7,19 @@ import (
 	"envmon/internal/nvml"
 )
 
-// defaultKindComponent implements Component without KindedComponent: all
-// its events are treated as counters (PAPI's default).
-type defaultKindComponent struct{ v int64 }
+// counterComponent is a minimal Component whose one event is a Counter.
+type counterComponent struct{ v int64 }
 
-func (d *defaultKindComponent) Name() string     { return "plain" }
-func (d *defaultKindComponent) Events() []string { return []string{"COUNT"} }
-func (d *defaultKindComponent) Read(event string, now time.Duration) (int64, error) {
+func (d *counterComponent) Name() string          { return "plain" }
+func (d *counterComponent) Events() []string      { return []string{"COUNT"} }
+func (d *counterComponent) Kind(string) EventKind { return Counter }
+func (d *counterComponent) Read(event string, now time.Duration) (int64, error) {
 	d.v += int64(now / time.Second)
 	return d.v, nil
 }
 
-func TestUnkindedComponentDefaultsToCounter(t *testing.T) {
-	lib, err := NewLibrary(&defaultKindComponent{})
+func TestCounterComponentReadsDeltaFromStart(t *testing.T) {
+	lib, err := NewLibrary(&counterComponent{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,9 @@ type Component interface {
 	// Read returns the current value of a native event at simulated time
 	// now, in the component's native unit.
 	Read(event string, now time.Duration) (int64, error)
+	// Kind reports whether an event is a Counter (read as a delta from
+	// Start) or a Gauge (read raw).
+	Kind(event string) EventKind
 }
 
 // Library is the PAPI entry point.
@@ -167,7 +170,7 @@ func (es *EventSet) Read(now time.Duration) ([]int64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("papi: reading %q: %w", es.events[i], err)
 		}
-		if kindOf(es.comps[i], es.native[i]) == Gauge {
+		if es.comps[i].Kind(es.native[i]) == Gauge {
 			out[i] = v // instantaneous value, not a delta
 		} else {
 			out[i] = v - es.base[i]

@@ -21,9 +21,9 @@
 //
 // Files are written once — temp file, fsync, atomic rename — and never
 // modified; readers keep them open and serve chunk reads by offset. The
-// Store is the directory-level view: every block file in sequence order
-// plus a per-series aggregate (persisted counts, newest instants, rollup
-// tails) that recovery seeds the head from.
+// Store is the directory-level view: every block file in sequence order,
+// whose indexes Each folds into the per-series aggregate (persisted
+// counts, newest instants, rollup tails) that recovery seeds the head from.
 package block
 
 import (
@@ -114,7 +114,6 @@ type Store struct {
 	mu      sync.RWMutex
 	dir     string
 	files   []*file
-	agg     map[storage.SeriesKey]*Agg
 	nextSeq uint64
 	bytes   int64
 	closed  bool
@@ -149,7 +148,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("block: %w", err)
 	}
-	s := &Store{dir: dir, agg: map[storage.SeriesKey]*Agg{}, nextSeq: 1}
+	s := &Store{dir: dir, nextSeq: 1}
 	var seqs []uint64
 	for _, e := range entries {
 		name := e.Name()
@@ -180,43 +179,13 @@ func Open(dir string) (*Store, error) {
 
 func blockName(seq uint64) string { return fmt.Sprintf("b-%08d.blk", seq) }
 
-// publish adds an opened file to the store view and folds it into the
-// per-series aggregates. Caller holds the write lock (or owns s solely).
+// publish adds an opened file to the store view. Caller holds the write
+// lock (or owns s solely).
 func (s *Store) publish(bf *file) {
 	s.files = append(s.files, bf)
 	s.bytes += bf.size
 	if bf.seq >= s.nextSeq {
 		s.nextSeq = bf.seq + 1
-	}
-	for key, e := range bf.entries {
-		a := s.agg[key]
-		if a == nil {
-			a = &Agg{}
-			s.agg[key] = a
-		}
-		a.Unit = e.unit
-		if e.numPoints > 0 {
-			if a.Points == 0 {
-				a.MinT = e.minT // files fold in seq order; the first is oldest
-			}
-			if end := e.startPoint + e.numPoints; end > a.Points {
-				a.Points = end
-				a.LastT = e.maxT
-			}
-		}
-		if end := e.startGap + e.numGaps; end > a.Gaps {
-			a.Gaps = end
-			a.LastGapT = e.lastGapT
-		}
-		for l := 0; l < numLvl; l++ {
-			le := &e.levels[l]
-			if end := le.startBucket + le.numClosed; end > a.Buckets[l] {
-				a.Buckets[l] = end
-			}
-			if le.tail != nil {
-				a.Tails[l] = le.tail
-			}
-		}
 	}
 }
 
@@ -555,29 +524,59 @@ func decodeGaps(_ uint32, dst []time.Duration, chunk []byte, n int) ([]time.Dura
 	return storage.DecodeGaps(dst, chunk, n)
 }
 
-// Agg reports the series' cross-block aggregate.
-func (s *Store) Agg(key storage.SeriesKey) (Agg, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, ok := s.agg[key]
-	if !ok {
-		return Agg{}, false
-	}
-	return *a, true
-}
-
-// Each calls fn for every series with persisted data, in key order.
+// Each calls fn for every series with persisted data, in key order, with
+// its aggregate over every block file: folded here, from the files' indexes
+// in sequence order, because recovery is its one reader.
 func (s *Store) Each(fn func(key storage.SeriesKey, a Agg)) {
+	agg := map[storage.SeriesKey]*Agg{}
 	s.mu.RLock()
-	keys := make([]storage.SeriesKey, 0, len(s.agg))
-	for k := range s.agg {
-		keys = append(keys, k)
+	for _, bf := range s.files {
+		for key, e := range bf.entries {
+			a := agg[key]
+			if a == nil {
+				a = &Agg{}
+				agg[key] = a
+			}
+			a.fold(e)
+		}
 	}
 	s.mu.RUnlock()
+	keys := make([]storage.SeriesKey, 0, len(agg))
+	for k := range agg {
+		keys = append(keys, k)
+	}
 	sort.Slice(keys, func(i, j int) bool { return storage.KeyLess(keys[i], keys[j]) })
 	for _, k := range keys {
-		if a, ok := s.Agg(k); ok {
-			fn(k, a)
+		fn(k, *agg[k])
+	}
+}
+
+// fold adds one file's entry for the series to a, files taken oldest
+// first: the unit and each level's tail come from the newest file that
+// carries one, MinT from the oldest holding points, and each count with
+// its newest instant from the entry that reaches furthest.
+func (a *Agg) fold(e *seriesEntry) {
+	a.Unit = e.unit
+	if e.numPoints > 0 {
+		if a.Points == 0 {
+			a.MinT = e.minT
+		}
+		if end := e.startPoint + e.numPoints; end > a.Points {
+			a.Points = end
+			a.LastT = e.maxT
+		}
+	}
+	if end := e.startGap + e.numGaps; end > a.Gaps {
+		a.Gaps = end
+		a.LastGapT = e.lastGapT
+	}
+	for l := 0; l < numLvl; l++ {
+		le := &e.levels[l]
+		if end := le.startBucket + le.numClosed; end > a.Buckets[l] {
+			a.Buckets[l] = end
+		}
+		if le.tail != nil {
+			a.Tails[l] = le.tail
 		}
 	}
 }

@@ -19,6 +19,16 @@ var (
 	keyB = storage.SeriesKey{Node: "c000-002", Backend: "NVML", Domain: "Total Power"}
 )
 
+// aggOf is key's aggregate as Each reports it, and whether it has one.
+func aggOf(s *Store, key storage.SeriesKey) (a Agg, ok bool) {
+	s.Each(func(k storage.SeriesKey, ka Agg) {
+		if k == key {
+			a, ok = ka, true
+		}
+	})
+	return a, ok
+}
+
 func snapshotA(start uint64, n int, base time.Duration) storage.SeriesSnapshot {
 	sn := storage.SeriesSnapshot{Key: keyA, Unit: "W", StartPoint: start}
 	for i := 0; i < n; i++ {
@@ -72,7 +82,7 @@ func TestAppendOpenRoundTrip(t *testing.T) {
 	if s.NumBlocks() != 2 {
 		t.Fatalf("NumBlocks=%d, want 2", s.NumBlocks())
 	}
-	a, ok := s.Agg(keyA)
+	a, ok := aggOf(s, keyA)
 	if !ok {
 		t.Fatal("series A missing after reopen")
 	}
@@ -282,7 +292,7 @@ func TestSealFailsUntilItsRenameIsDurable(t *testing.T) {
 			if !errors.Is(err, syscall.EIO) {
 				t.Fatalf("Append with an unsyncable directory: err = %v, want EIO", err)
 			}
-			if _, ok := s.Agg(keyA); ok || s.NumBlocks() != 0 {
+			if _, ok := aggOf(s, keyA); ok || s.NumBlocks() != 0 {
 				t.Fatalf("a failed seal published %d blocks", s.NumBlocks())
 			}
 			if err := s.Append(snaps); err != nil {

@@ -35,10 +35,10 @@ import (
 
 // storeObs holds the store's tracing hooks; nil means uninstrumented.
 type storeObs struct {
-	walStage     *obs.Stage
-	ingestStage  *obs.Stage
-	queryStage   *obs.Stage
-	compactStage *obs.Stage
+	walStage     obs.Stage
+	ingestStage  obs.Stage
+	queryStage   obs.Stage
+	compactStage obs.Stage
 	slow         *obs.SlowLog
 }
 
@@ -65,7 +65,7 @@ func (st *Store) Instrument(reg *obs.Registry, tr *obs.Tracer, slow *obs.SlowLog
 		"Failed-poll gap markers ever ingested.",
 		func() float64 { return float64(st.gaps.Load()) })
 	reg.CounterFunc("envmon_ingest_errors_total",
-		"Rejected ingests (closed store, out-of-order sample, series limit, journal failure).",
+		"Rejected ingests (closed store, out-of-order sample, journal failure).",
 		func() float64 { return float64(st.ingestErrs.Load()) })
 	reg.GaugeFunc("envmon_series",
 		"Distinct series currently stored.",
