@@ -1,24 +1,25 @@
 package federation
 
 import (
+	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"envmon/internal/telemetry"
+	"envmon/internal/telemetry/client"
 	"envmon/internal/telemetry/httpapi"
 )
 
 // BenchmarkFederatedRecent is the fleet-wide "recent" a controller sends
 // every tick, through a front-end over real sockets: 4 members × 512 nodes,
-// 4 raw points each in the window, agg=last, one closed-loop client. What
-// it times is member scan + member encode + fan-out + merge + the
-// front-end's own encode + the client reading the body; bench/'s
-// fed-fanout workload is the same request at the same size with the
-// percentiles and the per-layer split.
+// 4 raw points each in the window, agg=last, one closed-loop client that
+// decodes the answer with client.Query, as a controller does. What it
+// times is member scan + member encode + fan-out + merge + the front-end's
+// own encode + the client's read and decode; bench/'s fed-fanout workload
+// is the same request at the same size with the percentiles and the
+// per-layer split.
 func BenchmarkFederatedRecent(b *testing.B) {
 	const members, nodesPerMember, points = 4, 512, 4
 	simNow := func() time.Duration { return (points + 1) * time.Second }
@@ -45,21 +46,21 @@ func BenchmarkFederatedRecent(b *testing.B) {
 	}
 	front := httptest.NewServer(NewServer(fed))
 	b.Cleanup(front.Close)
-	url := front.URL + "/query?domain=Total+Power&from=1s&agg=last"
+	cl := client.New(front.URL)
+	req := httpapi.Request{Query: telemetry.Query{Domain: "Total Power", From: time.Second, Aggregate: telemetry.AggLast}}
 
-	fetch := func() int64 {
-		resp, err := http.Get(url)
-		if err != nil {
-			b.Fatal(err)
+	fetch := func() httpapi.QueryResult {
+		doc, err := cl.Query(context.Background(), req)
+		if err != nil || len(doc.Frames) != members*nodesPerMember {
+			b.Fatalf("%d frames, want %d: %v", len(doc.Frames), members*nodesPerMember, err)
 		}
-		n, err := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d after %d bytes: %v", resp.StatusCode, n, err)
-		}
-		return n
+		return doc
 	}
-	b.SetBytes(fetch()) // and the connections are warm
+	body, err := fetch().AppendJSON(nil) // and the connection is warm
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

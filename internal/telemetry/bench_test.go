@@ -147,6 +147,34 @@ func BenchmarkTelemetry_Query(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreFramesWide is one member's share of fed-fanout's recent:
+// 512 nodes × 4 domains in 8 shards, 8 raw points per series in a ring of
+// 8, and the windowed agg=last query of one domain, which answers 512
+// frames of 4 points from the rings alone. Per-frame work, not per-point
+// work, is what it times.
+func BenchmarkStoreFramesWide(b *testing.B) {
+	const nodes, domains, points = 512, 4, 8
+	st := New(Options{Shards: 8, RawCapacity: points, RollupCapacity: 4})
+	for node := range nodes {
+		for d := range domains {
+			key := SeriesKey{Node: fmt.Sprintf("n%04d", node), Backend: "rack", Domain: fmt.Sprintf("domain-%d", d)}
+			for s := 1; s <= points; s++ {
+				if err := st.Ingest(key, "W", time.Duration(s)*time.Second, 100+float64((node*7919+d*31+s)%2000)/4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	q := Query{Domain: "domain-0", From: 5 * time.Second, Aggregate: AggLast}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if frames := st.Frames(q); len(frames) != nodes || len(frames[0].V) != points/2 {
+			b.Fatalf("%d frames, want %d of %d points", len(frames), nodes, points/2)
+		}
+	}
+}
+
 // BenchmarkCursorFlush is one epoch barrier of live-loop without the 30 s
 // harness: 320 series, each handing over a run of 20–34 samples, into a
 // journaled store and into a memory-only one. Stores are built and every

@@ -471,13 +471,15 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 		} else {
 			r.Frames = []Frame{}
 		}
-		for n, prev := 0, new(Frame); !d.byte(']'); n++ {
-			if n > 0 && !d.byte(',') {
+		d.first = d.i
+		for prev := new(Frame); !d.byte(']'); d.n++ {
+			if d.n > 0 && !d.byte(',') {
 				return false
 			}
 			if d.split {
 				// Only the labels are kept, so one Frame serves as every
 				// frame and as the one before it.
+				*wire = grow(*wire, &d)
 				from := d.i
 				if !d.frame(prev, prev) {
 					return false
@@ -485,7 +487,7 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 				*wire = append(*wire, WireFrame{Key: prev.Key(), JSON: d.b[from:d.i:d.i]})
 				continue
 			}
-			r.Frames = append(r.Frames, Frame{})
+			r.Frames = append(grow(r.Frames, &d), Frame{})
 			f := &r.Frames[len(r.Frames)-1]
 			if !d.frame(f, prev) {
 				return false
@@ -515,7 +517,7 @@ func walkCanonical(b []byte, r *QueryResult, wire *[]WireFrame) bool {
 // scanner is walkCanonical's position in the body. It reads each byte
 // once — a key is a word compare, punctuation a byte compare, and a number
 // is checked against the grammar and converted in one loop — besides the
-// vectorised scans behind a frame's capacity hint.
+// vectorised scans behind a column's capacity hint.
 //
 // With split set the walk checks and does not keep: frame fills in the
 // labels only, and a number is matched against the grammar and, where its
@@ -526,10 +528,69 @@ type scanner struct {
 	b       []byte
 	i       int
 	split   bool
-	parsed  int       // tokens float left to strconv, which the tests count
-	kept    []float64 // the block keep hands reductions out of
-	checked Buckets   // where a split walk reads bucket columns into, keeping none
+	parsed  int     // tokens float left to strconv, which the tests count
+	checked Buckets // where a split walk reads bucket columns into, keeping none
+
+	// The frames array opened at first, and n of its frames are read:
+	// what the frame list and the column blocks are sized by.
+	first, n int
+	// The blocks small columns and reductions are carved from (carve).
+	durations []time.Duration
+	floats    []float64
+	ints      []int
 }
+
+// minFrameLen is the shortest frame AppendJSON writes, its five labels
+// empty and nothing else, and the comma before it:
+// ,{"node":"","backend":"","domain":"","unit":"","resolution":""}.
+const minFrameLen = 63
+
+// more estimates how many frames the array holds past those read: the
+// rest of the body over their mean length, an eighth more for frames that
+// spell their numbers longer than the ones before, and never more than the
+// rest could hold at minFrameLen bytes a frame — so that a body can make
+// the walk allocate frames only in proportion to its own length. Before
+// the first frame is read it says one, which that frame then sizes.
+func (d *scanner) more() int {
+	rest := len(d.b) - d.i
+	if d.n == 0 {
+		return 1
+	}
+	est := rest * d.n / max(d.i-d.first, 1)
+	return min(est+est/8, rest/minFrameLen) + 1
+}
+
+// grow makes room in a full frame list for the frames the rest of the
+// body is estimated to hold (scanner.more), in one allocation of exactly
+// that size where append would double.
+func grow[T any](s []T, d *scanner) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)+d.more()), s...)
+}
+
+// carve returns an empty column of capacity n for the frame being read.
+// A small one is cut from the document's block for its type with a full
+// slice expression, so that an append past n copies it out instead of
+// running into the next frame's column; a block is as large as this
+// column times the frames still to come, up to blockLen elements. A
+// large column (a history reply) is its own allocation.
+func carve[T any](block *[]T, n int, d *scanner) []T {
+	if n > maxCarved {
+		return make([]T, 0, n)
+	}
+	b := *block
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(n, min(n*d.more(), blockLen)))
+	}
+	*block = b[:len(b)+n]
+	return b[len(b) : len(b) : len(b)+n]
+}
+
+// The largest column carve cuts from a block, and the most elements a
+// block holds.
+const maxCarved, blockLen = 64, 1024
 
 // A key is an object key with the punctuation around it, as the document
 // spells it (`,"max":`), in the form the scanner compares: its first eight
@@ -636,13 +697,13 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			return false
 		}
 		if !d.split {
-			f.Reduced = d.keep(v)
+			f.Reduced = &append(carve(&d.floats, 1, d), v)[0]
 		}
 	}
 	if d.key(keyColumnT) { // t_ns and v both or neither
 		if !d.split {
 			n := d.hint(',', 2) + 1
-			f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
+			f.TNS, f.V = carve(&d.durations, n, d), carve(&d.floats, n, d)
 		}
 		if !array(d, &f.TNS, d.duration) || !d.key(keyColumnV) || !array(d, &f.V, d.float) {
 			return false
@@ -651,7 +712,7 @@ func (d *scanner) frame(f, prev *Frame) bool {
 			b := &d.checked
 			if !d.split {
 				n := len(f.V)
-				f.Buckets = &Buckets{Min: make([]float64, 0, n), Max: make([]float64, 0, n), Last: make([]float64, 0, n), Count: make([]int, 0, n)}
+				f.Buckets = &Buckets{Min: carve(&d.floats, n, d), Max: carve(&d.floats, n, d), Last: carve(&d.floats, n, d), Count: carve(&d.ints, n, d)}
 				b = f.Buckets
 			}
 			if !array(d, &b.Min, d.float) || !d.key(keyColumnMax) || !array(d, &b.Max, d.float) ||
@@ -665,23 +726,13 @@ func (d *scanner) frame(f, prev *Frame) bool {
 	}
 	if d.key(keyGaps) {
 		if !d.split {
-			f.GapsNS = make([]time.Duration, 0, d.hint(',', 2)+1)
+			f.GapsNS = carve(&d.durations, d.hint(',', 2)+1, d)
 		}
 		if !array(d, &f.GapsNS, d.duration) || !d.byte(']') {
 			return false
 		}
 	}
 	return d.byte('}')
-}
-
-// keep is where a decoded reduction lives: a block of them per document,
-// not an allocation per frame.
-func (d *scanner) keep(v float64) *float64 {
-	if len(d.kept) == cap(d.kept) {
-		d.kept = make([]float64, 0, 64)
-	}
-	d.kept = append(d.kept, v)
-	return &d.kept[len(d.kept)-1]
 }
 
 // hint is a capacity hint for the array at the input, its '[' consumed,

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -970,7 +971,14 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	} {
 		docs = append(docs, []byte(labels+frame+`}],"sim_now_ns":4000000000}`+"\n"))
 	}
-	return docs
+	return append(docs, hostileBody(4<<10))
+}
+
+// hostileBody is a shortest frame and then size bytes of frame openings
+// that never close: a body whose first frame promises many more.
+func hostileBody(size int) []byte {
+	const first = `{"frames":[{"node":"","backend":"","domain":"","unit":"","resolution":""},`
+	return []byte(first + strings.Repeat(`{"node":`, size/8) + "]}\n")
 }
 
 // FuzzDecodeQueryResult: on arbitrary bytes the decoder and
@@ -1201,6 +1209,91 @@ func TestSplitAllocations(t *testing.T) {
 	buf, _ := w.AppendJSON(nil)
 	if n := testing.AllocsPerRun(5, func() { buf, _ = w.AppendJSON(buf[:0]) }); n != 0 || !bytes.Equal(buf, recent) {
 		t.Errorf("writing the split document into a warm buffer: %v allocations, want 0 (same bytes: %v)", n, bytes.Equal(buf, recent))
+	}
+}
+
+// TestFrameListBound: the frame list is sized from the first frame's length
+// before the rest of the body is read, so a body whose tiny first frame is
+// followed by a mebibyte of frame openings could ask for a list as long as
+// the body over that frame. The estimate stops at what the rest could hold
+// at the encoder's shortest frame, minFrameLen bytes: the walk allocates
+// about sizeof(Frame)/minFrameLen (192/63) times the body's length before
+// it declines, a split a third of that, and encoding/json then refuses the
+// body. The gate is four times.
+func TestFrameListBound(t *testing.T) {
+	body := hostileBody(1 << 20)
+	for _, tc := range []struct {
+		what string
+		walk func() error
+	}{
+		{"decode", func() error { _, err := DecodeQueryResult(body); return err }},
+		{"split", func() error { _, _, err := SplitQueryResult(body); return err }},
+	} {
+		allocated := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.walk()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: the hostile body was accepted", tc.what)
+			}
+			allocated = min(allocated, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		t.Logf("%s: %.0f B allocated for a %d B body (%.2f times)", tc.what, allocated, len(body), allocated/float64(len(body)))
+		if allocated > 4*float64(len(body)) {
+			t.Errorf("%s: %.0f B allocated for a %d B body, want at most 4 times its length", tc.what, allocated, len(body))
+		}
+	}
+}
+
+// TestDecodedFramesDoNotAlias: a decoded frame's columns and reduction are
+// carved from blocks the document's frames share, each column with a full
+// slice expression. An append to any column of one frame, or a write
+// through its reduction, leaves every other frame as it was; so does
+// overwriting the body.
+func TestDecodedFramesDoNotAlias(t *testing.T) {
+	raw, rollups := manyFrames(300), manyFrames(40)
+	for i := range rollups.Frames {
+		f := &rollups.Frames[i]
+		f.Resolution, f.GapsNS = "1s", []time.Duration{time.Duration(i) * 1e9}
+		f.Buckets = &Buckets{Min: f.V, Max: f.V, Last: f.V, Count: make([]int, len(f.V))}
+	}
+	for _, doc := range []QueryResult{raw, rollups} {
+		body, err := doc.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refDecode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Frames {
+			got, err := DecodeQueryResult(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &got.Frames[i]
+			f.TNS, f.V, f.GapsNS = append(f.TNS, -1), append(f.V, -1), append(f.GapsNS, -1)
+			*f.Reduced = -1
+			if b := f.Buckets; b != nil {
+				b.Min, b.Max, b.Last, b.Count = append(b.Min, -1), append(b.Max, -1), append(b.Last, -1), append(b.Count, -1)
+			}
+			*f = want.Frames[i]
+			if !sameResult(got, want) {
+				t.Fatalf("writing to frame %d of %d changed another frame", i, len(want.Frames))
+			}
+		}
+		got, err := DecodeQueryResult(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range body {
+			body[i] = 'X'
+		}
+		if !sameResult(got, want) {
+			t.Fatal("the decoded document changed with the body")
+		}
 	}
 }
 

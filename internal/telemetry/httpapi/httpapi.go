@@ -520,8 +520,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	runGuarded(w, req.Deadline, func() (int, any) {
 		frames := s.store.Frames(req.Query)
 		out := QueryResult{Frames: make([]Frame, len(frames)), SimNowNS: s.simNow()}
-		for i, f := range frames {
-			out.Frames[i] = frameDoc(f)
+		for i := range frames {
+			out.Frames[i] = frameDoc(&frames[i])
 		}
 		out.NewestNS = NewestNS(out.Frames)
 		return out.Answer(req.Query)
@@ -576,17 +576,16 @@ func NewestNS(frames []Frame) (newest int64) {
 }
 
 // frameDoc puts one store frame in its wire form. The store's frames are
-// deep copies (telemetry.Store.Frames), so the columns and the gap markers
-// are handed over as they are.
-func frameDoc(f telemetry.Frame) Frame {
+// deep copies (telemetry.Store.Frames), so the columns, the gap markers
+// and the reduction are handed over as they are.
+func frameDoc(f *telemetry.Frame) Frame {
 	jf := Frame{
 		Node: f.Key.Node, Backend: f.Key.Backend, Domain: f.Key.Domain,
 		Unit: f.Unit, Resolution: f.Resolution.String(),
 		TNS: f.TNS, V: f.V, Buckets: f.Buckets, GapsNS: f.Gaps,
 	}
 	if f.ReducedOK {
-		v := f.Reduced
-		jf.Reduced = &v
+		jf.Reduced = &f.Reduced
 	}
 	return jf
 }

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -188,5 +189,48 @@ func TestRawHistoryAllocPerPoint(t *testing.T) {
 	t.Logf("%.1f B allocated per raw sample served", perSample)
 	if perSample > 24 {
 		t.Errorf("a raw /query allocates %.1f B per sample, gate 24 (the columns take 16)", perSample)
+	}
+}
+
+// TestWideQueryAllocPerFrame is the gate on the client's side of a
+// fleet-wide /query, the request a power-capping controller sends every
+// tick: 512 frames of 4 raw points, agg=last, served from 2048 series, and
+// decoded. A decoded frame costs its node label and its share of the frame
+// list and of the document's column blocks — one allocation, not one per
+// column. The least of a few runs counts, as in TestRawHistoryAllocPerPoint.
+func TestWideQueryAllocPerFrame(t *testing.T) {
+	const nodes, domains, points, runs = 512, 4, 8, 5
+	st := telemetry.New(telemetry.Options{Shards: 8, RawCapacity: points, RollupCapacity: 4})
+	for node := range nodes {
+		for d := range domains {
+			k := telemetry.SeriesKey{Node: fmt.Sprintf("n%04d", node), Backend: "rack", Domain: fmt.Sprintf("domain-%d", d)}
+			for s := 1; s <= points; s++ {
+				if err := st.Ingest(k, "W", time.Duration(s)*time.Second, 100+float64((node*7919+d*31+s)%2000)/4); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	New(st, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?domain=domain-0&agg=last&from=5s", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	body := rec.Body.Bytes()
+	bytesPer, mallocsPer := math.Inf(1), math.Inf(1)
+	for range runs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		doc, err := DecodeQueryResult(body)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(doc.Frames) != nodes || len(doc.Frames[0].V) != points/2 {
+			t.Fatalf("decoded %d frames (err %v), want %d of %d points", len(doc.Frames), err, nodes, points/2)
+		}
+		bytesPer = min(bytesPer, float64(after.TotalAlloc-before.TotalAlloc)/nodes)
+		mallocsPer = min(mallocsPer, float64(after.Mallocs-before.Mallocs)/nodes)
+	}
+	t.Logf("decoding %d frames of %d points: %.0f B and %.2f mallocs per frame", nodes, points/2, bytesPer, mallocsPer)
+	if bytesPer > 400 || mallocsPer > 1.1 {
+		t.Errorf("a decoded frame costs %.0f B in %.2f mallocs, gate 400 B and 1.1", bytesPer, mallocsPer)
 	}
 }

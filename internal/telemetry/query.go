@@ -175,11 +175,12 @@ func (st *Store) query(q Query, points bool) []Frame {
 
 func (st *Store) runQuery(q Query, points bool) []Frame {
 	o := st.keyOrder(func(s *series) bool { return q.matches(s.key) })
-	if o.n == 0 {
+	if len(o.placed) == 0 {
 		return nil
 	}
-	out := make([]Frame, o.n)
-	st.eachInOrder(o, func(at int, s *series) { out[at] = st.buildFrame(s, q, points) })
+	out := make([]Frame, len(o.placed))
+	var scratch rawColumns
+	st.eachInOrder(o, func(at int, s *series) { st.buildFrame(&out[at], s, q, points, &scratch) })
 	return out
 }
 
@@ -188,60 +189,55 @@ func pointT(p Point) time.Duration       { return p.T }
 func gapT(t time.Duration) time.Duration { return t }
 func bucketT(b Bucket) time.Duration     { return b.Start }
 
-// buildFrame resolves one series against the query window. Called with the
-// owning shard's read lock held; block reads nest the block store's read
-// lock inside it (the engine's fixed lock order). Block read failures are
-// counted in StorageStats and degrade the frame to what memory holds —
-// queries never fail outright. A window reads only what it can hold: the
-// ring entries inside it, found by bisection, and block chunks only when
-// the window reaches below the seam. With points false the frame is the
-// reduction alone.
-func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
-	f := Frame{Key: s.key, Unit: s.unit, Resolution: q.Resolution}
+// rawColumns is a raw window's columns where a frame does not keep them:
+// gathered for the reduction alone, and reused frame to frame.
+type rawColumns struct {
+	tns []time.Duration
+	v   []float64
+}
+
+// buildFrame resolves one series against the query window into f. Called
+// with the owning shard's read lock held; block reads nest the block
+// store's read lock inside it (the engine's fixed lock order). Block read
+// failures are counted in StorageStats and degrade the frame to what
+// memory holds — queries never fail outright. A window reads only what it
+// can hold: the ring entries inside it, found by bisection, and block
+// chunks only when the window reaches below the seam. With points false
+// the frame is the reduction alone, and a raw window is gathered into
+// scratch.
+func (st *Store) buildFrame(f *Frame, s *series, q Query, points bool, scratch *rawColumns) {
+	f.Key, f.Unit, f.Resolution = s.key, s.unit, q.Resolution
 	// red accumulates the window reduction across samples or buckets.
 	var red Bucket
-	fold := func(b Bucket) {
-		if red.Count == 0 {
-			red = b
-			return
-		}
-		if b.Min < red.Min {
-			red.Min = b.Min
-		}
-		if b.Max > red.Max {
-			red.Max = b.Max
-		}
-		red.Sum += b.Sum
-		red.Last = b.Last
-		red.Count += b.Count
-	}
 	// Each kind is served the same way: block data for the sealed prefix,
 	// then the ring from the seam on. The columns are sized once: the
 	// ring's part exactly, the blocks' from their index.
 	if q.Resolution == Raw {
-		sample := func(p Point) {
-			if points {
-				f.TNS, f.V = append(f.TNS, p.T), append(f.V, p.V)
-			}
-			fold(Bucket{Count: 1, Min: p.V, Max: p.V, Sum: p.V, Last: p.V})
-		}
 		i, j := s.raw.window(q.From, q.To, pointT)
 		sealed := st.blocks != nil && s.raw.sealedFrom(q.From, pointT)
+		tns, v := scratch.tns[:0], scratch.v[:0]
 		if points {
 			n := j - i
 			if sealed {
 				n += st.blocks.PointsIn(s.key, q.From, q.To)
 			}
-			f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
+			tns, v = make([]time.Duration, 0, n), make([]float64, 0, n)
 		}
 		if sealed {
-			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, sample))
+			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, func(p Point) {
+				tns, v = append(tns, p.T), append(v, p.V)
+			}))
 		}
 		for ; i < j; i++ {
-			sample(s.raw.at(i))
+			p := s.raw.at(i)
+			tns, v = append(tns, p.T), append(v, p.V)
 		}
-		if len(f.TNS) == 0 {
-			f.TNS, f.V = nil, nil // an empty window reads as one that was never sized
+		red = foldRaw(v)
+		switch {
+		case !points:
+			scratch.tns, scratch.v = tns, v
+		case len(tns) > 0: // an empty window reads as one that was never sized
+			f.TNS, f.V = tns, v
 		}
 	} else {
 		period := q.Resolution.Period()
@@ -253,7 +249,7 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 				cols.Min, cols.Max = append(cols.Min, b.Min), append(cols.Max, b.Max)
 				cols.Last, cols.Count = append(cols.Last, b.Last), append(cols.Count, b.Count)
 			}
-			fold(b)
+			fold(&red, b)
 		}
 		rb, open := &s.roll[lvl], &s.open[lvl]
 		// A bucket overlaps the window when Start+period > From. The open
@@ -304,7 +300,42 @@ func (st *Store) buildFrame(s *series, q Query, points bool) Frame {
 			f.Reduced = red.Last
 		}
 	}
-	return f
+}
+
+// foldRaw is fold over a raw window's values, each a bucket of one.
+func foldRaw(v []float64) (red Bucket) {
+	if len(v) == 0 {
+		return red
+	}
+	red = Bucket{Count: len(v), Min: v[0], Max: v[0], Sum: v[0], Last: v[len(v)-1]}
+	for _, x := range v[1:] {
+		if x < red.Min {
+			red.Min = x
+		}
+		if x > red.Max {
+			red.Max = x
+		}
+		red.Sum += x
+	}
+	return red
+}
+
+// fold adds b, a sample as a bucket of one or a bucket, to the window
+// reduction red.
+func fold(red *Bucket, b Bucket) {
+	if red.Count == 0 {
+		*red = b
+		return
+	}
+	if b.Min < red.Min {
+		red.Min = b.Min
+	}
+	if b.Max > red.Max {
+		red.Max = b.Max
+	}
+	red.Sum += b.Sum
+	red.Last = b.Last
+	red.Count += b.Count
 }
 
 // noteRead counts a failed block read; the frame degrades to what memory

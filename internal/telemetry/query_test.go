@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,6 +157,62 @@ func TestShardCountByteIdentity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ref.Series(), st.Series()) {
 			t.Fatalf("shards=%d Series() diverged from shards=1", shards)
+		}
+	}
+}
+
+// TestKeyOrderTakesNewSeries: the walks that answer in key order filter a
+// cached key-sorted list of every series, rebuilt when a series has been
+// created since. A series created between two queries, with a key that
+// sorts before every other, is in its key place in the next Frames, TopK
+// and Series — which equal a fresh store's, that saw every series before
+// its first query — at every shard count.
+func TestKeyOrderTakesNewSeries(t *testing.T) {
+	type sample struct {
+		node, backend string
+		v             float64
+	}
+	var stream []sample
+	for i := range 40 {
+		stream = append(stream, sample{fmt.Sprintf("n%02d", i), "MSR", float64(i)})
+	}
+	ingest := func(st *Store, ss ...sample) {
+		for _, s := range ss {
+			if err := st.Ingest(SeriesKey{Node: s.node, Backend: s.backend, Domain: "Total Power"}, "W", time.Second, s.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	q := Query{Domain: "Total Power", Aggregate: AggMean}
+	for _, shards := range []int{1, 8, 64} {
+		st := New(Options{Shards: shards})
+		ingest(st, stream...)
+		for step, next := range []sample{{"a00", "RAPL", 5}, {"a00", "MSR", 7}} {
+			st.Frames(q) // the list is cached before the series is created
+			ingest(st, next)
+			ref := New(Options{Shards: shards})
+			ingest(ref, append(slices.Clone(stream), []sample{{"a00", "RAPL", 5}, {"a00", "MSR", 7}}[:step+1]...)...)
+
+			frames := st.Frames(q)
+			if len(frames) != 41+step || frames[0].Key.Node != "a00" || frames[step].Key.Backend != "RAPL" {
+				t.Fatalf("shards=%d step %d: %d frames, first %+v: the new series is not in its key place", shards, step, len(frames), frames[0].Key)
+			}
+			if !reflect.DeepEqual(frames, ref.Frames(q)) {
+				t.Fatalf("shards=%d step %d: Frames differs from a fresh store's", shards, step)
+			}
+			ranked, total := st.TopK(0, "", 0, 0, Raw)
+			wantRank, wantTotal := ref.TopK(0, "", 0, 0, Raw)
+			if !reflect.DeepEqual(ranked, wantRank) || total != wantTotal {
+				t.Fatalf("shards=%d step %d: TopK %v differs from a fresh store's %v", shards, step, ranked, wantRank)
+			}
+			series := st.Series()
+			if series[0].Key.Node != "a00" || !reflect.DeepEqual(series, ref.Series()) {
+				t.Fatalf("shards=%d step %d: Series differs from a fresh store's", shards, step)
+			}
+		}
+		if ranked, _ := st.TopK(0, "", 0, 0, Raw); ranked[len(ranked)-1] != (NodePower{Node: "n00", Watts: 0, Series: 1}) ||
+			!slices.Contains(ranked, NodePower{Node: "a00", Watts: 12, Series: 2}) {
+			t.Fatalf("shards=%d: a00's two series, created between queries, did not fold into one node: %v", shards, ranked)
 		}
 	}
 }

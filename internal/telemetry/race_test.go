@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"envmon/internal/simclock"
+	"envmon/internal/telemetry/storage"
 	"envmon/internal/trace"
 )
 
@@ -88,9 +89,22 @@ func TestConcurrentDomainIngestAndQuery(t *testing.T) {
 						return
 					default:
 					}
-					st.Query(Query{Domain: "Total Power", Resolution: Res1s, Aggregate: AggMean})
+					// Series are created while these run, and each answer is
+					// still in key order: the cached order is rebuilt, never
+					// appended to.
+					frames := st.Query(Query{Domain: "Total Power", Resolution: Res1s, Aggregate: AggMean})
+					for i := 1; i < len(frames); i++ {
+						if !storage.KeyLess(frames[i-1].Key, frames[i].Key) {
+							t.Errorf("frames out of key order: %+v before %+v", frames[i-1].Key, frames[i].Key)
+						}
+					}
 					st.TopK(3, "", 0, 0, Raw)
-					st.Series()
+					series := st.Series()
+					for i := 1; i < len(series); i++ {
+						if !storage.KeyLess(series[i-1].Key, series[i].Key) {
+							t.Errorf("series out of key order: %+v before %+v", series[i-1].Key, series[i].Key)
+						}
+					}
 				}
 			}()
 		}

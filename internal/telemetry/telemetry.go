@@ -156,6 +156,11 @@ type Store struct {
 	samples atomic.Uint64
 	gaps    atomic.Uint64
 
+	// order is every series in key order (byKey), rebuilt under orderMu
+	// when nseries has moved past it.
+	order   atomic.Pointer[[]keyed]
+	orderMu sync.Mutex
+
 	// Self-observability hooks (see obs.go); obs is nil in an
 	// uninstrumented store and is set at wiring time, never after the
 	// store is shared. ingestErrs counts rejected ingests — the only
@@ -443,10 +448,10 @@ type SeriesInfo struct {
 // deterministic at any shard count.
 func (st *Store) Series() []SeriesInfo {
 	o := st.keyOrder(func(*series) bool { return true })
-	if o.n == 0 {
+	if len(o.placed) == 0 {
 		return nil
 	}
-	out := make([]SeriesInfo, o.n)
+	out := make([]SeriesInfo, len(o.placed))
 	st.eachInOrder(o, func(at int, s *series) {
 		info := &out[at]
 		*info = SeriesInfo{Key: s.key, Unit: s.unit, Samples: s.raw.total, Gaps: s.gaps.total,
@@ -460,53 +465,84 @@ func (st *Store) Series() []SeriesInfo {
 	return out
 }
 
-// keyOrder is a listing's series in key order, found without moving a
-// value: byShard holds each shard's series sorted by key, and rank[i][j]
-// is the place of byShard[i][j] in the shards' merged order.
-type keyOrder struct {
-	byShard [][]*series
-	rank    [][]int
-	n       int
-}
-
-// keyOrder collects the series keep accepts, each shard's under its read
-// lock, sorts each shard's pointers by key and merges the shards' lists
-// into each series' place. A listing is then built by eachInOrder straight
-// into an exactly sized slice.
-func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
-	o := keyOrder{byShard: make([][]*series, len(st.shards)), rank: make([][]int, len(st.shards))}
+// byKey returns every series sorted by key, each with its shard: the list
+// the walks that answer in key order (Frames, TopK, Series) filter instead
+// of sorting. Series are never removed, so a list as long as nseries holds
+// every series there is, and it is rebuilt only when nseries has moved
+// past it. A series' list append and its count happen under its shard's
+// write lock, which the rebuild's read lock waits out: a rebuilt list
+// holds nothing nseries has not counted.
+func (st *Store) byKey() []keyed {
+	if l := st.order.Load(); l != nil && int64(len(*l)) == st.nseries.Load() {
+		return *l
+	}
+	st.orderMu.Lock()
+	defer st.orderMu.Unlock()
+	if l := st.order.Load(); l != nil && int64(len(*l)) == st.nseries.Load() {
+		return *l
+	}
+	all := make([]keyed, 0, st.nseries.Load())
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, s := range sh.list {
-			if keep(s) {
-				o.byShard[i] = append(o.byShard[i], s)
-			}
+			all = append(all, keyed{s, i})
 		}
 		sh.mu.RUnlock()
-		slices.SortFunc(o.byShard[i], func(a, b *series) int {
-			switch {
-			case storage.KeyLess(a.key, b.key):
-				return -1
-			case storage.KeyLess(b.key, a.key):
-				return 1
-			}
-			return 0
-		})
-		o.rank[i] = make([]int, len(o.byShard[i]))
-		o.n += len(o.byShard[i])
 	}
-	// A key lives in one shard, so the merge meets no ties.
-	head := make([]int, len(o.byShard))
-	for at := 0; at < o.n; at++ {
-		next := -1
-		for i, l := range o.byShard {
-			if head[i] < len(l) && (next < 0 || storage.KeyLess(l[head[i]].key, o.byShard[next][head[next]].key)) {
-				next = i
-			}
+	slices.SortFunc(all, func(a, b keyed) int {
+		switch {
+		case storage.KeyLess(a.s.key, b.s.key):
+			return -1
+		case storage.KeyLess(b.s.key, a.s.key):
+			return 1
 		}
-		o.rank[next][head[next]] = at
-		head[next]++
+		return 0
+	})
+	st.order.Store(&all)
+	return all
+}
+
+// keyed is a series and the index of its shard.
+type keyed struct {
+	s     *series
+	shard int
+}
+
+// keyOrder is a listing's series grouped by shard, each with its place in
+// key order: shard i's are placed[ends[i-1]:ends[i]], ends[-1] read as 0.
+type keyOrder struct {
+	placed []placed
+	ends   []int
+}
+
+// placed is a series and its place in a listing.
+type placed struct {
+	s  *series
+	at int
+}
+
+// keyOrder filters byKey's list by keep and groups what it keeps by shard,
+// so that eachInOrder takes each shard's read lock once and a listing is
+// built straight into an exactly sized slice.
+func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
+	all := st.byKey()
+	kept := make([]int32, 0, len(all))
+	ends := make([]int, len(st.shards)+1)
+	for i, k := range all {
+		if keep(k.s) {
+			kept = append(kept, int32(i))
+			ends[k.shard+1]++
+		}
+	}
+	for i := 1; i < len(ends); i++ {
+		ends[i] += ends[i-1] // ends[i] is where shard i's series start
+	}
+	o := keyOrder{placed: make([]placed, len(kept)), ends: ends[:len(st.shards)]}
+	for at, i := range kept {
+		k := all[i]
+		o.placed[ends[k.shard]] = placed{k.s, at}
+		ends[k.shard]++ // and then where they end
 	}
 	return o
 }
@@ -515,14 +551,16 @@ func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
 // under the series' shard's read lock (the engine's lock order: one shard
 // at a time, block reads nested inside).
 func (st *Store) eachInOrder(o keyOrder, fn func(at int, s *series)) {
+	from := 0
 	for i := range st.shards {
-		if len(o.byShard[i]) == 0 {
+		group := o.placed[from:o.ends[i]]
+		if from = o.ends[i]; len(group) == 0 {
 			continue
 		}
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for j, s := range o.byShard[i] {
-			fn(o.rank[i][j], s)
+		for _, p := range group {
+			fn(p.at, p.s)
 		}
 		sh.mu.RUnlock()
 	}
