@@ -77,7 +77,7 @@ var architecture = []struct {
 			bad: strs("crc32.MakeTable", "func appendString", "func readString", "type idxReader")})},
 	{"raw-columns", "DESIGN §7: every frame is columns from buildFrame to the socket, t_ns and v and for a rollup four more; Store.Query and client's QueryFull, which widen them into FramePoints in Points, are shims for bench/ only", guards(
 		guard{except: strs("bench/", "internal/telemetry/query.go#Store.Query"), bad: strs("Query(_)")},
-		guard{scope: httpapi, bad: strs("~rawColumns")},
+		guard{scope: "internal/telemetry/", bad: strs("~rawColumns")},
 		guard{except: append(strs("bench/"), framePointShim...), one: strs("~FramePoint", "~FramePoint", "~FramePoint")},
 		guard{scope: "internal/telemetry/query.go", except: strs(framePointShim...), bad: strs(".Points")},
 		guard{scope: "internal/telemetry/client/", except: strs(framePointShim...), bad: strs(".Points")},

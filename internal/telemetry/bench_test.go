@@ -175,6 +175,33 @@ func BenchmarkStoreFramesWide(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreFramesOneNode is a one-node raw read at 256 and 4096
+// series, 8 samples each: the node's run is found by bisection, so its
+// cost does not grow with the series count.
+func BenchmarkStoreFramesOneNode(b *testing.B) {
+	for _, nseries := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("series=%d", nseries), func(b *testing.B) {
+			st := New(Options{Shards: 8, RawCapacity: 8})
+			keys := benchKeys(nseries)
+			for s := 1; s <= 8; s++ {
+				for i, k := range keys {
+					if err := st.Ingest(k, "W", time.Duration(s)*time.Second, 100+float64(i%7)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			q := Query{Node: keys[nseries/2].Node}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if frames := st.Frames(q); len(frames) != 1 || len(frames[0].V) != 8 {
+					b.Fatalf("%d frames, want 1 of 8 points", len(frames))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCursorFlush is one epoch barrier of live-loop without the 30 s
 // harness: 320 series, each handing over a run of 20–34 samples, into a
 // journaled store and into a memory-only one. Stores are built and every

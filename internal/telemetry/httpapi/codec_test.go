@@ -324,8 +324,8 @@ func TestCodecShapes(t *testing.T) {
 	shortBuckets := buckets
 	shortBuckets.Buckets = withBuckets(buckets, func(b *Buckets) { b.Last = b.Last[:1] })
 	// The walk reads columns by key, not by resolution.
-	rawColumnsAt1s, bucketsAtRaw := samples, buckets
-	rawColumnsAt1s.Resolution, bucketsAtRaw.Resolution = "1s", "raw"
+	rawFrameAt1s, bucketsAtRaw := samples, buckets
+	rawFrameAt1s.Resolution, bucketsAtRaw.Resolution = "1s", "raw"
 	// Points is the bench shim's widening, never on the wire.
 	withPoints := samples
 	withPoints.Points = []telemetry.FramePoint{{T: 1e9, Min: 1, Max: 1, Mean: 1, Last: 1, Count: 1}}
@@ -342,7 +342,7 @@ func TestCodecShapes(t *testing.T) {
 		"empty labels":                  {Frames: []Frame{zeroBucket}},
 		"columns of two lengths":        {Frames: []Frame{short}},
 		"bucket columns of two lengths": {Frames: []Frame{shortBuckets}},
-		"a rollup frame with columns":   {Frames: []Frame{rawColumnsAt1s}},
+		"a rollup frame with columns":   {Frames: []Frame{rawFrameAt1s}},
 		"bucket columns at raw":         {Frames: []Frame{bucketsAtRaw}},
 		"a raw frame with points":       {Frames: []Frame{withPoints}},
 		"degraded, missing null":        {Frames: []Frame{samples}, SimNowNS: 4e9, Degraded: &Degraded{Members: 4, Responded: 3}},

@@ -137,7 +137,18 @@ type Frame struct {
 // together along the series' persisted watermark (block data first, then
 // ring entries past the watermark), so a restart changes nothing a reader
 // can observe.
-func (st *Store) Frames(q Query) []Frame { return st.query(q, true) }
+func (st *Store) Frames(q Query) (out []Frame) {
+	start := time.Now()
+	if o := st.keyOrder(q); len(o.placed) > 0 {
+		out = make([]Frame, len(o.placed))
+		st.eachInOrder(o, func(at int, s *series) {
+			st.buildFrame(&out[at], s, q)
+			out[at].Gaps = st.gapsIn(s, q)
+		})
+	}
+	st.observeQuery(q, len(out), time.Since(start))
+	return out
+}
 
 // Query is Frames with each frame's columns widened into Points, as bench/
 // reads them; ROADMAP item 6 deletes it. Nothing else may call it
@@ -161,52 +172,22 @@ func (st *Store) Query(q Query) []Frame {
 	return frames
 }
 
-// query is Frames; with points false every frame carries its reduction
-// alone, no samples, buckets or gap markers, which is all TopK folds.
-func (st *Store) query(q Query, points bool) []Frame {
-	if st.obs == nil {
-		return st.runQuery(q, points)
-	}
-	start := time.Now()
-	out := st.runQuery(q, points)
-	st.observeQuery(q, len(out), time.Since(start))
-	return out
-}
-
-func (st *Store) runQuery(q Query, points bool) []Frame {
-	o := st.keyOrder(func(s *series) bool { return q.matches(s.key) })
-	if len(o.placed) == 0 {
-		return nil
-	}
-	out := make([]Frame, len(o.placed))
-	var scratch rawColumns
-	st.eachInOrder(o, func(at int, s *series) { st.buildFrame(&out[at], s, q, points, &scratch) })
-	return out
-}
-
 // The instant each kind of stream entry is ordered and windowed by.
 func pointT(p Point) time.Duration       { return p.T }
 func gapT(t time.Duration) time.Duration { return t }
 func bucketT(b Bucket) time.Duration     { return b.Start }
 
-// rawColumns is a raw window's columns where a frame does not keep them:
-// gathered for the reduction alone, and reused frame to frame.
-type rawColumns struct {
-	tns []time.Duration
-	v   []float64
-}
-
-// buildFrame resolves one series against the query window into f. Called
-// with the owning shard's read lock held; block reads nest the block
-// store's read lock inside it (the engine's fixed lock order). Block read
-// failures are counted in StorageStats and degrade the frame to what
-// memory holds — queries never fail outright. A window reads only what it
-// can hold: the ring entries inside it, found by bisection, and block
-// chunks only when the window reaches below the seam. With points false
-// the frame is the reduction alone, and a raw window is gathered into
-// scratch.
-func (st *Store) buildFrame(f *Frame, s *series, q Query, points bool, scratch *rawColumns) {
-	f.Key, f.Unit, f.Resolution = s.key, s.unit, q.Resolution
+// buildFrame resolves one series against the query window into f, its
+// columns and reduction but not its gap markers (gapsIn). Called with the
+// owning shard's read lock held; block reads nest the block store's read
+// lock inside it (the engine's fixed lock order). Block read failures are
+// counted in StorageStats and degrade the frame to what memory holds —
+// queries never fail outright. A window reads only what it can hold: the
+// ring entries inside it, found by bisection, and block chunks only when
+// the window reaches below the seam. f's columns are cut and regrown only
+// past capacity: a lent frame reuses them, a zero frame gets exact ones.
+func (st *Store) buildFrame(f *Frame, s *series, q Query) {
+	f.Key, f.Unit, f.Resolution, f.Reduced, f.ReducedOK = s.key, s.unit, q.Resolution, 0, false
 	// red accumulates the window reduction across samples or buckets.
 	var red Bucket
 	// Each kind is served the same way: block data for the sealed prefix,
@@ -215,14 +196,11 @@ func (st *Store) buildFrame(f *Frame, s *series, q Query, points bool, scratch *
 	if q.Resolution == Raw {
 		i, j := s.raw.window(q.From, q.To, pointT)
 		sealed := st.blocks != nil && s.raw.sealedFrom(q.From, pointT)
-		tns, v := scratch.tns[:0], scratch.v[:0]
-		if points {
-			n := j - i
-			if sealed {
-				n += st.blocks.PointsIn(s.key, q.From, q.To)
-			}
-			tns, v = make([]time.Duration, 0, n), make([]float64, 0, n)
+		n := j - i
+		if sealed {
+			n += st.blocks.PointsIn(s.key, q.From, q.To)
 		}
+		tns, v := cut(f.TNS, n), cut(f.V, n)
 		if sealed {
 			st.noteRead(st.blocks.EachPoint(s.key, q.From, q.To, func(p Point) {
 				tns, v = append(tns, p.T), append(v, p.V)
@@ -232,38 +210,32 @@ func (st *Store) buildFrame(f *Frame, s *series, q Query, points bool, scratch *
 			p := s.raw.at(i)
 			tns, v = append(tns, p.T), append(v, p.V)
 		}
+		f.TNS, f.V = tns, v
 		red = foldRaw(v)
-		switch {
-		case !points:
-			scratch.tns, scratch.v = tns, v
-		case len(tns) > 0: // an empty window reads as one that was never sized
-			f.TNS, f.V = tns, v
-		}
 	} else {
 		period := q.Resolution.Period()
 		lvl := int(q.Resolution - 1)
-		var cols *Buckets
-		bucket := func(b Bucket) {
-			if points {
-				f.TNS, f.V = append(f.TNS, b.Start), append(f.V, b.Mean())
-				cols.Min, cols.Max = append(cols.Min, b.Min), append(cols.Max, b.Max)
-				cols.Last, cols.Count = append(cols.Last, b.Last), append(cols.Count, b.Count)
-			}
-			fold(&red, b)
-		}
 		rb, open := &s.roll[lvl], &s.open[lvl]
 		// A bucket overlaps the window when Start+period > From. The open
 		// bucket is newer than every closed one, so it comes last.
 		lo := q.From - period + 1
 		i, j := rb.window(lo, q.To, bucketT)
 		inWindow := open.Count > 0 && open.Start >= lo && (q.To <= 0 || open.Start < q.To)
-		if points {
-			n := j - i
-			if inWindow {
-				n++
-			}
-			f.TNS, f.V = make([]time.Duration, 0, n), make([]float64, 0, n)
-			cols = &Buckets{Min: make([]float64, 0, n), Max: make([]float64, 0, n), Last: make([]float64, 0, n), Count: make([]int, 0, n)}
+		n := j - i
+		if inWindow {
+			n++
+		}
+		cols := f.Buckets
+		if cols == nil {
+			cols = new(Buckets)
+		}
+		f.TNS, f.V, f.Buckets = cut(f.TNS, n), cut(f.V, n), cols
+		cols.Min, cols.Max, cols.Last, cols.Count = cut(cols.Min, n), cut(cols.Max, n), cut(cols.Last, n), cut(cols.Count, n)
+		bucket := func(b Bucket) {
+			f.TNS, f.V = append(f.TNS, b.Start), append(f.V, b.Mean())
+			cols.Min, cols.Max = append(cols.Min, b.Min), append(cols.Max, b.Max)
+			cols.Last, cols.Count = append(cols.Last, b.Last), append(cols.Count, b.Count)
+			fold(&red, b)
 		}
 		if st.blocks != nil && rb.sealedFrom(lo, bucketT) {
 			st.noteRead(st.blocks.EachClosedBucket(s.key, lvl, period, q.From, q.To, bucket))
@@ -274,18 +246,9 @@ func (st *Store) buildFrame(f *Frame, s *series, q Query, points bool, scratch *
 		if inWindow {
 			bucket(*open)
 		}
-		if f.Buckets = cols; len(f.TNS) == 0 { // an empty window reads as one that was never sized
-			f.TNS, f.V, f.Buckets = nil, nil, nil
-		}
 	}
-	if points {
-		i, j := s.gaps.window(q.From, q.To, gapT)
-		if st.blocks != nil && s.gaps.sealedFrom(q.From, gapT) {
-			st.noteRead(st.blocks.EachGap(s.key, q.From, q.To, func(t time.Duration) { f.Gaps = append(f.Gaps, t) }))
-		}
-		for ; i < j; i++ {
-			f.Gaps = append(f.Gaps, s.gaps.at(i))
-		}
+	if len(f.TNS) == 0 { // an empty window reads as one that was never sized
+		f.TNS, f.V, f.Buckets = nil, nil, nil
 	}
 	if q.Aggregate != AggNone && red.Count > 0 {
 		f.ReducedOK = true
@@ -300,6 +263,28 @@ func (st *Store) buildFrame(f *Frame, s *series, q Query, points bool, scratch *
 			f.Reduced = red.Last
 		}
 	}
+}
+
+// cut is s at length 0, or an exactly sized new column when n is past its
+// capacity.
+func cut[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// gapsIn is s's gap markers inside q's window, block data first. Only
+// Frames serves them; a reduction reads none.
+func (st *Store) gapsIn(s *series, q Query) (gaps []time.Duration) {
+	i, j := s.gaps.window(q.From, q.To, gapT)
+	if st.blocks != nil && s.gaps.sealedFrom(q.From, gapT) {
+		st.noteRead(st.blocks.EachGap(s.key, q.From, q.To, func(t time.Duration) { gaps = append(gaps, t) }))
+	}
+	for ; i < j; i++ {
+		gaps = append(gaps, s.gaps.at(i))
+	}
+	return gaps
 }
 
 // foldRaw is fold over a raw window's values, each a bucket of one.
@@ -385,20 +370,28 @@ func CompareRank(a, b NodePower) int {
 // drawing" questions an operator service answers. domain selects which
 // measurement domain counts as power (see PowerDomain). A node's watts are
 // the sum over its matching backends. Ordering is deterministic:
-// CompareRank. Each series' window is folded without building its points.
+// CompareRank. One frame is lent to every series; only its reduction is read.
 func (st *Store) TopK(k int, domain string, from, to time.Duration, res Resolution) (ranked []NodePower, total float64) {
-	frames := st.query(Query{Domain: PowerDomain(domain), From: from, To: to, Resolution: res, Aggregate: AggMean}, false)
-	// Frames arrive sorted by key, so same-node frames are adjacent and
-	// the fold is deterministic.
-	for _, f := range frames {
-		if !f.ReducedOK {
-			continue
+	start := time.Now()
+	q := Query{Domain: PowerDomain(domain), From: from, To: to, Resolution: res, Aggregate: AggMean}
+	o := st.keyOrder(q)
+	all := make([]NodePower, len(o.placed))
+	var f Frame
+	st.eachInOrder(o, func(at int, s *series) {
+		if st.buildFrame(&f, s, q); f.ReducedOK {
+			all[at] = NodePower{Node: s.key.Node, Watts: f.Reduced, Series: 1}
 		}
-		if n := len(ranked); n > 0 && ranked[n-1].Node == f.Key.Node {
-			ranked[n-1].Watts += f.Reduced
-			ranked[n-1].Series++
-		} else {
-			ranked = append(ranked, NodePower{Node: f.Key.Node, Watts: f.Reduced, Series: 1})
+	})
+	st.observeQuery(q, len(all), time.Since(start))
+	// all is in key order, so same-node entries are adjacent and fold in
+	// place, deterministically; an empty window left its entry zero.
+	ranked = all[:0]
+	for _, np := range all {
+		if n := len(ranked); n > 0 && ranked[n-1].Node == np.Node {
+			ranked[n-1].Watts += np.Watts
+			ranked[n-1].Series += np.Series
+		} else if np.Series > 0 {
+			ranked = append(ranked, np)
 		}
 	}
 	for _, np := range ranked {

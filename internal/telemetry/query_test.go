@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -213,6 +215,154 @@ func TestKeyOrderTakesNewSeries(t *testing.T) {
 		if ranked, _ := st.TopK(0, "", 0, 0, Raw); ranked[len(ranked)-1] != (NodePower{Node: "n00", Watts: 0, Series: 1}) ||
 			!slices.Contains(ranked, NodePower{Node: "a00", Watts: 12, Series: 2}) {
 			t.Fatalf("shards=%d: a00's two series, created between queries, did not fold into one node: %v", shards, ranked)
+		}
+	}
+}
+
+// TestFramesOfOneNode: a query that names a node finds the node's run in
+// the key-sorted list by bisection. Names that are prefixes of one another
+// sort apart ("n1" < "n1-a" < "n10"), and a query for each — or for a node
+// no series has, before, between or after the others — answers exactly
+// the frames a wildcard query holds for that node, at every shard count.
+func TestFramesOfOneNode(t *testing.T) {
+	nodes := []string{"n1", "n10", "n1-a", "n", "n2"}
+	for _, shards := range []int{1, 8} {
+		st := New(Options{Shards: shards})
+		for i, node := range nodes {
+			for _, backend := range []string{"RAPL", "MSR"} {
+				mustIngest(t, st, SeriesKey{Node: node, Backend: backend, Domain: "Total Power"}, time.Second, float64(i))
+				mustIngest(t, st, SeriesKey{Node: node, Backend: backend, Domain: "DDR Power"}, time.Second, float64(i))
+			}
+		}
+		all := st.Frames(Query{})
+		for _, node := range append(nodes, "", "a", "n0", "n1-", "n11", "zz") {
+			for _, q := range []Query{{Node: node}, {Node: node, Backend: "MSR"}, {Node: node, Domain: "DDR Power"}} {
+				var want []Frame
+				for _, f := range all {
+					if q.matches(f.Key) {
+						want = append(want, f)
+					}
+				}
+				if got := st.Frames(q); !reflect.DeepEqual(got, want) {
+					t.Errorf("shards=%d %+v: %d frames, want %d", shards, q, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestTopKMatchesFrames holds TopK, which lends one frame to every series
+// and reads only its reduction, to an oracle that never runs it: the
+// per-node sum of Frames' AggMean reductions, folded in key order, over a
+// persistent store with sealed blocks. Its series are placed so that a
+// frame carried over from one series to the next shows: a gap-only
+// series, a series whose early samples leave later windows empty, and
+// same-node neighbours in key order whose windows differ in length.
+func TestTopKMatchesFrames(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{Shards: 4, RawCapacity: 16, RollupCapacity: 4, GapCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	type spec struct {
+		key        SeriesKey
+		every, end time.Duration // a sample each every up to end; 0: gaps only
+	}
+	power := func(node, backend string) SeriesKey {
+		return SeriesKey{Node: node, Backend: backend, Domain: "Total Power"}
+	}
+	specs := []spec{
+		{power("a", "MSR"), 50 * time.Millisecond, 40 * time.Second},
+		{power("a", "NVML"), time.Second, 40 * time.Second},
+		{power("a", "RAPL"), 250 * time.Millisecond, 6 * time.Second},
+		{power("b", "MSR"), 100 * time.Millisecond, 4 * time.Second},
+		{power("c", "MSR"), 0, 40 * time.Second},
+		{power("d", "MSR"), 700 * time.Millisecond, 40 * time.Second},
+		{power("d", "RAPL"), 50 * time.Millisecond, 40 * time.Second},
+		{SeriesKey{Node: "d", Backend: "MSR", Domain: "Die Temperature"}, 50 * time.Millisecond, 40 * time.Second},
+	}
+	for at := time.Duration(0); at < 40*time.Second; at += 50 * time.Millisecond {
+		if at == 20*time.Second {
+			if err := st.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, sp := range specs {
+			switch {
+			case at >= sp.end:
+			case sp.every == 0:
+				if at%time.Second == 0 {
+					if err := st.IngestGap(sp.key, "W", at); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case at%sp.every == 0:
+				mustIngest(t, st, sp.key, at, 100+float64(i*37)+float64(int(at/sp.every)%11)/4)
+			}
+		}
+	}
+	if st.StorageStats().Blocks == 0 {
+		t.Fatal("no block was sealed: the walk reads memory alone")
+	}
+	windows := [][2]time.Duration{{0, 0}, {0, 3 * time.Second}, {2 * time.Second, 8 * time.Second},
+		{7 * time.Second, 0}, {15 * time.Second, 25 * time.Second}, {39 * time.Second, 0}, {time.Hour, 0}}
+	for _, res := range []Resolution{Raw, Res1s, Res10s, Res60s} {
+		for _, w := range windows {
+			var want []NodePower
+			var wantTotal float64
+			for _, f := range st.Frames(Query{Domain: "Total Power", From: w[0], To: w[1], Resolution: res, Aggregate: AggMean}) {
+				if !f.ReducedOK {
+					continue
+				}
+				if n := len(want); n > 0 && want[n-1].Node == f.Key.Node {
+					want[n-1].Watts += f.Reduced
+					want[n-1].Series++
+				} else {
+					want = append(want, NodePower{Node: f.Key.Node, Watts: f.Reduced, Series: 1})
+				}
+			}
+			for _, np := range want {
+				wantTotal += np.Watts
+			}
+			slices.SortFunc(want, CompareRank)
+			got, total := st.TopK(0, "", w[0], w[1], res)
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) || total != wantTotal {
+				t.Errorf("%s [%v, %v): TopK = %v total %v, Frames fold to %v total %v", res, w[0], w[1], got, total, want, wantTotal)
+			}
+		}
+	}
+}
+
+// TestTopKAllocPerSeries gates what a ranking allocates per matching
+// series on the shape of BenchmarkTelemetry_Query's topk (1024 series in 8
+// shards, 256 raw samples each), at Raw and at 10 s. TopK lends one frame
+// to every series and keeps one NodePower each, about 55 B a series; a
+// Frame built per series costs about 330.
+func TestTopKAllocPerSeries(t *testing.T) {
+	const nseries, runs = 1024, 5
+	st := New(Options{Shards: 8, RawCapacity: 256})
+	keys := benchKeys(nseries)
+	for round := range 256 {
+		for i, k := range keys {
+			mustIngest(t, st, k, time.Duration(round)*500*time.Millisecond, 100+float64(i%7))
+		}
+	}
+	for _, res := range []Resolution{Raw, Res10s} {
+		st.TopK(10, "", 0, 0, res) // the key-sorted list is built once, off the count
+		perSeries := math.Inf(1)
+		for range runs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ranked, _ := st.TopK(10, "", 0, 0, res)
+			runtime.ReadMemStats(&after)
+			if len(ranked) != 10 {
+				t.Fatalf("%s: ranked %d nodes, want 10", res, len(ranked))
+			}
+			perSeries = min(perSeries, float64(after.TotalAlloc-before.TotalAlloc)/nseries)
+		}
+		t.Logf("TopK at %s over %d series: %.0f B per series", res, nseries, perSeries)
+		if perSeries > 96 {
+			t.Errorf("TopK at %s allocates %.0f B per matching series, gate 96", res, perSeries)
 		}
 	}
 }

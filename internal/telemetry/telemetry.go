@@ -61,6 +61,7 @@ package telemetry
 import (
 	"errors"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -447,7 +448,7 @@ type SeriesInfo struct {
 // Series lists every stored series, sorted by key, so output is
 // deterministic at any shard count.
 func (st *Store) Series() []SeriesInfo {
-	o := st.keyOrder(func(*series) bool { return true })
+	o := st.keyOrder(Query{})
 	if len(o.placed) == 0 {
 		return nil
 	}
@@ -522,15 +523,19 @@ type placed struct {
 	at int
 }
 
-// keyOrder filters byKey's list by keep and groups what it keeps by shard,
+// keyOrder filters byKey's list by q and groups what it keeps by shard,
 // so that eachInOrder takes each shard's read lock once and a listing is
 // built straight into an exactly sized slice.
-func (st *Store) keyOrder(keep func(*series) bool) keyOrder {
+func (st *Store) keyOrder(q Query) keyOrder {
 	all := st.byKey()
+	if q.Node != "" { // the list is sorted node first: the node's run is two bisections
+		lo := sort.Search(len(all), func(i int) bool { return all[i].s.key.Node >= q.Node })
+		all = all[lo : lo+sort.Search(len(all)-lo, func(i int) bool { return all[lo+i].s.key.Node > q.Node })]
+	}
 	kept := make([]int32, 0, len(all))
 	ends := make([]int, len(st.shards)+1)
 	for i, k := range all {
-		if keep(k.s) {
+		if q.matches(k.s.key) {
 			kept = append(kept, int32(i))
 			ends[k.shard+1]++
 		}
